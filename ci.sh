@@ -19,6 +19,19 @@ cargo fmt --check
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
+echo "==> benchmark package (frozen API surface + reference digests)"
+# benchmark/ is a workspace of its own, so nothing above compiles it: a
+# PR could break the API surface listed in benchmark/README.md unnoticed.
+# Its unit tests build it against this checkout; the --quick run checks
+# every file_ingest answer against benchmark/expected/digests.json and
+# exits non-zero on a mismatch (its timings are a smoke, not a gate).
+(cd benchmark && cargo test --offline -q)
+if [ "$(nproc)" -ge 2 ]; then
+    benchmark/run.sh --quick --workload file_ingest >/dev/null
+else
+    echo "    benchmark/run.sh needs 2 CPUs: digest check NOT RUN on this host"
+fi
+
 echo "==> paper tables (Table I + Fig. 1 incl. the coop family)"
 # Thread-capped smoke of the two catalog-wide paper artifacts: Table I
 # must enumerate all 41 workloads (36 paper + 5 coop) and Fig. 1 must

@@ -311,7 +311,7 @@ impl AnalyzerConfig {
         program: &Program,
         traces: &TraceSet,
     ) -> Result<AnalysisReport, AnalyzeError> {
-        let index = AnalysisIndex::build_observed(program, traces, &self.obs)?;
+        let index = AnalysisIndex::build_observed(program, traces, self.parallelism, &self.obs)?;
         analyze_impl(program, traces, &index, self, None)
     }
 

@@ -1,9 +1,10 @@
 //! Criterion benchmarks for the analysis pipeline: tracing overhead
-//! (the paper claims 2–6× native execution), DCFG+IPDOM construction,
-//! and warp emulation throughput.
+//! (the paper claims 2–6× native execution), index construction (the
+//! fused validation + DCFG/IPDOM + replay-tape build), and warp emulation
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use threadfuser::analyzer::{AnalysisIndex, AnalyzerConfig, DcfgSet};
+use threadfuser::analyzer::{AnalysisIndex, AnalyzerConfig};
 use threadfuser::machine::{Machine, MachineConfig, NoopHook};
 use threadfuser::tracer::{trace_program, Tracer};
 use threadfuser::workloads::by_name;
@@ -35,7 +36,9 @@ fn bench_analysis(c: &mut Criterion) {
     let (traces, _) = trace_program(&w.program, MachineConfig::new(w.kernel, 512)).unwrap();
 
     let mut group = c.benchmark_group("analyzer");
-    group.bench_function("dcfg_ipdom", |b| b.iter(|| DcfgSet::build(&w.program, &traces).unwrap()));
+    group.bench_function("index_build", |b| {
+        b.iter(|| AnalysisIndex::build(&w.program, &traces).unwrap())
+    });
     group.bench_function("warp_emulation_w32", |b| {
         b.iter(|| AnalyzerConfig::new(32).analyze(&w.program, &traces).unwrap())
     });

@@ -105,7 +105,8 @@ impl CaptureCache {
     }
 
     fn shard_for(&self, key: u64) -> &Mutex<Shard> {
-        // Multiply-shift over the high bits: FNV mixes low bits less.
+        // Fold the high half into the low so shard choice uses all 64 key
+        // bits (the key hash avalanches, so either half would do).
         let idx = ((key >> 32) ^ key) as usize % self.shards.len();
         &self.shards[idx]
     }

@@ -41,7 +41,7 @@
 pub mod cache;
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -54,6 +54,12 @@ use threadfuser::service::{
 };
 use threadfuser_obs::{MetricsSink, Obs, Phase, PhaseEvent};
 use threadfuser_tracer::DecodeLimits;
+
+/// Longest request line a connection may send, newline included. A job
+/// request is a few hundred bytes of JSON; the bound only has to keep a
+/// hostile or broken client from growing the reader's line buffer
+/// without limit, so it is a constant, not a knob.
+pub const MAX_REQUEST_LINE_BYTES: u64 = 1 << 20;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -293,7 +299,10 @@ impl Inner {
         job.out.send_response(&JobResponse { id: job.req.id, outcome: JobOutcome::Failed(err) });
     }
 
-    /// Reads one connection until EOF, parsing a request per line.
+    /// Reads one connection until EOF, parsing a request per line. A line
+    /// longer than [`MAX_REQUEST_LINE_BYTES`] is answered `BadRequest` and
+    /// the connection closed: the rest of the line cannot be resynchronized
+    /// to a request boundary, and reading on would only buffer more of it.
     fn serve_conn(&self, stream: TcpStream) {
         let out = Arc::new(ConnWriter {
             inner: Mutex::new(BufWriter::new(match stream.try_clone() {
@@ -305,9 +314,19 @@ impl Inner {
         let mut line = String::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            match (&mut reader).take(MAX_REQUEST_LINE_BYTES).read_line(&mut line) {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
+            }
+            if line.len() as u64 == MAX_REQUEST_LINE_BYTES && !line.ends_with('\n') {
+                out.send_response(&JobResponse {
+                    id: 0,
+                    outcome: JobOutcome::Failed(JobError::bad_request(format!(
+                        "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+                    ))),
+                });
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
+                break;
             }
             let trimmed = line.trim();
             if trimmed.is_empty() {

@@ -271,3 +271,40 @@ fn unparseable_lines_get_a_bad_request_answer() {
     assert_eq!(resp.outcome, JobOutcome::Pong);
     server.shutdown();
 }
+
+#[test]
+fn oversized_request_line_is_refused_and_only_that_connection_closed() {
+    use std::io::{Read as _, Write as _};
+    let (server, addr, _sink) = bind(ServeConfig::default());
+    let mut bystander = Client::connect(addr).unwrap();
+
+    // 4 MiB without a newline: the server must answer after reading at
+    // most its 1 MiB bound, not buffer the line to its end.
+    let raw = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = raw.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        // The server closes mid-flood; a failed write is the expected end.
+        let _ = writer.write_all(&vec![b'a'; 4 << 20]);
+    });
+    let mut reader = std::io::BufReader::new(raw);
+    let mut line = String::new();
+    std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+    let resp: threadfuser::service::JobResponse = serde_json::from_str(line.trim()).unwrap();
+    assert_eq!(resp.id, 0, "no id to echo");
+    let JobOutcome::Failed(e) = resp.outcome else { panic!("expected failure") };
+    assert_eq!(e.code, JobErrorCode::BadRequest);
+    assert!(e.message.contains("1048576"), "message names the bound: {}", e.message);
+    // The offending connection is closed: EOF (or a reset), never more data.
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty());
+    flood.join().unwrap();
+
+    // Connections opened before and after keep being served.
+    let (resp, _) = bystander.call(&JobRequest::new(1, JobOp::Ping)).unwrap();
+    assert_eq!(resp.outcome, JobOutcome::Pong);
+    let mut later = Client::connect(addr).unwrap();
+    let (resp, _) = later.call(&JobRequest::new(2, JobOp::Ping)).unwrap();
+    assert_eq!(resp.outcome, JobOutcome::Pong);
+    server.shutdown();
+}

@@ -595,6 +595,7 @@ impl Traced {
         let built = Arc::new(AnalysisIndex::build_observed(
             &self.program,
             &self.traces,
+            self.analyzer.parallelism,
             &self.analyzer.obs,
         )?);
         // A concurrent builder may have won the race; both values are

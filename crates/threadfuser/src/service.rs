@@ -695,35 +695,146 @@ impl Capture {
     }
 }
 
-/// Incremental FNV-1a, so trace files hash in one streaming pass instead
-/// of being slurped into memory first.
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
+/// Streaming 64-bit content hash behind capture keys — word-at-a-time,
+/// so hashing a trace file costs a fraction of reading it.
+///
+/// **Definition.** The byte string is cut into 32-byte blocks of four
+/// little-endian words `w0..w3`, a trailing partial block zero-padded (an
+/// empty tail adds no block). Two independent lanes absorb a block each
+/// with one folded multiply — `fold(x, y)` is the 128-bit product `x * y`
+/// with its halves XORed together:
+///
+/// ```text
+/// a = fold(w0 ^ K0, w1 ^ a)          b = fold(w2 ^ K1, w3 ^ b)
+/// ```
+///
+/// starting from `a = K2`, `b = K3`. The key is
+/// `avalanche(fold(a ^ K0, b ^ K1) ^ fold(len ^ K2, K3))` with `len` the
+/// byte count (so zero padding cannot alias a longer input) and
+/// `avalanche` the 64-bit finalizer `h ^= h >> 32; h *= K1; h ^= h >> 29`.
+///
+/// Bytes are buffered up to a block boundary, so the value depends on the
+/// content only, never on how [`KeyHasher::eat`] calls chunk it. Keys live
+/// in memory only (the capture cache); the function is not a stable
+/// format and not collision-resistant against crafted input — exactly the
+/// standing of the byte-serial FNV-1a it replaces.
+struct KeyHasher {
+    a: u64,
+    b: u64,
+    len: u64,
+    buf: [u8; Self::BLOCK],
+    buffered: usize,
 }
 
-/// Folds the non-source identifying fields of a spec into the hash.
-fn eat_spec_tail(h: &mut Fnv, spec: &CaptureSpec) {
-    h.eat(&[0, spec.opt as u8]);
-    h.eat(&spec.threads.unwrap_or(u32::MAX).to_le_bytes());
-    h.eat(&[matches!(spec.policy, ValidationPolicy::SkipBadThreads) as u8, spec.check_shape as u8]);
+impl KeyHasher {
+    const BLOCK: usize = 32;
+    // Odd 64-bit constants with balanced bit patterns (the wyhash secret).
+    const K0: u64 = 0xa076_1d64_78bd_642f;
+    const K1: u64 = 0xe703_7ed1_a0b4_28db;
+    const K2: u64 = 0x8ebc_6af0_9c88_c6e3;
+    const K3: u64 = 0x5899_65cc_7537_4cc3;
+
+    fn new() -> Self {
+        KeyHasher { a: Self::K2, b: Self::K3, len: 0, buf: [0; Self::BLOCK], buffered: 0 }
+    }
+
+    #[inline]
+    fn fold(x: u64, y: u64) -> u64 {
+        let p = x as u128 * y as u128;
+        p as u64 ^ (p >> 64) as u64
+    }
+
+    #[inline]
+    fn absorb(a: u64, b: u64, block: &[u8; Self::BLOCK]) -> (u64, u64) {
+        let w = |i: usize| u64::from_le_bytes(block[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        (Self::fold(w(0) ^ Self::K0, w(1) ^ a), Self::fold(w(2) ^ Self::K1, w(3) ^ b))
+    }
+
+    fn eat(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.buffered > 0 {
+            let take = bytes.len().min(Self::BLOCK - self.buffered);
+            self.buf[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < Self::BLOCK {
+                return;
+            }
+            (self.a, self.b) = Self::absorb(self.a, self.b, &self.buf);
+            self.buffered = 0;
+        }
+        let mut blocks = bytes.chunks_exact(Self::BLOCK);
+        let (mut a, mut b) = (self.a, self.b);
+        for block in &mut blocks {
+            (a, b) = Self::absorb(a, b, block.try_into().expect("exact chunk"));
+        }
+        (self.a, self.b) = (a, b);
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let (mut a, mut b) = (self.a, self.b);
+        if self.buffered > 0 {
+            let mut last = [0u8; Self::BLOCK];
+            last[..self.buffered].copy_from_slice(&self.buf[..self.buffered]);
+            (a, b) = Self::absorb(a, b, &last);
+        }
+        let mut h =
+            Self::fold(a ^ Self::K0, b ^ Self::K1) ^ Self::fold(self.len ^ Self::K2, Self::K3);
+        h ^= h >> 32;
+        h = h.wrapping_mul(Self::K1);
+        h ^ (h >> 29)
+    }
 }
 
 fn io_err(path: &str, e: std::io::Error) -> JobError {
     JobError::new(JobErrorCode::Io, format!("{path}: {e}"))
+}
+
+/// The one trace-file read loop: streams `path` in bounded 64 KiB chunks,
+/// feeding each chunk to `hasher` and appending it to `keep` as asked.
+/// `max_total_bytes` is enforced *during* the read — an oversized file is
+/// refused before it is ever resident.
+///
+/// # Errors
+/// `Io` when the file cannot be read, `Decode` (`LimitExceeded`) when it
+/// outgrows `max_total_bytes`.
+fn read_trace_file(
+    path: &str,
+    max_total_bytes: u64,
+    mut hasher: Option<&mut KeyHasher>,
+    mut keep: Option<&mut Vec<u8>>,
+) -> Result<(), JobError> {
+    use std::io::Read;
+    let mut f = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
+    let mut chunk = [0u8; 64 * 1024];
+    let mut total = 0u64;
+    loop {
+        let n = f.read(&mut chunk).map_err(|e| io_err(path, e))?;
+        if n == 0 {
+            return Ok(());
+        }
+        if total + n as u64 > max_total_bytes {
+            return Err(JobError::from(PipelineError::Decode(threadfuser_tracer::DecodeError {
+                kind: threadfuser_tracer::DecodeErrorKind::LimitExceeded {
+                    what: "total_bytes",
+                    value: total + n as u64,
+                    limit: max_total_bytes,
+                },
+                offset: total as usize,
+                thread: None,
+            })));
+        }
+        total += n as u64;
+        if let Some(h) = hasher.as_deref_mut() {
+            h.eat(&chunk[..n]);
+        }
+        if let Some(bytes) = keep.as_deref_mut() {
+            bytes.extend_from_slice(&chunk[..n]);
+        }
+    }
 }
 
 /// A capture spec whose trace-file source (if any) has been read exactly
@@ -743,8 +854,38 @@ impl ResolvedSpec {
     }
 }
 
+/// Hashes a spec's identifying inputs — source identity (workload name,
+/// or the trace file's *bytes*), optimization level, thread count,
+/// validation policy, shape-check flag — reading a trace-file source once
+/// under `max_total_bytes` and retaining its bytes in `keep` if given.
+fn hash_spec(
+    spec: &CaptureSpec,
+    max_total_bytes: u64,
+    keep: Option<&mut Vec<u8>>,
+) -> Result<u64, JobError> {
+    let mut h = KeyHasher::new();
+    match &spec.source {
+        JobSource::Workload(name) => {
+            h.eat(b"workload\0");
+            h.eat(name.as_bytes());
+        }
+        JobSource::TraceFile { path, workload } => {
+            h.eat(b"trace-file\0");
+            read_trace_file(path, max_total_bytes, Some(&mut h), keep)?;
+            h.eat(b"\0");
+            if let Some(w) = workload {
+                h.eat(w.as_bytes());
+            }
+        }
+    }
+    h.eat(&[0, spec.opt as u8]);
+    h.eat(&spec.threads.unwrap_or(u32::MAX).to_le_bytes());
+    h.eat(&[matches!(spec.policy, ValidationPolicy::SkipBadThreads) as u8, spec.check_shape as u8]);
+    Ok(h.finish())
+}
+
 /// Reads (at most once) and hashes a capture spec's source in a single
-/// pass: the file streams through the FNV hasher *and* into the decode
+/// pass: the file streams through the key hasher *and* into the decode
 /// buffer chunk by chunk, with `limits.max_total_bytes` enforced during
 /// the read — an oversized file is refused before it is ever resident.
 ///
@@ -752,86 +893,23 @@ impl ResolvedSpec {
 /// `Io` when the trace file cannot be read, `Decode` when it exceeds the
 /// byte limit.
 pub fn resolve_spec(spec: &CaptureSpec, limits: &DecodeLimits) -> Result<ResolvedSpec, JobError> {
-    use std::io::Read;
-    let mut h = Fnv::new();
-    let mut file = None;
-    match &spec.source {
-        JobSource::Workload(name) => {
-            h.eat(b"workload\0");
-            h.eat(name.as_bytes());
-        }
-        JobSource::TraceFile { path, workload } => {
-            h.eat(b"trace-file\0");
-            let mut f = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
-            let mut bytes = Vec::new();
-            let mut chunk = [0u8; 64 * 1024];
-            loop {
-                let n = f.read(&mut chunk).map_err(|e| io_err(path, e))?;
-                if n == 0 {
-                    break;
-                }
-                if (bytes.len() + n) as u64 > limits.max_total_bytes {
-                    return Err(JobError::from(PipelineError::Decode(
-                        threadfuser_tracer::DecodeError {
-                            kind: threadfuser_tracer::DecodeErrorKind::LimitExceeded {
-                                what: "total_bytes",
-                                value: (bytes.len() + n) as u64,
-                                limit: limits.max_total_bytes,
-                            },
-                            offset: bytes.len(),
-                            thread: None,
-                        },
-                    )));
-                }
-                h.eat(&chunk[..n]);
-                bytes.extend_from_slice(&chunk[..n]);
-            }
-            h.eat(b"\0");
-            if let Some(w) = workload {
-                h.eat(w.as_bytes());
-            }
-            file = Some(bytes);
-        }
-    }
-    eat_spec_tail(&mut h, spec);
-    Ok(ResolvedSpec { key: h.0, file })
+    let mut file = matches!(spec.source, JobSource::TraceFile { .. }).then(Vec::new);
+    let key = hash_spec(spec, limits.max_total_bytes, file.as_mut())?;
+    Ok(ResolvedSpec { key, file })
 }
 
-/// Stable content hash of a capture spec — the cache key. FNV-1a over
-/// the identifying inputs: the program identity (workload name, or the
-/// trace file's *bytes*, hashed in one streaming pass with constant
-/// memory), optimization level, thread count, validation policy, and
-/// shape-check flag.
+/// Content hash of a capture spec — the cache key: the 64-bit
+/// word-at-a-time hash (see `KeyHasher` in this module's source; two
+/// folded-multiply lanes, length folded in, final avalanche) over the
+/// identifying inputs: the program identity (workload name, or the trace
+/// file's *bytes*, hashed in one streaming pass with constant memory),
+/// optimization level, thread count, validation policy, and shape-check
+/// flag. Stable within a process, not across versions.
 ///
 /// # Errors
 /// `Io` when a trace file cannot be read (the hash covers its content).
 pub fn capture_key(spec: &CaptureSpec) -> Result<u64, JobError> {
-    use std::io::Read;
-    let mut h = Fnv::new();
-    match &spec.source {
-        JobSource::Workload(name) => {
-            h.eat(b"workload\0");
-            h.eat(name.as_bytes());
-        }
-        JobSource::TraceFile { path, workload } => {
-            h.eat(b"trace-file\0");
-            let mut f = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
-            let mut chunk = [0u8; 64 * 1024];
-            loop {
-                let n = f.read(&mut chunk).map_err(|e| io_err(path, e))?;
-                if n == 0 {
-                    break;
-                }
-                h.eat(&chunk[..n]);
-            }
-            h.eat(b"\0");
-            if let Some(w) = workload {
-                h.eat(w.as_bytes());
-            }
-        }
-    }
-    eat_spec_tail(&mut h, spec);
-    Ok(h.0)
+    hash_spec(spec, u64::MAX, None)
 }
 
 fn resolve_workload(name: &str) -> Result<Workload, JobError> {
@@ -1098,8 +1176,8 @@ fn run_hardware(j: &AnalyzeJob, obs: &Obs) -> Result<JobOutcome, JobError> {
 
 fn run_validate(j: &ValidateJob, limits: &DecodeLimits, obs: &Obs) -> Result<JobOutcome, JobError> {
     let spec = &j.capture;
-    let workload = match &spec.source {
-        JobSource::TraceFile { workload, .. } => workload,
+    let (path, workload) = match &spec.source {
+        JobSource::TraceFile { path, workload } => (path, workload),
         JobSource::Workload(_) => {
             return Err(JobError::bad_request("validate takes a trace file, not a workload"))
         }
@@ -1108,8 +1186,9 @@ fn run_validate(j: &ValidateJob, limits: &DecodeLimits, obs: &Obs) -> Result<Job
         Some(name) => Some(resolve_workload(name)?),
         None => None,
     };
-    let resolved = resolve_spec(spec, limits)?;
-    let encoded = resolved.file.expect("trace-file spec resolves with file bytes");
+    // Validation bypasses the capture cache, so no key: read unhashed.
+    let mut encoded = Vec::new();
+    read_trace_file(path, limits.max_total_bytes, None, Some(&mut encoded))?;
     let opts = decode_options_for(spec, w.as_ref(), limits);
     // Stream the file chunk by chunk without retaining decoded columns:
     // validation only needs counts and quarantine rows, so peak memory is
@@ -1315,6 +1394,95 @@ mod tests {
         });
         let e = execute_op(&req, &Obs::none()).unwrap_err();
         assert_eq!(e.code, JobErrorCode::BadRequest);
+    }
+
+    fn key_of(chunks: impl IntoIterator<Item = impl AsRef<[u8]>>) -> u64 {
+        let mut h = KeyHasher::new();
+        for c in chunks {
+            h.eat(c.as_ref());
+        }
+        h.finish()
+    }
+
+    fn corpus_files() -> Vec<(String, Vec<u8>)> {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        let mut files = Vec::new();
+        for dir in ["valid", "invalid", "fuzz"] {
+            for entry in std::fs::read_dir(format!("{root}/{dir}")).unwrap() {
+                let path = entry.unwrap().path();
+                files.push((path.display().to_string(), std::fs::read(&path).unwrap()));
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn key_hash_ignores_chunk_boundaries() {
+        let (_, bytes) = corpus_files()
+            .into_iter()
+            .find(|(p, _)| p.ends_with("coop_channel_t16_o1_v2.bin"))
+            .unwrap();
+        let whole = key_of([&bytes]);
+        for size in [1, 7, 64 * 1024] {
+            assert_eq!(key_of(bytes.chunks(size)), whole, "chunks of {size}");
+        }
+        // Length is part of the key: zero padding cannot alias a longer input.
+        assert_ne!(key_of([b"abc".as_slice()]), key_of([b"abc\0".as_slice()]));
+        assert_ne!(key_of([[0u8; 32]]), key_of([[0u8; 64]]));
+        assert_ne!(key_of([b"".as_slice()]), key_of([[0u8; 1]]));
+    }
+
+    #[test]
+    fn key_hash_separates_corpus_files_and_single_bit_flips() {
+        let files = corpus_files();
+        assert!(files.len() >= 80, "corpus went missing");
+        // Distinct contents ⇒ distinct keys (byte-identical files share one).
+        let mut by_content = std::collections::BTreeMap::new();
+        for (path, bytes) in &files {
+            by_content.entry(bytes.clone()).or_insert(path);
+        }
+        let mut seen = std::collections::HashMap::new();
+        for (bytes, path) in &by_content {
+            if let Some(other) = seen.insert(key_of([bytes]), path.to_string()) {
+                panic!("{path} and {other} collide");
+            }
+        }
+        // Every single-bit flip of one file, against the file and each other
+        // (some corpus files *are* one-bit flips of it, so not against those).
+        let (_, base) = files.iter().find(|(p, _)| p.ends_with("synthetic_v2.bin")).unwrap();
+        let mut seen = std::collections::HashMap::from([(key_of([base]), "the file".to_string())]);
+        let mut flipped = base.clone();
+        for bit in 0..base.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Some(other) = seen.insert(key_of([&flipped]), format!("flip of bit {bit}")) {
+                panic!("flip of bit {bit} collides with {other}");
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn resolve_and_capture_key_agree_and_validate_reads_within_limits() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/valid");
+        let path = format!("{root}/vectoradd_t16_o1_v3.bin");
+        let spec = CaptureSpec::trace_file(&path, Some("vectoradd"), OptLevel::O1);
+        let limits = DecodeLimits::default();
+        let resolved = resolve_spec(&spec, &limits).unwrap();
+        assert_eq!(resolved.key(), capture_key(&spec).unwrap());
+        assert_eq!(resolved.file.as_deref(), Some(std::fs::read(&path).unwrap().as_slice()));
+        // The shared read loop refuses an oversized file for both callers.
+        let tight = DecodeLimits { max_total_bytes: 1024, ..limits };
+        assert_eq!(resolve_spec(&spec, &tight).err().unwrap().code, JobErrorCode::Decode);
+        let job = ValidateJob { capture: spec };
+        assert_eq!(
+            run_validate(&job, &tight, &Obs::none()).unwrap_err().code,
+            JobErrorCode::Decode
+        );
+        assert!(matches!(
+            run_validate(&job, &limits, &Obs::none()).unwrap(),
+            JobOutcome::Validation(ValidationReport { valid: true, threads: 16, .. })
+        ));
     }
 
     #[test]

@@ -459,7 +459,7 @@ pub fn generate_warp_traces(
     traces: &TraceSet,
     config: &AnalyzerConfig,
 ) -> Result<WarpTraceSet, AnalyzeError> {
-    let index = AnalysisIndex::build_observed(program, traces, &config.obs)?;
+    let index = AnalysisIndex::build_observed(program, traces, config.parallelism, &config.obs)?;
     generate_warp_traces_indexed(program, traces, &index, config)
 }
 

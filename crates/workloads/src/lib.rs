@@ -97,67 +97,74 @@ pub struct Workload {
     pub init: Option<FuncId>,
 }
 
+type Build = fn() -> Workload;
+
+/// Every studied workload, by canonical name, with its constructor — the
+/// one table behind [`all`] and [`by_name`]. Order is Table I's.
+const TABLE: [(&str, Build); 41] = [
+    // Correlation set (11).
+    ("bfs", rodinia::bfs),
+    ("nn", rodinia::nn),
+    ("streamcluster", rodinia::streamcluster),
+    ("btree", rodinia::btree),
+    ("particlefilter", rodinia::particlefilter),
+    ("paropoly_bfs", paropoly::bfs),
+    ("cc", paropoly::cc),
+    ("pagerank", paropoly::pagerank),
+    ("nbody", paropoly::nbody),
+    ("vectoradd", micro::vectoradd),
+    ("uncoalesced", micro::uncoalesced),
+    // μSuite (7).
+    ("mcrouter_memcached", usuite::mcrouter_memcached),
+    ("mcrouter_mid", usuite::mcrouter_mid),
+    ("mcrouter_leaf", usuite::mcrouter_leaf),
+    ("textsearch_mid", usuite::textsearch_mid),
+    ("textsearch_leaf", usuite::textsearch_leaf),
+    ("hdsearch_mid", usuite::hdsearch_mid),
+    ("hdsearch_leaf", usuite::hdsearch_leaf),
+    // DeathStarBench (6).
+    ("post", deathstar::post),
+    ("text", deathstar::text),
+    ("urlshort", deathstar::urlshort),
+    ("uniqueid", deathstar::uniqueid),
+    ("usertag", deathstar::usertag),
+    ("user", deathstar::user),
+    // PARSEC (9).
+    ("blackscholes", parsec::blackscholes),
+    ("streamcluster_p", parsec::streamcluster_p),
+    ("bodytrack", parsec::bodytrack),
+    ("facesim", parsec::facesim),
+    ("fluidanimate", parsec::fluidanimate),
+    ("freqmine", parsec::freqmine),
+    ("swaptions", parsec::swaptions),
+    ("vips", parsec::vips),
+    ("x264", parsec::x264),
+    // Others (3).
+    ("rotate", other::rotate),
+    ("md5", other::md5),
+    ("pigz", other::pigz),
+    // Cooperative-threading family (5).
+    ("coop_rr", coop::coop_rr),
+    ("coop_lottery", coop::coop_lottery),
+    ("coop_channel", coop::coop_channel),
+    ("coop_jointree", coop::coop_jointree),
+    ("coop_yield", coop::coop_yield),
+];
+
 /// Builds every studied workload: the 36 Table-I entries plus the 5
 /// cooperative-threading extensions (41 total; the Fig. 7 `_fixed`
 /// variant is separate, see [`usuite::hdsearch_mid_fixed`]).
 pub fn all() -> Vec<Workload> {
-    vec![
-        // Correlation set (11).
-        rodinia::bfs(),
-        rodinia::nn(),
-        rodinia::streamcluster(),
-        rodinia::btree(),
-        rodinia::particlefilter(),
-        paropoly::bfs(),
-        paropoly::cc(),
-        paropoly::pagerank(),
-        paropoly::nbody(),
-        micro::vectoradd(),
-        micro::uncoalesced(),
-        // μSuite (7).
-        usuite::mcrouter_memcached(),
-        usuite::mcrouter_mid(),
-        usuite::mcrouter_leaf(),
-        usuite::textsearch_mid(),
-        usuite::textsearch_leaf(),
-        usuite::hdsearch_mid(),
-        usuite::hdsearch_leaf(),
-        // DeathStarBench (6).
-        deathstar::post(),
-        deathstar::text(),
-        deathstar::urlshort(),
-        deathstar::uniqueid(),
-        deathstar::usertag(),
-        deathstar::user(),
-        // PARSEC (9).
-        parsec::blackscholes(),
-        parsec::streamcluster_p(),
-        parsec::bodytrack(),
-        parsec::facesim(),
-        parsec::fluidanimate(),
-        parsec::freqmine(),
-        parsec::swaptions(),
-        parsec::vips(),
-        parsec::x264(),
-        // Others (3).
-        other::rotate(),
-        other::md5(),
-        other::pigz(),
-        // Cooperative-threading family (5).
-        coop::coop_rr(),
-        coop::coop_lottery(),
-        coop::coop_channel(),
-        coop::coop_jointree(),
-        coop::coop_yield(),
-    ]
+    TABLE.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a workload up by name (also resolves `hdsearch_mid_fixed`).
+/// Looks a workload up by name (also resolves `hdsearch_mid_fixed`),
+/// building only the match — an unknown name builds nothing.
 pub fn by_name(name: &str) -> Option<Workload> {
     if name == "hdsearch_mid_fixed" {
         return Some(usuite::hdsearch_mid_fixed());
     }
-    all().into_iter().find(|w| w.meta.name == name)
+    TABLE.iter().find(|(n, _)| *n == name).map(|(_, build)| build())
 }
 
 /// The 11 workloads with GPU counterparts (paper §IV correlation study).
@@ -223,6 +230,21 @@ mod tests {
                 assert_eq!(w.program.function(init).params, 0, "{} init arity", w.meta.name);
             }
         }
+    }
+
+    /// Workloads carry no `PartialEq`; their `Debug` form covers every
+    /// field (metadata, program, kernel, init).
+    fn same(a: &Workload, b: &Workload) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    #[test]
+    fn by_name_matches_the_all_entry_for_every_name() {
+        for (w, (name, _)) in all().iter().zip(TABLE) {
+            assert_eq!(w.meta.name, name, "table name must be the workload's own");
+            assert!(same(&by_name(name).unwrap(), w), "{name}");
+        }
+        assert!(same(&by_name("hdsearch_mid_fixed").unwrap(), &usuite::hdsearch_mid_fixed()));
     }
 
     #[test]

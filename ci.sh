@@ -32,6 +32,13 @@ else
     echo "    benchmark/run.sh needs 2 CPUs: digest check NOT RUN on this host"
 fi
 
+echo "==> engine identity (flat-record engine vs ExecEngine::Legacy, optimized build)"
+# `cargo test -q` above ran it unoptimized; the optimized build is the one
+# whose inlining and constant folding the benchmark measures, so the
+# engines must also agree there: all 41 workloads x {O1, O3} x quantum
+# {1, 64} — traces, per-thread stats, final memory, faults.
+cargo test --release -q -p threadfuser --test engine_identity
+
 echo "==> paper tables (Table I + Fig. 1 incl. the coop family)"
 # Thread-capped smoke of the two catalog-wide paper artifacts: Table I
 # must enumerate all 41 workloads (36 paper + 5 coop) and Fig. 1 must

@@ -156,6 +156,7 @@ impl AluOp {
     ///
     /// Division and remainder by zero return `None` (the interpreter turns
     /// this into a trap).
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> Option<i64> {
         Some(match self {
             AluOp::Add => a.wrapping_add(b),
@@ -299,6 +300,7 @@ pub enum Cond {
 
 impl Cond {
     /// Evaluates the predicate.
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> bool {
         match self {
             Cond::Eq => a == b,

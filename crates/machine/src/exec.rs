@@ -135,6 +135,17 @@ impl PartialEq for CallArgs {
     }
 }
 
+/// A zeroed register file of `n` registers starting with `args`, reusing
+/// a retired one from `pool` when there is one: call frames come and go
+/// on the hot path of both machines and should stay off the allocator.
+pub(crate) fn fresh_regs(pool: &mut Vec<Vec<i64>>, n: u16, args: &[i64]) -> Vec<i64> {
+    let mut regs = pool.pop().unwrap_or_default();
+    regs.clear();
+    regs.resize(n as usize, 0);
+    regs[..args.len()].copy_from_slice(args);
+    regs
+}
+
 /// Control transfer produced by a terminator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Next {

@@ -12,11 +12,11 @@
 //! the paper's "fine-grain locking and a high-throughput concurrent memory
 //! manager" assumption for SIMT hardware.
 
-use crate::exec::{ExecCtx, MemAccess, Next, Trap};
+use crate::exec::{fresh_regs, CallArgs, ExecCtx, MemAccess, Next, Trap};
 use crate::heap::Heap;
 use crate::layout::{segment_of, stack_floor, stack_top, Segment};
 use crate::memory::Memory;
-use crate::predecode::{ExecProgram, PInst};
+use crate::predecode::{Effect, ExecProgram};
 use std::fmt;
 use std::sync::Arc;
 use threadfuser_ir::{BlockAddr, BlockId, FuncCfg, FuncId, Program, Reg};
@@ -159,6 +159,25 @@ struct Lane {
     sp: u64,
 }
 
+/// Buffers [`LockstepMachine::run_warp`] reuses across blocks and warps,
+/// so the lock-step loop stays off the allocator.
+#[derive(Debug, Default)]
+struct WarpScratch {
+    lanes: Vec<Lane>,
+    stack: Vec<Entry>,
+    /// Lane indices of the executing entry's mask.
+    active: Vec<usize>,
+    /// `(lane, next CFG node)` per active lane after a terminator.
+    next_nodes: Vec<(usize, usize)>,
+    call_args: Vec<(usize, CallArgs)>,
+    /// `(next node, lane mask)` groups of a terminator's successors.
+    groups: Vec<(usize, u64)>,
+    acc: Vec<MemAccess>,
+    warp_accesses: Vec<MemAccess>,
+    /// Retired register files (returned frames, finished warps' lanes).
+    reg_pool: Vec<Vec<i64>>,
+}
+
 /// SIMT reconvergence-stack entry (Fig. 2c).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -290,25 +309,20 @@ impl<'p> LockstepMachine<'p> {
     /// # Errors
     /// The first trap, or budget exhaustion.
     pub fn run_full(mut self) -> Result<(LockstepStats, Memory), LockstepError> {
+        let mut scratch = WarpScratch::default();
         if let Some(init) = self.config.init {
             // Single-lane warp on the scratch stack slot; its issues do not
             // count toward kernel statistics.
             let before = self.stats.clone();
-            self.run_warp(init, vec![(self.config.n_threads, Vec::new())])?;
+            let slot = self.config.n_threads;
+            self.run_warp(init, slot..slot + 1, false, &mut scratch)?;
             self.stats = before;
         }
         let w = self.config.warp_size;
         let mut t = 0u32;
         while t < self.config.n_threads {
             let hi = (t + w).min(self.config.n_threads);
-            let lanes: Vec<(u32, Vec<i64>)> = (t..hi)
-                .map(|tid| {
-                    let mut args = vec![tid as i64];
-                    args.extend_from_slice(&self.config.extra_args);
-                    (tid, args)
-                })
-                .collect();
-            self.run_warp(self.config.kernel, lanes)?;
+            self.run_warp(self.config.kernel, t..hi, true, &mut scratch)?;
             t = hi;
         }
         Ok((self.stats, self.memory))
@@ -318,39 +332,53 @@ impl<'p> LockstepMachine<'p> {
         &self.cfgs[f.0 as usize]
     }
 
-    /// Executes one warp whose lanes all start `func` with the given
-    /// per-lane arguments.
+    /// Executes one warp of lanes `tids`, all starting `func`: with
+    /// `[tid, extra_args...]` when `kernel_args`, with no arguments
+    /// otherwise (the init function).
     fn run_warp(
         &mut self,
         func: FuncId,
-        lanes_args: Vec<(u32, Vec<i64>)>,
+        tids: std::ops::Range<u32>,
+        kernel_args: bool,
+        scratch: &mut WarpScratch,
     ) -> Result<(), LockstepError> {
+        let WarpScratch {
+            lanes,
+            stack,
+            active,
+            next_nodes,
+            call_args,
+            groups,
+            acc,
+            warp_accesses,
+            reg_pool,
+        } = scratch;
         let exec = Arc::clone(&self.exec);
         let f = exec.func(func);
-        let mut lanes: Vec<Lane> = lanes_args
-            .into_iter()
-            .map(|(tid, args)| {
-                let top = stack_top(tid);
-                let fp = align_down(top - f.frame_size as u64, 16);
-                let mut regs = vec![0i64; f.reg_count as usize];
-                regs[..args.len()].copy_from_slice(&args);
-                Lane {
-                    tid,
-                    frames: vec![LaneFrame { regs, fp, ret_dst: None, saved_sp: top }],
-                    sp: fp,
-                }
-            })
-            .collect();
+        // Every lane of the previous warp returned its last frame.
+        lanes.resize_with(tids.len(), || Lane { tid: 0, frames: Vec::new(), sp: 0 });
+        for (lane, tid) in lanes.iter_mut().zip(tids) {
+            debug_assert!(lane.frames.is_empty(), "lane left over from a finished warp");
+            let top = stack_top(tid);
+            let fp = align_down(top - f.frame_size as u64, 16);
+            let mut regs = fresh_regs(reg_pool, f.reg_count, &[]);
+            if kernel_args {
+                regs[0] = tid as i64;
+                regs[1..=self.config.extra_args.len()].copy_from_slice(&self.config.extra_args);
+            }
+            lane.tid = tid;
+            lane.sp = fp;
+            lane.frames.push(LaneFrame { regs, fp, ret_dst: None, saved_sp: top });
+        }
         let full_mask = if lanes.len() == 64 { u64::MAX } else { (1u64 << lanes.len()) - 1 };
-        let mut stack: Vec<Entry> = vec![Entry {
+        stack.clear();
+        stack.push(Entry {
             func,
             node: f.entry.0 as usize,
             rpc: self.cfg(func).virtual_exit(),
             mask: full_mask,
-        }];
+        });
 
-        let mut acc: Vec<MemAccess> = Vec::with_capacity(4);
-        let mut warp_accesses: Vec<MemAccess> = Vec::new();
         while let Some(&top) = stack.last() {
             let cfg_exit = self.cfg(top.func).virtual_exit();
             // Lanes sitting at their reconvergence point merge into the
@@ -362,7 +390,8 @@ impl<'p> LockstepMachine<'p> {
             let block = exec.block(top.func, BlockId(top.node as u32));
             let addr = BlockAddr::new(top.func, BlockId(top.node as u32));
             let n_insts = block.n_insts as u64;
-            let active: Vec<usize> = (0..lanes.len()).filter(|&l| top.mask >> l & 1 == 1).collect();
+            active.clear();
+            active.extend((0..lanes.len()).filter(|&l| top.mask >> l & 1 == 1));
             debug_assert!(!active.is_empty(), "empty active mask on SIMT stack");
 
             self.stats.issues += n_insts;
@@ -372,41 +401,38 @@ impl<'p> LockstepMachine<'p> {
             }
 
             // ---- body, one instruction across all active lanes ----------
-            for inst in exec.insts(block) {
-                if matches!(inst, PInst::Io { .. } | PInst::Nop) {
-                    continue;
-                }
-                let collects_mem = inst.touches_memory();
+            for rec in exec.body(block) {
                 warp_accesses.clear();
-                for &l in &active {
+                for &l in active.iter() {
                     let lane = &mut lanes[l];
                     let frame = lane.frames.last_mut().expect("active lane has a frame");
-                    acc.clear();
                     let mut ctx = ExecCtx {
                         regs: &mut frame.regs,
                         fp: frame.fp,
                         mem: &mut self.memory,
                         heap: &mut self.heap,
                     };
-                    if let Err(trap) = ctx.exec_pinst(inst, &mut acc) {
+                    // Skipped I/O costs SIMT hardware nothing here.
+                    let done = ctx.exec_flat(rec, &exec, acc, |effect| {
+                        if let Effect::Mem(a) = effect {
+                            warp_accesses.push(a);
+                        }
+                    });
+                    if let Err(trap) = done {
                         return Err(LockstepError::Trapped { tid: lane.tid, at: addr, trap });
                     }
-                    if collects_mem {
-                        warp_accesses.extend_from_slice(&acc);
-                    }
                 }
-                if collects_mem {
-                    self.note_mem_inst(&warp_accesses);
-                    warp_accesses.clear();
+                if !warp_accesses.is_empty() {
+                    self.note_mem_inst(warp_accesses);
                 }
             }
 
             // ---- terminator ---------------------------------------------
-            let mut next_nodes: Vec<(usize, usize)> = Vec::with_capacity(active.len());
+            next_nodes.clear();
+            call_args.clear();
             let mut call: Option<(FuncId, BlockId, Option<Reg>)> = None;
-            let mut call_args: Vec<(usize, crate::exec::CallArgs)> = Vec::new();
             warp_accesses.clear();
-            for &l in &active {
+            for &l in active.iter() {
                 let lane = &mut lanes[l];
                 let frame = lane.frames.last_mut().expect("active lane has a frame");
                 acc.clear();
@@ -417,19 +443,20 @@ impl<'p> LockstepMachine<'p> {
                         mem: &mut self.memory,
                         heap: &mut self.heap,
                     };
-                    match ctx.eval_pterm(&block.term, &mut acc) {
+                    match ctx.eval_pterm(&block.term, acc) {
                         Ok(n) => n,
                         Err(trap) => {
                             return Err(LockstepError::Trapped { tid: lane.tid, at: addr, trap })
                         }
                     }
                 };
-                warp_accesses.extend_from_slice(&acc);
+                warp_accesses.extend_from_slice(acc);
                 match next {
                     Next::Goto(b) => next_nodes.push((l, b.0 as usize)),
                     Next::Ret(val) => {
                         let finished = lane.frames.pop().expect("ret pops a frame");
                         lane.sp = finished.saved_sp;
+                        reg_pool.push(finished.regs);
                         if let Some(caller) = lane.frames.last_mut() {
                             if let (Some(dst), Some(v)) = (caller.ret_dst.take(), val) {
                                 caller.regs[dst.0 as usize] = v;
@@ -448,13 +475,13 @@ impl<'p> LockstepMachine<'p> {
                 }
             }
             if !warp_accesses.is_empty() {
-                self.note_mem_inst(&warp_accesses);
+                self.note_mem_inst(warp_accesses);
             }
 
             if let Some((callee, ret_to, dst)) = call {
                 // All active lanes call together (direct calls only).
                 let cf = exec.func(callee);
-                for (l, args) in call_args {
+                for (l, args) in call_args.drain(..) {
                     let lane = &mut lanes[l];
                     {
                         let frame = lane.frames.last_mut().expect("frame");
@@ -469,8 +496,7 @@ impl<'p> LockstepMachine<'p> {
                             trap: Trap::StackOverflow,
                         });
                     }
-                    let mut regs = vec![0i64; cf.reg_count as usize];
-                    regs[..args.len()].copy_from_slice(&args);
+                    let regs = fresh_regs(reg_pool, cf.reg_count, &args);
                     lane.frames.push(LaneFrame { regs, fp, ret_dst: None, saved_sp });
                     lane.sp = fp;
                 }
@@ -487,8 +513,8 @@ impl<'p> LockstepMachine<'p> {
             }
 
             // Group lanes by next node.
-            let mut groups: Vec<(usize, u64)> = Vec::new();
-            for (l, node) in next_nodes {
+            groups.clear();
+            for &(l, node) in next_nodes.iter() {
                 match groups.iter_mut().find(|(n, _)| *n == node) {
                     Some((_, m)) => *m |= 1 << l,
                     None => groups.push((node, 1 << l)),
@@ -511,7 +537,7 @@ impl<'p> LockstepMachine<'p> {
                 // (the node == rpc rule above), merging into the parent.
                 stack.push(Entry { func: top.func, node: ipd, rpc: parent_rpc, mask: parent_mask });
                 groups.sort_by_key(|&(n, _)| std::cmp::Reverse(n));
-                for (node, mask) in groups {
+                for &(node, mask) in groups.iter() {
                     if node != ipd {
                         stack.push(Entry { func: top.func, node, rpc: ipd, mask });
                     }

@@ -7,12 +7,12 @@
 //! process. Contended mutexes busy-wait; spin iterations are accounted as
 //! *skipped* instructions (Fig. 8), as are opaque I/O operations.
 
-use crate::exec::{ExecCtx, MemAccess, Next, Trap};
+use crate::exec::{fresh_regs, ExecCtx, MemAccess, Next, Trap};
 use crate::heap::Heap;
 use crate::hooks::{ExecHook, SkipKind};
 use crate::layout::{stack_floor, stack_top};
 use crate::memory::Memory;
-use crate::predecode::ExecProgram;
+use crate::predecode::{Effect, ExecProgram, PTerm};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -264,6 +264,9 @@ pub struct Machine<'p> {
     threads: Vec<Thread>,
     locks: HashMap<u64, u32>,
     barriers: HashMap<u32, Vec<(u32, BlockId)>>,
+    /// Worker threads that have not finished (the init thread is not
+    /// counted): what a barrier's arrival count is compared against.
+    live: u32,
     total_insts: u64,
     ran: bool,
     /// Retired call-frame register files, reused by later calls: deep
@@ -303,6 +306,7 @@ impl<'p> Machine<'p> {
         }
         Ok(Machine {
             program,
+            live: config.n_threads,
             config,
             exec,
             memory,
@@ -332,27 +336,30 @@ impl<'p> Machine<'p> {
         assert!(!self.ran, "Machine::run may only be called once");
         self.ran = true;
 
+        // One handle on the predecoded program and one access buffer for
+        // the whole run; every turn borrows them.
+        let exec = self.exec.clone();
+        let exec = exec.as_deref();
+        let mut acc: Vec<MemAccess> = Vec::with_capacity(4);
+
         if let Some(init) = self.config.init {
-            self.run_init(init)?;
+            self.run_init(init, exec, &mut acc)?;
         }
 
-        loop {
+        while self.live > 0 {
             let mut progress = false;
             for tid in 0..self.threads.len() as u32 {
                 match self.threads[tid as usize].state {
                     State::Done | State::AtBarrier => continue,
                     _ => {}
                 }
-                progress |= self.run_turn(tid, hook)?;
-            }
-            let live: Vec<u32> = (0..self.threads.len() as u32)
-                .filter(|&t| self.threads[t as usize].state != State::Done)
-                .collect();
-            if live.is_empty() {
-                break;
+                progress |= self.run_turn(tid, exec, &mut acc, hook)?;
             }
             if !progress {
-                return Err(MachineError::Deadlock { waiting: live });
+                let waiting = (0..self.threads.len() as u32)
+                    .filter(|&t| self.threads[t as usize].state != State::Done)
+                    .collect();
+                return Err(MachineError::Deadlock { waiting });
             }
         }
 
@@ -385,12 +392,17 @@ impl<'p> Machine<'p> {
 
     /// Runs the setup function single-threaded and untraced, on a scratch
     /// thread slot above the worker stacks.
-    fn run_init(&mut self, init: FuncId) -> Result<(), MachineError> {
+    fn run_init(
+        &mut self,
+        init: FuncId,
+        exec: Option<&ExecProgram>,
+        acc: &mut Vec<MemAccess>,
+    ) -> Result<(), MachineError> {
         let tid = self.config.n_threads;
         self.threads.push(make_thread(self.program, init, tid, &[]));
         let slot = self.threads.len() - 1;
         let result = loop {
-            match self.run_turn(slot as u32, &mut crate::hooks::NoopHook) {
+            match self.run_turn(slot as u32, exec, acc, &mut crate::hooks::NoopHook) {
                 Err(e) => break Err(e),
                 Ok(progress) => match self.threads[slot].state {
                     State::Done => break Ok(()),
@@ -415,13 +427,17 @@ impl<'p> Machine<'p> {
     }
 
     /// Executes up to `quantum_blocks` blocks of thread `tid`; returns
-    /// whether any progress happened.
-    fn run_turn(&mut self, tid: u32, hook: &mut impl ExecHook) -> Result<bool, MachineError> {
+    /// whether any progress happened. `exec` is the predecoded program
+    /// (`None` on the legacy engine), `acc` scratch for access lists.
+    fn run_turn(
+        &mut self,
+        tid: u32,
+        exec: Option<&ExecProgram>,
+        acc: &mut Vec<MemAccess>,
+        hook: &mut impl ExecHook,
+    ) -> Result<bool, MachineError> {
         let program = self.program;
-        let exec = self.exec.clone();
-        let exec = exec.as_deref();
         let mut progress = false;
-        let mut acc: Vec<MemAccess> = Vec::with_capacity(4);
 
         for _ in 0..self.config.quantum_blocks {
             // Snapshot position.
@@ -448,101 +464,88 @@ impl<'p> Machine<'p> {
             if state == State::BlockStart {
                 hook.on_block(tid, addr, n_insts);
                 let mut charge: u64 = 0;
-                // Intra-function target of a fused pure-block transition
-                // (body + register-only terminator in one borrow).
+                // Intra-function target of a fused block transition (body
+                // + register-only terminator in one borrow).
                 let mut fused: Option<BlockId> = None;
                 {
                     let th = &mut self.threads[tid as usize];
                     th.stats.blocks += 1;
                     let stats = &mut th.stats;
                     let frame = th.frames.last_mut().expect("frame");
-                    // One body loop per engine; `$io` / `$exec` are the only
-                    // differences, everything else must stay in lockstep so
-                    // the engines trace bit-identically.
-                    macro_rules! run_body {
-                        ($insts:expr, $io:path, $exec_one:ident) => {
-                            for (i, inst) in $insts.iter().enumerate() {
-                                charge += 1;
-                                if let $io { cost, .. } = inst {
-                                    stats.traced_insts += 1;
-                                    stats.skipped_io += *cost as u64;
-                                    charge += *cost as u64;
-                                    hook.on_skipped(tid, *cost as u64, SkipKind::Io);
-                                    continue;
-                                }
-                                acc.clear();
-                                let mut ctx = ExecCtx {
-                                    regs: &mut frame.regs,
-                                    fp: frame.fp,
-                                    mem: &mut self.memory,
-                                    heap: &mut self.heap,
-                                };
-                                if let Err(trap) = ctx.$exec_one(inst, &mut acc) {
-                                    return Err(MachineError::Trapped { tid, at: addr, trap });
-                                }
-                                stats.traced_insts += 1;
-                                stats.mem_accesses += acc.len() as u64;
-                                for a in &acc {
+                    let mut ctx = ExecCtx {
+                        regs: &mut frame.regs,
+                        fp: frame.fp,
+                        mem: &mut self.memory,
+                        heap: &mut self.heap,
+                    };
+                    // One body loop per engine; observable behavior (hook
+                    // events, traps, counters, charge) must stay in
+                    // lockstep so the engines trace bit-identically.
+                    if let Some(blk) = pre {
+                        let e = exec.expect("predecoded engine");
+                        let body = e.body(blk);
+                        let (mut n_mem, mut io) = (0u64, 0u64);
+                        for (i, rec) in body.iter().enumerate() {
+                            let done = ctx.exec_flat(rec, e, acc, |effect| match effect {
+                                Effect::Mem(a) => {
+                                    n_mem += 1;
                                     hook.on_mem(tid, i as u32, a.addr, a.size, a.is_store);
                                 }
+                                Effect::Io(cost) => {
+                                    io += cost as u64;
+                                    hook.on_skipped(tid, cost as u64, SkipKind::Io);
+                                }
+                            });
+                            if let Err(trap) = done {
+                                return Err(MachineError::Trapped { tid, at: addr, trap });
                             }
+                        }
+                        stats.traced_insts += body.len() as u64;
+                        stats.mem_accesses += n_mem;
+                        stats.skipped_io += io;
+                        charge = body.len() as u64 + io;
+                        // A jump or register-only branch transfers control
+                        // right here: no memory access to report, no hook
+                        // to call, no second thread borrow. Observable
+                        // behavior matches the general `Next::Goto` arm
+                        // below.
+                        fused = match &blk.term {
+                            PTerm::Jmp(t) => Some(*t),
+                            PTerm::BrRR { cond, a, b, taken, fallthrough } => {
+                                let av = frame.regs[*a as usize];
+                                let bv = frame.regs[*b as usize];
+                                Some(if cond.eval(av, bv) { *taken } else { *fallthrough })
+                            }
+                            PTerm::BrRI { cond, a, b, taken, fallthrough } => {
+                                let av = frame.regs[*a as usize];
+                                Some(if cond.eval(av, *b) { *taken } else { *fallthrough })
+                            }
+                            _ => None,
                         };
-                    }
-                    match pre {
-                        // Predecode proved the body records no memory
-                        // accesses and skips no I/O: tight loop, batched
-                        // counters, no hook dispatch. Observable behavior
-                        // (trace events, traps, charge) is identical to
-                        // the general loop below.
-                        Some(blk) if blk.pure_body => {
-                            let e = exec.expect("predecoded engine");
-                            let insts = e.insts(blk);
-                            acc.clear();
-                            let mut ctx = ExecCtx {
-                                regs: &mut frame.regs,
-                                fp: frame.fp,
-                                mem: &mut self.memory,
-                                heap: &mut self.heap,
-                            };
-                            for inst in insts {
-                                if let Err(trap) = ctx.exec_pinst(inst, &mut acc) {
-                                    return Err(MachineError::Trapped { tid, at: addr, trap });
-                                }
-                            }
-                            debug_assert!(acc.is_empty(), "pure body recorded an access");
-                            stats.traced_insts += insts.len() as u64;
-                            charge += insts.len() as u64;
-                            // A jump or register-only branch after a pure
-                            // body transfers control right here: no memory
-                            // access to report, no hook to call, no second
-                            // thread borrow. Observable behavior matches
-                            // the general `Next::Goto` arm below.
-                            use crate::predecode::PTerm;
-                            fused = match &blk.term {
-                                PTerm::Jmp(t) => Some(*t),
-                                PTerm::BrRR { cond, a, b, taken, fallthrough } => {
-                                    let av = frame.regs[*a as usize];
-                                    let bv = frame.regs[*b as usize];
-                                    Some(if cond.eval(av, bv) { *taken } else { *fallthrough })
-                                }
-                                PTerm::BrRI { cond, a, b, taken, fallthrough } => {
-                                    let av = frame.regs[*a as usize];
-                                    Some(if cond.eval(av, *b) { *taken } else { *fallthrough })
-                                }
-                                _ => None,
-                            };
-                            if let Some(b) = fused {
+                        if let Some(b) = fused {
+                            stats.traced_insts += 1;
+                            charge += 1;
+                            frame.block = b;
+                        }
+                    } else {
+                        for (i, inst) in legacy.expect("legacy block").insts.iter().enumerate() {
+                            charge += 1;
+                            if let Inst::Io { cost, .. } = inst {
                                 stats.traced_insts += 1;
-                                charge += 1;
-                                frame.block = b;
+                                stats.skipped_io += *cost as u64;
+                                charge += *cost as u64;
+                                hook.on_skipped(tid, *cost as u64, SkipKind::Io);
+                                continue;
                             }
-                        }
-                        Some(blk) => {
-                            let e = exec.expect("predecoded engine");
-                            run_body!(e.insts(blk), crate::predecode::PInst::Io, exec_pinst);
-                        }
-                        None => {
-                            run_body!(legacy.expect("legacy block").insts, Inst::Io, exec_inst);
+                            acc.clear();
+                            if let Err(trap) = ctx.exec_inst(inst, acc) {
+                                return Err(MachineError::Trapped { tid, at: addr, trap });
+                            }
+                            stats.traced_insts += 1;
+                            stats.mem_accesses += acc.len() as u64;
+                            for a in acc.iter() {
+                                hook.on_mem(tid, i as u32, a.addr, a.size, a.is_store);
+                            }
                         }
                     }
                     th.state =
@@ -567,8 +570,8 @@ impl<'p> Machine<'p> {
                     heap: &mut self.heap,
                 };
                 let evaluated = match pre {
-                    Some(blk) => ctx.eval_pterm(&blk.term, &mut acc),
-                    None => ctx.eval_term(&legacy.expect("legacy block").term, &mut acc),
+                    Some(blk) => ctx.eval_pterm(&blk.term, acc),
+                    None => ctx.eval_term(&legacy.expect("legacy block").term, acc),
                 };
                 match evaluated {
                     Ok(n) => n,
@@ -582,7 +585,7 @@ impl<'p> Machine<'p> {
                     let th = &mut self.threads[tid as usize];
                     th.stats.traced_insts += 1;
                     th.stats.mem_accesses += acc.len() as u64;
-                    for a in &acc {
+                    for a in acc.iter() {
                         hook.on_mem(tid, term_idx, a.addr, a.size, a.is_store);
                     }
                     th.frames.last_mut().expect("frame").block = b;
@@ -608,10 +611,7 @@ impl<'p> Machine<'p> {
                             trap: Trap::StackOverflow,
                         });
                     }
-                    let mut regs = self.reg_pool.pop().unwrap_or_default();
-                    regs.clear();
-                    regs.resize(cf.reg_count as usize, 0);
-                    regs[..args.len()].copy_from_slice(&args);
+                    let regs = fresh_regs(&mut self.reg_pool, cf.reg_count, &args);
                     hook.on_call(tid, callee);
                     th.frames.push(Frame {
                         func: callee,
@@ -631,7 +631,7 @@ impl<'p> Machine<'p> {
                         let th = &mut self.threads[tid as usize];
                         th.stats.traced_insts += 1;
                         th.stats.mem_accesses += acc.len() as u64;
-                        for a in &acc {
+                        for a in acc.iter() {
                             hook.on_mem(tid, term_idx, a.addr, a.size, a.is_store);
                         }
                         hook.on_ret(tid);
@@ -654,7 +654,14 @@ impl<'p> Machine<'p> {
                     };
                     if done {
                         hook.on_thread_end(tid);
-                        self.release_satisfied_barriers();
+                        // The init thread (slot `n_threads`) is not a
+                        // barrier participant.
+                        if tid < self.config.n_threads {
+                            self.live -= 1;
+                            if !self.barriers.is_empty() {
+                                self.release_satisfied_barriers();
+                            }
+                        }
                     }
                     progress = true;
                     self.charge(tid, addr, 1)?;
@@ -729,17 +736,11 @@ impl<'p> Machine<'p> {
         Ok(progress)
     }
 
-    fn live_count(&self) -> usize {
-        self.threads
-            .iter()
-            .take(self.config.n_threads as usize)
-            .filter(|t| t.state != State::Done)
-            .count()
-    }
-
     /// Releases every barrier whose arrival count covers all live threads.
+    /// Only a barrier arrival or a thread exit while some barrier has
+    /// waiters can satisfy one, so only those call this.
     fn release_satisfied_barriers(&mut self) {
-        let live = self.live_count();
+        let live = self.live as usize;
         let ready: Vec<u32> = self
             .barriers
             .iter()
@@ -847,8 +848,8 @@ mod tests {
         let mut m = Machine::new(&p, cfg).unwrap();
         let stats = m.run(&mut NoopHook).unwrap();
         assert_eq!(m.memory().read(m.memory().global_addr(counter), 8), 400);
-        let spins: u64 = stats.per_thread.iter().map(|t| t.skipped_spin).sum();
-        assert!(spins > 0, "expected lock contention");
+        let spins: Vec<u64> = stats.per_thread.iter().map(|t| t.skipped_spin).collect();
+        assert_eq!(spins, [528, 544, 544, 544], "spin accounting is part of the schedule");
         assert!(stats.traced_fraction() < 1.0);
     }
 
@@ -881,6 +882,100 @@ mod tests {
         for t in 0..4u64 {
             assert_eq!(m.memory().read(base + t * 8, 8), ((t + 1) % 4) * 7);
         }
+    }
+
+    /// `n` threads over two phases on one barrier id: "leavers" (odd
+    /// tids) never reach the barrier, the rest publish `tid + 1`, cross
+    /// barrier 0, sum what every stayer published, cross barrier 0 again
+    /// and publish the sum. `leavers_spin` makes the leavers outlast the
+    /// first arrivals, so it is their *exit* that completes the barrier;
+    /// otherwise the last stayer's *arrival* does.
+    fn leavers_and_stayers(n: u32, quantum: u32, leavers_spin: bool, engine: ExecEngine) {
+        let mut pb = ProgramBuilder::new();
+        let buf = pb.global("buf", 8 * n as u64);
+        let out = pb.global("out", 8 * n as u64);
+        let k = pb.function("k", 1, |fb| {
+            let tid = fb.arg(0);
+            let odd = fb.alu(AluOp::And, tid, 1i64);
+            let leave = fb.new_block();
+            let stay = fb.new_block();
+            fb.br(Cond::Ne, odd, 0i64, leave, stay);
+            fb.switch_to(leave);
+            if leavers_spin {
+                fb.for_range(0i64, 40i64, 1, |fb, _| fb.nop());
+            }
+            fb.ret(None);
+            fb.switch_to(stay);
+            let mine = fb.global_ref(buf, Operand::Reg(tid), 8);
+            let v = fb.alu(AluOp::Add, tid, 1i64);
+            fb.store(mine, v);
+            fb.barrier(0);
+            let sum = fb.var(8);
+            fb.store_var(sum, 0i64);
+            fb.for_range(0i64, n as i64, 1, |fb, i| {
+                let src = fb.global_ref(buf, Operand::Reg(i), 8);
+                let got = fb.load(src);
+                let acc = fb.load_var(sum);
+                let acc = fb.alu(AluOp::Add, acc, got);
+                fb.store_var(sum, acc);
+            });
+            fb.barrier(0);
+            // Phase 2 overwrites `buf`; a stayer released early from the
+            // first crossing would have summed a clobbered slot.
+            fb.store(mine, 0i64);
+            let total = fb.load_var(sum);
+            let dst = fb.global_ref(out, Operand::Reg(tid), 8);
+            fb.store(dst, total);
+            fb.ret(None);
+        });
+        let p = pb.build().unwrap();
+        let mut cfg = MachineConfig::new(k, n).engine(engine);
+        cfg.quantum_blocks = quantum;
+        let mut m = Machine::new(&p, cfg).unwrap();
+        let what = format!("n={n} quantum={quantum} spin={leavers_spin} {engine:?}");
+        m.run(&mut NoopHook).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let expect: u64 = (0..n as u64).step_by(2).map(|t| t + 1).sum();
+        let base = m.memory().global_addr(out);
+        for t in 0..n as u64 {
+            let want = if t % 2 == 0 { expect } else { 0 };
+            assert_eq!(m.memory().read(base + t * 8, 8), want, "{what}: thread {t}");
+        }
+    }
+
+    #[test]
+    fn barrier_counts_only_threads_still_running() {
+        for engine in [ExecEngine::Predecoded, ExecEngine::Legacy] {
+            for n in [1, 2, 7, 8, 13] {
+                for quantum in [1, 3, 64] {
+                    for leavers_spin in [false, true] {
+                        leavers_and_stayers(n, quantum, leavers_spin, engine);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn barrier_nobody_else_reaches_is_a_deadlock_not_a_release() {
+        // Thread 0 waits at barrier 0, thread 1 at barrier 1: both stay
+        // live, neither count covers them.
+        let mut pb = ProgramBuilder::new();
+        let k = pb.function("k", 1, |fb| {
+            let tid = fb.arg(0);
+            let a = fb.new_block();
+            let b = fb.new_block();
+            fb.br(Cond::Eq, tid, 0i64, a, b);
+            fb.switch_to(a);
+            fb.barrier(0);
+            fb.ret(None);
+            fb.switch_to(b);
+            fb.barrier(1);
+            fb.ret(None);
+        });
+        let p = pb.build().unwrap();
+        let mut m = Machine::new(&p, MachineConfig::new(k, 3)).unwrap();
+        let err = m.run(&mut NoopHook).unwrap_err();
+        assert_eq!(err, MachineError::Deadlock { waiting: vec![0, 1, 2] });
     }
 
     #[test]
@@ -951,7 +1046,7 @@ mod tests {
         cfg.quantum_blocks = 4;
         let mut m = Machine::new(&p, cfg).unwrap();
         let err = m.run(&mut NoopHook).unwrap_err();
-        assert!(matches!(err, MachineError::Deadlock { .. }), "got {err:?}");
+        assert_eq!(err, MachineError::Deadlock { waiting: vec![1] });
     }
 
     #[test]

@@ -19,9 +19,6 @@ struct PerThread {
     trace: ThreadTrace,
     /// Depth of nesting inside excluded functions (0 = tracing).
     excluded_depth: u32,
-    /// Instruction count of the currently executing block, used to
-    /// attribute excluded instructions.
-    current_block_insts: u32,
 }
 
 /// An [`ExecHook`] that builds per-thread traces.
@@ -42,18 +39,27 @@ impl Tracer {
         Tracer { config, threads: Vec::new() }
     }
 
+    /// Per-thread state of `tid`. A capture that knows its thread count
+    /// ([`trace_program_with`]) sizes `threads` up front, so the growth
+    /// path only serves hooks driven directly.
+    #[inline]
     fn thread(&mut self, tid: u32) -> &mut PerThread {
         let idx = tid as usize;
         if idx >= self.threads.len() {
-            let old_len = self.threads.len();
-            self.threads.resize_with(idx + 1, PerThread::default);
-            // Stamp tids on the freshly created slots only; rewriting every
-            // slot on each growth made thread discovery quadratic.
-            for (i, t) in self.threads.iter_mut().enumerate().skip(old_len) {
-                t.trace.tid = i as u32;
-            }
+            self.grow_to(idx + 1);
         }
         &mut self.threads[idx]
+    }
+
+    #[cold]
+    fn grow_to(&mut self, n_threads: usize) {
+        let old_len = self.threads.len();
+        self.threads.resize_with(n_threads, PerThread::default);
+        // Stamp tids on the freshly created slots only; rewriting every
+        // slot on each growth made thread discovery quadratic.
+        for (i, t) in self.threads.iter_mut().enumerate().skip(old_len) {
+            t.trace.tid = i as u32;
+        }
     }
 
     /// Finishes capture and returns the trace set.
@@ -65,7 +71,6 @@ impl Tracer {
 impl ExecHook for Tracer {
     fn on_block(&mut self, tid: u32, addr: BlockAddr, n_insts: u32) {
         let t = self.thread(tid);
-        t.current_block_insts = n_insts;
         if t.excluded_depth > 0 {
             t.trace.excluded_insts += n_insts as u64;
             return;
@@ -155,8 +160,9 @@ pub fn trace_program_with(
     config: MachineConfig,
     tracer_config: TracerConfig,
 ) -> Result<(TraceSet, RunStats), MachineError> {
-    let mut machine = Machine::new(program, config)?;
     let mut tracer = Tracer::with_config(tracer_config);
+    tracer.grow_to(config.n_threads as usize);
+    let mut machine = Machine::new(program, config)?;
     let stats = machine.run(&mut tracer)?;
     Ok((tracer.into_traces(), stats))
 }

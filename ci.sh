@@ -65,17 +65,6 @@ echo "==> fuzz_trace (corpus + random-bytes never-panic gate)"
 # decode(encode(t)) == t.
 cargo run --release -q -p threadfuser-bench --bin fuzz_trace -- --check
 
-echo "==> perf_pipeline smoke + perf gates"
-TF_BENCH_OUT="${TMPDIR:-/tmp}/BENCH_pipeline.json" \
-    cargo run --release -p threadfuser-bench --bin perf_pipeline
-# Fails when any model x formation report hash diverges from the committed
-# pre-refactor baseline (bit-identity across the whole grid, melds and
-# issue_slots included), or when a phase misses its aggregate insts/sec
-# gate vs the baseline: warp-emulate >= 2.0x, coalesce >= 1.5x.
-cargo run --release -q -p threadfuser-bench --bin perf_pipeline -- \
-    --check "${TMPDIR:-/tmp}/BENCH_pipeline.json" \
-    --baseline results/BENCH_pipeline_baseline.json
-
 echo "==> perf_sweep smoke (shared index vs cold re-analysis)"
 SWEEP_OUT="${TMPDIR:-/tmp}/BENCH_sweep.json"
 TF_BENCH_OUT="$SWEEP_OUT" \

@@ -71,7 +71,10 @@ pub enum Phase {
     Ipdom,
     /// Lock-step SIMT-stack emulation (one span per warp).
     WarpEmulate,
-    /// Warp-trace generation (CISC→RISC decomposition + coalescing).
+    /// Warp-trace materialization (CISC→RISC decomposition collected
+    /// into a `WarpTraceSet`). Only `warp_traces()` emits it: a speedup
+    /// projection simulates straight from the step recording, and
+    /// `simt-sim`'s `warp_insts` counter carries the same micro-op count.
     Coalesce,
     /// Cycle-level SIMT device simulation.
     SimtSim,

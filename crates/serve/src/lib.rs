@@ -40,7 +40,7 @@
 
 pub mod cache;
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -208,9 +208,12 @@ struct Inner {
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_rejected: AtomicU64,
-    /// Open connections, so shutdown can unblock parked reader threads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Open connections by id, so shutdown can unblock parked reader
+    /// threads. A reader removes its own entry when its connection ends,
+    /// so the table holds live connections only.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Reader threads, joined at shutdown after the workers drain.
+    /// Finished ones are reaped at every accept.
     readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -390,7 +393,7 @@ impl Server {
             jobs_done: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_rejected: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             readers: Mutex::new(Vec::new()),
             config: config.clone(),
         });
@@ -409,17 +412,29 @@ impl Server {
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
+                let mut next_conn = 0u64;
                 for stream in listener.incoming() {
                     if inner.stopping.load(Ordering::Acquire) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    let id = next_conn;
+                    next_conn += 1;
+                    // Registered before the reader starts, so the reader's
+                    // removal on exit can never run ahead of the insert.
                     if let Ok(clone) = stream.try_clone() {
-                        inner.conns.lock().expect("conns poisoned").push(clone);
+                        inner.conns.lock().expect("conns poisoned").insert(id, clone);
                     }
                     let conn_inner = Arc::clone(&inner);
-                    let handle = std::thread::spawn(move || conn_inner.serve_conn(stream));
-                    inner.readers.lock().expect("readers poisoned").push(handle);
+                    let handle = std::thread::spawn(move || {
+                        conn_inner.serve_conn(stream);
+                        conn_inner.conns.lock().expect("conns poisoned").remove(&id);
+                    });
+                    let mut readers = inner.readers.lock().expect("readers poisoned");
+                    for done in readers.extract_if(.., |r| r.is_finished()) {
+                        let _ = done.join();
+                    }
+                    readers.push(handle);
                 }
             })
         };
@@ -468,7 +483,7 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        for conn in self.inner.conns.lock().expect("conns poisoned").drain(..) {
+        for (_, conn) in self.inner.conns.lock().expect("conns poisoned").drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         for r in self.inner.readers.lock().expect("readers poisoned").drain(..) {

@@ -308,3 +308,62 @@ fn oversized_request_line_is_refused_and_only_that_connection_closed() {
     assert_eq!(resp.outcome, JobOutcome::Pong);
     server.shutdown();
 }
+
+/// This process's open fds that are TCP sockets with local port `port`:
+/// the server's listener plus the server side of each connection it still
+/// holds. Clients in this process connect from ephemeral ports, and tests
+/// on sibling harness threads use other servers, so neither is counted.
+#[cfg(target_os = "linux")]
+fn server_socket_fds(port: u16) -> usize {
+    let mut inodes = std::collections::HashSet::new();
+    for table in ["/proc/net/tcp", "/proc/net/tcp6"] {
+        let Ok(text) = std::fs::read_to_string(table) else { continue };
+        for line in text.lines().skip(1) {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let local_port = fields
+                .get(1)
+                .and_then(|a| a.rsplit(':').next())
+                .and_then(|p| u16::from_str_radix(p, 16).ok());
+            if let (Some(p), Some(inode)) = (local_port, fields.get(9)) {
+                if p == port {
+                    inodes.insert(format!("socket:[{inode}]"));
+                }
+            }
+        }
+    }
+    std::fs::read_dir("/proc/self/fd")
+        .expect("procfs")
+        .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+        .filter(|target| inodes.contains(target.to_string_lossy().as_ref()))
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_sockets() {
+    let (server, addr, _sink) = bind(ServeConfig::default());
+    let start = server_socket_fds(addr.port());
+    for id in 0..200u64 {
+        let mut client = Client::connect(addr).unwrap();
+        let (resp, _) = client.call(&JobRequest::new(id, JobOp::Ping)).unwrap();
+        assert_eq!(resp.outcome, JobOutcome::Pong);
+    }
+    // Readers notice EOF asynchronously: give the last few a moment.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut held = server_socket_fds(addr.port());
+    while held > start + 4 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        held = server_socket_fds(addr.port());
+    }
+    assert!(
+        held <= start + 4,
+        "{held} server sockets open after 200 closed connections (start {start})"
+    );
+
+    // Shutdown still severs a connection that is open when it runs.
+    let mut live = Client::connect(addr).unwrap();
+    let (resp, _) = live.call(&JobRequest::new(1, JobOp::Ping)).unwrap();
+    assert_eq!(resp.outcome, JobOutcome::Pong);
+    server.shutdown();
+    assert!(live.recv().is_err(), "shutdown must close live connections");
+}

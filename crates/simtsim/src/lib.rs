@@ -54,7 +54,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use threadfuser_mem::{Cache, CacheConfig, Hierarchy, HierarchyConfig};
-use threadfuser_tracegen::{MemOp, OpClass, WarpTraceSet};
+use threadfuser_tracegen::{MicroInst, OpClass, WarpRecording, WarpTraceSet};
 
 /// Warp scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -175,16 +175,57 @@ fn alu_latency(op: OpClass) -> u64 {
     }
 }
 
-/// Runs the device simulation over a warp-trace set.
-pub fn simulate(traces: &WarpTraceSet, config: &SimtSimConfig) -> SimtSimStats {
+/// Where the simulator's warps come from: per-warp micro-op streams in
+/// issue order. Implemented by the materialized [`WarpTraceSet`] (slice
+/// iteration) and by a [`WarpRecording`], whose streams are decomposed on
+/// the fly, so a speedup projection never builds the whole-program set.
+/// Each core drains its own warps' streams; the simulation is
+/// monomorphized per source, with no dynamic dispatch in the issue loop.
+pub trait WarpSource: Sync {
+    /// Warps in the source; warp `w` runs on core `w % n_cores`.
+    fn warp_count(&self) -> usize;
+
+    /// Warp `w`'s micro-ops in issue order.
+    fn warp(&self, w: usize) -> impl Iterator<Item = MicroInst<'_>>;
+}
+
+impl WarpSource for WarpTraceSet {
+    fn warp_count(&self) -> usize {
+        self.warps().len()
+    }
+
+    fn warp(&self, w: usize) -> impl Iterator<Item = MicroInst<'_>> {
+        self.warps()[w].insts.iter().map(|i| MicroInst {
+            pc: i.pc,
+            op: i.op,
+            mask: i.mask,
+            active: i.active,
+            mem: i.mem.as_ref().map(|m| (m.is_store, &m.accesses[..])),
+        })
+    }
+}
+
+impl WarpSource for WarpRecording {
+    fn warp_count(&self) -> usize {
+        WarpRecording::warp_count(self)
+    }
+
+    fn warp(&self, w: usize) -> impl Iterator<Item = MicroInst<'_>> {
+        self.micro_ops(w)
+    }
+}
+
+/// Runs the device simulation over a warp source — a [`WarpTraceSet`] or
+/// a [`WarpRecording`]; both give identical statistics.
+pub fn simulate<S: WarpSource>(traces: &S, config: &SimtSimConfig) -> SimtSimStats {
     simulate_observed(traces, config, &threadfuser_obs::Obs::none())
 }
 
 /// [`simulate`] under a `simt-sim` span, reporting cycle / stall / cache
 /// counters, the worker and active-core counts, and a per-core cycle
 /// histogram to `obs`.
-pub fn simulate_observed(
-    traces: &WarpTraceSet,
+pub fn simulate_observed<S: WarpSource>(
+    traces: &S,
     config: &SimtSimConfig,
     obs: &threadfuser_obs::Obs,
 ) -> SimtSimStats {
@@ -192,7 +233,7 @@ pub fn simulate_observed(
     let span = obs.span(Phase::SimtSim);
     let stats = simulate_impl(traces, config);
     if obs.enabled() {
-        let active = (config.n_cores.max(1) as usize).min(traces.warps().len());
+        let active = (config.n_cores.max(1) as usize).min(traces.warp_count());
         obs.counter(Phase::SimtSim, "workers", effective_workers(config.workers, active) as u64);
         obs.counter(Phase::SimtSim, "active_cores", active as u64);
         obs.counter(Phase::SimtSim, "cycles", stats.cycles);
@@ -324,9 +365,12 @@ impl ReadySet {
     }
 }
 
-struct WarpCtx {
-    trace_idx: usize,
-    pos: usize,
+/// A resident warp: its remaining micro-op stream and the micro-op it
+/// issues next (every resident warp has one — an empty warp is retired
+/// when promoted, never made resident).
+struct WarpCtx<'a, I> {
+    ops: I,
+    next: MicroInst<'a>,
 }
 
 /// How often an executing core polls the shared abort flag (set when a
@@ -334,10 +378,10 @@ struct WarpCtx {
 const ABORT_POLL_MASK: u64 = 0xFFF;
 
 /// Simulates one core against its private L1 and banked L2/DRAM slice.
-/// `core_warps` lists the warp-trace indices assigned to this core in
-/// arrival (FIFO) order.
-fn simulate_core(
-    traces: &WarpTraceSet,
+/// `core_warps` lists the warp indices assigned to this core in arrival
+/// (FIFO) order.
+fn simulate_core<S: WarpSource>(
+    traces: &S,
     config: &SimtSimConfig,
     banked: HierarchyConfig,
     core_warps: &[usize],
@@ -347,7 +391,7 @@ fn simulate_core(
     let mut l1 = Cache::new(config.l1);
     let mut hierarchy = Hierarchy::new(banked);
     let mut waiting: VecDeque<usize> = core_warps.iter().copied().collect();
-    let mut resident: Vec<WarpCtx> = Vec::new();
+    let mut resident = Vec::new();
     let mut ready = ReadySet::default();
     // Earliest-wake tracking: every stalled warp has exactly one entry
     // (a warp re-stalls only after it woke and issued), so entries are
@@ -365,8 +409,10 @@ fn simulate_core(
         while live < config.max_warps_per_core as usize {
             match waiting.pop_front() {
                 Some(t) => {
+                    let mut ops = traces.warp(t);
+                    let Some(next) = ops.next() else { continue };
                     let slot = resident.len();
-                    resident.push(WarpCtx { trace_idx: t, pos: 0 });
+                    resident.push(WarpCtx { ops, next });
                     ready.grow_to(slot + 1);
                     ready.insert(slot);
                     live += 1;
@@ -423,14 +469,18 @@ fn simulate_core(
         last_issued = widx;
         rr_pointer = (widx + 1) % n.max(1);
         let w = &mut resident[widx];
-        let trace = &traces.warps()[w.trace_idx];
-        let inst = &trace.insts[w.pos];
-        w.pos += 1;
+        let inst = w.next;
+        let finished = match w.ops.next() {
+            Some(next) => {
+                w.next = next;
+                false
+            }
+            None => true,
+        };
         part.warp_insts += 1;
         part.thread_insts += inst.active as u64;
-        let finished = w.pos >= trace.insts.len();
 
-        match (&inst.op, &inst.mem) {
+        match (inst.op, inst.mem) {
             (OpClass::Load, Some(mem)) => {
                 let done = service_mem(
                     mem,
@@ -463,7 +513,7 @@ fn simulate_core(
             }
             (op, _) => {
                 if !finished {
-                    wake.push(Reverse((cycle + alu_latency(*op), widx)));
+                    wake.push(Reverse((cycle + alu_latency(op), widx)));
                 }
             }
         }
@@ -482,7 +532,7 @@ fn simulate_core(
     part
 }
 
-fn simulate_impl(traces: &WarpTraceSet, config: &SimtSimConfig) -> SimtSimStats {
+fn simulate_impl<S: WarpSource>(traces: &S, config: &SimtSimConfig) -> SimtSimStats {
     let n_cores = config.n_cores.max(1) as usize;
     // Banked memory system: each core owns an L2 slice and an even share
     // of DRAM bandwidth. This keeps per-core clocks independent while
@@ -497,7 +547,7 @@ fn simulate_impl(traces: &WarpTraceSet, config: &SimtSimConfig) -> SimtSimStats 
     // Static assignment: warp w runs on core w % n_cores (CTA-style).
     // Only cores with assigned warps are ever constructed — the default
     // 46-core device allocates 2 cache hierarchies for a 2-warp set.
-    let n_warps = traces.warps().len();
+    let n_warps = traces.warp_count();
     let active = n_cores.min(n_warps);
     let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); active];
     for w in 0..n_warps {
@@ -550,12 +600,13 @@ fn simulate_impl(traces: &WarpTraceSet, config: &SimtSimConfig) -> SimtSimStats 
     stats
 }
 
-/// Coalesces a warp memory operation into 32-byte transactions and runs
-/// each through L1 → L2 → DRAM; returns the completion cycle of the
-/// slowest transaction. `lines` is a per-core scratch buffer reused
-/// across memory instructions (capacity retained, contents overwritten).
+/// Coalesces a warp memory operation — `(is_store, per-lane (address,
+/// size))` — into 32-byte transactions and runs each through L1 → L2 →
+/// DRAM; returns the completion cycle of the slowest transaction. `lines`
+/// is a per-core scratch buffer reused across memory instructions
+/// (capacity retained, contents overwritten).
 fn service_mem(
-    mem: &MemOp,
+    (is_store, accesses): (bool, &[(u64, u32)]),
     now: u64,
     l1: &mut Cache,
     hierarchy: &mut Hierarchy,
@@ -565,7 +616,7 @@ fn service_mem(
 ) -> u64 {
     let line = threadfuser_mem::TRANSACTION_BYTES;
     lines.clear();
-    for &(a, s) in &mem.accesses {
+    for &(a, s) in accesses {
         let first = a / line;
         let last = (a + s.max(1) as u64 - 1) / line;
         for l in first..=last {
@@ -578,11 +629,11 @@ fn service_mem(
     let mut done = now + 1;
     for &l in lines.iter() {
         let addr = l * line;
-        let access = l1.access(addr, mem.is_store);
+        let access = l1.access(addr, is_store);
         let completion = if access.hit {
             now + l1_latency
         } else {
-            let (c, _) = hierarchy.access(now + l1_latency, addr, mem.is_store);
+            let (c, _) = hierarchy.access(now + l1_latency, addr, is_store);
             c
         };
         done = done.max(completion);
@@ -594,10 +645,12 @@ fn service_mem(
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
-    use threadfuser_analyzer::AnalyzerConfig;
+    use threadfuser_analyzer::{AnalysisIndex, AnalyzerConfig};
     use threadfuser_ir::{AluOp, Operand, ProgramBuilder};
     use threadfuser_machine::MachineConfig;
-    use threadfuser_tracegen::generate_warp_traces;
+    use threadfuser_tracegen::{
+        expand_warp_recording, generate_warp_traces, record_warp_steps_indexed,
+    };
     use threadfuser_tracer::trace_program;
 
     fn warp_traces_for(
@@ -760,6 +813,36 @@ mod tests {
         let stats = simulate(&WarpTraceSet::default(), &SimtSimConfig::default());
         assert_eq!(stats.cycles, 0);
         assert_eq!(stats.warp_insts, 0);
+    }
+
+    #[test]
+    fn empty_warp_retires_on_promotion() {
+        // The set is public `Deserialize`: an empty warp must retire, not
+        // be issued from.
+        let json = r#"{"warp_size":32,"warps":[{"warp":0,"insts":[]},{"warp":1,"insts":[
+            {"pc":0,"op":"IntAlu","mask":1,"active":1,"mem":null}]}]}"#;
+        let wt: WarpTraceSet = serde_json::from_str(json).unwrap();
+        let stats = simulate(&wt, &SimtSimConfig { n_cores: 1, ..SimtSimConfig::default() });
+        assert_eq!(stats.warp_insts, 1);
+        assert!(!stats.truncated);
+    }
+
+    #[test]
+    fn recording_and_materialized_set_simulate_identically() {
+        let mut pb = ProgramBuilder::new();
+        let k = strided_kernel(&mut pb);
+        let p = pb.build().unwrap();
+        let (traces, _) = trace_program(&p, MachineConfig::new(k, 1024)).unwrap();
+        let config = AnalyzerConfig::new(32);
+        let index = AnalysisIndex::build(&p, &traces).unwrap();
+        let (_, rec) = record_warp_steps_indexed(&p, &traces, &index, &config).unwrap();
+        let wt = expand_warp_recording(&rec, &config);
+        for scheduler in [Scheduler::Gto, Scheduler::Lrr] {
+            for (n_cores, workers) in [(1, 1), (4, 2), (46, 8)] {
+                let cfg = SimtSimConfig { n_cores, workers, scheduler, ..SimtSimConfig::default() };
+                assert_eq!(simulate(&rec, &cfg), simulate(&wt, &cfg), "{scheduler:?} {n_cores}");
+            }
+        }
     }
 
     #[test]

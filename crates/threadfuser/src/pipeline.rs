@@ -29,7 +29,7 @@ use threadfuser_machine::{
     MachineError,
 };
 use threadfuser_obs::{Obs, Phase};
-use threadfuser_simtsim::{simulate_observed, SimtSimConfig, SimtSimStats};
+use threadfuser_simtsim::{simulate_observed, SimtSimConfig, SimtSimStats, WarpSource};
 use threadfuser_tracegen::{
     expand_warp_recording, generate_warp_traces_indexed, record_warp_steps_indexed, WarpRecording,
     WarpTraceSet,
@@ -465,9 +465,10 @@ fn run_lockstep_observed(
 }
 
 /// Speedup projection shared by [`Traced`] and [`TracedView`]. The caller
-/// supplies the warp traces (so `Traced` can feed its cached emulation).
+/// supplies the warp source: `Traced` its cached step recording, a view a
+/// fresh one — never a materialized [`WarpTraceSet`].
 fn project_speedup_impl(
-    wt: &WarpTraceSet,
+    warps: &impl WarpSource,
     traces: &TraceSet,
     analyzer: &AnalyzerConfig,
     simt: &SimtSimConfig,
@@ -492,7 +493,7 @@ fn project_speedup_impl(
         }
         c
     };
-    let gpu_stats = simulate_observed(wt, &simt, obs);
+    let gpu_stats = simulate_observed(warps, &simt, obs);
     if gpu_stats.truncated {
         return Err(PipelineError::TruncatedSimulation);
     }
@@ -633,9 +634,10 @@ impl Traced {
 
     /// The capture's compact step recording: one recording warp-emulate
     /// pass yields both the analysis report and the recording that every
-    /// trace-shaped product expands from. Built on first use and cached,
-    /// like [`Traced::index`]; also seeds the [`Traced::analyze`] report
-    /// cache, since the recording pass computes the same report.
+    /// trace-shaped product expands or simulates from. Built on first use
+    /// and cached, like [`Traced::index`]; also seeds the
+    /// [`Traced::analyze`] report cache, since the recording pass computes
+    /// the same report.
     fn recorded(&self) -> Result<Arc<WarpRecording>, PipelineError> {
         if let Some(rec) = self.recording.get() {
             // A recording hit implies an index hit: the recording embeds
@@ -680,11 +682,13 @@ impl Traced {
     /// Propagates analyzer errors.
     pub fn warp_traces(&self) -> Result<WarpTraceSet, PipelineError> {
         let rec = self.recorded()?;
-        Ok(expand_warp_recording(&self.program, &rec, &self.analyzer))
+        Ok(expand_warp_recording(&rec, &self.analyzer))
     }
 
     /// Projects the speedup of SIMT execution over native multicore CPU
-    /// execution from this capture.
+    /// execution from this capture. The SIMT simulator issues straight
+    /// from the cached step recording: no [`WarpTraceSet`] is built, and
+    /// the statistics equal simulating [`Traced::warp_traces`].
     ///
     /// # Errors
     /// Propagates analyzer errors,
@@ -697,8 +701,8 @@ impl Traced {
         simt: &SimtSimConfig,
         cpu: &CpuSimConfig,
     ) -> Result<SpeedupProjection, PipelineError> {
-        let wt = self.warp_traces()?;
-        project_speedup_impl(&wt, &self.traces, &self.analyzer, simt, cpu)
+        let rec = self.recorded()?;
+        project_speedup_impl(&*rec, &self.traces, &self.analyzer, simt, cpu)
     }
 
     /// Runs the capture's program warp-natively at the pipeline's
@@ -837,7 +841,9 @@ impl TracedView<'_> {
         )?)
     }
 
-    /// Projects the SIMT-over-CPU speedup under this view's configuration.
+    /// Projects the SIMT-over-CPU speedup under this view's configuration:
+    /// records the view's emulation, simulates straight from the
+    /// recording, and drops it — no [`WarpTraceSet`] is built.
     ///
     /// # Errors
     /// Propagates analyzer errors,
@@ -850,8 +856,14 @@ impl TracedView<'_> {
         simt: &SimtSimConfig,
         cpu: &CpuSimConfig,
     ) -> Result<SpeedupProjection, PipelineError> {
-        let wt = self.warp_traces()?;
-        project_speedup_impl(&wt, &self.traced.traces, &self.analyzer, simt, cpu)
+        let index = self.traced.index()?;
+        let (_, rec) = record_warp_steps_indexed(
+            &self.traced.program,
+            &self.traced.traces,
+            &index,
+            &self.analyzer,
+        )?;
+        project_speedup_impl(&rec, &self.traced.traces, &self.analyzer, simt, cpu)
     }
 }
 

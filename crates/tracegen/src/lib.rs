@@ -21,6 +21,13 @@
 //! merged in warp order — the produced [`WarpTraceSet`] is bit-identical
 //! at any worker count.
 //!
+//! The trace files of the paper exist because Accel-Sim is a separate
+//! process. Here generator and simulator share an address space, so the
+//! speedup projection never materializes a [`WarpTraceSet`]: the SIMT
+//! simulator issues straight from a [`WarpRecording`] through
+//! [`WarpRecording::micro_ops`], the same decomposition walk
+//! [`expand_warp_recording`] collects for callers who want the set.
+//!
 //! ```
 //! use threadfuser_ir::{ProgramBuilder, Operand};
 //! use threadfuser_machine::MachineConfig;
@@ -47,7 +54,7 @@ use threadfuser_analyzer::{
     analyze_indexed_with_warp_sinks, AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig,
     BlockStep, StepSink,
 };
-use threadfuser_ir::{BlockId, FuncId, Inst, Program, Terminator};
+use threadfuser_ir::{Inst, Program, Terminator};
 use threadfuser_machine::{segment_of, Segment};
 use threadfuser_tracer::TraceSet;
 
@@ -143,6 +150,25 @@ impl WarpTraceSet {
     }
 }
 
+/// One warp micro-op as the SIMT simulator issues it: a [`WarpInst`]
+/// whose memory payload is *borrowed* — from a [`WarpRecording`]'s access
+/// arena when decomposed on the fly by [`WarpRecording::micro_ops`], or
+/// from the [`MemOp`] of a materialized [`WarpInst`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MicroInst<'a> {
+    /// Synthetic PC: `func << 24 | block << 8 | micro-op slot`.
+    pub pc: u64,
+    /// Latency class.
+    pub op: OpClass,
+    /// Active-lane mask.
+    pub mask: u64,
+    /// Active-lane count.
+    pub active: u32,
+    /// `(is_store, per-active-lane (address, size))` for `Load`/`Store`
+    /// micro-ops.
+    pub mem: Option<(bool, &'a [(u64, u32)])>,
+}
+
 /// One precomputed micro-op of a block's CISC → RISC decomposition.
 #[derive(Debug, Clone, Copy)]
 struct MicroOp {
@@ -160,9 +186,10 @@ const NO_MEM: u32 = u32::MAX;
 /// Per-block micro-op decompositions for a whole program, in one CSR
 /// arena: `micro[block_off[func_off[f] + b] .. block_off[.. + 1]]` is
 /// block `(f, b)`'s recipe. The decomposition depends only on the static
-/// instruction list, so it is computed once per generation and each
+/// instruction list, so it is computed once per recording and each
 /// emulated step replays compact 8-byte records instead of re-matching
 /// the full TFIR instruction enums.
+#[derive(Debug, Clone, Default)]
 struct BlockRecipes {
     micro: Vec<MicroOp>,
     func_off: Vec<u32>,
@@ -240,8 +267,8 @@ impl BlockRecipes {
     }
 
     #[inline]
-    fn block(&self, func: threadfuser_ir::FuncId, block: threadfuser_ir::BlockId) -> &[MicroOp] {
-        let b = self.func_off[func.0 as usize] as usize + block.0 as usize;
+    fn block(&self, step: &StepRec) -> &[MicroOp] {
+        let b = self.func_off[step.func as usize] as usize + step.block as usize;
         &self.micro[self.block_off[b] as usize..self.block_off[b + 1] as usize]
     }
 }
@@ -283,17 +310,21 @@ struct WarpRec {
 }
 
 /// A compact capture of one full lock-step emulation: everything needed
-/// to materialize a [`WarpTraceSet`] without replaying the warps.
+/// to produce every warp's micro-op stream without replaying the warps.
 ///
 /// Recording is what the emulation-side sink does (a few arena appends
-/// per step); the allocation-heavy micro-op expansion happens later in
-/// [`expand_warp_recording`], outside the warp-emulate phase. The
+/// per step); the CISC → RISC decomposition runs afterwards, outside the
+/// warp-emulate phase, as one per-warp cursor ([`WarpRecording::micro_ops`])
+/// that the SIMT simulator can issue from directly and that
+/// [`expand_warp_recording`] collects into a [`WarpTraceSet`]. The
 /// recording is also reusable: one emulation can serve both the analysis
-/// report and any number of trace expansions.
+/// report and any number of simulations or trace expansions.
 #[derive(Debug, Clone, Default)]
 pub struct WarpRecording {
     warps: Vec<WarpRec>,
     warp_size: u32,
+    /// The recorded program's per-block decompositions.
+    recipes: BlockRecipes,
 }
 
 impl WarpRecording {
@@ -305,6 +336,88 @@ impl WarpRecording {
     /// Total recorded lock-step block executions.
     pub fn total_steps(&self) -> u64 {
         self.warps.iter().map(|w| w.steps.len() as u64).sum()
+    }
+
+    /// Warp `warp`'s micro-op stream in issue order, decomposed on the fly
+    /// with memory payloads borrowed from the recording — the same
+    /// sequence [`expand_warp_recording`] materializes as that warp's
+    /// [`WarpTrace`], without allocating.
+    ///
+    /// # Panics
+    /// When `warp >= self.warp_count()`.
+    pub fn micro_ops(&self, warp: usize) -> impl Iterator<Item = MicroInst<'_>> + '_ {
+        WarpCursor {
+            rec: &self.warps[warp],
+            recipes: &self.recipes,
+            next_step: 0,
+            recipe: &[],
+            slot: 0,
+            base_pc: 0,
+            mask: 0,
+            active: 0,
+            grp: 0,
+            grp_hi: 0,
+        }
+    }
+}
+
+/// The one home of the CISC → RISC decomposition walk: steps through one
+/// warp's recorded blocks, yielding each block recipe's micro-ops with the
+/// step's mask and the access group its recipe slot names.
+struct WarpCursor<'a> {
+    rec: &'a WarpRec,
+    recipes: &'a BlockRecipes,
+    /// Index of the next step to open.
+    next_step: usize,
+    /// The open step's recipe, the next slot in it, and its shared fields.
+    recipe: &'a [MicroOp],
+    slot: usize,
+    base_pc: u64,
+    mask: u64,
+    active: u32,
+    /// Cursor into the open step's access groups `grp..grp_hi`.
+    grp: usize,
+    grp_hi: usize,
+}
+
+impl<'a> Iterator for WarpCursor<'a> {
+    type Item = MicroInst<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<MicroInst<'a>> {
+        let rec = self.rec;
+        while self.slot == self.recipe.len() {
+            let s = rec.steps.get(self.next_step)?;
+            self.next_step += 1;
+            self.recipe = self.recipes.block(s);
+            self.slot = 0;
+            self.base_pc = ((s.func as u64) << 24) | ((s.block as u64) << 8);
+            self.mask = s.mask;
+            self.active = s.active;
+            self.grp = s.grp_lo as usize;
+            self.grp_hi =
+                rec.steps.get(self.next_step).map_or(rec.groups.len(), |n| n.grp_lo as usize);
+        }
+        let m = self.recipe[self.slot];
+        let pc = self.base_pc | self.slot as u64;
+        self.slot += 1;
+        let mem = (m.mem_inst != NO_MEM).then(|| {
+            // Group indices and recipe payload indices are both
+            // non-decreasing: one linear cursor per step.
+            while self.grp < self.grp_hi && rec.groups[self.grp].0 < m.mem_inst {
+                self.grp += 1;
+            }
+            let acc: &[(u64, u32)] =
+                if self.grp < self.grp_hi && rec.groups[self.grp].0 == m.mem_inst {
+                    let lo = rec.groups[self.grp].1 as usize;
+                    let hi = rec.groups.get(self.grp + 1).map_or(rec.accs.len(), |g| g.1 as usize);
+                    &rec.accs[lo..hi]
+                } else {
+                    &[]
+                };
+            (m.is_store, acc)
+        });
+        Some(MicroInst { pc, op: m.op, mask: self.mask, active: self.active, mem })
     }
 }
 
@@ -357,7 +470,8 @@ pub fn record_warp_steps_indexed(
     while warps.last().is_some_and(|w| w.steps.is_empty()) {
         warps.pop();
     }
-    let recording = WarpRecording { warps, warp_size: config.warp_size };
+    let recording =
+        WarpRecording { warps, warp_size: config.warp_size, recipes: BlockRecipes::build(program) };
     if config.obs.enabled() {
         // Lets callers distinguish a recording emulation from the plain
         // analyze-only pass: the staged pipeline asserts on this counter
@@ -372,65 +486,35 @@ pub fn record_warp_steps_indexed(
     Ok((report, recording))
 }
 
-/// Expands one warp's recording into its micro-op stream.
-fn expand_warp(rec: &WarpRec, recipes: &BlockRecipes, warp: u32) -> WarpTrace {
-    // Exact capacity: the recipe arena knows every step's micro-op count
-    // up front, so the output vector never reallocates.
-    let total: usize =
-        rec.steps.iter().map(|s| recipes.block(FuncId(s.func), BlockId(s.block)).len()).sum();
-    let mut insts = Vec::with_capacity(total);
-    for (si, s) in rec.steps.iter().enumerate() {
-        let grp_hi = rec.steps.get(si + 1).map_or(rec.groups.len(), |n| n.grp_lo as usize);
-        let mut g = s.grp_lo as usize;
-        let base_pc = ((s.func as u64) << 24) | ((s.block as u64) << 8);
-        let recipe = recipes.block(FuncId(s.func), BlockId(s.block));
-        for (slot, m) in recipe.iter().enumerate() {
-            let mem = if m.mem_inst == NO_MEM {
-                None
-            } else {
-                // Group indices and recipe payload indices are both
-                // non-decreasing: one linear cursor per step.
-                while g < grp_hi && rec.groups[g].0 < m.mem_inst {
-                    g += 1;
-                }
-                let acc = if g < grp_hi && rec.groups[g].0 == m.mem_inst {
-                    let lo = rec.groups[g].1 as usize;
-                    let hi = rec.groups.get(g + 1).map_or(rec.accs.len(), |&(_, alo)| alo as usize);
-                    rec.accs[lo..hi].to_vec()
-                } else {
-                    Vec::new()
-                };
-                let space = space_of(&acc);
-                Some(MemOp { space, is_store: m.is_store, accesses: acc })
-            };
-            insts.push(WarpInst {
-                pc: base_pc | slot as u64,
-                op: m.op,
-                mask: s.mask,
-                active: s.active,
-                mem,
-            });
-        }
-    }
-    WarpTrace { warp, insts }
-}
-
 /// Materializes a [`WarpRecording`] into warp-level instruction traces:
-/// the CISC → RISC decomposition (precomputed per block) applied to every
-/// recorded step. Reported under the `coalesce` phase — this is the trace
+/// every warp's [`WarpRecording::micro_ops`] stream collected into owned
+/// [`WarpInst`]s, with each memory payload classified into its SIMT space.
+/// Reported under the `coalesce` phase — this is the trace
 /// materialization work, separated from the lock-step replay itself.
-pub fn expand_warp_recording(
-    program: &Program,
-    recording: &WarpRecording,
-    config: &AnalyzerConfig,
-) -> WarpTraceSet {
+pub fn expand_warp_recording(recording: &WarpRecording, config: &AnalyzerConfig) -> WarpTraceSet {
     let span = config.obs.span(threadfuser_obs::Phase::Coalesce);
-    let recipes = BlockRecipes::build(program);
     let warps: Vec<WarpTrace> = recording
         .warps
         .iter()
         .enumerate()
-        .map(|(w, rec)| expand_warp(rec, &recipes, w as u32))
+        .map(|(w, rec)| {
+            // Exact capacity: the recipe arena knows every step's micro-op
+            // count up front, so the output vector never reallocates.
+            let total = rec.steps.iter().map(|s| recording.recipes.block(s).len()).sum();
+            let mut insts = Vec::with_capacity(total);
+            insts.extend(recording.micro_ops(w).map(|m| WarpInst {
+                pc: m.pc,
+                op: m.op,
+                mask: m.mask,
+                active: m.active,
+                mem: m.mem.map(|(is_store, acc)| MemOp {
+                    space: space_of(acc),
+                    is_store,
+                    accesses: acc.to_vec(),
+                }),
+            }));
+            WarpTrace { warp: w as u32, insts }
+        })
         .collect();
     let set = WarpTraceSet { warp_size: recording.warp_size, warps };
     if config.obs.enabled() {
@@ -476,7 +560,7 @@ pub fn generate_warp_traces_indexed(
     config: &AnalyzerConfig,
 ) -> Result<WarpTraceSet, AnalyzeError> {
     let (_, recording) = record_warp_steps_indexed(program, traces, index, config)?;
-    Ok(expand_warp_recording(program, &recording, config))
+    Ok(expand_warp_recording(&recording, config))
 }
 
 #[cfg(test)]
@@ -567,6 +651,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn micro_op_cursor_is_the_materialized_stream() {
+        // Divergent control flow plus stack and global traffic: the
+        // borrowed cursor must yield exactly the expanded instructions.
+        let mut pb = ProgramBuilder::new();
+        let g = pb.global_i64("g", &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let k = pb.function("k", 1, |fb| {
+            let tid = fb.arg(0);
+            let v = fb.var(8);
+            fb.store_var(v, tid);
+            let bit = fb.alu(AluOp::And, tid, 1i64);
+            fb.if_then(Cond::Eq, bit, 0i64, |fb| {
+                let m = fb.global_ref(g, Operand::Reg(tid), 8);
+                let x = fb.alu(AluOp::Add, 10i64, Operand::Mem(m));
+                fb.store_var(v, x);
+            });
+            let r = fb.load_var(v);
+            fb.ret(Some(Operand::Reg(r)));
+        });
+        let p = pb.build().unwrap();
+        let (traces, _) = trace_program(&p, MachineConfig::new(k, 8)).unwrap();
+        let config = AnalyzerConfig::new(4);
+        let index = AnalysisIndex::build(&p, &traces).unwrap();
+        let (_, recording) = record_warp_steps_indexed(&p, &traces, &index, &config).unwrap();
+        let wt = expand_warp_recording(&recording, &config);
+        assert_eq!(recording.warp_count(), wt.warps().len());
+        for (w, trace) in wt.warps().iter().enumerate() {
+            let streamed: Vec<MicroInst<'_>> = recording.micro_ops(w).collect();
+            let materialized: Vec<MicroInst<'_>> = trace
+                .insts
+                .iter()
+                .map(|i| MicroInst {
+                    pc: i.pc,
+                    op: i.op,
+                    mask: i.mask,
+                    active: i.active,
+                    mem: i.mem.as_ref().map(|m| (m.is_store, &m.accesses[..])),
+                })
+                .collect();
+            assert_eq!(streamed, materialized, "warp {w}");
+        }
+        assert!(wt.warps()[0].insts.iter().any(|i| i.mem.is_some()));
     }
 
     #[test]

@@ -9,60 +9,13 @@
 //! global allocator sees no allocations from unrelated tests running on
 //! sibling harness threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::peak_delta;
 use threadfuser::prelude::*;
 use threadfuser::tracer::{encode_v3_with, TraceSetReader};
 use threadfuser::workloads;
-
-/// Wraps [`System`], tracking live bytes and the high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                let grow = new_size - layout.size();
-                let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Runs `f` and returns how far the live-byte high-water mark rose
-/// above the level at entry.
-fn peak_delta(f: impl FnOnce()) -> usize {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    f();
-    PEAK.load(Ordering::Relaxed).saturating_sub(base)
-}
 
 #[test]
 fn streaming_chunk_decode_peaks_below_whole_file() {
@@ -78,13 +31,13 @@ fn streaming_chunk_decode_peaks_below_whole_file() {
     assert!(n_chunks >= 4, "need a multi-chunk file, got {n_chunks} chunks");
 
     let mut eager_threads = 0usize;
-    let eager_peak = peak_delta(|| {
+    let ((), eager_peak) = peak_delta(|| {
         let set = decode(&bytes).expect("eager decode");
         eager_threads = set.threads().len();
     });
 
     let mut lazy_threads = 0usize;
-    let lazy_peak = peak_delta(|| {
+    let ((), lazy_peak) = peak_delta(|| {
         let reader = TraceSetReader::from_bytes(bytes.clone(), &opts).expect("index");
         for i in 0..reader.n_chunks() {
             let chunk = reader.decode_chunk_uncached(i).expect("chunk decode");

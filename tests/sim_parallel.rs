@@ -22,7 +22,8 @@ const WORKER_COUNTS: &[usize] = &[1, 2, 8];
 
 /// Asserts the whole projection backend is worker-count-invariant for one
 /// capture: warp traces across analyzer schedulers, SIMT stats across
-/// warp schedulers, CPU stats.
+/// warp schedulers — simulated from the materialized set and streamed
+/// from the step recording by both speedup projections —, CPU stats.
 fn assert_backend_invariant(traced: &Traced, label: &str) {
     let wt_base = traced.view().with_parallelism(1).warp_traces().expect("tracegen (seq)");
     for &workers in WORKER_COUNTS {
@@ -53,6 +54,22 @@ fn assert_backend_invariant(traced: &Traced, label: &str) {
             assert_eq!(
                 gpu_base, gpu,
                 "{label}: SIMT stats diverged at {workers} workers ({sched:?})"
+            );
+            let simt = SimtSimConfig { workers, scheduler: sched, ..Default::default() };
+            let cpu = CpuSimConfig::default();
+            let streamed = traced.project_speedup(&simt, &cpu).expect("projection");
+            assert_eq!(
+                gpu_base, streamed.gpu,
+                "{label}: recording-streamed SIMT stats diverged at {workers} workers ({sched:?})"
+            );
+            let viewed = traced
+                .view()
+                .with_parallelism(workers)
+                .project_speedup(&simt, &cpu)
+                .expect("view projection");
+            assert_eq!(
+                gpu_base, viewed.gpu,
+                "{label}: view-streamed SIMT stats diverged at {workers} workers ({sched:?})"
             );
         }
     }

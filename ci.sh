@@ -65,33 +65,6 @@ echo "==> fuzz_trace (corpus + random-bytes never-panic gate)"
 # decode(encode(t)) == t.
 cargo run --release -q -p threadfuser-bench --bin fuzz_trace -- --check
 
-echo "==> perf_sweep smoke (shared index vs cold re-analysis)"
-SWEEP_OUT="${TMPDIR:-/tmp}/BENCH_sweep.json"
-TF_BENCH_OUT="$SWEEP_OUT" \
-    cargo run --release -p threadfuser-bench --bin perf_sweep
-# Fails when the report is malformed or the warm-index sweep was not
-# faster than the cold one.
-cargo run --release -q -p threadfuser-bench --bin perf_sweep -- --check "$SWEEP_OUT"
-
-echo "==> perf_trace smoke (predecoded engine vs legacy, columnar vs materialized replay, v2 vs v3 format)"
-TRACE_OUT="${TMPDIR:-/tmp}/BENCH_trace.json"
-TF_BENCH_OUT="$TRACE_OUT" \
-    cargo run --release -p threadfuser-bench --bin perf_trace
-# Fails when the report is malformed, the predecoded engine traced below
-# the speedup gate, the engines / replay modes / decode paths disagreed
-# bit for bit, any v3 encoding exceeded 0.6x of its v2 size, or the
-# aggregate v3 eager-decode speedup over v2 fell below 1.3x.
-cargo run --release -q -p threadfuser-bench --bin perf_trace -- --check "$TRACE_OUT"
-
-echo "==> perf_sim smoke (parallel projection backend vs sequential)"
-SIM_OUT="${TMPDIR:-/tmp}/BENCH_sim.json"
-TF_BENCH_OUT="$SIM_OUT" \
-    cargo run --release -p threadfuser-bench --bin perf_sim
-# Fails when the report is malformed, any parallel stage (tracegen,
-# simt-sim, cpu-sim) diverged from its sequential twin, or — on hosts
-# with >= 4 CPUs — the combined backend speedup fell below the gate.
-cargo run --release -q -p threadfuser-bench --bin perf_sim -- --check "$SIM_OUT"
-
 echo "==> serve smoke (job server end-to-end over TCP)"
 SMOKE_DIR=$(mktemp -d "${TMPDIR:-/tmp}/tf_serve_smoke.XXXXXX")
 trap 'rm -rf "$SMOKE_DIR"; [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
@@ -112,14 +85,16 @@ for _ in $(seq 50); do
     sleep 0.1
 done
 grep -q "listening on" "$SMOKE_DIR/serve.log"
-# Six jobs down one connection: analyze, an analyze of a cooperative-
+# Seven jobs down one connection: analyze, an analyze of a cooperative-
 # scheduler workload (the coop family must be servable by name), a
 # legacy-shaped sweep (no model/formation fields — the wire back-compat
 # proof), a model×formation grid sweep, a strict validate of the corrupt
-# file, and a graceful shutdown.
+# file, an analyze at warp size 0 (a structured BadRequest, not a dead
+# worker), and a graceful shutdown.
 CAPTURE='{"source":{"Workload":"vectoradd"},"threads":32,"opt":"O3","policy":"Strict","check_shape":false}'
 COOP_CAPTURE='{"source":{"Workload":"coop_channel"},"threads":32,"opt":"O3","policy":"Strict","check_shape":false}'
 KNOBS='{"warp_size":32,"batching":"Linear","intra_warp_locks":false,"reconvergence":"DynamicIpdom","parallelism":0}'
+WARP0_KNOBS='{"warp_size":0,"batching":"Linear","intra_warp_locks":false,"reconvergence":"DynamicIpdom","parallelism":0}'
 exec 3<>"/dev/tcp/127.0.0.1/$SERVE_PORT"
 printf '%s\n' \
   "{\"id\":1,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Analyze\":{\"capture\":$CAPTURE,\"config\":$KNOBS}}}" \
@@ -127,8 +102,9 @@ printf '%s\n' \
   "{\"id\":2,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Sweep\":{\"capture\":$CAPTURE,\"config\":$KNOBS,\"warps\":[8,32],\"batchings\":[\"Linear\"]}}}" \
   "{\"id\":5,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Sweep\":{\"capture\":$CAPTURE,\"config\":$KNOBS,\"warps\":[32],\"batchings\":[\"Linear\"],\"models\":[\"IpdomStack\",\"StacklessPcMin\",\"BranchMelding\"],\"formations\":[\"Fixed\",{\"DynamicResize\":{\"min_width\":8}}]}}}" \
   "{\"id\":3,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Validate\":{\"capture\":{\"source\":{\"TraceFile\":{\"path\":\"$SMOKE_DIR/corrupt.bin\",\"workload\":\"vectoradd\"}},\"threads\":null,\"opt\":\"O3\",\"policy\":\"Strict\",\"check_shape\":true}}}}" \
+  "{\"id\":7,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Analyze\":{\"capture\":$CAPTURE,\"config\":$WARP0_KNOBS}}}" \
   "{\"id\":4,\"tenant\":null,\"stream_obs\":false,\"op\":\"Shutdown\"}" >&3
-SMOKE_RESP=$(timeout 60 head -n 6 <&3)
+SMOKE_RESP=$(timeout 60 head -n 7 <&3)
 exec 3<&- 3>&-
 echo "$SMOKE_RESP" | grep -q '"Analysis"'   # analyze answered with a report
 # The coop job must come back as its own successful analysis (id 6).
@@ -137,6 +113,7 @@ echo "$SMOKE_RESP" | grep -q '"Sweep"'      # sweep answered with rows
 echo "$SMOKE_RESP" | grep -q 'StacklessPcMin'   # model grid swept the stackless machine
 echo "$SMOKE_RESP" | grep -q 'DynamicResize'    # ... and the resizing formation
 echo "$SMOKE_RESP" | grep -q '"Decode"'     # corrupt file → structured decode error
+echo "$SMOKE_RESP" | grep '"id":7' | grep -q '"BadRequest"'   # warp 0 → structured refusal
 echo "$SMOKE_RESP" | grep -q '"Done"'       # shutdown acknowledged
 # Clean exit: the daemon must terminate on its own after Shutdown.
 SERVE_EXIT=0
@@ -147,14 +124,5 @@ done
 [ "$SERVE_EXIT" = done ]
 wait "$SERVE_PID"
 SERVE_PID=""
-
-echo "==> perf_serve smoke (warm capture cache vs cold, backpressure)"
-SERVE_OUT="${TMPDIR:-/tmp}/BENCH_serve.json"
-TF_BENCH_OUT="$SERVE_OUT" \
-    cargo run --release -p threadfuser-bench --bin perf_serve
-# Fails when the report is malformed, the warm batch missed the 1.5x
-# cache gate, any served report diverged from its direct Pipeline twin,
-# or the full-queue probe saw no structured Overloaded rejection.
-cargo run --release -q -p threadfuser-bench --bin perf_serve -- --check "$SERVE_OUT"
 
 echo "==> ci.sh: all green"

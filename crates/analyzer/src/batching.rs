@@ -27,8 +27,7 @@ pub enum BatchPolicy {
 /// A thread→warp plan in CSR form: every warp's thread ids live in one
 /// flat array, bounded by an offset table — two allocations total no
 /// matter how many warps, instead of a `Vec<u32>` per warp. This is what
-/// the emulator iterates; [`BatchPolicy::batch`] remains as a
-/// nested-`Vec` convenience view.
+/// the emulator iterates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarpPlan {
     /// Warp `w`'s thread ids are `tids[off[w] as usize..off[w+1] as usize]`.
@@ -105,14 +104,6 @@ impl BatchPolicy {
             .collect();
         WarpPlan { off, tids: order }
     }
-
-    /// [`BatchPolicy::plan`] materialized as nested `Vec`s.
-    ///
-    /// # Panics
-    /// Panics if `warp_size` is zero.
-    pub fn batch(&self, n_threads: u32, warp_size: u32) -> Vec<Vec<u32>> {
-        self.plan(n_threads, warp_size).iter().map(<[u32]>::to_vec).collect()
-    }
 }
 
 #[cfg(test)]
@@ -122,16 +113,17 @@ mod tests {
 
     #[test]
     fn linear_batching_is_consecutive() {
-        let warps = BatchPolicy::Linear.batch(10, 4);
-        assert_eq!(warps, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
+        let plan = BatchPolicy::Linear.plan(10, 4);
+        let warps: Vec<&[u32]> = plan.iter().collect();
+        assert_eq!(warps, [&[0, 1, 2, 3][..], &[4, 5, 6, 7], &[8, 9]]);
     }
 
     #[test]
     fn strided_batching_interleaves() {
-        let warps = BatchPolicy::Strided.batch(8, 4);
-        assert_eq!(warps.len(), 2);
-        assert_eq!(warps[0], vec![0, 2, 4, 6]);
-        assert_eq!(warps[1], vec![1, 3, 5, 7]);
+        let plan = BatchPolicy::Strided.plan(8, 4);
+        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.warp(0), [0, 2, 4, 6]);
+        assert_eq!(plan.warp(1), [1, 3, 5, 7]);
     }
 
     #[test]
@@ -139,18 +131,20 @@ mod tests {
         // Regression: with n not a multiple of w, re-chunking the flattened
         // stride order used to yield warps like [1, 4, 7, 2] that straddle
         // two stride groups. Warp w must take exactly w, w+s, w+2s, ….
-        let warps = BatchPolicy::Strided.batch(10, 4);
-        assert_eq!(warps, vec![vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]]);
+        let plan = BatchPolicy::Strided.plan(10, 4);
+        let warps: Vec<&[u32]> = plan.iter().collect();
+        assert_eq!(warps, [&[0, 3, 6, 9][..], &[1, 4, 7], &[2, 5, 8]]);
         // Fewer threads than a warp: a single stride-1 group.
-        let warps = BatchPolicy::Strided.batch(3, 8);
-        assert_eq!(warps, vec![vec![0, 1, 2]]);
+        let plan = BatchPolicy::Strided.plan(3, 8);
+        let warps: Vec<&[u32]> = plan.iter().collect();
+        assert_eq!(warps, [&[0, 1, 2][..]]);
     }
 
     #[test]
     fn shuffled_is_deterministic_per_seed() {
-        let a = BatchPolicy::Shuffled { seed: 7 }.batch(32, 8);
-        let b = BatchPolicy::Shuffled { seed: 7 }.batch(32, 8);
-        let c = BatchPolicy::Shuffled { seed: 8 }.batch(32, 8);
+        let a = BatchPolicy::Shuffled { seed: 7 }.plan(32, 8);
+        let b = BatchPolicy::Shuffled { seed: 7 }.plan(32, 8);
+        let c = BatchPolicy::Shuffled { seed: 8 }.plan(32, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -163,12 +157,12 @@ mod tests {
             seed in any::<u64>(),
         ) {
             for policy in [BatchPolicy::Linear, BatchPolicy::Strided, BatchPolicy::Shuffled { seed }] {
-                let warps = policy.batch(n, w);
-                let mut seen: Vec<u32> = warps.iter().flatten().copied().collect();
+                let plan = policy.plan(n, w);
+                let mut seen: Vec<u32> = plan.iter().flatten().copied().collect();
                 seen.sort_unstable();
                 let expect: Vec<u32> = (0..n).collect();
                 prop_assert_eq!(&seen, &expect, "{:?}", policy);
-                for warp in &warps {
+                for warp in plan.iter() {
                     prop_assert!(warp.len() <= w as usize);
                     prop_assert!(!warp.is_empty());
                 }
@@ -177,9 +171,9 @@ mod tests {
 
         #[test]
         fn strided_warps_are_exactly_the_stride_groups(n in 1u32..200, w in 1u32..64) {
-            let warps = BatchPolicy::Strided.batch(n, w);
-            let s = warps.len() as u32;
-            for (wi, warp) in warps.iter().enumerate() {
+            let plan = BatchPolicy::Strided.plan(n, w);
+            let s = plan.len() as u32;
+            for (wi, warp) in plan.iter().enumerate() {
                 for (k, &t) in warp.iter().enumerate() {
                     prop_assert_eq!(t, wi as u32 + k as u32 * s, "warp {} of stride {}", wi, s);
                 }

@@ -28,18 +28,16 @@
 //! Graph construction and IPDOM solving live in the shared
 //! [`AnalysisIndex`]; [`analyze_indexed`] replays warps against a
 //! prebuilt index so knob sweeps over one capture pay that cost once.
-//! Parallel runs distribute warps through a work-stealing queue
-//! ([`WarpScheduler::WorkStealing`]): per-warp trace lengths are wildly
-//! uneven, and a shared atomic cursor keeps every worker busy where the
-//! legacy static partition pinned a long warp's whole chunk on one
-//! thread. Per-warp results are merged in warp order either way, so the
+//! Parallel runs distribute warps through a shared atomic cursor: per-warp
+//! trace lengths are wildly uneven, and claiming one warp at a time keeps
+//! every worker busy. Per-warp results are merged in warp order, so the
 //! report is bit-identical to a sequential run.
 
-use crate::batching::BatchPolicy;
+use crate::batching::{BatchPolicy, WarpPlan};
 use crate::dcfg::{Dcfg, DcfgSet};
 use crate::index::AnalysisIndex;
 use crate::report::{AnalysisReport, FunctionReport};
-use crate::tape::{LaneTapes, TapeView, END_KEY, SIDE_BIT};
+use crate::tape::{TapeView, END_KEY, SIDE_BIT};
 use crate::AnalyzeError;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -140,37 +138,6 @@ impl WarpFormation {
     }
 }
 
-/// How the emulator reads each lane's trace during replay.
-///
-/// Traces are stored columnar; the emulator normally replays them through
-/// the zero-allocation cursor. The materialized mode reconstructs the
-/// classic interleaved `TraceEvent` stream per lane first — it exists as
-/// the baseline for the `perf_trace` benchmark and to validate that both
-/// replay paths produce bit-identical reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ReplayMode {
-    /// Replay straight from the columnar storage (the fast path).
-    #[default]
-    Columnar,
-    /// Materialize each lane's events into a `Vec<TraceEvent>` and replay
-    /// that (the pre-columnar behavior; measurably slower).
-    MaterializedEvents,
-}
-
-/// How warps are distributed across analyzer worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum WarpScheduler {
-    /// A shared atomic warp queue: each worker claims the next unclaimed
-    /// warp, so one long warp no longer pins a whole chunk of warps on a
-    /// single worker (per-warp trace lengths are wildly uneven).
-    #[default]
-    WorkStealing,
-    /// The legacy static partition: warps split into `ceil(n/workers)`
-    /// contiguous chunks, one per worker. Kept for comparison (the
-    /// `perf_sweep` benchmark measures both); results are identical.
-    StaticChunks,
-}
-
 /// Analyzer configuration.
 ///
 /// Construct with [`AnalyzerConfig::new`] and refine through the
@@ -201,10 +168,6 @@ pub struct AnalyzerConfig {
     pub reconvergence: ReconvergencePolicy,
     /// Worker threads for warp-parallel analysis (1 = sequential).
     pub parallelism: usize,
-    /// Warp-to-worker distribution (default work-stealing).
-    pub scheduler: WarpScheduler,
-    /// Trace replay path (default columnar; see [`ReplayMode`]).
-    pub replay: ReplayMode,
     /// Per-warp issue budget (runaway guard).
     pub max_issues_per_warp: u64,
     /// Observability handle; [`Obs::none`] (the default) costs nothing.
@@ -213,7 +176,7 @@ pub struct AnalyzerConfig {
 
 impl AnalyzerConfig {
     /// Defaults: warp 32, linear batching, fine-grain locks, sequential,
-    /// work-stealing scheduler, no observability sink.
+    /// no observability sink.
     pub fn new(warp_size: u32) -> Self {
         AnalyzerConfig {
             warp_size,
@@ -223,8 +186,6 @@ impl AnalyzerConfig {
             formation: WarpFormation::default(),
             reconvergence: ReconvergencePolicy::default(),
             parallelism: 1,
-            scheduler: WarpScheduler::default(),
-            replay: ReplayMode::default(),
             max_issues_per_warp: 1 << 40,
             obs: Obs::none(),
         }
@@ -273,18 +234,6 @@ impl AnalyzerConfig {
         self
     }
 
-    /// Selects the warp-to-worker scheduler (chainable).
-    pub fn with_scheduler(mut self, s: WarpScheduler) -> Self {
-        self.scheduler = s;
-        self
-    }
-
-    /// Selects the trace replay path (chainable).
-    pub fn with_replay(mut self, r: ReplayMode) -> Self {
-        self.replay = r;
-        self
-    }
-
     /// Sets the per-warp issue budget (chainable).
     pub fn with_max_issues(mut self, n: u64) -> Self {
         self.max_issues_per_warp = n;
@@ -312,7 +261,7 @@ impl AnalyzerConfig {
         traces: &TraceSet,
     ) -> Result<AnalysisReport, AnalyzeError> {
         let index = AnalysisIndex::build_observed(program, traces, self.parallelism, &self.obs)?;
-        analyze_impl(program, traces, &index, self, None)
+        analyze_impl(program, traces, &index, self)
     }
 
     /// Runs the analysis against a prebuilt [`AnalysisIndex`], skipping
@@ -327,7 +276,7 @@ impl AnalyzerConfig {
         traces: &TraceSet,
         index: &AnalysisIndex,
     ) -> Result<AnalysisReport, AnalyzeError> {
-        analyze_impl(program, traces, index, self, None)
+        analyze_impl(program, traces, index, self)
     }
 }
 
@@ -535,7 +484,7 @@ pub fn analyze_indexed(
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
 ) -> Result<AnalysisReport, AnalyzeError> {
-    analyze_impl(program, traces, index, config, None)
+    analyze_impl(program, traces, index, config)
 }
 
 /// [`analyze_indexed`] with a [`StepSink`] observing every lock-step
@@ -551,7 +500,14 @@ pub fn analyze_indexed_with_sink(
     config: &AnalyzerConfig,
     sink: &mut dyn StepSink,
 ) -> Result<AnalysisReport, AnalyzeError> {
-    analyze_impl(program, traces, index, config, Some(sink))
+    let ctx = RunCtx::new(program, traces, index, config);
+    config.obs.counter(Phase::WarpEmulate, "workers", 1);
+    let mut report = ctx.empty_report();
+    let mut sink = Some(sink);
+    for i in 0..ctx.warps.len() {
+        report.merge(ctx.run_warp(i, &mut sink)?);
+    }
+    Ok(ctx.finish(report))
 }
 
 /// [`analyze_indexed`] with an independent [`StepSink`] **per warp**,
@@ -564,7 +520,7 @@ pub fn analyze_indexed_with_sink(
 /// and the sinks are handed back **in warp order** next to the merged
 /// report — so callers that concatenate per-warp sink contents get a
 /// result bit-identical to a sequential run at any
-/// [`AnalyzerConfig::parallelism`] and under either [`WarpScheduler`].
+/// [`AnalyzerConfig::parallelism`].
 ///
 /// # Errors
 /// [`AnalyzeError`] when the emulation desynchronizes; parallel runs
@@ -580,60 +536,113 @@ where
     S: StepSink + Send,
     F: Fn(u32) -> S + Sync,
 {
-    assert!((1..=64).contains(&config.warp_size), "warp size must be in 1..=64");
-    let statics: Option<Arc<Vec<FuncCfg>>> = (config.reconvergence
-        == ReconvergencePolicy::StaticIpdom)
-        .then(|| index.static_cfgs(program));
-    let warps = config.batching.plan(traces.threads().len() as u32, config.warp_size);
-    let ctx = RunCtx {
-        program,
-        dcfgs: index.dcfgs(),
-        statics: statics.as_ref().map(|v| v.as_slice()),
-        config,
-        traces,
-        tapes: index.tapes(),
-    };
-
-    // Emulates warp `i` against a fresh private sink.
-    let run_one = |i: usize| -> Result<(AnalysisReport, S), AnalyzeError> {
-        let mut sink = make_sink(i as u32);
-        let mut dyn_sink: Option<&mut dyn StepSink> = Some(&mut sink);
-        let r = run_warp(&ctx, warps.warp(i), i as u32, &mut dyn_sink)?;
-        Ok((r, sink))
-    };
-
-    let workers = config.parallelism.max(1).min(warps.len().max(1));
-    config.obs.counter(Phase::WarpEmulate, "workers", workers as u64);
-    let mut report = AnalysisReport { warp_size: config.warp_size, ..Default::default() };
-    let mut sinks: Vec<S> = Vec::with_capacity(warps.len());
-    if workers <= 1 {
-        for i in 0..warps.len() {
-            let (r, s) = run_one(i)?;
+    let ctx = RunCtx::new(program, traces, index, config);
+    let mut report = ctx.empty_report();
+    let mut sinks = Vec::with_capacity(ctx.warps.len());
+    ctx.fan_out(
+        |i| {
+            let mut sink = make_sink(i as u32);
+            let mut dyn_sink: Option<&mut dyn StepSink> = Some(&mut sink);
+            let r = ctx.run_warp(i, &mut dyn_sink)?;
+            Ok((r, sink))
+        },
+        |(r, sink)| {
             report.merge(r);
-            sinks.push(s);
+            sinks.push(sink);
+        },
+    )?;
+    Ok((ctx.finish(report), sinks))
+}
+
+/// The sink-less analysis behind [`AnalyzerConfig::analyze`] and
+/// [`analyze_indexed`]. It passes no sink into the emulator, so step
+/// emission stays off in the hot loop.
+fn analyze_impl(
+    program: &Program,
+    traces: &TraceSet,
+    index: &AnalysisIndex,
+    config: &AnalyzerConfig,
+) -> Result<AnalysisReport, AnalyzeError> {
+    let ctx = RunCtx::new(program, traces, index, config);
+    let mut report = ctx.empty_report();
+    ctx.fan_out(|i| ctx.run_warp(i, &mut None), |r| report.merge(r))?;
+    Ok(ctx.finish(report))
+}
+
+/// Shared per-run context threaded to every warp execution.
+struct RunCtx<'a> {
+    program: &'a Program,
+    index: &'a AnalysisIndex,
+    /// Static CFGs, only for the StaticIpdom ablation; the index caches
+    /// them so repeated ablation runs solve them once.
+    statics: Option<Arc<Vec<FuncCfg>>>,
+    config: &'a AnalyzerConfig,
+    warps: WarpPlan,
+}
+
+impl<'a> RunCtx<'a> {
+    fn new(
+        program: &'a Program,
+        traces: &TraceSet,
+        index: &'a AnalysisIndex,
+        config: &'a AnalyzerConfig,
+    ) -> Self {
+        assert!((1..=64).contains(&config.warp_size), "warp size must be in 1..=64");
+        let statics = (config.reconvergence == ReconvergencePolicy::StaticIpdom)
+            .then(|| index.static_cfgs(program));
+        let warps = config.batching.plan(traces.threads().len() as u32, config.warp_size);
+        RunCtx { program, index, statics, config, warps }
+    }
+
+    fn empty_report(&self) -> AnalysisReport {
+        AnalysisReport { warp_size: self.config.warp_size, ..Default::default() }
+    }
+
+    /// Adds the skip counters, which come pre-summed from the index.
+    fn finish(&self, mut report: AnalysisReport) -> AnalysisReport {
+        report.skipped_io = self.index.skipped_io();
+        report.skipped_spin = self.index.skipped_spin();
+        report
+    }
+
+    /// Runs `run(i)` for every warp `i` and hands each result to `merge`
+    /// in warp order.
+    ///
+    /// One worker runs the warps in order on the calling thread and
+    /// merges each result as it comes, buffering nothing. More workers
+    /// claim warps one at a time off a shared atomic cursor, which keeps
+    /// every worker busy however uneven the warps are; their results are
+    /// merged once all have finished. Either way a failure returns the
+    /// lowest-indexed failing warp's error: every warp below the last one
+    /// claimed has run.
+    fn fan_out<T: Send>(
+        &self,
+        run: impl Fn(usize) -> Result<T, AnalyzeError> + Sync,
+        mut merge: impl FnMut(T),
+    ) -> Result<(), AnalyzeError> {
+        let n = self.warps.len();
+        let workers = self.config.parallelism.max(1).min(n.max(1));
+        self.config.obs.counter(Phase::WarpEmulate, "workers", workers as u64);
+        if workers == 1 {
+            for i in 0..n {
+                merge(run(i)?);
+            }
+            return Ok(());
         }
-    } else {
-        // Both [`WarpScheduler`]s collapse to the work-stealing cursor
-        // here: the claimed (index, report, sink) triples are re-ordered
-        // by warp index below, so the distribution policy cannot affect
-        // the result, only load balance — and the cursor balances better.
         let next = AtomicUsize::new(0);
-        let run_ref = &run_one;
-        let n_warps = warps.len();
-        type Claimed<S> = Result<Vec<(usize, AnalysisReport, S)>, (usize, AnalyzeError)>;
-        let results: Vec<Claimed<S>> = std::thread::scope(|s| {
+        type Claimed<T> = Result<Vec<(usize, T)>, (usize, AnalyzeError)>;
+        let claimed: Vec<Claimed<T>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
+                    s.spawn(|| {
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_warps {
+                            if i >= n {
                                 return Ok(local);
                             }
-                            match run_ref(i) {
-                                Ok((r, sink)) => local.push((i, r, sink)),
+                            match run(i) {
+                                Ok(t) => local.push((i, t)),
                                 Err(e) => return Err((i, e)),
                             }
                         }
@@ -642,13 +651,11 @@ where
                 .collect();
             handles.into_iter().map(|h| h.join().expect("analysis worker panicked")).collect()
         });
-        let mut parts: Vec<(usize, AnalysisReport, S)> = Vec::with_capacity(n_warps);
+        let mut parts: Vec<(usize, T)> = Vec::with_capacity(n);
         let mut first_err: Option<(usize, AnalyzeError)> = None;
-        for r in results {
-            match r {
+        for c in claimed {
+            match c {
                 Ok(v) => parts.extend(v),
-                // Deterministic error: the lowest-indexed failing warp
-                // always executes, so report its error.
                 Err((i, e)) => {
                     if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
                         first_err = Some((i, e));
@@ -659,223 +666,47 @@ where
         if let Some((_, e)) = first_err {
             return Err(e);
         }
-        parts.sort_unstable_by_key(|&(i, _, _)| i);
-        for (_, r, sink) in parts {
-            report.merge(r);
-            sinks.push(sink);
+        parts.sort_unstable_by_key(|&(i, _)| i);
+        for (_, t) in parts {
+            merge(t);
         }
+        Ok(())
     }
 
-    // Skip counters come pre-summed from the index.
-    report.skipped_io = index.skipped_io();
-    report.skipped_spin = index.skipped_spin();
-    Ok((report, sinks))
-}
-
-/// Shared per-run context threaded to every warp execution.
-struct RunCtx<'a> {
-    program: &'a Program,
-    dcfgs: &'a DcfgSet,
-    statics: Option<&'a [FuncCfg]>,
-    config: &'a AnalyzerConfig,
-    traces: &'a TraceSet,
-    tapes: &'a LaneTapes,
-}
-
-/// Emulates one warp and returns its warp-local report.
-///
-/// The optional step sink is moved into the emulator and handed back
-/// through `sink` on success (`&mut dyn` is invariant, so a plain
-/// reborrow per warp would not borrow-check across loop iterations).
-fn run_warp(
-    ctx: &RunCtx<'_>,
-    warp: &[u32],
-    warp_index: u32,
-    sink: &mut Option<&mut dyn StepSink>,
-) -> Result<AnalysisReport, AnalyzeError> {
-    match ctx.config.replay {
-        ReplayMode::Columnar => {
-            let pos: Vec<u32> = warp.iter().map(|&t| ctx.tapes.start_of(t as usize)).collect();
-            let tids: Vec<u32> = warp.iter().map(|&t| ctx.tapes.tid_of(t as usize)).collect();
-            run_warp_with(ctx, ctx.tapes.view(), pos, tids, warp_index, sink)
+    /// Emulates warp `i` and returns its warp-local report.
+    ///
+    /// The optional step sink is moved into the emulator and handed back
+    /// through `sink` on success (`&mut dyn` is invariant, so a plain
+    /// reborrow per warp would not borrow-check across loop iterations).
+    fn run_warp(
+        &self,
+        i: usize,
+        sink: &mut Option<&mut dyn StepSink>,
+    ) -> Result<AnalysisReport, AnalyzeError> {
+        let tapes = self.index.tapes();
+        let warp = self.warps.warp(i);
+        let pos = warp.iter().map(|&t| tapes.start_of(t as usize)).collect();
+        let tids = warp.iter().map(|&t| tapes.tid_of(t as usize)).collect();
+        let mut emu = WarpEmulator::new(
+            self.program,
+            self.index.dcfgs(),
+            self.config,
+            tapes.view(),
+            pos,
+            tids,
+        );
+        emu.static_cfgs = self.statics.as_deref().map(Vec::as_slice);
+        emu.warp_index = i as u32;
+        emu.sink = sink.take();
+        let warp_span = self.config.obs.span(Phase::WarpEmulate);
+        emu.run()?;
+        if self.config.obs.enabled() {
+            emit_warp_obs(&self.config.obs, self.config, &emu.report);
         }
-        ReplayMode::MaterializedEvents => {
-            // The ablation path materializes the warp's event streams and
-            // re-fuses them into a private tape, exercising the
-            // event-vector code path end to end.
-            let events: Vec<(u32, Vec<TraceEvent>)> = warp
-                .iter()
-                .map(|&t| {
-                    let th = &ctx.traces.threads()[t as usize];
-                    (th.tid, th.iter_events().collect())
-                })
-                .collect();
-            let lanes: Vec<(u32, &[TraceEvent])> =
-                events.iter().map(|(tid, ev)| (*tid, ev.as_slice())).collect();
-            let tapes = LaneTapes::from_events(&lanes);
-            let pos: Vec<u32> = (0..warp.len()).map(|l| tapes.start_of(l)).collect();
-            let tids: Vec<u32> = (0..warp.len()).map(|l| tapes.tid_of(l)).collect();
-            run_warp_with(ctx, tapes.view(), pos, tids, warp_index, sink)
-        }
+        warp_span.finish();
+        *sink = emu.sink.take();
+        Ok(emu.report)
     }
-}
-
-fn run_warp_with(
-    ctx: &RunCtx<'_>,
-    tape: TapeView<'_>,
-    pos: Vec<u32>,
-    tids: Vec<u32>,
-    warp_index: u32,
-    sink: &mut Option<&mut dyn StepSink>,
-) -> Result<AnalysisReport, AnalyzeError> {
-    let mut emu = WarpEmulator::new(ctx.program, ctx.dcfgs, ctx.config, tape, pos, tids);
-    emu.static_cfgs = ctx.statics;
-    emu.warp_index = warp_index;
-    emu.sink = sink.take();
-    let warp_span = ctx.config.obs.span(Phase::WarpEmulate);
-    emu.run()?;
-    if ctx.config.obs.enabled() {
-        emit_warp_obs(&ctx.config.obs, ctx.config, &emu.report);
-    }
-    warp_span.finish();
-    *sink = emu.sink.take();
-    Ok(emu.report)
-}
-
-fn analyze_impl(
-    program: &Program,
-    traces: &TraceSet,
-    index: &AnalysisIndex,
-    config: &AnalyzerConfig,
-    mut sink: Option<&mut dyn StepSink>,
-) -> Result<AnalysisReport, AnalyzeError> {
-    assert!((1..=64).contains(&config.warp_size), "warp size must be in 1..=64");
-    // Static CFGs are only needed for the StaticIpdom ablation; the index
-    // caches them so repeated ablation runs solve them once.
-    let statics: Option<Arc<Vec<FuncCfg>>> = (config.reconvergence
-        == ReconvergencePolicy::StaticIpdom)
-        .then(|| index.static_cfgs(program));
-    let warps = config.batching.plan(traces.threads().len() as u32, config.warp_size);
-    let ctx = RunCtx {
-        program,
-        dcfgs: index.dcfgs(),
-        statics: statics.as_ref().map(|v| v.as_slice()),
-        config,
-        traces,
-        tapes: index.tapes(),
-    };
-
-    // A sink forces sequential emulation (deterministic step order).
-    let workers =
-        if sink.is_some() { 1 } else { config.parallelism.max(1).min(warps.len().max(1)) };
-    config.obs.counter(Phase::WarpEmulate, "workers", workers as u64);
-    let mut report = AnalysisReport { warp_size: config.warp_size, ..Default::default() };
-    if workers <= 1 {
-        for (wi, warp) in warps.iter().enumerate() {
-            report.merge(run_warp(&ctx, warp, wi as u32, &mut sink)?);
-        }
-    } else {
-        match config.scheduler {
-            WarpScheduler::WorkStealing => {
-                // Shared atomic cursor: each worker claims the next warp.
-                // Workers collect (warp index, report) pairs; the merge
-                // below replays them in warp order, so the result is
-                // bit-identical to the sequential loop regardless of
-                // which worker ran which warp.
-                let next = AtomicUsize::new(0);
-                let ctx_ref = &ctx;
-                let warps_ref = &warps;
-                type Claimed = Result<Vec<(usize, AnalysisReport)>, (usize, AnalyzeError)>;
-                let results: Vec<Claimed> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= warps_ref.len() {
-                                        return Ok(local);
-                                    }
-                                    match run_warp(ctx_ref, warps_ref.warp(i), i as u32, &mut None)
-                                    {
-                                        Ok(r) => local.push((i, r)),
-                                        Err(e) => return Err((i, e)),
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("analysis worker panicked"))
-                        .collect()
-                });
-                let mut parts: Vec<(usize, AnalysisReport)> = Vec::with_capacity(warps.len());
-                let mut first_err: Option<(usize, AnalyzeError)> = None;
-                for r in results {
-                    match r {
-                        Ok(v) => parts.extend(v),
-                        // Deterministic error: the lowest-indexed failing
-                        // warp always executes, so report its error.
-                        Err((i, e)) => {
-                            if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                                first_err = Some((i, e));
-                            }
-                        }
-                    }
-                }
-                if let Some((_, e)) = first_err {
-                    return Err(e);
-                }
-                parts.sort_unstable_by_key(|&(i, _)| i);
-                for (_, r) in parts {
-                    report.merge(r);
-                }
-            }
-            WarpScheduler::StaticChunks => {
-                let chunk_len = warps.len().div_ceil(workers);
-                let ctx_ref = &ctx;
-                let warps_ref = &warps;
-                let results: Vec<Result<AnalysisReport, AnalyzeError>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..warps.len())
-                        .step_by(chunk_len)
-                        .map(|base| {
-                            // Each chunk carries its true base offset so
-                            // warp indices stay globally unique.
-                            let end = (base + chunk_len).min(warps_ref.len());
-                            s.spawn(move || {
-                                let mut part = AnalysisReport {
-                                    warp_size: ctx_ref.config.warp_size,
-                                    ..Default::default()
-                                };
-                                for wi in base..end {
-                                    part.merge(run_warp(
-                                        ctx_ref,
-                                        warps_ref.warp(wi),
-                                        wi as u32,
-                                        &mut None,
-                                    )?);
-                                }
-                                Ok(part)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("analysis worker panicked"))
-                        .collect()
-                });
-                for r in results {
-                    report.merge(r?);
-                }
-            }
-        }
-    }
-
-    // Skip counters come pre-summed from the index.
-    report.skipped_io = index.skipped_io();
-    report.skipped_spin = index.skipped_spin();
-    Ok(report)
 }
 
 /// Per-warp observability: `report` is the finished warp's own report
@@ -897,13 +728,6 @@ fn emit_warp_obs(obs: &Obs, config: &AnalyzerConfig, report: &AnalysisReport) {
     obs.histogram(Phase::WarpEmulate, "warp_issues", report.issues as f64);
 }
 
-/// One lane's replay state during warp emulation is a single index into
-/// the capture's fused tape arena ([`crate::tape::LaneTapes`], built once
-/// per [`AnalysisIndex`]): the next event is one `u64` key load, and
-/// consuming any event increments the index. [`ReplayMode::Columnar`]
-/// replays the index's shared tapes; [`ReplayMode::MaterializedEvents`]
-/// rebuilds equivalent tapes per warp from reconstructed `TraceEvent`
-/// slices (benchmark baseline / validation).
 /// SIMT-stack entry. `is_frame` marks entries that own a function
 /// activation (root, calls, and their inherited reconvergence entries);
 /// popping a frame entry updates the caller's continuation block from the

@@ -79,8 +79,7 @@ pub use dcfg::{Dcfg, DcfgSet};
 pub use dwf::{dwf_upper_bound, DwfBound};
 pub use emulator::{
     analyze_indexed, analyze_indexed_with_sink, analyze_indexed_with_warp_sinks, AnalyzerConfig,
-    BlockStep, MemGroups, ReconvergenceModel, ReconvergencePolicy, ReplayMode, StepSink,
-    WarpFormation, WarpScheduler,
+    BlockStep, MemGroups, ReconvergenceModel, ReconvergencePolicy, StepSink, WarpFormation,
 };
 pub use index::AnalysisIndex;
 pub use report::{AnalysisReport, FunctionReport, SegmentTraffic};

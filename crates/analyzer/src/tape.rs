@@ -35,7 +35,7 @@
 
 use std::mem::MaybeUninit;
 use std::ops::Range;
-use threadfuser_tracer::{MemSlice, SideEvent, ThreadTrace, TraceEvent};
+use threadfuser_tracer::{MemSlice, SideEvent, ThreadTrace};
 
 /// Tag bit for non-block tape keys. Block keys pack
 /// `function << 32 | block` and functions are validated against the
@@ -84,7 +84,7 @@ pub struct TapeMem {
 /// Built once by [`crate::AnalysisIndex::build`]; every analyzer
 /// configuration (all reconvergence models, warp formations, and the
 /// warp-trace generator) replays warps against the same tapes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 #[cfg_attr(test, derive(PartialEq))]
 pub struct LaneTapes {
     /// Packed event records; thread `t`'s tape (including its sentinel)
@@ -311,68 +311,6 @@ impl LaneTapes {
         Ok((LaneTapes { events, off, tids, mems, sides }, results))
     }
 
-    /// Builds a tape set from materialized event slices (one per lane) —
-    /// the [`crate::ReplayMode::MaterializedEvents`] baseline, which
-    /// replays reconstructed `TraceEvent` streams instead of the capture
-    /// columns. Stream semantics match the index build's fused walk:
-    /// events in slice order, memory accesses attached to the preceding
-    /// block.
-    pub fn from_events(lanes: &[(u32, &[TraceEvent])]) -> Self {
-        let mut tapes = LaneTapes::default();
-        for &(tid, events) in lanes {
-            tapes.off.push(tapes.events.len() as u32);
-            tapes.tids.push(tid);
-            for e in events {
-                match *e {
-                    TraceEvent::Block { addr, n_insts } => {
-                        tapes.events.push(TapeEvent {
-                            key: pack_block_key(addr.func.0, addr.block.0),
-                            ni: n_insts,
-                            mem_lo: tapes.mems.len() as u32,
-                        });
-                    }
-                    TraceEvent::Mem { inst_idx, addr, size, .. } => {
-                        // Attaches to the preceding block via the *next*
-                        // record's cursor; a stray access after a side
-                        // event (impossible in decoded captures) lands in
-                        // a range no block references, matching cursor
-                        // replay's drop.
-                        tapes.mems.push(TapeMem { addr, inst: inst_idx, size: size as u32 });
-                    }
-                    TraceEvent::Call { callee } => {
-                        tapes.push_side(SideEvent::Call { callee });
-                    }
-                    TraceEvent::Ret => tapes.push_side(SideEvent::Ret),
-                    TraceEvent::Acquire { lock } => {
-                        tapes.push_side(SideEvent::Acquire { lock });
-                    }
-                    TraceEvent::Release { lock } => {
-                        tapes.push_side(SideEvent::Release { lock });
-                    }
-                    TraceEvent::Barrier { id } => {
-                        tapes.push_side(SideEvent::Barrier { id });
-                    }
-                }
-            }
-            tapes.push_end();
-        }
-        tapes.off.push(tapes.events.len() as u32);
-        tapes
-    }
-
-    fn push_side(&mut self, s: SideEvent) {
-        self.events.push(TapeEvent {
-            key: SIDE_BIT | self.sides.len() as u64,
-            ni: 0,
-            mem_lo: self.mems.len() as u32,
-        });
-        self.sides.push(s);
-    }
-
-    fn push_end(&mut self) {
-        self.events.push(TapeEvent { key: END_KEY, ni: 0, mem_lo: self.mems.len() as u32 });
-    }
-
     /// Read-only view over the arena, cheap to copy into the emulator's
     /// hot loop.
     pub fn view(&self) -> TapeView<'_> {
@@ -464,6 +402,19 @@ impl LaneTapes {
         tapes.off.push(tapes.events.len() as u32);
         tapes
     }
+
+    fn push_side(&mut self, s: SideEvent) {
+        self.events.push(TapeEvent {
+            key: SIDE_BIT | self.sides.len() as u64,
+            ni: 0,
+            mem_lo: self.mems.len() as u32,
+        });
+        self.sides.push(s);
+    }
+
+    fn push_end(&mut self) {
+        self.events.push(TapeEvent { key: END_KEY, ni: 0, mem_lo: self.mems.len() as u32 });
+    }
 }
 
 #[cfg(test)]
@@ -529,23 +480,5 @@ mod tests {
             }
             assert_eq!(v.events[pos].key, END_KEY, "tape must end with the sentinel");
         }
-    }
-
-    /// Event-slice construction produces the same arena contents as the
-    /// columnar pass when fed the reconstructed streams.
-    #[test]
-    fn from_events_matches_columnar_build() {
-        let (p, traces) = capture();
-        let index = AnalysisIndex::build(&p, &traces).unwrap();
-        let a = index.tapes();
-        let events: Vec<Vec<TraceEvent>> =
-            traces.threads().iter().map(|t| t.iter_events().collect()).collect();
-        let lanes: Vec<(u32, &[TraceEvent])> =
-            traces.threads().iter().zip(&events).map(|(t, ev)| (t.tid, ev.as_slice())).collect();
-        let b = LaneTapes::from_events(&lanes);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.off, b.off);
-        assert_eq!(a.mems, b.mems);
-        assert_eq!(a.sides, b.sides);
     }
 }

@@ -7,39 +7,24 @@
 //! function, which forces all return paths to converge at function end
 //! (paper §III: "a virtual basic block at the end of each function").
 //!
-//! The same `ipdom_of` routine is reused by the trace analyzer on its
+//! The same [`ipdom_of_csr`] solver is reused by the trace analyzer on its
 //! *dynamic* CFGs, so prediction and ground truth share one definition of
 //! reconvergence.
 
 use crate::ids::BlockId;
 use crate::program::Function;
 
-/// Computes immediate post-dominators for a graph given as successor
-/// adjacency lists, with `exit` as the unique sink all paths converge to.
+/// Computes immediate post-dominators for a graph in CSR adjacency form,
+/// with `exit` as the unique sink all paths converge to: node `u`'s
+/// successors are `edges[off[u] as usize..off[u + 1] as usize]`, so the
+/// node count is `off.len() - 1`.
 ///
 /// Returns, for each node, its immediate post-dominator (`None` for `exit`
 /// itself and for nodes that cannot reach `exit`).
 ///
-/// Thin wrapper over [`ipdom_of_csr`]: flattens the per-node lists into
-/// CSR form and runs the same Cooper–Harvey–Kennedy solver. Callers that
-/// already hold CSR adjacency (the analyzer's dynamic CFGs) skip the
-/// flattening and call the core directly.
-pub fn ipdom_of(succs: &[Vec<usize>], exit: usize) -> Vec<Option<usize>> {
-    let mut off = Vec::with_capacity(succs.len() + 1);
-    off.push(0u32);
-    let mut edges = Vec::with_capacity(succs.iter().map(Vec::len).sum());
-    for s in succs {
-        edges.extend(s.iter().map(|&v| v as u32));
-        off.push(edges.len() as u32);
-    }
-    ipdom_of_csr(&off, &edges, exit)
-}
-
-/// [`ipdom_of`] on CSR adjacency: node `u`'s successors are
-/// `edges[off[u] as usize..off[u + 1] as usize]`, so the node count is
-/// `off.len() - 1`. The solver is Cooper–Harvey–Kennedy dominance on the
-/// reversed graph, rooted at `exit`; the predecessor CSR it needs is
-/// derived with one counting sort — no per-node allocation anywhere.
+/// The solver is Cooper–Harvey–Kennedy dominance on the reversed graph,
+/// rooted at `exit`; the predecessor CSR it needs is derived with one
+/// counting sort — no per-node allocation anywhere.
 pub fn ipdom_of_csr(off: &[u32], edges: &[u32], exit: usize) -> Vec<Option<usize>> {
     let n = off.len().checked_sub(1).expect("offset array has a terminator");
     assert!(exit < n, "exit node out of range");
@@ -150,16 +135,21 @@ impl FuncCfg {
         let n_blocks = f.blocks.len();
         let exit = n_blocks;
         let mut succs: Vec<Vec<usize>> = Vec::with_capacity(n_blocks + 1);
+        // The same edges in CSR form, for the solver.
+        let (mut off, mut edges) = (vec![0u32], Vec::new());
         for b in &f.blocks {
             let mut s: Vec<usize> = b.term.successors().iter().map(|t| t.0 as usize).collect();
             if s.is_empty() {
                 // Return: edge to the virtual exit.
                 s.push(exit);
             }
+            edges.extend(s.iter().map(|&v| v as u32));
+            off.push(edges.len() as u32);
             succs.push(s);
         }
         succs.push(Vec::new()); // the virtual exit has no successors
-        let ipdom = ipdom_of(&succs, exit);
+        off.push(edges.len() as u32);
+        let ipdom = ipdom_of_csr(&off, &edges, exit);
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n_blocks + 1];
         for (u, ss) in succs.iter().enumerate() {
             for &v in ss {
@@ -207,11 +197,22 @@ mod tests {
     use crate::builder::ProgramBuilder;
     use crate::inst::{Cond, Operand};
 
+    /// Solves a graph given as successor adjacency lists.
+    fn solve(succs: &[Vec<usize>], exit: usize) -> Vec<Option<usize>> {
+        let mut off = vec![0u32];
+        let mut edges = Vec::new();
+        for s in succs {
+            edges.extend(s.iter().map(|&v| v as u32));
+            off.push(edges.len() as u32);
+        }
+        ipdom_of_csr(&off, &edges, exit)
+    }
+
     #[test]
     fn diamond_ipdom_is_join() {
         // 0 -> {1,2}; 1 -> 3; 2 -> 3; 3 -> exit(4)
         let succs = vec![vec![1, 2], vec![3], vec![3], vec![4], vec![]];
-        let ipd = ipdom_of(&succs, 4);
+        let ipd = solve(&succs, 4);
         assert_eq!(ipd[0], Some(3));
         assert_eq!(ipd[1], Some(3));
         assert_eq!(ipd[2], Some(3));
@@ -224,7 +225,7 @@ mod tests {
         // 0 -> {1, 5}; 1 -> {2,3}; 2->4; 3->4; 4->6; 5->6; 6->exit(7)
         let succs =
             vec![vec![1, 5], vec![2, 3], vec![4], vec![4], vec![6], vec![6], vec![7], vec![]];
-        let ipd = ipdom_of(&succs, 7);
+        let ipd = solve(&succs, 7);
         assert_eq!(ipd[1], Some(4), "inner branch reconverges at inner join");
         assert_eq!(ipd[0], Some(6), "outer branch reconverges at outer join");
     }
@@ -233,7 +234,7 @@ mod tests {
     fn loop_ipdom_is_exit_block() {
         // 0 -> 1; 1 -> {2, 3} (loop back edge 2 -> 1); 3 -> exit(4)
         let succs = vec![vec![1], vec![2, 3], vec![1], vec![4], vec![]];
-        let ipd = ipdom_of(&succs, 4);
+        let ipd = solve(&succs, 4);
         assert_eq!(ipd[1], Some(3), "loop header reconverges at loop exit");
         assert_eq!(ipd[2], Some(1));
     }
@@ -242,33 +243,13 @@ mod tests {
     fn node_not_reaching_exit_has_none() {
         // 0 -> {1,2}; 1 -> exit(3); 2 -> 2 (infinite self loop)
         let succs = vec![vec![1, 2], vec![3], vec![2], vec![]];
-        let ipd = ipdom_of(&succs, 3);
+        let ipd = solve(&succs, 3);
         assert_eq!(ipd[2], None);
         // 0 still postdominated by exit through 1? 0's only path to exit is
         // via 1, but IPDOM requires *all* paths; the path through 2 never
         // reaches exit, so dataflow converges on the 1-path alone (standard
         // behaviour for nonterminating paths).
         assert_eq!(ipd[0], Some(1));
-    }
-
-    #[test]
-    fn csr_solver_matches_adjacency_wrapper() {
-        // Same graphs as above, fed through both entry points.
-        let graphs: Vec<(Vec<Vec<usize>>, usize)> = vec![
-            (vec![vec![1, 2], vec![3], vec![3], vec![4], vec![]], 4),
-            (vec![vec![1, 5], vec![2, 3], vec![4], vec![4], vec![6], vec![6], vec![7], vec![]], 7),
-            (vec![vec![1], vec![2, 3], vec![1], vec![4], vec![]], 4),
-            (vec![vec![1, 2], vec![3], vec![2], vec![]], 3),
-        ];
-        for (succs, exit) in graphs {
-            let mut off = vec![0u32];
-            let mut edges = Vec::new();
-            for s in &succs {
-                edges.extend(s.iter().map(|&v| v as u32));
-                off.push(edges.len() as u32);
-            }
-            assert_eq!(ipdom_of_csr(&off, &edges, exit), ipdom_of(&succs, exit));
-        }
     }
 
     #[test]
@@ -309,8 +290,6 @@ mod tests {
 
     #[test]
     fn preds_are_inverse_of_succs() {
-        let succs = vec![vec![1, 2], vec![3], vec![3], vec![4], vec![]];
-        let _ = ipdom_of(&succs, 4);
         let mut pb = ProgramBuilder::new();
         pb.function("f", 0, |fb| {
             fb.if_then(Cond::Eq, 0i64, 0i64, |fb| fb.nop());

@@ -52,7 +52,7 @@ pub mod pretty;
 pub mod program;
 
 pub use builder::{FunctionBuilder, ProgramBuilder, Slot};
-pub use cfg::{ipdom_of, ipdom_of_csr, FuncCfg};
+pub use cfg::{ipdom_of_csr, FuncCfg};
 pub use ids::{BlockAddr, BlockId, FuncId, GlobalId, Reg};
 pub use inst::{AccessSize, AluOp, Base, Cond, Inst, IoKind, MemRef, Operand, Terminator};
 pub use opt::OptLevel;

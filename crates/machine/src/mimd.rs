@@ -27,8 +27,8 @@ pub enum ExecEngine {
     #[default]
     Predecoded,
     /// Walk the nested [`Program`] enums directly on every dynamic
-    /// instruction. Kept as the benchmark baseline (`perf_trace`) and a
-    /// semantic cross-check; traces are bit-identical between engines.
+    /// instruction. Kept as the oracle of the engine-identity tests;
+    /// traces are bit-identical between engines.
     Legacy,
 }
 

@@ -503,8 +503,8 @@ pub enum Frame {
     Obs(ObsFrame),
 }
 
-/// Minimal blocking client for the line protocol — what the smoke test,
-/// the integration tests, and `perf_serve` use. One `Client` is one
+/// Minimal blocking client for the line protocol — what the integration
+/// tests and the benchmark's `serve_mix` workload use. One `Client` is one
 /// connection; requests may be pipelined and responses matched by id.
 pub struct Client {
     writer: BufWriter<TcpStream>,

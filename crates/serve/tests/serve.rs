@@ -7,7 +7,7 @@ use std::sync::Arc;
 use threadfuser::prelude::*;
 use threadfuser::service::{
     AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobErrorCode, JobOp, JobOutcome, JobRequest,
-    ValidateJob,
+    JobResponse, SweepJob, ValidateJob,
 };
 use threadfuser_serve::{Client, Frame, ServeConfig, Server};
 
@@ -269,6 +269,48 @@ fn unparseable_lines_get_a_bad_request_answer() {
     // The connection survives a bad line.
     let (resp, _) = client.call(&JobRequest::new(1, JobOp::Ping)).unwrap();
     assert_eq!(resp.outcome, JobOutcome::Pong);
+    server.shutdown();
+}
+
+#[test]
+fn out_of_range_warp_size_is_a_bad_request_and_the_worker_survives() {
+    use std::io::{BufRead as _, Write as _};
+    // One worker: a job that killed it would leave the ping behind it
+    // unanswered, and the read timeout turns that hang into a failure.
+    let (server, addr, _sink) = bind(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut call = |id: u64, op: JobOp| -> JobResponse {
+        let line = serde_json::to_string(&JobRequest::new(id, op)).unwrap();
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("answered before the read timeout");
+        let resp: JobResponse = serde_json::from_str(answer.trim()).unwrap();
+        assert_eq!(resp.id, id);
+        resp
+    };
+
+    let spec = CaptureSpec::workload("vectoradd", OptLevel::O3).with_threads(16);
+    let knobs = |warp_size| AnalyzerKnobs { warp_size, ..AnalyzerKnobs::default() };
+    let jobs = [
+        JobOp::Analyze(AnalyzeJob { capture: spec.clone(), config: knobs(0) }),
+        JobOp::Sweep(SweepJob {
+            capture: spec.clone(),
+            config: knobs(32),
+            warps: vec![65],
+            batchings: vec![BatchPolicy::Linear],
+            models: Vec::new(),
+            formations: Vec::new(),
+        }),
+        JobOp::Hardware(AnalyzeJob { capture: spec, config: knobs(0) }),
+    ];
+    for (id, op) in (1..).zip(jobs) {
+        let JobOutcome::Failed(e) = call(id, op).outcome else { panic!("job {id} must fail") };
+        assert_eq!(e.code, JobErrorCode::BadRequest, "job {id}: {}", e.message);
+        assert_eq!(call(100 + id, JobOp::Ping).outcome, JobOutcome::Pong, "after job {id}");
+    }
     server.shutdown();
 }
 

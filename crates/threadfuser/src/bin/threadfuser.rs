@@ -7,7 +7,7 @@
 //! threadfuser hardware <workload> [--threads N] [--warp N]
 //! threadfuser speedup <workload> [--threads N] [--cores N]
 //! threadfuser sweep <workload> [--threads N] [--opt O0..O3] [--models LIST] [--formations LIST] [--json]
-//! threadfuser trace <workload> --out FILE [--threads N] [--opt O0..O3] [--format v2|v3] [--chunk-kb N]
+//! threadfuser trace <workload> --out FILE [--threads N] [--opt O0..O3] [--chunk-kb N]
 //! threadfuser validate <file> [--workload NAME] [--opt O0..O3] [--skip-bad] [--max-threads N] [--max-mb N] [--json]
 //! ```
 //!
@@ -37,7 +37,7 @@ use threadfuser::service::{
     execute_with, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobOp, JobOutcome, JobRequest,
     JobResponse, SpeedupJob, SweepJob, ValidateJob,
 };
-use threadfuser::tracer::{encode, encode_v3, encode_v3_with, DecodeLimits, ValidationPolicy};
+use threadfuser::tracer::{encode_v3, encode_v3_with, DecodeLimits, ValidationPolicy};
 use threadfuser::workloads::all;
 use threadfuser::{Pipeline, TextTable};
 
@@ -58,9 +58,6 @@ struct Options {
     workload: Option<String>,
     skip_bad: bool,
     limits: DecodeLimits,
-    /// Trace-file version `trace` writes (2 = fixed-width columnar,
-    /// 3 = chunked delta/varint — the default).
-    format: u8,
     chunk_kb: Option<usize>,
 }
 
@@ -83,7 +80,6 @@ impl Default for Options {
             workload: None,
             skip_bad: false,
             limits: DecodeLimits::default(),
-            format: 3,
             chunk_kb: None,
         }
     }
@@ -107,7 +103,7 @@ fn usage() -> ExitCode {
          --model ipdom|stackless|melding --formation fixed|resize:N\n         \
          --models LIST --formations LIST   sweep axes (comma lists)\n         \
          --out FILE --workload NAME --skip-bad\n         \
-         --format v2|v3 --chunk-kb N   trace-file version (default v3; N >= 1)\n         \
+         --chunk-kb N   trace-file chunk budget in KiB (N >= 1)\n         \
          --max-threads N --max-blocks N --max-mems N --max-sides N\n         \
          --max-mb N   decode limits for trace-file inputs\n         \
          --obs FILE   write per-phase metrics as JSON lines to FILE\n\n\
@@ -186,13 +182,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--locks" => o.locks = true,
             "--json" => o.json = true,
             "--skip-bad" => o.skip_bad = true,
-            "--format" => {
-                o.format = match val()?.as_str() {
-                    "v2" | "2" => 2,
-                    "v3" | "3" => 3,
-                    other => return Err(format!("unknown trace format {other} (v2|v3)")),
-                }
-            }
             "--chunk-kb" => {
                 let kb: usize = val()?.parse().map_err(|e| format!("{e}"))?;
                 if kb == 0 {
@@ -465,21 +454,17 @@ fn cmd_trace(name: &str, o: &Options) -> Result<String, threadfuser::service::Jo
         p = p.threads(t);
     }
     let traced = p.trace().map_err(JobError::from)?;
-    let bytes = match o.format {
-        2 => encode(traced.traces()),
-        _ => match o.chunk_kb {
-            // kb >= 1 is enforced at parse time; 0 never reaches here.
-            Some(kb) => encode_v3_with(traced.traces(), kb * 1024),
-            None => encode_v3(traced.traces()),
-        },
+    let bytes = match o.chunk_kb {
+        // kb >= 1 is enforced at parse time; 0 never reaches here.
+        Some(kb) => encode_v3_with(traced.traces(), kb * 1024),
+        None => encode_v3(traced.traces()),
     };
     std::fs::write(out, &bytes)
         .map_err(|e| JobError::new(JobErrorCode::Io, format!("{out}: {e}")))?;
     Ok(format!(
-        "wrote {} threads ({} bytes, v{}) of {name} at {} to {out}",
+        "wrote {} threads ({} bytes, v3) of {name} at {} to {out}",
         traced.traces().threads().len(),
         bytes.len(),
-        o.format,
         o.opt
     ))
 }

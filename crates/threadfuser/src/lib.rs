@@ -100,7 +100,7 @@ pub mod prelude {
     };
     pub use threadfuser_analyzer::{
         AnalysisIndex, AnalysisReport, AnalyzerConfig, BatchPolicy, ReconvergenceModel,
-        ReconvergencePolicy, ReplayMode, WarpFormation, WarpScheduler,
+        ReconvergencePolicy, WarpFormation,
     };
     pub use threadfuser_ir::OptLevel;
     pub use threadfuser_machine::{ExecEngine, ExecProgram};

@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use threadfuser_analyzer::{
     AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig, BatchPolicy, ReconvergenceModel,
-    ReconvergencePolicy, ReplayMode, WarpFormation, WarpScheduler,
+    ReconvergencePolicy, WarpFormation,
 };
 use threadfuser_cpusim::{simulate_cpu_observed, CpuSimConfig, CpuSimStats};
 use threadfuser_ir::{FuncCfg, FuncId, OptLevel, Program};
@@ -279,20 +279,6 @@ impl Pipeline {
     /// parallelism).
     pub fn parallelism(mut self, n: usize) -> Self {
         self.analyzer.parallelism = n;
-        self
-    }
-
-    /// Selects the warp-to-worker scheduler (default work-stealing).
-    pub fn scheduler(mut self, s: WarpScheduler) -> Self {
-        self.analyzer.scheduler = s;
-        self
-    }
-
-    /// Selects the trace replay path of the warp emulator (default
-    /// columnar; the materialized-events mode exists as a validation
-    /// baseline).
-    pub fn replay(mut self, r: ReplayMode) -> Self {
-        self.analyzer.replay = r;
         self
     }
 
@@ -787,18 +773,6 @@ impl TracedView<'_> {
     /// Overrides the analyzer worker-thread count (chainable).
     pub fn with_parallelism(mut self, n: usize) -> Self {
         self.analyzer.parallelism = n;
-        self
-    }
-
-    /// Overrides the warp-to-worker scheduler (chainable).
-    pub fn with_scheduler(mut self, s: WarpScheduler) -> Self {
-        self.analyzer.scheduler = s;
-        self
-    }
-
-    /// Overrides the trace replay path (chainable).
-    pub fn with_replay(mut self, r: ReplayMode) -> Self {
-        self.analyzer.replay = r;
         self
     }
 

@@ -226,6 +226,16 @@ impl Default for AnalyzerKnobs {
     }
 }
 
+/// Rejects a warp width outside `1..=64`, the widths the emulators model
+/// (one lane per bit of a `u64` mask).
+fn validate_warp(warp_size: u32) -> Result<(), JobError> {
+    if (1..=64).contains(&warp_size) {
+        Ok(())
+    } else {
+        Err(JobError::bad_request(format!("warp_size {warp_size} out of range 1..=64")))
+    }
+}
+
 /// Rejects formation parameters that cannot describe a machine at the
 /// given warp width: `DynamicResize` needs `1 ≤ min_width ≤ warp_size`.
 fn validate_formation(formation: WarpFormation, warp_size: u32) -> Result<(), JobError> {
@@ -259,6 +269,7 @@ impl AnalyzerKnobs {
     /// Validates the knob values themselves (range checks the analyzer
     /// would otherwise clamp silently).
     fn validate(&self) -> Result<(), JobError> {
+        validate_warp(self.warp_size)?;
         validate_formation(self.formation, self.warp_size)
     }
 }
@@ -1090,8 +1101,9 @@ pub fn run_on_capture(op: &JobOp, capture: &Capture, obs: &Obs) -> Result<JobOut
             } else {
                 &j.formations
             };
-            for &formation in formations {
-                for &warp in &j.warps {
+            for &warp in &j.warps {
+                validate_warp(warp)?;
+                for &formation in formations {
                     validate_formation(formation, warp)?;
                 }
             }
@@ -1151,6 +1163,7 @@ pub fn run_on_capture(op: &JobOp, capture: &Capture, obs: &Obs) -> Result<JobOut
 }
 
 fn run_hardware(j: &AnalyzeJob, obs: &Obs) -> Result<JobOutcome, JobError> {
+    validate_warp(j.config.warp_size)?;
     let name = match &j.capture.source {
         JobSource::Workload(name) => name,
         JobSource::TraceFile { workload, .. } => workload.as_deref().ok_or_else(|| {

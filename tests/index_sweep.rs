@@ -1,8 +1,8 @@
 //! Integration tests for the shared [`AnalysisIndex`] and the
-//! work-stealing warp scheduler: the index is built exactly once per
-//! capture no matter how many analyses consume it, every scheduler and
-//! worker count produces bit-identical reports (including the
-//! per-function maps), and the sweep views never clone the capture.
+//! work-stealing warp fan-out: the index is built exactly once per
+//! capture no matter how many analyses consume it, every worker count
+//! produces bit-identical reports (including the per-function maps), and
+//! the sweep views never clone the capture.
 
 use std::sync::Arc;
 use threadfuser::prelude::*;
@@ -31,21 +31,23 @@ fn parallel_work_stealing_is_bit_identical_to_sequential() {
 }
 
 #[test]
-fn schedulers_agree_at_every_worker_count() {
-    let traced = traced("bfs", 256);
-    let reference = traced.view().with_parallelism(1).analyze().expect("reference");
-    for workers in [2usize, 3, 8] {
-        for scheduler in [WarpScheduler::WorkStealing, WarpScheduler::StaticChunks] {
-            let report = traced
-                .view()
-                .with_parallelism(workers)
-                .with_scheduler(scheduler)
-                .analyze()
-                .expect("analyze succeeds");
-            assert_eq!(
-                reference, report,
-                "{scheduler:?} @ {workers} workers must match the sequential report"
-            );
+fn worker_count_never_changes_the_report() {
+    // Coherent, divergent, call-heavy, lock-guarded spin-skipping, and
+    // lock-serializing captures: however the cursor hands warps to
+    // workers, the merged report is the sequential one, bit for bit.
+    let w = by_name("urlshort").expect("workload exists");
+    let urlshort = Pipeline::from_workload(&w).threads(64).intra_warp_locks(true).trace().unwrap();
+    assert!(urlshort.analyze().unwrap().lock_serializations > 0, "locks must actually serialize");
+    let captures = ["md5", "bfs", "pigz", "coop_channel"]
+        .map(|name| (name, traced(name, 256)))
+        .into_iter()
+        .chain([("urlshort", urlshort)]);
+    for (name, traced) in captures {
+        let reference = traced.view().with_parallelism(1).analyze().expect("reference");
+        for workers in [2usize, 3, 8] {
+            let report = traced.view().with_parallelism(workers).analyze().expect("analyze");
+            assert_eq!(reference, report, "{name} @ {workers} workers");
+            assert_eq!(reference.per_function, report.per_function, "{name} @ {workers} workers");
         }
     }
 }

@@ -168,6 +168,35 @@ fn lottery_scheduler_shows_formation_delta() {
     assert!(resized.simt_efficiency() > fixed.simt_efficiency());
 }
 
+#[test]
+fn coop_family_model_formation_invariants() {
+    // The cooperative-scheduler family at the paper's warp 32, on every
+    // model: resizing can only drop idle lane slots, and coop_yield — the
+    // family's divergence-free control — stays perfectly convergent on
+    // every machine.
+    const FORMATIONS: [WarpFormation; 2] =
+        [WarpFormation::Fixed, WarpFormation::DynamicResize { min_width: 4 }];
+    for name in ["coop_lottery", "coop_rr", "coop_channel", "coop_jointree", "coop_yield"] {
+        let traced = traced(name, 128);
+        for &model in &MODELS {
+            let [fixed, resized] = FORMATIONS.map(|f| {
+                traced.view().with_warp(32).with_model(model).with_formation(f).analyze().unwrap()
+            });
+            assert!(
+                resized.issue_slots <= fixed.issue_slots,
+                "{name} {model:?}: resize grew issue_slots ({} > {})",
+                resized.issue_slots,
+                fixed.issue_slots
+            );
+            if name == "coop_yield" {
+                for r in [&fixed, &resized] {
+                    assert_eq!(r.simt_efficiency(), 1.0, "{name} {model:?}");
+                }
+            }
+        }
+    }
+}
+
 /// A kernel whose only divergence is a two-way branch with structurally
 /// identical straight-line arms — the DARM melding target.
 fn diamond_program(arm_len: usize) -> (threadfuser::ir::Program, threadfuser::ir::FuncId) {

@@ -1,8 +1,8 @@
-//! Parallel-backend equivalence: warp-trace generation and both
-//! cycle-level simulators promise **bit-identical** results at any worker
-//! count, under either analyzer warp-to-worker scheduler and either SIMT
-//! warp scheduler. This suite is the safety net for the per-core fan-out:
-//! any divergence between a sequential and a parallel run is a bug, not a
+//! Parallel-backend equivalence: the analysis report, warp-trace
+//! generation and both cycle-level simulators promise **bit-identical**
+//! results at any worker count and under either SIMT warp scheduler. This
+//! suite is the safety net for the per-warp and per-core fan-outs: any
+//! divergence between a sequential and a parallel run is a bug, not a
 //! tolerance.
 //!
 //! Also covers the truncation contract: a simulation that exhausts its
@@ -11,7 +11,6 @@
 //! cycle counts.
 
 use proptest::prelude::*;
-use threadfuser::analyzer::WarpScheduler;
 use threadfuser::cpusim::{simulate_cpu, CpuSimConfig};
 use threadfuser::ir::{AluOp, Cond, Operand, ProgramBuilder};
 use threadfuser::prelude::*;
@@ -20,25 +19,20 @@ use threadfuser::workloads::by_name;
 
 const WORKER_COUNTS: &[usize] = &[1, 2, 8];
 
-/// Asserts the whole projection backend is worker-count-invariant for one
-/// capture: warp traces across analyzer schedulers, SIMT stats across
-/// warp schedulers — simulated from the materialized set and streamed
-/// from the step recording by both speedup projections —, CPU stats.
+/// Asserts the whole analysis and projection backend is
+/// worker-count-invariant for one capture: the report and warp traces,
+/// SIMT stats across warp schedulers — simulated from the materialized
+/// set and streamed from the step recording by both speedup
+/// projections —, CPU stats.
 fn assert_backend_invariant(traced: &Traced, label: &str) {
+    let report_base = traced.view().with_parallelism(1).analyze().expect("analyze (seq)");
     let wt_base = traced.view().with_parallelism(1).warp_traces().expect("tracegen (seq)");
     for &workers in WORKER_COUNTS {
-        for sched in [WarpScheduler::WorkStealing, WarpScheduler::StaticChunks] {
-            let wt = traced
-                .view()
-                .with_parallelism(workers)
-                .with_scheduler(sched)
-                .warp_traces()
-                .expect("tracegen (par)");
-            assert_eq!(
-                wt_base, wt,
-                "{label}: warp traces diverged at {workers} workers ({sched:?})"
-            );
-        }
+        let report = traced.view().with_parallelism(workers).analyze().expect("analyze (par)");
+        assert_eq!(report_base, report, "{label}: report diverged at {workers} workers");
+        assert_eq!(report_base.per_function, report.per_function, "{label}: at {workers} workers");
+        let wt = traced.view().with_parallelism(workers).warp_traces().expect("tracegen (par)");
+        assert_eq!(wt_base, wt, "{label}: warp traces diverged at {workers} workers");
     }
 
     for sched in [Scheduler::Gto, Scheduler::Lrr] {
@@ -120,9 +114,9 @@ fn truncated_simulation_is_surfaced_not_projected() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
-    // Random branchy/loopy kernels (the replay_equivalence generator):
-    // the backend must stay worker-count-invariant on arbitrary
-    // divergence shapes, not just the curated workloads.
+    // Random branchy/loopy kernels: the backend must stay
+    // worker-count-invariant on arbitrary divergence shapes, not just the
+    // curated workloads.
     #[test]
     fn parallel_backend_matches_sequential_on_random_kernels(
         moduli in prop::collection::vec(2u8..7, 1..4),

@@ -1,8 +1,9 @@
 //! Cross-version contract tests for the v3 chunked trace container.
 //!
-//! Three properties the format must keep forever:
+//! Four properties the format must keep forever:
 //!  - any v1 or v2 file re-encodes to v3 without changing the trace set
 //!    (and back again through the shared `decode` entry point),
+//!  - v3 stays at or under 0.6x the v2 size on real captures,
 //!  - the lazy [`TraceSetReader`] path and the eager `decode` path feed
 //!    the analyzer identical inputs and therefore produce bit-identical
 //!    [`AnalysisReport`]s,
@@ -112,6 +113,19 @@ fn chunk_budget_is_observationally_irrelevant() {
             .and_then(TraceSetReader::into_decoded)
             .unwrap_or_else(|e| panic!("budget {budget} lazy: {e}"));
         assert_eq!(reference, lazy.traces, "budget {budget}: lazy round-trip diverged");
+    }
+}
+
+/// The delta/varint columns are what v3 is for: on a coherent (`md5`) and
+/// a divergent, call-heavy (`pigz`) capture at their default thread
+/// counts, v3 takes at most 0.6x the bytes of the v2 fixed-width layout.
+#[test]
+fn v3_is_at_most_six_tenths_of_v2() {
+    for name in ["md5", "pigz"] {
+        let w = workloads::by_name(name).expect("workload exists");
+        let traced = Pipeline::from_workload(&w).threads(w.meta.default_threads).trace().unwrap();
+        let (v2, v3) = (encode(traced.traces()).len(), encode_v3(traced.traces()).len());
+        assert!(v3 * 10 <= v2 * 6, "{name}: v3 {v3} B vs v2 {v2} B");
     }
 }
 

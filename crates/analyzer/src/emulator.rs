@@ -261,22 +261,22 @@ impl AnalyzerConfig {
         traces: &TraceSet,
     ) -> Result<AnalysisReport, AnalyzeError> {
         let index = AnalysisIndex::build_observed(program, traces, self.parallelism, &self.obs)?;
-        analyze_impl(program, traces, &index, self)
+        analyze_impl(program, &index, self)
     }
 
     /// Runs the analysis against a prebuilt [`AnalysisIndex`], skipping
     /// graph construction and IPDOM solving — the warm path of a config
-    /// sweep. The index must come from the same `(program, traces)` pair.
+    /// sweep. The index must come from `program`'s capture; it is the only
+    /// replay store, so no trace set is needed.
     ///
     /// # Errors
     /// [`AnalyzeError`] when the emulation desynchronizes.
     pub fn analyze_indexed(
         &self,
         program: &Program,
-        traces: &TraceSet,
         index: &AnalysisIndex,
     ) -> Result<AnalysisReport, AnalyzeError> {
-        analyze_impl(program, traces, index, self)
+        analyze_impl(program, index, self)
     }
 }
 
@@ -480,11 +480,10 @@ pub trait StepSink {
 /// [`AnalyzeError`] when the emulation desynchronizes.
 pub fn analyze_indexed(
     program: &Program,
-    traces: &TraceSet,
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
 ) -> Result<AnalysisReport, AnalyzeError> {
-    analyze_impl(program, traces, index, config)
+    analyze_impl(program, index, config)
 }
 
 /// [`analyze_indexed`] with a [`StepSink`] observing every lock-step
@@ -495,12 +494,11 @@ pub fn analyze_indexed(
 /// [`AnalyzeError`] when the emulation desynchronizes.
 pub fn analyze_indexed_with_sink(
     program: &Program,
-    traces: &TraceSet,
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
     sink: &mut dyn StepSink,
 ) -> Result<AnalysisReport, AnalyzeError> {
-    let ctx = RunCtx::new(program, traces, index, config);
+    let ctx = RunCtx::new(program, index, config);
     config.obs.counter(Phase::WarpEmulate, "workers", 1);
     let mut report = ctx.empty_report();
     let mut sink = Some(sink);
@@ -527,7 +525,6 @@ pub fn analyze_indexed_with_sink(
 /// deterministically report the lowest-indexed failing warp.
 pub fn analyze_indexed_with_warp_sinks<S, F>(
     program: &Program,
-    traces: &TraceSet,
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
     make_sink: F,
@@ -536,7 +533,7 @@ where
     S: StepSink + Send,
     F: Fn(u32) -> S + Sync,
 {
-    let ctx = RunCtx::new(program, traces, index, config);
+    let ctx = RunCtx::new(program, index, config);
     let mut report = ctx.empty_report();
     let mut sinks = Vec::with_capacity(ctx.warps.len());
     ctx.fan_out(
@@ -559,11 +556,10 @@ where
 /// emission stays off in the hot loop.
 fn analyze_impl(
     program: &Program,
-    traces: &TraceSet,
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
 ) -> Result<AnalysisReport, AnalyzeError> {
-    let ctx = RunCtx::new(program, traces, index, config);
+    let ctx = RunCtx::new(program, index, config);
     let mut report = ctx.empty_report();
     ctx.fan_out(|i| ctx.run_warp(i, &mut None), |r| report.merge(r))?;
     Ok(ctx.finish(report))
@@ -581,16 +577,11 @@ struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    fn new(
-        program: &'a Program,
-        traces: &TraceSet,
-        index: &'a AnalysisIndex,
-        config: &'a AnalyzerConfig,
-    ) -> Self {
+    fn new(program: &'a Program, index: &'a AnalysisIndex, config: &'a AnalyzerConfig) -> Self {
         assert!((1..=64).contains(&config.warp_size), "warp size must be in 1..=64");
         let statics = (config.reconvergence == ReconvergencePolicy::StaticIpdom)
             .then(|| index.static_cfgs(program));
-        let warps = config.batching.plan(traces.threads().len() as u32, config.warp_size);
+        let warps = config.batching.plan(index.n_threads() as u32, config.warp_size);
         RunCtx { program, index, statics, config, warps }
     }
 
@@ -1258,7 +1249,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
             // record doubles as this block's mem-range end.
             let next = events[p + 1];
             for m in &mems[ev.mem_lo as usize..next.mem_lo as usize] {
-                self.mem_scratch.collect(m.inst, m.addr, m.size);
+                self.mem_scratch.collect(m.inst, m.addr, m.size as u32);
             }
             self.pos[l] = p as u32 + 1;
             let nk = next.key;
@@ -1408,7 +1399,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         if self.sink.is_some() {
             self.mem_scratch.clear();
             for m in &mems[lo..hi] {
-                self.mem_scratch.collect(m.inst, m.addr, m.size);
+                self.mem_scratch.collect(m.inst, m.addr, m.size as u32);
             }
             self.mem_scratch.build();
             if let Some(sink) = self.sink.as_deref_mut() {
@@ -1461,7 +1452,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 // One access: its lines form a contiguous range, so the
                 // transaction count is the range length (identical to the
                 // generic sort+dedup over that one access's lines).
-                let (a, sz) = (mems[j].addr, mems[j].size);
+                let (a, sz) = (mems[j].addr, mems[j].size as u32);
                 let first = a / threadfuser_mem::TRANSACTION_BYTES;
                 let last = a.saturating_add(sz.saturating_sub(1) as u64)
                     / threadfuser_mem::TRANSACTION_BYTES;
@@ -1486,7 +1477,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                         } else {
                             heap_n += 1;
                         }
-                        (a, mems[x].size, stack)
+                        (a, mems[x].size as u32, stack)
                     }),
                 );
                 if heap_n > 0 {

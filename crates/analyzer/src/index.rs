@@ -16,12 +16,15 @@
 //! requires a new index.
 
 use crate::dcfg::{DcfgScan, DcfgSet};
-use crate::tape::{pack_block_key, LaneTapes, TapeWriter};
+use crate::tape::{
+    pack_block_key, partition, Failed, LaneTapes, TapeExtent, TapeMem, TapeWriter, SIDE_BIT,
+};
 use crate::AnalyzeError;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use threadfuser_ir::{FuncCfg, FuncId, Program};
 use threadfuser_obs::{Obs, Phase};
-use threadfuser_tracer::{SideEvent, ThreadTrace, TraceSet};
+use threadfuser_tracer::{DecodeError, SideEvent, ThreadTrace, TraceSet, TraceSetReader};
 
 /// Captures with fewer stream records (events + memory accesses) than
 /// this are walked on the calling thread whatever the requested
@@ -29,27 +32,105 @@ use threadfuser_tracer::{SideEvent, ThreadTrace, TraceSet};
 const PARALLEL_MIN_RECORDS: usize = 1 << 17;
 
 /// Capture-level cache shared by every analyzer product: per-function
-/// dynamic CFGs with solved IPDOMs, per-thread trace cursor metadata
-/// (event counts), and — lazily — the static per-function CFGs used by
-/// the `StaticIpdom` ablation and the lock-step ground-truth executor.
+/// dynamic CFGs with solved IPDOMs, the fused replay tapes, per-thread
+/// skipped-instruction counts, and — lazily — the
+/// static per-function CFGs used by the `StaticIpdom` ablation and the
+/// lock-step ground-truth executor.
 ///
 /// Construction validates trace structure once, so indexed analyses skip
-/// the malformed-trace scan.
+/// the malformed-trace scan. The index is the only replay store: warp
+/// emulation, trace generation and the CPU timing model all read it, never
+/// the [`TraceSet`] it was built from.
 #[derive(Debug)]
 pub struct AnalysisIndex {
     dcfgs: DcfgSet,
     tapes: LaneTapes,
-    thread_events: Vec<usize>,
+    /// Per-thread `skipped_io + skipped_spin`.
+    thread_skipped: Vec<u64>,
     skipped_io: u64,
     skipped_spin: u64,
     statics: OnceLock<Arc<Vec<FuncCfg>>>,
 }
 
+/// Why [`AnalysisIndex::build_from_chunks`] built no index.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ChunkIndexError {
+    /// A chunk failed to decode: the lowest failing chunk's error, which
+    /// outranks any malformed thread.
+    Decode(DecodeError),
+    /// Every chunk decoded, but a thread is malformed: the lowest such
+    /// thread's error.
+    Analyze(AnalyzeError),
+}
+
+/// Per-thread metadata a walk reports besides its tape records.
+struct ThreadMeta {
+    skipped_io: u64,
+    skipped_spin: u64,
+}
+
+/// One walker's state: the DCFG discoveries of every thread it walked and
+/// its frame scratch, `(function, previous block in that frame)` per
+/// active call.
+struct Walker {
+    scan: DcfgScan,
+    frames: Vec<(FuncId, Option<usize>)>,
+}
+
+impl Walker {
+    fn new(program: &Program) -> Self {
+        Walker { scan: DcfgScan::new(program), frames: Vec::new() }
+    }
+
+    /// Walks `threads` in order into `tape`, stopping at the first
+    /// malformed one.
+    fn walk(
+        &mut self,
+        threads: &[ThreadTrace],
+        tape: &mut TapeWriter<'_>,
+    ) -> Result<Vec<ThreadMeta>, AnalyzeError> {
+        let mut meta = Vec::with_capacity(threads.len());
+        for t in threads {
+            walk_thread(t, &mut self.scan, tape, &mut self.frames)?;
+            meta.push(ThreadMeta { skipped_io: t.skipped_io, skipped_spin: t.skipped_spin });
+        }
+        Ok(meta)
+    }
+}
+
+/// The tape extents a v3 file's footer claims, one per chunk, or `None`
+/// when they cannot be trusted to size the arenas: a v1/v2 file has no
+/// per-chunk counts, and a footer claiming more records than its chunk
+/// bytes can hold, or more than the tape offsets address, is lying (the
+/// whole-file decode then reports it).
+fn chunk_extents(reader: &TraceSetReader) -> Option<Vec<TapeExtent>> {
+    reader.tids()?;
+    let mut extents = Vec::with_capacity(reader.n_chunks());
+    for i in 0..reader.n_chunks() {
+        let c = reader.chunk_info(i).expect("chunk index in range");
+        // The fewest bytes a v3 record takes: 7 varints per thread header,
+        // 4 per block, 3 per access (two varints and the size byte), 2 per
+        // side event (position delta and tag).
+        let least = [(c.thread_count as u64, 7u64), (c.n_blocks, 4), (c.n_mems, 3), (c.n_sides, 2)]
+            .iter()
+            .try_fold(0u64, |sum, &(n, bytes)| n.checked_mul(bytes)?.checked_add(sum));
+        if least.is_none_or(|least| least > c.len as u64) {
+            return None;
+        }
+        extents.push(TapeExtent {
+            threads: c.thread_count as u64,
+            blocks: c.n_blocks,
+            mems: c.n_mems,
+            sides: c.n_sides,
+        });
+    }
+    TapeExtent::fit_offsets(&extents).then_some(extents)
+}
+
 /// The fused walk over one thread's stream: in a single cursor step it
 /// validates call/return nesting and block ranges, marks blocks observed
 /// and records DCFG edges in `scan`, and writes the thread's tape records.
-/// `frames` is caller-owned scratch, `(function, previous block in that
-/// frame)` per active call.
+/// `frames` is caller-owned scratch.
 fn walk_thread(
     t: &ThreadTrace,
     scan: &mut DcfgScan,
@@ -59,6 +140,7 @@ fn walk_thread(
     let malformed = |detail: String| AnalyzeError::MalformedTrace { tid: t.tid, detail };
     let n_funcs = scan.n_funcs();
     frames.clear();
+    tape.push_thread(t.tid);
     let mut root_seen = false;
     // Cursor walk in stream order: side events when pending, blocks
     // otherwise.
@@ -154,28 +236,156 @@ impl AnalysisIndex {
         Self::build_with_workers(program, traces, workers, obs)
     }
 
-    /// The one index-build path: `workers` fused walks over contiguous
-    /// thread ranges, each filling its own slice of the tape arenas and
-    /// its own [`DcfgScan`]; scans are then merged in range order.
+    /// The in-memory build: `workers` contiguous thread ranges of about
+    /// equal weight, one extent each.
     fn build_with_workers(
         program: &Program,
         traces: &TraceSet,
         workers: usize,
         obs: &Obs,
     ) -> Result<Self, AnalyzeError> {
-        let span = obs.span(Phase::IndexBuild);
+        let threads = traces.threads();
+        // A thread's walk costs about one step per record it writes.
+        let mut weight = Vec::with_capacity(threads.len() + 1);
+        weight.push(0);
+        for t in threads {
+            weight.push(weight[weight.len() - 1] + t.event_count() + 1);
+        }
+        let ranges = partition(&weight, workers.max(1));
+        let extents: Vec<TapeExtent> =
+            ranges.iter().map(|r| TapeExtent::of(&threads[r.clone()])).collect();
         obs.counter(Phase::IndexBuild, "index_misses", 1);
-        let scan_span = obs.span(Phase::DcfgBuild);
-        let (tapes, scans) = LaneTapes::build_with(traces.threads(), workers, |threads, tape| {
-            let mut scan = DcfgScan::new(program);
-            let mut frames = Vec::new();
-            for t in threads {
-                walk_thread(t, &mut scan, tape, &mut frames)?;
+        Self::build_extents(program, &extents, workers, obs, |walker, i, tape| {
+            walker.walk(&threads[ranges[i].clone()], tape)
+        })
+        .map_err(|mut failed| failed.swap_remove(0).1)
+    }
+
+    /// Builds the index of a trace file straight from its v3 chunks,
+    /// without ever holding its whole [`TraceSet`]. Up to `parallelism`
+    /// workers (one on small files, as in
+    /// [`AnalysisIndex::build_observed`]) claim chunks in order; each
+    /// decodes one chunk with [`TraceSetReader::decode_chunk_uncached`],
+    /// walks its threads into that chunk's slice of the tape arenas — the
+    /// slices are placed by the footer's per-chunk record counts, which
+    /// the decoder cross-checks on every clean chunk — and drops it. A
+    /// `chunks_decoded` counter (phase `decode`) reports the chunks
+    /// decoded, each at most once; once a chunk fails to decode or
+    /// quarantines threads, chunks claimed after it are not decoded.
+    ///
+    /// Returns `Ok(None)` when the file has no trustworthy per-chunk
+    /// counts — a v1/v2 file, a footer whose counts its chunk bytes
+    /// cannot hold or the tape offsets cannot address, or a chunk that
+    /// quarantined threads under `SkipBadThreads`. Such a file takes the
+    /// whole-file decode and [`AnalysisIndex::build_observed`] instead,
+    /// which also decides its outcome. Otherwise the result, index or
+    /// error, equals decoding the file whole and building from the set.
+    ///
+    /// # Errors
+    /// [`ChunkIndexError::Decode`] with the lowest failing chunk's error
+    /// when any chunk fails to decode, else [`ChunkIndexError::Analyze`]
+    /// with the lowest malformed thread's error.
+    pub fn build_from_chunks(
+        program: &Program,
+        reader: &TraceSetReader,
+        parallelism: usize,
+        obs: &Obs,
+    ) -> Result<Option<Self>, ChunkIndexError> {
+        let Some(extents) = chunk_extents(reader) else { return Ok(None) };
+        let records: u64 = extents.iter().map(|e| e.blocks + e.mems + e.sides).sum();
+        let workers = if records < PARALLEL_MIN_RECORDS as u64 { 1 } else { parallelism };
+        Self::build_chunks_with_workers(program, reader, &extents, workers, obs)
+    }
+
+    /// The chunk walk of [`AnalysisIndex::build_from_chunks`] over the
+    /// file's `extents`, with `workers` walkers.
+    fn build_chunks_with_workers(
+        program: &Program,
+        reader: &TraceSetReader,
+        extents: &[TapeExtent],
+        workers: usize,
+        obs: &Obs,
+    ) -> Result<Option<Self>, ChunkIndexError> {
+        /// Why one chunk contributed no tape.
+        enum ChunkFail {
+            Decode(DecodeError),
+            Quarantined,
+            Analyze(AnalyzeError),
+            /// Not walked: a lower chunk's decode-side failure had already
+            /// decided the outcome.
+            Skipped,
+        }
+        let decoded = AtomicU64::new(0);
+        // Set on a decode-side failure. Chunks are claimed in order, so a
+        // chunk claimed after that is higher than the failure and cannot
+        // change the outcome: it is skipped, not decoded.
+        let stop = AtomicBool::new(false);
+        let decisive = |fail| {
+            stop.store(true, Ordering::Relaxed);
+            fail
+        };
+        let built = Self::build_extents(program, extents, workers, obs, |walker, i, tape| {
+            if stop.load(Ordering::Relaxed) {
+                return Err(ChunkFail::Skipped);
             }
-            Ok(scan)
-        })?;
-        let scan = scans
+            let chunk =
+                reader.decode_chunk_uncached(i).map_err(|e| decisive(ChunkFail::Decode(e)))?;
+            decoded.fetch_add(1, Ordering::Relaxed);
+            if !chunk.quarantined.is_empty() {
+                return Err(decisive(ChunkFail::Quarantined));
+            }
+            walker.walk(&chunk.threads, tape).map_err(ChunkFail::Analyze)
+        });
+        obs.counter(Phase::Decode, "chunks_decoded", decoded.into_inner());
+        let outcome = match built {
+            Ok(index) => Ok(Some(index)),
+            Err(mut failed) => {
+                // A whole-file decode stops at the first chunk that fails,
+                // and a quarantining chunk before it hands the file to that
+                // decode: the lowest decode-side failure decides. Malformed
+                // threads count only when every chunk decoded clean.
+                let decides =
+                    |f: &ChunkFail| matches!(f, ChunkFail::Decode(_) | ChunkFail::Quarantined);
+                let at = failed.iter().position(|(_, f)| decides(f)).unwrap_or(0);
+                match failed.swap_remove(at).1 {
+                    ChunkFail::Decode(e) => {
+                        obs.counter(Phase::Decode, "decode_rejects", 1);
+                        Err(ChunkIndexError::Decode(e))
+                    }
+                    ChunkFail::Quarantined => Ok(None),
+                    ChunkFail::Analyze(e) => Err(ChunkIndexError::Analyze(e)),
+                    ChunkFail::Skipped => {
+                        unreachable!("skips lie above the failure that set `stop`")
+                    }
+                }
+            }
+        };
+        // A file handed to the whole-file build counts its miss there.
+        if !matches!(outcome, Ok(None)) {
+            obs.counter(Phase::IndexBuild, "index_misses", 1);
+        }
+        outcome
+    }
+
+    /// The one index-build path: `workers` walkers fill the tape arenas
+    /// extent by extent, each with its own [`DcfgScan`]; the scans are
+    /// then merged (an order-free union) and solved. Failures come back
+    /// with their extent index, in extent order. The caller counts the
+    /// `index_misses`.
+    fn build_extents<E: Send>(
+        program: &Program,
+        extents: &[TapeExtent],
+        workers: usize,
+        obs: &Obs,
+        walk: impl Fn(&mut Walker, usize, &mut TapeWriter<'_>) -> Result<Vec<ThreadMeta>, E> + Sync,
+    ) -> Result<Self, Failed<E>> {
+        let span = obs.span(Phase::IndexBuild);
+        let scan_span = obs.span(Phase::DcfgBuild);
+        let (tapes, walkers, metas) =
+            LaneTapes::build_with(extents, workers, || Walker::new(program), walk)?;
+        let scan = walkers
             .into_iter()
+            .map(|w| w.scan)
             .reduce(|mut all, next| {
                 all.merge(next);
                 all
@@ -185,14 +395,18 @@ impl AnalysisIndex {
         scan_span.finish();
         let dcfgs = DcfgSet::solve(scan, obs);
         obs.counter(Phase::IndexBuild, "tape_bytes", tapes.storage_bytes() as u64);
-        let thread_events = traces.threads().iter().map(|t| t.event_count()).collect();
-        let skipped_io = traces.threads().iter().map(|t| t.skipped_io).sum();
-        let skipped_spin = traces.threads().iter().map(|t| t.skipped_spin).sum();
+        let mut thread_skipped = Vec::with_capacity(tapes.len());
+        let (mut skipped_io, mut skipped_spin) = (0, 0);
+        for m in metas.into_iter().flatten() {
+            thread_skipped.push(m.skipped_io + m.skipped_spin);
+            skipped_io += m.skipped_io;
+            skipped_spin += m.skipped_spin;
+        }
         span.finish();
         Ok(AnalysisIndex {
             dcfgs,
             tapes,
-            thread_events,
+            thread_skipped,
             skipped_io,
             skipped_spin,
             statics: OnceLock::new(),
@@ -209,15 +423,29 @@ impl AnalysisIndex {
         &self.tapes
     }
 
-    /// Per-thread trace lengths (event counts), in thread order — the
-    /// cursor metadata the scheduler uses to reason about warp imbalance.
-    pub fn thread_event_counts(&self) -> &[usize] {
-        &self.thread_events
+    /// Threads in the capture, in tape order.
+    pub fn n_threads(&self) -> usize {
+        self.tapes.len()
     }
 
-    /// Total events across all threads.
-    pub fn total_events(&self) -> u64 {
-        self.thread_events.iter().map(|&n| n as u64).sum()
+    /// Instructions thread `t` skipped in opaque I/O and lock spinning.
+    pub fn thread_skipped(&self, t: usize) -> u64 {
+        self.thread_skipped[t]
+    }
+
+    /// Thread `t`'s stream in order, read off its tape: per event, the
+    /// instruction count of a block (`None` for a call, return, lock or
+    /// barrier event) and the memory accesses it made.
+    pub fn thread_stream(&self, t: usize) -> impl Iterator<Item = (Option<u32>, &[TapeMem])> {
+        let v = self.tapes.view();
+        let (lo, hi) = (self.tapes.start_of(t) as usize, self.tapes.start_of(t + 1) as usize);
+        // Every record but the end sentinel, paired with its successor,
+        // whose mem cursor ends the record's access range.
+        v.events[lo..hi].windows(2).map(move |w| {
+            let (ev, next) = (w[0], w[1]);
+            let ni = (ev.key & SIDE_BIT == 0).then_some(ev.ni);
+            (ni, &v.mems[ev.mem_lo as usize..next.mem_lo as usize])
+        })
     }
 
     /// Instructions the capture skipped in opaque I/O, pre-summed.
@@ -250,7 +478,9 @@ mod tests {
     use threadfuser_ir::{AluOp, BlockAddr, BlockId, Cond, Operand, ProgramBuilder};
     use threadfuser_machine::MachineConfig;
     use threadfuser_obs::InMemorySink;
-    use threadfuser_tracer::trace_program;
+    use threadfuser_tracer::{
+        decode, encode_v3_with, trace_program, DecodeOptions, TraceEvent, ValidationPolicy,
+    };
 
     const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -273,13 +503,14 @@ mod tests {
     fn assert_matches_two_pass(program: &Program, traces: &TraceSet) {
         let dcfgs = DcfgSet::build_two_pass(program, traces).expect("oracle accepts the capture");
         let tapes = LaneTapes::build_two_pass(traces.threads());
-        let events: Vec<usize> = traces.threads().iter().map(|t| t.event_count()).collect();
+        let skipped: Vec<u64> =
+            traces.threads().iter().map(|t| t.skipped_io + t.skipped_spin).collect();
         for workers in WORKER_COUNTS {
             let ix = AnalysisIndex::build_with_workers(program, traces, workers, &Obs::none())
                 .expect("fused build accepts what the oracle accepts");
             assert_eq!(ix.dcfgs(), &dcfgs, "workers = {workers}");
             assert!(ix.tapes() == &tapes, "tape arenas differ at workers = {workers}");
-            assert_eq!(ix.thread_event_counts(), events);
+            assert_eq!(ix.thread_skipped, skipped);
             assert_eq!(ix.skipped_io(), traces.threads().iter().map(|t| t.skipped_io).sum());
             assert_eq!(ix.skipped_spin(), traces.threads().iter().map(|t| t.skipped_spin).sum());
         }
@@ -383,7 +614,7 @@ mod tests {
         assert_matches_two_pass(&p, &traces);
         let ix = AnalysisIndex::build(&p, &traces).unwrap();
         assert!(ix.tapes().is_empty());
-        assert_eq!(ix.total_events(), 0);
+        assert_eq!(ix.n_threads(), 0);
         assert!(ix.dcfgs().get(FuncId(0)).is_none());
     }
 
@@ -507,16 +738,210 @@ mod tests {
         });
     }
 
+    /// Footer offsets of a v3 file: `(footer start, chunk count)`.
+    fn footer(bytes: &[u8]) -> (usize, usize) {
+        let trailer = bytes.len() - 12;
+        let len = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+        let start = trailer - len;
+        (start, u32::from_le_bytes(bytes[start..start + 4].try_into().unwrap()) as usize)
+    }
+
+    /// Rewrites the footer's tid of thread record `ordinal`: the thread
+    /// then fails to decode (a content error, quarantined under
+    /// `SkipBadThreads`).
+    fn mistag(bytes: &mut [u8], ordinal: usize) {
+        let (start, chunks) = footer(bytes);
+        let pos = start + 4 + chunks * 48 + ordinal * 4;
+        bytes[pos..pos + 4].copy_from_slice(&0xdead_beefu32.to_le_bytes());
+    }
+
+    fn open(bytes: &[u8], policy: ValidationPolicy) -> TraceSetReader {
+        let opts = DecodeOptions { policy, ..DecodeOptions::default() };
+        TraceSetReader::from_bytes(bytes.to_vec(), &opts).expect("footer parses")
+    }
+
+    /// The chunk walk with exactly `workers` walkers.
+    fn chunk_build(
+        program: &Program,
+        reader: &TraceSetReader,
+        workers: usize,
+    ) -> Result<Option<AnalysisIndex>, ChunkIndexError> {
+        let Some(extents) = chunk_extents(reader) else { return Ok(None) };
+        AnalysisIndex::build_chunks_with_workers(program, reader, &extents, workers, &Obs::none())
+    }
+
+    fn assert_same_index(got: &AnalysisIndex, want: &AnalysisIndex, label: &str) {
+        assert_eq!(got.dcfgs(), want.dcfgs(), "{label}");
+        assert!(got.tapes() == want.tapes(), "tape arenas differ: {label}");
+        assert_eq!(got.thread_skipped, want.thread_skipped, "{label}");
+        assert_eq!(
+            (got.skipped_io(), got.skipped_spin()),
+            (want.skipped_io(), want.skipped_spin())
+        );
+    }
+
+    /// Walking a v3 file chunk by chunk must build the very index the
+    /// decoded set builds, whatever the chunk layout and walker count.
+    #[test]
+    fn chunk_walk_matches_the_decoded_set_build() {
+        for (name, threads) in [("pigz", 64), ("hdsearch_mid", 48), ("coop_channel", 32)] {
+            let (program, traces) = workload_capture(name, threads);
+            let want = AnalysisIndex::build(&program, &traces).unwrap();
+            for budget in [1, 2048, threadfuser_tracer::DEFAULT_CHUNK_BYTES] {
+                let reader = open(&encode_v3_with(&traces, budget), ValidationPolicy::Strict);
+                for workers in WORKER_COUNTS {
+                    let got = chunk_build(&program, &reader, workers).unwrap().expect("v3 walks");
+                    assert_same_index(&got, &want, &format!("{name} budget {budget} x{workers}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_walk_reports_every_chunk_decoded_once() {
+        let (program, traces) = workload_capture("bfs", 64);
+        let reader = open(&encode_v3_with(&traces, 1024), ValidationPolicy::Strict);
+        let sink = StdArc::new(InMemorySink::new());
+        let obs = Obs::with_sink(sink.clone());
+        AnalysisIndex::build_from_chunks(&program, &reader, 2, &obs).unwrap().expect("v3 walks");
+        assert_eq!(
+            sink.counter_total_for(Phase::Decode, "chunks_decoded"),
+            reader.n_chunks() as u64
+        );
+        assert_eq!(sink.counter_total("index_misses"), 1);
+    }
+
+    /// Files without trustworthy per-chunk counts take the whole-file
+    /// decode: v1/v2, a chunk that quarantines threads, and a footer that
+    /// claims more records than its chunk bytes can hold.
+    #[test]
+    fn untrustworthy_counts_hand_the_file_to_the_whole_decode() {
+        let (program, traces) = workload_capture("bfs", 16);
+        let v2 = threadfuser_tracer::encode(&traces);
+        assert!(chunk_build(&program, &open(&v2, ValidationPolicy::Strict), 2).unwrap().is_none());
+
+        let mut damaged = encode_v3_with(&traces, 1).to_vec();
+        mistag(&mut damaged, 5);
+        let reader = open(&damaged, ValidationPolicy::SkipBadThreads);
+        for workers in WORKER_COUNTS {
+            assert!(chunk_build(&program, &reader, workers).unwrap().is_none());
+        }
+
+        let mut lying = encode_v3_with(&traces, 1).to_vec();
+        let (start, _) = footer(&lying);
+        let chunk_len = u64::from_le_bytes(lying[start + 12..start + 20].try_into().unwrap());
+        lying[start + 28..start + 36].copy_from_slice(&chunk_len.to_le_bytes()); // n_blocks
+        assert!(chunk_build(&program, &open(&lying, ValidationPolicy::Strict), 2)
+            .unwrap()
+            .is_none());
+    }
+
+    /// A decode error anywhere outranks a malformed thread anywhere, and
+    /// among each kind the lowest chunk / thread wins — exactly what
+    /// decoding the file whole and then building would report.
+    #[test]
+    fn decode_errors_outrank_malformed_threads() {
+        let mut pb = ProgramBuilder::new();
+        let callee = pb.function("callee", 0, |fb| fb.ret(None));
+        let k = pb.function("k", 1, |fb| {
+            fb.call_void(callee, &[]);
+            fb.ret(None);
+        });
+        let p = pb.build().unwrap();
+        let (good, _) = trace_program(&p, MachineConfig::new(k, 8)).unwrap();
+        // tids 2 and 5 return without a frame: decodable, but malformed.
+        let threads = good
+            .into_threads()
+            .into_iter()
+            .map(|t| {
+                if t.tid != 2 && t.tid != 5 {
+                    return t;
+                }
+                thread(t.tid, |t| {
+                    t.push_side(SideEvent::Ret);
+                    t.push_side(SideEvent::Ret);
+                })
+            })
+            .collect();
+        let traces = TraceSet::new(threads);
+        let bytes = encode_v3_with(&traces, 1).to_vec();
+        let malformed = AnalysisIndex::build(&p, &traces).unwrap_err();
+        let mut late = bytes.clone();
+        mistag(&mut late, 6);
+        let mut two = late.clone();
+        mistag(&mut two, 4);
+        for workers in WORKER_COUNTS {
+            let reader = open(&bytes, ValidationPolicy::Strict);
+            let got = chunk_build(&p, &reader, workers).unwrap_err();
+            assert_eq!(got, ChunkIndexError::Analyze(malformed.clone()), "x{workers}");
+            for file in [&late, &two] {
+                let want = decode(file).unwrap_err();
+                let got = chunk_build(&p, &open(file, ValidationPolicy::Strict), workers);
+                assert_eq!(got.unwrap_err(), ChunkIndexError::Decode(want), "x{workers}");
+            }
+        }
+    }
+
+    /// A failing chunk 0 decides the outcome, so a lone walker decodes no
+    /// chunk after it: one (quarantining) or none (refused) at all.
+    #[test]
+    fn a_failing_first_chunk_stops_the_walk() {
+        let (program, traces) = workload_capture("bfs", 16);
+        let mut damaged = encode_v3_with(&traces, 1).to_vec();
+        mistag(&mut damaged, 0);
+        // (policy, refused, chunks decoded, index misses): a quarantining
+        // file's miss is counted by the whole-file build it goes to.
+        for (policy, refused, decoded, misses) in [
+            (ValidationPolicy::SkipBadThreads, false, 1, 0),
+            (ValidationPolicy::Strict, true, 0, 1),
+        ] {
+            let reader = open(&damaged, policy);
+            assert!(reader.n_chunks() > 2);
+            let sink = StdArc::new(InMemorySink::new());
+            let obs = Obs::with_sink(sink.clone());
+            let got = AnalysisIndex::build_from_chunks(&program, &reader, 2, &obs);
+            assert_eq!(got.is_err(), refused);
+            assert!(got.is_ok_and(|ix| ix.is_none()) || refused);
+            assert_eq!(sink.counter_total_for(Phase::Decode, "chunks_decoded"), decoded);
+            assert_eq!(sink.counter_total("index_misses"), misses);
+        }
+    }
+
+    /// The index replays each thread's stream in order: a block's
+    /// instruction count and accesses, or a side event.
+    #[test]
+    fn thread_stream_replays_each_threads_events() {
+        let (program, traces) = workload_capture("coop_channel", 16);
+        let ix = AnalysisIndex::build(&program, &traces).unwrap();
+        /// Per event: a block's instruction count, and its accesses.
+        type Step = (Option<u32>, Vec<(u64, bool)>);
+        for (t, trace) in traces.threads().iter().enumerate() {
+            let mut want: Vec<Step> = Vec::new();
+            for e in trace.iter_events() {
+                match e {
+                    TraceEvent::Block { n_insts, .. } => want.push((Some(n_insts), Vec::new())),
+                    TraceEvent::Mem { addr, is_store, .. } => {
+                        want.last_mut().expect("access follows its block").1.push((addr, is_store))
+                    }
+                    _ => want.push((None, Vec::new())),
+                }
+            }
+            let got: Vec<_> = ix
+                .thread_stream(t)
+                .map(|(ni, mems)| (ni, mems.iter().map(|m| (m.addr, m.is_store)).collect()))
+                .collect();
+            assert_eq!(got, want, "thread {t}");
+        }
+    }
+
     #[test]
     fn index_carries_cursor_metadata() {
         let (p, traces) = capture();
         let ix = AnalysisIndex::build(&p, &traces).unwrap();
-        assert_eq!(ix.thread_event_counts().len(), 16);
-        assert_eq!(
-            ix.total_events(),
-            traces.threads().iter().map(|t| t.event_count() as u64).sum::<u64>()
-        );
-        assert!(ix.thread_event_counts().iter().all(|&n| n > 0));
+        assert_eq!(ix.n_threads(), 16);
+        for (t, trace) in traces.threads().iter().enumerate() {
+            assert_eq!(ix.thread_skipped(t), trace.skipped_io + trace.skipped_spin);
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@
 //! #     -> Result<(), threadfuser_analyzer::AnalyzeError> {
 //! let index = AnalysisIndex::build(program, traces)?;
 //! for w in [8, 16, 32, 64] {
-//!     let report = AnalyzerConfig::new(w).analyze_indexed(program, traces, &index)?;
+//!     let report = AnalyzerConfig::new(w).analyze_indexed(program, &index)?;
 //!     println!("warp {w}: efficiency {:.3}", report.simt_efficiency());
 //! }
 //! # Ok(()) }
@@ -81,7 +81,7 @@ pub use emulator::{
     analyze_indexed, analyze_indexed_with_sink, analyze_indexed_with_warp_sinks, AnalyzerConfig,
     BlockStep, MemGroups, ReconvergenceModel, ReconvergencePolicy, StepSink, WarpFormation,
 };
-pub use index::AnalysisIndex;
+pub use index::{AnalysisIndex, ChunkIndexError};
 pub use report::{AnalysisReport, FunctionReport, SegmentTraffic};
 pub use tape::LaneTapes;
 

@@ -35,6 +35,7 @@
 
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::sync::Mutex;
 use threadfuser_tracer::{MemSlice, SideEvent, ThreadTrace};
 
 /// Tag bit for non-block tape keys. Block keys pack
@@ -76,8 +77,12 @@ pub struct TapeMem {
     /// Accessing instruction index within its block.
     pub inst: u32,
     /// Access width in bytes.
-    pub size: u32,
+    pub size: u8,
+    /// Whether the access is a store (the CPU timing model replays it).
+    pub is_store: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<TapeMem>() == 16);
 
 /// Fused replay tapes for every thread of a capture, in one CSR arena.
 ///
@@ -121,27 +126,90 @@ impl<T> Fill<'_, T> {
     }
 }
 
-/// One worker's disjoint, exactly sized slices of the three tape arenas,
-/// covering a contiguous range of threads. Record order within the range
-/// is stream order, thread after thread — the same order a sequential
-/// build appends in, so the arena contents do not depend on where the
-/// range boundaries fall.
+/// Record totals of one contiguous run of threads: the unit a tape build
+/// sizes, places and fills as one slice of every arena.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TapeExtent {
+    pub(crate) threads: u64,
+    pub(crate) blocks: u64,
+    pub(crate) mems: u64,
+    pub(crate) sides: u64,
+}
+
+impl TapeExtent {
+    /// The totals of `threads`.
+    pub(crate) fn of(threads: &[ThreadTrace]) -> Self {
+        let mut e = TapeExtent { threads: threads.len() as u64, ..TapeExtent::default() };
+        for t in threads {
+            e.blocks += t.block_count() as u64;
+            e.mems += t.mem_count() as u64;
+            e.sides += t.side_count() as u64;
+        }
+        e
+    }
+
+    /// Event records, one end-of-stream sentinel per thread included.
+    fn events(&self) -> u64 {
+        self.blocks.saturating_add(self.sides).saturating_add(self.threads)
+    }
+
+    /// The field-wise (saturating) sum of `self` and `e`.
+    fn plus(self, e: TapeExtent) -> Self {
+        TapeExtent {
+            threads: self.threads.saturating_add(e.threads),
+            blocks: self.blocks.saturating_add(e.blocks),
+            mems: self.mems.saturating_add(e.mems),
+            sides: self.sides.saturating_add(e.sides),
+        }
+    }
+
+    /// The totals of consecutive `extents`.
+    fn total(extents: &[TapeExtent]) -> Self {
+        extents.iter().fold(TapeExtent::default(), |a, &e| a.plus(e))
+    }
+
+    /// Whether arenas holding `extents` fit the tape's 32-bit offsets.
+    pub(crate) fn fit_offsets(extents: &[TapeExtent]) -> bool {
+        let total = Self::total(extents);
+        total.events() <= u32::MAX as u64 && total.mems <= u32::MAX as u64
+    }
+}
+
+/// One extent's disjoint, exactly sized slices of the tape arenas. Record
+/// order within the extent is stream order, thread after thread — the
+/// same order a sequential build appends in, so the arena contents do not
+/// depend on where extent boundaries fall.
 pub(crate) struct TapeWriter<'a> {
     events: Fill<'a, TapeEvent>,
     mems: Fill<'a, TapeMem>,
     sides: Fill<'a, SideEvent>,
-    /// Arena-global index of this writer's first mem / side slot.
+    /// Tape starts and tids of the extent's threads.
+    off: Fill<'a, u32>,
+    tids: Fill<'a, u32>,
+    /// Arena-global index of this writer's first event / mem / side slot.
+    event_base: u32,
     mem_base: u32,
     side_base: u32,
 }
 
 impl TapeWriter<'_> {
+    /// Opens thread `tid`'s tape at the current event position.
+    pub(crate) fn push_thread(&mut self, tid: u32) {
+        self.off.push(self.event_base + self.events.len as u32);
+        self.tids.push(tid);
+    }
+
     /// Appends a block record and its memory accesses.
     #[inline]
     pub(crate) fn push_block(&mut self, key: u64, ni: u32, mems: MemSlice<'_>) {
         let mem_lo = self.mem_base + self.mems.len as u32;
         for m in mems.iter() {
-            self.mems.push(TapeMem { addr: m.addr, inst: m.inst_idx, size: m.size as u32 });
+            self.mems.push(TapeMem {
+                addr: m.addr,
+                inst: m.inst_idx,
+                size: m.size,
+                is_store: m.is_store,
+            });
         }
         self.events.push(TapeEvent { key, ni, mem_lo });
     }
@@ -167,7 +235,11 @@ impl TapeWriter<'_> {
     }
 
     fn is_full(&self) -> bool {
-        self.events.is_full() && self.mems.is_full() && self.sides.is_full()
+        self.events.is_full()
+            && self.mems.is_full()
+            && self.sides.is_full()
+            && self.off.is_full()
+            && self.tids.is_full()
     }
 }
 
@@ -175,7 +247,7 @@ impl TapeWriter<'_> {
 /// ranges of roughly equal weight, where `weight[t]` is the prefix sum of
 /// per-thread work (`weight.len() == n + 1`). Fewer ranges come back when
 /// there are fewer threads than workers or the weight is lopsided.
-fn partition(weight: &[usize], workers: usize) -> Vec<Range<usize>> {
+pub(crate) fn partition(weight: &[usize], workers: usize) -> Vec<Range<usize>> {
     let n = weight.len() - 1;
     let total = weight[n];
     let mut ranges = Vec::with_capacity(workers);
@@ -195,120 +267,135 @@ fn partition(weight: &[usize], workers: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// A finished tape build: the tapes, every walker's state, and every
+/// extent's output in extent order.
+pub(crate) type Built<W, U> = (LaneTapes, Vec<W>, Vec<U>);
+
+/// The walks that failed, with their extent indices, in extent order.
+pub(crate) type Failed<E> = Vec<(usize, E)>;
+
+/// Splits the first `n` slots off the front of `rest`.
+fn take<'a, T>(rest: &mut &'a mut [MaybeUninit<T>], n: u64) -> Fill<'a, T> {
+    let (slots, tail) = std::mem::take(rest).split_at_mut(n as usize);
+    *rest = tail;
+    Fill { slots, len: 0 }
+}
+
 impl LaneTapes {
-    /// Builds the tapes of `threads` with up to `workers` parallel walks.
+    /// Builds the tapes of a capture laid out as consecutive `extents`.
     ///
-    /// The arenas are sized exactly from per-thread record counts (prefix
-    /// sums of `block_count + side_count + 1`, `mem_count`, `side_count`),
-    /// threads are cut into contiguous ranges, and `walk(range_threads,
-    /// writer)` fills each range's disjoint slices — the first range on
-    /// the calling thread, the others on scoped threads. `walk` must push,
-    /// per thread and in stream order, every block and side event followed
-    /// by [`TapeWriter::push_end`]; it may stop early by returning `Err`.
+    /// The arenas are sized exactly from the extents' totals and cut into
+    /// one disjoint writer per extent. Up to `workers` walkers — the
+    /// calling thread and scoped threads — claim extents in order, each
+    /// with its own `scratch()` state, and `walk(state, extent, writer)`
+    /// must push, per thread of the extent and in stream order,
+    /// [`TapeWriter::push_thread`], every block and side event, then
+    /// [`TapeWriter::push_end`]; it may stop early by returning `Err`.
     ///
-    /// Returns the tapes plus every range's `Ok` value in range order, or
-    /// the `Err` of the lowest range that failed — which, when `walk`
-    /// stops at the first bad thread of its range, is the error of the
-    /// lowest-indexed bad thread overall.
+    /// Returns the tapes, every walker's state, and every extent's `Ok`
+    /// value in extent order — or, when any walk failed, every failure
+    /// with its extent index, in extent order.
     ///
     /// # Panics
-    /// Panics if a successful walk left one of its slices partly
-    /// unwritten, i.e. a thread's cursor yielded fewer records than its
-    /// columns count — a broken `ThreadTrace` invariant.
-    pub(crate) fn build_with<S: Send, E: Send>(
-        threads: &[ThreadTrace],
+    /// Panics if the arenas exceed the tape's 32-bit offsets (see
+    /// [`TapeExtent::fit_offsets`]), or if a successful walk left its
+    /// slices partly unwritten, i.e. an extent's threads yielded fewer
+    /// records than its totals count.
+    pub(crate) fn build_with<W: Send, U: Send, E: Send>(
+        extents: &[TapeExtent],
         workers: usize,
-        walk: impl Fn(&[ThreadTrace], &mut TapeWriter<'_>) -> Result<S, E> + Sync,
-    ) -> Result<(Self, Vec<S>), E> {
-        let n = threads.len();
-        let mut off = Vec::with_capacity(n + 1);
-        let mut tids = Vec::with_capacity(n);
-        // Exclusive prefix sums per thread: event (`off`), mem and side
-        // arena positions.
-        let (mut mem_off, mut side_off) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
-        let (mut n_events, mut n_mems, mut n_sides) = (0usize, 0usize, 0usize);
-        for t in threads {
-            off.push(n_events as u32);
-            tids.push(t.tid);
-            mem_off.push(n_mems);
-            side_off.push(n_sides);
-            n_events += t.block_count() + t.side_count() + 1;
-            n_mems += t.mem_count();
-            n_sides += t.side_count();
-        }
-        assert!(
-            n_events <= u32::MAX as usize && n_mems <= u32::MAX as usize,
-            "capture exceeds the tape's 32-bit offsets"
-        );
-        off.push(n_events as u32);
-        mem_off.push(n_mems);
-        side_off.push(n_sides);
-        // A thread's walk costs about one step per record it writes.
-        let weight: Vec<usize> = off.iter().zip(&mem_off).map(|(&e, &m)| e as usize + m).collect();
-
+        scratch: impl Fn() -> W + Sync,
+        walk: impl Fn(&mut W, usize, &mut TapeWriter<'_>) -> Result<U, E> + Sync,
+    ) -> Result<Built<W, U>, Failed<E>> {
+        assert!(TapeExtent::fit_offsets(extents), "capture exceeds the tape's 32-bit offsets");
+        let total = TapeExtent::total(extents);
+        let (n, n_events) = (total.threads as usize, total.events() as usize);
         let mut events: Vec<TapeEvent> = Vec::with_capacity(n_events);
-        let mut mems: Vec<TapeMem> = Vec::with_capacity(n_mems);
-        let mut sides: Vec<SideEvent> = Vec::with_capacity(n_sides);
+        let mut mems: Vec<TapeMem> = Vec::with_capacity(total.mems as usize);
+        let mut sides: Vec<SideEvent> = Vec::with_capacity(total.sides as usize);
+        let mut off: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut tids: Vec<u32> = Vec::with_capacity(n);
 
-        let ranges = partition(&weight, workers.max(1));
         let mut ev_rest = &mut events.spare_capacity_mut()[..n_events];
-        let mut mem_rest = &mut mems.spare_capacity_mut()[..n_mems];
-        let mut side_rest = &mut sides.spare_capacity_mut()[..n_sides];
-        let mut jobs = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            let (ev, rest) = ev_rest.split_at_mut((off[r.end] - off[r.start]) as usize);
-            ev_rest = rest;
-            let (mm, rest) = mem_rest.split_at_mut(mem_off[r.end] - mem_off[r.start]);
-            mem_rest = rest;
-            let (sd, rest) = side_rest.split_at_mut(side_off[r.end] - side_off[r.start]);
-            side_rest = rest;
+        let mut mem_rest = &mut mems.spare_capacity_mut()[..total.mems as usize];
+        let mut side_rest = &mut sides.spare_capacity_mut()[..total.sides as usize];
+        let mut off_rest = &mut off.spare_capacity_mut()[..n];
+        let mut tid_rest = &mut tids.spare_capacity_mut()[..n];
+        let mut base = TapeExtent::default();
+        let mut jobs = Vec::with_capacity(extents.len());
+        for (i, e) in extents.iter().enumerate() {
             let writer = TapeWriter {
-                events: Fill { slots: ev, len: 0 },
-                mems: Fill { slots: mm, len: 0 },
-                sides: Fill { slots: sd, len: 0 },
-                mem_base: mem_off[r.start] as u32,
-                side_base: side_off[r.start] as u32,
+                events: take(&mut ev_rest, e.events()),
+                mems: take(&mut mem_rest, e.mems),
+                sides: take(&mut side_rest, e.sides),
+                off: take(&mut off_rest, e.threads),
+                tids: take(&mut tid_rest, e.threads),
+                event_base: base.events() as u32,
+                mem_base: base.mems as u32,
+                side_base: base.sides as u32,
             };
-            jobs.push((&threads[r], writer));
+            jobs.push((i, writer));
+            base = base.plus(*e);
         }
-        assert!(
-            ev_rest.is_empty() && mem_rest.is_empty() && side_rest.is_empty(),
-            "thread ranges must tile the arenas"
-        );
 
-        let run = |(range, mut writer): (&[ThreadTrace], TapeWriter<'_>)| {
-            let out = walk(range, &mut writer);
-            (out, writer.is_full())
-        };
-        let mut jobs = jobs.into_iter();
-        let first = jobs.next();
-        let outs: Vec<(Result<S, E>, bool)> = std::thread::scope(|sc| {
-            let spawned: Vec<_> = jobs.map(|job| sc.spawn(|| run(job))).collect();
-            let mut outs: Vec<_> = first.map(&run).into_iter().collect();
-            for h in spawned {
-                outs.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        let queue = Mutex::new(jobs.into_iter());
+        let run = || {
+            let mut state = scratch();
+            let mut done = Vec::new();
+            loop {
+                let Some((i, mut writer)) = queue.lock().expect("tape job queue").next() else {
+                    return (state, done);
+                };
+                let out = walk(&mut state, i, &mut writer);
+                done.push((i, out, writer.is_full()));
             }
-            outs
+        };
+        let walkers = workers.clamp(1, extents.len().max(1));
+        let finished: Vec<_> = std::thread::scope(|sc| {
+            let spawned: Vec<_> = (1..walkers).map(|_| sc.spawn(run)).collect();
+            let mut finished = vec![run()];
+            for h in spawned {
+                finished.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            finished
         });
 
-        let mut results = Vec::with_capacity(outs.len());
-        for (out, full) in outs {
-            results.push(out?);
-            assert!(full, "a thread's cursor yielded fewer records than its columns count");
+        let mut states = Vec::with_capacity(finished.len());
+        let mut outs: Vec<Option<U>> = (0..extents.len()).map(|_| None).collect();
+        let mut failed = Vec::new();
+        for (state, done) in finished {
+            states.push(state);
+            for (i, out, full) in done {
+                match out {
+                    Ok(u) => {
+                        assert!(full, "a thread yielded fewer records than its extent counts");
+                        outs[i] = Some(u);
+                    }
+                    Err(e) => failed.push((i, e)),
+                }
+            }
         }
-        // SAFETY: the writers' slices tile `..n_events` / `..n_mems` /
-        // `..n_sides` of the three spare capacities exactly (consecutive
-        // `split_at_mut`s with nothing left over, asserted above); every
-        // walk returned `Ok` and — asserted in the loop above — filled its
-        // slices completely, and `Fill::push` initializes each slot it
-        // counts. The lengths do not exceed the capacities reserved by
-        // `with_capacity`.
+        if !failed.is_empty() {
+            failed.sort_unstable_by_key(|&(i, _)| i);
+            return Err(failed);
+        }
+        // SAFETY: the writers' slices tile `..n_events` / `..mems` /
+        // `..sides` / `..n` of the five spare capacities exactly (each
+        // extent takes its own totals off the front, and the totals sum
+        // to the reserved lengths); every walk returned `Ok` and —
+        // asserted in the loop above — filled its slices completely, and
+        // `Fill::push` initializes each slot it counts. The lengths do not
+        // exceed the capacities reserved by `with_capacity`.
         unsafe {
             events.set_len(n_events);
-            mems.set_len(n_mems);
-            sides.set_len(n_sides);
+            mems.set_len(total.mems as usize);
+            sides.set_len(total.sides as usize);
+            off.set_len(n);
+            tids.set_len(n);
         }
-        Ok((LaneTapes { events, off, tids, mems, sides }, results))
+        off.push(n_events as u32);
+        let outs = outs.into_iter().map(|u| u.expect("every extent ran")).collect();
+        Ok((LaneTapes { events, off, tids, mems, sides }, states, outs))
     }
 
     /// Read-only view over the arena, cheap to copy into the emulator's
@@ -388,7 +475,8 @@ impl LaneTapes {
                     tapes.mems.push(TapeMem {
                         addr: m.addr,
                         inst: m.inst_idx,
-                        size: m.size as u32,
+                        size: m.size,
+                        is_store: m.is_store,
                     });
                 }
                 tapes.events.push(TapeEvent {
@@ -474,7 +562,8 @@ mod tests {
                 for (j, m) in recs.iter().enumerate() {
                     assert_eq!(v.mems[lo + j].inst, m.inst_idx);
                     assert_eq!(v.mems[lo + j].addr, m.addr);
-                    assert_eq!(v.mems[lo + j].size, m.size as u32);
+                    assert_eq!(v.mems[lo + j].size, m.size);
+                    assert_eq!(v.mems[lo + j].is_store, m.is_store);
                 }
                 pos += 1;
             }

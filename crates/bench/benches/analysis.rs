@@ -50,7 +50,7 @@ fn bench_analysis(c: &mut Criterion) {
     // Warm-index emulation: the sweep fast path (index built once outside).
     let index = AnalysisIndex::build(&w.program, &traces).unwrap();
     group.bench_function("warp_emulation_w32_indexed", |b| {
-        b.iter(|| AnalyzerConfig::new(32).analyze_indexed(&w.program, &traces, &index).unwrap())
+        b.iter(|| AnalyzerConfig::new(32).analyze_indexed(&w.program, &index).unwrap())
     });
     group.finish();
 }

@@ -12,6 +12,11 @@
 //! Skipped instructions (I/O, lock spinning) still cost CPU cycles — the
 //! real CPU executes them even though the tracer does not trace them.
 //!
+//! The model replays any [`ThreadSource`]: a [`TraceSet`], or the
+//! [`AnalysisIndex`] built from it — whose replay tapes hold the same
+//! streams, so a capture that keeps only its index (a trace file analyzed
+//! chunk by chunk) still projects, with identical cycles.
+//!
 //! Like the SIMT device model, the memory system is banked per core
 //! (private L1, L2 slice, even DRAM-bandwidth share), so cores never
 //! interact and the per-core replay fans across scoped worker threads
@@ -42,8 +47,80 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use threadfuser_analyzer::AnalysisIndex;
 use threadfuser_mem::{Cache, CacheConfig, Hierarchy, HierarchyConfig};
 use threadfuser_tracer::{TraceEvent, TraceSet};
+
+/// One step of a thread's stream as the CPU model replays it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CpuEvent {
+    /// A basic block retiring this many instructions.
+    Insts(u32),
+    /// A memory access of the block just retired.
+    Mem {
+        /// Effective address.
+        addr: u64,
+        /// Whether the access is a store.
+        is_store: bool,
+    },
+    /// A call, return, lock or barrier event.
+    Side,
+}
+
+/// A source of per-thread streams for the CPU model, in stream order:
+/// each block's accesses right after it, side events where they
+/// happened. Thread `t` runs on core `t % n_cores`; the replay is
+/// monomorphized per source.
+pub trait ThreadSource: Sync {
+    /// Threads in the source.
+    fn thread_count(&self) -> usize;
+
+    /// Thread `t`'s stream.
+    fn thread(&self, t: usize) -> impl Iterator<Item = CpuEvent> + '_;
+
+    /// Instructions thread `t` skipped in opaque I/O and lock spinning.
+    fn skipped(&self, t: usize) -> u64;
+}
+
+impl ThreadSource for TraceSet {
+    fn thread_count(&self) -> usize {
+        self.threads().len()
+    }
+
+    fn thread(&self, t: usize) -> impl Iterator<Item = CpuEvent> + '_ {
+        self.threads()[t].iter_events().map(|e| match e {
+            TraceEvent::Block { n_insts, .. } => CpuEvent::Insts(n_insts),
+            TraceEvent::Mem { addr, is_store, .. } => CpuEvent::Mem { addr, is_store },
+            TraceEvent::Call { .. }
+            | TraceEvent::Ret
+            | TraceEvent::Acquire { .. }
+            | TraceEvent::Release { .. }
+            | TraceEvent::Barrier { .. } => CpuEvent::Side,
+        })
+    }
+
+    fn skipped(&self, t: usize) -> u64 {
+        let t = &self.threads()[t];
+        t.skipped_io + t.skipped_spin
+    }
+}
+
+impl ThreadSource for AnalysisIndex {
+    fn thread_count(&self) -> usize {
+        self.n_threads()
+    }
+
+    fn thread(&self, t: usize) -> impl Iterator<Item = CpuEvent> + '_ {
+        self.thread_stream(t).flat_map(|(ni, mems)| {
+            std::iter::once(ni.map_or(CpuEvent::Side, CpuEvent::Insts))
+                .chain(mems.iter().map(|m| CpuEvent::Mem { addr: m.addr, is_store: m.is_store }))
+        })
+    }
+
+    fn skipped(&self, t: usize) -> u64 {
+        self.thread_skipped(t)
+    }
+}
 
 /// Resolves a `workers` knob: 0 means the host's available parallelism
 /// (mirrors `threadfuser_simtsim::resolve_workers`).
@@ -126,7 +203,7 @@ impl CpuSimStats {
 }
 
 /// Replays per-thread traces through the multicore timing model.
-pub fn simulate_cpu(traces: &TraceSet, config: &CpuSimConfig) -> CpuSimStats {
+pub fn simulate_cpu(traces: &impl ThreadSource, config: &CpuSimConfig) -> CpuSimStats {
     simulate_cpu_observed(traces, config, &threadfuser_obs::Obs::none())
 }
 
@@ -134,7 +211,7 @@ pub fn simulate_cpu(traces: &TraceSet, config: &CpuSimConfig) -> CpuSimStats {
 /// cache counters, the worker and active-core counts, and a per-core
 /// cycle histogram to `obs`.
 pub fn simulate_cpu_observed(
-    traces: &TraceSet,
+    traces: &impl ThreadSource,
     config: &CpuSimConfig,
     obs: &threadfuser_obs::Obs,
 ) -> CpuSimStats {
@@ -142,7 +219,7 @@ pub fn simulate_cpu_observed(
     let span = obs.span(Phase::CpuSim);
     let stats = simulate_cpu_impl(traces, config);
     if obs.enabled() {
-        let active = (config.n_cores.max(1) as usize).min(traces.threads().len());
+        let active = (config.n_cores.max(1) as usize).min(traces.thread_count());
         obs.counter(Phase::CpuSim, "workers", effective_workers(config.workers, active) as u64);
         obs.counter(Phase::CpuSim, "active_cores", active as u64);
         obs.counter(Phase::CpuSim, "cycles", stats.cycles);
@@ -179,7 +256,7 @@ struct CorePartial {
 /// Replays the threads assigned to one core (in round-robin arrival
 /// order) against its private L1 and banked L2/DRAM slice.
 fn simulate_core(
-    traces: &TraceSet,
+    traces: &impl ThreadSource,
     config: &CpuSimConfig,
     banked: HierarchyConfig,
     core: usize,
@@ -189,14 +266,14 @@ fn simulate_core(
     let mut l1 = Cache::new(config.l1);
     let mut hierarchy = Hierarchy::new(banked);
     let mut cycle = 0u64;
-    for t in traces.threads().iter().skip(core).step_by(n_cores) {
-        for e in t.iter_events() {
+    for t in (core..traces.thread_count()).step_by(n_cores) {
+        for e in traces.thread(t) {
             match e {
-                TraceEvent::Block { n_insts, .. } => {
+                CpuEvent::Insts(n_insts) => {
                     cycle += n_insts as u64;
                     part.insts += n_insts as u64;
                 }
-                TraceEvent::Mem { addr, is_store, .. } => {
+                CpuEvent::Mem { addr, is_store } => {
                     let access = l1.access(addr, is_store);
                     if access.hit {
                         cycle += config.l1_hit_extra;
@@ -210,17 +287,13 @@ fn simulate_core(
                         let _ = hierarchy.access(cycle, addr, is_store);
                     }
                 }
-                TraceEvent::Call { .. }
-                | TraceEvent::Ret
-                | TraceEvent::Acquire { .. }
-                | TraceEvent::Release { .. }
-                | TraceEvent::Barrier { .. } => {
+                CpuEvent::Side => {
                     cycle += 2;
                 }
             }
         }
         if config.include_skipped {
-            let skipped = t.skipped_io + t.skipped_spin;
+            let skipped = traces.skipped(t);
             cycle += skipped;
             part.insts += skipped;
         }
@@ -233,7 +306,7 @@ fn simulate_core(
     part
 }
 
-fn simulate_cpu_impl(traces: &TraceSet, config: &CpuSimConfig) -> CpuSimStats {
+fn simulate_cpu_impl(traces: &impl ThreadSource, config: &CpuSimConfig) -> CpuSimStats {
     let n_cores = config.n_cores.max(1) as usize;
     // Banked memory system: per-core L2 slice + even DRAM bandwidth share,
     // so per-core clocks stay independent (see threadfuser-simtsim). The
@@ -246,7 +319,7 @@ fn simulate_cpu_impl(traces: &TraceSet, config: &CpuSimConfig) -> CpuSimStats {
 
     // Threads are distributed round-robin: thread i runs on core
     // i % n_cores. Only cores with assigned threads are constructed.
-    let active = n_cores.min(traces.threads().len());
+    let active = n_cores.min(traces.thread_count());
     let workers = effective_workers(config.workers, active);
     let partials: Vec<CorePartial> = if workers <= 1 {
         (0..active).map(|c| simulate_core(traces, config, banked, c, n_cores)).collect()

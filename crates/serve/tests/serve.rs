@@ -7,7 +7,7 @@ use std::sync::Arc;
 use threadfuser::prelude::*;
 use threadfuser::service::{
     AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobErrorCode, JobOp, JobOutcome, JobRequest,
-    JobResponse, SweepJob, ValidateJob,
+    JobResponse, SpeedupJob, SweepJob, ValidateJob,
 };
 use threadfuser_serve::{Client, Frame, ServeConfig, Server};
 
@@ -311,6 +311,29 @@ fn out_of_range_warp_size_is_a_bad_request_and_the_worker_survives() {
         assert_eq!(e.code, JobErrorCode::BadRequest, "job {id}: {}", e.message);
         assert_eq!(call(100 + id, JobOp::Ping).outcome, JobOutcome::Pong, "after job {id}");
     }
+    server.shutdown();
+}
+
+/// The SIMT simulator has no issue-width model, so a projection under a
+/// resized formation would read exactly like `Fixed`: the job is refused,
+/// not answered with a number that ignores the knob.
+#[test]
+fn speedup_under_a_resized_formation_is_a_bad_request() {
+    let (server, addr, _sink) = bind(ServeConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let speedup = |formation| {
+        JobOp::Speedup(SpeedupJob {
+            capture: CaptureSpec::workload("vectoradd", OptLevel::O3).with_threads(32),
+            config: AnalyzerKnobs { formation, ..AnalyzerKnobs::default() },
+            cores: 4,
+        })
+    };
+    let resized = speedup(WarpFormation::DynamicResize { min_width: 8 });
+    let (resp, _) = client.call(&JobRequest::new(1, resized)).unwrap();
+    let JobOutcome::Failed(e) = resp.outcome else { panic!("resized speedup must be refused") };
+    assert_eq!(e.code, JobErrorCode::BadRequest, "{}", e.message);
+    let (resp, _) = client.call(&JobRequest::new(2, speedup(WarpFormation::Fixed))).unwrap();
+    assert!(matches!(resp.outcome, JobOutcome::Speedup(_)), "fixed speedup: {:?}", resp.outcome);
     server.shutdown();
 }
 

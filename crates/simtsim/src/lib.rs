@@ -835,7 +835,7 @@ mod tests {
         let (traces, _) = trace_program(&p, MachineConfig::new(k, 1024)).unwrap();
         let config = AnalyzerConfig::new(32);
         let index = AnalysisIndex::build(&p, &traces).unwrap();
-        let (_, rec) = record_warp_steps_indexed(&p, &traces, &index, &config).unwrap();
+        let (_, rec) = record_warp_steps_indexed(&p, &index, &config).unwrap();
         let wt = expand_warp_recording(&rec, &config);
         for scheduler in [Scheduler::Gto, Scheduler::Lrr] {
             for (n_cores, workers) in [(1, 1), (4, 2), (46, 8)] {

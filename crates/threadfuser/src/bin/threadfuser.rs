@@ -34,8 +34,8 @@ use threadfuser::analyzer::{BatchPolicy, ReconvergenceModel, WarpFormation};
 use threadfuser::ir::OptLevel;
 use threadfuser::obs::{JsonLinesSink, Obs};
 use threadfuser::service::{
-    execute_with, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobOp, JobOutcome, JobRequest,
-    JobResponse, SpeedupJob, SweepJob, ValidateJob,
+    execute_with, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobErrorCode, JobOp, JobOutcome,
+    JobRequest, JobResponse, SpeedupJob, SweepJob, ValidateJob,
 };
 use threadfuser::tracer::{encode_v3, encode_v3_with, DecodeLimits, ValidationPolicy};
 use threadfuser::workloads::all;
@@ -101,6 +101,7 @@ fn usage() -> ExitCode {
          options: --threads N --warp N --opt O0|O1|O2|O3 --locks\n         \
          --batching linear|strided|shuffled --cores N --json\n         \
          --model ipdom|stackless|melding --formation fixed|resize:N\n         \
+         (speedup takes fixed only: the SIMT simulator has no issue width)\n         \
          --models LIST --formations LIST   sweep axes (comma lists)\n         \
          --out FILE --workload NAME --skip-bad\n         \
          --chunk-kb N   trace-file chunk budget in KiB (N >= 1)\n         \
@@ -108,7 +109,7 @@ fn usage() -> ExitCode {
          --max-mb N   decode limits for trace-file inputs\n         \
          --obs FILE   write per-phase metrics as JSON lines to FILE\n\n\
          exit codes: 0 success, 1 job failed (or invalid trace file),\n             \
-         2 usage error\n\n\
+         2 usage error (or a request the service refuses as bad)\n\n\
          --json prints the service JobResponse envelope (the same schema\n\
          threadfuser-serve speaks); failures carry a structured JobError."
     );
@@ -405,11 +406,11 @@ fn render_text(cmd: &str, name: &str, o: &Options, outcome: &JobOutcome) -> Exit
         }
         JobOutcome::Failed(e) if cmd == "validate" => {
             println!("{name}: INVALID — {}", e.message);
-            ExitCode::FAILURE
+            exit_for(outcome)
         }
         JobOutcome::Failed(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            exit_for(outcome)
         }
         other => {
             eprintln!("error: unexpected outcome {other:?}");
@@ -419,9 +420,11 @@ fn render_text(cmd: &str, name: &str, o: &Options, outcome: &JobOutcome) -> Exit
 }
 
 /// The exit code an outcome earns in `--json` mode (where rendering is
-/// just the envelope).
+/// just the envelope): a request the service refuses as malformed is a
+/// usage error (2), any other failure is 1.
 fn exit_for(outcome: &JobOutcome) -> ExitCode {
     match outcome {
+        JobOutcome::Failed(e) if e.code == JobErrorCode::BadRequest => ExitCode::from(2),
         JobOutcome::Failed(_) => ExitCode::FAILURE,
         JobOutcome::Validation(v) if !v.valid => ExitCode::FAILURE,
         _ => ExitCode::SUCCESS,
@@ -441,7 +444,7 @@ fn print_envelope(resp: &JobResponse) {
 /// `trace` stays outside the service layer (it writes a file), but its
 /// failures still speak the [`JobError`] schema under `--json`.
 fn cmd_trace(name: &str, o: &Options) -> Result<String, threadfuser::service::JobError> {
-    use threadfuser::service::{JobError, JobErrorCode};
+    use threadfuser::service::JobError;
     let out = o.out.as_deref().ok_or_else(|| JobError::bad_request("trace needs --out FILE"))?;
     let w = threadfuser::workloads::by_name(name).ok_or_else(|| {
         JobError::new(

@@ -16,11 +16,12 @@
 //! "Sweeping configurations" notes), so a K-config sweep pays DCFG
 //! construction and IPDOM solving once instead of K times.
 
+use std::borrow::Borrow;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use threadfuser_analyzer::{
-    AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig, BatchPolicy, ReconvergenceModel,
-    ReconvergencePolicy, WarpFormation,
+    AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig, BatchPolicy, ChunkIndexError,
+    ReconvergenceModel, ReconvergencePolicy, WarpFormation,
 };
 use threadfuser_cpusim::{simulate_cpu_observed, CpuSimConfig, CpuSimStats};
 use threadfuser_ir::{FuncCfg, FuncId, OptLevel, Program};
@@ -29,12 +30,14 @@ use threadfuser_machine::{
     MachineError,
 };
 use threadfuser_obs::{Obs, Phase};
-use threadfuser_simtsim::{simulate_observed, SimtSimConfig, SimtSimStats, WarpSource};
+use threadfuser_simtsim::{simulate_observed, SimtSimConfig, SimtSimStats};
 use threadfuser_tracegen::{
     expand_warp_recording, generate_warp_traces_indexed, record_warp_steps_indexed, WarpRecording,
     WarpTraceSet,
 };
-use threadfuser_tracer::{trace_program_observed, DecodeError, TraceSet};
+use threadfuser_tracer::{
+    trace_program_observed, DecodeError, DecodeOptions, Quarantined, TraceSet, TraceSetReader,
+};
 use threadfuser_workloads::Workload;
 
 /// Any error the pipeline can surface.
@@ -63,6 +66,11 @@ pub enum PipelineError {
     /// capped cycle counts are best-effort, so projecting a speedup from
     /// them would silently understate GPU time; raise the budget instead.
     TruncatedSimulation,
+    /// A speedup projection was asked under a warp formation other than
+    /// [`WarpFormation::Fixed`]. The SIMT simulator issues whole warps and
+    /// has no issue-width model, so the projection would silently equal
+    /// the fixed one.
+    UnsupportedFormation(WarpFormation),
 }
 
 impl PipelineError {
@@ -73,9 +81,9 @@ impl PipelineError {
             PipelineError::Machine(_) => Phase::Trace,
             PipelineError::Analyze(_) => Phase::WarpEmulate,
             PipelineError::Lockstep(_) => Phase::Lockstep,
-            PipelineError::ZeroCycleSimulation | PipelineError::TruncatedSimulation => {
-                Phase::SimtSim
-            }
+            PipelineError::ZeroCycleSimulation
+            | PipelineError::TruncatedSimulation
+            | PipelineError::UnsupportedFormation(_) => Phase::SimtSim,
         }
     }
 
@@ -119,6 +127,13 @@ impl fmt::Display for PipelineError {
                      truncated simulation would be unsound"
                 )
             }
+            PipelineError::UnsupportedFormation(formation) => {
+                write!(
+                    f,
+                    "speedup projects fixed-width warps only, not {formation:?}: the SIMT \
+                     simulator has no issue-width model"
+                )
+            }
         }
     }
 }
@@ -140,6 +155,15 @@ impl From<MachineError> for PipelineError {
 impl From<AnalyzeError> for PipelineError {
     fn from(e: AnalyzeError) -> Self {
         PipelineError::Analyze(e)
+    }
+}
+
+impl From<ChunkIndexError> for PipelineError {
+    fn from(e: ChunkIndexError) -> Self {
+        match e {
+            ChunkIndexError::Decode(e) => PipelineError::Decode(e),
+            ChunkIndexError::Analyze(e) => PipelineError::Analyze(e),
+        }
     }
 }
 
@@ -317,32 +341,47 @@ impl Pipeline {
     /// # Errors
     /// Propagates machine faults (traps, deadlock).
     pub fn trace(&self) -> Result<Traced, PipelineError> {
-        let obs = self.analyzer.obs.clone();
-        let program = {
-            let _span = obs.span(Phase::Optimize);
-            self.opt.apply(&self.program)
-        };
+        let obs = &self.analyzer.obs;
+        let program = self.optimized();
         // Predecode once per capture; the tracing machine, any lock-step
         // re-run at the same optimization level, and every clone of the
         // returned artifact share this flattened form.
-        let exec = Arc::new(ExecProgram::build_observed(&program, &obs));
+        let exec = Arc::new(ExecProgram::build_observed(&program, obs));
         let machine_cfg = self.machine_config().exec_program(Arc::clone(&exec));
-        let (traces, _) = trace_program_observed(&program, machine_cfg, &obs)?;
-        Ok(Traced {
+        let (traces, _) = trace_program_observed(&program, machine_cfg, obs)?;
+        Ok(self.captured(program, exec, Replay::set(traces), self.threads, OnceLock::new()))
+    }
+
+    fn optimized(&self) -> Program {
+        let _span = self.analyzer.obs.span(Phase::Optimize);
+        self.opt.apply(&self.program)
+    }
+
+    /// The [`Traced`] artifact of `program`'s capture under this
+    /// pipeline's settings.
+    fn captured(
+        &self,
+        program: Program,
+        exec: Arc<ExecProgram>,
+        replay: Arc<Replay>,
+        threads: u32,
+        index: OnceLock<Arc<AnalysisIndex>>,
+    ) -> Traced {
+        Traced {
             program,
-            traces,
+            replay,
             exec,
             analyzer: self.analyzer.clone(),
-            index: OnceLock::new(),
+            index,
             report: OnceLock::new(),
             recording: OnceLock::new(),
             source: self.program.clone(),
             kernel: self.kernel,
             init: self.init,
-            threads: self.threads,
+            threads,
             traced_opt: self.opt,
             hardware_opt: self.hardware_opt,
-        })
+        }
     }
 
     /// Wraps externally captured traces — e.g. decoded from a trace file
@@ -353,28 +392,61 @@ impl Pipeline {
     /// program at this optimization level; a mismatch surfaces as an
     /// analyzer error when the capture is replayed.
     pub fn adopt_traces(&self, traces: TraceSet) -> Traced {
-        let obs = self.analyzer.obs.clone();
-        let program = {
-            let _span = obs.span(Phase::Optimize);
-            self.opt.apply(&self.program)
-        };
-        let exec = Arc::new(ExecProgram::build_observed(&program, &obs));
+        let program = self.optimized();
+        let exec = Arc::new(ExecProgram::build_observed(&program, &self.analyzer.obs));
         let threads = traces.threads().len() as u32;
-        Traced {
-            program,
-            traces,
-            exec,
-            analyzer: self.analyzer.clone(),
-            index: OnceLock::new(),
-            report: OnceLock::new(),
-            recording: OnceLock::new(),
-            source: self.program.clone(),
-            kernel: self.kernel,
-            init: self.init,
-            threads,
-            traced_opt: self.opt,
-            hardware_opt: self.hardware_opt,
-        }
+        self.captured(program, exec, Replay::set(traces), threads, OnceLock::new())
+    }
+
+    /// [`Pipeline::adopt_traces`] for a trace file still in its encoded
+    /// form, decoded under `opts`, returning the capture already indexed
+    /// and the threads the decode quarantined. A v3 file is indexed
+    /// straight from its chunks ([`AnalysisIndex::build_from_chunks`]) and
+    /// keeps only its bytes and index; [`Traced::traces`] decodes it on
+    /// first request. A file without trustworthy per-chunk counts — v1/v2,
+    /// or a chunk that quarantines threads — is decoded whole (a `decode`
+    /// span, `decode_rejects`/`quarantined_threads` counters) and adopted
+    /// as a set. Either way every product, quarantine row and error equals
+    /// adopting [`TraceSetReader::into_decoded`]'s set.
+    ///
+    /// # Errors
+    /// [`PipelineError::Decode`] when the file fails to decode, which
+    /// outranks [`PipelineError::Analyze`] for a malformed thread.
+    pub(crate) fn adopt_trace_file(
+        &self,
+        encoded: Vec<u8>,
+        opts: &DecodeOptions,
+    ) -> Result<(Traced, Vec<Quarantined>), PipelineError> {
+        let obs = &self.analyzer.obs;
+        let reject = |e| {
+            obs.counter(Phase::Decode, "decode_rejects", 1);
+            PipelineError::Decode(e)
+        };
+        let reader = TraceSetReader::from_bytes(encoded, opts).map_err(reject)?;
+        let program = self.optimized();
+        let parallelism = self.analyzer.parallelism;
+        let (replay, index, quarantined) =
+            match AnalysisIndex::build_from_chunks(&program, &reader, parallelism, obs)? {
+                Some(index) => (Replay::file(reader), index, Vec::new()),
+                None => {
+                    let span = obs.span(Phase::Decode);
+                    let decoded = reader.into_decoded();
+                    span.finish();
+                    let decoded = decoded.map_err(reject)?;
+                    if !decoded.quarantined.is_empty() {
+                        let n = decoded.quarantined.len() as u64;
+                        obs.counter(Phase::Decode, "decode_rejects", n);
+                        obs.counter(Phase::Decode, "quarantined_threads", n);
+                    }
+                    let index =
+                        AnalysisIndex::build_observed(&program, &decoded.traces, parallelism, obs)?;
+                    (Replay::set(decoded.traces), index, decoded.quarantined)
+                }
+            };
+        let exec = Arc::new(ExecProgram::build_observed(&program, obs));
+        let threads = index.n_threads() as u32;
+        let index = OnceLock::from(Arc::new(index));
+        Ok((self.captured(program, exec, replay, threads, index), quarantined))
     }
 
     /// The headline operation: trace, then run the ThreadFuser analysis.
@@ -416,6 +488,8 @@ impl Pipeline {
     ///
     /// # Errors
     /// Propagates machine and analyzer errors,
+    /// [`PipelineError::UnsupportedFormation`] under any formation but
+    /// [`WarpFormation::Fixed`],
     /// [`PipelineError::ZeroCycleSimulation`] when the device simulation
     /// does no work, and [`PipelineError::TruncatedSimulation`] when it
     /// exhausts its cycle budget.
@@ -450,16 +524,22 @@ fn run_lockstep_observed(
     Ok(stats)
 }
 
-/// Speedup projection shared by [`Traced`] and [`TracedView`]. The caller
-/// supplies the warp source: `Traced` its cached step recording, a view a
-/// fresh one — never a materialized [`WarpTraceSet`].
-fn project_speedup_impl(
-    warps: &impl WarpSource,
-    traces: &TraceSet,
+/// Speedup projection shared by [`Traced`] and [`TracedView`]. `record`
+/// supplies the warp source — `Traced` its cached step recording, a view a
+/// fresh one, never a materialized [`WarpTraceSet`] — and the capture's
+/// index, which the CPU model replays. It runs only for a projectable
+/// configuration: any formation but [`WarpFormation::Fixed`] is refused
+/// first.
+fn project_speedup_impl<R: Borrow<WarpRecording>>(
     analyzer: &AnalyzerConfig,
     simt: &SimtSimConfig,
     cpu: &CpuSimConfig,
+    record: impl FnOnce() -> Result<(R, Arc<AnalysisIndex>), PipelineError>,
 ) -> Result<SpeedupProjection, PipelineError> {
+    if analyzer.formation != WarpFormation::Fixed {
+        return Err(PipelineError::UnsupportedFormation(analyzer.formation));
+    }
+    let (warps, index) = record()?;
     let obs = &analyzer.obs;
     // The pipeline's parallelism knob governs the whole projection: a
     // simulator config left at `workers: 0` (auto) inherits the analyzer
@@ -479,17 +559,36 @@ fn project_speedup_impl(
         }
         c
     };
-    let gpu_stats = simulate_observed(warps, &simt, obs);
+    let gpu_stats = simulate_observed(warps.borrow(), &simt, obs);
     if gpu_stats.truncated {
         return Err(PipelineError::TruncatedSimulation);
     }
-    let cpu_stats = simulate_cpu_observed(traces, &cpu, obs);
+    let cpu_stats = simulate_cpu_observed(&*index, &cpu, obs);
     let gpu_s = gpu_stats.seconds(simt.clock_ghz);
     let cpu_s = cpu_stats.seconds(cpu.clock_ghz);
     if gpu_s <= 0.0 {
         return Err(PipelineError::ZeroCycleSimulation);
     }
     Ok(SpeedupProjection { gpu: gpu_stats, cpu: cpu_stats, speedup: cpu_s / gpu_s })
+}
+
+/// Where a capture's thread streams live besides its index: the decoded
+/// set, or — for a trace file indexed chunk by chunk — the encoded file,
+/// decoded into `traces` (and dropped) only when asked.
+#[derive(Debug)]
+struct Replay {
+    traces: OnceLock<TraceSet>,
+    file: Mutex<Option<TraceSetReader>>,
+}
+
+impl Replay {
+    fn set(traces: TraceSet) -> Arc<Self> {
+        Arc::new(Replay { traces: OnceLock::from(traces), file: Mutex::new(None) })
+    }
+
+    fn file(reader: TraceSetReader) -> Arc<Self> {
+        Arc::new(Replay { traces: OnceLock::new(), file: Mutex::new(Some(reader)) })
+    }
 }
 
 /// The reusable capture [`Pipeline::trace`] produces: the optimized
@@ -513,12 +612,13 @@ fn project_speedup_impl(
 /// assert_eq!(report.warps as usize, warps.warps().len());
 /// ```
 ///
-/// Cloning a `Traced` shares the already-built index (the capture is
-/// immutable, so the cache stays valid across clones).
+/// Cloning a `Traced` shares its traces and the already-built index (the
+/// capture is immutable, so the cache stays valid across clones).
 #[derive(Debug, Clone)]
 pub struct Traced {
     program: Program,
-    traces: TraceSet,
+    /// Shared by clones, so a file-backed capture decodes once.
+    replay: Arc<Replay>,
     /// Predecoded form of `program`, built once in [`Pipeline::trace`].
     exec: Arc<ExecProgram>,
     analyzer: AnalyzerConfig,
@@ -548,9 +648,15 @@ impl Traced {
         &self.program
     }
 
-    /// The captured per-thread traces.
+    /// The captured per-thread traces. A capture adopted from a trace file
+    /// holds only the encoded file and its index; the first call decodes
+    /// the file, and the set equals an eager decode of it.
     pub fn traces(&self) -> &TraceSet {
-        &self.traces
+        self.replay.traces.get_or_init(|| {
+            let file = self.replay.file.lock().expect("replay file lock").take();
+            let file = file.expect("a capture holds its traces or their file");
+            file.into_decoded().expect("every chunk decoded clean when the index was built").traces
+        })
     }
 
     /// The capture's predecoded program — the flattened execution form
@@ -579,9 +685,11 @@ impl Traced {
             self.analyzer.obs.counter(Phase::IndexBuild, "index_hits", 1);
             return Ok(Arc::clone(ix));
         }
+        // A file-backed capture is born indexed, so this reads a set that
+        // is already resident.
         let built = Arc::new(AnalysisIndex::build_observed(
             &self.program,
-            &self.traces,
+            self.traces(),
             self.analyzer.parallelism,
             &self.analyzer.obs,
         )?);
@@ -633,8 +741,7 @@ impl Traced {
             return Ok(Arc::clone(rec));
         }
         let index = self.index()?;
-        let (report, recording) =
-            record_warp_steps_indexed(&self.program, &self.traces, &index, &self.analyzer)?;
+        let (report, recording) = record_warp_steps_indexed(&self.program, &index, &self.analyzer)?;
         self.report.get_or_init(|| Arc::new(report));
         Ok(Arc::clone(self.recording.get_or_init(|| Arc::new(recording))))
     }
@@ -656,7 +763,7 @@ impl Traced {
             return Ok((**r).clone());
         }
         let index = self.index()?;
-        let built = self.analyzer.analyze_indexed(&self.program, &self.traces, &index)?;
+        let built = self.analyzer.analyze_indexed(&self.program, &index)?;
         Ok((**self.report.get_or_init(|| Arc::new(built))).clone())
     }
 
@@ -678,6 +785,8 @@ impl Traced {
     ///
     /// # Errors
     /// Propagates analyzer errors,
+    /// [`PipelineError::UnsupportedFormation`] under any formation but
+    /// [`WarpFormation::Fixed`], checked before anything runs,
     /// [`PipelineError::ZeroCycleSimulation`] when the device simulation
     /// finishes in zero cycles (a speedup ratio would be meaningless),
     /// and [`PipelineError::TruncatedSimulation`] when it exhausts its
@@ -687,8 +796,10 @@ impl Traced {
         simt: &SimtSimConfig,
         cpu: &CpuSimConfig,
     ) -> Result<SpeedupProjection, PipelineError> {
-        let rec = self.recorded()?;
-        project_speedup_impl(&*rec, &self.traces, &self.analyzer, simt, cpu)
+        project_speedup_impl(&self.analyzer, simt, cpu, || {
+            let rec = self.recorded()?;
+            Ok((rec, Arc::clone(self.index.get().expect("recording builds the index"))))
+        })
     }
 
     /// Runs the capture's program warp-natively at the pipeline's
@@ -797,7 +908,7 @@ impl TracedView<'_> {
     /// Propagates analyzer errors.
     pub fn analyze(&self) -> Result<AnalysisReport, PipelineError> {
         let index = self.traced.index()?;
-        Ok(self.analyzer.analyze_indexed(&self.traced.program, &self.traced.traces, &index)?)
+        Ok(self.analyzer.analyze_indexed(&self.traced.program, &index)?)
     }
 
     /// Generates warp traces under this view's configuration against the
@@ -807,12 +918,7 @@ impl TracedView<'_> {
     /// Propagates analyzer errors.
     pub fn warp_traces(&self) -> Result<WarpTraceSet, PipelineError> {
         let index = self.traced.index()?;
-        Ok(generate_warp_traces_indexed(
-            &self.traced.program,
-            &self.traced.traces,
-            &index,
-            &self.analyzer,
-        )?)
+        Ok(generate_warp_traces_indexed(&self.traced.program, &index, &self.analyzer)?)
     }
 
     /// Projects the SIMT-over-CPU speedup under this view's configuration:
@@ -821,6 +927,8 @@ impl TracedView<'_> {
     ///
     /// # Errors
     /// Propagates analyzer errors,
+    /// [`PipelineError::UnsupportedFormation`] under any formation but
+    /// [`WarpFormation::Fixed`], checked before anything runs,
     /// [`PipelineError::ZeroCycleSimulation`] when the device simulation
     /// finishes in zero cycles, and
     /// [`PipelineError::TruncatedSimulation`] when it exhausts its cycle
@@ -830,14 +938,11 @@ impl TracedView<'_> {
         simt: &SimtSimConfig,
         cpu: &CpuSimConfig,
     ) -> Result<SpeedupProjection, PipelineError> {
-        let index = self.traced.index()?;
-        let (_, rec) = record_warp_steps_indexed(
-            &self.traced.program,
-            &self.traced.traces,
-            &index,
-            &self.analyzer,
-        )?;
-        project_speedup_impl(&rec, &self.traced.traces, &self.analyzer, simt, cpu)
+        project_speedup_impl(&self.analyzer, simt, cpu, || {
+            let index = self.traced.index()?;
+            let (_, rec) = record_warp_steps_indexed(&self.traced.program, &index, &self.analyzer)?;
+            Ok((rec, index))
+        })
     }
 }
 
@@ -910,6 +1015,52 @@ mod tests {
             let swept = traced.view().with_warp(warp).analyze().unwrap();
             let fresh = Pipeline::from_workload(&w).threads(64).warp_size(warp).analyze().unwrap();
             assert_eq!(swept, fresh, "warp {warp}");
+        }
+    }
+
+    /// A trace file adopted chunk by chunk serves every product exactly as
+    /// adopting its decoded set does, at any walker count and chunk
+    /// layout, and materialises that set on request.
+    #[test]
+    fn trace_file_adoption_equals_adopting_the_decoded_set() {
+        use threadfuser_tracer::encode_v3_with;
+        let w = by_name("pigz").unwrap();
+        let base = Pipeline::from_workload(&w).threads(128);
+        let set = base.trace().unwrap().traces().clone();
+        let (simt, cpu) = (SimtSimConfig::default(), CpuSimConfig::default());
+        let eager = base.adopt_traces(set.clone());
+        let report = eager.analyze().unwrap();
+        let warps = eager.warp_traces().unwrap();
+        let proj = eager.project_speedup(&simt, &cpu).unwrap();
+        let stackless = eager.view().with_model(ReconvergenceModel::StacklessPcMin);
+        let (stackless_report, stackless_proj) =
+            (stackless.analyze().unwrap(), stackless.project_speedup(&simt, &cpu).unwrap());
+        for budget in [1, 16 * 1024] {
+            let bytes = encode_v3_with(&set, budget);
+            for workers in [1, 2, 3, 8] {
+                let label = format!("budget {budget}, {workers} workers");
+                let pipeline = base.clone().parallelism(workers);
+                let (lazy, quarantined) =
+                    pipeline.adopt_trace_file(bytes.to_vec(), &DecodeOptions::default()).unwrap();
+                assert!(quarantined.is_empty());
+                assert!(
+                    lazy.replay.traces.get().is_none(),
+                    "{label}: v3 file must index chunk-wise"
+                );
+                assert_eq!(lazy.analyze().unwrap(), report, "{label}");
+                assert_eq!(lazy.warp_traces().unwrap(), warps, "{label}");
+                let p = lazy.project_speedup(&simt, &cpu).unwrap();
+                assert_eq!((p.gpu, p.cpu), (proj.gpu.clone(), proj.cpu.clone()), "{label}");
+                let view = lazy.view().with_model(ReconvergenceModel::StacklessPcMin);
+                assert_eq!(view.analyze().unwrap(), stackless_report, "{label}");
+                let p = view.project_speedup(&simt, &cpu).unwrap();
+                assert_eq!(p.cpu, stackless_proj.cpu, "{label}");
+                assert_eq!(p.gpu, stackless_proj.gpu, "{label}");
+                // A clone made before the set is materialised shares it.
+                let twin = lazy.clone();
+                assert_eq!(lazy.traces(), &set, "{label}: lazily decoded set");
+                assert!(std::ptr::eq(twin.traces(), lazy.traces()), "{label}: one set per capture");
+            }
         }
     }
 

@@ -38,7 +38,7 @@ use threadfuser_ir::OptLevel;
 use threadfuser_obs::{Obs, Phase, PhaseEvent};
 use threadfuser_simtsim::SimtSimConfig;
 use threadfuser_tracer::{
-    decode_observed, DecodeLimits, DecodeOptions, ProgramShape, TraceSetReader, ValidationPolicy,
+    DecodeLimits, DecodeOptions, ProgramShape, TraceSetReader, ValidationPolicy,
 };
 use threadfuser_workloads::{by_name, Workload};
 
@@ -660,6 +660,7 @@ impl From<PipelineError> for JobError {
             PipelineError::Lockstep(_) => JobErrorCode::Lockstep,
             PipelineError::ZeroCycleSimulation => JobErrorCode::ZeroCycleSimulation,
             PipelineError::TruncatedSimulation => JobErrorCode::TruncatedSimulation,
+            PipelineError::UnsupportedFormation(_) => JobErrorCode::BadRequest,
         };
         let mut err = JobError::new(code, e.to_string()).with_phase(e.phase());
         err.thread = e.thread();
@@ -695,12 +696,15 @@ impl Capture {
         &self.quarantined
     }
 
-    /// Resident cost charged against the cache byte budget. Workload
-    /// captures charge their columnar trace storage; trace-file captures
-    /// charge their *encoded* (on-disk) size — with the v3 chunked format
-    /// that is the compressed footprint, so the same budget admits far
-    /// more captures. Program + index are charged as a flat overhead
-    /// either way.
+    /// Cost charged against the cache byte budget. Workload captures
+    /// charge their columnar trace storage; trace-file captures charge
+    /// their *encoded* (on-disk) size — with the v3 chunked format that is
+    /// the compressed footprint, so the same budget admits far more
+    /// captures. Either way a flat 64 KiB is added for the program and its
+    /// predecoded form. The analysis index is **not** charged, although it
+    /// is resident in every cached capture and is the larger part of it:
+    /// its replay tapes run about 4× a v3 file's encoded size. Budget
+    /// `cache_bytes` with that in mind.
     pub fn cost_bytes(&self) -> u64 {
         self.bytes
     }
@@ -820,6 +824,12 @@ fn read_trace_file(
 ) -> Result<(), JobError> {
     use std::io::Read;
     let mut f = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
+    if let Some(bytes) = keep.as_deref_mut() {
+        // Sized once from the file's length, so the buffer never doubles
+        // while it grows; the limit below still governs what is read.
+        let len = f.metadata().map_or(0, |m| m.len());
+        bytes.reserve_exact(len.min(max_total_bytes) as usize);
+    }
     let mut chunk = [0u8; 64 * 1024];
     let mut total = 0u64;
     loop {
@@ -951,13 +961,14 @@ pub fn load_capture(spec: &CaptureSpec, obs: &Obs) -> Result<Capture, JobError> 
 
 /// Resolves a capture spec into a reusable [`Capture`]: workloads are
 /// optimized, predecoded, and traced; trace files are read once (via
-/// [`resolve_spec`]), decoded under the spec's policy and `limits`, and
-/// adopted against their workload's program. The analysis index (DCFGs +
-/// IPDOMs) is built eagerly here, so a cached capture pays trace +
-/// predecode + DCFG + IPDOM exactly once no matter how many jobs replay
-/// against it. `obs` is the capture-level observability handle (trace
-/// spans, the shared `index-build` span and `index_hits`/`index_misses`
-/// counters).
+/// [`resolve_spec`]) and adopted against their workload's program under
+/// the spec's policy and `limits` — a v3 file indexed chunk by chunk,
+/// keeping only its bytes and index, anything else decoded whole first.
+/// The analysis index (DCFGs + IPDOMs) is built eagerly here, so a cached
+/// capture pays trace + predecode + DCFG + IPDOM exactly once no matter
+/// how many jobs replay against it. `obs` is the capture-level
+/// observability handle (trace spans, the shared `index-build` span and
+/// `index_hits`/`index_misses` counters).
 ///
 /// # Errors
 /// `UnknownWorkload`/`Io`/`BadRequest` while resolving the source, and
@@ -989,6 +1000,7 @@ pub fn load_resolved(
         JobSource::Workload(name) => {
             let w = resolve_workload(name)?;
             let traced = pipeline_for(spec, &w, obs).trace().map_err(JobError::from)?;
+            traced.index().map_err(JobError::from)?;
             let bytes = traced.traces().storage_bytes() as u64 + CAPTURE_OVERHEAD_BYTES;
             Capture { traced, quarantined: Vec::new(), bytes }
         }
@@ -1002,12 +1014,12 @@ pub fn load_resolved(
             // format that is the compressed on-disk footprint, so cache
             // admission tracks what the operator actually budgets for.
             let bytes = encoded.len() as u64 + CAPTURE_OVERHEAD_BYTES;
-            let decoded = decode_trace_bytes(&encoded, spec, Some(&w), limits, obs)?;
-            let traced = pipeline_for(spec, &w, obs).adopt_traces(decoded.traces);
-            Capture { traced, quarantined: quarantine_rows(&decoded.quarantined), bytes }
+            let opts = decode_options_for(spec, Some(&w), limits);
+            let (traced, quarantined) =
+                pipeline_for(spec, &w, obs).adopt_trace_file(encoded, &opts)?;
+            Capture { traced, quarantined: quarantine_rows(&quarantined), bytes }
         }
     };
-    capture.traced.index().map_err(JobError::from)?;
     Ok(capture)
 }
 
@@ -1040,17 +1052,6 @@ fn decode_options_for(
         }
     }
     opts
-}
-
-fn decode_trace_bytes(
-    bytes: &[u8],
-    spec: &CaptureSpec,
-    workload: Option<&Workload>,
-    limits: &DecodeLimits,
-    obs: &Obs,
-) -> Result<threadfuser_tracer::Decoded, JobError> {
-    let opts = decode_options_for(spec, workload, limits);
-    decode_observed(bytes, &opts, obs).map_err(|e| JobError::from(PipelineError::Decode(e)))
 }
 
 // ---------------------------------------------------------------------------

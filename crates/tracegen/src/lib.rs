@@ -457,13 +457,11 @@ impl StepSink for StepRecorder {
 /// Propagates [`AnalyzeError`] from the underlying emulation.
 pub fn record_warp_steps_indexed(
     program: &Program,
-    traces: &TraceSet,
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
 ) -> Result<(AnalysisReport, WarpRecording), AnalyzeError> {
-    let (report, sinks) = analyze_indexed_with_warp_sinks(program, traces, index, config, |_| {
-        StepRecorder::default()
-    })?;
+    let (report, sinks) =
+        analyze_indexed_with_warp_sinks(program, index, config, |_| StepRecorder::default())?;
     let mut warps: Vec<WarpRec> = sinks.into_iter().map(|s| s.rec).collect();
     // The pre-parallel generator grew its warp list lazily, so warps past
     // the last one that ever stepped were absent; keep that shape.
@@ -544,22 +542,21 @@ pub fn generate_warp_traces(
     config: &AnalyzerConfig,
 ) -> Result<WarpTraceSet, AnalyzeError> {
     let index = AnalysisIndex::build_observed(program, traces, config.parallelism, &config.obs)?;
-    generate_warp_traces_indexed(program, traces, &index, config)
+    generate_warp_traces_indexed(program, &index, config)
 }
 
 /// [`generate_warp_traces`] against a prebuilt [`AnalysisIndex`] — the
-/// warm path of a config sweep. The index must come from the same
-/// `(program, traces)` pair.
+/// warm path of a config sweep. The index must come from `program`'s
+/// capture.
 ///
 /// # Errors
 /// Propagates [`AnalyzeError`] from the underlying emulation.
 pub fn generate_warp_traces_indexed(
     program: &Program,
-    traces: &TraceSet,
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
 ) -> Result<WarpTraceSet, AnalyzeError> {
-    let (_, recording) = record_warp_steps_indexed(program, traces, index, config)?;
+    let (_, recording) = record_warp_steps_indexed(program, index, config)?;
     Ok(expand_warp_recording(&recording, config))
 }
 
@@ -676,7 +673,7 @@ mod tests {
         let (traces, _) = trace_program(&p, MachineConfig::new(k, 8)).unwrap();
         let config = AnalyzerConfig::new(4);
         let index = AnalysisIndex::build(&p, &traces).unwrap();
-        let (_, recording) = record_warp_steps_indexed(&p, &traces, &index, &config).unwrap();
+        let (_, recording) = record_warp_steps_indexed(&p, &index, &config).unwrap();
         let wt = expand_warp_recording(&recording, &config);
         assert_eq!(recording.warp_count(), wt.warps().len());
         for (w, trace) in wt.warps().iter().enumerate() {

@@ -839,8 +839,9 @@ impl TraceSetReader {
     ///
     /// # Errors
     /// Returns a [`DecodeError`] when the header, the `total_bytes`/
-    /// `threads` limits, or (v3) the footer index are invalid; never
-    /// panics, whatever the bytes.
+    /// `threads` limits, or (v3) the footer index are invalid — the very
+    /// error the eager [`crate::encode::decode_with`] reports for them;
+    /// never panics, whatever the bytes.
     pub fn from_bytes(data: impl Into<Bytes>, opts: &DecodeOptions) -> Result<Self, DecodeError> {
         let data: Bytes = data.into();
         let limits = &opts.limits;
@@ -854,14 +855,21 @@ impl TraceSetReader {
                 0,
             ));
         }
-        if data.len() < HEADER_LEN || &data[..4] != MAGIC {
+        if data.len() < 5 || &data[..4] != MAGIC {
             return Err(DecodeError::at(DecodeErrorKind::BadHeader, 0));
         }
         let version = data[4];
-        let n_threads = u32::from_le_bytes(data[5..9].try_into().expect("length checked"));
         let index = match version {
             VERSION_CHUNKED => parse_footer(&data, limits)?,
             crate::encode::VERSION | VERSION_LEGACY => {
+                let Some(count) = data.get(5..HEADER_LEN) else {
+                    let available = data.len() as u64 - 5;
+                    return Err(DecodeError::at(
+                        DecodeErrorKind::Truncated { needed: 4, available },
+                        5,
+                    ));
+                };
+                let n_threads = u32::from_le_bytes(count.try_into().expect("four bytes"));
                 if n_threads as u64 > limits.max_threads as u64 {
                     return Err(DecodeError::at(
                         DecodeErrorKind::LimitExceeded {
@@ -887,6 +895,8 @@ impl TraceSetReader {
             }
             _ => return Err(DecodeError::at(DecodeErrorKind::BadHeader, 4)),
         };
+        // Both arms above saw a whole header.
+        let n_threads = u32::from_le_bytes(data[5..HEADER_LEN].try_into().expect("header read"));
         let cells = (0..index.chunks.len()).map(|_| OnceLock::new()).collect();
         Ok(TraceSetReader { data, opts: opts.clone(), version, index, n_threads, cells })
     }
@@ -995,7 +1005,7 @@ impl TraceSetReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::{decode, encode};
+    use crate::encode::{decode, decode_with, encode};
     use crate::events::TraceEvent;
 
     fn sample_set(n_threads: u32) -> TraceSet {
@@ -1097,6 +1107,34 @@ mod tests {
         assert_eq!(reader.n_chunks(), 1);
         assert_eq!(reader.tids(), None);
         assert_eq!(reader.into_decoded().unwrap().traces, set);
+    }
+
+    /// Opening a file lazily refuses it with exactly the error the eager
+    /// decode reports: every cut short of a whole header (and, for v3, of
+    /// the smallest footer), a wrong magic or version byte, and the
+    /// thread limit.
+    #[test]
+    fn reader_open_errors_equal_the_eager_decode() {
+        let set = sample_set(4);
+        let mut few = DecodeOptions::default();
+        few.limits.max_threads = 2;
+        let v2 = encode(&set).to_vec();
+        let v3 = encode_v3(&set).to_vec();
+        for (file, header) in [(&v2, HEADER_LEN), (&v3, HEADER_LEN + 4 + TRAILER_LEN)] {
+            let mut damaged = [file.clone(), file.clone()];
+            damaged[0][0] = b'X';
+            damaged[1][4] = 9;
+            let cuts = (0..header).map(|cut| file[..cut].to_vec());
+            for (i, bytes) in cuts.chain(damaged).enumerate() {
+                for opts in [&DecodeOptions::default(), &few] {
+                    let want = decode_with(&bytes, opts).unwrap_err();
+                    let got = TraceSetReader::from_bytes(bytes.clone(), opts).unwrap_err();
+                    assert_eq!(got, want, "case {i}");
+                }
+            }
+            let got = TraceSetReader::from_bytes(file.clone(), &few).unwrap_err();
+            assert_eq!(got, decode_with(file, &few).unwrap_err());
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn main() {
     let index = AnalysisIndex::build(&program, &traces).expect("index builds");
     for warp_size in [8, 16, 32] {
         let report = AnalyzerConfig::new(warp_size)
-            .analyze_indexed(&program, &traces, &index)
+            .analyze_indexed(&program, &index)
             .expect("analysis succeeds");
         println!(
             "warp {warp_size:>2}: SIMT efficiency {:.1}%  ({} lock-step issues, {} thread insts)",
@@ -106,12 +106,12 @@ fn main() {
 
     // The SIMT-stack walk of warp 0 at warp size 8 (paper Fig. 2c).
     println!("\n=== SIMT stack operations, warp 0 (width 8) ===");
-    analyze_indexed_with_sink(&program, &traces, &index, &AnalyzerConfig::new(8), &mut StackLogger)
+    analyze_indexed_with_sink(&program, &index, &AnalyzerConfig::new(8), &mut StackLogger)
         .expect("analysis succeeds");
 
     // The parity branch splits every warp in half, but the reconverged
     // tail keeps overall efficiency well above 50%.
-    let report = AnalyzerConfig::new(32).analyze_indexed(&program, &traces, &index).unwrap();
+    let report = AnalyzerConfig::new(32).analyze_indexed(&program, &index).unwrap();
     assert!(report.simt_efficiency() > 0.5 && report.simt_efficiency() < 1.0);
     println!("\ndivergent-but-reconverging kernel confirmed.");
 }

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // replay warps per design point.
     let index = AnalysisIndex::build(&w.program, &loaded)?;
     for warp in [8u32, 16, 32] {
-        let report = AnalyzerConfig::new(warp).analyze_indexed(&w.program, &loaded, &index)?;
+        let report = AnalyzerConfig::new(warp).analyze_indexed(&w.program, &index)?;
         println!(
             "warp {warp:>2}: efficiency {:.1}%, heap {:.2} txn/inst",
             report.simt_efficiency() * 100.0,

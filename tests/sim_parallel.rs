@@ -159,3 +159,28 @@ proptest! {
         assert_backend_invariant(&traced, &format!("random kernel, warp {warp}"));
     }
 }
+
+/// The CPU model replays the analysis index exactly as it replays the
+/// trace set the index was built from — the index is what a trace-file
+/// capture keeps — at every worker count, with skipped instructions
+/// charged or not.
+#[test]
+fn cpu_model_from_the_index_equals_cpu_model_from_the_set() {
+    // coop_channel spins on locks, so its captures carry skipped work.
+    for (name, threads) in [("bfs", 256), ("coop_channel", 64)] {
+        let w = by_name(name).unwrap();
+        let traced = Pipeline::from_workload(&w).threads(threads).trace().unwrap();
+        let index = traced.index().unwrap();
+        assert!(traced.traces().total_skipped_insts() > 0 || name == "bfs");
+        for include_skipped in [true, false] {
+            for &workers in WORKER_COUNTS {
+                let cfg = CpuSimConfig { workers, include_skipped, ..Default::default() };
+                assert_eq!(
+                    simulate_cpu(&*index, &cfg),
+                    simulate_cpu(traced.traces(), &cfg),
+                    "{name}: {workers} workers, include_skipped {include_skipped}"
+                );
+            }
+        }
+    }
+}

@@ -200,7 +200,7 @@ proptest! {
         let index = AnalysisIndex::build(&program, &traces).expect("index builds");
         let config = AnalyzerConfig::new(warp);
         let mut old = OldCoalesce::default();
-        let report = analyze_indexed_with_sink(&program, &traces, &index, &config, &mut old)
+        let report = analyze_indexed_with_sink(&program, &index, &config, &mut old)
             .expect("analysis succeeds");
         prop_assert!(report.heap.accesses > 0, "kernel must touch the heap");
         prop_assert!(report.stack.accesses > 0, "kernel must touch the stack");

@@ -12,7 +12,10 @@
 
 use std::path::{Path, PathBuf};
 
+use threadfuser::cpusim::CpuSimConfig;
 use threadfuser::prelude::*;
+use threadfuser::service::{load_capture, QuarantinedThread};
+use threadfuser::simtsim::SimtSimConfig;
 use threadfuser::tracer::{encode_v3, encode_v3_with, TraceSet, TraceSetReader};
 use threadfuser::workloads;
 
@@ -143,4 +146,91 @@ fn zero_chunk_budget_clamps_to_default() {
     assert_ne!(zero, encode_v3_with(set, 1), "budget 0 must not mean one chunk per thread");
     let decoded: TraceSet = decode(&zero).expect("budget-0 encoding round-trips");
     assert_eq!(set, &decoded);
+}
+
+/// Rewrites the footer tid of thread record `ordinal` in a v3 file: that
+/// thread then fails to decode (quarantined under `SkipBadThreads`).
+fn mistag(bytes: &mut [u8], ordinal: usize) {
+    let trailer = bytes.len() - 12;
+    let len = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let start = trailer - len;
+    let chunks = u32::from_le_bytes(bytes[start..start + 4].try_into().unwrap()) as usize;
+    let pos = start + 4 + chunks * 48 + ordinal * 4;
+    bytes[pos..pos + 4].copy_from_slice(&0xdead_beefu32.to_le_bytes());
+}
+
+/// Serving a trace file — whether it is indexed chunk by chunk (v3) or
+/// decoded whole (v2, or a v3 file whose chunks quarantine threads) —
+/// answers exactly what adopting the whole-file decode answers: reports,
+/// projections, quarantine rows and decode errors.
+#[test]
+fn served_trace_files_equal_adopting_the_decoded_set() {
+    let w = workloads::by_name("bfs").expect("bfs workload exists");
+    let set = Pipeline::from_workload(&w).threads(96).trace().expect("bfs traces").traces().clone();
+    let mut damaged = encode_v3_with(&set, 1).to_vec();
+    mistag(&mut damaged, 7);
+    let files: [(&str, Vec<u8>); 4] = [
+        ("multi-chunk", encode_v3_with(&set, 2048).to_vec()),
+        ("thread-per-chunk", encode_v3_with(&set, 1).to_vec()),
+        ("v2", encode(&set).to_vec()),
+        ("damaged", damaged),
+    ];
+    let dir = std::env::temp_dir().join(format!("tf-file-path-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cores = SimtSimConfig::default().n_cores;
+    for (label, bytes) in &files {
+        let path = dir.join(format!("{label}.tft"));
+        std::fs::write(&path, bytes).unwrap();
+        for policy in [ValidationPolicy::Strict, ValidationPolicy::SkipBadThreads] {
+            let spec = CaptureSpec::trace_file(path.to_str().unwrap(), Some("bfs"), OptLevel::O3)
+                .with_policy(policy);
+            let analyze = JobOp::Analyze(AnalyzeJob {
+                capture: spec.clone(),
+                config: AnalyzerKnobs::default(),
+            });
+            let speedup = JobOp::Speedup(SpeedupJob {
+                capture: spec.clone(),
+                config: AnalyzerKnobs::default(),
+                cores,
+            });
+            let opts = DecodeOptions { policy, ..DecodeOptions::default() };
+            let decoded = match decode_with(bytes, &opts) {
+                Ok(d) => d,
+                Err(e) => {
+                    let want = JobError::from(PipelineError::Decode(e));
+                    for op in [&analyze, &speedup] {
+                        let got = execute_op(op, &Obs::none()).expect_err("decode must fail");
+                        assert_eq!(got, want, "{label} {policy:?}");
+                    }
+                    continue;
+                }
+            };
+            let rows: Vec<QuarantinedThread> = decoded
+                .quarantined
+                .iter()
+                .map(|q| QuarantinedThread {
+                    index: q.index,
+                    tid: q.tid,
+                    error: q.error.to_string(),
+                })
+                .collect();
+            let capture = load_capture(&spec, &Obs::none()).expect("capture loads");
+            assert_eq!(capture.quarantined(), &rows[..], "{label} {policy:?}");
+            assert_eq!(capture.traced().traces(), &decoded.traces, "{label} {policy:?}");
+
+            let adopted = Pipeline::from_workload(&w).adopt_traces(decoded.traces);
+            let report = adopted.analyze().unwrap();
+            let got = execute_op(&analyze, &Obs::none()).expect("analyze answers");
+            assert_eq!(got, JobOutcome::Analysis(report), "{label} {policy:?}");
+            let simt = SimtSimConfig { n_cores: cores, ..SimtSimConfig::default() };
+            let proj = adopted.project_speedup(&simt, &CpuSimConfig::default()).unwrap();
+            match execute_op(&speedup, &Obs::none()).expect("speedup answers") {
+                JobOutcome::Speedup(s) => {
+                    assert_eq!((s.gpu_cycles, s.cpu_cycles), (proj.gpu.cycles, proj.cpu.cycles));
+                }
+                other => panic!("{label} {policy:?}: speedup answered {other:?}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

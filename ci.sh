@@ -11,7 +11,7 @@ echo "==> tests"
 cargo test -q
 
 echo "==> clippy (deny warnings)"
-cargo clippy --all-targets -- -D warnings
+cargo clippy --all-targets -- -D warnings -W clippy::or_fun_call
 
 echo "==> rustfmt"
 cargo fmt --check

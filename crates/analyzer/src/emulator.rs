@@ -906,7 +906,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     }
 
     fn dcfg(&self, f: FuncId) -> Result<&'a Dcfg, AnalyzeError> {
-        self.dcfgs.get(f).ok_or(AnalyzeError::MalformedTrace {
+        self.dcfgs.get(f).ok_or_else(|| AnalyzeError::MalformedTrace {
             tid: 0,
             detail: format!("no dynamic CFG for executed function {f}"),
         })

@@ -17,13 +17,13 @@
 //! point: the block following one thread's matching unlock.
 //!
 //! The emulated machine itself is an axis, not a point
-//! ([`ReconvergenceModel`] × [`WarpFormation`]): besides the paper's
-//! IPDOM stack at fixed warp width, the emulator models MEC-style
-//! stackless earliest-PC scheduling and DARM-style melding of
-//! structurally-identical divergent regions, and can charge issues at
-//! dynamically-resized sub-warp widths. Every model replays the same
-//! cursors through the same coalescing path, dispatched by plain enum
-//! match — no trait objects, and no model knob invalidates the index.
+//! ([`ReconvergenceModel`] × [`WarpFormation`]). A warp is a set of
+//! `(pc, mask)` splits driven by one loop; a model is the policy that
+//! picks the next split and merges splits — the paper's IPDOM stack, or
+//! MEC-style stackless earliest-PC scheduling — with DARM-style melding
+//! of structurally-identical arms tried at each divergence. Formation
+//! charges issues at dynamically-resized sub-warp widths. Dispatch is a
+//! plain enum match, and no model knob invalidates the index.
 //!
 //! Graph construction and IPDOM solving live in the shared
 //! [`AnalysisIndex`]; [`analyze_indexed`] replays warps against a
@@ -37,12 +37,13 @@ use crate::batching::{BatchPolicy, WarpPlan};
 use crate::dcfg::{Dcfg, DcfgSet};
 use crate::index::AnalysisIndex;
 use crate::report::{AnalysisReport, FunctionReport};
-use crate::tape::{TapeView, END_KEY, SIDE_BIT};
+use crate::tape::{LaneTapes, TapeView, END_KEY, SIDE_BIT};
 use crate::AnalyzeError;
 use serde::{Deserialize, Serialize};
+use std::mem::take;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use threadfuser_ir::{BlockAddr, BlockId, FuncCfg, FuncId, Program, Terminator};
+use threadfuser_ir::{BlockAddr, BlockId, FuncCfg, FuncId, Function, Program, Terminator};
 use threadfuser_machine::{segment_of, Segment};
 use threadfuser_obs::{Obs, Phase};
 use threadfuser_tracer::{SideEvent, TraceEvent, TraceSet};
@@ -293,13 +294,10 @@ impl Default for AnalyzerConfig {
 /// Stored flat: one packed access arena (`acc`) plus per-instruction
 /// `bounds`, rebuilt each block step by a **stable counting sort** over
 /// the accesses streamed from the lane cursors (radix bucket = the
-/// instruction index, which is `< n_insts` by construction). The old
-/// representation — one `Vec` per instruction, grown via binary-search
-/// insertion per access — allocated per group and shifted group headers
-/// on every new instruction; the radix rebuild is two linear passes and
-/// never allocates once warm. Stability preserves lane-major collection
-/// order inside each group, so downstream coalescing and the step-sink
-/// protocol see byte-identical access sequences.
+/// instruction index, which is `< n_insts` by construction): two linear
+/// passes that never allocate once warm. Stability preserves lane-major
+/// collection order inside each group, so downstream coalescing and the
+/// step-sink protocol see byte-identical access sequences.
 #[derive(Debug, Default)]
 pub struct MemGroups {
     /// Streamed `(inst_idx, addr, size)` triples in collection order.
@@ -502,8 +500,9 @@ pub fn analyze_indexed_with_sink(
     config.obs.counter(Phase::WarpEmulate, "workers", 1);
     let mut report = ctx.empty_report();
     let mut sink = Some(sink);
+    let mut scratch = WarpScratch::default();
     for i in 0..ctx.warps.len() {
-        report.merge(ctx.run_warp(i, &mut sink)?);
+        report.merge(ctx.run_warp(i, &mut scratch, &mut sink)?);
     }
     Ok(ctx.finish(report))
 }
@@ -537,10 +536,10 @@ where
     let mut report = ctx.empty_report();
     let mut sinks = Vec::with_capacity(ctx.warps.len());
     ctx.fan_out(
-        |i| {
+        |scratch, i| {
             let mut sink = make_sink(i as u32);
             let mut dyn_sink: Option<&mut dyn StepSink> = Some(&mut sink);
-            let r = ctx.run_warp(i, &mut dyn_sink)?;
+            let r = ctx.run_warp(i, scratch, &mut dyn_sink)?;
             Ok((r, sink))
         },
         |(r, sink)| {
@@ -561,7 +560,7 @@ fn analyze_impl(
 ) -> Result<AnalysisReport, AnalyzeError> {
     let ctx = RunCtx::new(program, index, config);
     let mut report = ctx.empty_report();
-    ctx.fan_out(|i| ctx.run_warp(i, &mut None), |r| report.merge(r))?;
+    ctx.fan_out(|scratch, i| ctx.run_warp(i, scratch, &mut None), |r| report.merge(r))?;
     Ok(ctx.finish(report))
 }
 
@@ -596,8 +595,9 @@ impl<'a> RunCtx<'a> {
         report
     }
 
-    /// Runs `run(i)` for every warp `i` and hands each result to `merge`
-    /// in warp order.
+    /// Runs `run(scratch, i)` for every warp `i` and hands each result to
+    /// `merge` in warp order. Each worker owns one [`WarpScratch`] for all
+    /// the warps it runs.
     ///
     /// One worker runs the warps in order on the calling thread and
     /// merges each result as it comes, buffering nothing. More workers
@@ -608,15 +608,16 @@ impl<'a> RunCtx<'a> {
     /// claimed has run.
     fn fan_out<T: Send>(
         &self,
-        run: impl Fn(usize) -> Result<T, AnalyzeError> + Sync,
+        run: impl Fn(&mut WarpScratch, usize) -> Result<T, AnalyzeError> + Sync,
         mut merge: impl FnMut(T),
     ) -> Result<(), AnalyzeError> {
         let n = self.warps.len();
         let workers = self.config.parallelism.max(1).min(n.max(1));
         self.config.obs.counter(Phase::WarpEmulate, "workers", workers as u64);
         if workers == 1 {
+            let mut scratch = WarpScratch::default();
             for i in 0..n {
-                merge(run(i)?);
+                merge(run(&mut scratch, i)?);
             }
             return Ok(());
         }
@@ -627,12 +628,13 @@ impl<'a> RunCtx<'a> {
                 .map(|_| {
                     s.spawn(|| {
                         let mut local = Vec::new();
+                        let mut scratch = WarpScratch::default();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= n {
                                 return Ok(local);
                             }
-                            match run(i) {
+                            match run(&mut scratch, i) {
                                 Ok(t) => local.push((i, t)),
                                 Err(e) => return Err((i, e)),
                             }
@@ -664,38 +666,28 @@ impl<'a> RunCtx<'a> {
         Ok(())
     }
 
-    /// Emulates warp `i` and returns its warp-local report.
+    /// Emulates warp `i` in `scratch` and returns its warp-local report.
     ///
     /// The optional step sink is moved into the emulator and handed back
-    /// through `sink` on success (`&mut dyn` is invariant, so a plain
-    /// reborrow per warp would not borrow-check across loop iterations).
+    /// through `sink` (`&mut dyn` is invariant, so a plain reborrow per
+    /// warp would not borrow-check across loop iterations).
     fn run_warp(
         &self,
         i: usize,
+        scratch: &mut WarpScratch,
         sink: &mut Option<&mut dyn StepSink>,
     ) -> Result<AnalysisReport, AnalyzeError> {
-        let tapes = self.index.tapes();
-        let warp = self.warps.warp(i);
-        let pos = warp.iter().map(|&t| tapes.start_of(t as usize)).collect();
-        let tids = warp.iter().map(|&t| tapes.tid_of(t as usize)).collect();
-        let mut emu = WarpEmulator::new(
-            self.program,
-            self.index.dcfgs(),
-            self.config,
-            tapes.view(),
-            pos,
-            tids,
-        );
-        emu.static_cfgs = self.statics.as_deref().map(Vec::as_slice);
-        emu.warp_index = i as u32;
+        let mut emu = WarpEmulator::new(self, i, take(scratch));
         emu.sink = sink.take();
         let warp_span = self.config.obs.span(Phase::WarpEmulate);
-        emu.run()?;
+        let result = emu.run();
+        *scratch = take(&mut emu.s);
+        *sink = emu.sink.take();
+        result?;
         if self.config.obs.enabled() {
             emit_warp_obs(&self.config.obs, self.config, &emu.report);
         }
         warp_span.finish();
-        *sink = emu.sink.take();
         Ok(emu.report)
     }
 }
@@ -719,34 +711,89 @@ fn emit_warp_obs(obs: &Obs, config: &AnalyzerConfig, report: &AnalysisReport) {
     obs.histogram(Phase::WarpEmulate, "warp_issues", report.issues as f64);
 }
 
-/// SIMT-stack entry. `is_frame` marks entries that own a function
-/// activation (root, calls, and their inherited reconvergence entries);
-/// popping a frame entry updates the caller's continuation block from the
-/// lanes' next trace events.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    func: FuncId,
-    node: usize,
-    rpc: usize,
-    mask: u64,
-    is_frame: bool,
+/// The warp's split machine, chosen by [`ReconvergenceModel`]: which
+/// split issues next (pick), where diverged splits merge again, and
+/// whether a divergence may meld instead of splitting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    /// An IPDOM reconvergence stack: the last split pushed issues next
+    /// and pops when it reaches its reconvergence PC, merging into the
+    /// split below. `meld` tries DARM melding at each divergence
+    /// ([`ReconvergenceModel::BranchMelding`]).
+    Stack { meld: bool },
+    /// MEC-style stackless scheduling
+    /// ([`ReconvergenceModel::StacklessPcMin`]): the earliest-PC split
+    /// issues next, and splits at identical call-stack positions merge.
+    PcMin,
 }
 
-/// One thread group of the stackless scheduler
-/// ([`ReconvergenceModel::StacklessPcMin`]): lanes sharing a full
-/// call-stack position.
+/// One `(pc, mask)` split of a warp: lanes running in lock step at
+/// `(func, node)`.
 #[derive(Debug)]
-struct SGroup {
-    /// Call stack, outermost first; the last frame is the current
-    /// `(function, node)` position. Groups merge only when their whole
-    /// frame stacks match.
-    frames: Vec<(FuncId, usize)>,
+struct Split {
+    func: FuncId,
+    node: usize,
     mask: u64,
-    /// Nonzero while serializing a contended critical section — blocks
-    /// merging until the group reaches `release_at`.
-    serial: u32,
-    /// Position at which `serial` clears (the block after the unlock).
+    /// Stack: the node at which this split pops (its reconvergence PC).
+    rpc: usize,
+    /// Stack: the split owns a function activation, so popping it
+    /// resumes the split below at the lanes' continuation block.
+    is_frame: bool,
+    /// Min-PC: the call sites of the split's callers, outermost first.
+    /// Splits merge only when their whole call stacks match.
+    callers: Vec<(FuncId, usize)>,
+    /// Min-PC: set while the split serializes a contended critical
+    /// section, which blocks merging until it reaches this block (the
+    /// one after its unlock).
     release_at: Option<(FuncId, usize)>,
+}
+
+impl Split {
+    fn new(func: FuncId, node: usize, mask: u64, rpc: usize, is_frame: bool) -> Self {
+        Split { func, node, mask, rpc, is_frame, callers: Vec::new(), release_at: None }
+    }
+}
+
+/// Buffers one worker reuses across the block steps of a warp and across
+/// warps, so emulation stays off the allocator once warm.
+#[derive(Debug, Default)]
+struct WarpScratch {
+    /// Per-lane tape position (absolute index into the arena columns).
+    pos: Vec<u32>,
+    /// The warp's splits: a stack under [`Policy::Stack`], an unordered
+    /// set under [`Policy::PcMin`].
+    splits: Vec<Split>,
+    /// Retired [`Split::callers`] buffers.
+    callers_pool: Vec<Vec<(FuncId, usize)>>,
+    mem: MemGroups,
+    lines: Vec<u64>,
+    /// `(target node, lane mask)` groups of a branch's successors.
+    groups: Vec<(usize, u64)>,
+    /// `(lane, lock)` of every lane at an acquire.
+    locks: Vec<(usize, u64)>,
+    /// The two arms of a meld attempt.
+    chains: [Vec<usize>; 2],
+    /// Per-function accumulators indexed by FuncId, folded into the
+    /// report's map once per warp (a map entry per block step would put
+    /// a lookup on the hot path).
+    funcs: Vec<FunctionReport>,
+}
+
+impl WarpScratch {
+    /// Retires a removed split, keeping its callers buffer.
+    fn recycle(&mut self, split: Split) {
+        if split.callers.capacity() > 0 {
+            self.callers_pool.push(split.callers);
+        }
+    }
+
+    /// A copy of `from` at `node` with `mask`, its callers in a recycled
+    /// buffer.
+    fn fork(&mut self, from: &Split, node: usize, mask: u64) -> Split {
+        let mut callers = self.callers_pool.pop().unwrap_or_default();
+        callers.clone_from(&from.callers);
+        Split { node, mask, callers, ..*from }
+    }
 }
 
 /// Packs a block position into the tape's comparable key.
@@ -760,72 +807,112 @@ fn unpack_key(key: u64) -> BlockAddr {
     BlockAddr::new(FuncId((key >> 32) as u32), BlockId(key as u32))
 }
 
+/// The lanes of `mask`, ascending.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (l < 64).then_some(l)
+    })
+}
+
+/// Longest straight-line region [`WarpEmulator::try_meld`] considers.
+const MELD_CHAIN_CAP: usize = 64;
+
+/// Fills `chain` with the `Jmp`-only chain of `f` from `from` up to
+/// (exclusive) `ipd`; `false` when the region is not straight-line or
+/// exceeds the cap. `ipd` may be the virtual exit — unreachable by `Jmp`,
+/// so such regions simply never meld.
+fn jmp_chain(f: &Function, from: usize, ipd: usize, chain: &mut Vec<usize>) -> bool {
+    chain.clear();
+    let mut cur = from;
+    while chain.len() < MELD_CHAIN_CAP {
+        chain.push(cur);
+        match f.block(BlockId(cur as u32)).term {
+            Terminator::Jmp(t) if t.0 as usize == ipd => return true,
+            Terminator::Jmp(t) => cur = t.0 as usize,
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// Counts one memory instruction's accesses into the heap and stack
+/// counters. One tagged radix pass: each access's line keys carry the
+/// segment in bit 63, so a single sort counts both segments'
+/// transactions.
+fn coalesce_into(
+    lines: &mut Vec<u64>,
+    report: &mut AnalysisReport,
+    accesses: impl Iterator<Item = (u64, u32)>,
+) {
+    let (mut heap_n, mut stack_n) = (0u64, 0u64);
+    let (heap_tx, stack_tx) = threadfuser_mem::coalesce_transactions_tagged(
+        lines,
+        accesses.map(|(a, s)| {
+            let stack = segment_of(a) == Segment::Stack;
+            stack_n += stack as u64;
+            heap_n += !stack as u64;
+            (a, s, stack)
+        }),
+    );
+    for (seg, n, tx) in
+        [(&mut report.heap, heap_n, heap_tx), (&mut report.stack, stack_n, stack_tx)]
+    {
+        if n > 0 {
+            seg.instructions += 1;
+            seg.accesses += n;
+            seg.transactions += tx as u64;
+        }
+    }
+}
+
 struct WarpEmulator<'a, 's> {
     program: &'a Program,
     dcfgs: &'a DcfgSet,
     static_cfgs: Option<&'a [FuncCfg]>,
     config: &'a AnalyzerConfig,
+    policy: Policy,
     // Fused tape arena of the capture: every lane's whole event stream
     // is pre-merged into flat columns, so per-lane replay state is just
-    // `pos` — the next event is one key load, consuming is `pos += 1`.
+    // `s.pos` — the next event is one key load, consuming is `pos += 1`.
     tape: TapeView<'a>,
-    /// Per-lane tape position (absolute index into the arena columns).
-    pos: Vec<u32>,
-    /// Per-lane thread ids (error reporting only).
-    tids: Vec<u32>,
-    stack: Vec<Entry>,
+    /// The capture's tapes and this warp's threads (error reporting).
+    tapes: &'a LaneTapes,
+    warp: &'a [u32],
+    s: WarpScratch,
     report: AnalysisReport,
     warp_index: u32,
     sink: Option<&'s mut dyn StepSink>,
-    // Scratch buffers reused across block steps (the emulation hot loop
-    // would otherwise allocate several containers per executed block).
-    mem_scratch: MemGroups,
-    lines_scratch: Vec<u64>,
-    groups_scratch: Vec<(usize, u64)>,
-    // Per-function accumulators indexed by FuncId, folded into the
-    // report's map once per warp (a HashMap entry per block step would
-    // put a hash on the hot path).
-    func_scratch: Vec<FunctionReport>,
-}
-
-fn lanes_of(mask: u64, _n: usize) -> impl Iterator<Item = usize> {
-    let mut m = mask;
-    std::iter::from_fn(move || {
-        if m == 0 {
-            None
-        } else {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            Some(l)
-        }
-    })
 }
 
 impl<'a, 's> WarpEmulator<'a, 's> {
-    fn new(
-        program: &'a Program,
-        dcfgs: &'a DcfgSet,
-        config: &'a AnalyzerConfig,
-        tape: TapeView<'a>,
-        pos: Vec<u32>,
-        tids: Vec<u32>,
-    ) -> Self {
+    fn new(ctx: &'a RunCtx<'_>, warp_index: usize, mut s: WarpScratch) -> Self {
+        let tapes = ctx.index.tapes();
+        let warp = ctx.warps.warp(warp_index);
+        s.pos.clear();
+        s.pos.extend(warp.iter().map(|&t| tapes.start_of(t as usize)));
+        s.splits.clear();
+        s.funcs.clear();
+        s.funcs.resize(ctx.program.functions().len(), FunctionReport::default());
+        let config = ctx.config;
         WarpEmulator {
-            program,
-            dcfgs,
-            static_cfgs: None,
+            program: ctx.program,
+            dcfgs: ctx.index.dcfgs(),
+            static_cfgs: ctx.statics.as_deref().map(Vec::as_slice),
             config,
-            tape,
-            pos,
-            tids,
-            stack: Vec::new(),
+            policy: match config.model {
+                ReconvergenceModel::IpdomStack => Policy::Stack { meld: false },
+                ReconvergenceModel::BranchMelding => Policy::Stack { meld: true },
+                ReconvergenceModel::StacklessPcMin => Policy::PcMin,
+            },
+            tape: tapes.view(),
+            tapes,
+            warp,
+            s,
             report: AnalysisReport { warp_size: config.warp_size, warps: 1, ..Default::default() },
-            warp_index: 0,
+            warp_index: warp_index as u32,
             sink: None,
-            mem_scratch: MemGroups::default(),
-            lines_scratch: Vec::new(),
-            groups_scratch: Vec::new(),
-            func_scratch: vec![FunctionReport::default(); program.functions().len()],
         }
     }
 
@@ -833,7 +920,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     /// [`END_KEY`].
     #[inline]
     fn key(&self, l: usize) -> u64 {
-        self.tape.events[self.pos[l] as usize].key
+        self.tape.events[self.s.pos[l] as usize].key
     }
 
     /// The pending side event of lane `l`, if its next event is one.
@@ -841,18 +928,6 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     fn cached_side(&self, l: usize) -> Option<SideEvent> {
         let k = self.key(l);
         (k & SIDE_BIT != 0 && k != END_KEY).then(|| self.tape.sides[(k as u32) as usize])
-    }
-
-    /// Consumes lane `l`'s pending side event.
-    #[inline]
-    fn consume_side(&mut self, l: usize) {
-        self.pos[l] += 1;
-    }
-
-    /// Whether lane `l`'s stream is fully consumed.
-    #[inline]
-    fn at_end(&self, l: usize) -> bool {
-        self.key(l) == END_KEY
     }
 
     /// Materializes lane `l`'s next event for error reporting (cold).
@@ -864,16 +939,16 @@ impl<'a, 's> WarpEmulator<'a, 's> {
             Some(self.tape.sides[(k as u32) as usize].to_event())
         } else {
             let addr = unpack_key(k);
-            Some(TraceEvent::Block { addr, n_insts: self.tape.events[self.pos[l] as usize].ni })
+            Some(TraceEvent::Block { addr, n_insts: self.tape.events[self.s.pos[l] as usize].ni })
         }
     }
 
     /// Scans lane `l`'s tape (without consuming) for the release matching
-    /// `lock` — same-lock acquires nest — and returns the address of the
-    /// first block after it in the stream, if any.
-    fn scan_release_target(&self, l: usize, lock: u64) -> Option<BlockAddr> {
+    /// `lock` — same-lock acquires nest — and returns the first block
+    /// after it in the stream, if there is one and it lies in `func`.
+    fn release_point(&self, l: usize, lock: u64, func: FuncId) -> Option<usize> {
         let events = self.tape.events;
-        let mut p = self.pos[l] as usize;
+        let mut p = self.s.pos[l] as usize;
         let mut nesting = 0u32;
         loop {
             let k = events[p].key;
@@ -890,7 +965,9 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                                 .map(|e| e.key)
                                 .take_while(|&k2| k2 != END_KEY)
                                 .find(|&k2| k2 & SIDE_BIT == 0)
-                                .map(unpack_key);
+                                .map(unpack_key)
+                                .filter(|a| a.func == func)
+                                .map(|a| a.block.0 as usize);
                         }
                         nesting -= 1;
                     }
@@ -902,7 +979,8 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     }
 
     fn desync(&self, lane: usize, detail: impl Into<String>) -> AnalyzeError {
-        AnalyzeError::Desync { tid: self.tids[lane], detail: detail.into() }
+        let tid = self.tapes.tid_of(self.warp[lane] as usize);
+        AnalyzeError::Desync { tid, detail: detail.into() }
     }
 
     fn dcfg(&self, f: FuncId) -> Result<&'a Dcfg, AnalyzeError> {
@@ -912,228 +990,330 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         })
     }
 
+    /// The warp's one emulation loop: the policy picks a split, the
+    /// split executes one block, and its terminator moves it on.
     fn run(&mut self) -> Result<(), AnalyzeError> {
-        match self.config.model {
-            ReconvergenceModel::StacklessPcMin => self.run_stackless(),
-            ReconvergenceModel::IpdomStack | ReconvergenceModel::BranchMelding => self.run_stack(),
-        }
-    }
-
-    /// Verifies every lane opens with the same entry block; returns the
-    /// shared entry's packed key and the full-warp mask (`None`: empty
-    /// warp).
-    fn start(&mut self) -> Result<Option<(u64, u64)>, AnalyzeError> {
-        let n = self.pos.len();
+        let n = self.s.pos.len();
         if n == 0 {
-            return Ok(None);
+            return Ok(());
         }
+        // Every lane opens with the same entry block.
         let first = self.key(0);
         if first & SIDE_BIT != 0 {
             return Err(self.desync(0, "trace does not start with a block"));
         }
-        for l in 1..n {
-            if self.key(l) != first {
-                let other = self.peek_event(l);
-                return Err(self.desync(l, format!("lane entry mismatch: {other:?}")));
-            }
+        if let Some(l) = (1..n).find(|&l| self.key(l) != first) {
+            let other = self.peek_event(l);
+            return Err(self.desync(l, format!("lane entry mismatch: {other:?}")));
         }
         let full = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        Ok(Some((first, full)))
-    }
+        let first = unpack_key(first);
+        let vexit = self.dcfg(first.func)?.virtual_exit();
+        let mut root = Split::new(first.func, first.block.0 as usize, full, vexit, true);
+        root.callers = self.s.callers_pool.pop().unwrap_or_default();
+        root.callers.clear();
+        self.s.splits.push(root);
 
-    /// End-of-warp checks and the per-function fold, shared by every
-    /// [`ReconvergenceModel`].
-    fn finish(&mut self) -> Result<(), AnalyzeError> {
-        // Every lane must be fully consumed.
-        for l in 0..self.pos.len() {
-            if !self.at_end(l) {
-                return Err(self.desync(l, "trailing events after warp completion"));
-            }
-        }
-
-        // Fold the per-function accumulators into the report's map.
-        for (fi, fr) in self.func_scratch.iter_mut().enumerate() {
-            if fr.own_issues == 0 && fr.invocations == 0 {
+        // Copy of the `&'a Program` reference so terminator borrows do not
+        // pin `self` (avoids a per-block `Terminator` clone).
+        let program = self.program;
+        while let Some(i) = self.pick()? {
+            let (func, node, mask) =
+                (self.s.splits[i].func, self.s.splits[i].node, self.s.splits[i].mask);
+            // Stack-only: under min-PC every block step is a scheduling
+            // point, so a fast-forwarded run would reorder the warp.
+            if self.policy != Policy::PcMin
+                && self.sink.is_none()
+                && mask & (mask - 1) == 0
+                && self.run_singleton(i)?
+            {
                 continue;
             }
-            let mut fr = std::mem::take(fr);
-            fr.name = self.program.functions()[fi].name.clone();
+            let (ni, active, next_uniform) = self.exec_block_events(func, node, mask)?;
+            self.account_issue(func, ni, active)?;
+            match &program.function(func).block(BlockId(node as u32)).term {
+                Terminator::Jmp(_) | Terminator::Br { .. } | Terminator::Switch { .. } => {
+                    self.branch(i, next_uniform)?;
+                }
+                Terminator::Ret { .. } => {
+                    self.consume_sides(mask, "Ret", |_, e| e == SideEvent::Ret)?;
+                    self.ret(i)?;
+                }
+                &Terminator::Call { callee, .. } => {
+                    self.consume_sides(mask, "Call", |_, e| e == SideEvent::Call { callee })?;
+                    self.call(i, callee)?;
+                }
+                Terminator::Acquire { next, .. } => self.acquire(i, next.0 as usize)?,
+                Terminator::Release { next, .. } => {
+                    self.consume_sides(mask, "Release", |_, e| {
+                        matches!(e, SideEvent::Release { .. })
+                    })?;
+                    self.s.splits[i].node = next.0 as usize;
+                }
+                Terminator::Barrier { next, .. } => {
+                    self.consume_sides(mask, "Barrier", |_, e| {
+                        matches!(e, SideEvent::Barrier { .. })
+                    })?;
+                    self.s.splits[i].node = next.0 as usize;
+                }
+            }
+        }
+        // Every lane must be fully consumed.
+        if let Some(l) = (0..n).find(|&l| self.key(l) != END_KEY) {
+            return Err(self.desync(l, "trailing events after warp completion"));
+        }
+        let funcs = self.s.funcs.iter_mut().enumerate();
+        for (fi, fr) in funcs.filter(|(_, fr)| fr.own_issues > 0 || fr.invocations > 0) {
+            let fr = FunctionReport { name: self.program.functions()[fi].name.clone(), ..take(fr) };
             self.report.per_function.insert(fi as u32, fr);
         }
         Ok(())
     }
 
-    /// The IPDOM reconvergence stack machine
-    /// ([`ReconvergenceModel::IpdomStack`], and — via the melding hook on
-    /// the branch path — [`ReconvergenceModel::BranchMelding`]).
-    fn run_stack(&mut self) -> Result<(), AnalyzeError> {
-        let n = self.pos.len();
-        let Some((first_key, full)) = self.start()? else {
-            return Ok(());
-        };
-        let first = unpack_key(first_key);
-        let vexit = self.dcfg(first.func)?.virtual_exit();
-        self.stack.push(Entry {
-            func: first.func,
-            node: first.block.0 as usize,
-            rpc: vexit,
-            mask: full,
-            is_frame: true,
-        });
-
-        // Copy of the `&'a Program` reference so terminator borrows do not
-        // pin `self` (avoids a per-block `Terminator` clone).
-        let program = self.program;
-        while let Some(&top) = self.stack.last() {
-            let dcfg = self.dcfg(top.func)?;
-            let vexit = dcfg.virtual_exit();
-
-            // ---- reconvergence / pop -----------------------------------
-            if top.node == top.rpc {
-                self.stack.pop();
+    /// The policy's pick: merges whatever its merge rule allows, then
+    /// returns the index of the split that issues next (`None`: the warp
+    /// is done).
+    fn pick(&mut self) -> Result<Option<usize>, AnalyzeError> {
+        if self.policy == Policy::PcMin {
+            return Ok(self.pick_min_pc());
+        }
+        while let Some(top) = self.s.splits.last() {
+            let (func, node, mask) = (top.func, top.node, top.mask);
+            if node == top.rpc {
+                let top = self.s.splits.pop().expect("nonempty");
                 self.report.reconvergences += 1;
                 if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.on_reconvergence(self.warp_index, top.func, top.node, top.mask);
+                    sink.on_reconvergence(self.warp_index, func, node, mask);
                 }
-                if top.is_frame {
-                    self.pop_frame(top)?;
+                // A frame's lanes finished their function: the caller
+                // below resumes at their continuation (the root has none;
+                // its trailing events are checked at the end).
+                let caller = self.s.splits.last().map(|c| c.func);
+                if let (true, Some(caller)) = (top.is_frame, caller) {
+                    let next = self.continuation(mask, caller)?;
+                    self.s.splits.last_mut().expect("nonempty").node = next;
                 }
+                self.s.recycle(top);
                 continue;
             }
-            if top.node == vexit {
-                // A non-frame entry strayed to function end past its
+            if node == self.dcfg(func)?.virtual_exit() {
+                // A non-frame split strayed to function end past its
                 // reconvergence point: irregular control flow.
-                let lane = lanes_of(top.mask, n).next().unwrap_or(0);
+                let lane = mask.trailing_zeros() as usize;
                 return Err(self.desync(lane, "lanes escaped their reconvergence point"));
             }
-
-            // ---- singleton fast-forward ---------------------------------
-            // A one-lane group (the common case in divergence-heavy code:
-            // serialized loop tails, uneven trip counts) cannot diverge or
-            // disagree, so its straight branch runs replay as a tape walk
-            // without the grouping machinery — identical accounting.
-            if top.mask & (top.mask - 1) == 0 && self.run_singleton(&top, vexit)? {
-                continue;
-            }
-
-            // ---- execute block ------------------------------------------
-            let next_uniform = self.exec_block(top)?;
-            if self.report.issues > self.config.max_issues_per_warp {
-                return Err(AnalyzeError::IssueBudget { warp: self.warp_index });
-            }
-
-            // ---- terminator ---------------------------------------------
-            let term = &program.function(top.func).block(BlockId(top.node as u32)).term;
-            match term {
-                Terminator::Jmp(_) | Terminator::Br { .. } | Terminator::Switch { .. } => {
-                    let mut groups = std::mem::take(&mut self.groups_scratch);
-                    let result = self
-                        .group_by_next_block(top.func, top.mask, next_uniform, &mut groups)
-                        .and_then(|()| {
-                            // Single target: plain advance — no divergence,
-                            // so the IPDOM is never consulted (melding needs
-                            // exactly two groups and bails identically).
-                            if groups.len() == 1 {
-                                self.stack.last_mut().expect("nonempty").node = groups[0].0;
-                                return Ok(());
-                            }
-                            let ipd = self.reconvergence_point(dcfg, top.func, top.node);
-                            if self.config.model == ReconvergenceModel::BranchMelding
-                                && self.try_meld(top.func, &groups, ipd)?
-                            {
-                                return Ok(());
-                            }
-                            self.apply_transition(top, &mut groups, ipd)
-                        });
-                    self.groups_scratch = groups;
-                    result?;
-                }
-                Terminator::Ret { .. } => {
-                    for l in lanes_of(top.mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Ret) => self.consume_side(l),
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(
-                                    self.desync(l, format!("expected Ret event, got {other:?}"))
-                                );
-                            }
-                        }
-                    }
-                    // A single target group: advance straight to the
-                    // virtual exit (the pop above performs the merge).
-                    self.stack.last_mut().expect("nonempty").node = vexit;
-                }
-                Terminator::Call { callee, .. } => {
-                    for l in lanes_of(top.mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Call { callee: c }) if c == *callee => {
-                                self.consume_side(l);
-                            }
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(
-                                    self.desync(l, format!("expected Call event, got {other:?}"))
-                                );
-                            }
-                        }
-                    }
-                    let active = lanes_of(top.mask, n).count() as u64;
-                    let cf = self.program.function(*callee);
-                    self.func_scratch[callee.0 as usize].invocations += active;
-                    let callee_exit = self.dcfg(*callee)?.virtual_exit();
-                    self.stack.push(Entry {
-                        func: *callee,
-                        node: cf.entry.0 as usize,
-                        rpc: callee_exit,
-                        mask: top.mask,
-                        is_frame: true,
-                    });
-                }
-                Terminator::Acquire { next, .. } => {
-                    self.handle_acquire(top, next.0 as usize)?;
-                }
-                Terminator::Release { next, .. } => {
-                    for l in lanes_of(top.mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Release { .. }) => self.consume_side(l),
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(self
-                                    .desync(l, format!("expected Release event, got {other:?}")));
-                            }
-                        }
-                    }
-                    self.stack.last_mut().expect("nonempty").node = next.0 as usize;
-                }
-                Terminator::Barrier { next, .. } => {
-                    for l in lanes_of(top.mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Barrier { .. }) => self.consume_side(l),
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(self
-                                    .desync(l, format!("expected Barrier event, got {other:?}")));
-                            }
-                        }
-                    }
-                    self.stack.last_mut().expect("nonempty").node = next.0 as usize;
-                }
-            }
+            return Ok(Some(self.s.splits.len() - 1));
         }
-
-        self.finish()
+        Ok(None)
     }
 
-    /// Pops a frame entry: all its lanes finished a function; set the
-    /// caller entry's continuation block from their next trace events.
-    fn pop_frame(&mut self, popped: Entry) -> Result<(), AnalyzeError> {
-        let n = self.pos.len();
-        let Some(below_func) = self.stack.last().map(|e| e.func) else {
-            return Ok(()); // root: trailing-event check happens at the end
+    /// Min-PC pick: ends serializations whose release point is reached,
+    /// merges splits
+    /// at identical call-stack positions, then picks the earliest PC —
+    /// deepest stack, then lowest lane, breaking ties — so lagging
+    /// splits catch leading ones up.
+    fn pick_min_pc(&mut self) -> Option<usize> {
+        for g in self.s.splits.iter_mut() {
+            if g.release_at == Some((g.func, g.node)) {
+                g.release_at = None;
+            }
+        }
+        let mut i = 0;
+        while i < self.s.splits.len() {
+            let mut j = i + 1;
+            while self.s.splits[i].release_at.is_none() && j < self.s.splits.len() {
+                let (a, b) = (&self.s.splits[i], &self.s.splits[j]);
+                if b.release_at.is_some()
+                    || (a.func, a.node, &a.callers) != (b.func, b.node, &b.callers)
+                {
+                    j += 1;
+                    continue;
+                }
+                let merged = self.s.splits.remove(j);
+                let into = &mut self.s.splits[i];
+                into.mask |= merged.mask;
+                self.report.reconvergences += 1;
+                if let Some(sink) = self.sink.as_deref_mut() {
+                    sink.on_reconvergence(self.warp_index, into.func, into.node, into.mask);
+                }
+                self.s.recycle(merged);
+            }
+            i += 1;
+        }
+        let splits = &self.s.splits;
+        (0..splits.len()).min_by_key(|&i| {
+            let g = &splits[i];
+            (g.func.0, g.node, std::cmp::Reverse(g.callers.len()), g.mask.trailing_zeros())
+        })
+    }
+
+    /// A branch terminator: split `i`'s lanes move on to the blocks
+    /// their next trace events name (which must stay in the split's
+    /// function), together or — when they disagree — as a divergence.
+    fn branch(&mut self, i: usize, uniform: Option<u64>) -> Result<(), AnalyzeError> {
+        let (func, mask) = (self.s.splits[i].func, self.s.splits[i].mask);
+        let func_hi = (func.0 as u64) << 32;
+        // Uniform fast path: every active lane already agreed on its next
+        // event during block execution — one range check replaces the
+        // per-lane walk. (A uniform but wrong key falls through so the
+        // error below names the correct first lane.)
+        if let Some(k) = uniform.filter(|k| k & !0xffff_ffff == func_hi) {
+            self.s.splits[i].node = k as u32 as usize;
+            return Ok(());
+        }
+        // An error ends the warp, so the taken buffer need not go back.
+        let mut groups = take(&mut self.s.groups);
+        groups.clear();
+        for l in lanes_of(mask) {
+            // Side events and END carry bit 63, so the function-word
+            // compare also rejects non-block events.
+            let key = self.key(l);
+            if key & !0xffff_ffff != func_hi {
+                let other = self.peek_event(l);
+                return Err(self.desync(l, format!("expected successor block, got {other:?}")));
+            }
+            let node = key as u32 as usize;
+            match groups.iter_mut().find(|(g, _)| *g == node) {
+                Some((_, m)) => *m |= 1 << l,
+                None => groups.push((node, 1 << l)),
+            }
+        }
+        if groups.len() == 1 {
+            self.s.splits[i].node = groups[0].0;
+        } else {
+            self.diverge(i, &mut groups)?;
+        }
+        self.s.groups = groups;
+        Ok(())
+    }
+
+    /// Split `i` diverges into `groups` at the block it just executed.
+    ///
+    /// Stack: the split waits at the reconvergence point — keeping its
+    /// frame flag, so a divergence that spans to function end still
+    /// resumes the caller when it pops — under one split per target,
+    /// pushed in descending node order. Min-PC has no reconvergence
+    /// points (the sink's `reconverge_at` is the virtual exit): the split
+    /// is replaced by one copy per target.
+    fn diverge(&mut self, i: usize, groups: &mut [(usize, u64)]) -> Result<(), AnalyzeError> {
+        let (func, at) = (self.s.splits[i].func, self.s.splits[i].node);
+        let dcfg = self.dcfg(func)?;
+        let rpoint = match self.policy {
+            Policy::Stack { meld } => {
+                let ipd = self.reconvergence_point(dcfg, func, at);
+                if meld && self.try_meld(i, groups, ipd)? {
+                    return Ok(());
+                }
+                ipd
+            }
+            Policy::PcMin => dcfg.virtual_exit(),
         };
+        self.report.divergences += 1;
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.on_divergence(self.warp_index, func, BlockId(at as u32), rpoint, groups);
+        }
+        if let Policy::Stack { .. } = self.policy {
+            self.s.splits[i].node = rpoint;
+            groups.sort_by_key(|&(node, _)| std::cmp::Reverse(node));
+            for &(node, mask) in groups.iter().filter(|&&(node, _)| node != rpoint) {
+                self.s.splits.push(Split::new(func, node, mask, rpoint, false));
+            }
+        } else {
+            let old = self.s.splits.swap_remove(i);
+            for &(node, mask) in groups.iter() {
+                let split = self.s.fork(&old, node, mask);
+                self.s.splits.push(split);
+            }
+            self.s.recycle(old);
+        }
+        Ok(())
+    }
+
+    /// DARM-style melding attempt at a two-way divergence
+    /// ([`ReconvergenceModel::BranchMelding`]).
+    ///
+    /// When both target regions are straight-line (`Jmp`-only) chains to
+    /// the reconvergence point of identical shape — same length, same
+    /// per-block instruction count — the two arms execute as one melded
+    /// region: position `i` of both chains issues together, charged
+    /// `max` of the paired block sizes, and the whole warp lands at
+    /// `ipd` without splitting (no divergence is recorded). Returns
+    /// `false` when the shape test fails and the split should diverge.
+    fn try_meld(
+        &mut self,
+        i: usize,
+        groups: &[(usize, u64)],
+        ipd: usize,
+    ) -> Result<bool, AnalyzeError> {
+        if groups.len() != 2 || groups[0].0 == ipd || groups[1].0 == ipd {
+            return Ok(false);
+        }
+        let func = self.s.splits[i].func;
+        let f = self.program.function(func);
+        let [mut a, mut b] = take(&mut self.s.chains);
+        let melds = jmp_chain(f, groups[0].0, ipd, &mut a)
+            && jmp_chain(f, groups[1].0, ipd, &mut b)
+            && a.len() == b.len()
+            && a.iter().zip(&b).all(|(&x, &y)| {
+                f.block(BlockId(x as u32)).insts.len() == f.block(BlockId(y as u32)).insts.len()
+            });
+        if melds {
+            // An error ends the warp, so the chains need not go back.
+            a.iter().zip(&b).try_for_each(|(&x, &y)| {
+                let (ni_a, active_a, _) = self.exec_block_events(func, x, groups[0].1)?;
+                let (ni_b, active_b, _) = self.exec_block_events(func, y, groups[1].1)?;
+                self.account_issue(func, ni_a.max(ni_b), active_a + active_b)
+            })?;
+            self.report.melds += 1;
+            self.s.splits[i].node = ipd;
+        }
+        self.s.chains = [a, b];
+        Ok(melds)
+    }
+
+    /// Function entry: the lanes of split `i` call `callee`. The stack
+    /// pushes a frame split that pops at the callee's virtual exit;
+    /// min-PC records the call site on the split's own call stack.
+    fn call(&mut self, i: usize, callee: FuncId) -> Result<(), AnalyzeError> {
+        let entry = self.program.function(callee).entry.0 as usize;
+        let split = &mut self.s.splits[i];
+        self.s.funcs[callee.0 as usize].invocations += split.mask.count_ones() as u64;
+        if self.policy == Policy::PcMin {
+            split.callers.push((split.func, split.node));
+            (split.func, split.node) = (callee, entry);
+        } else {
+            let (mask, rpc) = (split.mask, self.dcfg(callee)?.virtual_exit());
+            self.s.splits.push(Split::new(callee, entry, mask, rpc, true));
+        }
+        Ok(())
+    }
+
+    /// Function return of split `i`. The stack runs the split on to the
+    /// virtual exit, where [`WarpEmulator::pick`] pops it into the
+    /// caller; min-PC pops the split's own call stack, or retires it at
+    /// the root.
+    fn ret(&mut self, i: usize) -> Result<(), AnalyzeError> {
+        let split = &self.s.splits[i];
+        if self.policy != Policy::PcMin {
+            let vexit = self.dcfg(split.func)?.virtual_exit();
+            self.s.splits[i].node = vexit;
+        } else if let Some(&(caller, _)) = split.callers.last() {
+            let next = self.continuation(split.mask, caller)?;
+            let split = &mut self.s.splits[i];
+            split.callers.pop();
+            (split.func, split.node) = (caller, next);
+        } else {
+            let done = self.s.splits.swap_remove(i);
+            self.s.recycle(done);
+        }
+        Ok(())
+    }
+
+    /// The block at which every lane of `mask` continues in `caller`
+    /// after a return: the lanes' next events, which must agree.
+    fn continuation(&self, mask: u64, caller: FuncId) -> Result<usize, AnalyzeError> {
         let mut target: Option<u64> = None;
-        for l in lanes_of(popped.mask, n) {
+        for l in lanes_of(mask) {
             let key = self.key(l);
             if key & SIDE_BIT != 0 {
                 let other = self.peek_event(l);
@@ -1150,12 +1330,122 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 }
             }
         }
-        let t = unpack_key(target.expect("frame entries have nonempty masks"));
-        if t.func != below_func {
-            let lane = lanes_of(popped.mask, n).next().unwrap_or(0);
+        let t = unpack_key(target.expect("splits have nonempty masks"));
+        if t.func != caller {
+            let lane = mask.trailing_zeros() as usize;
             return Err(self.desync(lane, "continuation in unexpected function"));
         }
-        self.stack.last_mut().expect("nonempty").node = t.block.0 as usize;
+        Ok(t.block.0 as usize)
+    }
+
+    /// Consumes the pending side event of every lane in `mask`, which
+    /// `expected(lane, event)` must accept; otherwise the first lane that
+    /// disagrees desynchronizes, naming the `kind` of event expected.
+    fn consume_sides(
+        &mut self,
+        mask: u64,
+        kind: &str,
+        mut expected: impl FnMut(usize, SideEvent) -> bool,
+    ) -> Result<(), AnalyzeError> {
+        for l in lanes_of(mask) {
+            match self.cached_side(l) {
+                Some(e) if expected(l, e) => self.s.pos[l] += 1,
+                _ => {
+                    let other = self.peek_event(l);
+                    return Err(self.desync(l, format!("expected {kind} event, got {other:?}")));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Lock handling at an `Acquire` terminator (paper §III): with lock
+    /// emulation on, warp-mates contending on one lock serialize up to
+    /// the block after an unlock; everyone else proceeds to `next`.
+    fn acquire(&mut self, i: usize, next: usize) -> Result<(), AnalyzeError> {
+        // An error ends the warp, so the taken buffer need not go back.
+        let mut locks = take(&mut self.s.locks);
+        locks.clear();
+        self.consume_sides(self.s.splits[i].mask, "Acquire", |l, e| match e {
+            SideEvent::Acquire { lock } => {
+                locks.push((l, lock));
+                true
+            }
+            _ => false,
+        })?;
+        // Lanes whose lock another lane of the warp also takes.
+        let contended = locks
+            .iter()
+            .filter(|&&(_, lock)| locks.iter().filter(|&&(_, o)| o == lock).count() > 1)
+            .fold(0u64, |m, &(l, _)| m | 1 << l);
+        if self.config.emulate_intra_warp_locks && contended != 0 {
+            self.serialize(i, &locks, contended, next)?;
+        } else {
+            self.s.splits[i].node = next;
+        }
+        self.s.locks = locks;
+        Ok(())
+    }
+
+    /// Serializes the `contended` lanes of split `i` (`locks` holds every
+    /// lane's `(lane, lock)`).
+    ///
+    /// Stack: the split waits at the anticipated reconvergence point —
+    /// the block after the first contended lane's matching unlock ("one
+    /// of the unlock pairs of one of the threads") — under one split for
+    /// the uncontended lanes ("threads acquiring different locks execute
+    /// in parallel") and one per contended lane. Min-PC: each contended
+    /// lane that can name its own unlock becomes a singleton split that
+    /// refuses to merge until past it; the rest stay together.
+    fn serialize(
+        &mut self,
+        i: usize,
+        locks: &[(usize, u64)],
+        contended: u64,
+        next: usize,
+    ) -> Result<(), AnalyzeError> {
+        let func = self.s.splits[i].func;
+        let mut contenders = locks.iter().filter(|&&(l, _)| contended >> l & 1 != 0);
+        if self.policy == Policy::PcMin {
+            let old = self.s.splits.swap_remove(i);
+            let mut serialized = 0u64;
+            for &(l, lock) in contenders {
+                let Some(rel) = self.release_point(l, lock, func) else {
+                    continue;
+                };
+                serialized |= 1 << l;
+                let split = self.s.fork(&old, next, 1 << l);
+                self.s.splits.push(Split { release_at: Some((func, rel)), ..split });
+            }
+            if serialized == 0 {
+                self.report.lock_fallbacks += 1;
+            } else {
+                self.report.lock_serializations += 1;
+            }
+            if old.mask & !serialized != 0 {
+                let rest = self.s.fork(&old, next, old.mask & !serialized);
+                self.s.splits.push(rest);
+            }
+            self.s.recycle(old);
+            return Ok(());
+        }
+        let &(lead, lead_lock) = contenders.next().expect("a contended lock");
+        let Some(rpoint) = self.release_point(lead, lead_lock, func) else {
+            self.report.lock_fallbacks += 1;
+            self.s.splits[i].node = next;
+            return Ok(());
+        };
+        self.report.lock_serializations += 1;
+        let mask = self.s.splits[i].mask;
+        self.s.splits[i].node = rpoint;
+        if next != rpoint {
+            if mask & !contended != 0 {
+                self.s.splits.push(Split::new(func, next, mask & !contended, rpoint, false));
+            }
+            for l in (0..64).rev().filter(|l| contended >> l & 1 != 0) {
+                self.s.splits.push(Split::new(func, next, 1 << l, rpoint, false));
+            }
+        }
         Ok(())
     }
 
@@ -1174,92 +1464,78 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         }
     }
 
-    /// Accounts `ni` lock-step issues by a group of `active` lanes: each
-    /// issue occupies the formation's effective width in lane slots.
-    fn account_issue(&mut self, func: FuncId, ni: u64, active: u64) {
+    /// Accounts `ni` lock-step issues by a group of `active` lanes — each
+    /// occupies the formation's effective width in lane slots — and
+    /// enforces the per-warp issue budget.
+    fn account_issue(&mut self, func: FuncId, ni: u64, active: u64) -> Result<(), AnalyzeError> {
         let slots = ni * self.effective_width(active);
         self.report.issues += ni;
         self.report.issue_slots += slots;
-        let fr = &mut self.func_scratch[func.0 as usize];
+        let fr = &mut self.s.funcs[func.0 as usize];
         fr.own_issues += ni;
         fr.own_issue_slots += slots;
-    }
-
-    /// Consumes the Block + Mem events of every active lane and accounts
-    /// issues, per-function attribution, and coalesced transactions.
-    fn exec_block(&mut self, top: Entry) -> Result<Option<u64>, AnalyzeError> {
-        let (ni, active, next) = self.exec_block_events(top.func, top.node, top.mask)?;
-        self.account_issue(top.func, ni, active);
-        Ok(next)
+        if self.report.issues > self.config.max_issues_per_warp {
+            return Err(AnalyzeError::IssueBudget { warp: self.warp_index });
+        }
+        Ok(())
     }
 
     /// Consumes the Block + Mem events of every lane in `mask` at
     /// `(func, node)`, attributing per-thread instructions, the step
     /// sink, and coalesced transactions. Returns the block's dynamic
-    /// instruction count and the active-lane count; *issue* accounting is
-    /// the caller's job — the stack, stackless, and melded paths weight
-    /// issues differently.
+    /// instruction count, the active-lane count, and the lanes' next
+    /// event key if they all agree on it. *Issue* accounting is the
+    /// caller's: a melded step issues two blocks as one.
     fn exec_block_events(
         &mut self,
         func: FuncId,
         node: usize,
         mask: u64,
     ) -> Result<(u64, u64, Option<u64>), AnalyzeError> {
-        let n = self.pos.len();
         let key = pack_key(func, node);
         // Borrows of the arena slices: field-disjoint from the scratch
         // and position columns, so the collect loop streams straight into
         // the scratch without moving anything out and back.
         let events = self.tape.events;
         let mems = self.tape.mems;
-        let mut n_insts: Option<u32> = None;
-        self.mem_scratch.clear();
+        let mut ni = 0u32;
+        self.s.mem.clear();
         let mut active = 0u64;
         // Uniform next-event key across the active lanes, gathered in the
         // same pass (the terminator's grouping step short-circuits on it).
         let mut next_key = u64::MAX;
         let mut next_same = true;
-        for l in lanes_of(mask, n) {
+        for l in lanes_of(mask) {
             active += 1;
-            let p = self.pos[l] as usize;
+            let p = self.s.pos[l] as usize;
             let ev = events[p];
             // Block keys carry bit 63 clear, so one compare validates
             // both the event kind and the block identity.
             if ev.key != key {
-                let addr = unpack_key(key);
-                return Err(AnalyzeError::Desync {
-                    tid: self.tids[l],
-                    detail: format!("expected block {addr}, got {:?}", self.peek_event(l)),
-                });
+                let (addr, got) = (unpack_key(key), self.peek_event(l));
+                return Err(self.desync(l, format!("expected block {addr}, got {got:?}")));
             }
-            let lni = ev.ni;
-            match n_insts {
-                None => n_insts = Some(lni),
-                Some(prev) if prev == lni => {}
-                Some(prev) => {
-                    let addr = unpack_key(key);
-                    return Err(AnalyzeError::Desync {
-                        tid: self.tids[l],
-                        detail: format!("block size mismatch at {addr}: {lni} vs {prev}"),
-                    });
-                }
+            if active > 1 && ev.ni != ni {
+                let (addr, lni) = (unpack_key(key), ev.ni);
+                return Err(self.desync(l, format!("block size mismatch at {addr}: {lni} vs {ni}")));
             }
+            ni = ev.ni;
             // The consumed event is never the thread's last (END follows),
             // so `p + 1` stays inside this thread's tape segment; the next
             // record doubles as this block's mem-range end.
             let next = events[p + 1];
             for m in &mems[ev.mem_lo as usize..next.mem_lo as usize] {
-                self.mem_scratch.collect(m.inst, m.addr, m.size as u32);
+                self.s.mem.collect(m.inst, m.addr, m.size as u32);
             }
-            self.pos[l] = p as u32 + 1;
+            self.s.pos[l] = p as u32 + 1;
             let nk = next.key;
             next_same &= active == 1 || nk == next_key;
             next_key = nk;
         }
-        self.mem_scratch.build();
-        let ni = n_insts.expect("at least one active lane") as u64;
+        self.s.mem.build();
+        let ni = ni as u64;
         self.report.thread_insts += ni * active;
-        self.func_scratch[func.0 as usize].own_thread_insts += ni * active;
+        self.s.funcs[func.0 as usize].own_thread_insts += ni * active;
 
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.on_step(&BlockStep {
@@ -1269,185 +1545,83 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 n_insts: ni as u32,
                 mask,
                 active: active as u32,
-                mem: &self.mem_scratch,
+                mem: &self.s.mem,
             });
         }
-
-        for (_, accesses) in self.mem_scratch.iter() {
-            // One tagged radix pass per instruction: each access's line
-            // keys carry the segment in bit 63, so a single sort counts
-            // both segments' transactions — no classify-into-two-buffers
-            // round and one sort instead of two.
-            let mut heap_n = 0u64;
-            let mut stack_n = 0u64;
-            let (heap_tx, stack_tx) = threadfuser_mem::coalesce_transactions_tagged(
-                &mut self.lines_scratch,
-                accesses.iter().map(|&(a, s)| {
-                    let stack = segment_of(a) == Segment::Stack;
-                    if stack {
-                        stack_n += 1;
-                    } else {
-                        heap_n += 1;
-                    }
-                    (a, s, stack)
-                }),
-            );
-            if heap_n > 0 {
-                self.report.heap.instructions += 1;
-                self.report.heap.accesses += heap_n;
-                self.report.heap.transactions += heap_tx as u64;
-            }
-            if stack_n > 0 {
-                self.report.stack.instructions += 1;
-                self.report.stack.accesses += stack_n;
-                self.report.stack.transactions += stack_tx as u64;
-            }
+        for (_, accesses) in self.s.mem.iter() {
+            coalesce_into(&mut self.s.lines, &mut self.report, accesses.iter().copied());
         }
         Ok((ni, active, next_same.then_some(next_key)))
     }
 
-    /// Fast-forwards a singleton lane group (one active lane) through a
+    /// Fast-forwards a one-lane stack split (no sink attached) through a
     /// run of branch-terminated blocks. With one lane there is nothing to
     /// group, agree on, or diverge: the lane's own tape *is* the warp's
-    /// path, so the per-step stack/grouping machinery collapses to a
+    /// path, so the per-step split and grouping machinery collapses to a
     /// key-validated tape walk with identical accounting and identical
-    /// error behavior. Stops (updating the stack top in place) at the
-    /// entry's reconvergence point, the virtual exit, or the first
-    /// non-branch terminator; returns whether any block was executed.
-    fn run_singleton(&mut self, top: &Entry, vexit: usize) -> Result<bool, AnalyzeError> {
-        let lane = top.mask.trailing_zeros() as usize;
-        let func = top.func;
+    /// error behavior. Stops (updating the split in place) at its
+    /// reconvergence point, the virtual exit, or the first non-branch
+    /// terminator; returns whether any block was executed.
+    fn run_singleton(&mut self, i: usize) -> Result<bool, AnalyzeError> {
+        let split = &self.s.splits[i];
+        let (lane, func, rpc, mut node) =
+            (split.mask.trailing_zeros() as usize, split.func, split.rpc, split.node);
+        let vexit = self.dcfg(func)?.virtual_exit();
         let func_hi = (func.0 as u64) << 32;
         let f = self.program.function(func);
-        let fi = func.0 as usize;
-        let w1 = self.effective_width(1);
-        let max_issues = self.config.max_issues_per_warp;
         // The tape is a `&'a` slice (independent of the `self` borrow).
         let events = self.tape.events;
-        let mut node = top.node;
-        let mut p = self.pos[lane] as usize;
+        let mut p = self.s.pos[lane] as usize;
         let mut executed = false;
-        loop {
-            let term = &f.block(BlockId(node as u32)).term;
-            if !matches!(
-                term,
-                Terminator::Jmp(_) | Terminator::Br { .. } | Terminator::Switch { .. }
-            ) {
-                break;
-            }
+        while matches!(
+            f.block(BlockId(node as u32)).term,
+            Terminator::Jmp(_) | Terminator::Br { .. } | Terminator::Switch { .. }
+        ) {
             // ---- execute `node` (same checks as exec_block_events) ------
             let ev = events[p];
             if ev.key != pack_key(func, node) {
-                self.pos[lane] = p as u32;
-                let addr = unpack_key(pack_key(func, node));
+                self.s.pos[lane] = p as u32;
                 let got = self.peek_event(lane);
+                let addr = unpack_key(pack_key(func, node));
                 return Err(self.desync(lane, format!("expected block {addr}, got {got:?}")));
             }
-            let ni = ev.ni as u64;
-            let (lo, hi) = (ev.mem_lo as usize, events[p + 1].mem_lo as usize);
             p += 1;
-            if lo != hi || self.sink.is_some() {
-                self.exec_singleton_mem(func, node, ni as u32, top.mask, lo, hi);
-            }
+            self.singleton_mem(ev.mem_lo as usize, events[p].mem_lo as usize);
+            let ni = ev.ni as u64;
             self.report.thread_insts += ni;
-            self.report.issues += ni;
-            self.report.issue_slots += ni * w1;
-            let fr = &mut self.func_scratch[fi];
-            fr.own_thread_insts += ni;
-            fr.own_issues += ni;
-            fr.own_issue_slots += ni * w1;
+            self.s.funcs[func.0 as usize].own_thread_insts += ni;
+            self.account_issue(func, ni, 1)?;
             executed = true;
-            if self.report.issues > max_issues {
-                return Err(AnalyzeError::IssueBudget { warp: self.warp_index });
-            }
             // ---- advance (single lane: single target, no divergence) ----
             let np = events[p].key;
             if np & !0xffff_ffff != func_hi {
-                self.pos[lane] = p as u32;
+                self.s.pos[lane] = p as u32;
                 let got = self.peek_event(lane);
                 return Err(self.desync(lane, format!("expected successor block, got {got:?}")));
             }
             node = np as u32 as usize;
-            if node == top.rpc || node == vexit {
+            if node == rpc || node == vexit {
                 break;
             }
         }
-        self.pos[lane] = p as u32;
+        self.s.pos[lane] = p as u32;
         if executed {
-            self.stack.last_mut().expect("nonempty").node = node;
+            self.s.splits[i].node = node;
         }
         Ok(executed)
     }
 
     /// Memory accounting for one singleton-lane block: `lo..hi` indexes
-    /// the tape's mem arenas. Without a sink the contiguous equal-index
-    /// runs of a single lane's accesses *are* the instruction groups, so
-    /// coalescing skips the scratch rebuild (a lone access's distinct
-    /// lines are just a contiguous range). With a sink the groups are
-    /// materialized exactly like the generic path so `BlockStep` sees the
-    /// same `MemGroups`.
-    fn exec_singleton_mem(
-        &mut self,
-        func: FuncId,
-        node: usize,
-        ni: u32,
-        mask: u64,
-        lo: usize,
-        hi: usize,
-    ) {
+    /// the tape's mem arena. A single lane's contiguous equal-index runs
+    /// *are* the instruction groups, so coalescing skips the scratch
+    /// rebuild, and a lone access's distinct lines are just a contiguous
+    /// range.
+    fn singleton_mem(&mut self, lo: usize, hi: usize) {
         let mems = self.tape.mems;
-        if self.sink.is_some() {
-            self.mem_scratch.clear();
-            for m in &mems[lo..hi] {
-                self.mem_scratch.collect(m.inst, m.addr, m.size as u32);
-            }
-            self.mem_scratch.build();
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.on_step(&BlockStep {
-                    warp: self.warp_index,
-                    func,
-                    block: BlockId(node as u32),
-                    n_insts: ni,
-                    mask,
-                    active: 1,
-                    mem: &self.mem_scratch,
-                });
-            }
-            for (_, accesses) in self.mem_scratch.iter() {
-                let mut heap_n = 0u64;
-                let mut stack_n = 0u64;
-                let (heap_tx, stack_tx) = threadfuser_mem::coalesce_transactions_tagged(
-                    &mut self.lines_scratch,
-                    accesses.iter().map(|&(a, s)| {
-                        let stack = segment_of(a) == Segment::Stack;
-                        if stack {
-                            stack_n += 1;
-                        } else {
-                            heap_n += 1;
-                        }
-                        (a, s, stack)
-                    }),
-                );
-                if heap_n > 0 {
-                    self.report.heap.instructions += 1;
-                    self.report.heap.accesses += heap_n;
-                    self.report.heap.transactions += heap_tx as u64;
-                }
-                if stack_n > 0 {
-                    self.report.stack.instructions += 1;
-                    self.report.stack.accesses += stack_n;
-                    self.report.stack.transactions += stack_tx as u64;
-                }
-            }
-            return;
-        }
         let mut j = lo;
         while j < hi {
             let inst = mems[j].inst;
-            let mut k = j + 1;
-            while k < hi && mems[k].inst == inst {
-                k += 1;
-            }
+            let k = j + mems[j..hi].iter().take_while(|m| m.inst == inst).count();
             if k == j + 1 {
                 // One access: its lines form a contiguous range, so the
                 // transaction count is the range length (identical to the
@@ -1465,538 +1639,13 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 seg.accesses += 1;
                 seg.transactions += last - first + 1;
             } else {
-                let mut heap_n = 0u64;
-                let mut stack_n = 0u64;
-                let (heap_tx, stack_tx) = threadfuser_mem::coalesce_transactions_tagged(
-                    &mut self.lines_scratch,
-                    (j..k).map(|x| {
-                        let a = mems[x].addr;
-                        let stack = segment_of(a) == Segment::Stack;
-                        if stack {
-                            stack_n += 1;
-                        } else {
-                            heap_n += 1;
-                        }
-                        (a, mems[x].size as u32, stack)
-                    }),
-                );
-                if heap_n > 0 {
-                    self.report.heap.instructions += 1;
-                    self.report.heap.accesses += heap_n;
-                    self.report.heap.transactions += heap_tx as u64;
-                }
-                if stack_n > 0 {
-                    self.report.stack.instructions += 1;
-                    self.report.stack.accesses += stack_n;
-                    self.report.stack.transactions += stack_tx as u64;
-                }
+                let accesses = mems[j..k].iter().map(|m| (m.addr, m.size as u32));
+                coalesce_into(&mut self.s.lines, &mut self.report, accesses);
             }
             j = k;
         }
     }
 
-    /// Groups the lanes of `mask` by the block their next trace event
-    /// names (which must stay in `func`), filling `groups` (cleared on
-    /// entry).
-    fn group_by_next_block(
-        &mut self,
-        func: FuncId,
-        mask: u64,
-        uniform: Option<u64>,
-        groups: &mut Vec<(usize, u64)>,
-    ) -> Result<(), AnalyzeError> {
-        groups.clear();
-        let n = self.pos.len();
-        let func_hi = (func.0 as u64) << 32;
-        // Uniform fast path: every active lane already agreed on its next
-        // event during block execution — one range check replaces the
-        // per-lane walk. (A uniform but wrong key falls through so the
-        // error below names the correct first lane.)
-        if let Some(k) = uniform {
-            if k & !0xffff_ffff == func_hi {
-                groups.push((k as u32 as usize, mask));
-                return Ok(());
-            }
-        }
-        for l in lanes_of(mask, n) {
-            // Side events and END carry bit 63, so the function-word
-            // compare also rejects non-block events.
-            let key = self.key(l);
-            if key & !0xffff_ffff != func_hi {
-                let other = self.peek_event(l);
-                return Err(self.desync(l, format!("expected successor block, got {other:?}")));
-            }
-            let node = key as u32 as usize;
-            match groups.iter_mut().find(|(g, _)| *g == node) {
-                Some((_, m)) => *m |= 1 << l,
-                None => groups.push((node, 1 << l)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Standard SIMT-stack transition: advance, merge, or diverge via the
-    /// dynamic IPDOM (`ipd`) of the block just executed.
-    fn apply_transition(
-        &mut self,
-        top: Entry,
-        groups: &mut [(usize, u64)],
-        ipd: usize,
-    ) -> Result<(), AnalyzeError> {
-        if groups.len() == 1 {
-            self.stack.last_mut().expect("nonempty").node = groups[0].0;
-            return Ok(());
-        }
-        self.report.divergences += 1;
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.on_divergence(self.warp_index, top.func, BlockId(top.node as u32), ipd, groups);
-        }
-        self.stack.pop();
-        // Reconvergence entry inherits the frame flag so a divergence that
-        // spans to function end still performs the caller update on pop.
-        self.stack.push(Entry {
-            func: top.func,
-            node: ipd,
-            rpc: top.rpc,
-            mask: top.mask,
-            is_frame: top.is_frame,
-        });
-        groups.sort_by_key(|&(node, _)| std::cmp::Reverse(node));
-        for &(node, mask) in groups.iter() {
-            if node != ipd {
-                self.stack.push(Entry { func: top.func, node, rpc: ipd, mask, is_frame: false });
-            }
-        }
-        Ok(())
-    }
-
-    /// DARM-style melding attempt at a two-way divergence
-    /// ([`ReconvergenceModel::BranchMelding`]).
-    ///
-    /// When both target regions are straight-line (`Jmp`-only) chains to
-    /// the reconvergence point of identical shape — same length, same
-    /// per-block instruction count — the two arms execute as one melded
-    /// region: position `i` of both chains issues together, charged
-    /// `max` of the paired block sizes, and the whole warp lands at
-    /// `ipd` without touching the SIMT stack (no divergence is
-    /// recorded). Returns `false` when the shape test fails and the
-    /// normal stack transition should run.
-    fn try_meld(
-        &mut self,
-        func: FuncId,
-        groups: &[(usize, u64)],
-        ipd: usize,
-    ) -> Result<bool, AnalyzeError> {
-        if groups.len() != 2 || groups[0].0 == ipd || groups[1].0 == ipd {
-            return Ok(false);
-        }
-        let (Some(chain_a), Some(chain_b)) =
-            (self.jmp_chain(func, groups[0].0, ipd), self.jmp_chain(func, groups[1].0, ipd))
-        else {
-            return Ok(false);
-        };
-        if chain_a.len() != chain_b.len() {
-            return Ok(false);
-        }
-        let f = self.program.function(func);
-        let same_shape = chain_a.iter().zip(&chain_b).all(|(&a, &b)| {
-            f.block(BlockId(a as u32)).insts.len() == f.block(BlockId(b as u32)).insts.len()
-        });
-        if !same_shape {
-            return Ok(false);
-        }
-
-        let (mask_a, mask_b) = (groups[0].1, groups[1].1);
-        for (&a, &b) in chain_a.iter().zip(&chain_b) {
-            let (ni_a, active_a, _) = self.exec_block_events(func, a, mask_a)?;
-            let (ni_b, active_b, _) = self.exec_block_events(func, b, mask_b)?;
-            self.account_issue(func, ni_a.max(ni_b), active_a + active_b);
-            if self.report.issues > self.config.max_issues_per_warp {
-                return Err(AnalyzeError::IssueBudget { warp: self.warp_index });
-            }
-        }
-        self.report.melds += 1;
-        self.stack.last_mut().expect("nonempty").node = ipd;
-        Ok(true)
-    }
-
-    /// The `Jmp`-only chain from `from` up to (exclusive) `ipd`, or
-    /// `None` when the region is not straight-line or exceeds the cap.
-    /// `ipd` may be the virtual exit — unreachable by `Jmp`, so such
-    /// regions simply never meld.
-    fn jmp_chain(&self, func: FuncId, from: usize, ipd: usize) -> Option<Vec<usize>> {
-        const MELD_CHAIN_CAP: usize = 64;
-        let f = self.program.function(func);
-        let mut chain = Vec::new();
-        let mut cur = from;
-        loop {
-            if chain.len() == MELD_CHAIN_CAP {
-                return None;
-            }
-            chain.push(cur);
-            match f.block(BlockId(cur as u32)).term {
-                Terminator::Jmp(t) if t.0 as usize == ipd => return Some(chain),
-                Terminator::Jmp(t) => cur = t.0 as usize,
-                _ => return None,
-            }
-        }
-    }
-
-    /// Lock handling at an `Acquire` terminator (paper §III).
-    fn handle_acquire(&mut self, top: Entry, next: usize) -> Result<(), AnalyzeError> {
-        let n = self.pos.len();
-        let mut locks: Vec<(usize, u64)> = Vec::new(); // (lane, lock)
-        for l in lanes_of(top.mask, n) {
-            match self.cached_side(l) {
-                Some(SideEvent::Acquire { lock }) => {
-                    locks.push((l, lock));
-                    self.consume_side(l);
-                }
-                _ => {
-                    let other = self.peek_event(l);
-                    return Err(self.desync(l, format!("expected Acquire event, got {other:?}")));
-                }
-            }
-        }
-        let contended: Vec<usize> = locks
-            .iter()
-            .filter(|(_, lk)| locks.iter().filter(|(_, o)| o == lk).count() > 1)
-            .map(|&(l, _)| l)
-            .collect();
-        if !self.config.emulate_intra_warp_locks || contended.is_empty() {
-            self.stack.last_mut().expect("nonempty").node = next;
-            return Ok(());
-        }
-
-        // Anticipated reconvergence point: the block after the first
-        // contended thread's matching unlock (paper: "one of the unlock
-        // pairs of one of the threads").
-        let lead = contended[0];
-        let lead_lock = locks.iter().find(|(l, _)| *l == lead).expect("present").1;
-        let rpoint_addr =
-            self.scan_release_target(lead, lead_lock).filter(|addr| addr.func == top.func);
-        let Some(rpoint) = rpoint_addr.map(|addr| addr.block.0 as usize) else {
-            self.report.lock_fallbacks += 1;
-            self.stack.last_mut().expect("nonempty").node = next;
-            return Ok(());
-        };
-        self.report.lock_serializations += 1;
-
-        self.stack.pop();
-        self.stack.push(Entry {
-            func: top.func,
-            node: rpoint,
-            rpc: top.rpc,
-            mask: top.mask,
-            is_frame: top.is_frame,
-        });
-        // Uncontended lanes proceed together ("threads acquiring different
-        // locks execute in parallel").
-        let contended_mask: u64 = contended.iter().map(|&l| 1u64 << l).sum();
-        let uncontended = top.mask & !contended_mask;
-        if uncontended != 0 && next != rpoint {
-            self.stack.push(Entry {
-                func: top.func,
-                node: next,
-                rpc: rpoint,
-                mask: uncontended,
-                is_frame: false,
-            });
-        }
-        // Contended lanes serialize, one entry each.
-        if next != rpoint {
-            for &l in contended.iter().rev() {
-                self.stack.push(Entry {
-                    func: top.func,
-                    node: next,
-                    rpc: rpoint,
-                    mask: 1 << l,
-                    is_frame: false,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The stackless MEC-style machine
-    /// ([`ReconvergenceModel::StacklessPcMin`]): no reconvergence stack
-    /// and no precomputed reconvergence points. Thread groups carry
-    /// their own call-stack position; each step the earliest-PC group
-    /// executes one block (lagging groups catch leading ones up), and
-    /// groups arriving at identical positions merge. A divergence
-    /// simply splits a group; a contended lock acquire splits the
-    /// contenders into serialized singleton groups that refuse to merge
-    /// until past their own unlock.
-    fn run_stackless(&mut self) -> Result<(), AnalyzeError> {
-        let n = self.pos.len();
-        let Some((first_key, full)) = self.start()? else {
-            return Ok(());
-        };
-        let first = unpack_key(first_key);
-        let program = self.program;
-        let mut groups: Vec<SGroup> = vec![SGroup {
-            frames: vec![(first.func, first.block.0 as usize)],
-            mask: full,
-            serial: 0,
-            release_at: None,
-        }];
-        let mut next_serial = 0u32;
-
-        while !groups.is_empty() {
-            // ---- clear expired serial tokens, then merge ---------------
-            for g in groups.iter_mut() {
-                if g.serial != 0
-                    && g.release_at.is_some_and(|r| *g.frames.last().expect("nonempty") == r)
-                {
-                    g.serial = 0;
-                    g.release_at = None;
-                }
-            }
-            let mut i = 0;
-            while i < groups.len() {
-                if groups[i].serial != 0 {
-                    i += 1;
-                    continue;
-                }
-                let mut j = i + 1;
-                while j < groups.len() {
-                    if groups[j].serial == 0 && groups[j].frames == groups[i].frames {
-                        let merged = groups.remove(j);
-                        groups[i].mask |= merged.mask;
-                        self.report.reconvergences += 1;
-                        if let Some(sink) = self.sink.as_deref_mut() {
-                            let &(f, node) = groups[i].frames.last().expect("nonempty");
-                            sink.on_reconvergence(self.warp_index, f, node, groups[i].mask);
-                        }
-                    } else {
-                        j += 1;
-                    }
-                }
-                i += 1;
-            }
-
-            // ---- schedule: earliest PC, deepest stack, lowest lane -----
-            let gi = (0..groups.len())
-                .min_by_key(|&i| {
-                    let g = &groups[i];
-                    let &(f, node) = g.frames.last().expect("nonempty");
-                    (f.0, node, std::cmp::Reverse(g.frames.len()), g.mask.trailing_zeros())
-                })
-                .expect("nonempty group list");
-            let &(func, node) = groups[gi].frames.last().expect("nonempty");
-            let mask = groups[gi].mask;
-
-            // ---- execute one block -------------------------------------
-            let (ni, active, next_uniform) = self.exec_block_events(func, node, mask)?;
-            self.account_issue(func, ni, active);
-            if self.report.issues > self.config.max_issues_per_warp {
-                return Err(AnalyzeError::IssueBudget { warp: self.warp_index });
-            }
-
-            // ---- terminator --------------------------------------------
-            let term = &program.function(func).block(BlockId(node as u32)).term;
-            match term {
-                Terminator::Jmp(_) | Terminator::Br { .. } | Terminator::Switch { .. } => {
-                    // There is no reconvergence point in this model; the
-                    // sink's `reconverge_at` is the virtual exit.
-                    let vexit = self.dcfg(func)?.virtual_exit();
-                    let mut targets = std::mem::take(&mut self.groups_scratch);
-                    let result = self.group_by_next_block(func, mask, next_uniform, &mut targets);
-                    if result.is_ok() {
-                        if targets.len() == 1 {
-                            groups[gi].frames.last_mut().expect("nonempty").1 = targets[0].0;
-                        } else {
-                            self.report.divergences += 1;
-                            if let Some(sink) = self.sink.as_deref_mut() {
-                                sink.on_divergence(
-                                    self.warp_index,
-                                    func,
-                                    BlockId(node as u32),
-                                    vexit,
-                                    &targets,
-                                );
-                            }
-                            let old = groups.swap_remove(gi);
-                            for &(t, m) in targets.iter() {
-                                let mut frames = old.frames.clone();
-                                frames.last_mut().expect("nonempty").1 = t;
-                                groups.push(SGroup {
-                                    frames,
-                                    mask: m,
-                                    serial: old.serial,
-                                    release_at: old.release_at,
-                                });
-                            }
-                        }
-                    }
-                    self.groups_scratch = targets;
-                    result?;
-                }
-                Terminator::Ret { .. } => {
-                    for l in lanes_of(mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Ret) => self.consume_side(l),
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(
-                                    self.desync(l, format!("expected Ret event, got {other:?}"))
-                                );
-                            }
-                        }
-                    }
-                    if groups[gi].frames.len() == 1 {
-                        // Root return: these lanes are done.
-                        groups.swap_remove(gi);
-                        continue;
-                    }
-                    // Pop the frame; the caller's continuation comes from
-                    // the lanes' next trace events (they must agree).
-                    let mut target: Option<u64> = None;
-                    for l in lanes_of(mask, n) {
-                        let key = self.key(l);
-                        if key & SIDE_BIT != 0 {
-                            let other = self.peek_event(l);
-                            return Err(self
-                                .desync(l, format!("expected continuation block, got {other:?}")));
-                        }
-                        match target {
-                            None => target = Some(key),
-                            Some(t) if t == key => {}
-                            Some(t) => {
-                                let (addr, t) = (unpack_key(key), unpack_key(t));
-                                return Err(self.desync(
-                                    l,
-                                    format!("call continuation mismatch: {addr} vs {t}"),
-                                ));
-                            }
-                        }
-                    }
-                    let t = unpack_key(target.expect("nonempty mask"));
-                    let g = &mut groups[gi];
-                    g.frames.pop();
-                    let caller = g.frames.last_mut().expect("nonempty");
-                    if t.func != caller.0 {
-                        let lane = lanes_of(mask, n).next().unwrap_or(0);
-                        return Err(self.desync(lane, "continuation in unexpected function"));
-                    }
-                    caller.1 = t.block.0 as usize;
-                }
-                Terminator::Call { callee, .. } => {
-                    for l in lanes_of(mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Call { callee: c }) if c == *callee => {
-                                self.consume_side(l);
-                            }
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(
-                                    self.desync(l, format!("expected Call event, got {other:?}"))
-                                );
-                            }
-                        }
-                    }
-                    self.func_scratch[callee.0 as usize].invocations += mask.count_ones() as u64;
-                    let entry = program.function(*callee).entry.0 as usize;
-                    groups[gi].frames.push((*callee, entry));
-                }
-                Terminator::Acquire { next, .. } => {
-                    let next = next.0 as usize;
-                    let mut locks: Vec<(usize, u64)> = Vec::new(); // (lane, lock)
-                    for l in lanes_of(mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Acquire { lock }) => {
-                                locks.push((l, lock));
-                                self.consume_side(l);
-                            }
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(self
-                                    .desync(l, format!("expected Acquire event, got {other:?}")));
-                            }
-                        }
-                    }
-                    let contended: Vec<(usize, u64)> = locks
-                        .iter()
-                        .filter(|(_, lk)| locks.iter().filter(|(_, o)| o == lk).count() > 1)
-                        .copied()
-                        .collect();
-                    if !self.config.emulate_intra_warp_locks || contended.is_empty() {
-                        groups[gi].frames.last_mut().expect("nonempty").1 = next;
-                        continue;
-                    }
-                    // Each contended lane that can name its own unlock
-                    // becomes a serialized singleton group — the
-                    // stackless analog of the stack machine's
-                    // one-entry-per-contender serialization.
-                    let old = groups.swap_remove(gi);
-                    let mut serialized = 0u64;
-                    for &(l, lock) in &contended {
-                        let Some(rel) =
-                            self.scan_release_target(l, lock).filter(|a| a.func == func)
-                        else {
-                            continue;
-                        };
-                        serialized |= 1 << l;
-                        next_serial += 1;
-                        let mut frames = old.frames.clone();
-                        frames.last_mut().expect("nonempty").1 = next;
-                        groups.push(SGroup {
-                            frames,
-                            mask: 1 << l,
-                            serial: next_serial,
-                            release_at: Some((func, rel.block.0 as usize)),
-                        });
-                    }
-                    if serialized == 0 {
-                        self.report.lock_fallbacks += 1;
-                    } else {
-                        self.report.lock_serializations += 1;
-                    }
-                    let rest = old.mask & !serialized;
-                    if rest != 0 {
-                        let mut frames = old.frames;
-                        frames.last_mut().expect("nonempty").1 = next;
-                        groups.push(SGroup {
-                            frames,
-                            mask: rest,
-                            serial: old.serial,
-                            release_at: old.release_at,
-                        });
-                    }
-                }
-                Terminator::Release { next, .. } => {
-                    for l in lanes_of(mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Release { .. }) => self.consume_side(l),
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(self
-                                    .desync(l, format!("expected Release event, got {other:?}")));
-                            }
-                        }
-                    }
-                    groups[gi].frames.last_mut().expect("nonempty").1 = next.0 as usize;
-                }
-                Terminator::Barrier { next, .. } => {
-                    for l in lanes_of(mask, n) {
-                        match self.cached_side(l) {
-                            Some(SideEvent::Barrier { .. }) => self.consume_side(l),
-                            _ => {
-                                let other = self.peek_event(l);
-                                return Err(self
-                                    .desync(l, format!("expected Barrier event, got {other:?}")));
-                            }
-                        }
-                    }
-                    groups[gi].frames.last_mut().expect("nonempty").1 = next.0 as usize;
-                }
-            }
-        }
-        self.finish()
-    }
-}
-
-impl WarpEmulator<'_, '_> {
     /// Reconvergence point of a diverging block under the configured
     /// policy (node index; possibly the virtual exit).
     fn reconvergence_point(&self, dcfg: &Dcfg, func: FuncId, node: usize) -> usize {

@@ -1,5 +1,6 @@
 //! A counting global allocator for heap-budget tests: wraps [`System`],
-//! tracking live bytes and their high-water mark.
+//! tracking live bytes, their high-water mark, and the number of heap
+//! requests (allocations and reallocations).
 //!
 //! Include it with `#[path = "support/counting_alloc.rs"] mod counting_alloc;`
 //! from a test that lives in its own integration-test binary, so the
@@ -13,12 +14,14 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters only read sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
@@ -33,6 +36,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         if !p.is_null() {
             if new_size >= layout.size() {
                 let grow = new_size - layout.size();
@@ -53,6 +57,12 @@ static ALLOC: Counting = Counting;
 #[allow(dead_code)]
 pub fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Heap requests (allocations and reallocations) made so far.
+#[allow(dead_code)]
+pub fn allocs() -> usize {
+    ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Runs `f` and returns how far the live-byte high-water mark rose

@@ -84,6 +84,7 @@ fn sweep_grid_allocations_are_bounded_per_warp() {
     const THREADS: u32 = 1024;
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let w = workloads::by_name("pigz").expect("pigz workload exists");
+    // One worker: every cell's emulation runs on this thread, in order.
     let traced = Pipeline::from_workload(&w)
         .threads(THREADS)
         .opt_level(OptLevel::O3)
@@ -102,7 +103,7 @@ fn sweep_grid_allocations_are_bounded_per_warp() {
             for warp in [8u32, 16, 32, 64] {
                 let view = traced.view().with_model(m).with_formation(f).with_warp(warp);
                 let before = allocs();
-                let report = view.with_parallelism(1).analyze().expect("analysis");
+                let report = view.analyze().expect("analysis");
                 let n = allocs() - before;
                 assert!(report.divergences > 0, "pigz diverges");
                 let warps = THREADS.div_ceil(warp) as usize;

@@ -1108,10 +1108,9 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     }
 
     /// Min-PC pick: ends serializations whose release point is reached,
-    /// merges splits
-    /// at identical call-stack positions, then picks the earliest PC —
-    /// deepest stack, then lowest lane, breaking ties — so lagging
-    /// splits catch leading ones up.
+    /// merges splits at identical call-stack positions, then picks the
+    /// earliest PC — deepest stack, then lowest lane, breaking ties — so
+    /// lagging splits catch leading ones up.
     fn pick_min_pc(&mut self) -> Option<usize> {
         for g in self.s.splits.iter_mut() {
             if g.release_at == Some((g.func, g.node)) {

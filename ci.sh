@@ -68,6 +68,15 @@ RESIZE_SPEEDUP_EXIT=$?
 set -e
 [ "$RESIZE_SPEEDUP_EXIT" -eq 2 ]
 
+echo "==> speedup CLI usage gate (--cores 0 must be a usage error)"
+# A SIMT device has 1..=1024 cores; 0 used to be read as 1.
+set +e
+cargo run --release -q -p threadfuser --bin threadfuser -- \
+    speedup vectoradd --threads 8 --cores 0 >/dev/null 2>&1
+ZERO_CORES_EXIT=$?
+set -e
+[ "$ZERO_CORES_EXIT" -eq 2 ]
+
 echo "==> fuzz_trace (corpus + random-bytes never-panic gate)"
 # Fails when any corpus expectation is violated (valid files must decode
 # and round-trip, invalid ones must return Err under strict validation),
@@ -95,13 +104,13 @@ for _ in $(seq 50); do
     sleep 0.1
 done
 grep -q "listening on" "$SMOKE_DIR/serve.log"
-# Nine jobs down one connection: analyze, an analyze of a cooperative-
+# Ten jobs down one connection: analyze, an analyze of a cooperative-
 # scheduler workload (the coop family must be servable by name), a
 # legacy-shaped sweep (no model/formation fields — the wire back-compat
 # proof), a model×formation grid sweep, a strict validate of the corrupt
-# file, an analyze at warp size 0 (a structured BadRequest, not a dead
-# worker), an analyze and a speedup of the valid trace file, and a
-# graceful shutdown.
+# file, an analyze at warp size 0 and a speedup on 4294967295 cores (each
+# a structured BadRequest, not a dead worker or an aborted server), an
+# analyze and a speedup of the valid trace file, and a graceful shutdown.
 CAPTURE='{"source":{"Workload":"vectoradd"},"threads":32,"opt":"O3","policy":"Strict","check_shape":false}'
 COOP_CAPTURE='{"source":{"Workload":"coop_channel"},"threads":32,"opt":"O3","policy":"Strict","check_shape":false}'
 KNOBS='{"warp_size":32,"batching":"Linear","intra_warp_locks":false,"reconvergence":"DynamicIpdom","parallelism":0}'
@@ -115,10 +124,11 @@ printf '%s\n' \
   "{\"id\":5,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Sweep\":{\"capture\":$CAPTURE,\"config\":$KNOBS,\"warps\":[32],\"batchings\":[\"Linear\"],\"models\":[\"IpdomStack\",\"StacklessPcMin\",\"BranchMelding\"],\"formations\":[\"Fixed\",{\"DynamicResize\":{\"min_width\":8}}]}}}" \
   "{\"id\":3,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Validate\":{\"capture\":{\"source\":{\"TraceFile\":{\"path\":\"$SMOKE_DIR/corrupt.bin\",\"workload\":\"vectoradd\"}},\"threads\":null,\"opt\":\"O3\",\"policy\":\"Strict\",\"check_shape\":true}}}}" \
   "{\"id\":7,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Analyze\":{\"capture\":$CAPTURE,\"config\":$WARP0_KNOBS}}}" \
+  "{\"id\":10,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Speedup\":{\"capture\":$CAPTURE,\"config\":$KNOBS,\"cores\":4294967295}}}" \
   "{\"id\":8,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Analyze\":{\"capture\":$FILE_CAPTURE,\"config\":$KNOBS}}}" \
   "{\"id\":9,\"tenant\":null,\"stream_obs\":false,\"op\":{\"Speedup\":{\"capture\":$FILE_CAPTURE,\"config\":$KNOBS,\"cores\":16}}}" \
   "{\"id\":4,\"tenant\":null,\"stream_obs\":false,\"op\":\"Shutdown\"}" >&3
-SMOKE_RESP=$(timeout 60 head -n 9 <&3)
+SMOKE_RESP=$(timeout 60 head -n 10 <&3)
 exec 3<&- 3>&-
 echo "$SMOKE_RESP" | grep -q '"Analysis"'   # analyze answered with a report
 # The coop job must come back as its own successful analysis (id 6).
@@ -128,6 +138,7 @@ echo "$SMOKE_RESP" | grep -q 'StacklessPcMin'   # model grid swept the stackless
 echo "$SMOKE_RESP" | grep -q 'DynamicResize'    # ... and the resizing formation
 echo "$SMOKE_RESP" | grep -q '"Decode"'     # corrupt file → structured decode error
 echo "$SMOKE_RESP" | grep '"id":7' | grep -q '"BadRequest"'   # warp 0 → structured refusal
+echo "$SMOKE_RESP" | grep '"id":10' | grep -q '"BadRequest"'  # 2^32-1 cores → structured refusal
 echo "$SMOKE_RESP" | grep '"id":8' | grep -q '"Analysis"'     # trace file → served report
 echo "$SMOKE_RESP" | grep '"id":9' | grep -q '"Speedup"'      # trace file → served projection
 echo "$SMOKE_RESP" | grep -q '"Done"'       # shutdown acknowledged

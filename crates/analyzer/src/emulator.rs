@@ -550,6 +550,60 @@ where
     Ok((ctx.finish(report), sinks))
 }
 
+/// One analysis run's warps, emulated in groups on the caller's schedule:
+/// a speedup projection emulates each SIMT core's warps on the worker that
+/// simulates the core, instead of fanning every warp out at once.
+///
+/// [`WarpRunner::run_warps`] emulates one group and returns its warps'
+/// reports; [`WarpRunner::report`] folds every warp's report, in warp
+/// order, into the report [`analyze_indexed`] returns.
+pub struct WarpRunner<'a>(RunCtx<'a>);
+
+impl<'a> WarpRunner<'a> {
+    /// The run of `config` over `program`'s capture `index`: its warp plan
+    /// is built once and shared by every group.
+    pub fn new(program: &'a Program, index: &'a AnalysisIndex, config: &'a AnalyzerConfig) -> Self {
+        WarpRunner(RunCtx::new(program, index, config))
+    }
+
+    /// Warps in the run, in batching order.
+    pub fn warp_count(&self) -> usize {
+        self.0.warps.len()
+    }
+
+    /// Emulates `warps` (indices in batching order, ascending) in order on
+    /// the calling thread, warp `warps[k]`'s steps into `sinks[k]`, and
+    /// returns their reports in the same order.
+    ///
+    /// # Errors
+    /// The first failing warp of the group, with its index.
+    ///
+    /// # Panics
+    /// When a warp index is not below [`WarpRunner::warp_count`].
+    pub fn run_warps<S: StepSink>(
+        &self,
+        warps: &[usize],
+        sinks: &mut [S],
+    ) -> Result<Vec<AnalysisReport>, (usize, AnalyzeError)> {
+        let mut scratch = WarpScratch::default();
+        let runs = warps.iter().zip(sinks).map(|(&w, sink)| {
+            let mut sink: Option<&mut dyn StepSink> = Some(sink);
+            self.0.run_warp(w, &mut scratch, &mut sink).map_err(|e| (w, e))
+        });
+        runs.collect()
+    }
+
+    /// The run's report: every warp's report, in warp order, merged as
+    /// [`analyze_indexed`] merges them, with the index's skip counters.
+    pub fn report(&self, warps: impl IntoIterator<Item = AnalysisReport>) -> AnalysisReport {
+        let mut report = self.0.empty_report();
+        for warp in warps {
+            report.merge(warp);
+        }
+        self.0.finish(report)
+    }
+}
+
 /// The sink-less analysis behind [`AnalyzerConfig::analyze`] and
 /// [`analyze_indexed`]. It passes no sink into the emulator, so step
 /// emission stays off in the hot loop.

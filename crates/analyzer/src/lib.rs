@@ -80,6 +80,7 @@ pub use dwf::{dwf_upper_bound, DwfBound};
 pub use emulator::{
     analyze_indexed, analyze_indexed_with_sink, analyze_indexed_with_warp_sinks, AnalyzerConfig,
     BlockStep, MemGroups, ReconvergenceModel, ReconvergencePolicy, StepSink, WarpFormation,
+    WarpRunner,
 };
 pub use index::{AnalysisIndex, ChunkIndexError};
 pub use report::{AnalysisReport, FunctionReport, SegmentTraffic};

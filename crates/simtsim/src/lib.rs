@@ -24,7 +24,9 @@
 //! merged in core order, producing **bit-identical** results to the
 //! sequential walk. Cores with no assigned warps are never constructed
 //! (no L1/L2-slice/DRAM state); their [`SimtSimStats::core_cycles`]
-//! entries remain `0`.
+//! entries remain `0`. Because a core depends on its own warps alone, its
+//! warps need only exist while it runs: [`simulate_cores_observed`] has
+//! the worker that claims a core produce them first.
 //!
 //! ```
 //! use threadfuser_ir::{ProgramBuilder, Operand};
@@ -179,7 +181,9 @@ fn alu_latency(op: OpClass) -> u64 {
 /// issue order. Implemented by the materialized [`WarpTraceSet`] (slice
 /// iteration) and by a [`WarpRecording`], whose streams are decomposed on
 /// the fly, so a speedup projection never builds the whole-program set.
-/// Each core drains its own warps' streams; the simulation is
+/// [`simulate`] lets every core borrow its warps from one source;
+/// [`simulate_cores_observed`] loads each core's warps into a per-worker
+/// source. Each core drains its own warps' streams; the simulation is
 /// monomorphized per source, with no dynamic dispatch in the issue loop.
 pub trait WarpSource: Sync {
     /// Warps in the source; warp `w` runs on core `w % n_cores`.
@@ -223,17 +227,62 @@ pub fn simulate<S: WarpSource>(traces: &S, config: &SimtSimConfig) -> SimtSimSta
 
 /// [`simulate`] under a `simt-sim` span, reporting cycle / stall / cache
 /// counters, the worker and active-core counts, and a per-core cycle
-/// histogram to `obs`.
+/// histogram to `obs`. Each core borrows its warps from `traces`.
 pub fn simulate_observed<S: WarpSource>(
     traces: &S,
     config: &SimtSimConfig,
     obs: &threadfuser_obs::Obs,
 ) -> SimtSimStats {
+    let run = |dev: &Device<'_>, _: &mut (), warps: &[usize]| {
+        (simulate_core(dev, traces, warps.iter().copied()), ())
+    };
+    simulate_per_core(traces.warp_count(), config, obs, || (), run).0
+}
+
+/// [`simulate_observed`] over `n_warps` warps that exist one core at a
+/// time. A worker claiming a core calls `load(warps, buf)`, which fills the
+/// worker's buffer with the core's warps (`warps`, ascending; the buffer's
+/// warp `k` is `warps[k]`) and returns the core's by-product; the core is
+/// then simulated from the buffer. Each worker makes one buffer with
+/// `new_buf` and reuses it for every core it claims, so a simulation holds
+/// at most one core's warps per worker.
+///
+/// Returns the device statistics and every active core's load result, in
+/// core order. A core whose load fails is not simulated and contributes
+/// nothing to the statistics.
+pub fn simulate_cores_observed<B, T, E>(
+    n_warps: usize,
+    config: &SimtSimConfig,
+    obs: &threadfuser_obs::Obs,
+    new_buf: impl Fn() -> B + Sync,
+    load: impl Fn(&[usize], &mut B) -> Result<T, E> + Sync,
+) -> (SimtSimStats, Vec<Result<T, E>>)
+where
+    B: WarpSource,
+    T: Send,
+    E: Send,
+{
+    let run = |dev: &Device<'_>, buf: &mut B, warps: &[usize]| match load(warps, buf) {
+        Ok(t) => (simulate_core(dev, buf, 0..buf.warp_count()), Ok(t)),
+        Err(e) => (CorePartial::default(), Err(e)),
+    };
+    simulate_per_core(n_warps, config, obs, new_buf, run)
+}
+
+/// The one per-core fan-out behind both entry points, under a `simt-sim`
+/// span with its counters.
+fn simulate_per_core<B, R: Send>(
+    n_warps: usize,
+    config: &SimtSimConfig,
+    obs: &threadfuser_obs::Obs,
+    new_buf: impl Fn() -> B + Sync,
+    run: impl Fn(&Device<'_>, &mut B, &[usize]) -> (CorePartial, R) + Sync,
+) -> (SimtSimStats, Vec<R>) {
     use threadfuser_obs::Phase;
     let span = obs.span(Phase::SimtSim);
-    let stats = simulate_impl(traces, config);
+    let (stats, by_core) = fan_out(n_warps, config, new_buf, run);
     if obs.enabled() {
-        let active = (config.n_cores.max(1) as usize).min(traces.warp_count());
+        let active = (config.n_cores.max(1) as usize).min(n_warps);
         obs.counter(Phase::SimtSim, "workers", effective_workers(config.workers, active) as u64);
         obs.counter(Phase::SimtSim, "active_cores", active as u64);
         obs.counter(Phase::SimtSim, "cycles", stats.cycles);
@@ -252,7 +301,7 @@ pub fn simulate_observed<S: WarpSource>(
         }
     }
     span.finish();
-    stats
+    (stats, by_core)
 }
 
 fn effective_workers(workers: usize, active_cores: usize) -> usize {
@@ -377,20 +426,28 @@ struct WarpCtx<'a, I> {
 /// sibling exhausts the cycle budget).
 const ABORT_POLL_MASK: u64 = 0xFFF;
 
-/// Simulates one core against its private L1 and banked L2/DRAM slice.
-/// `core_warps` lists the warp indices assigned to this core in arrival
-/// (FIFO) order.
-fn simulate_core<S: WarpSource>(
-    traces: &S,
-    config: &SimtSimConfig,
+/// What every core of one simulation shares: the configuration, the banked
+/// memory geometry each core instantiates privately, and the abort flag a
+/// core raises when it exhausts the cycle budget.
+struct Device<'c> {
+    config: &'c SimtSimConfig,
     banked: HierarchyConfig,
-    core_warps: &[usize],
-    abort: &AtomicBool,
+    abort: AtomicBool,
+}
+
+/// Simulates one core of `device` against its private L1 and banked
+/// L2/DRAM slice. `core_warps` lists the source's warps assigned to this
+/// core in arrival (FIFO) order.
+fn simulate_core<S: WarpSource>(
+    device: &Device<'_>,
+    traces: &S,
+    core_warps: impl IntoIterator<Item = usize>,
 ) -> CorePartial {
+    let (config, abort) = (device.config, &device.abort);
     let mut part = CorePartial::default();
     let mut l1 = Cache::new(config.l1);
-    let mut hierarchy = Hierarchy::new(banked);
-    let mut waiting: VecDeque<usize> = core_warps.iter().copied().collect();
+    let mut hierarchy = Hierarchy::new(device.banked);
+    let mut waiting: VecDeque<usize> = core_warps.into_iter().collect();
     let mut resident = Vec::new();
     let mut ready = ReadySet::default();
     // Earliest-wake tracking: every stalled warp has exactly one entry
@@ -532,7 +589,18 @@ fn simulate_core<S: WarpSource>(
     part
 }
 
-fn simulate_impl<S: WarpSource>(traces: &S, config: &SimtSimConfig) -> SimtSimStats {
+/// Fans the active cores across workers through a work-stealing cursor:
+/// `run(device, buf, warps)` simulates one core's warps with the worker's
+/// buffer (made once per worker by `new_buf`) and returns the core's
+/// partial plus a by-product. Partials fold in core order, so the stats
+/// are bit-identical at any worker count; by-products come back in core
+/// order too.
+fn fan_out<B, R: Send>(
+    n_warps: usize,
+    config: &SimtSimConfig,
+    new_buf: impl Fn() -> B + Sync,
+    run: impl Fn(&Device<'_>, &mut B, &[usize]) -> (CorePartial, R) + Sync,
+) -> (SimtSimStats, Vec<R>) {
     let n_cores = config.n_cores.max(1) as usize;
     // Banked memory system: each core owns an L2 slice and an even share
     // of DRAM bandwidth. This keeps per-core clocks independent while
@@ -543,11 +611,11 @@ fn simulate_impl<S: WarpSource>(traces: &S, config: &SimtSimConfig) -> SimtSimSt
     banked.l2.size_bytes = (banked.l2.size_bytes / n_cores as u64).max(64 * 1024);
     banked.dram.cycles_per_transaction =
         banked.dram.cycles_per_transaction.saturating_mul(n_cores as u64);
+    let device = Device { config, banked, abort: AtomicBool::new(false) };
 
     // Static assignment: warp w runs on core w % n_cores (CTA-style).
     // Only cores with assigned warps are ever constructed — the default
     // 46-core device allocates 2 cache hierarchies for a 2-warp set.
-    let n_warps = traces.warp_count();
     let active = n_cores.min(n_warps);
     let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); active];
     for w in 0..n_warps {
@@ -555,32 +623,29 @@ fn simulate_impl<S: WarpSource>(traces: &S, config: &SimtSimConfig) -> SimtSimSt
     }
 
     let workers = effective_workers(config.workers, active);
-    let abort = AtomicBool::new(false);
-    let partials: Vec<CorePartial> = if workers <= 1 {
-        assignment.iter().map(|ws| simulate_core(traces, config, banked, ws, &abort)).collect()
+    let cores: Vec<(CorePartial, R)> = if workers <= 1 {
+        let mut buf = new_buf();
+        assignment.iter().map(|ws| run(&device, &mut buf, ws)).collect()
     } else {
         // Work-stealing fan-out: per-core runtimes are uneven (warp
         // counts and trace lengths differ), so workers claim cores off a
         // shared cursor; the ordered merge below keeps results
         // bit-identical to the sequential walk.
         let next = AtomicUsize::new(0);
-        let assignment = &assignment;
-        let abort = &abort;
-        let mut claimed: Vec<(usize, CorePartial)> = std::thread::scope(|s| {
+        let (assignment, device, new_buf, run) = (&assignment, &device, &new_buf, &run);
+        let mut claimed: Vec<(usize, (CorePartial, R))> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
                     s.spawn(move || {
+                        let mut buf = new_buf();
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= assignment.len() {
                                 return local;
                             }
-                            local.push((
-                                i,
-                                simulate_core(traces, config, banked, &assignment[i], abort),
-                            ));
+                            local.push((i, run(device, &mut buf, &assignment[i])));
                         }
                     })
                 })
@@ -588,16 +653,20 @@ fn simulate_impl<S: WarpSource>(traces: &S, config: &SimtSimConfig) -> SimtSimSt
             handles.into_iter().flat_map(|h| h.join().expect("simt-sim worker panicked")).collect()
         });
         claimed.sort_unstable_by_key(|&(i, _)| i);
-        claimed.into_iter().map(|(_, p)| p).collect()
+        claimed.into_iter().map(|(_, c)| c).collect()
     };
 
     let mut stats = SimtSimStats { core_cycles: Vec::with_capacity(n_cores), ..Default::default() };
-    for p in &partials {
-        p.merge_into(&mut stats);
-    }
+    let by_core = cores
+        .into_iter()
+        .map(|(p, r)| {
+            p.merge_into(&mut stats);
+            r
+        })
+        .collect();
     stats.core_cycles.resize(n_cores, 0); // idle cores keep 0 entries
     stats.cycles = stats.core_cycles.iter().copied().max().unwrap_or(0);
-    stats
+    (stats, by_core)
 }
 
 /// Coalesces a warp memory operation — `(is_store, per-lane (address,

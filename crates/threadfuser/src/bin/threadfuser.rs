@@ -99,7 +99,7 @@ fn usage() -> ExitCode {
          validate  <file>          check a trace file (never panics; --workload NAME\n                            \
          also validates func/block ids, --skip-bad quarantines)\n\n\
          options: --threads N --warp N --opt O0|O1|O2|O3 --locks\n         \
-         --batching linear|strided|shuffled --cores N --json\n         \
+         --batching linear|strided|shuffled --cores N (1..=1024) --json\n         \
          --model ipdom|stackless|melding --formation fixed|resize:N\n         \
          (speedup takes fixed only: the SIMT simulator has no issue width)\n         \
          --models LIST --formations LIST   sweep axes (comma lists)\n         \

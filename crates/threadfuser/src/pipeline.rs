@@ -16,12 +16,11 @@
 //! "Sweeping configurations" notes), so a K-config sweep pays DCFG
 //! construction and IPDOM solving once instead of K times.
 
-use std::borrow::Borrow;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use threadfuser_analyzer::{
     AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig, BatchPolicy, ChunkIndexError,
-    ReconvergenceModel, ReconvergencePolicy, WarpFormation,
+    ReconvergenceModel, ReconvergencePolicy, WarpFormation, WarpRunner,
 };
 use threadfuser_cpusim::{simulate_cpu_observed, CpuSimConfig, CpuSimStats};
 use threadfuser_ir::{FuncCfg, FuncId, OptLevel, Program};
@@ -30,7 +29,9 @@ use threadfuser_machine::{
     MachineError,
 };
 use threadfuser_obs::{Obs, Phase};
-use threadfuser_simtsim::{simulate_observed, SimtSimConfig, SimtSimStats};
+use threadfuser_simtsim::{
+    simulate_cores_observed, simulate_observed, SimtSimConfig, SimtSimStats,
+};
 use threadfuser_tracegen::{
     expand_warp_recording, generate_warp_traces_indexed, record_warp_steps_indexed, WarpRecording,
     WarpTraceSet,
@@ -524,22 +525,30 @@ fn run_lockstep_observed(
     Ok(stats)
 }
 
-/// Speedup projection shared by [`Traced`] and [`TracedView`]. `record`
-/// supplies the warp source — `Traced` its cached step recording, a view a
-/// fresh one, never a materialized [`WarpTraceSet`] — and the capture's
-/// index, which the CPU model replays. It runs only for a projectable
+/// Speedup projection shared by [`Traced`] and [`TracedView`], under
+/// `analyzer` over `traced`'s capture. It runs only for a projectable
 /// configuration: any formation but [`WarpFormation::Fixed`] is refused
 /// first.
-fn project_speedup_impl<R: Borrow<WarpRecording>>(
+///
+/// With a whole-program `recording` (a `Traced` that already expanded
+/// warp traces) each core borrows its warps from it. Otherwise the core is
+/// the unit of work: the worker that claims core `c` emulates `c`'s warps
+/// into its reused recording buffer, simulates `c` from it and keeps the
+/// warps' reports, which fold in warp order into the streamed run's
+/// report, returned next to the projection. Either way the statistics equal simulating the
+/// materialized warp traces, and an emulation failure is the
+/// lowest-indexed failing warp's, as `analyze` reports it.
+fn project_speedup_impl(
+    traced: &Traced,
     analyzer: &AnalyzerConfig,
     simt: &SimtSimConfig,
     cpu: &CpuSimConfig,
-    record: impl FnOnce() -> Result<(R, Arc<AnalysisIndex>), PipelineError>,
-) -> Result<SpeedupProjection, PipelineError> {
+    recording: Option<Arc<WarpRecording>>,
+) -> Result<(SpeedupProjection, Option<AnalysisReport>), PipelineError> {
     if analyzer.formation != WarpFormation::Fixed {
         return Err(PipelineError::UnsupportedFormation(analyzer.formation));
     }
-    let (warps, index) = record()?;
+    let index = traced.index()?;
     let obs = &analyzer.obs;
     // The pipeline's parallelism knob governs the whole projection: a
     // simulator config left at `workers: 0` (auto) inherits the analyzer
@@ -559,7 +568,41 @@ fn project_speedup_impl<R: Borrow<WarpRecording>>(
         }
         c
     };
-    let gpu_stats = simulate_observed(warps.borrow(), &simt, obs);
+    let (gpu_stats, report) = match recording {
+        Some(rec) => (simulate_observed(&*rec, &simt, obs), None),
+        None => {
+            let runner = WarpRunner::new(&traced.program, &index, analyzer);
+            let empty = WarpRecording::empty(&traced.program, analyzer.warp_size);
+            let (stats, cores) = simulate_cores_observed(
+                runner.warp_count(),
+                &simt,
+                obs,
+                || empty.clone(),
+                |warps, buf| buf.record_warps(&runner, warps),
+            );
+            // Every core emulates its warps in order up to its first
+            // failure, so the lowest failing warp overall is among them.
+            let mut failed: Option<(usize, AnalyzeError)> = None;
+            let mut reports = Vec::with_capacity(cores.len());
+            for core in cores {
+                match core {
+                    Ok(warps) => reports.push(warps.into_iter()),
+                    Err((w, e)) => {
+                        if failed.as_ref().is_none_or(|(f, _)| w < *f) {
+                            failed = Some((w, e));
+                        }
+                    }
+                }
+            }
+            if let Some((_, e)) = failed {
+                return Err(e.into());
+            }
+            // Warp `w` is core `w % cores`' next report.
+            let n = reports.len();
+            let warps = (0..runner.warp_count()).map(|w| reports[w % n].next());
+            (stats, Some(runner.report(warps.map(|r| r.expect("every warp reported")))))
+        }
+    };
     if gpu_stats.truncated {
         return Err(PipelineError::TruncatedSimulation);
     }
@@ -569,7 +612,8 @@ fn project_speedup_impl<R: Borrow<WarpRecording>>(
     if gpu_s <= 0.0 {
         return Err(PipelineError::ZeroCycleSimulation);
     }
-    Ok(SpeedupProjection { gpu: gpu_stats, cpu: cpu_stats, speedup: cpu_s / gpu_s })
+    let projection = SpeedupProjection { gpu: gpu_stats, cpu: cpu_stats, speedup: cpu_s / gpu_s };
+    Ok((projection, report))
 }
 
 /// Where a capture's thread streams live besides its index: the decoded
@@ -625,11 +669,12 @@ pub struct Traced {
     index: OnceLock<Arc<AnalysisIndex>>,
     // The capture-config emulation products, cached independently so each
     // caller pays only for what it asks: `analyze()` fills `report` with a
-    // plain (non-recording) emulation; the first `warp_traces()` /
-    // `project_speedup()` runs the recording emulation, filling
-    // `recording` — and `report` too, since the recording pass computes
-    // the same report. Views with overridden knobs bypass both caches
-    // (their emulation differs).
+    // plain (non-recording) emulation; the first `warp_traces()` runs the
+    // recording emulation, filling `recording` — and `report` too, since
+    // the recording pass computes the same report. `project_speedup()`
+    // simulates from `recording` when it is there and otherwise streams
+    // core by core, filling only `report`. Views with overridden knobs
+    // bypass both caches (their emulation differs).
     report: OnceLock<Arc<AnalysisReport>>,
     recording: OnceLock<Arc<WarpRecording>>,
     // Everything needed to re-run the capture's sibling products (the
@@ -727,11 +772,11 @@ impl Traced {
     }
 
     /// The capture's compact step recording: one recording warp-emulate
-    /// pass yields both the analysis report and the recording that every
-    /// trace-shaped product expands or simulates from. Built on first use
-    /// and cached, like [`Traced::index`]; also seeds the
-    /// [`Traced::analyze`] report cache, since the recording pass computes
-    /// the same report.
+    /// pass yields both the analysis report and the recording that
+    /// [`Traced::warp_traces`] expands (and a later
+    /// [`Traced::project_speedup`] simulates from). Built on first use and
+    /// cached, like [`Traced::index`]; also seeds the [`Traced::analyze`]
+    /// report cache, since the recording pass computes the same report.
     fn recorded(&self) -> Result<Arc<WarpRecording>, PipelineError> {
         if let Some(rec) = self.recording.get() {
             // A recording hit implies an index hit: the recording embeds
@@ -751,8 +796,8 @@ impl Traced {
     /// callers pay for a plain emulation — no warp-step recording arenas
     /// are allocated. When [`Traced::warp_traces`] or
     /// [`Traced::project_speedup`] already ran (or runs later), its
-    /// recording emulation computes the identical report and both paths
-    /// share one cache entry.
+    /// emulation computes the identical report and both paths share one
+    /// cache entry.
     ///
     /// # Errors
     /// Propagates analyzer errors.
@@ -779,9 +824,13 @@ impl Traced {
     }
 
     /// Projects the speedup of SIMT execution over native multicore CPU
-    /// execution from this capture. The SIMT simulator issues straight
-    /// from the cached step recording: no [`WarpTraceSet`] is built, and
-    /// the statistics equal simulating [`Traced::warp_traces`].
+    /// execution from this capture. No [`WarpTraceSet`] is built, and the
+    /// statistics equal simulating [`Traced::warp_traces`]: the SIMT
+    /// simulator issues from the cached step recording when
+    /// [`Traced::warp_traces`] already made one, and otherwise emulates
+    /// and simulates one core's warps at a time, holding at most one
+    /// core's recording per worker. That emulation's report is cached, so
+    /// a later [`Traced::analyze`] is free.
     ///
     /// # Errors
     /// Propagates analyzer errors,
@@ -796,10 +845,13 @@ impl Traced {
         simt: &SimtSimConfig,
         cpu: &CpuSimConfig,
     ) -> Result<SpeedupProjection, PipelineError> {
-        project_speedup_impl(&self.analyzer, simt, cpu, || {
-            let rec = self.recorded()?;
-            Ok((rec, Arc::clone(self.index.get().expect("recording builds the index"))))
-        })
+        let recording = self.recording.get().cloned();
+        let (projection, report) =
+            project_speedup_impl(self, &self.analyzer, simt, cpu, recording)?;
+        if let Some(report) = report {
+            self.report.get_or_init(|| Arc::new(report));
+        }
+        Ok(projection)
     }
 
     /// Runs the capture's program warp-natively at the pipeline's
@@ -921,9 +973,11 @@ impl TracedView<'_> {
         Ok(generate_warp_traces_indexed(&self.traced.program, &index, &self.analyzer)?)
     }
 
-    /// Projects the SIMT-over-CPU speedup under this view's configuration:
-    /// records the view's emulation, simulates straight from the
-    /// recording, and drops it — no [`WarpTraceSet`] is built.
+    /// Projects the SIMT-over-CPU speedup under this view's configuration,
+    /// emulating and simulating one core's warps at a time like
+    /// [`Traced::project_speedup`] on a capture without a recording: no
+    /// [`WarpTraceSet`] and no whole-program recording is built, and
+    /// nothing is cached.
     ///
     /// # Errors
     /// Propagates analyzer errors,
@@ -938,11 +992,7 @@ impl TracedView<'_> {
         simt: &SimtSimConfig,
         cpu: &CpuSimConfig,
     ) -> Result<SpeedupProjection, PipelineError> {
-        project_speedup_impl(&self.analyzer, simt, cpu, || {
-            let index = self.traced.index()?;
-            let (_, rec) = record_warp_steps_indexed(&self.traced.program, &index, &self.analyzer)?;
-            Ok((rec, index))
-        })
+        Ok(project_speedup_impl(self.traced, &self.analyzer, simt, cpu, None)?.0)
     }
 }
 

@@ -236,6 +236,24 @@ fn validate_warp(warp_size: u32) -> Result<(), JobError> {
     }
 }
 
+/// The SIMT device widths a `Speedup` job may ask for. The simulator keeps
+/// a per-core entry for every core, so an unchecked width is an
+/// allocation the request controls.
+const SIMT_CORES: std::ops::RangeInclusive<u32> = 1..=1024;
+
+/// Rejects a SIMT core count outside [`SIMT_CORES`].
+fn validate_cores(cores: u32) -> Result<(), JobError> {
+    if SIMT_CORES.contains(&cores) {
+        Ok(())
+    } else {
+        Err(JobError::bad_request(format!(
+            "cores {cores} out of range {}..={}",
+            SIMT_CORES.start(),
+            SIMT_CORES.end()
+        )))
+    }
+}
+
 /// Rejects formation parameters that cannot describe a machine at the
 /// given warp width: `DynamicResize` needs `1 ≤ min_width ≤ warp_size`.
 fn validate_formation(formation: WarpFormation, warp_size: u32) -> Result<(), JobError> {
@@ -313,7 +331,8 @@ pub struct SpeedupJob {
     pub capture: CaptureSpec,
     /// Analyzer configuration for warp-trace generation.
     pub config: AnalyzerKnobs,
-    /// Simulated SIMT device cores (SMs).
+    /// Simulated SIMT device cores (SMs), `1..=1024`; any other count is
+    /// a `BadRequest`.
     pub cores: u32,
 }
 
@@ -1140,6 +1159,7 @@ pub fn run_on_capture(op: &JobOp, capture: &Capture, obs: &Obs) -> Result<JobOut
         }
         JobOp::Speedup(j) => {
             j.config.validate()?;
+            validate_cores(j.cores)?;
             let simt = SimtSimConfig { n_cores: j.cores, ..SimtSimConfig::default() };
             let cpu = CpuSimConfig::default();
             let proj = j
@@ -1408,6 +1428,27 @@ mod tests {
         });
         let e = execute_op(&req, &Obs::none()).unwrap_err();
         assert_eq!(e.code, JobErrorCode::BadRequest);
+    }
+
+    #[test]
+    fn speedup_cores_out_of_range_are_a_bad_request() {
+        // u32::MAX cores would size the simulator's per-core table at
+        // 32 GiB: an allocation failure aborts the process, so the range
+        // is checked before anything simulates.
+        for cores in [0, 1025, u32::MAX] {
+            let req = JobRequest::new(
+                3,
+                JobOp::Speedup(SpeedupJob {
+                    capture: CaptureSpec::workload("vectoradd", OptLevel::O3).with_threads(32),
+                    config: AnalyzerKnobs::default(),
+                    cores,
+                }),
+            );
+            let JobOutcome::Failed(e) = execute(&req, &Obs::none()).outcome else {
+                panic!("{cores} cores must be refused")
+            };
+            assert_eq!(e.code, JobErrorCode::BadRequest, "{cores} cores: {e}");
+        }
     }
 
     fn key_of(chunks: impl IntoIterator<Item = impl AsRef<[u8]>>) -> u64 {

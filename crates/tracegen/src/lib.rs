@@ -26,7 +26,10 @@
 //! speedup projection never materializes a [`WarpTraceSet`]: the SIMT
 //! simulator issues straight from a [`WarpRecording`] through
 //! [`WarpRecording::micro_ops`], the same decomposition walk
-//! [`expand_warp_recording`] collects for callers who want the set.
+//! [`expand_warp_recording`] collects for callers who want the set. A
+//! projection need not hold the whole program's recording either:
+//! [`WarpRecording::record_warps`] records one SIMT core's warps into a
+//! reused buffer.
 //!
 //! ```
 //! use threadfuser_ir::{ProgramBuilder, Operand};
@@ -50,9 +53,10 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use threadfuser_analyzer::{
     analyze_indexed_with_warp_sinks, AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig,
-    BlockStep, StepSink,
+    BlockStep, StepSink, WarpRunner,
 };
 use threadfuser_ir::{Inst, Program, Terminator};
 use threadfuser_machine::{segment_of, Segment};
@@ -297,7 +301,9 @@ struct StepRec {
     mask: u64,
 }
 
-/// One warp's recorded step stream plus its flat payload arenas.
+/// One warp's recorded step stream plus its flat payload arenas. It is
+/// the warp's step sink: it records exactly that warp's lock-step blocks,
+/// in emulation order.
 #[derive(Debug, Clone, Default)]
 struct WarpRec {
     steps: Vec<StepRec>,
@@ -309,8 +315,34 @@ struct WarpRec {
     accs: Vec<(u64, u32)>,
 }
 
-/// A compact capture of one full lock-step emulation: everything needed
-/// to produce every warp's micro-op stream without replaying the warps.
+impl WarpRec {
+    fn clear(&mut self) {
+        self.steps.clear();
+        self.groups.clear();
+        self.accs.clear();
+    }
+}
+
+impl StepSink for WarpRec {
+    fn on_step(&mut self, step: &BlockStep<'_>) {
+        self.steps.push(StepRec {
+            func: step.func.0,
+            block: step.block.0,
+            active: step.active,
+            grp_lo: self.groups.len() as u32,
+            mask: step.mask,
+        });
+        for (i, acc) in step.mem.iter() {
+            self.groups.push((i, self.accs.len() as u32));
+            self.accs.extend_from_slice(acc);
+        }
+    }
+}
+
+/// A compact capture of a lock-step emulation: everything needed to
+/// produce its warps' micro-op streams without replaying them. It holds
+/// either the whole emulation ([`record_warp_steps_indexed`]) or one group
+/// of its warps ([`WarpRecording::record_warps`]).
 ///
 /// Recording is what the emulation-side sink does (a few arena appends
 /// per step); the CISC → RISC decomposition runs afterwards, outside the
@@ -323,11 +355,41 @@ struct WarpRec {
 pub struct WarpRecording {
     warps: Vec<WarpRec>,
     warp_size: u32,
-    /// The recorded program's per-block decompositions.
-    recipes: BlockRecipes,
+    /// The recorded program's per-block decompositions, shared by clones.
+    recipes: Arc<BlockRecipes>,
 }
 
 impl WarpRecording {
+    /// An empty recording of `program`'s emulations at `warp_size` lanes,
+    /// for [`WarpRecording::record_warps`] to fill. Its clones share the
+    /// program's block decompositions, so one per worker costs a pointer.
+    pub fn empty(program: &Program, warp_size: u32) -> Self {
+        WarpRecording {
+            warps: Vec::new(),
+            warp_size,
+            recipes: Arc::new(BlockRecipes::build(program)),
+        }
+    }
+
+    /// Replaces the recording with warps `warps` (ascending) of `runner`'s
+    /// emulation, emulated in order on the calling thread: the recording's
+    /// warp `k` is warp `warps[k]`. The arenas of the warps it held are
+    /// reused. Returns the warps' reports, in the same order.
+    ///
+    /// # Errors
+    /// The group's first failing warp, with its index; the recording then
+    /// holds a partial emulation.
+    pub fn record_warps(
+        &mut self,
+        runner: &WarpRunner<'_>,
+        warps: &[usize],
+    ) -> Result<Vec<AnalysisReport>, (usize, AnalyzeError)> {
+        self.warps.truncate(warps.len());
+        self.warps.iter_mut().for_each(WarpRec::clear);
+        self.warps.resize_with(warps.len(), WarpRec::default);
+        runner.run_warps(warps, &mut self.warps)
+    }
+
     /// Recorded warp count.
     pub fn warp_count(&self) -> usize {
         self.warps.len()
@@ -421,32 +483,6 @@ impl<'a> Iterator for WarpCursor<'a> {
     }
 }
 
-/// Per-warp step sink: records exactly one warp's lock-step blocks (in
-/// emulation order). One sink per warp is what lets
-/// `analyze_indexed_with_warp_sinks` fan the emulation across workers
-/// while the merged recording stays bit-identical to a sequential run.
-#[derive(Default)]
-struct StepRecorder {
-    rec: WarpRec,
-}
-
-impl StepSink for StepRecorder {
-    fn on_step(&mut self, step: &BlockStep<'_>) {
-        let rec = &mut self.rec;
-        rec.steps.push(StepRec {
-            func: step.func.0,
-            block: step.block.0,
-            active: step.active,
-            grp_lo: rec.groups.len() as u32,
-            mask: step.mask,
-        });
-        for (i, acc) in step.mem.iter() {
-            rec.groups.push((i, rec.accs.len() as u32));
-            rec.accs.extend_from_slice(acc);
-        }
-    }
-}
-
 /// Runs one lock-step emulation, returning both its [`AnalysisReport`]
 /// and the compact [`WarpRecording`] of every warp's step stream. This is
 /// the fused form of `analyze` + trace generation: the report and the
@@ -460,16 +496,17 @@ pub fn record_warp_steps_indexed(
     index: &AnalysisIndex,
     config: &AnalyzerConfig,
 ) -> Result<(AnalysisReport, WarpRecording), AnalyzeError> {
-    let (report, sinks) =
-        analyze_indexed_with_warp_sinks(program, index, config, |_| StepRecorder::default())?;
-    let mut warps: Vec<WarpRec> = sinks.into_iter().map(|s| s.rec).collect();
+    // One sink per warp lets the emulation fan across workers while the
+    // recording, handed back in warp order, stays bit-identical to a
+    // sequential run.
+    let (report, mut warps) =
+        analyze_indexed_with_warp_sinks(program, index, config, |_| WarpRec::default())?;
     // The pre-parallel generator grew its warp list lazily, so warps past
     // the last one that ever stepped were absent; keep that shape.
     while warps.last().is_some_and(|w| w.steps.is_empty()) {
         warps.pop();
     }
-    let recording =
-        WarpRecording { warps, warp_size: config.warp_size, recipes: BlockRecipes::build(program) };
+    let recording = WarpRecording { warps, ..WarpRecording::empty(program, config.warp_size) };
     if config.obs.enabled() {
         // Lets callers distinguish a recording emulation from the plain
         // analyze-only pass: the staged pipeline asserts on this counter

@@ -2,37 +2,44 @@
 # Summarises the benchmark history that scripts/bench_history.sh appends to
 # results/bench_history.jsonl.
 #
-#   scripts/bench_report.sh [--history FILE] [TAG]
+#   scripts/bench_report.sh [--history FILE] [--steal-max PCT] [TAG]
 #
 # 1. Per (workload, seed, trace, note): the run count, failed operations,
-#    and every metric of BENCHMARK.json the runs report — the end-to-end
-#    metrics of untraced runs, the layer rows of traced ones — as median
-#    [q1, q3].
+#    the median [q1, q3] host steal of the runs that record it, and every
+#    metric of BENCHMARK.json the runs report — the end-to-end metrics of
+#    untraced runs, the layer rows of traced ones — as median [q1, q3].
+#    Runs whose steal exceeds PCT (default 5) % are listed as STOLEN.
 # 2. Per (workload, seed, trace, tag), for pairings recorded with notes of the form
 #    "parent ... (TAG)" and "change ... (TAG)": the i-th change run is set
 #    against the i-th parent run (file order), and each metric prints how
 #    many pairs the change won — better in the metric's BENCHMARK.json
-#    direction — with both medians and their relative move.
+#    direction — with both medians and their relative move. A pair with a
+#    STOLEN run is discarded, and the count of discarded pairs is printed.
 #
 # Metrics a group never reports non-zero (the serve rows of a cold_project
 # run, say) are left out. A TAG argument keeps only rows whose note ends in
-# "(TAG)". Needs jq.
+# "(TAG)". Rows recorded before scripts/bench_history.sh measured steal
+# have none and are never STOLEN. Needs jq.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 history="$repo/results/bench_history.jsonl"
 tag=""
+steal_max=5
 while [ $# -gt 0 ]; do
     case "$1" in
         --history) history="$2"; shift 2 ;;
-        -*) echo "usage: scripts/bench_report.sh [--history FILE] [TAG]" >&2; exit 2 ;;
+        --steal-max) steal_max="$2"; shift 2 ;;
+        -*) echo "usage: scripts/bench_report.sh [--history FILE] [--steal-max PCT] [TAG]" >&2; exit 2 ;;
         *) tag="$1"; shift ;;
     esac
 done
 
 metrics="$(jq -c '[(.end_to_end + .per_layer)[] | {name, unit, better}]' "$repo/BENCHMARK.json")"
 
-jq -rs --argjson metrics "$metrics" --arg tag "$tag" '
+case "$steal_max" in "" | *[!0-9.]*) echo "bench_report.sh: --steal-max takes a percentage" >&2; exit 2 ;; esac
+
+jq -rs --argjson metrics "$metrics" --arg tag "$tag" --argjson steal_max "$steal_max" '
   # Linear-interpolated quantile of a non-empty numeric array.
   def q(p): sort as $s | ((($s | length) - 1) * p) as $i | ($i | floor) as $lo
     | ($i | ceil) as $hi | $s[$lo] + ($s[$hi] - $s[$lo]) * ($i - $lo);
@@ -45,21 +52,28 @@ jq -rs --argjson metrics "$metrics" --arg tag "$tag" '
   def vals($name): map(.result.metrics[$name].value // empty);
   def spread: "\(q(0.5) | sig) [\(q(0.25) | sig), \(q(0.75) | sig)]";
   def head: "\(.workload) seed \(.seed)\(if .trace == 1 then " traced" else "" end)";
+  def stolen: (.steal_pct // 0) > $steal_max;
+  def steal_of: map(.steal_pct // empty)
+    | if length > 0 then ", steal \(q(0.5) | sig) [\(q(0.25) | sig), \(q(0.75) | sig)] %" else "" end;
 
   map(select($tag == "" or tag_of == $tag)) as $rows
   | ( "# Runs per (workload, seed, trace, note): median [q1, q3]",
       ( $rows | group_by([.workload, .seed, .trace, .note])[]
-        | "\n\(.[0] | head) | \(.[0].note) | \(length) runs, \(map(.result.failed // 0) | add) failed ops",
+        | "\n\(.[0] | head) | \(.[0].note) | \(length) runs, \(map(.result.failed // 0) | add) failed ops\(steal_of)",
+          ( .[] | select(stolen) | "  STOLEN \(.date): \(.steal_pct) % steal > \($steal_max) %" ),
           ( . as $g | $metrics[] | . as $m | ($g | vals($m.name)) as $v
             | select($v | any(. != 0))
             | "  \($m.name)\t\($v | spread) \($m.unit)" ) ),
       "\n# Change vs parent, paired in file order per (workload, seed, trace, tag)",
       ( $rows | map(select(tag_of != "" and (role == "parent" or role == "change")))
         | group_by([.workload, .seed, .trace, tag_of])[]
-        | map(select(role == "parent")) as $p | map(select(role == "change")) as $c
-        | ([($p | length), ($c | length)] | min) as $n
-        | select($n > 0)
-        | "\n\(.[0] | head) | (\(.[0] | tag_of)) | \($n) pairs",
+        | map(select(role == "parent")) as $p0 | map(select(role == "change")) as $c0
+        | [range(0; [($p0 | length), ($c0 | length)] | min) | [$p0[.], $c0[.]]] as $all
+        | ($all | map(select(map(stolen) | any | not))) as $kept
+        | ($kept | map(.[0])) as $p | ($kept | map(.[1])) as $c | ($kept | length) as $n
+        | select($all | length > 0)
+        | "\n\(.[0] | head) | (\(.[0] | tag_of)) | \($n) pairs"
+          + (($all | length) - $n | if . > 0 then ", \(.) discarded for steal > \($steal_max) %" else "" end),
           ( $metrics[] | . as $m
             | [range(0; $n) | [($p[.].result.metrics[$m.name].value // null),
                                ($c[.].result.metrics[$m.name].value // null)]]

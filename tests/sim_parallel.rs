@@ -5,12 +5,19 @@
 //! divergence between a sequential and a parallel run is a bug, not a
 //! tolerance.
 //!
+//! A speedup projection without a whole-program recording emulates and
+//! simulates one SIMT core's warps at a time; its statistics, report and
+//! errors must still equal the materialized path's at every worker count
+//! and device width.
+//!
 //! Also covers the truncation contract: a simulation that exhausts its
 //! cycle budget must surface [`PipelineError::TruncatedSimulation`] from
 //! the speedup projection instead of silently projecting from capped
 //! cycle counts.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use threadfuser::analyzer::{BlockStep, StepSink, WarpRunner};
 use threadfuser::cpusim::{simulate_cpu, CpuSimConfig};
 use threadfuser::ir::{AluOp, Cond, Operand, ProgramBuilder};
 use threadfuser::prelude::*;
@@ -109,6 +116,109 @@ fn truncated_simulation_is_surfaced_not_projected() {
     assert!(simulate(&wt, &simt).truncated);
     // An adequate budget projects normally.
     assert!(traced.project_speedup(&SimtSimConfig::default(), &CpuSimConfig::default()).is_ok());
+}
+
+/// Both products' projections equal simulating the materialized warp
+/// traces plus simulating the CPU, exactly: on a capture that streams core
+/// by core and on one that already holds its recording, at every worker
+/// count, on one core, a few, the default device, and more cores than
+/// warps.
+#[test]
+fn per_core_projection_equals_simulating_the_warp_traces() {
+    for name in ["bfs", "pigz"] {
+        let w = by_name(name).unwrap();
+        // Warp width 8 gives 48 warps: more than the default device's 46
+        // cores, so cores hold one or two warps.
+        let fresh = Pipeline::from_workload(&w).threads(384).warp_size(8).trace().unwrap();
+        fresh.index().unwrap();
+        let recorded = fresh.clone();
+        let wt = recorded.warp_traces().unwrap();
+        let warps = wt.warps().len() as u32;
+        assert!(warps > 46, "{name}: {warps} warps");
+        let cpu_ref = simulate_cpu(fresh.traces(), &CpuSimConfig::default());
+        for n_cores in [1, 4, 46, warps + 13] {
+            let gpu_ref = simulate(&wt, &SimtSimConfig { n_cores, ..Default::default() });
+            for &workers in WORKER_COUNTS {
+                let simt = SimtSimConfig { n_cores, workers, ..Default::default() };
+                let cpu = CpuSimConfig { workers, ..Default::default() };
+                for (product, proj) in [
+                    ("streamed capture", fresh.project_speedup(&simt, &cpu)),
+                    ("recorded capture", recorded.project_speedup(&simt, &cpu)),
+                    ("view", fresh.view().project_speedup(&simt, &cpu)),
+                    ("view of recorded", recorded.view().project_speedup(&simt, &cpu)),
+                ] {
+                    let label = format!("{name}: {product}, {n_cores} cores, {workers} workers");
+                    let proj = proj.expect(&label);
+                    assert_eq!(proj.gpu, gpu_ref, "{label}");
+                    assert_eq!(proj.cpu, cpu_ref, "{label}");
+                    let speedup = cpu_ref.seconds(cpu.clock_ghz) / gpu_ref.seconds(simt.clock_ghz);
+                    assert_eq!(proj.speedup, speedup, "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// A streamed projection caches the report of the emulation it ran, so the
+/// `analyze()` that follows is a cache hit: the report a fresh emulation
+/// computes, and no new warp-emulate span.
+#[test]
+fn analyze_after_a_streamed_projection_is_a_cache_hit() {
+    for name in ["bfs", "pigz"] {
+        let sink = Arc::new(InMemorySink::new());
+        let w = by_name(name).unwrap();
+        let traced = Pipeline::from_workload(&w)
+            .threads(256)
+            .observe(Obs::with_sink(sink.clone()))
+            .trace()
+            .unwrap();
+        traced.project_speedup(&SimtSimConfig::default(), &CpuSimConfig::default()).unwrap();
+        assert_eq!(sink.counter_total("warp_recordings"), 0, "{name}: no whole-program recording");
+        let spans = sink.span_count(Phase::WarpEmulate);
+        assert!(spans > 0, "{name}: the projection emulated");
+        let report = traced.analyze().unwrap();
+        assert_eq!(sink.span_count(Phase::WarpEmulate), spans, "{name}: analyze re-emulated");
+        assert_eq!(report, traced.view().analyze().unwrap(), "{name}");
+    }
+}
+
+/// A step sink that records nothing.
+struct Unobserved;
+
+impl StepSink for Unobserved {
+    fn on_step(&mut self, _: &BlockStep<'_>) {}
+}
+
+/// A projection whose emulation fails reports what `analyze()` reports —
+/// the lowest-indexed failing warp — whichever worker reaches which core
+/// first.
+#[test]
+fn failing_projection_reports_the_lowest_failing_warp() {
+    let w = by_name("bfs").unwrap();
+    let traced = Pipeline::from_workload(&w).threads(512).trace().unwrap();
+    let index = traced.index().unwrap();
+    let runner = WarpRunner::new(traced.program(), &index, traced.analyzer_config());
+    let all: Vec<usize> = (0..runner.warp_count()).collect();
+    let mut sinks: Vec<Unobserved> = all.iter().map(|_| Unobserved).collect();
+    let issues: Vec<u64> =
+        runner.run_warps(&all, &mut sinks).unwrap().iter().map(|r| r.issues).collect();
+    // Warp 0's issue count: warp 0 passes and every warp with more issues
+    // fails — on a 4-core device the first failing warp need not be on
+    // core 0, which the first worker claims first.
+    let budget = issues[0];
+    let failing: Vec<usize> = (0..issues.len()).filter(|&w| issues[w] > budget).collect();
+    assert!(failing.len() >= 2, "several warps fail: {failing:?} of {issues:?}");
+    for n_cores in [4, 46] {
+        for &workers in WORKER_COUNTS {
+            let config = traced.analyzer_config().clone().with_max_issues(budget);
+            let view = traced.with_analyzer(config.with_parallelism(workers));
+            let expected = view.analyze().expect_err("warps over the budget fail");
+            assert_eq!(expected.warp(), Some(failing[0] as u32), "{expected:?}");
+            let simt = SimtSimConfig { n_cores, workers, ..Default::default() };
+            let got = view.project_speedup(&simt, &CpuSimConfig::default()).map(|p| p.speedup);
+            assert_eq!(got, Err(expected), "{n_cores} cores, {workers} workers");
+        }
+    }
 }
 
 proptest! {

@@ -535,9 +535,9 @@ fn run_lockstep_observed(
 /// the unit of work: the worker that claims core `c` emulates `c`'s warps
 /// into its reused recording buffer, simulates `c` from it and keeps the
 /// warps' reports, which fold in warp order into the streamed run's
-/// report, returned next to the projection. Either way the statistics equal simulating the
-/// materialized warp traces, and an emulation failure is the
-/// lowest-indexed failing warp's, as `analyze` reports it.
+/// report, returned next to the projection. Either way the statistics
+/// equal simulating the materialized warp traces, and an emulation
+/// failure is the lowest-indexed failing warp's, as `analyze` reports it.
 fn project_speedup_impl(
     traced: &Traced,
     analyzer: &AnalyzerConfig,
@@ -582,24 +582,15 @@ fn project_speedup_impl(
             );
             // Every core emulates its warps in order up to its first
             // failure, so the lowest failing warp overall is among them.
-            let mut failed: Option<(usize, AnalyzeError)> = None;
-            let mut reports = Vec::with_capacity(cores.len());
-            for core in cores {
-                match core {
-                    Ok(warps) => reports.push(warps.into_iter()),
-                    Err((w, e)) => {
-                        if failed.as_ref().is_none_or(|(f, _)| w < *f) {
-                            failed = Some((w, e));
-                        }
-                    }
-                }
-            }
+            let failed = cores.iter().filter_map(|c| c.as_ref().err()).min_by_key(|(w, _)| *w);
             if let Some((_, e)) = failed {
-                return Err(e.into());
+                return Err(e.clone().into());
             }
-            // Warp `w` is core `w % cores`' next report.
-            let n = reports.len();
-            let warps = (0..runner.warp_count()).map(|w| reports[w % n].next());
+            let mut cores: Vec<_> =
+                cores.into_iter().map(|c| c.expect("no core failed").into_iter()).collect();
+            // Warp `w` ran on core `w % cores.len()`, after the warps below it.
+            let n = cores.len();
+            let warps = (0..runner.warp_count()).map(|w| cores[w % n].next());
             (stats, Some(runner.report(warps.map(|r| r.expect("every warp reported")))))
         }
     };

@@ -8,7 +8,7 @@
 #    the median [q1, q3] host steal of the runs that record it, and every
 #    metric of BENCHMARK.json the runs report — the end-to-end metrics of
 #    untraced runs, the layer rows of traced ones — as median [q1, q3].
-#    Runs whose steal exceeds PCT (default 5) % are listed as STOLEN.
+#    Runs whose steal exceeds PCT (default 10) % are listed as STOLEN.
 # 2. Per (workload, seed, trace, tag), for pairings recorded with notes of the form
 #    "parent ... (TAG)" and "change ... (TAG)": the i-th change run is set
 #    against the i-th parent run (file order), and each metric prints how
@@ -25,7 +25,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 history="$repo/results/bench_history.jsonl"
 tag=""
-steal_max=5
+steal_max=10
 while [ $# -gt 0 ]; do
     case "$1" in
         --history) history="$2"; shift 2 ;;

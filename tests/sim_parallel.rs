@@ -17,11 +17,12 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use threadfuser::analyzer::{BlockStep, StepSink, WarpRunner};
+use threadfuser::analyzer::WarpRunner;
 use threadfuser::cpusim::{simulate_cpu, CpuSimConfig};
 use threadfuser::ir::{AluOp, Cond, Operand, ProgramBuilder};
 use threadfuser::prelude::*;
 use threadfuser::simtsim::{simulate, Scheduler, SimtSimConfig};
+use threadfuser::tracegen::WarpRecording;
 use threadfuser::workloads::by_name;
 
 const WORKER_COUNTS: &[usize] = &[1, 2, 8];
@@ -182,13 +183,6 @@ fn analyze_after_a_streamed_projection_is_a_cache_hit() {
     }
 }
 
-/// A step sink that records nothing.
-struct Unobserved;
-
-impl StepSink for Unobserved {
-    fn on_step(&mut self, _: &BlockStep<'_>) {}
-}
-
 /// A projection whose emulation fails reports what `analyze()` reports —
 /// the lowest-indexed failing warp — whichever worker reaches which core
 /// first.
@@ -197,11 +191,12 @@ fn failing_projection_reports_the_lowest_failing_warp() {
     let w = by_name("bfs").unwrap();
     let traced = Pipeline::from_workload(&w).threads(512).trace().unwrap();
     let index = traced.index().unwrap();
-    let runner = WarpRunner::new(traced.program(), &index, traced.analyzer_config());
+    let config = traced.analyzer_config();
+    let runner = WarpRunner::new(traced.program(), &index, config);
     let all: Vec<usize> = (0..runner.warp_count()).collect();
-    let mut sinks: Vec<Unobserved> = all.iter().map(|_| Unobserved).collect();
-    let issues: Vec<u64> =
-        runner.run_warps(&all, &mut sinks).unwrap().iter().map(|r| r.issues).collect();
+    let mut recording = WarpRecording::empty(traced.program(), config.warp_size);
+    let warps = recording.record_warps(&runner, &all).unwrap();
+    let issues: Vec<u64> = warps.iter().map(|r| r.issues).collect();
     // Warp 0's issue count: warp 0 passes and every warp with more issues
     // fails — on a 4-core device the first failing warp need not be on
     // core 0, which the first worker claims first.
@@ -210,8 +205,8 @@ fn failing_projection_reports_the_lowest_failing_warp() {
     assert!(failing.len() >= 2, "several warps fail: {failing:?} of {issues:?}");
     for n_cores in [4, 46] {
         for &workers in WORKER_COUNTS {
-            let config = traced.analyzer_config().clone().with_max_issues(budget);
-            let view = traced.with_analyzer(config.with_parallelism(workers));
+            let budgeted = config.clone().with_max_issues(budget).with_parallelism(workers);
+            let view = traced.with_analyzer(budgeted);
             let expected = view.analyze().expect_err("warps over the budget fail");
             assert_eq!(expected.warp(), Some(failing[0] as u32), "{expected:?}");
             let simt = SimtSimConfig { n_cores, workers, ..Default::default() };

@@ -73,10 +73,12 @@ pub enum Phase {
     WarpEmulate,
     /// Warp-trace materialization (CISC→RISC decomposition collected
     /// into a `WarpTraceSet`). Only `warp_traces()` emits it: a speedup
-    /// projection simulates straight from the step recording, and
+    /// projection simulates straight from step recordings, and
     /// `simt-sim`'s `warp_insts` counter carries the same micro-op count.
     Coalesce,
-    /// Cycle-level SIMT device simulation.
+    /// Cycle-level SIMT device simulation. A speedup projection that
+    /// emulates each core's warps as it simulates the core does so inside
+    /// this span, so its `warp-emulate` spans nest in it.
     SimtSim,
     /// Multicore CPU baseline simulation.
     CpuSim,

@@ -534,10 +534,13 @@ fn run_lockstep_observed(
 /// warp traces) each core borrows its warps from it. Otherwise the core is
 /// the unit of work: the worker that claims core `c` emulates `c`'s warps
 /// into its reused recording buffer, simulates `c` from it and keeps the
-/// warps' reports, which fold in warp order into the streamed run's
-/// report, returned next to the projection. Either way the statistics
-/// equal simulating the materialized warp traces, and an emulation
-/// failure is the lowest-indexed failing warp's, as `analyze` reports it.
+/// warps' reports, which fold in warp order into the run's report,
+/// returned next to the projection. Only a device with fewer active cores
+/// than the per-warp emulation has workers records the whole program
+/// first, with that fan-out, and simulates from the recording: streaming
+/// would leave workers idle. Either way the statistics equal simulating
+/// the materialized warp traces, and an emulation failure is the
+/// lowest-indexed failing warp's, as `analyze` reports it.
 fn project_speedup_impl(
     traced: &Traced,
     analyzer: &AnalyzerConfig,
@@ -568,13 +571,22 @@ fn project_speedup_impl(
         }
         c
     };
+    let runner = WarpRunner::new(&traced.program, &index, analyzer);
+    let n_warps = runner.warp_count();
+    // Streaming runs one worker per active core at most; the per-warp
+    // emulation runs one per warp.
+    let streamed = simt.workers.min((simt.n_cores.max(1) as usize).min(n_warps));
+    let per_warp = analyzer.parallelism.max(1).min(n_warps);
     let (gpu_stats, report) = match recording {
         Some(rec) => (simulate_observed(&*rec, &simt, obs), None),
+        None if streamed < per_warp => {
+            let (report, rec) = record_warp_steps_indexed(&traced.program, &index, analyzer)?;
+            (simulate_observed(&rec, &simt, obs), Some(report))
+        }
         None => {
-            let runner = WarpRunner::new(&traced.program, &index, analyzer);
             let empty = WarpRecording::empty(&traced.program, analyzer.warp_size);
             let (stats, cores) = simulate_cores_observed(
-                runner.warp_count(),
+                n_warps,
                 &simt,
                 obs,
                 || empty.clone(),
@@ -590,7 +602,7 @@ fn project_speedup_impl(
                 cores.into_iter().map(|c| c.expect("no core failed").into_iter()).collect();
             // Warp `w` ran on core `w % cores.len()`, after the warps below it.
             let n = cores.len();
-            let warps = (0..runner.warp_count()).map(|w| cores[w % n].next());
+            let warps = (0..n_warps).map(|w| cores[w % n].next());
             (stats, Some(runner.report(warps.map(|r| r.expect("every warp reported")))))
         }
     };
@@ -820,7 +832,9 @@ impl Traced {
     /// simulator issues from the cached step recording when
     /// [`Traced::warp_traces`] already made one, and otherwise emulates
     /// and simulates one core's warps at a time, holding at most one
-    /// core's recording per worker. That emulation's report is cached, so
+    /// core's recording per worker. A device with fewer cores than the
+    /// emulation has workers is recorded whole instead, so no worker
+    /// idles. That emulation's report is cached (its recording is not), so
     /// a later [`Traced::analyze`] is free.
     ///
     /// # Errors
@@ -967,7 +981,8 @@ impl TracedView<'_> {
     /// Projects the SIMT-over-CPU speedup under this view's configuration,
     /// emulating and simulating one core's warps at a time like
     /// [`Traced::project_speedup`] on a capture without a recording: no
-    /// [`WarpTraceSet`] and no whole-program recording is built, and
+    /// [`WarpTraceSet`] is built, no whole-program recording either unless
+    /// the device has fewer cores than the emulation has workers, and
     /// nothing is cached.
     ///
     /// # Errors

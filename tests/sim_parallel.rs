@@ -6,7 +6,8 @@
 //! tolerance.
 //!
 //! A speedup projection without a whole-program recording emulates and
-//! simulates one SIMT core's warps at a time; its statistics, report and
+//! simulates one SIMT core's warps at a time (or, with fewer cores than
+//! workers, records the whole program first); its statistics, report and
 //! errors must still equal the materialized path's at every worker count
 //! and device width.
 //!
@@ -123,23 +124,26 @@ fn truncated_simulation_is_surfaced_not_projected() {
 /// traces plus simulating the CPU, exactly: on a capture that streams core
 /// by core and on one that already holds its recording, at every worker
 /// count, on one core, a few, the default device, and more cores than
-/// warps.
+/// warps. With fewer cores than workers the projection records the whole
+/// program with the per-warp fan-out instead; that path must agree too.
 #[test]
 fn per_core_projection_equals_simulating_the_warp_traces() {
     for name in ["bfs", "pigz"] {
         let w = by_name(name).unwrap();
         // Warp width 8 gives 48 warps: more than the default device's 46
         // cores, so cores hold one or two warps.
-        let fresh = Pipeline::from_workload(&w).threads(384).warp_size(8).trace().unwrap();
-        fresh.index().unwrap();
-        let recorded = fresh.clone();
-        let wt = recorded.warp_traces().unwrap();
+        let pipeline = Pipeline::from_workload(&w).threads(384).warp_size(8);
+        let wt = pipeline.trace().unwrap().warp_traces().unwrap();
         let warps = wt.warps().len() as u32;
         assert!(warps > 46, "{name}: {warps} warps");
-        let cpu_ref = simulate_cpu(fresh.traces(), &CpuSimConfig::default());
-        for n_cores in [1, 4, 46, warps + 13] {
-            let gpu_ref = simulate(&wt, &SimtSimConfig { n_cores, ..Default::default() });
-            for &workers in WORKER_COUNTS {
+        for &workers in WORKER_COUNTS {
+            let fresh = pipeline.clone().parallelism(workers).trace().unwrap();
+            fresh.index().unwrap();
+            let cpu_ref = simulate_cpu(fresh.traces(), &CpuSimConfig::default());
+            let recorded = fresh.clone();
+            recorded.warp_traces().unwrap();
+            for n_cores in [1, 4, 46, warps + 13] {
+                let gpu_ref = simulate(&wt, &SimtSimConfig { n_cores, ..Default::default() });
                 let simt = SimtSimConfig { n_cores, workers, ..Default::default() };
                 let cpu = CpuSimConfig { workers, ..Default::default() };
                 for (product, proj) in [
@@ -158,6 +162,44 @@ fn per_core_projection_equals_simulating_the_warp_traces() {
             }
         }
     }
+}
+
+/// Which emulation a projection runs: a capture that holds its recording
+/// emulates nothing; a device with at least one core per worker streams
+/// core by core and records no whole program; a device with fewer cores
+/// than workers records the whole program once, with the per-warp
+/// fan-out, and keeps only its report.
+#[test]
+fn projection_emulates_per_core_unless_cores_are_scarce() {
+    let w = by_name("pigz").unwrap();
+    let traced = |sink: &Arc<InMemorySink>| {
+        let pipeline = Pipeline::from_workload(&w).threads(512).parallelism(2);
+        pipeline.observe(Obs::with_sink(sink.clone())).trace().unwrap()
+    };
+    let (simt, cpu) = (SimtSimConfig::default(), CpuSimConfig::default());
+
+    let sink = Arc::new(InMemorySink::new());
+    let recorded = traced(&sink);
+    recorded.warp_traces().unwrap();
+    let spans = sink.span_count(Phase::WarpEmulate);
+    recorded.project_speedup(&simt, &cpu).unwrap();
+    assert_eq!(sink.span_count(Phase::WarpEmulate), spans, "a recorded capture re-emulated");
+    assert_eq!(sink.counter_total("warp_recordings"), 1);
+
+    let sink = Arc::new(InMemorySink::new());
+    traced(&sink).project_speedup(&simt, &cpu).unwrap();
+    assert_eq!(sink.counter_total("warp_recordings"), 0, "46 cores over 2 workers stream");
+
+    let sink = Arc::new(InMemorySink::new());
+    let one_core = traced(&sink);
+    let simt = SimtSimConfig { n_cores: 1, ..SimtSimConfig::default() };
+    one_core.project_speedup(&simt, &cpu).unwrap();
+    assert_eq!(sink.counter_total("warp_recordings"), 1, "one core over 2 workers records");
+    let spans = sink.span_count(Phase::WarpEmulate);
+    one_core.analyze().unwrap();
+    assert_eq!(sink.span_count(Phase::WarpEmulate), spans, "the report is cached");
+    one_core.warp_traces().unwrap();
+    assert_eq!(sink.counter_total("warp_recordings"), 2, "the recording is not");
 }
 
 /// A streamed projection caches the report of the emulation it ran, so the

@@ -2,9 +2,10 @@
 //! emulator, counted exactly by a counting global allocator (no timing,
 //! so host noise cannot blur them).
 //!
-//! A projection never holds a whole-program step recording, let alone a
-//! `WarpTraceSet`: each worker emulates one SIMT core's warps into a
-//! reused buffer and simulates the core from it. So the heap high-water of
+//! A projection on a device with a core for every worker never holds a
+//! whole-program step recording, let alone a `WarpTraceSet`: each worker
+//! emulates one SIMT core's warps into a reused buffer and simulates the
+//! core from it. So the heap high-water of
 //! `Traced::project_speedup` sits within one core's recording per worker
 //! (plus simulator scratch) of what it leaves resident — the cached report
 //! alone — and a `TracedView::project_speedup` returns live bytes to where

@@ -42,7 +42,7 @@ use crate::AnalyzeError;
 use serde::{Deserialize, Serialize};
 use std::mem::take;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use threadfuser_ir::{BlockAddr, BlockId, FuncCfg, FuncId, Function, Program, Terminator};
 use threadfuser_machine::{segment_of, Segment};
 use threadfuser_obs::{Obs, Phase};
@@ -557,18 +557,24 @@ where
 /// [`WarpRunner::run_warps`] emulates one group and returns its warps'
 /// reports; [`WarpRunner::report`] folds every warp's report, in warp
 /// order, into the report [`analyze_indexed`] returns.
-pub struct WarpRunner<'a>(RunCtx<'a>);
+pub struct WarpRunner<'a> {
+    ctx: RunCtx<'a>,
+    /// Emulator scratch of finished groups. A group takes one and hands it
+    /// back, so there are only as many as groups ever ran at once — one
+    /// per worker — each reused across the groups its worker runs.
+    scratch: Mutex<Vec<WarpScratch>>,
+}
 
 impl<'a> WarpRunner<'a> {
     /// The run of `config` over `program`'s capture `index`: its warp plan
     /// is built once and shared by every group.
     pub fn new(program: &'a Program, index: &'a AnalysisIndex, config: &'a AnalyzerConfig) -> Self {
-        WarpRunner(RunCtx::new(program, index, config))
+        WarpRunner { ctx: RunCtx::new(program, index, config), scratch: Mutex::default() }
     }
 
     /// Warps in the run, in batching order.
     pub fn warp_count(&self) -> usize {
-        self.0.warps.len()
+        self.ctx.warps.len()
     }
 
     /// Emulates `warps` (indices in batching order, ascending) in order on
@@ -585,22 +591,25 @@ impl<'a> WarpRunner<'a> {
         warps: &[usize],
         sinks: &mut [S],
     ) -> Result<Vec<AnalysisReport>, (usize, AnalyzeError)> {
-        let mut scratch = WarpScratch::default();
+        let pool = || self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        let mut scratch = pool().pop().unwrap_or_default();
         let runs = warps.iter().zip(sinks).map(|(&w, sink)| {
             let mut sink: Option<&mut dyn StepSink> = Some(sink);
-            self.0.run_warp(w, &mut scratch, &mut sink).map_err(|e| (w, e))
+            self.ctx.run_warp(w, &mut scratch, &mut sink).map_err(|e| (w, e))
         });
-        runs.collect()
+        let reports: Result<Vec<_>, _> = runs.collect();
+        pool().push(scratch);
+        reports
     }
 
     /// The run's report: every warp's report, in warp order, merged as
     /// [`analyze_indexed`] merges them, with the index's skip counters.
     pub fn report(&self, warps: impl IntoIterator<Item = AnalysisReport>) -> AnalysisReport {
-        let mut report = self.0.empty_report();
+        let mut report = self.ctx.empty_report();
         for warp in warps {
             report.merge(warp);
         }
-        self.0.finish(report)
+        self.ctx.finish(report)
     }
 }
 

@@ -14,8 +14,10 @@
 # as one line. `steal_pct` is the host's steal share of all CPU time over
 # the run (from the `cpu` line of /proc/stat): time the hypervisor gave
 # this machine's vCPUs to someone else. `cpu_s` is the user + system CPU
-# seconds the benchmark run's process tree used. A run with high steal
-# was slowed by the host, not the code; scripts/bench_report.sh marks it.
+# seconds the benchmark run's process tree used. The benchmark is built
+# before that window opens, so both figures leave the build out; the
+# window keeps only run.sh's up-to-date check. A run with high steal was
+# slowed by the host, not the code; scripts/bench_report.sh marks it.
 # Set CARGO_TARGET_DIR to keep two checkouts' builds apart.
 set -euo pipefail
 
@@ -54,6 +56,11 @@ host_ticks() {
 child_ticks() {
     sed 's/^.*) //' "/proc/$$/stat" | awk '{ print $14 + $15 }'
 }
+
+# The build benchmark/run.sh would start with, done here, outside the
+# measured window: same manifest, same target directory.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$checkout/benchmark/target}" \
+    cargo build --offline --release --quiet --manifest-path "$checkout/benchmark/Cargo.toml" >&2
 
 read -r steal0 total0 < <(host_ticks)
 child0="$(child_ticks)"

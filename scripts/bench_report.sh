@@ -2,13 +2,13 @@
 # Summarises the benchmark history that scripts/bench_history.sh appends to
 # results/bench_history.jsonl.
 #
-#   scripts/bench_report.sh [--history FILE] [--steal-max PCT] [TAG]
+#   scripts/bench_report.sh [--history FILE] [TAG]
 #
 # 1. Per (workload, seed, trace, note): the run count, failed operations,
 #    the median [q1, q3] host steal of the runs that record it, and every
 #    metric of BENCHMARK.json the runs report — the end-to-end metrics of
 #    untraced runs, the layer rows of traced ones — as median [q1, q3].
-#    Runs whose steal exceeds PCT (default 10) % are listed as STOLEN.
+#    Runs whose steal exceeds 10 % are listed as STOLEN.
 # 2. Per (workload, seed, trace, tag), for pairings recorded with notes of the form
 #    "parent ... (TAG)" and "change ... (TAG)": the i-th change run is set
 #    against the i-th parent run (file order), and each metric prints how
@@ -25,21 +25,17 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 history="$repo/results/bench_history.jsonl"
 tag=""
-steal_max=10
 while [ $# -gt 0 ]; do
     case "$1" in
         --history) history="$2"; shift 2 ;;
-        --steal-max) steal_max="$2"; shift 2 ;;
-        -*) echo "usage: scripts/bench_report.sh [--history FILE] [--steal-max PCT] [TAG]" >&2; exit 2 ;;
+        -*) echo "usage: scripts/bench_report.sh [--history FILE] [TAG]" >&2; exit 2 ;;
         *) tag="$1"; shift ;;
     esac
 done
 
 metrics="$(jq -c '[(.end_to_end + .per_layer)[] | {name, unit, better}]' "$repo/BENCHMARK.json")"
 
-case "$steal_max" in "" | *[!0-9.]*) echo "bench_report.sh: --steal-max takes a percentage" >&2; exit 2 ;; esac
-
-jq -rs --argjson metrics "$metrics" --arg tag "$tag" --argjson steal_max "$steal_max" '
+jq -rs --argjson metrics "$metrics" --arg tag "$tag" '
   # Linear-interpolated quantile of a non-empty numeric array.
   def q(p): sort as $s | ((($s | length) - 1) * p) as $i | ($i | floor) as $lo
     | ($i | ceil) as $hi | $s[$lo] + ($s[$hi] - $s[$lo]) * ($i - $lo);
@@ -52,7 +48,10 @@ jq -rs --argjson metrics "$metrics" --arg tag "$tag" --argjson steal_max "$steal
   def vals($name): map(.result.metrics[$name].value // empty);
   def spread: "\(q(0.5) | sig) [\(q(0.25) | sig), \(q(0.75) | sig)]";
   def head: "\(.workload) seed \(.seed)\(if .trace == 1 then " traced" else "" end)";
-  def stolen: (.steal_pct // 0) > $steal_max;
+  # The steal share above which a run was slowed by the host, not the
+  # code: its pairs are discarded by this rule, not by eye.
+  def steal_max: 10;
+  def stolen: (.steal_pct // 0) > steal_max;
   def steal_of: map(.steal_pct // empty)
     | if length > 0 then ", steal \(q(0.5) | sig) [\(q(0.25) | sig), \(q(0.75) | sig)] %" else "" end;
 
@@ -60,7 +59,7 @@ jq -rs --argjson metrics "$metrics" --arg tag "$tag" --argjson steal_max "$steal
   | ( "# Runs per (workload, seed, trace, note): median [q1, q3]",
       ( $rows | group_by([.workload, .seed, .trace, .note])[]
         | "\n\(.[0] | head) | \(.[0].note) | \(length) runs, \(map(.result.failed // 0) | add) failed ops\(steal_of)",
-          ( .[] | select(stolen) | "  STOLEN \(.date): \(.steal_pct) % steal > \($steal_max) %" ),
+          ( .[] | select(stolen) | "  STOLEN \(.date): \(.steal_pct) % steal > \(steal_max) %" ),
           ( . as $g | $metrics[] | . as $m | ($g | vals($m.name)) as $v
             | select($v | any(. != 0))
             | "  \($m.name)\t\($v | spread) \($m.unit)" ) ),
@@ -73,7 +72,7 @@ jq -rs --argjson metrics "$metrics" --arg tag "$tag" --argjson steal_max "$steal
         | ($kept | map(.[0])) as $p | ($kept | map(.[1])) as $c | ($kept | length) as $n
         | select($all | length > 0)
         | "\n\(.[0] | head) | (\(.[0] | tag_of)) | \($n) pairs"
-          + (($all | length) - $n | if . > 0 then ", \(.) discarded for steal > \($steal_max) %" else "" end),
+          + (($all | length) - $n | if . > 0 then ", \(.) discarded for steal > \(steal_max) %" else "" end),
           ( $metrics[] | . as $m
             | [range(0; $n) | [($p[.].result.metrics[$m.name].value // null),
                                ($c[.].result.metrics[$m.name].value // null)]]

@@ -48,6 +48,12 @@ echo "$TABLE1_OUT" | grep -q "coop_lottery"
 FIG01_OUT=$(TF_THREADS=64 cargo run --release -q -p threadfuser-bench --bin fig01_efficiency)
 echo "$FIG01_OUT" | grep -q "coop_rr"
 
+echo "==> per-op heap table (thread-capped smoke)"
+# The table EXPERIMENTS.md's memory sections quote, at 64 threads so it
+# cannot rot: every cold_project and file_ingest op must run to the end.
+HEAP_OPS_OUT=$(TF_THREADS=64 cargo run --release -q -p threadfuser-bench --bin heap_ops)
+echo "$HEAP_OPS_OUT" | grep -q "md5@64 .*analyze"
+
 echo "==> trace CLI usage gate (--chunk-kb 0 must be a usage error)"
 set +e
 cargo run --release -q -p threadfuser --bin threadfuser -- \

@@ -54,7 +54,7 @@ pub fn dwf_upper_bound(traces: &TraceSet, warp_size: u32) -> DwfBound {
     let mut execs: Vec<(u64, u32)> = Vec::new();
     let mut thread_insts = 0u64;
     for t in traces.threads() {
-        // Columnar block columns: no event dispatch, no mem/side traffic.
+        // The block columns only: no event dispatch, no mem/side decoding.
         for (addr, n_insts) in t.iter_blocks() {
             execs.push((((addr.func.0 as u64) << 32) | addr.block.0 as u64, n_insts));
             thread_insts += n_insts as u64;

@@ -817,8 +817,8 @@ mod tests {
     #[test]
     fn untrustworthy_counts_hand_the_file_to_the_whole_decode() {
         let (program, traces) = workload_capture("bfs", 16);
-        let v2 = threadfuser_tracer::encode(&traces);
-        assert!(chunk_build(&program, &open(&v2, ValidationPolicy::Strict), 2).unwrap().is_none());
+        let v2 = include_bytes!("../../../tests/corpus/valid/synthetic_v2.bin");
+        assert!(chunk_build(&program, &open(v2, ValidationPolicy::Strict), 2).unwrap().is_none());
 
         let mut damaged = encode_v3_with(&traces, 1).to_vec();
         mistag(&mut damaged, 5);

@@ -4,10 +4,9 @@
 //! Warp emulation is the analyzer's innermost loop: every lane of every
 //! warp walks its thread's event stream in lock step, peeking the next
 //! event dozens of millions of times per second. Replaying straight from
-//! the columnar [`threadfuser_tracer::ThreadTrace`] keeps allocation off
-//! that path, but each peek still merges two streams (is a side event
-//! pending before the next block?) and chases the cursor's pointer into
-//! three separate columns.
+//! a [`threadfuser_tracer::ThreadTrace`] keeps allocation off that path,
+//! but each peek would still merge two streams (is a side event pending
+//! before the next block?) and decode varints from several columns.
 //!
 //! [`LaneTapes`] flattens that merge **once per capture**: a single
 //! CSR-style arena holds, for every thread, its interleaved event stream

@@ -23,19 +23,26 @@
 //! round-trip, `invalid/` must return `Err` under strict validation, and
 //! `fuzz/` merely must not panic — then throws `N` (default 4096) random
 //! buffers at the decoder, and finally asserts `decode(encode(t)) == t`
-//! for freshly captured workload traces. Any panic or violated
-//! expectation exits nonzero.
+//! through the v2 writer and the v3 encoder for freshly captured workload
+//! traces. Any panic or violated expectation exits nonzero.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use threadfuser::ir::{BlockAddr, BlockId, FuncId, OptLevel};
 use threadfuser::mem::coalesce_transactions;
 use threadfuser::tracer::{
-    decode, decode_with, encode, encode_v3, encode_v3_with, DecodeOptions, ThreadTrace, TraceEvent,
+    decode, decode_with, encode_v3, encode_v3_with, DecodeOptions, ThreadTrace, TraceEvent,
     TraceSet, ValidationPolicy,
 };
 use threadfuser::workloads::by_name;
 use threadfuser::Pipeline;
+
+/// The v1 and v2 writers: the library only writes v3, but the corpus
+/// keeps legacy files that must decode forever.
+#[path = "../../../../tests/support/legacy_encode.rs"]
+mod legacy;
+
+use legacy::{encode_v1, encode_v2};
 
 /// Workloads whose captures seed the corpus and the round-trip check.
 /// coop_channel covers the cooperative-scheduler family: lock-guarded
@@ -113,58 +120,6 @@ fn overflow_bait_set() -> TraceSet {
     TraceSet::new(vec![t])
 }
 
-/// Hand-writes the legacy v1 (tagged event stream) encoding of a trace
-/// set; the current `encode` only emits v2, but v1 files must keep
-/// decoding forever.
-fn encode_v1(set: &TraceSet) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"TFTR");
-    out.push(1);
-    out.extend_from_slice(&(set.threads().len() as u32).to_le_bytes());
-    for t in set.threads() {
-        out.extend_from_slice(&t.tid.to_le_bytes());
-        out.extend_from_slice(&t.skipped_io.to_le_bytes());
-        out.extend_from_slice(&t.skipped_spin.to_le_bytes());
-        out.extend_from_slice(&t.excluded_insts.to_le_bytes());
-        out.extend_from_slice(&(t.event_count() as u64).to_le_bytes());
-        for e in t.iter_events() {
-            match e {
-                TraceEvent::Block { addr, n_insts } => {
-                    out.push(0);
-                    out.extend_from_slice(&addr.func.0.to_le_bytes());
-                    out.extend_from_slice(&addr.block.0.to_le_bytes());
-                    out.extend_from_slice(&n_insts.to_le_bytes());
-                }
-                TraceEvent::Mem { inst_idx, addr, size, is_store } => {
-                    out.push(1);
-                    out.extend_from_slice(&inst_idx.to_le_bytes());
-                    out.extend_from_slice(&addr.to_le_bytes());
-                    out.push(size);
-                    out.push(is_store as u8);
-                }
-                TraceEvent::Call { callee } => {
-                    out.push(2);
-                    out.extend_from_slice(&callee.0.to_le_bytes());
-                }
-                TraceEvent::Ret => out.push(3),
-                TraceEvent::Acquire { lock } => {
-                    out.push(4);
-                    out.extend_from_slice(&lock.to_le_bytes());
-                }
-                TraceEvent::Release { lock } => {
-                    out.push(5);
-                    out.extend_from_slice(&lock.to_le_bytes());
-                }
-                TraceEvent::Barrier { id } => {
-                    out.push(6);
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Overwrites the 4 bytes at `off` with `v` (little-endian).
 fn patch_u32(bytes: &mut [u8], off: usize, v: u32) {
     bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
@@ -197,7 +152,7 @@ fn generate(root: &Path) {
     }
 
     let set = synthetic_set();
-    let v2 = encode(&set).to_vec();
+    let v2 = encode_v2(&set);
     let v1 = encode_v1(&set);
     let v3 = encode_v3(&set).to_vec();
     // A 1-byte chunk budget closes a chunk at every thread boundary, so
@@ -210,9 +165,9 @@ fn generate(root: &Path) {
     write(&valid, "synthetic_v1.bin", &v1);
     write(&valid, "synthetic_v3.bin", &v3);
     write(&valid, "synthetic_v3_multichunk.bin", &v3_multi);
-    write(&valid, "empty_v2.bin", &encode(&TraceSet::default()));
+    write(&valid, "empty_v2.bin", &encode_v2(&TraceSet::default()));
     write(&valid, "empty_v3.bin", &encode_v3(&TraceSet::default()));
-    write(&valid, "overflow_bait_v2.bin", &encode(&overflow_bait_set()));
+    write(&valid, "overflow_bait_v2.bin", &encode_v2(&overflow_bait_set()));
     write(&valid, "overflow_bait_v1.bin", &encode_v1(&overflow_bait_set()));
     write(&valid, "overflow_bait_v3.bin", &encode_v3(&overflow_bait_set()));
     let w = by_name("vectoradd").expect("vectoradd exists");
@@ -221,7 +176,7 @@ fn generate(root: &Path) {
         .opt_level(OptLevel::O1)
         .trace()
         .expect("trace vectoradd");
-    write(&valid, "vectoradd_t16_o1_v2.bin", &encode(traced.traces()));
+    write(&valid, "vectoradd_t16_o1_v2.bin", &encode_v2(traced.traces()));
     write(&valid, "vectoradd_t16_o1_v3.bin", &encode_v3(traced.traces()));
     let w = by_name("coop_channel").expect("coop_channel exists");
     let traced = Pipeline::from_workload(&w)
@@ -229,7 +184,7 @@ fn generate(root: &Path) {
         .opt_level(OptLevel::O1)
         .trace()
         .expect("trace coop_channel");
-    write(&valid, "coop_channel_t16_o1_v2.bin", &encode(traced.traces()));
+    write(&valid, "coop_channel_t16_o1_v2.bin", &encode_v2(traced.traces()));
     write(&valid, "coop_channel_t16_o1_v3.bin", &encode_v3(traced.traces()));
 
     // ---- invalid ----------------------------------------------------------
@@ -478,11 +433,11 @@ fn check(root: &Path, cases: usize) -> Result<(), usize> {
         };
         match strict {
             Ok(set) => {
-                // Valid files must round-trip bit-identically through both
-                // current encoders…
-                let re = decode(&encode(&set)).expect("re-decode own v2 encoding");
+                // Valid files must round-trip bit-identically through the
+                // v2 writer and the v3 encoder…
+                let re = decode(&encode_v2(&set)).expect("re-decode own v2 encoding");
                 if re != set {
-                    failures.fail(format!("{name}: decode(encode(t)) != t"));
+                    failures.fail(format!("{name}: decode(encode_v2(t)) != t"));
                 }
                 let re3 = decode(&encode_v3(&set)).expect("re-decode own v3 encoding");
                 if re3 != set {
@@ -561,7 +516,7 @@ fn check(root: &Path, cases: usize) -> Result<(), usize> {
             .trace()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let set = traced.traces();
-        match decode(&encode(set)) {
+        match decode(&encode_v2(set)) {
             Ok(back) if &back == set => {}
             Ok(_) => failures.fail(format!("{name}: v2 round-trip changed the trace set")),
             Err(e) => failures.fail(format!("{name}: v2 round-trip decode failed: {e}")),

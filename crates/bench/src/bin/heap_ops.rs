@@ -1,0 +1,125 @@
+//! Per-operation heap table: for each op of the benchmark's `cold_project`
+//! and `file_ingest` flows, the heap high-water mark above what was live
+//! when the op started, and the heap the op leaves resident.
+//!
+//! Counted exactly by the counting global allocator of
+//! `tests/support/counting_alloc.rs` (no timing, so host noise does not
+//! blur it). The inputs are the benchmark's: the eight `cold_project`
+//! programs at 2048 threads (trace → index → project → analyze, O3,
+//! parallelism 2) and the four `file_ingest` v3 files (decode → re-encode
+//! → file analyze). `TF_THREADS` replaces every thread count, for a quick
+//! run; `TF_RESULTS` also writes the table as `heap_ops.csv`.
+//!
+//! ```text
+//! cargo run --release -p threadfuser-bench --bin heap_ops
+//! ```
+
+#[path = "../../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use threadfuser::cpusim::CpuSimConfig;
+use threadfuser::ir::OptLevel;
+use threadfuser::service::{execute_op, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobOp};
+use threadfuser::simtsim::SimtSimConfig;
+use threadfuser::tracer::{encode_v3, DecodeOptions, TraceSetReader};
+use threadfuser::workloads::{by_name, Workload};
+use threadfuser::{obs::Obs, Pipeline, TextTable};
+use threadfuser_bench::emit;
+
+/// `cold_project`'s programs, traced at `COLD_THREADS`.
+const COLD_PROGRAMS: [&str; 8] =
+    ["md5", "pigz", "bfs", "cc", "hdsearch_mid", "mcrouter_memcached", "text", "coop_lottery"];
+const COLD_THREADS: u32 = 2048;
+/// `file_ingest`'s `(program, threads)` files.
+const INGEST_FILES: [(&str, u32); 4] =
+    [("pigz", 2048), ("hdsearch_leaf", 512), ("bfs", 4096), ("md5", 4096)];
+/// Emulation and simulation workers, as in the benchmark.
+const PARALLELISM: usize = 2;
+
+fn threads(default: u32) -> u32 {
+    std::env::var("TF_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(default).max(1)
+}
+
+fn workload(name: &str) -> Workload {
+    by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"))
+}
+
+fn pipeline(w: &Workload, threads: u32) -> Pipeline {
+    Pipeline::from_workload(w).threads(threads).opt_level(OptLevel::O3).parallelism(PARALLELISM)
+}
+
+/// Runs `f`, returning its result, its high-water mark above the heap
+/// live at entry and the heap it leaves live (negative when it frees),
+/// both in bytes.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, usize, isize) {
+    let base = counting_alloc::live();
+    let (r, peak) = counting_alloc::peak_delta(f);
+    (r, peak, counting_alloc::live() as isize - base as isize)
+}
+
+fn mb(bytes: f64) -> String {
+    format!("{:.2}", bytes / 1e6)
+}
+
+fn main() {
+    let mut table = TextTable::new(&["flow", "input", "op", "peak_mb", "resident_mb"]);
+    let mut row = |flow: &str, input: &str, op: &str, peak: usize, resident: isize| {
+        table.row(&[flow, input, op, &mb(peak as f64), &mb(resident as f64)]);
+    };
+    let (simt, cpu) = (SimtSimConfig::default(), CpuSimConfig::default());
+
+    for name in COLD_PROGRAMS {
+        let w = workload(name);
+        let n = threads(COLD_THREADS);
+        let at = format!("{name}@{n}");
+        let pipeline = pipeline(&w, n);
+        let (traced, peak, resident) = measure(|| pipeline.trace().expect("capture"));
+        row("cold_project", &at, "trace", peak, resident);
+        let ((), peak, resident) = measure(|| drop(traced.index().expect("index")));
+        row("cold_project", &at, "index", peak, resident);
+        let (_, peak, resident) =
+            measure(|| traced.project_speedup(&simt, &cpu).expect("projection"));
+        row("cold_project", &at, "project", peak, resident);
+        let (_, peak, resident) = measure(|| traced.analyze().expect("analysis"));
+        row("cold_project", &at, "analyze", peak, resident);
+    }
+
+    let dir = std::env::temp_dir().join(format!("tf-heap-ops-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (name, default_threads) in INGEST_FILES {
+        let w = workload(name);
+        let n = threads(default_threads);
+        let at = format!("{name}@{n}");
+        let path = dir.join(format!("{name}_{n}.tft"));
+        let traced = pipeline(&w, n).trace().expect("capture");
+        std::fs::write(&path, &*encode_v3(traced.traces())).expect("trace file written");
+        drop(traced);
+
+        let (set, peak, resident) = measure(|| {
+            let bytes = std::fs::read(&path).expect("trace file read");
+            let reader = TraceSetReader::from_bytes(bytes, &DecodeOptions::default());
+            reader.and_then(TraceSetReader::into_decoded).expect("decode").traces
+        });
+        row("file_ingest", &at, "decode", peak, resident);
+        let ((), peak, resident) = measure(|| {
+            let encoded = encode_v3(&set);
+            std::fs::write(dir.join("reencoded.tft"), &*encoded).expect("re-encoded file written");
+        });
+        row("file_ingest", &at, "re-encode", peak, resident);
+        drop(set);
+        let op = JobOp::Analyze(AnalyzeJob {
+            capture: CaptureSpec::trace_file(
+                path.to_str().expect("utf-8 path"),
+                Some(name),
+                OptLevel::O3,
+            ),
+            config: AnalyzerKnobs { parallelism: PARALLELISM as u32, ..AnalyzerKnobs::default() },
+        });
+        let (_, peak, resident) = measure(|| execute_op(&op, &Obs::none()).expect("file analyze"));
+        row("file_ingest", &at, "analyze", peak, resident);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    println!("Heap per op (MB = 10^6 B): high-water above entry, and what the op leaves live\n");
+    emit("heap_ops", &table);
+}

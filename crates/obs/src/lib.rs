@@ -52,8 +52,8 @@ pub enum Phase {
     /// Carries `predecoded_insts` / `predecoded_blocks` counters.
     Predecode,
     /// Native MIMD execution + per-thread trace capture. Carries the
-    /// executed/skipped instruction aggregates plus `trace_bytes` (columnar
-    /// storage footprint) and a `trace_insts_per_sec` histogram.
+    /// executed/skipped instruction aggregates plus `trace_bytes` (the
+    /// capture's record bytes) and a `trace_insts_per_sec` histogram.
     Trace,
     /// Trace-file ingestion (binary decode + structural validation).
     /// Carries the `decode_rejects` (corrupt threads or files detected)

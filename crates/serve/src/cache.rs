@@ -2,7 +2,7 @@
 //!
 //! The cache maps a [`CaptureSpec`] content hash (see
 //! [`threadfuser::service::capture_key`]) to an `Arc<Capture>` holding the
-//! traced program, its columnar traces, and (lazily, inside `Traced`) the
+//! traced program, its compact traces, and (lazily, inside `Traced`) the
 //! shared analysis index. Concurrency design:
 //!
 //! - **Sharding.** Keys are distributed over `N` shards by their high

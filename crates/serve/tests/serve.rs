@@ -9,7 +9,11 @@ use threadfuser::service::{
     AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobErrorCode, JobOp, JobOutcome, JobRequest,
     JobResponse, SpeedupJob, SweepJob, ValidateJob,
 };
+use threadfuser::tracer::{TraceEvent, TraceSet};
 use threadfuser_serve::{Client, Frame, ServeConfig, Server};
+
+#[path = "../../../tests/support/legacy_encode.rs"]
+mod legacy;
 
 fn bind(config: ServeConfig) -> (Server, std::net::SocketAddr, Arc<InMemorySink>) {
     let sink = Arc::new(InMemorySink::default());
@@ -121,11 +125,13 @@ fn small_byte_budget_evicts_lru_captures() {
     server.shutdown();
 }
 
-/// Writes a vectoradd trace file with one corrupted thread record.
+/// Writes a vectoradd trace file (v2: fixed-width, so a flipped byte
+/// mid-file corrupts one thread's content, not the framing) with one
+/// corrupted thread record.
 fn corrupt_trace_file(dir: &std::path::Path) -> String {
     let w = threadfuser::workloads::by_name("vectoradd").unwrap();
     let traced = Pipeline::from_workload(&w).threads(8).trace().unwrap();
-    let mut bytes = encode(traced.traces()).to_vec();
+    let mut bytes = legacy::encode_v2(traced.traces());
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     let path = dir.join("corrupt.tftrace");

@@ -106,7 +106,7 @@ pub mod prelude {
     pub use threadfuser_machine::{ExecEngine, ExecProgram};
     pub use threadfuser_obs::{InMemorySink, JsonLinesSink, Obs, Phase};
     pub use threadfuser_tracer::{
-        decode, decode_observed, decode_with, encode, DecodeError, DecodeErrorKind, DecodeLimits,
+        decode, decode_observed, decode_with, DecodeError, DecodeErrorKind, DecodeLimits,
         DecodeOptions, Decoded, ProgramShape, Quarantined, ValidationPolicy,
     };
 }

@@ -38,7 +38,8 @@ use threadfuser_ir::OptLevel;
 use threadfuser_obs::{Obs, Phase, PhaseEvent};
 use threadfuser_simtsim::SimtSimConfig;
 use threadfuser_tracer::{
-    DecodeLimits, DecodeOptions, ProgramShape, TraceSetReader, ValidationPolicy,
+    DecodeLimits, DecodeOptions, ProgramShape, ThreadTrace, TraceSet, TraceSetReader,
+    ValidationPolicy,
 };
 use threadfuser_workloads::{by_name, Workload};
 
@@ -716,8 +717,9 @@ impl Capture {
     }
 
     /// Cost charged against the cache byte budget. Workload captures
-    /// charge their columnar trace storage; trace-file captures charge
-    /// their *encoded* (on-disk) size — with the v3 chunked format that is
+    /// charge a nominal size, their record counts at fixed-width rates
+    /// (see `nominal_capture_bytes`); trace-file captures charge their
+    /// *encoded* (on-disk) size — with the v3 chunked format that is
     /// the compressed footprint, so the same budget admits far more
     /// captures. Either way a flat 64 KiB is added for the program and its
     /// predecoded form. The analysis index is **not** charged, although it
@@ -1020,7 +1022,7 @@ pub fn load_resolved(
             let w = resolve_workload(name)?;
             let traced = pipeline_for(spec, &w, obs).trace().map_err(JobError::from)?;
             traced.index().map_err(JobError::from)?;
-            let bytes = traced.traces().storage_bytes() as u64 + CAPTURE_OVERHEAD_BYTES;
+            let bytes = nominal_capture_bytes(traced.traces()) + CAPTURE_OVERHEAD_BYTES;
             Capture { traced, quarantined: Vec::new(), bytes }
         }
         JobSource::TraceFile { workload, .. } => {
@@ -1042,9 +1044,23 @@ pub fn load_resolved(
     Ok(capture)
 }
 
-/// Flat per-capture overhead charged on top of the columnar trace bytes
+/// Flat per-capture overhead charged on top of the trace bytes
 /// (optimized program, predecoded form, index graphs).
 const CAPTURE_OVERHEAD_BYTES: u64 = 64 * 1024;
+
+/// The nominal trace charge of a workload capture: its record counts at
+/// the rates of the fixed-width columns captures were once stored in —
+/// 16 B a block, 13 B a memory access, 20 B a side event. A capture now
+/// holds its events compactly, at about a sixth of that, but charging
+/// those bytes would let the cache admit more captures whose (uncharged)
+/// indexes then stay resident too; this charge stands until the cache
+/// charges what a capture really holds, index included.
+fn nominal_capture_bytes(set: &TraceSet) -> u64 {
+    let rates = |t: &ThreadTrace| {
+        16 * t.block_count() as u64 + 13 * t.mem_count() as u64 + 20 * t.side_count() as u64
+    };
+    set.threads().iter().map(rates).sum()
+}
 
 fn quarantine_rows(qs: &[threadfuser_tracer::Quarantined]) -> Vec<QuarantinedThread> {
     qs.iter()
@@ -1317,6 +1333,17 @@ pub fn execute_with(req: &JobRequest, limits: &DecodeLimits, obs: &Obs) -> JobRe
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A workload capture is charged its record counts at the fixed-width
+    /// rates (16 B a block, 13 B an access, 20 B a side event) plus the
+    /// flat 64 KiB, whatever form the capture is stored in: the serve
+    /// cache's admission must not move when capture storage does.
+    #[test]
+    fn workload_capture_charge_is_pinned() {
+        let spec = CaptureSpec::workload("mcrouter_memcached", OptLevel::O3).with_threads(512);
+        let capture = load_capture(&spec, &Obs::none()).expect("capture loads");
+        assert_eq!(capture.cost_bytes(), 350_326);
+    }
 
     #[test]
     fn request_roundtrips_through_json() {

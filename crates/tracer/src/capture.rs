@@ -1,6 +1,6 @@
 //! The tracing hook and the one-call capture front door.
 
-use crate::events::{SideEvent, ThreadTrace, TraceSet};
+use crate::events::{RecordWriter, SideEvent, TraceSet};
 use std::collections::HashSet;
 use threadfuser_ir::{BlockAddr, FuncId, Program};
 use threadfuser_machine::{ExecHook, Machine, MachineConfig, MachineError, RunStats, SkipKind};
@@ -16,7 +16,8 @@ pub struct TracerConfig {
 
 #[derive(Debug, Default)]
 struct PerThread {
-    trace: ThreadTrace,
+    /// The thread's record so far, one growing stream per column.
+    trace: RecordWriter,
     /// Depth of nesting inside excluded functions (0 = tracing).
     excluded_depth: u32,
 }
@@ -58,13 +59,18 @@ impl Tracer {
         // Stamp tids on the freshly created slots only; rewriting every
         // slot on each growth made thread discovery quadratic.
         for (i, t) in self.threads.iter_mut().enumerate().skip(old_len) {
-            t.trace.tid = i as u32;
+            t.trace.head.tid = i as u32;
         }
     }
 
-    /// Finishes capture and returns the trace set.
+    /// Finishes capture and returns the trace set, packing each thread's
+    /// column streams into its exactly sized record.
     pub fn into_traces(self) -> TraceSet {
-        self.threads.into_iter().map(|t| t.trace).collect()
+        // Not `collect`: collecting in place would keep the per-thread
+        // writers' larger allocation behind the traces.
+        let mut traces = Vec::with_capacity(self.threads.len());
+        traces.extend(self.threads.into_iter().map(|t| t.trace.finish()));
+        TraceSet::new(traces)
     }
 }
 
@@ -72,7 +78,7 @@ impl ExecHook for Tracer {
     fn on_block(&mut self, tid: u32, addr: BlockAddr, n_insts: u32) {
         let t = self.thread(tid);
         if t.excluded_depth > 0 {
-            t.trace.excluded_insts += n_insts as u64;
+            t.trace.head.excluded_insts += n_insts as u64;
             return;
         }
         t.trace.push_block(addr, n_insts);
@@ -133,8 +139,8 @@ impl ExecHook for Tracer {
     fn on_skipped(&mut self, tid: u32, count: u64, kind: SkipKind) {
         let t = self.thread(tid);
         match kind {
-            SkipKind::Io => t.trace.skipped_io += count,
-            SkipKind::LockSpin => t.trace.skipped_spin += count,
+            SkipKind::Io => t.trace.head.skipped_io += count,
+            SkipKind::LockSpin => t.trace.head.skipped_spin += count,
         }
     }
 }
@@ -169,7 +175,7 @@ pub fn trace_program_with(
 
 /// [`trace_program`] with an observability handle: the whole capture runs
 /// under a `trace` span, the machine reports its executed / skipped
-/// instruction aggregates to the same sink, and the capture's columnar
+/// instruction aggregates to the same sink, and the capture's record
 /// footprint and throughput land as `trace_bytes` / `trace_insts_per_sec`.
 ///
 /// # Errors
@@ -202,7 +208,7 @@ pub fn trace_program_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::TraceEvent;
+    use crate::events::{ThreadTrace, TraceEvent};
     use threadfuser_ir::{AluOp, Operand, ProgramBuilder};
 
     fn simple_program() -> (Program, FuncId, FuncId) {

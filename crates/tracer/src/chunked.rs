@@ -16,16 +16,18 @@
 //!   deltas fit one byte — so v3 files are a fraction of their v2 size.
 //! * **Trailing footer index.** Chunk offsets/lengths, the thread→chunk
 //!   map, per-chunk event totals, and the tid table are written *last*,
-//!   keeping encode single-pass; a 12-byte trailer (footer length +
-//!   footer magic) locates the footer from the end of the file.
+//!   after the payloads; a 12-byte trailer (footer length + footer magic)
+//!   locates the footer from the end of the file.
 //!
 //! The footer is untrusted input: every offset, length, and count is
 //! validated against [`DecodeLimits`] and the real byte extents before
 //! use — chunk extents must exactly tile the payload region, thread
 //! ranges must partition `n_threads`, and per-chunk totals are
-//! cross-checked against what actually decodes. Decoding never panics and
-//! never allocates more than `min(input bytes, limit)` per column,
-//! exactly like v2 (see `DESIGN.md`, "Trace-file format contract").
+//! cross-checked against what actually decodes. Decoding never panics: a
+//! thread record is walked and validated varint by varint before anything
+//! is allocated for it, and then its bytes are copied whole — they are
+//! exactly the [`ThreadTrace`]'s in-memory record (see `DESIGN.md`,
+//! "Trace-file format contract").
 //!
 //! [`TraceSetReader`] is the lazy path: it keeps the raw bytes, parses
 //! only the footer up front, and decodes a chunk on first touch (cached)
@@ -35,13 +37,15 @@
 
 use crate::encode::{
     condemn, decode_with, valid_access_size, DecodeError, DecodeErrorKind, DecodeLimits,
-    DecodeOptions, Decoded, ProgramShape, Quarantined, ValidationPolicy, MAGIC, TAG_ACQUIRE,
-    TAG_BARRIER, TAG_CALL, TAG_RELEASE, TAG_RET, VERSION_CHUNKED, VERSION_LEGACY,
+    DecodeOptions, Decoded, ProgramShape, Quarantined, ThreadError, ValidationPolicy, MAGIC,
+    VERSION_CHUNKED, VERSION_LEGACY,
 };
-use crate::events::{SideEvent, ThreadTrace, TraceSet, STORE_BIT};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::events::{
+    put_uvarint, unzigzag32, uvarint_len, RecordHead, ThreadTrace, TraceSet, N_COLS, STORE_BIT,
+    TAG_ACQUIRE, TAG_BARRIER, TAG_CALL, TAG_RELEASE, TAG_RET,
+};
+use bytes::Bytes;
 use std::sync::OnceLock;
-use threadfuser_ir::{BlockAddr, BlockId, FuncId};
 use threadfuser_obs::{Obs, Phase};
 
 /// Default encoded-byte budget per chunk. Chunks close at the first thread
@@ -60,43 +64,16 @@ const TRAILER_LEN: usize = 12;
 const CHUNK_DESC_LEN: usize = 48;
 
 // ---------------------------------------------------------------------------
-// Varint / zigzag primitives
+// Bounds-checked varint reader
 // ---------------------------------------------------------------------------
-
-#[inline]
-fn put_uvarint(out: &mut BytesMut, mut v: u64) {
-    while v >= 0x80 {
-        out.put_u8((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.put_u8(v as u8);
-}
-
-#[inline]
-fn zigzag32(v: i32) -> u32 {
-    ((v << 1) ^ (v >> 31)) as u32
-}
-
-#[inline]
-fn unzigzag32(v: u32) -> i32 {
-    ((v >> 1) as i32) ^ -((v & 1) as i32)
-}
-
-#[inline]
-fn zigzag64(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag64(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
 
 /// Bounds-checked cursor over one chunk's bytes. Offsets in its errors are
 /// chunk-relative; [`rebase`] maps them to absolute file offsets.
 struct ChunkReader<'b> {
     buf: &'b [u8],
     pos: usize,
+    /// Cleared by any varint read in more bytes than its shortest form.
+    canonical: bool,
 }
 
 impl<'b> ChunkReader<'b> {
@@ -147,6 +124,7 @@ impl<'b> ChunkReader<'b> {
             }
             v |= ((b & 0x7f) as u64) << shift;
             if b & 0x80 == 0 {
+                self.canonical &= self.pos - start == uvarint_len(v);
                 return Ok(v);
             }
             shift += 7;
@@ -195,8 +173,10 @@ pub fn encode_v3(set: &TraceSet) -> Bytes {
 /// thread. A budget of `0` is not a meaningful request (it would degrade
 /// to one pathological chunk per thread) and is clamped to
 /// [`DEFAULT_CHUNK_BYTES`]; callers that want per-thread chunks must ask
-/// for budget `1` explicitly. Encoding is single-pass: chunk payloads
-/// stream out first and the footer index is appended last.
+/// for budget `1` explicitly. A thread's file record is its header plus a
+/// copy of its in-memory record, so the chunk layout is known from the
+/// record lengths before a byte is written and the output is allocated
+/// once, at its exact size; the footer index is appended last.
 pub fn encode_v3_with(set: &TraceSet, chunk_budget_bytes: usize) -> Bytes {
     struct Desc {
         offset: u64,
@@ -212,119 +192,77 @@ pub fn encode_v3_with(set: &TraceSet, chunk_budget_bytes: usize) -> Bytes {
     // degenerate one-chunk-per-thread encoding must be asked for with an
     // explicit budget of 1.
     let budget = if chunk_budget_bytes == 0 { DEFAULT_CHUNK_BYTES } else { chunk_budget_bytes };
-    let mut out = BytesMut::with_capacity(HEADER_LEN + TRAILER_LEN + set.storage_bytes() / 2 + 64);
-    out.put_slice(MAGIC);
-    out.put_u8(VERSION_CHUNKED);
-    out.put_u32_le(set.threads().len() as u32);
-
+    let threads = set.threads();
     let mut descs: Vec<Desc> = Vec::new();
-    let mut start = out.len();
-    let mut first = 0u32;
+    let mut offset = HEADER_LEN as u64;
+    let (mut len, mut first) = (0u64, 0u32);
     let (mut blocks, mut mems, mut sides) = (0u64, 0u64, 0u64);
-    let n = set.threads().len();
-    for (i, t) in set.threads().iter().enumerate() {
-        encode_thread_v3(&mut out, t);
+    for (i, t) in threads.iter().enumerate() {
+        len += thread_header_v3(t).iter().map(|&v| uvarint_len(v)).sum::<usize>() as u64
+            + t.record().len() as u64;
         blocks += t.block_count() as u64;
         mems += t.mem_count() as u64;
         sides += t.side_count() as u64;
-        if out.len() - start >= budget || i + 1 == n {
+        if len >= budget as u64 || i + 1 == threads.len() {
+            let thread_count = (i as u32 + 1) - first;
+            let (n_blocks, n_mems, n_sides) = (blocks, mems, sides);
             descs.push(Desc {
-                offset: start as u64,
-                len: (out.len() - start) as u64,
+                offset,
+                len,
                 thread_start: first,
-                thread_count: (i as u32 + 1) - first,
-                n_blocks: blocks,
-                n_mems: mems,
-                n_sides: sides,
+                thread_count,
+                n_blocks,
+                n_mems,
+                n_sides,
             });
-            start = out.len();
-            first = i as u32 + 1;
+            offset += len;
+            (len, first) = (0, i as u32 + 1);
             (blocks, mems, sides) = (0, 0, 0);
         }
     }
-
-    let footer_start = out.len();
-    out.put_u32_le(descs.len() as u32);
+    let footer_len = 4 + descs.len() * CHUNK_DESC_LEN + threads.len() * 4;
+    let mut out = Vec::with_capacity(offset as usize + footer_len + TRAILER_LEN);
+    out.extend_from_slice(MAGIC);
+    out.push(VERSION_CHUNKED);
+    out.extend_from_slice(&(threads.len() as u32).to_le_bytes());
+    for t in threads {
+        for v in thread_header_v3(t) {
+            put_uvarint(&mut out, v);
+        }
+        out.extend_from_slice(t.record());
+    }
+    out.extend_from_slice(&(descs.len() as u32).to_le_bytes());
     for d in &descs {
-        out.put_u64_le(d.offset);
-        out.put_u64_le(d.len);
-        out.put_u32_le(d.thread_start);
-        out.put_u32_le(d.thread_count);
-        out.put_u64_le(d.n_blocks);
-        out.put_u64_le(d.n_mems);
-        out.put_u64_le(d.n_sides);
-    }
-    for t in set.threads() {
-        out.put_u32_le(t.tid);
-    }
-    out.put_u64_le((out.len() - footer_start) as u64);
-    out.put_slice(FOOTER_MAGIC);
-    out.freeze()
-}
-
-fn encode_thread_v3(out: &mut BytesMut, t: &ThreadTrace) {
-    let c = t.raw_columns();
-    put_uvarint(out, t.tid as u64);
-    put_uvarint(out, t.skipped_io);
-    put_uvarint(out, t.skipped_spin);
-    put_uvarint(out, t.excluded_insts);
-    put_uvarint(out, c.block_addr.len() as u64);
-    put_uvarint(out, c.mem_addr.len() as u64);
-    put_uvarint(out, c.side.len() as u64);
-
-    let mut prev = 0u32;
-    for a in c.block_addr {
-        put_uvarint(out, zigzag32(a.func.0.wrapping_sub(prev) as i32) as u64);
-        prev = a.func.0;
-    }
-    let mut prev = 0u32;
-    for a in c.block_addr {
-        put_uvarint(out, zigzag32(a.block.0.wrapping_sub(prev) as i32) as u64);
-        prev = a.block.0;
-    }
-    for &n in c.block_n_insts {
-        put_uvarint(out, n as u64);
-    }
-    // mem_end and side_after are monotone by ThreadTrace invariant, so
-    // their deltas are plain non-negative varints.
-    let mut prev = 0u32;
-    for &e in c.mem_end {
-        put_uvarint(out, e.wrapping_sub(prev) as u64);
-        prev = e;
-    }
-    for &i in c.mem_inst_idx {
-        put_uvarint(out, i as u64);
-    }
-    let mut prev = 0u64;
-    for &a in c.mem_addr {
-        put_uvarint(out, zigzag64(a.wrapping_sub(prev) as i64));
-        prev = a;
-    }
-    out.put_slice(c.mem_size_store);
-    let mut prev = 0u32;
-    for (s, &after) in c.side.iter().zip(c.side_after) {
-        put_uvarint(out, after.wrapping_sub(prev) as u64);
-        prev = after;
-        match s {
-            SideEvent::Call { callee } => {
-                out.put_u8(TAG_CALL);
-                put_uvarint(out, callee.0 as u64);
-            }
-            SideEvent::Ret => out.put_u8(TAG_RET),
-            SideEvent::Acquire { lock } => {
-                out.put_u8(TAG_ACQUIRE);
-                put_uvarint(out, *lock);
-            }
-            SideEvent::Release { lock } => {
-                out.put_u8(TAG_RELEASE);
-                put_uvarint(out, *lock);
-            }
-            SideEvent::Barrier { id } => {
-                out.put_u8(TAG_BARRIER);
-                put_uvarint(out, *id as u64);
-            }
+        for v in [d.offset, d.len] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&d.thread_start.to_le_bytes());
+        out.extend_from_slice(&d.thread_count.to_le_bytes());
+        for v in [d.n_blocks, d.n_mems, d.n_sides] {
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
+    for t in threads {
+        out.extend_from_slice(&t.tid.to_le_bytes());
+    }
+    out.extend_from_slice(&(footer_len as u64).to_le_bytes());
+    out.extend_from_slice(FOOTER_MAGIC);
+    debug_assert_eq!(out.len(), out.capacity(), "v3 output sized exactly");
+    Bytes::from(out)
+}
+
+/// The varints of a thread record's header: tid, the three skip
+/// counters, and the block, access and side-event counts.
+fn thread_header_v3(t: &ThreadTrace) -> [u64; 7] {
+    [
+        t.tid as u64,
+        t.skipped_io,
+        t.skipped_spin,
+        t.excluded_insts,
+        t.block_count() as u64,
+        t.mem_count() as u64,
+        t.side_count() as u64,
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -486,18 +424,6 @@ pub struct DecodedChunk {
     pub quarantined: Vec<Quarantined>,
 }
 
-struct ThreadErr {
-    error: DecodeError,
-    tid: Option<u32>,
-    recoverable: bool,
-}
-
-impl From<DecodeError> for ThreadErr {
-    fn from(error: DecodeError) -> Self {
-        ThreadErr { error, tid: None, recoverable: false }
-    }
-}
-
 /// Decodes one chunk of a v3 file whose footer already validated.
 ///
 /// Quarantine granularity extends the v2 policy: a *content*-corrupt
@@ -514,7 +440,7 @@ fn decode_chunk(
     opts: &DecodeOptions,
 ) -> Result<DecodedChunk, DecodeError> {
     let chunk = &data[meta.offset..meta.offset + meta.len];
-    let mut r = ChunkReader { buf: chunk, pos: 0 };
+    let mut r = ChunkReader { buf: chunk, pos: 0, canonical: true };
     let mut out = DecodedChunk {
         first_ordinal: meta.thread_start,
         threads: Vec::with_capacity((meta.thread_count as usize).min(meta.len)),
@@ -583,7 +509,7 @@ fn parse_thread_v3(
     limits: &DecodeLimits,
     shape: Option<&ProgramShape>,
     footer_tid: u32,
-) -> Result<ThreadTrace, ThreadErr> {
+) -> Result<ThreadTrace, ThreadError> {
     let header_off = r.pos;
     let tid = r.uv32()?;
     let skipped_io = r.uv64()?;
@@ -594,7 +520,7 @@ fn parse_thread_v3(
     let n_mems = r.uv32()? as usize;
     let n_sides = r.uv32()? as usize;
 
-    let recoverable = |error: DecodeError| ThreadErr { error, tid: Some(tid), recoverable: true };
+    let recoverable = |error: DecodeError| ThreadError { error, tid: Some(tid), recoverable: true };
     let mut bad: Option<DecodeError> = None;
     for (what, n, limit) in [
         ("blocks", n_blocks, limits.max_blocks),
@@ -636,34 +562,38 @@ fn parse_thread_v3(
         );
     }
 
-    // Column capacities are bounded by the bytes actually remaining: every
-    // entry of the first stream read costs at least one byte, so a lying
-    // (in-limit) count can over-allocate by at most the chunk size.
-    fn cap(n: usize, r: &ChunkReader) -> usize {
-        n.min(r.remaining())
-    }
-    let mut block_addr = Vec::with_capacity(cap(n_blocks, r));
-    let mut prev_func = 0u32;
+    // The validation walk: every column is read varint by varint and
+    // checked, and nothing is allocated until the record has passed; then
+    // its bytes are copied whole. `starts` notes where each column after
+    // the first begins, relative to the record.
+    let cols = r.pos;
+    r.canonical = true;
+    let mut starts = [0; N_COLS - 1];
+    let mut start = |c: usize, r: &ChunkReader| starts[c - 1] = r.pos - cols;
     for _ in 0..n_blocks {
-        prev_func = prev_func.wrapping_add(unzigzag32(r.uv32()?) as u32);
-        block_addr.push(BlockAddr::new(FuncId(prev_func), BlockId(0)));
+        r.uv32()?;
     }
-    let mut prev_block = 0u32;
-    for a in block_addr.iter_mut() {
+    start(1, r);
+    // Re-read the (already checked) function column beside the block
+    // column when ids are checked against the program shape.
+    let mut funcs = ChunkReader { buf: &r.buf[cols..r.pos], pos: 0, canonical: true };
+    let (mut prev_func, mut prev_block) = (0u32, 0u32);
+    for _ in 0..n_blocks {
         let off = r.pos;
         prev_block = prev_block.wrapping_add(unzigzag32(r.uv32()?) as u32);
-        a.block = BlockId(prev_block);
         if let Some(s) = shape {
-            if let Err(kind) = s.check_block(a.func.0, prev_block) {
+            prev_func = prev_func.wrapping_add(unzigzag32(funcs.uv32()?) as u32);
+            if let Err(kind) = s.check_block(prev_func, prev_block) {
                 condemn(&mut bad, DecodeError::at(kind, off));
             }
         }
     }
-    let mut block_n_insts = Vec::with_capacity(cap(n_blocks, r));
+    start(2, r);
+    let mut traced_insts = 0u64;
     for _ in 0..n_blocks {
-        block_n_insts.push(r.uv32()?);
+        traced_insts += r.uv32()? as u64;
     }
-    let mut mem_end = Vec::with_capacity(cap(n_blocks, r));
+    start(3, r);
     let mut acc = 0u64;
     for _ in 0..n_blocks {
         let off = r.pos;
@@ -675,28 +605,22 @@ fn parse_thread_v3(
             );
             acc = u32::MAX as u64;
         }
-        mem_end.push(acc as u32);
     }
-    let mut mem_inst_idx = Vec::with_capacity(cap(n_mems, r));
+    start(4, r);
     for _ in 0..n_mems {
-        mem_inst_idx.push(r.uv32()?);
+        r.uv32()?;
     }
-    let mut mem_addr = Vec::with_capacity(cap(n_mems, r));
-    let mut prev_addr = 0u64;
+    start(5, r);
     for _ in 0..n_mems {
-        prev_addr = prev_addr.wrapping_add(unzigzag64(r.uv64()?) as u64);
-        mem_addr.push(prev_addr);
+        r.uv64()?;
     }
+    start(6, r);
     let sizes_off = r.pos;
-    let mem_size_store = r.bytes(n_mems)?.to_vec();
-    for (i, &b) in mem_size_store.iter().enumerate() {
-        if !valid_access_size(b & !STORE_BIT) {
-            condemn(&mut bad, DecodeError::at(DecodeErrorKind::BadMemSize(b), sizes_off + i));
-            break;
-        }
+    let sizes = r.bytes(n_mems)?;
+    if let Some(i) = sizes.iter().position(|&b| !valid_access_size(b & !STORE_BIT)) {
+        condemn(&mut bad, DecodeError::at(DecodeErrorKind::BadMemSize(sizes[i]), sizes_off + i));
     }
-    let mut side = Vec::with_capacity(cap(n_sides, r));
-    let mut side_after = Vec::with_capacity(cap(n_sides, r));
+    start(7, r);
     let mut acc_after = 0u64;
     for _ in 0..n_sides {
         let off = r.pos;
@@ -708,10 +632,8 @@ fn parse_thread_v3(
             );
             acc_after = u32::MAX as u64;
         }
-        side_after.push(acc_after as u32);
         let tag_off = r.pos;
-        let tag = r.u8()?;
-        let s = match tag {
+        match r.u8()? {
             TAG_CALL => {
                 let callee_off = r.pos;
                 let callee = r.uv32()?;
@@ -720,35 +642,43 @@ fn parse_thread_v3(
                         condemn(&mut bad, DecodeError::at(kind, callee_off));
                     }
                 }
-                SideEvent::Call { callee: FuncId(callee) }
             }
-            TAG_RET => SideEvent::Ret,
-            TAG_ACQUIRE => SideEvent::Acquire { lock: r.uv64()? },
-            TAG_RELEASE => SideEvent::Release { lock: r.uv64()? },
-            TAG_BARRIER => SideEvent::Barrier { id: r.uv32()? },
+            TAG_RET => {}
+            TAG_ACQUIRE | TAG_RELEASE => {
+                r.uv64()?;
+            }
+            TAG_BARRIER => {
+                r.uv32()?;
+            }
             other => return Err(DecodeError::at(DecodeErrorKind::BadTag(other), tag_off).into()),
-        };
-        side.push(s);
+        }
     }
 
     if let Some(error) = bad {
         return Err(recoverable(error));
     }
-    ThreadTrace::from_raw_parts(
+    let malformed = |why| recoverable(DecodeError::at(DecodeErrorKind::Malformed(why), header_off));
+    if acc != n_mems as u64 {
+        return Err(malformed("mem_end does not cover the mem columns"));
+    }
+    if acc_after > n_blocks as u64 {
+        return Err(malformed("side_after out of order or out of range"));
+    }
+    let head = RecordHead {
         tid,
         skipped_io,
         skipped_spin,
         excluded_insts,
-        block_addr,
-        block_n_insts,
-        mem_end,
-        mem_inst_idx,
-        mem_addr,
-        mem_size_store,
-        side,
-        side_after,
-    )
-    .map_err(|why| recoverable(DecodeError::at(DecodeErrorKind::Malformed(why), header_off)))
+        n_blocks: n_blocks as u32,
+        n_mems: n_mems as u32,
+        n_sides: n_sides as u32,
+        traced_insts,
+    };
+    let t = ThreadTrace::from_record(head, starts, r.buf[cols..r.pos].to_vec());
+    // A record's bytes are the canonical encoding of its events: one
+    // written with longer varints than needed decodes, and is re-emitted
+    // in the shortest form.
+    Ok(if r.canonical { t } else { t.recanonicalized() })
 }
 
 /// Walks `n` encoded side events without materializing them.
@@ -1005,8 +935,10 @@ impl TraceSetReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::{decode, decode_with, encode};
+    use crate::encode::{decode, decode_with};
     use crate::events::TraceEvent;
+    use crate::legacy::encode_v2;
+    use threadfuser_ir::{BlockAddr, BlockId, FuncId};
 
     fn sample_set(n_threads: u32) -> TraceSet {
         (0..n_threads)
@@ -1039,7 +971,7 @@ mod tests {
     #[test]
     fn v3_round_trips_and_beats_v2_size() {
         let set = sample_set(16);
-        let v2 = encode(&set);
+        let v2 = encode_v2(&set);
         let v3 = encode_v3(&set);
         assert_eq!(decode(&v3).unwrap(), set);
         assert!(
@@ -1101,7 +1033,7 @@ mod tests {
     #[test]
     fn reader_opens_v1_and_v2_as_single_chunk() {
         let set = sample_set(4);
-        let v2 = encode(&set);
+        let v2 = encode_v2(&set);
         let reader = TraceSetReader::from_bytes(v2, &DecodeOptions::default()).unwrap();
         assert_eq!(reader.version(), 2);
         assert_eq!(reader.n_chunks(), 1);
@@ -1118,7 +1050,7 @@ mod tests {
         let set = sample_set(4);
         let mut few = DecodeOptions::default();
         few.limits.max_threads = 2;
-        let v2 = encode(&set).to_vec();
+        let v2 = encode_v2(&set).to_vec();
         let v3 = encode_v3(&set).to_vec();
         for (file, header) in [(&v2, HEADER_LEN), (&v3, HEADER_LEN + 4 + TRAILER_LEN)] {
             let mut damaged = [file.clone(), file.clone()];

@@ -1,10 +1,9 @@
-//! Compact binary trace encoding and hardened, bounded-resource decoding.
+//! Hardened, bounded-resource decoding of binary trace files.
 //!
 //! Trace files in the paper's toolchain are bulk artifacts shipped between
 //! the tracer and the analyzer/simulator — and in a service deployment they
-//! arrive from untrusted clients. This module provides a compact
-//! little-endian binary format (much denser than JSON) with a decoder that
-//! treats every input byte as hostile:
+//! arrive from untrusted clients. The decoder treats every input byte as
+//! hostile:
 //!
 //! * **Never panics.** Every read is bounds-checked; every length field is
 //!   validated against [`DecodeLimits`] before any allocation, so a lying
@@ -24,30 +23,31 @@
 //!   phase's `decode_rejects`/`quarantined_threads` counters — while the
 //!   surviving threads decode normally.
 //!
-//! Three format versions decode through the same entry points. Version 2
-//! mirrors the columnar in-memory layout of [`ThreadTrace`]: per thread,
-//! the block, memory-access, and side-event columns are written as
-//! contiguous fixed-width arrays, so encoding is a handful of bulk copies
-//! rather than one dispatch per event. Version 1 (the original tagged
-//! event stream) is still decoded; v1 files produced by the tracer always
-//! interleave events canonically (each `Mem` directly follows its
-//! `Block`), which is what the columnar form preserves. Version 3 (the
-//! current capture format, implemented in [`crate::chunked`]) groups
-//! delta/varint-packed per-thread columns into independently decodable
-//! chunks behind a trailing footer index, enabling the lazy
-//! [`crate::chunked::TraceSetReader`] read path.
+//! Three format versions decode through the same entry points. Version 3
+//! (the only one written, implemented in [`crate::chunked`]) groups each
+//! thread's delta/varint record into independently decodable chunks
+//! behind a trailing footer index, enabling the lazy
+//! [`crate::chunked::TraceSetReader`] read path; a decoded v3 record is
+//! its validated bytes, copied. Version 2 (fixed-width columns) and
+//! version 1 (the original tagged event stream) are still decoded: their
+//! records are checked, then transcoded into the same in-memory record.
+//! v1 files produced by the tracer always interleave events canonically
+//! (each `Mem` directly follows its `Block`), which is what the record
+//! preserves.
 //!
 //! The byte-level layout of all versions, the validation rules, and the
 //! default limits are specified in the repository's `DESIGN.md` ("Trace-file
 //! format contract").
 
-use crate::events::{SideEvent, ThreadTrace, TraceSet, STORE_BIT};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::events::{
+    RecordWriter, SideEvent, ThreadTrace, TraceSet, STORE_BIT, TAG_ACQUIRE, TAG_BARRIER, TAG_CALL,
+    TAG_RELEASE, TAG_RET,
+};
 use threadfuser_ir::{BlockAddr, BlockId, FuncId, Program};
 use threadfuser_obs::{Obs, Phase};
 
 pub(crate) const MAGIC: &[u8; 4] = b"TFTR";
-/// The fixed-width columnar format version.
+/// The fixed-width columnar format version (decoded, no longer written).
 pub(crate) const VERSION: u8 = 2;
 /// Original tagged-event-stream version, still decodable.
 pub(crate) const VERSION_LEGACY: u8 = 1;
@@ -56,11 +56,6 @@ pub(crate) const VERSION_CHUNKED: u8 = 3;
 
 const TAG_BLOCK: u8 = 0;
 const TAG_MEM: u8 = 1;
-pub(crate) const TAG_CALL: u8 = 2;
-pub(crate) const TAG_RET: u8 = 3;
-pub(crate) const TAG_ACQUIRE: u8 = 4;
-pub(crate) const TAG_RELEASE: u8 = 5;
-pub(crate) const TAG_BARRIER: u8 = 6;
 
 /// Valid access widths: the packed size bits of a v2/v3 `mem_size_store`
 /// byte and the v1 `size` byte must name a machine access size.
@@ -192,12 +187,13 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Per-thread decode failure: carries whether the thread's byte extent is
-/// still known (recoverable → quarantineable) or framing is lost (fatal).
-struct ThreadError {
-    error: DecodeError,
-    tid: Option<u32>,
-    recoverable: bool,
+/// Per-thread decode failure (every format version): carries whether the
+/// thread's byte extent is still known (recoverable → quarantineable) or
+/// framing is lost (fatal).
+pub(crate) struct ThreadError {
+    pub error: DecodeError,
+    pub tid: Option<u32>,
+    pub recoverable: bool,
 }
 
 impl From<DecodeError> for ThreadError {
@@ -332,72 +328,6 @@ pub struct Decoded {
     pub traces: TraceSet,
     /// Threads rejected and skipped, in file order.
     pub quarantined: Vec<Quarantined>,
-}
-
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-/// Serializes a trace set to the current (v2, columnar) binary format.
-pub fn encode(set: &TraceSet) -> Bytes {
-    let mut out = BytesMut::with_capacity(64 + set.storage_bytes() + set.threads().len() * 64);
-    out.put_slice(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u32_le(set.threads().len() as u32);
-    for t in set.threads() {
-        let c = t.raw_columns();
-        out.put_u32_le(t.tid);
-        out.put_u64_le(t.skipped_io);
-        out.put_u64_le(t.skipped_spin);
-        out.put_u64_le(t.excluded_insts);
-        out.put_u32_le(c.block_addr.len() as u32);
-        out.put_u32_le(c.mem_addr.len() as u32);
-        out.put_u32_le(c.side.len() as u32);
-        for a in c.block_addr {
-            out.put_u32_le(a.func.0);
-            out.put_u32_le(a.block.0);
-        }
-        for &n in c.block_n_insts {
-            out.put_u32_le(n);
-        }
-        for &e in c.mem_end {
-            out.put_u32_le(e);
-        }
-        for &i in c.mem_inst_idx {
-            out.put_u32_le(i);
-        }
-        for &a in c.mem_addr {
-            out.put_u64_le(a);
-        }
-        out.put_slice(c.mem_size_store);
-        for (s, &after) in c.side.iter().zip(c.side_after) {
-            out.put_u32_le(after);
-            encode_side(&mut out, s);
-        }
-    }
-    out.freeze()
-}
-
-fn encode_side(out: &mut BytesMut, s: &SideEvent) {
-    match s {
-        SideEvent::Call { callee } => {
-            out.put_u8(TAG_CALL);
-            out.put_u32_le(callee.0);
-        }
-        SideEvent::Ret => out.put_u8(TAG_RET),
-        SideEvent::Acquire { lock } => {
-            out.put_u8(TAG_ACQUIRE);
-            out.put_u64_le(*lock);
-        }
-        SideEvent::Release { lock } => {
-            out.put_u8(TAG_RELEASE);
-            out.put_u64_le(*lock);
-        }
-        SideEvent::Barrier { id } => {
-            out.put_u8(TAG_BARRIER);
-            out.put_u32_le(*id);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -699,21 +629,39 @@ fn parse_thread_v2(
     if let Some(error) = bad {
         return Err(recoverable(error));
     }
-    ThreadTrace::from_raw_parts(
-        tid,
-        skipped_io,
-        skipped_spin,
-        excluded_insts,
-        block_addr,
-        block_n_insts,
-        mem_end,
-        mem_inst_idx,
-        mem_addr,
-        mem_size_store,
-        side,
-        side_after,
-    )
-    .map_err(|why| recoverable(DecodeError::at(DecodeErrorKind::Malformed(why), header_off)))
+    let malformed = |why| recoverable(DecodeError::at(DecodeErrorKind::Malformed(why), header_off));
+    if mem_end.windows(2).any(|w| w[1] < w[0]) {
+        return Err(malformed("mem_end not monotonic"));
+    }
+    if mem_end.last().map_or(0, |&e| e as usize) != n_mems {
+        return Err(malformed("mem_end does not cover the mem columns"));
+    }
+    if side_after.windows(2).any(|w| w[1] < w[0])
+        || side_after.last().is_some_and(|&a| a as usize > n_blocks)
+    {
+        return Err(malformed("side_after out of order or out of range"));
+    }
+
+    // Transcode the checked columns into the in-memory record.
+    let mut w = RecordWriter::new(tid);
+    (w.head.skipped_io, w.head.skipped_spin, w.head.excluded_insts) =
+        (skipped_io, skipped_spin, excluded_insts);
+    let (mut sides, mut mem) = (side.iter().zip(&side_after).peekable(), 0);
+    for (k, (&addr, &n_insts)) in block_addr.iter().zip(&block_n_insts).enumerate() {
+        while let Some((&s, _)) = sides.next_if(|(_, &after)| after as usize <= k) {
+            w.push_side(s);
+        }
+        w.push_block(addr, n_insts);
+        for i in mem..mem_end[k] as usize {
+            let packed = mem_size_store[i];
+            w.push_mem(mem_inst_idx[i], mem_addr[i], packed & !STORE_BIT, packed & STORE_BIT != 0);
+        }
+        mem = mem_end[k] as usize;
+    }
+    for (&s, _) in sides {
+        w.push_side(s);
+    }
+    Ok(w.finish())
 }
 
 fn parse_thread_v1(
@@ -723,10 +671,10 @@ fn parse_thread_v1(
 ) -> Result<ThreadTrace, ThreadError> {
     r.need(4 + 8 * 4)?;
     let tid = r.u32()?;
-    let mut t = ThreadTrace::new(tid);
-    t.skipped_io = r.u64()?;
-    t.skipped_spin = r.u64()?;
-    t.excluded_insts = r.u64()?;
+    let mut t = RecordWriter::new(tid);
+    t.head.skipped_io = r.u64()?;
+    t.head.skipped_spin = r.u64()?;
+    t.head.excluded_insts = r.u64()?;
     let count_off = r.pos;
     let n_events = r.u64()?;
 
@@ -767,13 +715,13 @@ fn parse_thread_v1(
                         continue;
                     }
                 }
-                if t.block_count() as u64 >= limits.max_blocks as u64 {
+                if t.head.n_blocks as u64 >= limits.max_blocks as u64 {
                     condemn(
                         &mut bad,
                         DecodeError::at(
                             DecodeErrorKind::LimitExceeded {
                                 what: "blocks",
-                                value: t.block_count() as u64 + 1,
+                                value: t.head.n_blocks as u64 + 1,
                                 limit: limits.max_blocks as u64,
                             },
                             ev_off,
@@ -798,7 +746,7 @@ fn parse_thread_v1(
                     );
                     continue;
                 }
-                if t.block_count() == 0 {
+                if t.head.n_blocks == 0 {
                     condemn(
                         &mut bad,
                         DecodeError::at(
@@ -808,13 +756,13 @@ fn parse_thread_v1(
                     );
                     continue;
                 }
-                if t.mem_count() as u64 >= limits.max_mems as u64 {
+                if t.head.n_mems as u64 >= limits.max_mems as u64 {
                     condemn(
                         &mut bad,
                         DecodeError::at(
                             DecodeErrorKind::LimitExceeded {
                                 what: "mems",
-                                value: t.mem_count() as u64 + 1,
+                                value: t.head.n_mems as u64 + 1,
                                 limit: limits.max_mems as u64,
                             },
                             ev_off,
@@ -835,13 +783,13 @@ fn parse_thread_v1(
                         continue;
                     }
                 }
-                if t.side_count() as u64 >= limits.max_sides as u64 {
+                if t.head.n_sides as u64 >= limits.max_sides as u64 {
                     condemn(
                         &mut bad,
                         DecodeError::at(
                             DecodeErrorKind::LimitExceeded {
                                 what: "sides",
-                                value: t.side_count() as u64 + 1,
+                                value: t.head.n_sides as u64 + 1,
                                 limit: limits.max_sides as u64,
                             },
                             ev_off,
@@ -857,7 +805,7 @@ fn parse_thread_v1(
     }
     match bad {
         Some(error) => Err(recoverable(error)),
-        None => Ok(t),
+        None => Ok(t.finish()),
     }
 }
 
@@ -887,6 +835,7 @@ fn parse_side_body(r: &mut Reader, tag: u8) -> Result<SideEvent, DecodeError> {
 mod tests {
     use super::*;
     use crate::events::TraceEvent;
+    use crate::legacy::encode_v2;
     use proptest::prelude::*;
 
     /// A canonical per-block record: `(addr, n_insts, mems, side)` — the
@@ -952,7 +901,7 @@ mod tests {
                     t
                 })
                 .collect();
-            let bytes = encode(&set);
+            let bytes = encode_v2(&set);
             let back = decode(&bytes).unwrap();
             prop_assert_eq!(set, back);
         }
@@ -965,7 +914,7 @@ mod tests {
                 TraceEvent::Ret,
             ]);
             let set: TraceSet = std::iter::once(t).collect();
-            let bytes = encode(&set);
+            let bytes = encode_v2(&set);
             prop_assume!(cut < bytes.len());
             let r = decode(&bytes[..cut]);
             prop_assert!(r.is_err());
@@ -996,7 +945,7 @@ mod tests {
     #[test]
     fn empty_set_round_trips() {
         let set = TraceSet::default();
-        assert_eq!(decode(&encode(&set)).unwrap(), set);
+        assert_eq!(decode(&encode_v2(&set)).unwrap(), set);
     }
 
     #[test]
@@ -1016,7 +965,7 @@ mod tests {
     fn rejects_unknown_side_tag() {
         let t = ThreadTrace::from_events(0, [TraceEvent::Ret]);
         let set: TraceSet = std::iter::once(t).collect();
-        let mut bytes = encode(&set).to_vec();
+        let mut bytes = encode_v2(&set).to_vec();
         let last = bytes.len() - 1;
         bytes[last] = 200; // clobber the Ret tag
         let err = decode(&bytes).unwrap_err();
@@ -1129,7 +1078,7 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage() {
         let set = TraceSet::default();
-        let mut bytes = encode(&set).to_vec();
+        let mut bytes = encode_v2(&set).to_vec();
         bytes.push(0xFF);
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err.kind, DecodeErrorKind::Malformed(_)));
@@ -1186,7 +1135,7 @@ mod tests {
             [TraceEvent::Block { addr: BlockAddr::new(FuncId(3), BlockId(0)), n_insts: 1 }],
         );
         let set: TraceSet = std::iter::once(t).collect();
-        let bytes = encode(&set);
+        let bytes = encode_v2(&set);
         // Unconstrained decode accepts it...
         assert!(decode(&bytes).is_ok());
         // ...but a two-function shape rejects func id 3.
@@ -1225,10 +1174,10 @@ mod tests {
             [TraceEvent::Block { addr: BlockAddr::new(FuncId(0), BlockId(1)), n_insts: 1 }],
         );
         let set = TraceSet::new(vec![good0.clone(), corrupt, good2.clone()]);
-        let mut bytes = encode(&set).to_vec();
+        let mut bytes = encode_v2(&set).to_vec();
         // Clobber thread 1's single mem_size_store byte (the last byte of
         // its record, which ends right where thread 2's record begins).
-        let t2_body = encode(&TraceSet::new(vec![good2.clone()])).to_vec();
+        let t2_body = encode_v2(&TraceSet::new(vec![good2.clone()])).to_vec();
         let t2_record_len = t2_body.len() - 9; // minus magic+version+count
         let corrupt_size_off = bytes.len() - t2_record_len - 1;
         assert_eq!(bytes[corrupt_size_off] & !STORE_BIT, 8, "offset arithmetic drifted");
@@ -1262,7 +1211,7 @@ mod tests {
             ],
         );
         let set: TraceSet = std::iter::once(t).collect();
-        let mut bytes = encode(&set).to_vec();
+        let mut bytes = encode_v2(&set).to_vec();
         let last = bytes.len() - 1;
         bytes[last] = 0x00; // zero-size access
         let sink = Arc::new(InMemorySink::new());

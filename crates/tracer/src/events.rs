@@ -1,16 +1,18 @@
-//! Trace event model and columnar per-thread storage.
+//! Trace event model and compact per-thread storage.
 //!
 //! [`TraceEvent`] is the *interchange* form of a trace event — what the
 //! hooks observe and what tests and cold-path consumers pattern-match.
-//! The storage behind a [`ThreadTrace`] is **columnar** (struct-of-arrays):
-//! the block stream, the memory-access stream, and the sparse call/return/
-//! synchronization side stream live in separate dense arrays. Hot-path
-//! consumers replay a trace through the zero-allocation [`TraceCursor`]
-//! without ever materializing a `TraceEvent`; [`ThreadTrace::iter_events`]
-//! reconstructs the classic interleaved event stream on demand.
+//! A [`ThreadTrace`] stores its events as the thread's v3 record: the
+//! block stream, the memory-access stream, and the sparse call/return/
+//! synchronization side stream each live in their own column of
+//! delta/varint bytes, in one exactly sized buffer. Hot-path consumers
+//! replay a trace through the zero-allocation [`TraceCursor`], which
+//! decodes as it goes, without ever materializing a `TraceEvent`;
+//! [`ThreadTrace::iter_events`] reconstructs the classic interleaved event
+//! stream on demand.
 
 use serde::{Deserialize, Serialize};
-use threadfuser_ir::{BlockAddr, FuncId};
+use threadfuser_ir::{BlockAddr, BlockId, FuncId};
 
 /// One event in a per-thread dynamic trace.
 ///
@@ -65,8 +67,8 @@ pub enum TraceEvent {
 
 /// A call/return/synchronization event — everything in a trace that is
 /// neither a block nor a memory access. These are sparse relative to the
-/// block and memory streams, so columnar storage keeps them in their own
-/// side array ordered by stream position.
+/// block and memory streams, so a record keeps them in their own side
+/// column ordered by stream position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SideEvent {
     /// A call; the next block is the callee's entry.
@@ -106,7 +108,7 @@ impl SideEvent {
     }
 }
 
-/// One memory access from a columnar trace (unpacked view).
+/// One memory access of a trace (decoded view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRec {
     /// Index of the accessing instruction within its block.
@@ -124,46 +126,153 @@ pub struct MemRec {
 /// decoded byte).
 pub(crate) const STORE_BIT: u8 = 0x80;
 
-fn pack_size_store(size: u8, is_store: bool) -> u8 {
-    debug_assert!(size < STORE_BIT, "access size must fit in 7 bits");
-    size | if is_store { STORE_BIT } else { 0 }
+pub(crate) const TAG_CALL: u8 = 2;
+pub(crate) const TAG_RET: u8 = 3;
+pub(crate) const TAG_ACQUIRE: u8 = 4;
+pub(crate) const TAG_RELEASE: u8 = 5;
+pub(crate) const TAG_BARRIER: u8 = 6;
+
+// ---------------------------------------------------------------------------
+// Varint / zigzag primitives (shared with the v3 codec)
+// ---------------------------------------------------------------------------
+
+#[inline]
+pub(crate) fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
-/// The dynamic trace of one logical thread, stored columnar.
+/// Bytes of the canonical (shortest) LEB128 encoding of `v`.
+#[inline]
+pub(crate) fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+#[inline]
+pub(crate) fn zigzag32(v: i32) -> u32 {
+    ((v << 1) ^ (v >> 31)) as u32
+}
+
+#[inline]
+pub(crate) fn unzigzag32(v: u32) -> i32 {
+    ((v >> 1) as i32) ^ -((v & 1) as i32)
+}
+
+#[inline]
+pub(crate) fn zigzag64(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+#[inline]
+pub(crate) fn unzigzag64(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Reads one LEB128 varint off the front of a record column. Records are
+/// built by [`RecordWriter`] or validated by the decoder before they
+/// become a [`ThreadTrace`], so a short column is a broken invariant and
+/// panics.
+#[inline]
+fn read_uv(s: &mut &[u8]) -> u64 {
+    let b = s[0];
+    *s = &s[1..];
+    if b < 0x80 {
+        return b as u64;
+    }
+    read_uv_slow(s, b)
+}
+
+#[cold]
+fn read_uv_slow(s: &mut &[u8], first: u8) -> u64 {
+    let mut v = (first & 0x7f) as u64;
+    let mut shift = 7;
+    loop {
+        let b = s[0];
+        *s = &s[1..];
+        if shift < 64 {
+            v |= ((b & 0x7f) as u64) << shift;
+        }
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Advances `s` past `n` varints without decoding them.
+#[inline]
+fn skip_uv(s: &mut &[u8], n: usize) {
+    let mut i = 0;
+    for _ in 0..n {
+        while s[i] >= 0x80 {
+            i += 1;
+        }
+        i += 1;
+    }
+    *s = &s[i..];
+}
+
+/// Applies the next zigzag delta of a 32-bit column to `prev`.
+#[inline]
+fn next_delta32(s: &mut &[u8], prev: &mut u32) -> u32 {
+    *prev = prev.wrapping_add(unzigzag32(read_uv(s) as u32) as u32);
+    *prev
+}
+
+/// Decodes one side event (tag and payload) off the front of the side
+/// column.
+fn read_side(s: &mut &[u8]) -> SideEvent {
+    let tag = s[0];
+    *s = &s[1..];
+    match tag {
+        TAG_CALL => SideEvent::Call { callee: FuncId(read_uv(s) as u32) },
+        TAG_RET => SideEvent::Ret,
+        TAG_ACQUIRE => SideEvent::Acquire { lock: read_uv(s) },
+        TAG_RELEASE => SideEvent::Release { lock: read_uv(s) },
+        TAG_BARRIER => SideEvent::Barrier { id: read_uv(s) as u32 },
+        other => unreachable!("record holds unknown side tag {other}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The thread record
+// ---------------------------------------------------------------------------
+
+/// The record's columns, in the order they sit in its bytes.
+const FUNC: usize = 0;
+const BLOCK: usize = 1;
+const N_INSTS: usize = 2;
+const MEM_COUNT: usize = 3;
+const INST_IDX: usize = 4;
+const ADDR: usize = 5;
+const SIZE_STORE: usize = 6;
+const SIDE: usize = 7;
+pub(crate) const N_COLS: usize = 8;
+
+/// The dynamic trace of one logical thread, stored as its v3 record.
 ///
-/// The invariant mirrors the event-stream contract: every executed block
-/// contributes one entry to the block arrays; its memory accesses occupy a
-/// contiguous range of the memory arrays (delimited by the per-block
-/// prefix-sum `mem_end`); side events carry the number of blocks that
-/// preceded them, which pins their position in the interleaved stream.
+/// The record is the column half of the thread's v3 trace-file record
+/// (`DESIGN.md`, "Trace-file format contract"): per executed block a
+/// zigzag-delta function id, a zigzag-delta block id, its instruction
+/// count and its access count; per memory access its instruction index, a
+/// zigzag-delta address and a packed size/store byte; per side event the
+/// blocks since the previous side event, a tag and a payload. Every field
+/// is an LEB128 varint in its shortest form, so the bytes are the one
+/// canonical encoding of the event stream and two traces compare equal
+/// exactly when their events do. The header keeps the counts, so every
+/// count is O(1) while every event is decoded on the fly.
 ///
-/// Mutate through [`ThreadTrace::push_block`] / [`ThreadTrace::push_mem`] /
-/// [`ThreadTrace::push_side`] (or [`ThreadTrace::push_event`] for
-/// interchange-form input); read through [`ThreadTrace::cursor`] on hot
-/// paths and [`ThreadTrace::iter_events`] elsewhere.
+/// Build a trace with [`ThreadTrace::from_events`]; the tracer and the
+/// decoders append through the same column writer. Read it through
+/// [`ThreadTrace::cursor`] on hot paths and [`ThreadTrace::iter_events`]
+/// elsewhere.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThreadTrace {
     /// Thread id.
     pub tid: u32,
-    /// Code address per executed block.
-    block_addr: Vec<BlockAddr>,
-    /// Dynamic instructions per executed block (body + terminator).
-    block_n_insts: Vec<u32>,
-    /// Exclusive end index into the memory arrays per block (prefix sums);
-    /// block `k`'s accesses are `mem_end[k-1]..mem_end[k]` (0 for k = 0).
-    mem_end: Vec<u32>,
-    /// Accessing instruction index per memory access.
-    mem_inst_idx: Vec<u32>,
-    /// Effective address per memory access.
-    mem_addr: Vec<u64>,
-    /// Packed width/direction per memory access (see [`MemRec`]).
-    mem_size_store: Vec<u8>,
-    /// Call/return/synchronization events, in stream order.
-    side: Vec<SideEvent>,
-    /// Number of blocks pushed before each side event (parallel to
-    /// `side`): the side sits after block `side_after[j] - 1` and before
-    /// block `side_after[j]` in the interleaved stream.
-    side_after: Vec<u32>,
     /// Instructions skipped inside opaque I/O.
     pub skipped_io: u64,
     /// Instructions skipped spinning on contended locks.
@@ -171,6 +280,14 @@ pub struct ThreadTrace {
     /// Instructions executed inside excluded functions (dropped from the
     /// event stream).
     pub excluded_insts: u64,
+    n_blocks: u32,
+    n_mems: u32,
+    n_sides: u32,
+    traced_insts: u64,
+    /// Byte offset in `record` where each column after the first starts.
+    starts: [usize; N_COLS - 1],
+    /// The column bytes, sized exactly.
+    record: Vec<u8>,
 }
 
 impl ThreadTrace {
@@ -182,49 +299,275 @@ impl ThreadTrace {
     /// Builds a trace from an interchange-form event stream.
     ///
     /// # Panics
-    /// Panics if a `Mem` event appears before any `Block` (see
-    /// [`ThreadTrace::push_event`]).
+    /// Panics if a `Mem` event appears before any `Block`: the
+    /// event-stream contract says every access belongs to the block that
+    /// precedes it.
     pub fn from_events(tid: u32, events: impl IntoIterator<Item = TraceEvent>) -> Self {
-        let mut t = ThreadTrace::new(tid);
+        let mut w = RecordWriter::new(tid);
         for e in events {
-            t.push_event(e);
+            w.push_event(e);
         }
-        t
+        w.finish()
     }
 
     /// Appends a block execution.
+    ///
+    /// Appending rewrites the exactly sized record, so it costs the
+    /// record's length: build whole streams with
+    /// [`ThreadTrace::from_events`].
     pub fn push_block(&mut self, addr: BlockAddr, n_insts: u32) {
-        self.block_addr.push(addr);
-        self.block_n_insts.push(n_insts);
-        self.mem_end.push(self.mem_addr.len() as u32);
+        self.push_event(TraceEvent::Block { addr, n_insts });
     }
 
-    /// Appends a memory access of the most recently pushed block.
+    /// Appends a memory access of the most recently pushed block (costs
+    /// the record's length, as [`ThreadTrace::push_block`]).
     ///
     /// # Panics
-    /// Panics if no block has been pushed yet: the event-stream contract
-    /// says every access belongs to the block that precedes it.
+    /// Panics if no block has been pushed yet.
     pub fn push_mem(&mut self, inst_idx: u32, addr: u64, size: u8, is_store: bool) {
-        let last = self.mem_end.last_mut().expect("mem access before any block");
-        self.mem_inst_idx.push(inst_idx);
-        self.mem_addr.push(addr);
-        self.mem_size_store.push(pack_size_store(size, is_store));
-        *last += 1;
+        self.push_event(TraceEvent::Mem { inst_idx, addr, size, is_store });
     }
 
     /// Appends a call/return/synchronization event at the current stream
-    /// position.
+    /// position (costs the record's length, as
+    /// [`ThreadTrace::push_block`]).
     pub fn push_side(&mut self, e: SideEvent) {
-        self.side.push(e);
-        self.side_after.push(self.block_addr.len() as u32);
+        self.push_event(e.to_event());
     }
 
-    /// Appends an interchange-form event (the legacy-decode and test
-    /// entry point; the tracer pushes columns directly).
+    /// Appends an interchange-form event (costs the record's length, as
+    /// [`ThreadTrace::push_block`]).
     ///
     /// # Panics
     /// Panics if `e` is a `Mem` event and no block has been pushed.
     pub fn push_event(&mut self, e: TraceEvent) {
+        let mut w = RecordWriter::reopen(self);
+        w.push_event(e);
+        *self = w.finish();
+    }
+
+    /// Traced dynamic instructions (sum of block sizes).
+    pub fn traced_insts(&self) -> u64 {
+        self.traced_insts
+    }
+
+    /// Executed blocks.
+    pub fn block_count(&self) -> usize {
+        self.n_blocks as usize
+    }
+
+    /// Recorded memory accesses.
+    pub fn mem_count(&self) -> usize {
+        self.n_mems as usize
+    }
+
+    /// Call/return/synchronization events.
+    pub fn side_count(&self) -> usize {
+        self.n_sides as usize
+    }
+
+    /// Total events in the interchange stream (blocks + accesses + sides).
+    pub fn event_count(&self) -> usize {
+        self.block_count() + self.mem_count() + self.side_count()
+    }
+
+    /// Bytes of the record (the thread's events, compactly encoded).
+    pub fn storage_bytes(&self) -> usize {
+        self.record.len()
+    }
+
+    /// The record bytes: the columns of the thread's v3 file record, after
+    /// its header (crate-internal; the v3 encoder copies them).
+    pub(crate) fn record(&self) -> &[u8] {
+        &self.record
+    }
+
+    /// Column `c` of the record.
+    fn col(&self, c: usize) -> &[u8] {
+        let start = if c == 0 { 0 } else { self.starts[c - 1] };
+        let end = if c + 1 == N_COLS { self.record.len() } else { self.starts[c] };
+        &self.record[start..end]
+    }
+
+    /// A zero-allocation replay cursor positioned at the stream start.
+    pub fn cursor(&self) -> TraceCursor<'_> {
+        let mut side = self.col(SIDE);
+        let next_after = if self.n_sides > 0 { read_uv(&mut side) as u32 } else { 0 };
+        TraceCursor {
+            tid: self.tid,
+            blocks_left: self.n_blocks,
+            sides_left: self.n_sides,
+            block_pos: 0,
+            next_after,
+            prev_func: 0,
+            prev_block: 0,
+            prev_addr: 0,
+            func: self.col(FUNC),
+            block: self.col(BLOCK),
+            n_insts: self.col(N_INSTS),
+            mem_count: self.col(MEM_COUNT),
+            inst_idx: self.col(INST_IDX),
+            addr: self.col(ADDR),
+            size_store: self.col(SIZE_STORE),
+            side,
+        }
+    }
+
+    /// Iterates the executed blocks only — `(addr, n_insts)` in order —
+    /// decoding only the block columns.
+    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockAddr, u32)> + '_ {
+        let (mut func, mut block, mut n_insts) =
+            (self.col(FUNC), self.col(BLOCK), self.col(N_INSTS));
+        let (mut prev_func, mut prev_block) = (0, 0);
+        (0..self.n_blocks).map(move |_| {
+            let f = next_delta32(&mut func, &mut prev_func);
+            let b = next_delta32(&mut block, &mut prev_block);
+            (BlockAddr::new(FuncId(f), BlockId(b)), read_uv(&mut n_insts) as u32)
+        })
+    }
+
+    /// Reconstructs the classic interleaved event stream lazily. Cold-path
+    /// convenience; hot paths use [`ThreadTrace::cursor`].
+    pub fn iter_events(&self) -> EventIter<'_> {
+        let none = MemSlice { inst_idx: &[], addr: &[], prev_addr: 0, size_store: &[] };
+        EventIter { cur: self.cursor(), mems: MemIter { s: none } }
+    }
+
+    /// The same trace with its record re-emitted in canonical form
+    /// (crate-internal: for decoded records written with overlong
+    /// varints).
+    pub(crate) fn recanonicalized(&self) -> ThreadTrace {
+        RecordWriter::reopen(self).finish()
+    }
+
+    /// Builds a trace around record bytes the decoder has validated
+    /// (crate-internal): `starts` places the columns, the counts and the
+    /// instruction total were taken during validation.
+    pub(crate) fn from_record(
+        head: RecordHead,
+        starts: [usize; N_COLS - 1],
+        record: Vec<u8>,
+    ) -> Self {
+        ThreadTrace {
+            tid: head.tid,
+            skipped_io: head.skipped_io,
+            skipped_spin: head.skipped_spin,
+            excluded_insts: head.excluded_insts,
+            n_blocks: head.n_blocks,
+            n_mems: head.n_mems,
+            n_sides: head.n_sides,
+            traced_insts: head.traced_insts,
+            starts,
+            record,
+        }
+    }
+}
+
+/// The header fields of a decoded thread record (crate-internal).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RecordHead {
+    pub tid: u32,
+    pub skipped_io: u64,
+    pub skipped_spin: u64,
+    pub excluded_insts: u64,
+    pub n_blocks: u32,
+    pub n_mems: u32,
+    pub n_sides: u32,
+    pub traced_insts: u64,
+}
+
+/// Appends events to one growing byte stream per column, then packs them
+/// into a [`ThreadTrace`]'s exactly sized record (crate-internal: the
+/// tracer's per-thread state and the legacy decoders' target).
+#[derive(Debug, Default)]
+pub(crate) struct RecordWriter {
+    pub head: RecordHead,
+    cols: [Vec<u8>; N_COLS],
+    prev_func: u32,
+    prev_block: u32,
+    prev_addr: u64,
+    /// Blocks before the previous side event.
+    prev_after: u32,
+    /// Accesses of the last block so far; its access count is written
+    /// when the next block opens or the record is packed.
+    open_mems: u32,
+}
+
+impl RecordWriter {
+    pub(crate) fn new(tid: u32) -> Self {
+        RecordWriter { head: RecordHead { tid, ..RecordHead::default() }, ..Default::default() }
+    }
+
+    /// A writer holding `t`'s events, ready to append more.
+    fn reopen(t: &ThreadTrace) -> Self {
+        let mut w = RecordWriter::new(t.tid);
+        w.head.skipped_io = t.skipped_io;
+        w.head.skipped_spin = t.skipped_spin;
+        w.head.excluded_insts = t.excluded_insts;
+        for e in t.iter_events() {
+            w.push_event(e);
+        }
+        w
+    }
+
+    #[inline]
+    pub(crate) fn push_block(&mut self, addr: BlockAddr, n_insts: u32) {
+        if self.head.n_blocks > 0 {
+            put_uvarint(&mut self.cols[MEM_COUNT], self.open_mems as u64);
+        }
+        self.open_mems = 0;
+        let func = zigzag32(addr.func.0.wrapping_sub(self.prev_func) as i32);
+        put_uvarint(&mut self.cols[FUNC], func as u64);
+        let block = zigzag32(addr.block.0.wrapping_sub(self.prev_block) as i32);
+        put_uvarint(&mut self.cols[BLOCK], block as u64);
+        put_uvarint(&mut self.cols[N_INSTS], n_insts as u64);
+        (self.prev_func, self.prev_block) = (addr.func.0, addr.block.0);
+        self.head.n_blocks += 1;
+        self.head.traced_insts += n_insts as u64;
+    }
+
+    /// # Panics
+    /// Panics if no block has been pushed yet.
+    #[inline]
+    pub(crate) fn push_mem(&mut self, inst_idx: u32, addr: u64, size: u8, is_store: bool) {
+        assert!(self.head.n_blocks > 0, "mem access before any block");
+        debug_assert!(size < STORE_BIT, "access size must fit in 7 bits");
+        put_uvarint(&mut self.cols[INST_IDX], inst_idx as u64);
+        put_uvarint(&mut self.cols[ADDR], zigzag64(addr.wrapping_sub(self.prev_addr) as i64));
+        self.cols[SIZE_STORE].push(size | if is_store { STORE_BIT } else { 0 });
+        self.prev_addr = addr;
+        self.open_mems += 1;
+        self.head.n_mems += 1;
+    }
+
+    #[inline]
+    pub(crate) fn push_side(&mut self, e: SideEvent) {
+        let out = &mut self.cols[SIDE];
+        put_uvarint(out, (self.head.n_blocks - self.prev_after) as u64);
+        self.prev_after = self.head.n_blocks;
+        match e {
+            SideEvent::Call { callee } => {
+                out.push(TAG_CALL);
+                put_uvarint(out, callee.0 as u64);
+            }
+            SideEvent::Ret => out.push(TAG_RET),
+            SideEvent::Acquire { lock } => {
+                out.push(TAG_ACQUIRE);
+                put_uvarint(out, lock);
+            }
+            SideEvent::Release { lock } => {
+                out.push(TAG_RELEASE);
+                put_uvarint(out, lock);
+            }
+            SideEvent::Barrier { id } => {
+                out.push(TAG_BARRIER);
+                put_uvarint(out, id as u64);
+            }
+        }
+        self.head.n_sides += 1;
+    }
+
+    pub(crate) fn push_event(&mut self, e: TraceEvent) {
         match e {
             TraceEvent::Block { addr, n_insts } => self.push_block(addr, n_insts),
             TraceEvent::Mem { inst_idx, addr, size, is_store } => {
@@ -238,166 +581,33 @@ impl ThreadTrace {
         }
     }
 
-    /// Traced dynamic instructions (sum of block sizes).
-    pub fn traced_insts(&self) -> u64 {
-        self.block_n_insts.iter().map(|&n| n as u64).sum()
-    }
-
-    /// Executed blocks.
-    pub fn block_count(&self) -> usize {
-        self.block_addr.len()
-    }
-
-    /// Recorded memory accesses.
-    pub fn mem_count(&self) -> usize {
-        self.mem_addr.len()
-    }
-
-    /// Call/return/synchronization events.
-    pub fn side_count(&self) -> usize {
-        self.side.len()
-    }
-
-    /// Total events in the interchange stream (blocks + accesses + sides)
-    /// — what `events.len()` used to report.
-    pub fn event_count(&self) -> usize {
-        self.block_addr.len() + self.mem_addr.len() + self.side.len()
-    }
-
-    /// Approximate in-memory size of the columnar storage, in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.block_addr.len() * std::mem::size_of::<BlockAddr>()
-            + self.block_n_insts.len() * 4
-            + self.mem_end.len() * 4
-            + self.mem_inst_idx.len() * 4
-            + self.mem_addr.len() * 8
-            + self.mem_size_store.len()
-            + self.side.len() * std::mem::size_of::<SideEvent>()
-            + self.side_after.len() * 4
-    }
-
-    /// A zero-allocation replay cursor positioned at the stream start.
-    pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor { t: self, block_pos: 0, side_pos: 0 }
-    }
-
-    /// Iterates the executed blocks only — `(addr, n_insts)` in order —
-    /// without touching the memory or side streams.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockAddr, u32)> + '_ {
-        self.block_addr.iter().copied().zip(self.block_n_insts.iter().copied())
-    }
-
-    /// Reconstructs the classic interleaved event stream lazily. Cold-path
-    /// convenience; hot paths use [`ThreadTrace::cursor`].
-    pub fn iter_events(&self) -> EventIter<'_> {
-        EventIter { t: self, block_pos: 0, mem_pos: 0, side_pos: 0 }
-    }
-
-    fn mem_range(&self, block: usize) -> (usize, usize) {
-        let start = if block == 0 { 0 } else { self.mem_end[block - 1] as usize };
-        (start, self.mem_end[block] as usize)
-    }
-
-    /// Raw column views for the binary codec (crate-internal).
-    pub(crate) fn raw_columns(&self) -> RawColumns<'_> {
-        RawColumns {
-            block_addr: &self.block_addr,
-            block_n_insts: &self.block_n_insts,
-            mem_end: &self.mem_end,
-            mem_inst_idx: &self.mem_inst_idx,
-            mem_addr: &self.mem_addr,
-            mem_size_store: &self.mem_size_store,
-            side: &self.side,
-            side_after: &self.side_after,
+    /// Packs the column streams into one exactly sized record.
+    pub(crate) fn finish(mut self) -> ThreadTrace {
+        if self.head.n_blocks > 0 {
+            put_uvarint(&mut self.cols[MEM_COUNT], self.open_mems as u64);
         }
-    }
-
-    /// Reassembles a trace from decoded columns, validating the columnar
-    /// invariants (crate-internal; the binary decoder's entry point).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_parts(
-        tid: u32,
-        skipped_io: u64,
-        skipped_spin: u64,
-        excluded_insts: u64,
-        block_addr: Vec<BlockAddr>,
-        block_n_insts: Vec<u32>,
-        mem_end: Vec<u32>,
-        mem_inst_idx: Vec<u32>,
-        mem_addr: Vec<u64>,
-        mem_size_store: Vec<u8>,
-        side: Vec<SideEvent>,
-        side_after: Vec<u32>,
-    ) -> Result<Self, &'static str> {
-        let n_blocks = block_addr.len();
-        let n_mems = mem_addr.len();
-        if block_n_insts.len() != n_blocks || mem_end.len() != n_blocks {
-            return Err("block column length mismatch");
-        }
-        if mem_inst_idx.len() != n_mems || mem_size_store.len() != n_mems {
-            return Err("mem column length mismatch");
-        }
-        if side_after.len() != side.len() {
-            return Err("side column length mismatch");
-        }
-        let mut prev = 0u32;
-        for &e in &mem_end {
-            if e < prev {
-                return Err("mem_end not monotonic");
+        let len: usize = self.cols.iter().map(Vec::len).sum();
+        let mut record = Vec::with_capacity(len);
+        let mut starts = [0; N_COLS - 1];
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            if c > 0 {
+                starts[c - 1] = record.len();
             }
-            prev = e;
+            record.extend_from_slice(col);
+            // Free each stream once copied: packing holds about one
+            // record twice, not the whole thread's streams beside it.
+            *col = Vec::new();
         }
-        if prev as usize != n_mems {
-            return Err("mem_end does not cover the mem columns");
-        }
-        if n_blocks == 0 && n_mems != 0 {
-            return Err("mem accesses without blocks");
-        }
-        let mut prev = 0u32;
-        for &a in &side_after {
-            if a < prev || a as usize > n_blocks {
-                return Err("side_after out of order or out of range");
-            }
-            prev = a;
-        }
-        Ok(ThreadTrace {
-            tid,
-            block_addr,
-            block_n_insts,
-            mem_end,
-            mem_inst_idx,
-            mem_addr,
-            mem_size_store,
-            side,
-            side_after,
-            skipped_io,
-            skipped_spin,
-            excluded_insts,
-        })
+        ThreadTrace::from_record(self.head, starts, record)
     }
 }
 
-/// Borrowed raw column views of a [`ThreadTrace`] (crate-internal; used by
-/// the binary codec).
-pub(crate) struct RawColumns<'t> {
-    pub block_addr: &'t [BlockAddr],
-    pub block_n_insts: &'t [u32],
-    pub mem_end: &'t [u32],
-    pub mem_inst_idx: &'t [u32],
-    pub mem_addr: &'t [u64],
-    pub mem_size_store: &'t [u8],
-    pub side: &'t [SideEvent],
-    pub side_after: &'t [u32],
-}
-
-/// Lazy interchange-form iterator over a columnar trace (see
+/// Lazy interchange-form iterator over a trace (see
 /// [`ThreadTrace::iter_events`]).
 #[derive(Debug, Clone)]
 pub struct EventIter<'t> {
-    t: &'t ThreadTrace,
-    block_pos: usize,
-    mem_pos: usize,
-    side_pos: usize,
+    cur: TraceCursor<'t>,
+    mems: MemIter<'t>,
 }
 
 impl Iterator for EventIter<'_> {
@@ -405,76 +615,83 @@ impl Iterator for EventIter<'_> {
 
     fn next(&mut self) -> Option<TraceEvent> {
         // Accesses of the block just emitted come first…
-        if self.block_pos > 0 && self.mem_pos < self.t.mem_end[self.block_pos - 1] as usize {
-            let i = self.mem_pos;
-            self.mem_pos += 1;
-            let packed = self.t.mem_size_store[i];
-            return Some(TraceEvent::Mem {
-                inst_idx: self.t.mem_inst_idx[i],
-                addr: self.t.mem_addr[i],
-                size: packed & !STORE_BIT,
-                is_store: packed & STORE_BIT != 0,
-            });
+        if let Some(m) = self.mems.next() {
+            let MemRec { inst_idx, addr, size, is_store } = m;
+            return Some(TraceEvent::Mem { inst_idx, addr, size, is_store });
         }
         // …then side events pinned before the next block…
-        if self.side_pos < self.t.side.len()
-            && self.t.side_after[self.side_pos] as usize <= self.block_pos
-        {
-            let s = self.t.side[self.side_pos];
-            self.side_pos += 1;
+        if let Some(s) = self.cur.next_side() {
             return Some(s.to_event());
         }
         // …then the next block.
-        if self.block_pos < self.t.block_addr.len() {
-            let k = self.block_pos;
-            self.block_pos += 1;
-            return Some(TraceEvent::Block {
-                addr: self.t.block_addr[k],
-                n_insts: self.t.block_n_insts[k],
-            });
-        }
-        None
+        let (addr, n_insts, mems) = self.cur.next_block()?;
+        self.mems = MemIter { s: mems };
+        Some(TraceEvent::Block { addr, n_insts })
     }
 }
 
-/// A contiguous slice of memory accesses belonging to one block, viewed
-/// straight out of the columnar arrays (no allocation, no materialized
-/// events).
+/// The memory accesses of one block, decoded from the record as they are
+/// iterated (no allocation, no materialized events).
 #[derive(Debug, Clone, Copy)]
 pub struct MemSlice<'t> {
-    inst_idx: &'t [u32],
-    addr: &'t [u64],
+    /// Instruction-index column from this block's first access on.
+    inst_idx: &'t [u8],
+    /// Address column from this block's first access on.
+    addr: &'t [u8],
+    /// Address of the access before this block's first.
+    prev_addr: u64,
+    /// This block's size/store bytes, one per access.
     size_store: &'t [u8],
 }
 
 impl<'t> MemSlice<'t> {
     /// Number of accesses.
     pub fn len(&self) -> usize {
-        self.addr.len()
+        self.size_store.len()
     }
 
     /// Whether the block recorded no accesses.
     pub fn is_empty(&self) -> bool {
-        self.addr.is_empty()
+        self.size_store.is_empty()
     }
 
     /// Iterates the accesses in instruction order.
     pub fn iter(&self) -> impl Iterator<Item = MemRec> + 't {
-        let (inst_idx, addr, size_store) = (self.inst_idx, self.addr, self.size_store);
-        (0..addr.len()).map(move |i| {
-            let packed = size_store[i];
-            MemRec {
-                inst_idx: inst_idx[i],
-                addr: addr[i],
-                size: packed & !STORE_BIT,
-                is_store: packed & STORE_BIT != 0,
-            }
-        })
+        MemIter { s: *self }
     }
 }
 
-/// Zero-allocation block-granular replay cursor over a columnar
-/// [`ThreadTrace`].
+/// Decoding iterator behind [`MemSlice::iter`].
+#[derive(Debug, Clone)]
+struct MemIter<'t> {
+    s: MemSlice<'t>,
+}
+
+impl Iterator for MemIter<'_> {
+    type Item = MemRec;
+
+    #[inline]
+    fn next(&mut self) -> Option<MemRec> {
+        let (&packed, rest) = self.s.size_store.split_first()?;
+        self.s.size_store = rest;
+        let inst_idx = read_uv(&mut self.s.inst_idx) as u32;
+        self.s.prev_addr =
+            self.s.prev_addr.wrapping_add(unzigzag64(read_uv(&mut self.s.addr)) as u64);
+        Some(MemRec {
+            inst_idx,
+            addr: self.s.prev_addr,
+            size: packed & !STORE_BIT,
+            is_store: packed & STORE_BIT != 0,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.s.size_store.len(), Some(self.s.size_store.len()))
+    }
+}
+
+/// Zero-allocation block-granular replay cursor over a [`ThreadTrace`],
+/// decoding the record as it goes.
 ///
 /// The cursor walks the interleaved stream in order, but at block
 /// granularity: [`TraceCursor::next_block`] consumes a block *and* hands
@@ -484,96 +701,96 @@ impl<'t> MemSlice<'t> {
 /// `next_block` return `None` until it is consumed — strict stream order.
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'t> {
-    t: &'t ThreadTrace,
-    block_pos: usize,
-    side_pos: usize,
+    tid: u32,
+    blocks_left: u32,
+    sides_left: u32,
+    /// Blocks consumed.
+    block_pos: u32,
+    /// Stream position (blocks before it) of the next side event.
+    next_after: u32,
+    prev_func: u32,
+    prev_block: u32,
+    prev_addr: u64,
+    func: &'t [u8],
+    block: &'t [u8],
+    n_insts: &'t [u8],
+    mem_count: &'t [u8],
+    inst_idx: &'t [u8],
+    addr: &'t [u8],
+    size_store: &'t [u8],
+    /// Side column from the next side event's tag on.
+    side: &'t [u8],
 }
 
 impl<'t> TraceCursor<'t> {
     /// The thread id of the underlying trace.
     pub fn tid(&self) -> u32 {
-        self.t.tid
+        self.tid
     }
 
+    #[inline]
     fn side_pending(&self) -> bool {
-        self.side_pos < self.t.side.len()
-            && self.t.side_after[self.side_pos] as usize <= self.block_pos
+        self.sides_left > 0 && self.next_after <= self.block_pos
     }
 
     /// The next block's `(addr, n_insts)` if the next stream event is a
     /// block.
     pub fn peek_block(&self) -> Option<(BlockAddr, u32)> {
-        if self.side_pending() || self.block_pos >= self.t.block_addr.len() {
-            return None;
-        }
-        Some((self.t.block_addr[self.block_pos], self.t.block_n_insts[self.block_pos]))
+        self.clone().next_block().map(|(addr, n_insts, _)| (addr, n_insts))
     }
 
     /// Consumes the next block, returning `(addr, n_insts, accesses)`;
     /// `None` if the next event is a side event or the stream is done.
+    #[inline]
     pub fn next_block(&mut self) -> Option<(BlockAddr, u32, MemSlice<'t>)> {
-        let (addr, n_insts) = self.peek_block()?;
-        let (lo, hi) = self.t.mem_range(self.block_pos);
+        if self.side_pending() || self.blocks_left == 0 {
+            return None;
+        }
+        let func = next_delta32(&mut self.func, &mut self.prev_func);
+        let block = next_delta32(&mut self.block, &mut self.prev_block);
+        let n_insts = read_uv(&mut self.n_insts) as u32;
+        let n = read_uv(&mut self.mem_count) as usize;
+        let (size_store, rest) = self.size_store.split_at(n);
+        let mems = MemSlice {
+            inst_idx: self.inst_idx,
+            addr: self.addr,
+            prev_addr: self.prev_addr,
+            size_store,
+        };
+        self.size_store = rest;
+        skip_uv(&mut self.inst_idx, n);
+        for _ in 0..n {
+            self.prev_addr =
+                self.prev_addr.wrapping_add(unzigzag64(read_uv(&mut self.addr)) as u64);
+        }
+        self.blocks_left -= 1;
         self.block_pos += 1;
-        Some((
-            addr,
-            n_insts,
-            MemSlice {
-                inst_idx: &self.t.mem_inst_idx[lo..hi],
-                addr: &self.t.mem_addr[lo..hi],
-                size_store: &self.t.mem_size_store[lo..hi],
-            },
-        ))
+        Some((BlockAddr::new(FuncId(func), BlockId(block)), n_insts, mems))
     }
 
     /// The next side event, if the next stream event is one.
     pub fn peek_side(&self) -> Option<SideEvent> {
-        if self.side_pending() {
-            Some(self.t.side[self.side_pos])
-        } else {
-            None
-        }
+        let mut side = self.side;
+        self.side_pending().then(|| read_side(&mut side))
     }
 
     /// Consumes the next side event, if the next stream event is one.
+    #[inline]
     pub fn next_side(&mut self) -> Option<SideEvent> {
-        let s = self.peek_side()?;
-        self.side_pos += 1;
+        if !self.side_pending() {
+            return None;
+        }
+        let s = read_side(&mut self.side);
+        self.sides_left -= 1;
+        if self.sides_left > 0 {
+            self.next_after += read_uv(&mut self.side) as u32;
+        }
         Some(s)
     }
 
     /// Whether the whole stream has been consumed.
     pub fn at_end(&self) -> bool {
-        self.block_pos >= self.t.block_addr.len() && self.side_pos >= self.t.side.len()
-    }
-
-    /// Materializes the next event for error reporting — the one place a
-    /// cursor produces a [`TraceEvent`]; never called on hot paths.
-    pub fn peek_event(&self) -> Option<TraceEvent> {
-        if let Some(s) = self.peek_side() {
-            return Some(s.to_event());
-        }
-        self.peek_block().map(|(addr, n_insts)| TraceEvent::Block { addr, n_insts })
-    }
-
-    /// Scans ahead (without consuming) for the release matching `lock` —
-    /// same-lock acquires nest — and returns the address of the first
-    /// block that follows it in the stream, if any.
-    pub fn scan_release_target(&self, lock: u64) -> Option<BlockAddr> {
-        let mut nesting = 0u32;
-        for j in self.side_pos..self.t.side.len() {
-            match self.t.side[j] {
-                SideEvent::Acquire { lock: l } if l == lock => nesting += 1,
-                SideEvent::Release { lock: l } if l == lock => {
-                    if nesting == 0 {
-                        return self.t.block_addr.get(self.t.side_after[j] as usize).copied();
-                    }
-                    nesting -= 1;
-                }
-                _ => {}
-            }
-        }
-        None
+        self.blocks_left == 0 && self.sides_left == 0
     }
 }
 
@@ -610,7 +827,7 @@ impl TraceSet {
         self.threads.iter().map(|t| t.skipped_io + t.skipped_spin).sum()
     }
 
-    /// Approximate in-memory size of the columnar storage, in bytes.
+    /// Bytes of the threads' records (see [`ThreadTrace::storage_bytes`]).
     pub fn storage_bytes(&self) -> usize {
         self.threads.iter().map(ThreadTrace::storage_bytes).sum()
     }
@@ -713,31 +930,6 @@ mod tests {
         assert!(c.next_block().is_some());
         assert!(c.at_end());
         assert!(c.next_block().is_none() && c.next_side().is_none());
-    }
-
-    #[test]
-    fn cursor_scan_release_handles_nesting() {
-        let lk = 0xbeef;
-        let t = ThreadTrace::from_events(
-            0,
-            [
-                block(1),
-                TraceEvent::Acquire { lock: lk },
-                block(1), // critical section, outer
-                TraceEvent::Acquire { lock: lk },
-                block(1), // nested
-                TraceEvent::Release { lock: lk },
-                block(1),
-                TraceEvent::Release { lock: lk },
-                TraceEvent::Block { addr: BlockAddr::new(FuncId(0), BlockId(9)), n_insts: 1 },
-            ],
-        );
-        let mut c = t.cursor();
-        c.next_block();
-        assert_eq!(c.next_side(), Some(SideEvent::Acquire { lock: lk }));
-        // From here, the matching release is the *outer* one; the block
-        // following it is BlockId(9).
-        assert_eq!(c.scan_release_target(lk), Some(BlockAddr::new(FuncId(0), BlockId(9))));
     }
 
     #[test]

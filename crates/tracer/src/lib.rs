@@ -45,9 +45,13 @@ pub use chunked::{
     encode_v3, encode_v3_with, ChunkInfo, DecodedChunk, TraceSetReader, DEFAULT_CHUNK_BYTES,
 };
 pub use encode::{
-    decode, decode_observed, decode_with, encode, DecodeError, DecodeErrorKind, DecodeLimits,
+    decode, decode_observed, decode_with, DecodeError, DecodeErrorKind, DecodeLimits,
     DecodeOptions, Decoded, ProgramShape, Quarantined, ValidationPolicy,
 };
+#[cfg(test)]
+#[path = "../../../tests/support/legacy_encode.rs"]
+mod legacy;
+
 pub use events::{
     EventIter, MemRec, MemSlice, SideEvent, ThreadTrace, TraceCursor, TraceEvent, TraceSet,
 };

@@ -1,8 +1,12 @@
-//! Trace-format compatibility tests: the current columnar (v2) encoding
-//! round-trips, and v1 files written by older tool versions still decode.
+//! Trace-format compatibility tests: v2 files round-trip, and v1 files
+//! written by older tool versions still decode.
 
 use threadfuser_ir::{BlockAddr, BlockId, FuncId};
-use threadfuser_tracer::encode::{decode, encode};
+#[path = "../../../tests/support/legacy_encode.rs"]
+mod legacy;
+
+use legacy::encode_v2;
+use threadfuser_tracer::encode::decode;
 use threadfuser_tracer::{ThreadTrace, TraceEvent, TraceSet};
 
 fn addr(f: u32, b: u32) -> BlockAddr {
@@ -50,7 +54,7 @@ fn legacy_v1_fixture_decodes() {
 #[test]
 fn current_format_round_trips_fixture_content() {
     let set = fixture_set();
-    let bytes = encode(&set);
+    let bytes = encode_v2(&set);
     // v2 files carry the columnar version byte.
     assert_eq!(&bytes[..5], b"TFTR\x02");
     assert_eq!(decode(&bytes).unwrap(), set);
@@ -60,5 +64,5 @@ fn current_format_round_trips_fixture_content() {
 fn reencoding_a_v1_file_preserves_content() {
     let blob = include_bytes!("fixtures/trace_v1.bin");
     let set = decode(blob).unwrap();
-    assert_eq!(decode(&encode(&set)).unwrap(), set);
+    assert_eq!(decode(&encode_v2(&set)).unwrap(), set);
 }

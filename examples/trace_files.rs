@@ -12,7 +12,7 @@
 
 use threadfuser::analyzer::{AnalysisIndex, AnalyzerConfig};
 use threadfuser::machine::MachineConfig;
-use threadfuser::tracer::{encode, trace_program};
+use threadfuser::tracer::{decode, encode_v3, trace_program};
 use threadfuser::workloads::by_name;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Expensive step: execute + trace (do this once).
     let (traces, _) = trace_program(&w.program, MachineConfig::new(w.kernel, 128))?;
-    let bytes = encode::encode(&traces);
+    let bytes = encode_v3(&traces);
     let path = std::env::temp_dir().join("threadfuser_btree.tftrace");
     std::fs::write(&path, &bytes)?;
     println!(
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Cheap step: reload and analyze at several design points.
-    let loaded = encode::decode(&std::fs::read(&path)?)?;
+    let loaded = decode(&std::fs::read(&path)?)?;
     assert_eq!(loaded, traces);
     // DCFGs + IPDOMs depend only on program + traces: pay them once,
     // replay warps per design point.

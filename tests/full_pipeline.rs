@@ -8,7 +8,7 @@ use threadfuser::ir::OptLevel;
 use threadfuser::machine::{LockstepConfig, LockstepMachine, Machine, MachineConfig, NoopHook};
 use threadfuser::simtsim::{simulate, SimtSimConfig};
 use threadfuser::tracegen::generate_warp_traces;
-use threadfuser::tracer::{encode, trace_program};
+use threadfuser::tracer::{decode, encode_v3, trace_program};
 use threadfuser::workloads::by_name;
 use threadfuser::Pipeline;
 
@@ -35,8 +35,8 @@ fn every_stage_composes() {
 fn trace_binary_round_trip_preserves_analysis() {
     let w = by_name("btree").unwrap();
     let (traces, _) = trace_program(&w.program, MachineConfig::new(w.kernel, 64)).unwrap();
-    let bytes = encode::encode(&traces);
-    let back = encode::decode(&bytes).unwrap();
+    let bytes = encode_v3(&traces);
+    let back = decode(&bytes).unwrap();
     let a = AnalyzerConfig::new(32).analyze(&w.program, &traces).unwrap();
     let b = AnalyzerConfig::new(32).analyze(&w.program, &back).unwrap();
     assert_eq!(a.issues, b.issues);

@@ -1,9 +1,10 @@
-//! Peak-allocation proof for the lazy v3 decode path.
+//! Peak-allocation proofs for the v3 decode paths.
 //!
-//! Decoding a multi-chunk v3 file chunk-by-chunk through
-//! [`TraceSetReader::decode_chunk_uncached`] (dropping each chunk after
-//! use) must peak well below materialising the whole file eagerly —
-//! that bound is the point of the chunked container.
+//! A decoded thread is its validated record copied out of the file, so a
+//! whole-file decode holds about the file's size. Decoding chunk by chunk
+//! through [`TraceSetReader::decode_chunk_uncached`] (dropping each chunk
+//! after use) holds the reader's bytes and about one chunk — that bound
+//! is the point of the chunked container.
 //!
 //! These tests live in their own integration-test binary so the counting
 //! global allocator sees no allocations from unrelated tests running on
@@ -43,9 +44,14 @@ fn streaming_chunk_decode_peaks_below_whole_file() {
     });
 
     let mut lazy_threads = 0usize;
+    let mut reader_bytes = 0usize;
+    let mut largest_chunk = 0usize;
     let ((), lazy_peak) = peak_delta(|| {
+        let before = counting_alloc::live();
         let reader = TraceSetReader::from_bytes(bytes.clone(), &opts).expect("index");
+        reader_bytes = counting_alloc::live() - before;
         for i in 0..reader.n_chunks() {
+            largest_chunk = largest_chunk.max(reader.chunk_info(i).expect("chunk").len);
             let chunk = reader.decode_chunk_uncached(i).expect("chunk decode");
             assert!(chunk.quarantined.is_empty());
             lazy_threads += chunk.threads.len();
@@ -54,10 +60,27 @@ fn streaming_chunk_decode_peaks_below_whole_file() {
 
     assert_eq!(eager_threads, expected_threads);
     assert_eq!(lazy_threads, expected_threads, "lazy walk lost threads");
+    eprintln!(
+        "whole-file decode peak {eager_peak} B, chunk walk peak {lazy_peak} B \
+         ({} B encoded, {reader_bytes} B reader, largest chunk {largest_chunk} B)",
+        bytes.len()
+    );
+    // A whole-file decode copies each validated record once: it holds
+    // the file's size, plus a thread header per thread.
+    let eager_budget = bytes.len() * 105 / 100 + 256 * expected_threads;
     assert!(
-        lazy_peak * 2 < eager_peak,
-        "lazy chunk-at-a-time peak ({lazy_peak} B) should be under half the \
-         whole-file decode peak ({eager_peak} B) on a {n_chunks}-chunk file"
+        eager_peak <= eager_budget,
+        "whole-file decode peaked at {eager_peak} B, over {eager_budget} B \
+         ({} B encoded, {expected_threads} threads)",
+        bytes.len()
+    );
+    // The chunk walk holds the reader (the file's bytes and its footer
+    // index) and one decoded chunk at a time.
+    let lazy_budget = reader_bytes + 2 * largest_chunk;
+    assert!(
+        lazy_peak <= lazy_budget,
+        "chunk-at-a-time decode peaked at {lazy_peak} B, over {lazy_budget} B \
+         ({reader_bytes} B reader + 2 x {largest_chunk} B largest of {n_chunks} chunks)"
     );
 }
 

@@ -12,12 +12,20 @@
 
 use std::path::{Path, PathBuf};
 
+use proptest::prelude::*;
 use threadfuser::cpusim::CpuSimConfig;
+use threadfuser::ir::{BlockAddr, BlockId, FuncId};
 use threadfuser::prelude::*;
 use threadfuser::service::{load_capture, QuarantinedThread};
 use threadfuser::simtsim::SimtSimConfig;
-use threadfuser::tracer::{encode_v3, encode_v3_with, TraceSet, TraceSetReader};
+use threadfuser::tracer::{
+    encode_v3, encode_v3_with, ThreadTrace, TraceEvent, TraceSet, TraceSetReader,
+    DEFAULT_CHUNK_BYTES,
+};
 use threadfuser::workloads;
+
+#[path = "support/legacy_encode.rs"]
+mod legacy;
 
 fn corpus_dir(sub: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus").join(sub)
@@ -127,7 +135,7 @@ fn v3_is_at_most_six_tenths_of_v2() {
     for name in ["md5", "pigz"] {
         let w = workloads::by_name(name).expect("workload exists");
         let traced = Pipeline::from_workload(&w).threads(w.meta.default_threads).trace().unwrap();
-        let (v2, v3) = (encode(traced.traces()).len(), encode_v3(traced.traces()).len());
+        let (v2, v3) = (legacy::encode_v2(traced.traces()).len(), encode_v3(traced.traces()).len());
         assert!(v3 * 10 <= v2 * 6, "{name}: v3 {v3} B vs v2 {v2} B");
     }
 }
@@ -172,7 +180,7 @@ fn served_trace_files_equal_adopting_the_decoded_set() {
     let files: [(&str, Vec<u8>); 4] = [
         ("multi-chunk", encode_v3_with(&set, 2048).to_vec()),
         ("thread-per-chunk", encode_v3_with(&set, 1).to_vec()),
-        ("v2", encode(&set).to_vec()),
+        ("v2", legacy::encode_v2(&set)),
         ("damaged", damaged),
     ];
     let dir = std::env::temp_dir().join(format!("tf-file-path-{}", std::process::id()));
@@ -233,4 +241,193 @@ fn served_trace_files_equal_adopting_the_decoded_set() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a (64-bit) over a byte string.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The exact bytes `encode_v3` writes — length, chunk framing and every
+/// column — for two O3 captures at 256 threads, at the default chunk
+/// budget and at 1 KiB. A change to how a capture is stored must not move
+/// a single byte of the file it encodes to.
+#[test]
+fn v3_bytes_are_pinned() {
+    let pins: [(&str, usize, u64); 4] = [
+        ("pigz", DEFAULT_CHUNK_BYTES, 0xb9d1_1dab_f385_d096),
+        ("pigz", 1024, 0x1424_d660_0d6e_2033),
+        ("bfs", DEFAULT_CHUNK_BYTES, 0x3b62_57e7_d93d_0c04),
+        ("bfs", 1024, 0x4c2d_a0bf_d2b8_67db),
+    ];
+    for (name, budget, want) in pins {
+        let w = workloads::by_name(name).expect("workload exists");
+        let traced = Pipeline::from_workload(&w).threads(256).opt_level(OptLevel::O3).trace();
+        let bytes = encode_v3_with(traced.expect("traces").traces(), budget);
+        assert_eq!(fnv64(&bytes), want, "{name} at a {budget} B budget: {} B", bytes.len());
+    }
+}
+
+/// One block: its id pair (any, so function and block deltas go negative
+/// and wrap), instruction count, accesses (possibly none) and trailing
+/// side events.
+fn arb_block() -> impl Strategy<Value = Vec<TraceEvent>> {
+    let mem = (
+        any::<u32>(),
+        any::<u64>(),
+        prop_oneof![Just(1u8), Just(2), Just(4), Just(8)],
+        any::<bool>(),
+    )
+        .prop_map(|(inst_idx, addr, size, is_store)| TraceEvent::Mem {
+            inst_idx,
+            addr,
+            size,
+            is_store,
+        });
+    (
+        (any::<u32>(), any::<u32>(), any::<u32>()),
+        proptest::collection::vec(mem, 0..4),
+        proptest::collection::vec(arb_side(), 0..3),
+    )
+        .prop_map(|((f, b, n_insts), mems, sides)| {
+            let addr = BlockAddr::new(FuncId(f), BlockId(b));
+            let mut events = vec![TraceEvent::Block { addr, n_insts }];
+            events.extend(mems);
+            events.extend(sides);
+            events
+        })
+}
+
+fn arb_side() -> impl Strategy<Value = TraceEvent> {
+    prop_oneof![
+        any::<u32>().prop_map(|f| TraceEvent::Call { callee: FuncId(f) }),
+        Just(TraceEvent::Ret),
+        any::<u64>().prop_map(|lock| TraceEvent::Acquire { lock }),
+        any::<u64>().prop_map(|lock| TraceEvent::Release { lock }),
+        any::<u32>().prop_map(|id| TraceEvent::Barrier { id }),
+    ]
+}
+
+/// A thread's stream: side events before any block (a thread may have
+/// nothing else), then blocks.
+fn arb_stream() -> impl Strategy<Value = Vec<TraceEvent>> {
+    (proptest::collection::vec(arb_side(), 0..3), proptest::collection::vec(arb_block(), 0..10))
+        .prop_map(|(head, blocks)| head.into_iter().chain(blocks.into_iter().flatten()).collect())
+}
+
+/// The events a cursor walk yields, block by block.
+fn cursor_events(t: &ThreadTrace) -> Vec<TraceEvent> {
+    let mut cur = t.cursor();
+    let mut out = Vec::new();
+    loop {
+        if let Some(s) = cur.peek_side() {
+            assert_eq!(cur.peek_block(), None, "a pending side event holds the blocks back");
+            assert_eq!(cur.next_side(), Some(s));
+            out.push(s.to_event());
+            continue;
+        }
+        let peeked = cur.peek_block();
+        let Some((addr, n_insts, mems)) = cur.next_block() else { break };
+        assert_eq!(peeked, Some((addr, n_insts)));
+        out.push(TraceEvent::Block { addr, n_insts });
+        assert_eq!(mems.len(), mems.iter().count());
+        out.extend(mems.iter().map(|m| TraceEvent::Mem {
+            inst_idx: m.inst_idx,
+            addr: m.addr,
+            size: m.size,
+            is_store: m.is_store,
+        }));
+    }
+    assert!(cur.at_end());
+    out
+}
+
+/// Rewrites the varint at column position `k` (counted over the block
+/// and access columns after the thread's header) of a one-thread v3 file
+/// one byte longer than it needs to be, and grows the chunk to match;
+/// `false` if it already has the ten bytes a varint may have.
+fn lengthen_varint(file: &mut Vec<u8>, k: usize) -> bool {
+    fn skip(file: &[u8], pos: &mut usize) {
+        while file[*pos] >= 0x80 {
+            *pos += 1;
+        }
+        *pos += 1;
+    }
+    let mut pos = 9;
+    for _ in 0..7 + k {
+        skip(file, &mut pos);
+    }
+    let end = {
+        let mut e = pos;
+        skip(file, &mut e);
+        e - 1
+    };
+    if end - pos == 9 {
+        return false;
+    }
+    file[end] |= 0x80;
+    file.insert(end + 1, 0);
+    let trailer = file.len() - 12;
+    let footer_len = u64::from_le_bytes(file[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let len_at = trailer - footer_len + 4 + 8;
+    let len = u64::from_le_bytes(file[len_at..len_at + 8].try_into().unwrap());
+    file[len_at..len_at + 8].copy_from_slice(&(len + 1).to_le_bytes());
+    true
+}
+
+// A thread's record holds exactly the events pushed into it: the event
+// iterator and the cursor walk both give them back, a v3 file round-trips
+// the set, and a file written with an overlong varint decodes to the same
+// set, stored in canonical form.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64 })]
+
+    #[test]
+    fn event_streams_survive_the_record(
+        streams in proptest::collection::vec(arb_stream(), 1..4),
+        io in any::<u64>(),
+        pick in any::<usize>(),
+    ) {
+        let threads: Vec<ThreadTrace> = streams
+            .iter()
+            .enumerate()
+            .map(|(tid, events)| {
+                let mut t = ThreadTrace::from_events(tid as u32, events.iter().copied());
+                t.skipped_io = io;
+                t
+            })
+            .collect();
+        for (t, events) in threads.iter().zip(&streams) {
+            prop_assert_eq!(&t.iter_events().collect::<Vec<_>>(), events);
+            prop_assert_eq!(&cursor_events(t), events);
+            prop_assert_eq!(t.event_count(), events.len());
+            let n_insts = events.iter().map(|e| match e {
+                TraceEvent::Block { n_insts, .. } => *n_insts as u64,
+                _ => 0,
+            });
+            prop_assert_eq!(t.traced_insts(), n_insts.sum::<u64>());
+            let mut pushed = ThreadTrace::new(t.tid);
+            pushed.skipped_io = io;
+            for &e in events {
+                pushed.push_event(e);
+            }
+            prop_assert_eq!(&pushed, t);
+        }
+        let set = TraceSet::new(threads);
+        for budget in [DEFAULT_CHUNK_BYTES, 1] {
+            let back: TraceSet = decode(&encode_v3_with(&set, budget)).expect("v3 decodes");
+            prop_assert_eq!(&back, &set);
+        }
+
+        let t = &set.threads()[pick % set.threads().len()];
+        let varints = 4 * t.block_count() + 2 * t.mem_count();
+        let one = TraceSet::new(vec![t.clone()]);
+        let canonical = encode_v3(&one);
+        let mut long = canonical.to_vec();
+        if varints > 0 && lengthen_varint(&mut long, pick % varints) {
+            let back: TraceSet = decode(&long).expect("an overlong varint still decodes");
+            prop_assert_eq!(&back, &one);
+            prop_assert_eq!(&encode_v3(&back)[..], &canonical[..]);
+        }
+    }
 }

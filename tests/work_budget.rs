@@ -28,9 +28,11 @@ use counting_alloc::{allocs, live, peak_delta};
 use std::sync::Mutex;
 use threadfuser::analyzer::WarpRunner;
 use threadfuser::cpusim::CpuSimConfig;
+use threadfuser::machine::MachineConfig;
 use threadfuser::prelude::*;
 use threadfuser::simtsim::SimtSimConfig;
 use threadfuser::tracegen::WarpRecording;
+use threadfuser::tracer::{encode_v3, trace_program};
 use threadfuser::workloads;
 
 /// Transient heap a projection may use beyond what it leaves resident and
@@ -139,6 +141,28 @@ fn cold_project_job_peaks_at_the_capture_and_index() {
         "trace -> project_speedup -> analyze peaked {peak} B, more than 2 MiB over the \
          {resident} B capture and index"
     );
+}
+
+/// A fresh capture holds each thread's events as its v3 record, sized
+/// exactly: the `TraceSet` a capture leaves resident is no larger than
+/// the v3 file it encodes to, plus a thread header per thread.
+#[test]
+fn capture_holds_about_its_v3_file() {
+    const PER_THREAD: usize = 256;
+    const THREADS: u32 = 2048;
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let w = workloads::by_name("pigz").expect("pigz workload exists");
+    let program = OptLevel::O3.apply(&w.program);
+    let mut config = MachineConfig::new(w.kernel, THREADS);
+    config.init = w.init;
+    let base = live();
+    let (set, stats) = trace_program(&program, config).expect("pigz traces");
+    drop(stats);
+    let heap = live() - base;
+    let encoded = encode_v3(&set).len();
+    let budget = encoded + PER_THREAD * THREADS as usize;
+    eprintln!("pigz@2048 capture: {heap} B resident, v3 file {encoded} B");
+    assert!(heap <= budget, "the capture holds {heap} B, over its {budget} B budget");
 }
 
 #[test]

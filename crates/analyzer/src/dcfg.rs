@@ -290,6 +290,20 @@ impl DcfgSet {
     pub fn get(&self, func: FuncId) -> Option<&Dcfg> {
         self.per_func.get(func.0 as usize).and_then(Option::as_ref)
     }
+
+    /// Heap bytes the graphs hold, from their capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        let graphs = self.per_func.iter().flatten();
+        bytes(&self.per_func)
+            + graphs
+                .map(|d| {
+                    bytes(&d.edge_off) + bytes(&d.edges) + bytes(&d.ipdom) + bytes(&d.observed)
+                })
+                .sum::<usize>()
+    }
 }
 
 #[cfg(test)]

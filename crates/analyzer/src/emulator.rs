@@ -37,7 +37,7 @@ use crate::batching::{BatchPolicy, WarpPlan};
 use crate::dcfg::{Dcfg, DcfgSet};
 use crate::index::AnalysisIndex;
 use crate::report::{AnalysisReport, FunctionReport};
-use crate::tape::{LaneTapes, TapeView, END_KEY, SIDE_BIT};
+use crate::tape::{LaneTapes, ShapeAccess, TapePos, TapeView, END_KEY, SIDE_KEY};
 use crate::AnalyzeError;
 use serde::{Deserialize, Serialize};
 use std::mem::take;
@@ -821,8 +821,8 @@ impl Split {
 /// warps, so emulation stays off the allocator once warm.
 #[derive(Debug, Default)]
 struct WarpScratch {
-    /// Per-lane tape position (absolute index into the arena columns).
-    pos: Vec<u32>,
+    /// Per-lane tape position (event and access indices into the arenas).
+    pos: Vec<TapePos>,
     /// The warp's splits: a stack under [`Policy::Stack`], an unordered
     /// set under [`Policy::PcMin`].
     splits: Vec<Split>,
@@ -936,9 +936,9 @@ struct WarpEmulator<'a, 's> {
     static_cfgs: Option<&'a [FuncCfg]>,
     config: &'a AnalyzerConfig,
     policy: Policy,
-    // Fused tape arena of the capture: every lane's whole event stream
-    // is pre-merged into flat columns, so per-lane replay state is just
-    // `s.pos` — the next event is one key load, consuming is `pos += 1`.
+    // Shape-interned tape arenas of the capture: every lane's whole event
+    // stream is pre-merged into one column of shape ids, so per-lane
+    // replay state is just `s.pos` — the next event is one `u32` load.
     tape: TapeView<'a>,
     /// The capture's tapes and this warp's threads (error reporting).
     tapes: &'a LaneTapes,
@@ -979,18 +979,24 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         }
     }
 
+    /// Lane `l`'s pending event: a shape id, a side event or the end.
+    #[inline]
+    fn event(&self, l: usize) -> u32 {
+        self.tape.events[self.s.pos[l].event as usize]
+    }
+
     /// Lane `l`'s pending tape key: a block key, a side key, or
     /// [`END_KEY`].
     #[inline]
     fn key(&self, l: usize) -> u64 {
-        self.tape.events[self.s.pos[l] as usize].key
+        self.tape.key(self.event(l))
     }
 
     /// The pending side event of lane `l`, if its next event is one.
     #[inline]
     fn cached_side(&self, l: usize) -> Option<SideEvent> {
         let k = self.key(l);
-        (k & SIDE_BIT != 0 && k != END_KEY).then(|| self.tape.sides[(k as u32) as usize])
+        (k & SIDE_KEY != 0 && k != END_KEY).then(|| self.tape.sides[(k as u32) as usize])
     }
 
     /// Materializes lane `l`'s next event for error reporting (cold).
@@ -998,11 +1004,11 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         let k = self.key(l);
         if k == END_KEY {
             None
-        } else if k & SIDE_BIT != 0 {
+        } else if k & SIDE_KEY != 0 {
             Some(self.tape.sides[(k as u32) as usize].to_event())
         } else {
             let addr = unpack_key(k);
-            Some(TraceEvent::Block { addr, n_insts: self.tape.events[self.s.pos[l] as usize].ni })
+            Some(TraceEvent::Block { addr, n_insts: self.tape.shapes.shape(self.event(l)).ni })
         }
     }
 
@@ -1010,24 +1016,24 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     /// `lock` — same-lock acquires nest — and returns the first block
     /// after it in the stream, if there is one and it lies in `func`.
     fn release_point(&self, l: usize, lock: u64, func: FuncId) -> Option<usize> {
-        let events = self.tape.events;
-        let mut p = self.s.pos[l] as usize;
+        let v = self.tape;
+        let mut p = self.s.pos[l].event as usize;
         let mut nesting = 0u32;
         loop {
-            let k = events[p].key;
+            let k = v.key(v.events[p]);
             if k == END_KEY {
                 return None;
             }
-            if k & SIDE_BIT != 0 {
-                match self.tape.sides[(k as u32) as usize] {
+            if k & SIDE_KEY != 0 {
+                match v.sides[(k as u32) as usize] {
                     SideEvent::Acquire { lock: o } if o == lock => nesting += 1,
                     SideEvent::Release { lock: o } if o == lock => {
                         if nesting == 0 {
-                            return events[p + 1..]
+                            return v.events[p + 1..]
                                 .iter()
-                                .map(|e| e.key)
+                                .map(|&e| v.key(e))
                                 .take_while(|&k2| k2 != END_KEY)
-                                .find(|&k2| k2 & SIDE_BIT == 0)
+                                .find(|&k2| k2 & SIDE_KEY == 0)
                                 .map(unpack_key)
                                 .filter(|a| a.func == func)
                                 .map(|a| a.block.0 as usize);
@@ -1062,7 +1068,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         }
         // Every lane opens with the same entry block.
         let first = self.key(0);
-        if first & SIDE_BIT != 0 {
+        if first & SIDE_KEY != 0 {
             return Err(self.desync(0, "trace does not start with a block"));
         }
         if let Some(l) = (1..n).find(|&l| self.key(l) != first) {
@@ -1212,14 +1218,15 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     /// A branch terminator: split `i`'s lanes move on to the blocks
     /// their next trace events name (which must stay in the split's
     /// function), together or — when they disagree — as a divergence.
-    fn branch(&mut self, i: usize, uniform: Option<u64>) -> Result<(), AnalyzeError> {
+    fn branch(&mut self, i: usize, uniform: Option<u32>) -> Result<(), AnalyzeError> {
         let (func, mask) = (self.s.splits[i].func, self.s.splits[i].mask);
         let func_hi = (func.0 as u64) << 32;
         // Uniform fast path: every active lane already agreed on its next
         // event during block execution — one range check replaces the
         // per-lane walk. (A uniform but wrong key falls through so the
         // error below names the correct first lane.)
-        if let Some(k) = uniform.filter(|k| k & !0xffff_ffff == func_hi) {
+        if let Some(k) = uniform.map(|ev| self.tape.key(ev)).filter(|k| k & !0xffff_ffff == func_hi)
+        {
             self.s.splits[i].node = k as u32 as usize;
             return Ok(());
         }
@@ -1377,7 +1384,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         let mut target: Option<u64> = None;
         for l in lanes_of(mask) {
             let key = self.key(l);
-            if key & SIDE_BIT != 0 {
+            if key & SIDE_KEY != 0 {
                 let other = self.peek_event(l);
                 return Err(self.desync(l, format!("expected continuation block, got {other:?}")));
             }
@@ -1411,7 +1418,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     ) -> Result<(), AnalyzeError> {
         for l in lanes_of(mask) {
             match self.cached_side(l) {
-                Some(e) if expected(l, e) => self.s.pos[l] += 1,
+                Some(e) if expected(l, e) => self.s.pos[l].event += 1,
                 _ => {
                     let other = self.peek_event(l);
                     return Err(self.desync(l, format!("expected {kind} event, got {other:?}")));
@@ -1546,53 +1553,60 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     /// `(func, node)`, attributing per-thread instructions, the step
     /// sink, and coalesced transactions. Returns the block's dynamic
     /// instruction count, the active-lane count, and the lanes' next
-    /// event key if they all agree on it. *Issue* accounting is the
-    /// caller's: a melded step issues two blocks as one.
+    /// event if they all agree on it. *Issue* accounting is the caller's:
+    /// a melded step issues two blocks as one.
     fn exec_block_events(
         &mut self,
         func: FuncId,
         node: usize,
         mask: u64,
-    ) -> Result<(u64, u64, Option<u64>), AnalyzeError> {
+    ) -> Result<(u64, u64, Option<u32>), AnalyzeError> {
         let key = pack_key(func, node);
-        // Borrows of the arena slices: field-disjoint from the scratch
-        // and position columns, so the collect loop streams straight into
-        // the scratch without moving anything out and back.
-        let events = self.tape.events;
-        let mems = self.tape.mems;
+        // A copy of the arena borrows: field-disjoint from the scratch and
+        // position columns, so the collect loop streams straight into the
+        // scratch without moving anything out and back.
+        let v = self.tape;
         let mut ni = 0u32;
+        // The shape the previous lane ran, already validated, and its
+        // access descriptors.
+        let mut shape = 0u32;
+        let mut accs: &[ShapeAccess] = &[];
         self.s.mem.clear();
         let mut active = 0u64;
-        // Uniform next-event key across the active lanes, gathered in the
+        // Uniform next event across the active lanes, gathered in the
         // same pass (the terminator's grouping step short-circuits on it).
-        let mut next_key = u64::MAX;
+        let mut next_ev = 0u32;
         let mut next_same = true;
         for l in lanes_of(mask) {
             active += 1;
-            let p = self.s.pos[l] as usize;
-            let ev = events[p];
-            // Block keys carry bit 63 clear, so one compare validates
-            // both the event kind and the block identity.
-            if ev.key != key {
-                let (addr, got) = (unpack_key(key), self.peek_event(l));
-                return Err(self.desync(l, format!("expected block {addr}, got {got:?}")));
+            let TapePos { event: p, addr: a } = self.s.pos[l];
+            let ev = v.events[p as usize];
+            // Lanes of the previous lane's shape need no check. Otherwise
+            // block keys carry bit 63 clear, so one compare validates both
+            // the event kind and the block identity.
+            if active == 1 || ev != shape {
+                if v.key(ev) != key {
+                    let (addr, got) = (unpack_key(key), self.peek_event(l));
+                    return Err(self.desync(l, format!("expected block {addr}, got {got:?}")));
+                }
+                let lni = v.shapes.shape(ev).ni;
+                if active > 1 && lni != ni {
+                    let addr = unpack_key(key);
+                    let detail = format!("block size mismatch at {addr}: {lni} vs {ni}");
+                    return Err(self.desync(l, detail));
+                }
+                (ni, shape, accs) = (lni, ev, v.shapes.accesses(ev));
             }
-            if active > 1 && ev.ni != ni {
-                let (addr, lni) = (unpack_key(key), ev.ni);
-                return Err(self.desync(l, format!("block size mismatch at {addr}: {lni} vs {ni}")));
+            let a = a as usize;
+            for (d, &addr) in accs.iter().zip(&v.addrs[a..a + accs.len()]) {
+                self.s.mem.collect(d.inst, addr, d.size as u32);
             }
-            ni = ev.ni;
+            self.s.pos[l] = TapePos { event: p + 1, addr: (a + accs.len()) as u32 };
             // The consumed event is never the thread's last (END follows),
-            // so `p + 1` stays inside this thread's tape segment; the next
-            // record doubles as this block's mem-range end.
-            let next = events[p + 1];
-            for m in &mems[ev.mem_lo as usize..next.mem_lo as usize] {
-                self.s.mem.collect(m.inst, m.addr, m.size as u32);
-            }
-            self.s.pos[l] = p as u32 + 1;
-            let nk = next.key;
-            next_same &= active == 1 || nk == next_key;
-            next_key = nk;
+            // so `p + 1` stays inside this thread's tape segment.
+            let nk = v.events[p as usize + 1];
+            next_same &= active == 1 || nk == next_ev;
+            next_ev = nk;
         }
         self.s.mem.build();
         let ni = ni as u64;
@@ -1613,7 +1627,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         for (_, accesses) in self.s.mem.iter() {
             coalesce_into(&mut self.s.lines, &mut self.report, accesses.iter().copied());
         }
-        Ok((ni, active, next_same.then_some(next_key)))
+        Ok((ni, active, next_same.then_some(next_ev)))
     }
 
     /// Fast-forwards a one-lane stack split (no sink attached) through a
@@ -1631,33 +1645,34 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         let vexit = self.dcfg(func)?.virtual_exit();
         let func_hi = (func.0 as u64) << 32;
         let f = self.program.function(func);
-        // The tape is a `&'a` slice (independent of the `self` borrow).
-        let events = self.tape.events;
-        let mut p = self.s.pos[lane] as usize;
+        // The arenas are `&'a` slices (independent of the `self` borrow).
+        let v = self.tape;
+        let mut pos = self.s.pos[lane];
         let mut executed = false;
         while matches!(
             f.block(BlockId(node as u32)).term,
             Terminator::Jmp(_) | Terminator::Br { .. } | Terminator::Switch { .. }
         ) {
             // ---- execute `node` (same checks as exec_block_events) ------
-            let ev = events[p];
-            if ev.key != pack_key(func, node) {
-                self.s.pos[lane] = p as u32;
+            let ev = v.events[pos.event as usize];
+            if v.key(ev) != pack_key(func, node) {
+                self.s.pos[lane] = pos;
                 let got = self.peek_event(lane);
                 let addr = unpack_key(pack_key(func, node));
                 return Err(self.desync(lane, format!("expected block {addr}, got {got:?}")));
             }
-            p += 1;
-            self.singleton_mem(ev.mem_lo as usize, events[p].mem_lo as usize);
-            let ni = ev.ni as u64;
+            let (accs, a) = (v.shapes.accesses(ev), pos.addr as usize);
+            self.singleton_mem(accs, &v.addrs[a..a + accs.len()]);
+            pos = TapePos { event: pos.event + 1, addr: (a + accs.len()) as u32 };
+            let ni = v.shapes.shape(ev).ni as u64;
             self.report.thread_insts += ni;
             self.s.funcs[func.0 as usize].own_thread_insts += ni;
             self.account_issue(func, ni, 1)?;
             executed = true;
             // ---- advance (single lane: single target, no divergence) ----
-            let np = events[p].key;
+            let np = v.key(v.events[pos.event as usize]);
             if np & !0xffff_ffff != func_hi {
-                self.s.pos[lane] = p as u32;
+                self.s.pos[lane] = pos;
                 let got = self.peek_event(lane);
                 return Err(self.desync(lane, format!("expected successor block, got {got:?}")));
             }
@@ -1666,29 +1681,28 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 break;
             }
         }
-        self.s.pos[lane] = p as u32;
+        self.s.pos[lane] = pos;
         if executed {
             self.s.splits[i].node = node;
         }
         Ok(executed)
     }
 
-    /// Memory accounting for one singleton-lane block: `lo..hi` indexes
-    /// the tape's mem arena. A single lane's contiguous equal-index runs
-    /// *are* the instruction groups, so coalescing skips the scratch
-    /// rebuild, and a lone access's distinct lines are just a contiguous
-    /// range.
-    fn singleton_mem(&mut self, lo: usize, hi: usize) {
-        let mems = self.tape.mems;
-        let mut j = lo;
-        while j < hi {
-            let inst = mems[j].inst;
-            let k = j + mems[j..hi].iter().take_while(|m| m.inst == inst).count();
+    /// Memory accounting for one singleton-lane block: its shape's
+    /// access descriptors `accs` and their addresses `addrs`. A single
+    /// lane's contiguous equal-index runs *are* the instruction groups, so
+    /// coalescing skips the scratch rebuild, and a lone access's distinct
+    /// lines are just a contiguous range.
+    fn singleton_mem(&mut self, accs: &[ShapeAccess], addrs: &[u64]) {
+        let mut j = 0;
+        while j < accs.len() {
+            let inst = accs[j].inst;
+            let k = j + accs[j..].iter().take_while(|d| d.inst == inst).count();
             if k == j + 1 {
                 // One access: its lines form a contiguous range, so the
                 // transaction count is the range length (identical to the
                 // generic sort+dedup over that one access's lines).
-                let (a, sz) = (mems[j].addr, mems[j].size as u32);
+                let (a, sz) = (addrs[j], accs[j].size as u32);
                 let first = a / threadfuser_mem::TRANSACTION_BYTES;
                 let last = a.saturating_add(sz.saturating_sub(1) as u64)
                     / threadfuser_mem::TRANSACTION_BYTES;
@@ -1701,7 +1715,8 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 seg.accesses += 1;
                 seg.transactions += last - first + 1;
             } else {
-                let accesses = mems[j..k].iter().map(|m| (m.addr, m.size as u32));
+                let accesses =
+                    addrs[j..k].iter().zip(&accs[j..k]).map(|(&a, d)| (a, d.size as u32));
                 coalesce_into(&mut self.s.lines, &mut self.report, accesses);
             }
             j = k;

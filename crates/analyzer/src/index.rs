@@ -16,9 +16,7 @@
 //! requires a new index.
 
 use crate::dcfg::{DcfgScan, DcfgSet};
-use crate::tape::{
-    pack_block_key, partition, Failed, LaneTapes, TapeExtent, TapeMem, TapeWriter, SIDE_BIT,
-};
+use crate::tape::{pack_block_key, partition, Failed, LaneTapes, TapeExtent, TapeWriter, SIDE_BIT};
 use crate::AnalyzeError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -32,10 +30,10 @@ use threadfuser_tracer::{DecodeError, SideEvent, ThreadTrace, TraceSet, TraceSet
 const PARALLEL_MIN_RECORDS: usize = 1 << 17;
 
 /// Capture-level cache shared by every analyzer product: per-function
-/// dynamic CFGs with solved IPDOMs, the fused replay tapes, per-thread
-/// skipped-instruction counts, and — lazily — the
-/// static per-function CFGs used by the `StaticIpdom` ablation and the
-/// lock-step ground-truth executor.
+/// dynamic CFGs with solved IPDOMs, the shape-interned replay tapes,
+/// per-thread skipped-instruction counts, and — lazily — the static
+/// per-function CFGs used by the `StaticIpdom` ablation and the lock-step
+/// ground-truth executor.
 ///
 /// Construction validates trace structure once, so indexed analyses skip
 /// the malformed-trace scan. The index is the only replay store: warp
@@ -265,10 +263,11 @@ impl AnalysisIndex {
     /// without ever holding its whole [`TraceSet`]. Up to `parallelism`
     /// workers (one on small files, as in
     /// [`AnalysisIndex::build_observed`]) claim chunks in order; each
-    /// decodes one chunk with [`TraceSetReader::decode_chunk_uncached`],
-    /// walks its threads into that chunk's slice of the tape arenas — the
-    /// slices are placed by the footer's per-chunk record counts, which
-    /// the decoder cross-checks on every clean chunk — and drops it. A
+    /// decodes one chunk with [`TraceSetReader::decode_chunk_uncached`]
+    /// (one `decode` span per chunk), walks its threads into that chunk's
+    /// slice of the tape arenas — the slices are placed by the footer's
+    /// per-chunk record counts, which the decoder cross-checks on every
+    /// clean chunk — and drops it. A
     /// `chunks_decoded` counter (phase `decode`) reports the chunks
     /// decoded, each at most once; once a chunk fails to decode or
     /// quarantines threads, chunks claimed after it are not decoded.
@@ -328,8 +327,10 @@ impl AnalysisIndex {
             if stop.load(Ordering::Relaxed) {
                 return Err(ChunkFail::Skipped);
             }
-            let chunk =
-                reader.decode_chunk_uncached(i).map_err(|e| decisive(ChunkFail::Decode(e)))?;
+            let span = obs.span(Phase::Decode);
+            let chunk = reader.decode_chunk_uncached(i);
+            span.finish();
+            let chunk = chunk.map_err(|e| decisive(ChunkFail::Decode(e)))?;
             decoded.fetch_add(1, Ordering::Relaxed);
             if !chunk.quarantined.is_empty() {
                 return Err(decisive(ChunkFail::Quarantined));
@@ -394,7 +395,6 @@ impl AnalysisIndex {
         obs.counter(Phase::DcfgBuild, "edges", scan.edge_count());
         scan_span.finish();
         let dcfgs = DcfgSet::solve(scan, obs);
-        obs.counter(Phase::IndexBuild, "tape_bytes", tapes.storage_bytes() as u64);
         let mut thread_skipped = Vec::with_capacity(tapes.len());
         let (mut skipped_io, mut skipped_spin) = (0, 0);
         for m in metas.into_iter().flatten() {
@@ -402,15 +402,17 @@ impl AnalysisIndex {
             skipped_io += m.skipped_io;
             skipped_spin += m.skipped_spin;
         }
-        span.finish();
-        Ok(AnalysisIndex {
+        let index = AnalysisIndex {
             dcfgs,
             tapes,
             thread_skipped,
             skipped_io,
             skipped_spin,
             statics: OnceLock::new(),
-        })
+        };
+        obs.counter(Phase::IndexBuild, "tape_bytes", index.heap_bytes() as u64);
+        span.finish();
+        Ok(index)
     }
 
     /// The per-function dynamic CFGs with solved IPDOMs.
@@ -418,9 +420,26 @@ impl AnalysisIndex {
         &self.dcfgs
     }
 
-    /// The fused per-thread replay tapes (see [`LaneTapes`]).
-    pub fn tapes(&self) -> &LaneTapes {
+    /// The shape-interned per-thread replay tapes (see [`LaneTapes`]).
+    pub(crate) fn tapes(&self) -> &LaneTapes {
         &self.tapes
+    }
+
+    /// Heap bytes the index holds: its tape arenas (events, addresses,
+    /// side events, shapes, shape accesses, tape starts, tids), its DCFGs
+    /// and its per-thread skip counts, from their exact capacities. The
+    /// lazily built static CFGs are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.tapes.heap_bytes()
+            + self.dcfgs.heap_bytes()
+            + self.thread_skipped.capacity() * size_of::<u64>()
+    }
+
+    /// Distinct block shapes the capture ran: a shape is a block, its
+    /// instruction count and its list of `(instruction, size, store)`
+    /// accesses.
+    pub fn shape_count(&self) -> usize {
+        self.tapes.shape_count()
     }
 
     /// Threads in the capture, in tape order.
@@ -435,16 +454,25 @@ impl AnalysisIndex {
 
     /// Thread `t`'s stream in order, read off its tape: per event, the
     /// instruction count of a block (`None` for a call, return, lock or
-    /// barrier event) and the memory accesses it made.
-    pub fn thread_stream(&self, t: usize) -> impl Iterator<Item = (Option<u32>, &[TapeMem])> {
+    /// barrier event) and the `(address, is_store)` of each memory access
+    /// it made.
+    pub fn thread_stream(
+        &self,
+        t: usize,
+    ) -> impl Iterator<Item = (Option<u32>, impl Iterator<Item = (u64, bool)> + '_)> + '_ {
         let v = self.tapes.view();
-        let (lo, hi) = (self.tapes.start_of(t) as usize, self.tapes.start_of(t + 1) as usize);
-        // Every record but the end sentinel, paired with its successor,
-        // whose mem cursor ends the record's access range.
-        v.events[lo..hi].windows(2).map(move |w| {
-            let (ev, next) = (w[0], w[1]);
-            let ni = (ev.key & SIDE_BIT == 0).then_some(ev.ni);
-            (ni, &v.mems[ev.mem_lo as usize..next.mem_lo as usize])
+        let (lo, hi) = (self.tapes.start_of(t), self.tapes.start_of(t + 1));
+        let mut at = lo.addr as usize;
+        // Every event but the end sentinel.
+        v.events[lo.event as usize..hi.event as usize - 1].iter().map(move |&ev| {
+            let (ni, accs) = if ev & SIDE_BIT == 0 {
+                (Some(v.shapes.shape(ev).ni), v.shapes.accesses(ev))
+            } else {
+                (None, &[][..])
+            };
+            let addrs = &v.addrs[at..at + accs.len()];
+            at += accs.len();
+            (ni, addrs.iter().zip(accs).map(|(&addr, d)| (addr, d.is_store)))
         })
     }
 
@@ -613,7 +641,8 @@ mod tests {
         let traces = TraceSet::new(Vec::new());
         assert_matches_two_pass(&p, &traces);
         let ix = AnalysisIndex::build(&p, &traces).unwrap();
-        assert!(ix.tapes().is_empty());
+        assert_eq!(ix.tapes().len(), 0);
+        assert_eq!(ix.shape_count(), 0);
         assert_eq!(ix.n_threads(), 0);
         assert!(ix.dcfgs().get(FuncId(0)).is_none());
     }
@@ -926,10 +955,7 @@ mod tests {
                     _ => want.push((None, Vec::new())),
                 }
             }
-            let got: Vec<_> = ix
-                .thread_stream(t)
-                .map(|(ni, mems)| (ni, mems.iter().map(|m| (m.addr, m.is_store)).collect()))
-                .collect();
+            let got: Vec<_> = ix.thread_stream(t).map(|(ni, mems)| (ni, mems.collect())).collect();
             assert_eq!(got, want, "thread {t}");
         }
     }

@@ -72,7 +72,7 @@ pub mod emulator;
 pub mod index;
 pub mod report;
 pub mod stats;
-pub mod tape;
+mod tape;
 
 pub use batching::{BatchPolicy, WarpPlan};
 pub use dcfg::{Dcfg, DcfgSet};
@@ -84,7 +84,6 @@ pub use emulator::{
 };
 pub use index::{AnalysisIndex, ChunkIndexError};
 pub use report::{AnalysisReport, FunctionReport, SegmentTraffic};
-pub use tape::LaneTapes;
 
 use std::fmt;
 

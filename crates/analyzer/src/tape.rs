@@ -1,5 +1,5 @@
-//! Fused per-thread replay tapes: the emulator-facing arena of the
-//! [`crate::AnalysisIndex`].
+//! Shape-interned per-thread replay tapes: the emulator-facing arena of
+//! the [`crate::AnalysisIndex`].
 //!
 //! Warp emulation is the analyzer's innermost loop: every lane of every
 //! warp walks its thread's event stream in lock step, peeking the next
@@ -8,100 +8,294 @@
 //! but each peek would still merge two streams (is a side event pending
 //! before the next block?) and decode varints from several columns.
 //!
-//! [`LaneTapes`] flattens that merge **once per capture**: a single
-//! CSR-style arena holds, for every thread, its interleaved event stream
-//! as packed 16-byte [`TapeEvent`] records. The emulator's whole per-lane
-//! state collapses to one index into the arena:
+//! [`LaneTapes`] flattens that merge **once per capture**, and stores only
+//! what varies at run time. A block event's *shape* — its block, its
+//! instruction count, and the `(instruction, size, store)` list of its
+//! accesses — is fixed by the binary; only the block sequence and the
+//! addresses change. So the tapes hold:
 //!
-//! * the next event is `events[pos]` — one 16-byte load; block keys, side
-//!   keys and the end-of-stream sentinel are distinguished by the top bit,
-//! * consuming any event is `pos += 1`,
-//! * validating lock-step agreement, grouping lanes by successor block,
-//!   and testing for stream end are all plain `u64` compares, and
-//! * a block's memory accesses are `mems[ev.mem_lo..next.mem_lo]` in an
-//!   arena-global record array, shared by every warp.
+//! * a **shape table**: each distinct shape once, its access descriptors
+//!   in one arena;
+//! * per thread, its **events** as 4-byte words: a shape id (bit 31
+//!   clear), [`SIDE_BIT`] `|` a side-arena index, or the [`END`] sentinel
+//!   after its last event, which keeps `events[pos + 1]` in bounds on the
+//!   hot path;
+//! * per thread, its **accesses** as their 8-byte addresses, in stream
+//!   order.
 //!
-//! The record layout matters as much as the fusion: a warp's lanes sit at
-//! 32 unrelated tape positions, so every per-lane field read is a
-//! potential cache miss. Packing `(key, n_insts, mem_lo)` into one
-//! 16-byte record means a lane's event — and, because records are
-//! adjacent, the *next* event that supplies both `mem_hi` and the
-//! successor key — costs one cache line instead of four scattered column
-//! reads. The memory end offset is not stored at all: every record
-//! carries the mem-arena cursor at its stream position, so
-//! `events[pos + 1].mem_lo` *is* the end of `events[pos]`'s range (the
-//! per-thread sentinel keeps `pos + 1` in bounds).
+//! A lane's replay state is a [`TapePos`]: its event position and its
+//! access position. Consuming a block advances the first by one and the
+//! second by the shape's access count; the block's accesses are the
+//! shape's descriptors zipped with the addresses from the access position
+//! on. Sixteen events share a cache line, and the lanes of a warp that run
+//! one block nearly always share its shape id: the emulator checks a
+//! shape's key and instruction count once per step, and every other lane
+//! with the same id by one `u32` compare.
+//!
+//! Shapes are interned from what the trace says, never from the program,
+//! so two lanes may run one block with different shapes — lock step only
+//! needs their instruction counts to agree. A hostile trace with a new
+//! shape on every block event costs at most 4 + 16 bytes per event (id and
+//! shape record) and 8 + 8 per access (address and descriptor). Across the
+//! workload catalog every executed block runs with exactly one shape — a
+//! property of the catalog, pinned by `tests/tape_shapes.rs`, not of the
+//! format.
+//!
+//! Ids are deterministic: every extent of a build interns into its own
+//! table, and the tables merge in extent order, so global ids follow first
+//! occurrence in stream order whatever the walker count and wherever the
+//! extents begin.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::Mutex;
 use threadfuser_tracer::{MemSlice, SideEvent, ThreadTrace};
 
-/// Tag bit for non-block tape keys. Block keys pack
-/// `function << 32 | block` and functions are validated against the
+/// Tag bit of a side event on the tape: `SIDE_BIT | side-arena index`.
+/// Shape ids keep it clear.
+pub(crate) const SIDE_BIT: u32 = 1 << 31;
+
+/// End-of-stream sentinel, stored once per thread after its last event.
+/// Distinct from every side event (side indices stay below `2^31 - 1`).
+const END: u32 = u32::MAX;
+
+/// Tag bit of a side event's comparable key ([`TapeView::key`]). Block keys
+/// pack `function << 32 | block`, and functions are validated against the
 /// program before tapes are built, so bit 63 is always clear for them.
-pub const SIDE_BIT: u64 = 1 << 63;
+pub(crate) const SIDE_KEY: u64 = 1 << 63;
 
-/// End-of-stream sentinel key, stored once per thread after its last
-/// event. Distinguishable from side keys (side indices are < 2^32) and
-/// from every block key (bit 63). The sentinel makes `events[pos]` valid
-/// at end of stream — no bounds branch on the hot path.
-pub const END_KEY: u64 = u64::MAX;
+/// The end-of-stream sentinel's comparable key: a side key whose index no
+/// side event has.
+pub(crate) const END_KEY: u64 = SIDE_KEY | (END & !SIDE_BIT) as u64;
 
-/// Packs a block position into a tape key / the emulator's comparable
+/// Marks an empty slot of an interning walker's per-block cache.
+const NO_SHAPE: u32 = u32::MAX;
+
+/// Packs a block position into a shape key / the emulator's comparable
 /// block identity.
 #[inline]
-pub fn pack_block_key(func: u32, node: u32) -> u64 {
+pub(crate) fn pack_block_key(func: u32, node: u32) -> u64 {
     (func as u64) << 32 | node as u64
 }
 
-/// One packed tape record: 16 bytes, four per cache line.
+/// One distinct block shape: 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapeEvent {
-    /// Packed event key: block (`func<<32|block`, bit 63 clear), side
-    /// (`SIDE_BIT | side-arena index`), or [`END_KEY`].
-    pub key: u64,
-    /// Dynamic instruction count (blocks; 0 otherwise).
-    pub ni: u32,
-    /// Mem-arena cursor at this record's stream position. A block's
-    /// access range is `mem_lo .. next_record.mem_lo`.
-    pub mem_lo: u32,
+pub(crate) struct Shape {
+    /// Packed block key (`func << 32 | block`).
+    pub(crate) key: u64,
+    /// Instruction count.
+    pub(crate) ni: u32,
+    /// First of the shape's descriptors in the access arena; the next
+    /// shape's `acc_lo` (or the arena's end) ends them.
+    acc_lo: u32,
 }
 
-/// One memory access in the arena: 16 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapeMem {
-    /// Effective address.
-    pub addr: u64,
+/// One access of a shape: which instruction makes it, how wide it is, and
+/// whether it stores. 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ShapeAccess {
     /// Accessing instruction index within its block.
-    pub inst: u32,
+    pub(crate) inst: u32,
     /// Access width in bytes.
-    pub size: u8,
+    pub(crate) size: u8,
     /// Whether the access is a store (the CPU timing model replays it).
-    pub is_store: bool,
+    pub(crate) is_store: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<TapeMem>() == 16);
+const _: () = assert!(size_of::<Shape>() == 16 && size_of::<ShapeAccess>() == 8);
 
-/// Fused replay tapes for every thread of a capture, in one CSR arena.
+/// A lane's replay state: the position of its next event and of its next
+/// access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TapePos {
+    /// Index into the event arena.
+    pub(crate) event: u32,
+    /// Index into the address arena.
+    pub(crate) addr: u32,
+}
+
+/// Distinct shapes in first-occurrence order, their descriptors in one
+/// arena.
+#[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct ShapeTable {
+    shapes: Vec<Shape>,
+    accs: Vec<ShapeAccess>,
+}
+
+impl ShapeTable {
+    /// Shape `id`.
+    #[inline]
+    pub(crate) fn shape(&self, id: u32) -> Shape {
+        self.shapes[id as usize]
+    }
+
+    /// The access descriptors of shape `id`.
+    #[inline]
+    pub(crate) fn accesses(&self, id: u32) -> &[ShapeAccess] {
+        let lo = self.shapes[id as usize].acc_lo as usize;
+        let hi = self.shapes.get(id as usize + 1).map_or(self.accs.len(), |s| s.acc_lo as usize);
+        &self.accs[lo..hi]
+    }
+
+    /// Number of distinct shapes.
+    pub(crate) fn len(&self) -> usize {
+        self.shapes.len()
+    }
+
+    fn push(&mut self, key: u64, ni: u32, accs: &[ShapeAccess]) -> u32 {
+        let id = self.shapes.len() as u32;
+        self.shapes.push(Shape { key, ni, acc_lo: self.accs.len() as u32 });
+        self.accs.extend_from_slice(accs);
+        id
+    }
+}
+
+/// Content index over a [`ShapeTable`]: content hash → the newest id with
+/// that hash, each id chaining to the previous one with the same hash.
+/// Shapes come from trace files, so the hash is randomly keyed: a file
+/// cannot be crafted to make the chains long. Ids do not depend on it.
+#[derive(Debug, Default)]
+struct ShapeIndex {
+    hasher: RandomState,
+    by_hash: HashMap<u64, u32>,
+    older: Vec<u32>,
+}
+
+impl ShapeIndex {
+    /// The id of shape `(key, ni, accs)` in `table`, appended if new.
+    fn intern(&mut self, table: &mut ShapeTable, key: u64, ni: u32, accs: &[ShapeAccess]) -> u32 {
+        let h = self.hasher.hash_one((key, ni, accs));
+        let newest = self.by_hash.get(&h).copied().unwrap_or(NO_SHAPE);
+        let mut id = newest;
+        while id != NO_SHAPE {
+            let s = table.shape(id);
+            if s.key == key && s.ni == ni && table.accesses(id) == accs {
+                return id;
+            }
+            id = self.older[id as usize];
+        }
+        let id = table.push(key, ni, accs);
+        self.older.push(newest);
+        self.by_hash.insert(h, id);
+        id
+    }
+}
+
+/// A block's last shape in an [`Interner`], with what a match needs, so
+/// the common case reads no shape record.
+#[derive(Debug, Clone, Copy)]
+struct LastShape {
+    id: u32,
+    ni: u32,
+    acc_lo: u32,
+    n_acc: u32,
+}
+
+impl LastShape {
+    const NONE: LastShape = LastShape { id: NO_SHAPE, ni: 0, acc_lo: 0, n_acc: 0 };
+}
+
+/// One walker's interning state, emptied after every extent it walks: the
+/// extent's own shape table and, per function and block, the shape the
+/// block last interned to — so the common case is one compare against it
+/// and the content index is consulted only on a mismatch.
+#[derive(Debug, Default)]
+struct Interner {
+    table: ShapeTable,
+    index: ShapeIndex,
+    /// `last[func][block]`, grown on first sight (block addresses are
+    /// range-checked against the program before they are interned).
+    last: Vec<Vec<LastShape>>,
+    /// The descriptors of a block that is not its last shape.
+    descs: Vec<ShapeAccess>,
+}
+
+impl Interner {
+    /// Ends an extent: returns its table, leaving the table and cache
+    /// empty for the next.
+    fn finish_extent(&mut self) -> ShapeTable {
+        self.index = ShapeIndex::default();
+        self.last.iter_mut().for_each(|slots| slots.fill(LastShape::NONE));
+        std::mem::take(&mut self.table)
+    }
+
+    /// Pushes the addresses of block `key`'s accesses `mems` to `addrs`
+    /// and returns the id of the block's shape: its last shape when `ni`
+    /// and every descriptor match it, checked as the accesses stream
+    /// past; otherwise the content index's.
+    #[inline]
+    fn intern_block(
+        &mut self,
+        key: u64,
+        ni: u32,
+        mems: MemSlice<'_>,
+        addrs: &mut Fill<'_, u64>,
+    ) -> u32 {
+        let (fi, node) = ((key >> 32) as usize, key as u32 as usize);
+        if self.last.len() <= fi {
+            self.last.resize_with(fi + 1, Vec::new);
+        }
+        let slots = &mut self.last[fi];
+        if slots.len() <= node {
+            slots.resize(node + 1, LastShape::NONE);
+        }
+        let last = slots[node];
+        let hit = last.id != NO_SHAPE && last.ni == ni && last.n_acc as usize == mems.len();
+        if hit && mems.is_empty() {
+            return last.id;
+        }
+        // The last shape's descriptors while every access so far matched
+        // them; from the first mismatch on, the block's own in `descs`.
+        let mut same = hit.then(|| &self.table.accs[last.acc_lo as usize..][..mems.len()]);
+        self.descs.clear();
+        for (j, m) in mems.iter().enumerate() {
+            addrs.push(m.addr);
+            let d = ShapeAccess { inst: m.inst_idx, size: m.size, is_store: m.is_store };
+            match same {
+                Some(accs) if accs[j] == d => continue,
+                Some(accs) => {
+                    self.descs.extend_from_slice(&accs[..j]);
+                    same = None;
+                }
+                None => {}
+            }
+            self.descs.push(d);
+        }
+        if same.is_some() {
+            return last.id;
+        }
+        let id = self.index.intern(&mut self.table, key, ni, &self.descs);
+        let acc_lo = self.table.shape(id).acc_lo;
+        slots[node] = LastShape { id, ni, acc_lo, n_acc: self.descs.len() as u32 };
+        id
+    }
+}
+
+/// Shape-interned replay tapes for every thread of a capture, in CSR
+/// arenas (see the module docs).
 ///
 /// Built once by [`crate::AnalysisIndex::build`]; every analyzer
 /// configuration (all reconvergence models, warp formations, and the
 /// warp-trace generator) replays warps against the same tapes.
 #[derive(Debug)]
 #[cfg_attr(test, derive(PartialEq))]
-pub struct LaneTapes {
-    /// Packed event records; thread `t`'s tape (including its sentinel)
-    /// is `events[off[t]..off[t + 1]]`.
-    events: Vec<TapeEvent>,
-    /// Per-thread event range starts (CSR offsets).
-    off: Vec<u32>,
+pub(crate) struct LaneTapes {
+    /// Shape ids, side events and end sentinels; thread `t`'s tape
+    /// (sentinel included) is `events[starts[t].event..starts[t + 1].event]`.
+    events: Vec<u32>,
+    /// Access addresses, in stream order.
+    addrs: Vec<u64>,
+    /// Side-event arena, referenced by side events.
+    sides: Vec<SideEvent>,
+    /// The capture's distinct block shapes.
+    shapes: ShapeTable,
+    /// Per-thread tape starts, plus the arenas' ends.
+    starts: Vec<TapePos>,
     /// Per-thread tid, in tape order (error reporting).
     tids: Vec<u32>,
-    /// Mem arena, referenced by event `mem_lo` cursors.
-    mems: Vec<TapeMem>,
-    /// Side-event arena, referenced by side keys.
-    sides: Vec<SideEvent>,
 }
 
 /// Write-once window over one arena's spare capacity: the slots of a
@@ -147,7 +341,7 @@ impl TapeExtent {
         e
     }
 
-    /// Event records, one end-of-stream sentinel per thread included.
+    /// Events, one end-of-stream sentinel per thread included.
     fn events(&self) -> u64 {
         self.blocks.saturating_add(self.sides).saturating_add(self.threads)
     }
@@ -167,77 +361,74 @@ impl TapeExtent {
         extents.iter().fold(TapeExtent::default(), |a, &e| a.plus(e))
     }
 
-    /// Whether arenas holding `extents` fit the tape's 32-bit offsets.
+    /// Whether arenas holding `extents` fit the tape's 32-bit positions
+    /// and its 31-bit side and shape id spaces (there are at most as many
+    /// shapes as blocks).
     pub(crate) fn fit_offsets(extents: &[TapeExtent]) -> bool {
         let total = Self::total(extents);
-        total.events() <= u32::MAX as u64 && total.mems <= u32::MAX as u64
+        total.events() <= u32::MAX as u64
+            && total.mems <= u32::MAX as u64
+            && total.sides < SIDE_BIT as u64
+            && total.blocks <= SIDE_BIT as u64
     }
 }
 
-/// One extent's disjoint, exactly sized slices of the tape arenas. Record
-/// order within the extent is stream order, thread after thread — the
-/// same order a sequential build appends in, so the arena contents do not
-/// depend on where extent boundaries fall.
+/// One extent's disjoint, exactly sized slices of the tape arenas, and the
+/// walker's interning state. Record order within the extent is stream
+/// order, thread after thread — the same order a sequential build appends
+/// in, so the arena contents do not depend on where extent boundaries
+/// fall.
 pub(crate) struct TapeWriter<'a> {
-    events: Fill<'a, TapeEvent>,
-    mems: Fill<'a, TapeMem>,
+    events: Fill<'a, u32>,
+    addrs: Fill<'a, u64>,
     sides: Fill<'a, SideEvent>,
     /// Tape starts and tids of the extent's threads.
-    off: Fill<'a, u32>,
+    starts: Fill<'a, TapePos>,
     tids: Fill<'a, u32>,
-    /// Arena-global index of this writer's first event / mem / side slot.
+    /// Arena-global index of this writer's first event / address / side
+    /// slot.
     event_base: u32,
-    mem_base: u32,
+    addr_base: u32,
     side_base: u32,
+    /// Interns into this extent's own table; ids are remapped to global
+    /// ones when the build merges the tables.
+    shapes: Interner,
 }
 
 impl TapeWriter<'_> {
-    /// Opens thread `tid`'s tape at the current event position.
+    /// Opens thread `tid`'s tape at the current positions.
     pub(crate) fn push_thread(&mut self, tid: u32) {
-        self.off.push(self.event_base + self.events.len as u32);
+        self.starts.push(TapePos {
+            event: self.event_base + self.events.len as u32,
+            addr: self.addr_base + self.addrs.len as u32,
+        });
         self.tids.push(tid);
     }
 
-    /// Appends a block record and its memory accesses.
+    /// Appends a block event and its access addresses, interning its shape.
     #[inline]
     pub(crate) fn push_block(&mut self, key: u64, ni: u32, mems: MemSlice<'_>) {
-        let mem_lo = self.mem_base + self.mems.len as u32;
-        for m in mems.iter() {
-            self.mems.push(TapeMem {
-                addr: m.addr,
-                inst: m.inst_idx,
-                size: m.size,
-                is_store: m.is_store,
-            });
-        }
-        self.events.push(TapeEvent { key, ni, mem_lo });
+        let id = self.shapes.intern_block(key, ni, mems, &mut self.addrs);
+        self.events.push(id);
     }
 
-    /// Appends a side-event record.
+    /// Appends a side event.
     #[inline]
     pub(crate) fn push_side(&mut self, s: SideEvent) {
-        self.events.push(TapeEvent {
-            key: SIDE_BIT | (self.side_base + self.sides.len as u32) as u64,
-            ni: 0,
-            mem_lo: self.mem_base + self.mems.len as u32,
-        });
+        self.events.push(SIDE_BIT | (self.side_base + self.sides.len as u32));
         self.sides.push(s);
     }
 
     /// Appends a thread's end-of-stream sentinel.
     pub(crate) fn push_end(&mut self) {
-        self.events.push(TapeEvent {
-            key: END_KEY,
-            ni: 0,
-            mem_lo: self.mem_base + self.mems.len as u32,
-        });
+        self.events.push(END);
     }
 
     fn is_full(&self) -> bool {
         self.events.is_full()
-            && self.mems.is_full()
+            && self.addrs.is_full()
             && self.sides.is_full()
-            && self.off.is_full()
+            && self.starts.is_full()
             && self.tids.is_full()
     }
 }
@@ -290,13 +481,16 @@ impl LaneTapes {
     /// must push, per thread of the extent and in stream order,
     /// [`TapeWriter::push_thread`], every block and side event, then
     /// [`TapeWriter::push_end`]; it may stop early by returning `Err`.
+    /// Every extent interns its shapes into its own table; the tables then
+    /// merge in extent order and each extent's ids are remapped, so the
+    /// tapes are identical at every walker count.
     ///
     /// Returns the tapes, every walker's state, and every extent's `Ok`
     /// value in extent order — or, when any walk failed, every failure
     /// with its extent index, in extent order.
     ///
     /// # Panics
-    /// Panics if the arenas exceed the tape's 32-bit offsets (see
+    /// Panics if the arenas exceed the tape's positions or id spaces (see
     /// [`TapeExtent::fit_offsets`]), or if a successful walk left its
     /// slices partly unwritten, i.e. an extent's threads yielded fewer
     /// records than its totals count.
@@ -306,47 +500,54 @@ impl LaneTapes {
         scratch: impl Fn() -> W + Sync,
         walk: impl Fn(&mut W, usize, &mut TapeWriter<'_>) -> Result<U, E> + Sync,
     ) -> Result<Built<W, U>, Failed<E>> {
-        assert!(TapeExtent::fit_offsets(extents), "capture exceeds the tape's 32-bit offsets");
+        assert!(TapeExtent::fit_offsets(extents), "capture exceeds the tape's positions or ids");
         let total = TapeExtent::total(extents);
         let (n, n_events) = (total.threads as usize, total.events() as usize);
-        let mut events: Vec<TapeEvent> = Vec::with_capacity(n_events);
-        let mut mems: Vec<TapeMem> = Vec::with_capacity(total.mems as usize);
+        let mut events: Vec<u32> = Vec::with_capacity(n_events);
+        let mut addrs: Vec<u64> = Vec::with_capacity(total.mems as usize);
         let mut sides: Vec<SideEvent> = Vec::with_capacity(total.sides as usize);
-        let mut off: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut starts: Vec<TapePos> = Vec::with_capacity(n + 1);
         let mut tids: Vec<u32> = Vec::with_capacity(n);
 
         let mut ev_rest = &mut events.spare_capacity_mut()[..n_events];
-        let mut mem_rest = &mut mems.spare_capacity_mut()[..total.mems as usize];
+        let mut addr_rest = &mut addrs.spare_capacity_mut()[..total.mems as usize];
         let mut side_rest = &mut sides.spare_capacity_mut()[..total.sides as usize];
-        let mut off_rest = &mut off.spare_capacity_mut()[..n];
+        let mut start_rest = &mut starts.spare_capacity_mut()[..n];
         let mut tid_rest = &mut tids.spare_capacity_mut()[..n];
         let mut base = TapeExtent::default();
         let mut jobs = Vec::with_capacity(extents.len());
+        let mut event_ranges = Vec::with_capacity(extents.len());
         for (i, e) in extents.iter().enumerate() {
             let writer = TapeWriter {
                 events: take(&mut ev_rest, e.events()),
-                mems: take(&mut mem_rest, e.mems),
+                addrs: take(&mut addr_rest, e.mems),
                 sides: take(&mut side_rest, e.sides),
-                off: take(&mut off_rest, e.threads),
+                starts: take(&mut start_rest, e.threads),
                 tids: take(&mut tid_rest, e.threads),
                 event_base: base.events() as u32,
-                mem_base: base.mems as u32,
+                addr_base: base.mems as u32,
                 side_base: base.sides as u32,
+                shapes: Interner::default(),
             };
             jobs.push((i, writer));
+            event_ranges.push(base.events() as usize..base.plus(*e).events() as usize);
             base = base.plus(*e);
         }
 
         let queue = Mutex::new(jobs.into_iter());
         let run = || {
             let mut state = scratch();
+            let mut shapes = Interner::default();
             let mut done = Vec::new();
             loop {
                 let Some((i, mut writer)) = queue.lock().expect("tape job queue").next() else {
                     return (state, done);
                 };
+                writer.shapes = shapes;
                 let out = walk(&mut state, i, &mut writer);
-                done.push((i, out, writer.is_full()));
+                let full = writer.is_full();
+                shapes = writer.shapes;
+                done.push((i, out, full, shapes.finish_extent()));
             }
         };
         let walkers = workers.clamp(1, extents.len().max(1));
@@ -360,15 +561,15 @@ impl LaneTapes {
         });
 
         let mut states = Vec::with_capacity(finished.len());
-        let mut outs: Vec<Option<U>> = (0..extents.len()).map(|_| None).collect();
+        let mut outs: Vec<Option<(U, ShapeTable)>> = (0..extents.len()).map(|_| None).collect();
         let mut failed = Vec::new();
         for (state, done) in finished {
             states.push(state);
-            for (i, out, full) in done {
+            for (i, out, full, table) in done {
                 match out {
                     Ok(u) => {
                         assert!(full, "a thread yielded fewer records than its extent counts");
-                        outs[i] = Some(u);
+                        outs[i] = Some((u, table));
                     }
                     Err(e) => failed.push((i, e)),
                 }
@@ -378,8 +579,8 @@ impl LaneTapes {
             failed.sort_unstable_by_key(|&(i, _)| i);
             return Err(failed);
         }
-        // SAFETY: the writers' slices tile `..n_events` / `..mems` /
-        // `..sides` / `..n` of the five spare capacities exactly (each
+        // SAFETY: the writers' slices tile `..n_events` / `..total.mems` /
+        // `..total.sides` / `..n` of the five spare capacities exactly (each
         // extent takes its own totals off the front, and the totals sum
         // to the reserved lengths); every walk returned `Ok` and —
         // asserted in the loop above — filled its slices completely, and
@@ -387,120 +588,154 @@ impl LaneTapes {
         // exceed the capacities reserved by `with_capacity`.
         unsafe {
             events.set_len(n_events);
-            mems.set_len(total.mems as usize);
+            addrs.set_len(total.mems as usize);
             sides.set_len(total.sides as usize);
-            off.set_len(n);
+            starts.set_len(n);
             tids.set_len(n);
         }
-        off.push(n_events as u32);
-        let outs = outs.into_iter().map(|u| u.expect("every extent ran")).collect();
-        Ok((LaneTapes { events, off, tids, mems, sides }, states, outs))
+        starts.push(TapePos { event: n_events as u32, addr: total.mems as u32 });
+
+        // Merge the extents' tables in extent order: global ids follow
+        // first occurrence in stream order.
+        let (mut shapes, mut index) = (ShapeTable::default(), ShapeIndex::default());
+        let mut remap = Vec::new();
+        let mut results = Vec::with_capacity(extents.len());
+        for (out, range) in outs.into_iter().zip(event_ranges) {
+            let (u, local) = out.expect("every extent ran");
+            results.push(u);
+            remap.clear();
+            remap.extend((0..local.len() as u32).map(|id| {
+                let s = local.shape(id);
+                index.intern(&mut shapes, s.key, s.ni, local.accesses(id))
+            }));
+            if remap.iter().enumerate().any(|(local, &global)| local as u32 != global) {
+                for e in events[range].iter_mut().filter(|e| **e & SIDE_BIT == 0) {
+                    *e = remap[*e as usize];
+                }
+            }
+        }
+        shapes.shapes.shrink_to_fit();
+        shapes.accs.shrink_to_fit();
+        Ok((LaneTapes { events, addrs, sides, shapes, starts, tids }, states, results))
     }
 
-    /// Read-only view over the arena, cheap to copy into the emulator's
+    /// Read-only view over the arenas, cheap to copy into the emulator's
     /// hot loop.
-    pub fn view(&self) -> TapeView<'_> {
-        TapeView { events: &self.events, mems: &self.mems, sides: &self.sides }
+    pub(crate) fn view(&self) -> TapeView<'_> {
+        TapeView {
+            events: &self.events,
+            addrs: &self.addrs,
+            sides: &self.sides,
+            shapes: &self.shapes,
+        }
     }
 
-    /// Tape start position of thread `t` (index into the event arena).
-    pub fn start_of(&self, t: usize) -> u32 {
-        self.off[t]
+    /// Tape start of thread `t`; `start_of(len())` is the arenas' end.
+    pub(crate) fn start_of(&self, t: usize) -> TapePos {
+        self.starts[t]
     }
 
     /// The tid recorded for thread `t`.
-    pub fn tid_of(&self, t: usize) -> u32 {
+    pub(crate) fn tid_of(&self, t: usize) -> u32 {
         self.tids[t]
     }
 
     /// Number of tapes (threads).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tids.len()
     }
 
-    /// Whether the arena holds no tapes.
-    pub fn is_empty(&self) -> bool {
-        self.tids.is_empty()
+    /// Number of distinct block shapes.
+    pub(crate) fn shape_count(&self) -> usize {
+        self.shapes.len()
     }
 
-    /// Approximate arena footprint in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.events.len() * std::mem::size_of::<TapeEvent>()
-            + self.off.len() * 4
-            + self.tids.len() * 4
-            + self.mems.len() * std::mem::size_of::<TapeMem>()
-            + self.sides.len() * std::mem::size_of::<SideEvent>()
+    /// Heap bytes the arenas hold, from their capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        bytes(&self.events)
+            + bytes(&self.addrs)
+            + bytes(&self.sides)
+            + bytes(&self.shapes.shapes)
+            + bytes(&self.shapes.accs)
+            + bytes(&self.starts)
+            + bytes(&self.tids)
     }
 }
 
-/// Borrowed arena — everything warp emulation reads.
+/// Borrowed arenas — everything warp emulation reads.
 #[derive(Debug, Clone, Copy)]
-pub struct TapeView<'a> {
-    /// Packed event records (see [`LaneTapes`]).
-    pub events: &'a [TapeEvent],
-    /// Mem arena.
-    pub mems: &'a [TapeMem],
+pub(crate) struct TapeView<'a> {
+    /// Shape ids, side events and end sentinels (see [`LaneTapes`]).
+    pub(crate) events: &'a [u32],
+    /// Access addresses.
+    pub(crate) addrs: &'a [u64],
     /// Side-event arena.
-    pub sides: &'a [SideEvent],
+    pub(crate) sides: &'a [SideEvent],
+    /// The distinct block shapes.
+    pub(crate) shapes: &'a ShapeTable,
+}
+
+impl TapeView<'_> {
+    /// The comparable key of event `ev`: its shape's block key, `SIDE_KEY |
+    /// side index`, or [`END_KEY`].
+    #[inline]
+    pub(crate) fn key(&self, ev: u32) -> u64 {
+        if ev & SIDE_BIT == 0 {
+            self.shapes.shape(ev).key
+        } else {
+            SIDE_KEY | (ev & !SIDE_BIT) as u64
+        }
+    }
 }
 
 #[cfg(test)]
 impl LaneTapes {
-    /// The pre-fusion builder, kept verbatim as the reference oracle the
-    /// fused index build is checked against: one sequential pass that
-    /// appends to growing arenas and re-checks nothing.
+    /// The sequential reference the parallel index build is checked
+    /// against: one pass that appends to growing arenas and interns every
+    /// shape through one map, so ids follow first occurrence in stream
+    /// order.
     pub(crate) fn build_two_pass(threads: &[ThreadTrace]) -> Self {
-        let n_events: usize = threads.iter().map(|t| t.event_count() + 1).sum();
-        let n_mems: usize = threads.iter().map(|t| t.mem_count()).sum();
         let mut tapes = LaneTapes {
-            events: Vec::with_capacity(n_events),
-            off: Vec::with_capacity(threads.len() + 1),
-            tids: Vec::with_capacity(threads.len()),
-            mems: Vec::with_capacity(n_mems),
+            events: Vec::new(),
+            addrs: Vec::new(),
             sides: Vec::new(),
+            shapes: ShapeTable::default(),
+            starts: Vec::new(),
+            tids: Vec::new(),
         };
+        let mut ids: HashMap<(u64, u32, Vec<ShapeAccess>), u32> = HashMap::new();
         for t in threads {
-            tapes.off.push(tapes.events.len() as u32);
+            let at = TapePos { event: tapes.events.len() as u32, addr: tapes.addrs.len() as u32 };
+            tapes.starts.push(at);
             tapes.tids.push(t.tid);
             let mut cur = t.cursor();
             loop {
                 if let Some(s) = cur.next_side() {
-                    tapes.push_side(s);
+                    tapes.events.push(SIDE_BIT | tapes.sides.len() as u32);
+                    tapes.sides.push(s);
                     continue;
                 }
                 let Some((addr, ni, mems)) = cur.next_block() else { break };
-                let lo = tapes.mems.len() as u32;
+                let key = pack_block_key(addr.func.0, addr.block.0);
+                let mut accs = Vec::new();
                 for m in mems.iter() {
-                    tapes.mems.push(TapeMem {
-                        addr: m.addr,
-                        inst: m.inst_idx,
-                        size: m.size,
-                        is_store: m.is_store,
-                    });
+                    tapes.addrs.push(m.addr);
+                    accs.push(ShapeAccess { inst: m.inst_idx, size: m.size, is_store: m.is_store });
                 }
-                tapes.events.push(TapeEvent {
-                    key: pack_block_key(addr.func.0, addr.block.0),
-                    ni,
-                    mem_lo: lo,
-                });
+                let table = &mut tapes.shapes;
+                let id = *ids
+                    .entry((key, ni, accs))
+                    .or_insert_with_key(|(key, ni, accs)| table.push(*key, *ni, accs));
+                tapes.events.push(id);
             }
-            tapes.push_end();
+            tapes.events.push(END);
         }
-        tapes.off.push(tapes.events.len() as u32);
+        let end = TapePos { event: tapes.events.len() as u32, addr: tapes.addrs.len() as u32 };
+        tapes.starts.push(end);
         tapes
-    }
-
-    fn push_side(&mut self, s: SideEvent) {
-        self.events.push(TapeEvent {
-            key: SIDE_BIT | self.sides.len() as u64,
-            ni: 0,
-            mem_lo: self.mems.len() as u32,
-        });
-        self.sides.push(s);
-    }
-
-    fn push_end(&mut self) {
-        self.events.push(TapeEvent { key: END_KEY, ni: 0, mem_lo: self.mems.len() as u32 });
     }
 }
 
@@ -531,7 +766,9 @@ mod tests {
     }
 
     /// The tape of each thread must replay the exact event stream its
-    /// cursor yields, in order, with identical memory attachment.
+    /// cursor yields, in order: each block's key and instruction count
+    /// through its shape, and its accesses as the shape's descriptors
+    /// zipped with the thread's addresses.
     #[test]
     fn tape_matches_cursor_replay() {
         let (p, traces) = capture();
@@ -540,33 +777,54 @@ mod tests {
         let v = tapes.view();
         for (t, tr) in traces.threads().iter().enumerate() {
             assert_eq!(tapes.tid_of(t), tr.tid);
-            let mut pos = tapes.start_of(t) as usize;
+            let TapePos { event, addr } = tapes.start_of(t);
+            let (mut pos, mut a) = (event as usize, addr as usize);
             let mut cur = tr.cursor();
             loop {
                 if let Some(s) = cur.next_side() {
-                    let key = v.events[pos].key;
-                    assert_eq!(key & SIDE_BIT, SIDE_BIT);
-                    assert_ne!(key, END_KEY);
-                    assert_eq!(v.sides[(key as u32) as usize], s);
+                    let ev = v.events[pos];
+                    assert_eq!(ev & SIDE_BIT, SIDE_BIT);
+                    assert_ne!(ev, END);
+                    assert_eq!(v.sides[(ev & !SIDE_BIT) as usize], s);
                     pos += 1;
                     continue;
                 }
-                let Some((addr, ni, mems)) = cur.next_block() else { break };
-                let ev = v.events[pos];
-                assert_eq!(ev.key, pack_block_key(addr.func.0, addr.block.0));
-                assert_eq!(ev.ni, ni);
-                let (lo, hi) = (ev.mem_lo as usize, v.events[pos + 1].mem_lo as usize);
+                let Some((block, ni, mems)) = cur.next_block() else { break };
+                let id = v.events[pos];
+                assert_eq!(id & SIDE_BIT, 0, "a block event is a shape id");
+                let shape = v.shapes.shape(id);
+                assert_eq!(shape.key, pack_block_key(block.func.0, block.block.0));
+                assert_eq!(v.key(id), shape.key);
+                assert_eq!(shape.ni, ni);
+                let descs = v.shapes.accesses(id);
                 let recs: Vec<_> = mems.iter().collect();
-                assert_eq!(hi - lo, recs.len());
+                assert_eq!(descs.len(), recs.len());
                 for (j, m) in recs.iter().enumerate() {
-                    assert_eq!(v.mems[lo + j].inst, m.inst_idx);
-                    assert_eq!(v.mems[lo + j].addr, m.addr);
-                    assert_eq!(v.mems[lo + j].size, m.size);
-                    assert_eq!(v.mems[lo + j].is_store, m.is_store);
+                    assert_eq!(descs[j].inst, m.inst_idx);
+                    assert_eq!(v.addrs[a + j], m.addr);
+                    assert_eq!(descs[j].size, m.size);
+                    assert_eq!(descs[j].is_store, m.is_store);
                 }
                 pos += 1;
+                a += recs.len();
             }
-            assert_eq!(v.events[pos].key, END_KEY, "tape must end with the sentinel");
+            assert_eq!(v.events[pos], END, "tape must end with the sentinel");
+            assert_eq!(TapePos { event: pos as u32 + 1, addr: a as u32 }, tapes.start_of(t + 1));
         }
+    }
+
+    /// Shape ids follow first occurrence in stream order: the first block
+    /// event is shape 0, and no id appears before every smaller one has.
+    #[test]
+    fn shape_ids_follow_first_occurrence() {
+        let (p, traces) = capture();
+        let index = AnalysisIndex::build(&p, &traces).unwrap();
+        let tapes = index.tapes();
+        let mut next = 0;
+        for &ev in tapes.view().events.iter().filter(|&&ev| ev & SIDE_BIT == 0) {
+            assert!(ev <= next, "shape {ev} before shape {next}");
+            next = next.max(ev + 1);
+        }
+        assert_eq!(next as usize, tapes.shape_count());
     }
 }

@@ -113,7 +113,7 @@ impl ThreadSource for AnalysisIndex {
     fn thread(&self, t: usize) -> impl Iterator<Item = CpuEvent> + '_ {
         self.thread_stream(t).flat_map(|(ni, mems)| {
             std::iter::once(ni.map_or(CpuEvent::Side, CpuEvent::Insts))
-                .chain(mems.iter().map(|m| CpuEvent::Mem { addr: m.addr, is_store: m.is_store }))
+                .chain(mems.map(|(addr, is_store)| CpuEvent::Mem { addr, is_store }))
         })
     }
 

@@ -148,3 +148,26 @@ fn zero_cycle_projection_is_an_error() {
         other => panic!("expected ZeroCycleSimulation, got {other:?}"),
     }
 }
+
+/// Analyzing a v3 trace file walks it chunk by chunk: every chunk decode
+/// reports its own `decode` span, one per `chunks_decoded`.
+#[test]
+fn file_analysis_reports_one_decode_span_per_chunk() {
+    use threadfuser::ir::OptLevel;
+    use threadfuser::service::{execute_op, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobOp};
+    use threadfuser::tracer::encode_v3_with;
+    let traced = pipeline("bfs", 128).opt_level(OptLevel::O3).trace().expect("trace succeeds");
+    let path = std::env::temp_dir().join(format!("tf_decode_spans_{}.tft", std::process::id()));
+    std::fs::write(&path, &*encode_v3_with(traced.traces(), 2048)).expect("trace file written");
+    let op = JobOp::Analyze(AnalyzeJob {
+        capture: CaptureSpec::trace_file(path.to_str().expect("utf-8"), Some("bfs"), OptLevel::O3),
+        config: AnalyzerKnobs { parallelism: 2, ..AnalyzerKnobs::default() },
+    });
+    let sink = Arc::new(InMemorySink::new());
+    let outcome = execute_op(&op, &Obs::with_sink(sink.clone()));
+    std::fs::remove_file(&path).ok();
+    outcome.expect("file analyze");
+    let chunks = sink.counter_total_for(Phase::Decode, "chunks_decoded");
+    assert!(chunks > 1, "the file must span several chunks");
+    assert_eq!(sink.span_count(Phase::Decode) as u64, chunks);
+}

@@ -23,16 +23,21 @@
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "support/hostile_shapes.rs"]
+mod hostile_shapes;
 
 use counting_alloc::{allocs, live, peak_delta};
+use std::collections::HashSet;
 use std::sync::Mutex;
-use threadfuser::analyzer::WarpRunner;
+use threadfuser::analyzer::{AnalysisIndex, WarpRunner};
 use threadfuser::cpusim::CpuSimConfig;
 use threadfuser::machine::MachineConfig;
 use threadfuser::prelude::*;
 use threadfuser::simtsim::SimtSimConfig;
 use threadfuser::tracegen::WarpRecording;
-use threadfuser::tracer::{encode_v3, trace_program};
+use threadfuser::tracer::{
+    encode_v3, encode_v3_with, trace_program, SideEvent, TraceSet, TraceSetReader,
+};
 use threadfuser::workloads;
 
 /// Transient heap a projection may use beyond what it leaves resident and
@@ -163,6 +168,111 @@ fn capture_holds_about_its_v3_file() {
     let budget = encoded + PER_THREAD * THREADS as usize;
     eprintln!("pigz@2048 capture: {heap} B resident, v3 file {encoded} B");
     assert!(heap <= budget, "the capture holds {heap} B, over its {budget} B budget");
+}
+
+/// Record totals of a capture's tapes: `(threads, events, accesses,
+/// sides)`, each thread's end sentinel counted as an event.
+fn tape_totals(set: &TraceSet) -> (usize, usize, usize, usize) {
+    let threads = set.threads();
+    let sides: usize = threads.iter().map(|t| t.side_count()).sum();
+    let blocks: usize = threads.iter().map(|t| t.block_count()).sum();
+    let accesses = threads.iter().map(|t| t.mem_count()).sum();
+    (threads.len(), blocks + sides + threads.len(), accesses, sides)
+}
+
+/// Whether `a` and `b` agree within 1 % of `b`.
+fn within_one_percent(a: usize, b: usize) -> bool {
+    a.abs_diff(b) * 100 <= b
+}
+
+/// `pigz`@2048's index (`cold_project`'s largest) holds exactly the bytes
+/// `AnalysisIndex::heap_bytes` reports, and no more than shape-interned
+/// tapes need: 4 B per event, 8 B per access, a side event's record and
+/// the shape table — each distinct `(block, instruction count, accesses)`
+/// once, 16 B plus 8 B per access — with 1 % for the DCFGs and per-thread
+/// arrays.
+#[test]
+fn index_heap_is_exact_and_shape_interned() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let w = workloads::by_name("pigz").expect("pigz workload exists");
+    let traced = Pipeline::from_workload(&w)
+        .threads(2048)
+        .opt_level(OptLevel::O3)
+        .parallelism(2)
+        .trace()
+        .expect("pigz traces");
+    let base = live();
+    let index = traced.index().expect("index");
+    let resident = live() - base;
+    let heap = index.heap_bytes();
+    assert!(within_one_percent(resident, heap), "index holds {resident} B, reports {heap} B");
+
+    let (_, events, accesses, sides) = tape_totals(traced.traces());
+    let mut shapes = HashSet::new();
+    for t in traced.traces().threads() {
+        let mut cur = t.cursor();
+        while !cur.at_end() {
+            if cur.next_side().is_some() {
+                continue;
+            }
+            let (addr, ni, mems) = cur.next_block().expect("a block is pending");
+            let accs: Vec<_> = mems.iter().map(|m| (m.inst_idx, m.size, m.is_store)).collect();
+            shapes.insert((addr, ni, accs));
+        }
+    }
+    assert_eq!(index.shape_count(), shapes.len());
+    let table: usize = shapes.iter().map(|(_, _, accs)| 16 + 8 * accs.len()).sum();
+    let side_records = std::mem::size_of::<SideEvent>() * sides;
+    let budget = (4 * events + 8 * accesses + side_records + table) * 101 / 100;
+    eprintln!(
+        "pigz@2048 index: {resident} B resident, {heap} B reported, {budget} B budget \
+         ({events} events, {accesses} accesses, {} shapes)",
+        shapes.len()
+    );
+    assert!(heap <= budget, "the index holds {heap} B, over its {budget} B budget");
+}
+
+/// A trace with a new shape on every event of a block is accepted on both
+/// build paths at no more than 4 + 16 B per event (its id and shape
+/// record) and 8 + 8 B per access (address and descriptor), plus side
+/// events and per-thread starts, tids and skip counts — within 1 %, which
+/// covers the DCFGs. The index holds what `heap_bytes` reports.
+#[test]
+fn a_new_shape_per_event_stays_bounded() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let h = hostile_shapes::hostile_capture();
+    let (threads, events, accesses, sides) = tape_totals(&h.hostile);
+    let bound = (20 * events
+        + 16 * accesses
+        + std::mem::size_of::<SideEvent>() * sides
+        + (8 + 4 + 8) * threads)
+        * 101
+        / 100;
+    let file = encode_v3_with(&h.hostile, 4096).to_vec();
+    let reader = TraceSetReader::from_bytes(file, &DecodeOptions::default()).expect("v3 opens");
+    let builds: [(&str, &dyn Fn() -> AnalysisIndex); 2] = [
+        ("set", &|| {
+            AnalysisIndex::build_observed(&h.program, &h.hostile, 2, &Obs::none()).unwrap()
+        }),
+        ("chunks", &|| {
+            let index = AnalysisIndex::build_from_chunks(&h.program, &reader, 2, &Obs::none());
+            index.expect("chunk walk accepts the file").expect("v3 counts are trusted")
+        }),
+    ];
+    for (path, build) in builds {
+        let base = live();
+        let index = build();
+        let resident = live() - base;
+        let heap = index.heap_bytes();
+        assert!(within_one_percent(resident, heap), "{path}: holds {resident} B, reports {heap} B");
+        assert!(
+            resident <= bound,
+            "{path}: the index holds {resident} B, over its {bound} B bound"
+        );
+        assert!(index.shape_count() > h.hot_events, "{path}: one shape per hot-block event");
+        drop(index);
+        eprintln!("hostile pigz@16 index ({path}): {resident} B resident, {bound} B bound");
+    }
 }
 
 #[test]

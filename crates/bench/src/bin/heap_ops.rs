@@ -1,14 +1,19 @@
 //! Per-operation heap table: for each op of the benchmark's `cold_project`
-//! and `file_ingest` flows, the heap high-water mark above what was live
-//! when the op started, and the heap the op leaves resident.
+//! and `file_ingest` flows and of `sweep_warm`'s set-up, the heap
+//! high-water mark above what was live when the op started, the heap the
+//! op leaves resident, and the heap live after it above what was live when
+//! its flow started. A flow's peak is the largest sum of one row's
+//! high-water and the cumulative live of the row before it.
 //!
 //! Counted exactly by the counting global allocator of
 //! `tests/support/counting_alloc.rs` (no timing, so host noise does not
 //! blur it). The inputs are the benchmark's: the eight `cold_project`
 //! programs at 2048 threads (trace → index → project → analyze, O3,
-//! parallelism 2) and the four `file_ingest` v3 files (decode → re-encode
-//! → file analyze). `TF_THREADS` replaces every thread count, for a quick
-//! run; `TF_RESULTS` also writes the table as `heap_ops.csv`.
+//! parallelism 2), `sweep_warm`'s three captures at 1024 threads, traced
+//! and indexed and kept resident, and the four `file_ingest` v3 files
+//! (decode → re-encode → file analyze). `TF_THREADS` replaces every thread
+//! count, for a quick run; `TF_RESULTS` also writes the table as
+//! `heap_ops.csv`.
 //!
 //! ```text
 //! cargo run --release -p threadfuser-bench --bin heap_ops
@@ -30,6 +35,9 @@ use threadfuser_bench::emit;
 const COLD_PROGRAMS: [&str; 8] =
     ["md5", "pigz", "bfs", "cc", "hdsearch_mid", "mcrouter_memcached", "text", "coop_lottery"];
 const COLD_THREADS: u32 = 2048;
+/// `sweep_warm`'s resident captures, traced at `SWEEP_THREADS`.
+const SWEEP_PROGRAMS: [&str; 3] = ["pigz", "hdsearch_mid", "coop_lottery"];
+const SWEEP_THREADS: u32 = 1024;
 /// `file_ingest`'s `(program, threads)` files.
 const INGEST_FILES: [(&str, u32); 4] =
     [("pigz", 2048), ("hdsearch_leaf", 512), ("bfs", 4096), ("md5", 4096)];
@@ -62,30 +70,48 @@ fn mb(bytes: f64) -> String {
 }
 
 fn main() {
-    let mut table = TextTable::new(&["flow", "input", "op", "peak_mb", "resident_mb"]);
-    let mut row = |flow: &str, input: &str, op: &str, peak: usize, resident: isize| {
-        table.row(&[flow, input, op, &mb(peak as f64), &mb(resident as f64)]);
+    let mut table = TextTable::new(&["flow", "input", "op", "peak_mb", "resident_mb", "live_mb"]);
+    // `flow_base` is the heap live when the row's flow started.
+    let mut row = |flow: &str, input: &str, op: &str, peak: usize, resident: isize, flow_base| {
+        let live = counting_alloc::live() as isize - flow_base as isize;
+        table.row(&[flow, input, op, &mb(peak as f64), &mb(resident as f64), &mb(live as f64)]);
     };
     let (simt, cpu) = (SimtSimConfig::default(), CpuSimConfig::default());
 
+    let base = counting_alloc::live();
     for name in COLD_PROGRAMS {
         let w = workload(name);
         let n = threads(COLD_THREADS);
         let at = format!("{name}@{n}");
         let pipeline = pipeline(&w, n);
         let (traced, peak, resident) = measure(|| pipeline.trace().expect("capture"));
-        row("cold_project", &at, "trace", peak, resident);
+        row("cold_project", &at, "trace", peak, resident, base);
         let ((), peak, resident) = measure(|| drop(traced.index().expect("index")));
-        row("cold_project", &at, "index", peak, resident);
+        row("cold_project", &at, "index", peak, resident, base);
         let (_, peak, resident) =
             measure(|| traced.project_speedup(&simt, &cpu).expect("projection"));
-        row("cold_project", &at, "project", peak, resident);
+        row("cold_project", &at, "project", peak, resident, base);
         let (_, peak, resident) = measure(|| traced.analyze().expect("analysis"));
-        row("cold_project", &at, "analyze", peak, resident);
+        row("cold_project", &at, "analyze", peak, resident, base);
     }
+
+    let base = counting_alloc::live();
+    let mut resident_captures = Vec::new();
+    for name in SWEEP_PROGRAMS {
+        let w = workload(name);
+        let n = threads(SWEEP_THREADS);
+        let at = format!("{name}@{n}");
+        let (traced, peak, resident) = measure(|| pipeline(&w, n).trace().expect("capture"));
+        row("sweep_warm", &at, "trace", peak, resident, base);
+        let ((), peak, resident) = measure(|| drop(traced.index().expect("index")));
+        row("sweep_warm", &at, "index", peak, resident, base);
+        resident_captures.push(traced);
+    }
+    drop(resident_captures);
 
     let dir = std::env::temp_dir().join(format!("tf-heap-ops-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
+    let base = counting_alloc::live();
     for (name, default_threads) in INGEST_FILES {
         let w = workload(name);
         let n = threads(default_threads);
@@ -100,12 +126,12 @@ fn main() {
             let reader = TraceSetReader::from_bytes(bytes, &DecodeOptions::default());
             reader.and_then(TraceSetReader::into_decoded).expect("decode").traces
         });
-        row("file_ingest", &at, "decode", peak, resident);
+        row("file_ingest", &at, "decode", peak, resident, base);
         let ((), peak, resident) = measure(|| {
             let encoded = encode_v3(&set);
             std::fs::write(dir.join("reencoded.tft"), &*encoded).expect("re-encoded file written");
         });
-        row("file_ingest", &at, "re-encode", peak, resident);
+        row("file_ingest", &at, "re-encode", peak, resident, base);
         drop(set);
         let op = JobOp::Analyze(AnalyzeJob {
             capture: CaptureSpec::trace_file(
@@ -116,10 +142,13 @@ fn main() {
             config: AnalyzerKnobs { parallelism: PARALLELISM as u32, ..AnalyzerKnobs::default() },
         });
         let (_, peak, resident) = measure(|| execute_op(&op, &Obs::none()).expect("file analyze"));
-        row("file_ingest", &at, "analyze", peak, resident);
+        row("file_ingest", &at, "analyze", peak, resident, base);
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    println!("Heap per op (MB = 10^6 B): high-water above entry, and what the op leaves live\n");
+    println!(
+        "Heap per op (MB = 10^6 B): high-water above entry, what the op leaves live, and the \
+         heap live after it above its flow's start\n"
+    );
     emit("heap_ops", &table);
 }

@@ -6,6 +6,7 @@
 //! both sides of the correlation study.
 
 use crate::heap::{Heap, HeapError};
+use crate::layout::NULL_GUARD;
 use crate::memory::Memory;
 use threadfuser_ir::{Base, BlockId, FuncId, Inst, MemRef, Operand, Reg, Terminator};
 
@@ -200,8 +201,6 @@ pub struct ExecCtx<'a> {
     /// Shared heap allocator.
     pub heap: &'a mut Heap,
 }
-
-const NULL_GUARD: u64 = 0x1000;
 
 impl ExecCtx<'_> {
     fn addr_of(&self, m: &MemRef) -> u64 {

@@ -5,6 +5,10 @@
 //! map to SIMT *local* memory, everything else (globals + heap) to
 //! *global* memory.
 
+/// Addresses below this trap as null dereferences: the unmapped page at
+/// address zero.
+pub(crate) const NULL_GUARD: u64 = 0x1000;
+
 /// Base address of the global (static data) region.
 pub const GLOBAL_BASE: u64 = 0x1000_0000;
 

@@ -25,6 +25,7 @@
 //! evaluation order, the same traps, the same recorded memory accesses.
 
 use crate::exec::{CallArgs, ExecCtx, MemAccess, Next, Trap};
+use crate::layout::NULL_GUARD;
 use crate::memory::global_layout;
 use threadfuser_ir::{
     AluOp, Base, BlockId, Cond, FuncId, Inst, MemRef, Operand, Program, Reg, Terminator,
@@ -471,8 +472,6 @@ fn predecode_term(term: &Terminator, globals: &[u64]) -> PTerm {
         Terminator::Barrier { id, next } => PTerm::Barrier { id: *id, next: *next },
     }
 }
-
-const NULL_GUARD: u64 = 0x1000;
 
 impl ExecCtx<'_> {
     #[inline]

@@ -33,7 +33,7 @@ struct Run {
 /// FNV-1a over the final contents of every page the run can have
 /// written — the pages of all traced accesses, the globals, the first
 /// 4 MiB of heap and the init thread's stack (init runs untraced) — and
-/// the resident-page count, which catches a stray page anywhere else.
+/// the resident byte count, which catches a stray write anywhere else.
 fn memory_digest(memory: &Memory, program: &Program, traces: &TraceSet, n_threads: u32) -> u64 {
     let mut pages = BTreeSet::new();
     for t in traces.threads() {
@@ -52,7 +52,7 @@ fn memory_digest(memory: &Memory, program: &Program, traces: &TraceSet, n_thread
     let init_top = stack_top(n_threads) / PAGE;
     pages.extend(init_top - 16..init_top);
 
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ memory.resident_pages() as u64;
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ memory.resident_bytes() as u64;
     let mut buf = [0u8; PAGE as usize];
     for page in pages {
         memory.read_bytes(page * PAGE, &mut buf);

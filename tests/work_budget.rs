@@ -31,7 +31,7 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 use threadfuser::analyzer::{AnalysisIndex, WarpRunner};
 use threadfuser::cpusim::CpuSimConfig;
-use threadfuser::machine::MachineConfig;
+use threadfuser::machine::{Machine, MachineConfig, NoopHook};
 use threadfuser::prelude::*;
 use threadfuser::simtsim::SimtSimConfig;
 use threadfuser::tracegen::WarpRecording;
@@ -168,6 +168,39 @@ fn capture_holds_about_its_v3_file() {
     let budget = encoded + PER_THREAD * THREADS as usize;
     eprintln!("pigz@2048 capture: {heap} B resident, v3 file {encoded} B");
     assert!(heap <= budget, "the capture holds {heap} B, over its {budget} B budget");
+}
+
+/// A capture's machine image holds the bytes its threads touch: memory is
+/// stored in 64-byte granules, so a thread whose stack writes fit in one
+/// granule costs 64 B of image, not a page. On the four stack-using
+/// `cold_project` programs at 2048 threads the image stays under 0.5 MB
+/// (4 KiB pages held 8.4–8.9 MB), and `hdsearch_mid`'s whole capture
+/// peaks at most 7 MB above entry (14.86 MB with pages).
+#[test]
+fn capture_memory_is_what_threads_touch() {
+    const THREADS: u32 = 2048;
+    const IMAGE_BUDGET: usize = 500_000;
+    const CAPTURE_BUDGET: usize = 7_000_000;
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    for name in ["hdsearch_mid", "mcrouter_memcached", "text", "coop_lottery"] {
+        let w = workloads::by_name(name).expect("workload exists");
+        let program = OptLevel::O3.apply(&w.program);
+        let mut config = MachineConfig::new(w.kernel, THREADS);
+        config.init = w.init;
+        let mut machine = Machine::new(&program, config).expect("machine builds");
+        machine.run(&mut NoopHook).expect("program runs");
+        let image = machine.memory().resident_bytes();
+        eprintln!("{name}@{THREADS}: memory image {image} B");
+        assert!(image <= IMAGE_BUDGET, "{name}@{THREADS}: memory image {image} B");
+    }
+
+    let w = workloads::by_name("hdsearch_mid").expect("hdsearch_mid workload exists");
+    let pipeline =
+        Pipeline::from_workload(&w).threads(THREADS).opt_level(OptLevel::O3).parallelism(2);
+    let (traced, peak) = peak_delta(|| pipeline.trace().expect("hdsearch_mid traces"));
+    drop(traced);
+    eprintln!("hdsearch_mid@{THREADS} capture: peak {peak} B above entry");
+    assert!(peak <= CAPTURE_BUDGET, "hdsearch_mid@{THREADS}: capture peaked {peak} B above entry");
 }
 
 /// Record totals of a capture's tapes: `(threads, events, accesses,

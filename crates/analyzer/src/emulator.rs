@@ -821,7 +821,8 @@ impl Split {
 /// warps, so emulation stays off the allocator once warm.
 #[derive(Debug, Default)]
 struct WarpScratch {
-    /// Per-lane tape position (event and access indices into the arenas).
+    /// Per-lane replay state (event position, access byte position,
+    /// previous address).
     pos: Vec<TapePos>,
     /// The warp's splits: a stack under [`Policy::Stack`], an unordered
     /// set under [`Policy::PcMin`].
@@ -936,9 +937,10 @@ struct WarpEmulator<'a, 's> {
     static_cfgs: Option<&'a [FuncCfg]>,
     config: &'a AnalyzerConfig,
     policy: Policy,
-    // Shape-interned tape arenas of the capture: every lane's whole event
-    // stream is pre-merged into one column of shape ids, so per-lane
-    // replay state is just `s.pos` — the next event is one `u32` load.
+    // Shared, shape-interned tape arenas of the capture: every lane's
+    // whole event stream is pre-merged into one sequence of shape ids,
+    // stored once for all the lanes that run it, so per-lane replay state
+    // is just `s.pos` — the next event is one `u32` load.
     tape: TapeView<'a>,
     /// The capture's tapes and this warp's threads (error reporting).
     tapes: &'a LaneTapes,
@@ -1579,8 +1581,9 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         let mut next_same = true;
         for l in lanes_of(mask) {
             active += 1;
-            let TapePos { event: p, addr: a } = self.s.pos[l];
-            let ev = v.events[p as usize];
+            let mut pos = self.s.pos[l];
+            let p = pos.event as usize;
+            let ev = v.events[p];
             // Lanes of the previous lane's shape need no check. Otherwise
             // block keys carry bit 63 clear, so one compare validates both
             // the event kind and the block identity.
@@ -1597,14 +1600,14 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 }
                 (ni, shape, accs) = (lni, ev, v.shapes.accesses(ev));
             }
-            let a = a as usize;
-            for (d, &addr) in accs.iter().zip(&v.addrs[a..a + accs.len()]) {
-                self.s.mem.collect(d.inst, addr, d.size as u32);
+            for d in accs {
+                self.s.mem.collect(d.inst, pos.next_addr(v.addrs), d.size as u32);
             }
-            self.s.pos[l] = TapePos { event: p + 1, addr: (a + accs.len()) as u32 };
-            // The consumed event is never the thread's last (END follows),
-            // so `p + 1` stays inside this thread's tape segment.
-            let nk = v.events[p as usize + 1];
+            pos.event += 1;
+            self.s.pos[l] = pos;
+            // The consumed event is never its sequence's last (END
+            // follows), so `p + 1` stays inside the lane's sequence.
+            let nk = v.events[p + 1];
             next_same &= active == 1 || nk == next_ev;
             next_ev = nk;
         }
@@ -1661,9 +1664,8 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 let addr = unpack_key(pack_key(func, node));
                 return Err(self.desync(lane, format!("expected block {addr}, got {got:?}")));
             }
-            let (accs, a) = (v.shapes.accesses(ev), pos.addr as usize);
-            self.singleton_mem(accs, &v.addrs[a..a + accs.len()]);
-            pos = TapePos { event: pos.event + 1, addr: (a + accs.len()) as u32 };
+            self.singleton_mem(v.shapes.accesses(ev), v.addrs, &mut pos);
+            pos.event += 1;
             let ni = v.shapes.shape(ev).ni as u64;
             self.report.thread_insts += ni;
             self.s.funcs[func.0 as usize].own_thread_insts += ni;
@@ -1689,11 +1691,12 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     }
 
     /// Memory accounting for one singleton-lane block: its shape's
-    /// access descriptors `accs` and their addresses `addrs`. A single
+    /// access descriptors `accs` and their addresses, decoded off the
+    /// access streams `addrs` from the lane's position `pos`. A single
     /// lane's contiguous equal-index runs *are* the instruction groups, so
     /// coalescing skips the scratch rebuild, and a lone access's distinct
     /// lines are just a contiguous range.
-    fn singleton_mem(&mut self, accs: &[ShapeAccess], addrs: &[u64]) {
+    fn singleton_mem(&mut self, accs: &[ShapeAccess], addrs: &[u8], pos: &mut TapePos) {
         let mut j = 0;
         while j < accs.len() {
             let inst = accs[j].inst;
@@ -1702,7 +1705,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 // One access: its lines form a contiguous range, so the
                 // transaction count is the range length (identical to the
                 // generic sort+dedup over that one access's lines).
-                let (a, sz) = (addrs[j], accs[j].size as u32);
+                let (a, sz) = (pos.next_addr(addrs), accs[j].size as u32);
                 let first = a / threadfuser_mem::TRANSACTION_BYTES;
                 let last = a.saturating_add(sz.saturating_sub(1) as u64)
                     / threadfuser_mem::TRANSACTION_BYTES;
@@ -1715,8 +1718,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 seg.accesses += 1;
                 seg.transactions += last - first + 1;
             } else {
-                let accesses =
-                    addrs[j..k].iter().zip(&accs[j..k]).map(|(&a, d)| (a, d.size as u32));
+                let accesses = accs[j..k].iter().map(|d| (pos.next_addr(addrs), d.size as u32));
                 coalesce_into(&mut self.s.lines, &mut self.report, accesses);
             }
             j = k;

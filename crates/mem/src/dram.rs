@@ -64,11 +64,6 @@ impl Dram {
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
-
-    /// The earliest cycle at which a new transaction could start.
-    pub fn channel_free_at(&self) -> u64 {
-        self.channel_free
-    }
 }
 
 #[cfg(test)]

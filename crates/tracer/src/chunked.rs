@@ -846,11 +846,6 @@ impl TraceSetReader {
         self.index.chunks.len()
     }
 
-    /// Size of the encoded file held by the reader.
-    pub fn encoded_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// The tid of every thread record in file order, straight from the
     /// footer — available without decoding for v3 files only.
     pub fn tids(&self) -> Option<&[u32]> {

@@ -53,5 +53,6 @@ pub use encode::{
 mod legacy;
 
 pub use events::{
-    EventIter, MemRec, MemSlice, SideEvent, ThreadTrace, TraceCursor, TraceEvent, TraceSet,
+    read_addr, EventIter, MemRec, MemSlice, SideEvent, ThreadTrace, TraceCursor, TraceEvent,
+    TraceSet,
 };

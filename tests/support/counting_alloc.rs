@@ -66,10 +66,13 @@ pub fn allocs() -> usize {
 }
 
 /// Runs `f` and returns how far the live-byte high-water mark rose
-/// above the level at entry.
+/// above the level at entry. Calls nest: an enclosing `peak_delta` still
+/// sees the high-water of everything it ran, `f`'s included.
 pub fn peak_delta<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let outer = PEAK.load(Ordering::Relaxed);
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let r = f();
-    (r, PEAK.load(Ordering::Relaxed).saturating_sub(base))
+    let peak = PEAK.fetch_max(outer, Ordering::Relaxed);
+    (r, peak.saturating_sub(base))
 }

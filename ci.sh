@@ -43,8 +43,9 @@ fi
 echo "==> engine identity (flat-record engine vs ExecEngine::Legacy, optimized build)"
 # `cargo test -q` above ran it unoptimized; the optimized build is the one
 # whose inlining and constant folding the benchmark measures, so the
-# engines must also agree there: all 41 workloads x {O1, O3} x quantum
-# {1, 64} — traces, per-thread stats, final memory, faults.
+# engines must also agree there: all 41 workloads x {O0, O1, O2, O3} x
+# quantum {1, 64}, and the hand-built register-allocation edge kernels —
+# traces, per-thread stats, final memory, faults.
 cargo test --release -q -p threadfuser --test engine_identity
 
 echo "==> paper tables (Table I + Fig. 1 incl. the coop family)"

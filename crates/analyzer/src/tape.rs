@@ -406,8 +406,8 @@ impl Interner {
         // them; from the first mismatch on, the block's own in `descs`.
         let mut same = hit.then(|| &self.table.accs[last.acc_lo as usize..][..mems.len()]);
         self.descs.clear();
-        for (j, m) in mems.iter().enumerate() {
-            let d = ShapeAccess { inst: m.inst_idx, size: m.size, is_store: m.is_store };
+        for (j, (inst, size, is_store)) in mems.descs().enumerate() {
+            let d = ShapeAccess { inst, size, is_store };
             match same {
                 Some(accs) if accs[j] == d => continue,
                 Some(accs) => {

@@ -18,7 +18,6 @@ pub struct Heap {
     free: HashMap<u64, Vec<u64>>,
     live: HashMap<u64, u64>,
     allocs: u64,
-    frees: u64,
 }
 
 /// Errors from heap operations.
@@ -56,7 +55,6 @@ impl Heap {
             free: HashMap::new(),
             live: HashMap::new(),
             allocs: 0,
-            frees: 0,
         }
     }
 
@@ -90,7 +88,6 @@ impl Heap {
     /// [`HeapError::InvalidFree`] when `addr` is not a live allocation.
     pub fn free(&mut self, addr: u64) -> Result<(), HeapError> {
         let class = self.live.remove(&addr).ok_or(HeapError::InvalidFree(addr))?;
-        self.frees += 1;
         self.free.entry(class).or_default().push(addr);
         Ok(())
     }
@@ -98,11 +95,6 @@ impl Heap {
     /// Total successful allocations.
     pub fn alloc_count(&self) -> u64 {
         self.allocs
-    }
-
-    /// Total frees.
-    pub fn free_count(&self) -> u64 {
-        self.frees
     }
 
     /// Currently live allocations.
@@ -160,7 +152,6 @@ mod tests {
         let _b = h.alloc(16).unwrap();
         h.free(a).unwrap();
         assert_eq!(h.alloc_count(), 2);
-        assert_eq!(h.free_count(), 1);
         assert_eq!(h.live_count(), 1);
     }
 }

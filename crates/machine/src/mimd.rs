@@ -220,14 +220,36 @@ struct Thread {
     stats: ThreadStats,
 }
 
-fn make_thread(program: &Program, func: FuncId, tid: u32, args: &[i64]) -> Thread {
-    let f = program.function(func);
+/// Entry block, register-file size and stack-frame size of a frame of
+/// `func`: predecoded frames hold the function's allocated registers, the
+/// legacy engine's its IR registers.
+fn frame_shape(program: &Program, exec: Option<&ExecProgram>, func: FuncId) -> (BlockId, u16, u32) {
+    match exec {
+        Some(e) => {
+            let f = e.func(func);
+            (f.entry, f.reg_count, f.frame_size)
+        }
+        None => {
+            let f = program.function(func);
+            (f.entry, f.reg_count, f.frame_size)
+        }
+    }
+}
+
+fn make_thread(
+    program: &Program,
+    exec: Option<&ExecProgram>,
+    func: FuncId,
+    tid: u32,
+    args: &[i64],
+) -> Thread {
+    let (entry, reg_count, frame_size) = frame_shape(program, exec, func);
     let top = stack_top(tid);
-    let fp = align_down(top - f.frame_size as u64, 16);
-    let mut regs = vec![0i64; f.reg_count as usize];
+    let fp = align_down(top - frame_size as u64, 16);
+    let mut regs = vec![0i64; reg_count as usize];
     regs[..args.len()].copy_from_slice(args);
     Thread {
-        frames: vec![Frame { func, block: f.entry, regs, fp, ret_dst: None, saved_sp: top }],
+        frames: vec![Frame { func, block: entry, regs, fp, ret_dst: None, saved_sp: top }],
         sp: fp,
         state: State::BlockStart,
         stats: ThreadStats::default(),
@@ -302,7 +324,7 @@ impl<'p> Machine<'p> {
         for tid in 0..config.n_threads {
             let mut args = vec![tid as i64];
             args.extend_from_slice(&config.extra_args);
-            threads.push(make_thread(program, config.kernel, tid, &args));
+            threads.push(make_thread(program, exec.as_deref(), config.kernel, tid, &args));
         }
         Ok(Machine {
             program,
@@ -399,7 +421,7 @@ impl<'p> Machine<'p> {
         acc: &mut Vec<MemAccess>,
     ) -> Result<(), MachineError> {
         let tid = self.config.n_threads;
-        self.threads.push(make_thread(self.program, init, tid, &[]));
+        self.threads.push(make_thread(self.program, exec, init, tid, &[]));
         let slot = self.threads.len() - 1;
         let result = loop {
             match self.run_turn(slot as u32, exec, acc, &mut crate::hooks::NoopHook) {
@@ -594,7 +616,7 @@ impl<'p> Machine<'p> {
                     self.charge(tid, addr, 1)?;
                 }
                 Next::Call { callee, args, ret_to, dst } => {
-                    let cf = program.function(callee);
+                    let (entry, reg_count, frame_size) = frame_shape(program, exec, callee);
                     let th = &mut self.threads[tid as usize];
                     th.stats.traced_insts += 1;
                     {
@@ -603,7 +625,7 @@ impl<'p> Machine<'p> {
                         frame.ret_dst = dst;
                     }
                     let saved_sp = th.sp;
-                    let fp = align_down(th.sp - cf.frame_size as u64, 16);
+                    let fp = align_down(th.sp - frame_size as u64, 16);
                     if fp < stack_floor(tid) {
                         return Err(MachineError::Trapped {
                             tid,
@@ -611,11 +633,11 @@ impl<'p> Machine<'p> {
                             trap: Trap::StackOverflow,
                         });
                     }
-                    let regs = fresh_regs(&mut self.reg_pool, cf.reg_count, &args);
+                    let regs = fresh_regs(&mut self.reg_pool, reg_count, &args);
                     hook.on_call(tid, callee);
                     th.frames.push(Frame {
                         func: callee,
-                        block: cf.entry,
+                        block: entry,
                         regs,
                         fp,
                         ret_dst: None,

@@ -674,6 +674,15 @@ impl<'t> MemSlice<'t> {
     pub fn iter(&self) -> impl Iterator<Item = MemRec> + 't {
         MemIter { s: *self }
     }
+
+    /// Iterates each access's `(instruction index, width, is_store)` in
+    /// instruction order, leaving the address column undecoded.
+    pub fn descs(&self) -> impl Iterator<Item = (u32, u8, bool)> + 't {
+        let mut inst_idx = self.inst_idx;
+        self.size_store.iter().map(move |&packed| {
+            (read_uv(&mut inst_idx) as u32, packed & !STORE_BIT, packed & STORE_BIT != 0)
+        })
+    }
 }
 
 /// Decoding iterator behind [`MemSlice::iter`].

@@ -4,16 +4,21 @@
 //! The two engines must be indistinguishable from outside the machine:
 //! the same [`TraceSet`], the same per-thread [`RunStats`], the same
 //! final memory, and on a fault the same [`MachineError`] after the same
-//! sequence of hook events. Checked on the whole workload catalog and on
-//! hand-built kernels for the opcode edges the flat table must not bend.
+//! sequence of hook events. Checked on the whole workload catalog at every
+//! optimization level, on hand-built kernels for the opcode edges the flat
+//! table must not bend, and on kernels for the edges of the register
+//! allocation the predecoded engine runs on (Legacy keeps the IR's
+//! register numbering, so it checks the allocation too).
 
 use std::collections::BTreeSet;
 use threadfuser::ir::{
-    AccessSize, AluOp, Cond, FuncId, IoKind, MemRef, Operand, OptLevel, Program, ProgramBuilder,
+    AccessSize, AluOp, Cond, FuncId, FunctionBuilder, GlobalId, IoKind, MemRef, Operand, OptLevel,
+    Program, ProgramBuilder, Reg,
 };
 use threadfuser::machine::layout::{stack_top, HEAP_BASE};
 use threadfuser::machine::{
-    ExecEngine, ExecHook, Machine, MachineConfig, MachineError, Memory, RunStats, SkipKind, Trap,
+    ExecEngine, ExecHook, Machine, MachineConfig, MachineError, Memory, NoopHook, RunStats,
+    SkipKind, Trap,
 };
 use threadfuser::tracer::{TraceEvent, TraceSet, Tracer};
 use threadfuser::workloads::all;
@@ -100,9 +105,14 @@ fn identical_run(
     quantum: u32,
     what: &str,
 ) -> Run {
+    identical_cfg_run(program, &config(kernel, init, threads, quantum, ENGINES[0]), what)
+}
+
+/// Runs `program` under `cfg` on both engines and returns the (asserted
+/// equal) run.
+fn identical_cfg_run(program: &Program, cfg: &MachineConfig, what: &str) -> Run {
     let [pre, legacy] = ENGINES.map(|e| {
-        traced_run(program, config(kernel, init, threads, quantum, e))
-            .unwrap_or_else(|err| panic!("{what}: {err}"))
+        traced_run(program, cfg.clone().engine(e)).unwrap_or_else(|err| panic!("{what}: {err}"))
     });
     // Field by field: a whole-`Run` diff of a catalog capture is
     // unreadable.
@@ -117,7 +127,7 @@ fn identical_run(
 fn every_workload_traces_identically_on_both_engines() {
     for w in all() {
         let threads = w.meta.default_threads.min(64);
-        for opt in [OptLevel::O1, OptLevel::O3] {
+        for opt in OptLevel::ALL {
             let program = opt.apply(&w.program);
             for quantum in [1, 64] {
                 let what = format!("{} {opt:?} quantum {quantum}", w.meta.name);
@@ -427,4 +437,271 @@ fn traps_are_identical_after_an_identical_event_prefix() {
             assert!(matches!(err, MachineError::Trapped { trap: Trap::Budget, .. }), "{err:?}");
         }
     }
+}
+
+// ---- register allocation edges -----------------------------------------
+//
+// The predecoded engine runs each function on its colored registers; the
+// legacy engine on the IR's. Each kernel below puts one rule of the
+// allocation where a wrong slot changes what the program computes.
+
+/// Checks both engines identical on `p` under `cfg` at every optimization
+/// level, and that each level's run leaves `expect` in global `out`.
+fn allocation_edge(p: &Program, cfg: &MachineConfig, expect: &[i64], what: &str) {
+    for opt in OptLevel::ALL {
+        let p = opt.apply(p);
+        let what = format!("{what} {opt:?}");
+        identical_cfg_run(&p, cfg, &what);
+        let mut m = Machine::new(&p, cfg.clone()).unwrap();
+        m.run(&mut NoopHook).unwrap_or_else(|err| panic!("{what}: {err}"));
+        let out = p.globals().iter().position(|g| g.name == "out").expect("out global");
+        let base = m.memory().global_addr(GlobalId(out as u32));
+        let got: Vec<i64> =
+            (0..expect.len() as u64).map(|i| m.memory().read(base + 8 * i, 8) as i64).collect();
+        assert_eq!(got, expect, "{what}");
+    }
+}
+
+fn out_slot(fb: &mut FunctionBuilder, out: GlobalId, tid: Reg) -> MemRef {
+    fb.global_ref(out, Operand::Reg(tid), 8)
+}
+
+#[test]
+fn a_register_read_before_any_write_reads_zero_beside_a_dead_parameter() {
+    let build = |divide: bool| {
+        let mut pb = ProgramBuilder::new();
+        let out = pb.global("out", 8 * 4);
+        // `arg(1)` is never read, but its slot receives the argument 77.
+        let k = pb.function("k", 2, |fb| {
+            let tid = fb.arg(0);
+            let unset = fb.reg();
+            let t = fb.alu(AluOp::Add, tid, 100i64);
+            let s = fb.alu(AluOp::Add, unset, t);
+            // Unwritten on the first trip only: 0, then the last sum.
+            let acc = fb.reg();
+            fb.for_range(0i64, 3i64, 1, |fb, i| fb.alu_into(acc, AluOp::Add, acc, i));
+            let mut sum = fb.alu(AluOp::Add, s, acc);
+            if divide {
+                sum = fb.alu(AluOp::Div, sum, unset);
+            }
+            let dst = out_slot(fb, out, tid);
+            fb.store(dst, sum);
+            fb.ret(None);
+        });
+        let mut cfg = MachineConfig::new(k, 4);
+        cfg.extra_args = vec![77];
+        (pb.build().unwrap(), cfg)
+    };
+    let (p, cfg) = build(false);
+    allocation_edge(&p, &cfg, &[103, 104, 105, 106], "read before write");
+
+    // Dividing by the unwritten register faults the same way on both.
+    let (p, cfg) = build(true);
+    for opt in OptLevel::ALL {
+        let (err, _) = identical_fault(&opt.apply(&p), cfg.clone(), "divide by unset");
+        assert!(matches!(err, MachineError::Trapped { tid: 0, trap: Trap::DivByZero, .. }));
+    }
+}
+
+#[test]
+fn a_value_lives_across_a_call() {
+    let mut pb = ProgramBuilder::new();
+    let out = pb.global("out", 8 * 4);
+    let helper = pb.function("helper", 1, |fb| {
+        let x = fb.arg(0);
+        let y = fb.alu(AluOp::Mul, x, 3i64);
+        let z = fb.alu(AluOp::Add, y, 1i64);
+        fb.ret(Some(Operand::Reg(z)));
+    });
+    let k = pb.function("k", 1, |fb| {
+        let tid = fb.arg(0);
+        let a = fb.alu(AluOp::Mul, tid, 7i64);
+        let kept = fb.alu(AluOp::Add, a, 5i64);
+        let r = fb.call(helper, &[Operand::Reg(tid)]);
+        let s = fb.alu(AluOp::Add, r, kept);
+        let dst = out_slot(fb, out, tid);
+        fb.store(dst, s);
+        fb.ret(None);
+    });
+    let p = pb.build().unwrap();
+    let expect: Vec<i64> = (0..4).map(|t| 3 * t + 1 + 7 * t + 5).collect();
+    allocation_edge(&p, &MachineConfig::new(k, 4), &expect, "live across a call");
+}
+
+#[test]
+fn a_call_dst_is_written_at_the_return_and_its_slot_reused() {
+    let mut pb = ProgramBuilder::new();
+    let out = pb.global("out", 8 * 8);
+    // Returns a value from odd arguments only: the caller's `dst` keeps
+    // its old value (0, never written) when the callee returns none.
+    let odd = pb.function("odd", 1, |fb| {
+        let x = fb.arg(0);
+        let bit = fb.alu(AluOp::And, x, 1i64);
+        fb.if_then(Cond::Ne, bit, 0i64, |fb| {
+            let v = fb.alu(AluOp::Mul, x, 10i64);
+            fb.ret(Some(Operand::Reg(v)));
+            let dead = fb.new_block();
+            fb.switch_to(dead);
+        });
+        fb.ret(None);
+    });
+    let twice = pb.function("twice", 1, |fb| {
+        let x = fb.arg(0);
+        let y = fb.alu(AluOp::Shl, x, 1i64);
+        fb.ret(Some(Operand::Reg(y)));
+    });
+    let k = pb.function("k", 1, |fb| {
+        let tid = fb.arg(0);
+        // Temporaries dead by the call: candidates for the dst's slot.
+        let t1 = fb.alu(AluOp::Add, tid, 1000i64);
+        let t2 = fb.alu(AluOp::Mul, t1, 3i64);
+        fb.store(MemRef::global(out, Some((tid, 8)), 32, AccessSize::B8), t2);
+        let maybe = fb.call(odd, &[Operand::Reg(tid)]);
+        // `r1` dies at its first use; what follows may take its slot.
+        let r1 = fb.call(twice, &[Operand::Reg(tid)]);
+        let x = fb.alu(AluOp::Add, r1, 1i64);
+        let y = fb.alu(AluOp::Mul, x, 2i64);
+        let r2 = fb.call(twice, &[Operand::Reg(y)]);
+        let s = fb.alu(AluOp::Add, r2, maybe);
+        let dst = out_slot(fb, out, tid);
+        fb.store(dst, s);
+        fb.ret(None);
+    });
+    let p = pb.build().unwrap();
+    let mut expect: Vec<i64> =
+        (0..4).map(|t| 2 * ((2 * t + 1) * 2) + if t % 2 == 1 { 10 * t } else { 0 }).collect();
+    expect.extend((0..4).map(|t| (t + 1000) * 3));
+    allocation_edge(&p, &MachineConfig::new(k, 4), &expect, "call dst");
+}
+
+#[test]
+fn branches_and_switches_on_registers() {
+    let mut pb = ProgramBuilder::new();
+    let out = pb.global("out", 8 * 8);
+    let data = pb.global_i64("data", &[5, 6, 7, 8]);
+    let k = pb.function("k", 1, |fb| {
+        let tid = fb.arg(0);
+        let sel = fb.alu(AluOp::Rem, tid, 4i64);
+        let acc = fb.var(8);
+        fb.store_var(acc, 0i64);
+        // The selector dies at the switch; `bias`, written after it, lives
+        // on.
+        let key = fb.alu(AluOp::Add, sel, 0i64);
+        let bias = fb.alu(AluOp::Mul, tid, 5i64);
+        let (cases, join) = ([(); 3].map(|()| fb.new_block()), fb.new_block());
+        let default = fb.new_block();
+        fb.switch(key, 0, cases.to_vec(), default);
+        for (i, &b) in cases.iter().chain([&default]).enumerate() {
+            fb.switch_to(b);
+            let v = fb.alu(AluOp::Add, sel, 10 * i as i64);
+            fb.store_var(acc, v);
+            fb.jmp(join);
+        }
+        fb.switch_to(join);
+        let v = fb.load_var(acc);
+        // Register-register, register-immediate and immediate-register
+        // compares, and one against memory through a register base.
+        let three = fb.mov(3i64);
+        let ptr = fb.lea(MemRef::global(data, Some((sel, 8)), 0, AccessSize::B8));
+        let a = fb.alu(AluOp::Add, v, bias);
+        fb.if_then(Cond::Lt, sel, three, |fb| fb.alu_into(a, AluOp::Add, a, 100i64));
+        fb.if_then(Cond::Ge, v, 21i64, |fb| fb.alu_into(a, AluOp::Add, a, 1000i64));
+        fb.if_then(Cond::Gt, 1i64, sel, |fb| fb.alu_into(a, AluOp::Add, a, 10_000i64));
+        fb.if_then(Cond::Eq, Operand::Mem(MemRef::reg(ptr, 0, AccessSize::B8)), 7i64, |fb| {
+            fb.alu_into(a, AluOp::Add, a, 100_000i64)
+        });
+        let dst = out_slot(fb, out, tid);
+        fb.store(dst, a);
+        fb.ret(None);
+    });
+    let p = pb.build().unwrap();
+    let expect: Vec<i64> = (0..8)
+        .map(|t| {
+            let sel = t % 4;
+            let v = sel + 10 * sel;
+            let mut a = v + 5 * t;
+            a += if sel < 3 { 100 } else { 0 };
+            a += if v >= 21 { 1000 } else { 0 };
+            a += if sel < 1 { 10_000 } else { 0 };
+            a + if sel + 5 == 7 { 100_000 } else { 0 }
+        })
+        .collect();
+    for quantum in [1, 64] {
+        let cfg = config(k, None, 8, quantum, ExecEngine::Predecoded);
+        allocation_edge(&p, &cfg, &expect, &format!("branches quantum {quantum}"));
+    }
+}
+
+#[test]
+fn an_acquire_retried_at_its_terminator_keeps_its_registers() {
+    let mut pb = ProgramBuilder::new();
+    let out = pb.global("out", 8 * 9);
+    let lock = pb.global("lock", 8);
+    let k = pb.function("k", 1, |fb| {
+        let tid = fb.arg(0);
+        let v = fb.alu(AluOp::Mul, tid, 3i64);
+        let l = fb.lea(MemRef::global(lock, None, 0, AccessSize::B8));
+        // A long critical section, so waiters spin and retry.
+        fb.acquire(l);
+        let counter = MemRef::global(out, None, 64, AccessSize::B8);
+        fb.for_range(0i64, 4i64, 1, |fb, _| {
+            let c = fb.load(counter);
+            let c1 = fb.alu(AluOp::Add, c, v);
+            fb.store(counter, c1);
+        });
+        fb.release(l);
+        let w = fb.alu(AluOp::Add, v, 1i64);
+        let dst = out_slot(fb, out, tid);
+        fb.store(dst, w);
+        fb.ret(None);
+    });
+    let p = pb.build().unwrap();
+    let mut expect: Vec<i64> = (0..8).map(|t| 3 * t + 1).collect();
+    expect.push((0..8).map(|t| 4 * 3 * t).sum());
+    for quantum in [1, 2, 64] {
+        let cfg = config(k, None, 8, quantum, ExecEngine::Predecoded);
+        allocation_edge(&p, &cfg, &expect, &format!("acquire quantum {quantum}"));
+        let run = identical_cfg_run(&p, &cfg, "acquire spin");
+        if quantum == 1 {
+            let spun: u64 = run.per_thread.iter().map(|t| t.skipped_spin).sum();
+            assert!(spun > 0, "quantum 1 contends the lock");
+        }
+    }
+}
+
+#[test]
+fn a_non_power_of_two_scale_on_renamed_registers_matches() {
+    // As in `non_power_of_two_index_scale_matches_on_both_engines`, but
+    // base and index are registers the allocation renames.
+    let mut pb = ProgramBuilder::new();
+    let data = pb.global_i64("data", &(0..64).collect::<Vec<_>>());
+    let out = pb.global("out", 8 * 8);
+    let k = pb.function("k", 1, |fb| {
+        let tid = fb.arg(0);
+        let t1 = fb.alu(AluOp::Add, tid, 1i64);
+        let t2 = fb.alu(AluOp::Mul, t1, 2i64);
+        let i = fb.alu(AluOp::Sub, t2, 2i64); // 2 tid
+        let base = fb.lea(MemRef::global(data, None, 0, AccessSize::B8));
+        let v = fb.load(MemRef::reg_index(base, i, 8, 0, AccessSize::B8));
+        let w =
+            fb.alu(AluOp::Add, v, Operand::Mem(MemRef::reg_index(base, i, 8, 8, AccessSize::B8)));
+        let dst = out_slot(fb, out, tid);
+        fb.store(dst, w);
+        fb.ret(None);
+    });
+    let json = serde_json::to_string(&pb.build().unwrap()).unwrap();
+    // `i` is r3: the two accesses through it are the only ones indexed by it.
+    assert_eq!(json.matches("\"index\":[3,8]").count(), 2, "two 8-scaled r3 indexes in {json}");
+    let p: Program = serde_json::from_str(&json.replace("\"index\":[3,8]", "\"index\":[3,24]"))
+        .expect("scale 24 deserializes");
+    assert!(p.validate().is_err());
+    // Thread t reads words 3 * 2t and 3 * 2t + 1.
+    let expect: Vec<i64> = (0..4).map(|t| 12 * t + 1).collect();
+    let cfg = MachineConfig::new(k, 4);
+    identical_cfg_run(&p, &cfg, "scale 24 renamed");
+    let mut m = Machine::new(&p, cfg).unwrap();
+    m.run(&mut NoopHook).unwrap();
+    let base = m.memory().global_addr(GlobalId(1));
+    let got: Vec<i64> = (0..4).map(|t| m.memory().read(base + 8 * t, 8) as i64).collect();
+    assert_eq!(got, expect);
 }

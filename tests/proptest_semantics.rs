@@ -13,6 +13,9 @@
 //!    trace-based emulation reproduces the hardware model's issue and
 //!    instruction counts *exactly*; with dynamic IPDOMs it is never more
 //!    pessimistic.
+//! 4. **Engine agreement** — at every optimization level the predecoded
+//!    engine, which runs on allocated registers, leaves the same output
+//!    memory and the same capture as the legacy engine on the IR's.
 
 use proptest::prelude::*;
 use threadfuser::analyzer::{AnalyzerConfig, ReconvergencePolicy};
@@ -20,8 +23,10 @@ use threadfuser::ir::{
     AluOp, Cond, FuncId, FunctionBuilder, GlobalId, Operand, OptLevel, Program, ProgramBuilder,
     Slot,
 };
-use threadfuser::machine::{LockstepConfig, LockstepMachine, Machine, MachineConfig, NoopHook};
-use threadfuser::tracer::trace_program;
+use threadfuser::machine::{
+    ExecEngine, LockstepConfig, LockstepMachine, Machine, MachineConfig, Memory, NoopHook,
+};
+use threadfuser::tracer::{trace_program, TraceSet, Tracer};
 
 const N_THREADS: u32 = 32;
 const DATA_LEN: i64 = 64;
@@ -170,14 +175,28 @@ fn mimd_output(program: &Program, kernel: FuncId, out_name: &str) -> Vec<u64> {
     let mut m =
         Machine::new(program, MachineConfig::new(kernel, N_THREADS)).expect("machine loads");
     m.run(&mut NoopHook).expect("mimd run succeeds");
+    out_words(program, m.memory(), out_name)
+}
+
+/// The per-thread words of global `out_name`.
+fn out_words(program: &Program, memory: &Memory, out_name: &str) -> Vec<u64> {
     let gid = program
         .globals()
         .iter()
         .position(|g| g.name == out_name)
         .map(|i| threadfuser::ir::GlobalId(i as u32))
         .expect("out global");
-    let base = m.memory().global_addr(gid);
-    (0..N_THREADS as u64).map(|i| m.memory().read(base + i * 8, 8)).collect()
+    let base = memory.global_addr(gid);
+    (0..N_THREADS as u64).map(|i| memory.read(base + i * 8, 8)).collect()
+}
+
+/// The output words and the capture of a traced run on `engine`.
+fn engine_run(program: &Program, kernel: FuncId, engine: ExecEngine) -> (Vec<u64>, TraceSet) {
+    let cfg = MachineConfig::new(kernel, N_THREADS).engine(engine);
+    let mut m = Machine::new(program, cfg).expect("machine loads");
+    let mut tracer = Tracer::new();
+    m.run(&mut tracer).expect("mimd run succeeds");
+    (out_words(program, m.memory(), "out"), tracer.into_traces())
 }
 
 proptest! {
@@ -191,6 +210,18 @@ proptest! {
             let optimized = opt.apply(&program);
             let got = mimd_output(&optimized, kernel, "out");
             prop_assert_eq!(&reference, &got, "{} changed results", opt);
+        }
+    }
+
+    #[test]
+    fn predecoded_and_legacy_engines_agree_at_every_level(stmts in kernel_strategy()) {
+        let (program, kernel) = build_program(&stmts);
+        for opt in OptLevel::ALL {
+            let optimized = opt.apply(&program);
+            let (pre_out, pre_traces) = engine_run(&optimized, kernel, ExecEngine::Predecoded);
+            let (legacy_out, legacy_traces) = engine_run(&optimized, kernel, ExecEngine::Legacy);
+            prop_assert_eq!(&pre_out, &legacy_out, "{} output memory", opt);
+            prop_assert!(pre_traces == legacy_traces, "{} captures differ", opt);
         }
     }
 

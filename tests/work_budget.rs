@@ -131,7 +131,8 @@ fn projection_streams_from_the_recording() {
 /// included, peaks no higher than its 15 654 846 B ceiling with a tape
 /// per thread: the 13 557 694 B capture and 7.29 MB index it then kept
 /// resident, and 2 MiB. (With shared tapes the index takes 0.96 MB, and
-/// the flow peaks at the trace's own high-water, 11.0 MB.)
+/// the flow peaks at the trace's own high-water: 11.0 MB, 10.7 MB with
+/// allocated registers.)
 #[test]
 fn cold_project_job_peaks_at_the_capture_and_index() {
     const HEADROOM: usize = 2 << 20;
@@ -220,6 +221,28 @@ fn capture_memory_is_what_threads_touch() {
     drop(traced);
     eprintln!("hdsearch_mid@{THREADS} capture: peak {peak} B above entry");
     assert!(peak <= CAPTURE_BUDGET, "hdsearch_mid@{THREADS}: capture peaked {peak} B above entry");
+}
+
+/// A predecoded frame holds its function's allocated registers, not its
+/// virtual ones: `md5`'s unrolled O3 kernel names 674 registers and
+/// colors into 11 slots. With the virtual register file, 2048 threads
+/// held 11.04 MB of registers and `md5`@2048's trace peaked 12 274 841 B
+/// above entry; allocated, the whole trace stays under 2 MB.
+#[test]
+fn register_files_hold_the_allocated_registers() {
+    const THREADS: u32 = 2048;
+    const BUDGET: usize = 2_000_000;
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let w = workloads::by_name("md5").expect("md5 workload exists");
+    let pipeline =
+        Pipeline::from_workload(&w).threads(THREADS).opt_level(OptLevel::O3).parallelism(2);
+    let (traced, peak) = peak_delta(|| pipeline.trace().expect("md5 traces"));
+    drop(traced);
+    eprintln!("md5@{THREADS} trace: peak {peak} B above entry");
+    assert!(
+        peak <= BUDGET,
+        "md5@{THREADS}: the trace peaked {peak} B above entry, over {BUDGET} B"
+    );
 }
 
 /// Record totals of a capture's tapes: `(threads, events, accesses,

@@ -76,6 +76,13 @@ HEAP_OPS_OUT=$(TF_THREADS=64 cargo run --release -q -p threadfuser-bench --bin h
 echo "$HEAP_OPS_OUT" | grep -q "md5@64 .*analyze"
 # sweep_warm's set-up rows: the resident captures that place its peak.
 echo "$HEAP_OPS_OUT" | grep -q "sweep_warm .*coop_lottery@64 .*index"
+# cold_project's pigz trace and projection rows carry its peak; each cell
+# is one value in MB, or the min–max of runs that differ.
+MB_CELL='[0-9]+\.[0-9]{2}(–[0-9]+\.[0-9]{2})?'
+for OP in trace project; do
+    echo "$HEAP_OPS_OUT" |
+        grep -Eq "^cold_project +pigz@64 +$OP +$MB_CELL +$MB_CELL +$MB_CELL\$"
+done
 
 echo "==> trace CLI usage gate (--chunk-kb 0 must be a usage error)"
 set +e

@@ -15,6 +15,11 @@
 //! count, for a quick run; `TF_RESULTS` also writes the table as
 //! `heap_ops.csv`.
 //!
+//! Ops that run two workers (projections, file analyses, some index
+//! builds) reach a high-water that depends on how the workers'
+//! allocations interleave. So every flow runs [`RUNS`] times, and a cell
+//! whose runs differ prints their `min–max`.
+//!
 //! ```text
 //! cargo run --release -p threadfuser-bench --bin heap_ops
 //! ```
@@ -43,6 +48,8 @@ const INGEST_FILES: [(&str, u32); 4] =
     [("pigz", 2048), ("hdsearch_leaf", 512), ("bfs", 4096), ("md5", 4096)];
 /// Emulation and simulation workers, as in the benchmark.
 const PARALLELISM: usize = 2;
+/// Runs of every flow.
+const RUNS: usize = 3;
 
 fn threads(default: u32) -> u32 {
     std::env::var("TF_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(default).max(1)
@@ -65,16 +72,58 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, usize, isize) {
     (r, peak, counting_alloc::live() as isize - base as isize)
 }
 
-fn mb(bytes: f64) -> String {
-    format!("{:.2}", bytes / 1e6)
+fn mb(bytes: isize) -> String {
+    format!("{:.2}", bytes as f64 / 1e6)
+}
+
+/// One op of one run: its flow, input and op, and its high-water,
+/// resident and cumulative live bytes.
+struct Row {
+    flow: &'static str,
+    input: String,
+    op: &'static str,
+    bytes: [isize; 3],
+}
+
+/// `values` in MB, or their `min–max` when they differ at that precision.
+fn range(values: impl Iterator<Item = isize> + Clone) -> String {
+    let (lo, hi) = (mb(values.clone().min().unwrap_or(0)), mb(values.max().unwrap_or(0)));
+    if lo == hi {
+        lo
+    } else {
+        format!("{lo}–{hi}")
+    }
 }
 
 fn main() {
+    let runs: Vec<Vec<Row>> = (0..RUNS).map(|_| run_flows()).collect();
     let mut table = TextTable::new(&["flow", "input", "op", "peak_mb", "resident_mb", "live_mb"]);
+    for (i, first) in runs[0].iter().enumerate() {
+        let cell = |c: usize| range(runs.iter().map(move |run| run[i].bytes[c]));
+        table.row(&[first.flow, &first.input, first.op, &cell(0), &cell(1), &cell(2)]);
+    }
+    println!(
+        "Heap per op (MB = 10^6 B): high-water above entry, what the op leaves live, and the \
+         heap live after it above its flow's start; min–max over {RUNS} runs where they differ\n"
+    );
+    emit("heap_ops", &table);
+}
+
+/// Runs every flow once, returning its rows in order.
+fn run_flows() -> Vec<Row> {
+    // Sized up front, so recording a row allocates only its input name.
+    let mut rows = Vec::with_capacity(
+        4 * COLD_PROGRAMS.len() + 2 * SWEEP_PROGRAMS.len() + 3 * INGEST_FILES.len(),
+    );
     // `flow_base` is the heap live when the row's flow started.
-    let mut row = |flow: &str, input: &str, op: &str, peak: usize, resident: isize, flow_base| {
+    let mut row = |flow, input: &str, op, peak: usize, resident: isize, flow_base| {
         let live = counting_alloc::live() as isize - flow_base as isize;
-        table.row(&[flow, input, op, &mb(peak as f64), &mb(resident as f64), &mb(live as f64)]);
+        rows.push(Row {
+            flow,
+            input: input.to_owned(),
+            op,
+            bytes: [peak as isize, resident, live],
+        });
     };
     let (simt, cpu) = (SimtSimConfig::default(), CpuSimConfig::default());
 
@@ -145,10 +194,5 @@ fn main() {
         row("file_ingest", &at, "analyze", peak, resident, base);
     }
     std::fs::remove_dir_all(&dir).ok();
-
-    println!(
-        "Heap per op (MB = 10^6 B): high-water above entry, what the op leaves live, and the \
-         heap live after it above its flow's start\n"
-    );
-    emit("heap_ops", &table);
+    rows
 }

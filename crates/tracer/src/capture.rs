@@ -1,6 +1,6 @@
 //! The tracing hook and the one-call capture front door.
 
-use crate::events::{RecordWriter, SideEvent, TraceSet};
+use crate::events::{RecordWriter, SideEvent, ThreadTrace, TraceSet};
 use std::collections::HashSet;
 use threadfuser_ir::{BlockAddr, FuncId, Program};
 use threadfuser_machine::{ExecHook, Machine, MachineConfig, MachineError, RunStats, SkipKind};
@@ -14,15 +14,46 @@ pub struct TracerConfig {
     pub exclude: HashSet<FuncId>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PerThread {
-    /// The thread's record so far, one growing stream per column.
-    trace: RecordWriter,
+    /// The thread's record: one growing stream per column while it runs,
+    /// packed into its exactly sized record when it ends.
+    record: Record,
     /// Depth of nesting inside excluded functions (0 = tracing).
     excluded_depth: u32,
 }
 
+#[derive(Debug)]
+enum Record {
+    Writing(RecordWriter),
+    Packed(ThreadTrace),
+}
+
+impl PerThread {
+    fn new(tid: u32) -> Self {
+        PerThread { record: Record::Writing(RecordWriter::new(tid)), excluded_depth: 0 }
+    }
+
+    /// The thread's column writer. An event after the thread's end (a hook
+    /// driven directly) reopens its packed record.
+    #[inline]
+    fn writer(&mut self) -> &mut RecordWriter {
+        if let Record::Packed(t) = &self.record {
+            self.record = Record::Writing(RecordWriter::reopen(t));
+        }
+        match &mut self.record {
+            Record::Writing(w) => w,
+            Record::Packed(_) => unreachable!("reopened above"),
+        }
+    }
+}
+
 /// An [`ExecHook`] that builds per-thread traces.
+///
+/// Each thread writes its events into column streams that grow by a
+/// quarter at a time, and its record is packed, sized exactly, at
+/// [`ExecHook::on_thread_end`]: a capture holds its finished threads'
+/// records and little more than the running threads' bytes.
 #[derive(Debug, Default)]
 pub struct Tracer {
     config: TracerConfig,
@@ -55,21 +86,21 @@ impl Tracer {
     #[cold]
     fn grow_to(&mut self, n_threads: usize) {
         let old_len = self.threads.len();
-        self.threads.resize_with(n_threads, PerThread::default);
-        // Stamp tids on the freshly created slots only; rewriting every
-        // slot on each growth made thread discovery quadratic.
-        for (i, t) in self.threads.iter_mut().enumerate().skip(old_len) {
-            t.trace.head.tid = i as u32;
-        }
+        self.threads.extend((old_len..n_threads).map(|tid| PerThread::new(tid as u32)));
     }
 
-    /// Finishes capture and returns the trace set, packing each thread's
-    /// column streams into its exactly sized record.
+    /// Finishes capture and returns the trace set. Threads were packed
+    /// as they ended; this packs only the threads that never reported
+    /// their end (hooks driven directly), so every tid below the highest
+    /// one seen has its trace.
     pub fn into_traces(self) -> TraceSet {
         // Not `collect`: collecting in place would keep the per-thread
-        // writers' larger allocation behind the traces.
+        // slots' larger allocation behind the traces.
         let mut traces = Vec::with_capacity(self.threads.len());
-        traces.extend(self.threads.into_iter().map(|t| t.trace.finish()));
+        traces.extend(self.threads.into_iter().map(|t| match t.record {
+            Record::Writing(w) => w.finish(),
+            Record::Packed(trace) => trace,
+        }));
         TraceSet::new(traces)
     }
 }
@@ -78,10 +109,10 @@ impl ExecHook for Tracer {
     fn on_block(&mut self, tid: u32, addr: BlockAddr, n_insts: u32) {
         let t = self.thread(tid);
         if t.excluded_depth > 0 {
-            t.trace.head.excluded_insts += n_insts as u64;
+            t.writer().head.excluded_insts += n_insts as u64;
             return;
         }
-        t.trace.push_block(addr, n_insts);
+        t.writer().push_block(addr, n_insts);
     }
 
     fn on_mem(&mut self, tid: u32, inst_idx: u32, addr: u64, size: u32, is_store: bool) {
@@ -89,7 +120,7 @@ impl ExecHook for Tracer {
         if t.excluded_depth > 0 {
             return;
         }
-        t.trace.push_mem(inst_idx, addr, size as u8, is_store);
+        t.writer().push_mem(inst_idx, addr, size as u8, is_store);
     }
 
     fn on_call(&mut self, tid: u32, callee: FuncId) {
@@ -103,7 +134,7 @@ impl ExecHook for Tracer {
             t.excluded_depth = 1;
             return;
         }
-        t.trace.push_side(SideEvent::Call { callee });
+        t.writer().push_side(SideEvent::Call { callee });
     }
 
     fn on_ret(&mut self, tid: u32) {
@@ -112,35 +143,42 @@ impl ExecHook for Tracer {
             t.excluded_depth -= 1;
             return;
         }
-        t.trace.push_side(SideEvent::Ret);
+        t.writer().push_side(SideEvent::Ret);
     }
 
     fn on_acquire(&mut self, tid: u32, lock: u64) {
         let t = self.thread(tid);
         if t.excluded_depth == 0 {
-            t.trace.push_side(SideEvent::Acquire { lock });
+            t.writer().push_side(SideEvent::Acquire { lock });
         }
     }
 
     fn on_release(&mut self, tid: u32, lock: u64) {
         let t = self.thread(tid);
         if t.excluded_depth == 0 {
-            t.trace.push_side(SideEvent::Release { lock });
+            t.writer().push_side(SideEvent::Release { lock });
         }
     }
 
     fn on_barrier(&mut self, tid: u32, id: u32) {
         let t = self.thread(tid);
         if t.excluded_depth == 0 {
-            t.trace.push_side(SideEvent::Barrier { id });
+            t.writer().push_side(SideEvent::Barrier { id });
         }
     }
 
     fn on_skipped(&mut self, tid: u32, count: u64, kind: SkipKind) {
         let t = self.thread(tid);
         match kind {
-            SkipKind::Io => t.trace.head.skipped_io += count,
-            SkipKind::LockSpin => t.trace.head.skipped_spin += count,
+            SkipKind::Io => t.writer().head.skipped_io += count,
+            SkipKind::LockSpin => t.writer().head.skipped_spin += count,
+        }
+    }
+
+    fn on_thread_end(&mut self, tid: u32) {
+        let t = self.thread(tid);
+        if let Record::Writing(w) = &mut t.record {
+            t.record = Record::Packed(std::mem::take(w).finish());
         }
     }
 }
@@ -159,6 +197,12 @@ pub fn trace_program(
 
 /// [`trace_program`] with selective function exclusion.
 ///
+/// Each thread's record is packed, sized exactly, when the thread ends, so
+/// the capture holds the machine, the ended threads' records and the
+/// running threads' column streams, each at most a quarter (or 64 B) over
+/// its bytes; by the time the trace set is returned only the records are
+/// left.
+///
 /// # Errors
 /// Propagates any [`MachineError`] from the run.
 pub fn trace_program_with(
@@ -169,7 +213,7 @@ pub fn trace_program_with(
     let mut tracer = Tracer::with_config(tracer_config);
     tracer.grow_to(config.n_threads as usize);
     // The machine (memory image, register files, heap) drops at the end of
-    // this statement, so it is never on the heap beside the packed records.
+    // this statement; `into_traces` then only moves the packed records.
     let stats = Machine::new(program, config)?.run(&mut tracer)?;
     Ok((tracer.into_traces(), stats))
 }
@@ -209,8 +253,8 @@ pub fn trace_program_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{ThreadTrace, TraceEvent};
-    use threadfuser_ir::{AluOp, Operand, ProgramBuilder};
+    use crate::events::TraceEvent;
+    use threadfuser_ir::{AluOp, BlockId, Operand, ProgramBuilder};
 
     fn simple_program() -> (Program, FuncId, FuncId) {
         let mut pb = ProgramBuilder::new();
@@ -322,6 +366,68 @@ mod tests {
         let (p, k, _) = simple_program();
         let (traces, stats) = trace_program(&p, MachineConfig::new(k, 4)).unwrap();
         assert_eq!(traces.total_traced_insts(), stats.total_traced());
+    }
+
+    /// Drives `tracer` through a mixed event script for each of `tids`,
+    /// thread by thread, calling `on_thread_end` after each when `end`.
+    fn drive(tracer: &mut Tracer, tids: &[u32], end: bool) {
+        for &tid in tids {
+            for i in 0..50 + tid * 7 {
+                tracer.on_block(tid, BlockAddr::new(FuncId(i % 3), BlockId(i % 5)), 1 + i % 4);
+                for k in 0..i % 3 {
+                    tracer.on_mem(tid, k, 0x1000 + u64::from(tid * 4096 + i * 16 + k), 8, k == 1);
+                }
+                match i % 6 {
+                    0 => tracer.on_call(tid, FuncId(1)),
+                    1 => tracer.on_ret(tid),
+                    2 => tracer.on_acquire(tid, 0x40),
+                    3 => tracer.on_release(tid, 0x40),
+                    4 => tracer.on_barrier(tid, i),
+                    _ => tracer.on_skipped(tid, u64::from(i), SkipKind::Io),
+                }
+            }
+            if end {
+                tracer.on_thread_end(tid);
+            }
+        }
+    }
+
+    #[test]
+    fn threads_packed_at_their_end_equal_threads_packed_at_into_traces() {
+        let tids = [0, 1, 2, 3];
+        let (mut ended, mut running) = (Tracer::new(), Tracer::new());
+        drive(&mut ended, &tids, true);
+        drive(&mut running, &tids, false);
+        assert!(ended.threads.iter().all(|t| matches!(t.record, Record::Packed(_))));
+        assert!(running.threads.iter().all(|t| matches!(t.record, Record::Writing(_))));
+        let (ended, running) = (ended.into_traces(), running.into_traces());
+        assert_eq!(ended, running);
+        assert!(ended.threads().iter().all(|t| t.block_count() > 0 && t.skipped_io > 0));
+
+        // An event after a thread's end reopens its record.
+        let mut reopened = Tracer::new();
+        drive(&mut reopened, &tids, true);
+        reopened.on_barrier(2, 99);
+        let mut expected = running.threads()[2].clone();
+        expected.push_side(SideEvent::Barrier { id: 99 });
+        assert_eq!(reopened.into_traces().threads()[2], expected);
+    }
+
+    #[test]
+    fn threads_that_never_end_are_packed_with_stable_tids() {
+        let mut tracer = Tracer::new();
+        // Discovered out of order; thread 4 ends, 0..=3 and 5..=6 never do.
+        drive(&mut tracer, &[4], true);
+        drive(&mut tracer, &[1, 6, 0], false);
+        let traces = tracer.into_traces();
+        assert_eq!(traces.threads().len(), 7);
+        for (i, t) in traces.threads().iter().enumerate() {
+            assert_eq!(t.tid, i as u32);
+            assert_eq!(t.block_count() > 0, [0, 1, 4, 6].contains(&i), "thread {i}");
+        }
+        let mut alone = Tracer::new();
+        drive(&mut alone, &[0, 1, 2, 3, 4, 5, 6], false);
+        assert_eq!(traces.threads()[6], alone.into_traces().threads()[6]);
     }
 
     #[test]

@@ -260,6 +260,14 @@ const SIZE_STORE: usize = 6;
 const SIDE: usize = 7;
 pub(crate) const N_COLS: usize = 8;
 
+/// Smallest step a [`RecordWriter`] column grows by. Smaller steps
+/// reallocate young columns often enough to slow capture; larger ones
+/// leave more unused in each column of every thread.
+const MIN_GROWTH: usize = 64;
+/// Longest LEB128 varint of a 32-bit and of a 64-bit value.
+const MAX_VARINT32: usize = 5;
+const MAX_VARINT64: usize = 10;
+
 /// The dynamic trace of one logical thread, stored as its v3 record.
 ///
 /// The record is the column half of the thread's v3 trace-file record
@@ -494,6 +502,11 @@ pub(crate) struct RecordHead {
 /// Appends events to one growing byte stream per column, then packs them
 /// into a [`ThreadTrace`]'s exactly sized record (crate-internal: the
 /// tracer's per-thread state and the legacy decoders' target).
+///
+/// A column grows by an exact reserve of a quarter of its length, at
+/// least [`MIN_GROWTH`] bytes, not by doubling: a writer holds at most a
+/// quarter more than it has written (or 64 B per column), which is what a
+/// capture of thousands of threads keeps on the heap beside the machine.
 #[derive(Debug, Default)]
 pub(crate) struct RecordWriter {
     pub head: RecordHead,
@@ -514,7 +527,7 @@ impl RecordWriter {
     }
 
     /// A writer holding `t`'s events, ready to append more.
-    fn reopen(t: &ThreadTrace) -> Self {
+    pub(crate) fn reopen(t: &ThreadTrace) -> Self {
         let mut w = RecordWriter::new(t.tid);
         w.head.skipped_io = t.skipped_io;
         w.head.skipped_spin = t.skipped_spin;
@@ -525,17 +538,35 @@ impl RecordWriter {
         w
     }
 
+    /// Makes room for an event's `need` bytes in column `c`.
+    #[inline]
+    fn room(&mut self, c: usize, need: usize) -> &mut Vec<u8> {
+        debug_assert!(need <= MIN_GROWTH, "one growth step holds any event");
+        let col = &mut self.cols[c];
+        if col.capacity() - col.len() < need {
+            col.reserve_exact((col.len() / 4).max(MIN_GROWTH));
+        }
+        col
+    }
+
+    /// Writes the open block's access count.
+    #[inline]
+    fn close_block(&mut self) {
+        let open_mems = self.open_mems as u64;
+        put_uvarint(self.room(MEM_COUNT, MAX_VARINT32), open_mems);
+    }
+
     #[inline]
     pub(crate) fn push_block(&mut self, addr: BlockAddr, n_insts: u32) {
         if self.head.n_blocks > 0 {
-            put_uvarint(&mut self.cols[MEM_COUNT], self.open_mems as u64);
+            self.close_block();
         }
         self.open_mems = 0;
         let func = zigzag32(addr.func.0.wrapping_sub(self.prev_func) as i32);
-        put_uvarint(&mut self.cols[FUNC], func as u64);
+        put_uvarint(self.room(FUNC, MAX_VARINT32), func as u64);
         let block = zigzag32(addr.block.0.wrapping_sub(self.prev_block) as i32);
-        put_uvarint(&mut self.cols[BLOCK], block as u64);
-        put_uvarint(&mut self.cols[N_INSTS], n_insts as u64);
+        put_uvarint(self.room(BLOCK, MAX_VARINT32), block as u64);
+        put_uvarint(self.room(N_INSTS, MAX_VARINT32), n_insts as u64);
         (self.prev_func, self.prev_block) = (addr.func.0, addr.block.0);
         self.head.n_blocks += 1;
         self.head.traced_insts += n_insts as u64;
@@ -547,9 +578,10 @@ impl RecordWriter {
     pub(crate) fn push_mem(&mut self, inst_idx: u32, addr: u64, size: u8, is_store: bool) {
         assert!(self.head.n_blocks > 0, "mem access before any block");
         debug_assert!(size < STORE_BIT, "access size must fit in 7 bits");
-        put_uvarint(&mut self.cols[INST_IDX], inst_idx as u64);
-        put_uvarint(&mut self.cols[ADDR], zigzag64(addr.wrapping_sub(self.prev_addr) as i64));
-        self.cols[SIZE_STORE].push(size | if is_store { STORE_BIT } else { 0 });
+        put_uvarint(self.room(INST_IDX, MAX_VARINT32), inst_idx as u64);
+        let delta = zigzag64(addr.wrapping_sub(self.prev_addr) as i64);
+        put_uvarint(self.room(ADDR, MAX_VARINT64), delta);
+        self.room(SIZE_STORE, 1).push(size | if is_store { STORE_BIT } else { 0 });
         self.prev_addr = addr;
         self.open_mems += 1;
         self.head.n_mems += 1;
@@ -557,9 +589,11 @@ impl RecordWriter {
 
     #[inline]
     pub(crate) fn push_side(&mut self, e: SideEvent) {
-        let out = &mut self.cols[SIDE];
-        put_uvarint(out, (self.head.n_blocks - self.prev_after) as u64);
+        let after = (self.head.n_blocks - self.prev_after) as u64;
         self.prev_after = self.head.n_blocks;
+        // The blocks since the last side event, a tag and a payload.
+        let out = self.room(SIDE, MAX_VARINT32 + 1 + MAX_VARINT64);
+        put_uvarint(out, after);
         match e {
             SideEvent::Call { callee } => {
                 out.push(TAG_CALL);
@@ -599,7 +633,7 @@ impl RecordWriter {
     /// Packs the column streams into one exactly sized record.
     pub(crate) fn finish(mut self) -> ThreadTrace {
         if self.head.n_blocks > 0 {
-            put_uvarint(&mut self.cols[MEM_COUNT], self.open_mems as u64);
+            self.close_block();
         }
         let len: usize = self.cols.iter().map(Vec::len).sum();
         let mut record = Vec::with_capacity(len);
@@ -965,6 +999,37 @@ mod tests {
         assert_eq!(c.next_side(), Some(SideEvent::Ret));
         assert!(c.at_end());
         assert_eq!(t.iter_events().count(), 3);
+    }
+
+    #[test]
+    fn columns_hold_at_most_a_quarter_more_than_their_bytes() {
+        let mut w = RecordWriter::new(0);
+        let mut addr = 0x1000_0000u64;
+        for i in 0..20_000u32 {
+            w.push_block(BlockAddr::new(FuncId(i % 7), BlockId(i % 13)), 1 + i % 9);
+            for k in 0..i % 4 {
+                addr = addr.wrapping_add(u64::from(i).wrapping_mul(0x9e37_79b9) >> (k * 9));
+                w.push_mem(k, addr, 8, k % 2 == 0);
+            }
+            match i % 11 {
+                0 => w.push_side(SideEvent::Call { callee: FuncId(i % 7) }),
+                1 => w.push_side(SideEvent::Ret),
+                2 => w.push_side(SideEvent::Acquire { lock: addr }),
+                3 => w.push_side(SideEvent::Release { lock: addr }),
+                4 => w.push_side(SideEvent::Barrier { id: i }),
+                _ => {}
+            }
+            for col in &w.cols {
+                let slack = (col.len() / 4).max(MIN_GROWTH);
+                assert!(
+                    col.capacity() <= col.len() + slack,
+                    "{} for {}",
+                    col.capacity(),
+                    col.len()
+                );
+            }
+        }
+        assert!(w.cols.iter().all(|c| c.len() > 4 * MIN_GROWTH), "every column grew");
     }
 
     #[test]

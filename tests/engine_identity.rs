@@ -575,6 +575,47 @@ fn a_call_dst_is_written_at_the_return_and_its_slot_reused() {
 }
 
 #[test]
+fn a_call_dst_read_before_any_write_stays_live_into_the_calls_block() {
+    let mut pb = ProgramBuilder::new();
+    let out = pb.global("out", 8 * 4);
+    // Returns a value from odd arguments only.
+    let odd = pb.function("odd", 1, |fb| {
+        let x = fb.arg(0);
+        let bit = fb.alu(AluOp::And, x, 1i64);
+        fb.if_then(Cond::Ne, bit, 0i64, |fb| {
+            let v = fb.alu(AluOp::Mul, x, 10i64);
+            fb.ret(Some(Operand::Reg(v)));
+            let dead = fb.new_block();
+            fb.switch_to(dead);
+        });
+        fb.ret(None);
+    });
+    let twice = pb.function("twice", 1, |fb| {
+        let x = fb.arg(0);
+        let y = fb.alu(AluOp::Shl, x, 1i64);
+        fb.ret(Some(Operand::Reg(y)));
+    });
+    let k = pb.function("k", 1, |fb| {
+        let tid = fb.arg(0);
+        // `x` is written in the entry block and dies as the argument of
+        // the call in the next block, whose `dst` reads 0 when `odd`
+        // returns none: that `dst` is live from the entry, through `x`'s
+        // write, so the two may not share a slot.
+        let x = fb.alu(AluOp::Add, tid, 2i64);
+        let z = fb.call(twice, &[Operand::Reg(tid)]);
+        let maybe = fb.call(odd, &[Operand::Reg(x)]);
+        let s = fb.alu(AluOp::Add, maybe, z);
+        let dst = out_slot(fb, out, tid);
+        fb.store(dst, s);
+        fb.ret(None);
+    });
+    let p = pb.build().unwrap();
+    let expect: Vec<i64> =
+        (0..4).map(|t| 2 * t + if (t + 2) % 2 == 1 { 10 * (t + 2) } else { 0 }).collect();
+    allocation_edge(&p, &MachineConfig::new(k, 4), &expect, "call dst across blocks");
+}
+
+#[test]
 fn branches_and_switches_on_registers() {
     let mut pb = ProgramBuilder::new();
     let out = pb.global("out", 8 * 8);

@@ -131,8 +131,10 @@ fn projection_streams_from_the_recording() {
 /// included, peaks no higher than its 15 654 846 B ceiling with a tape
 /// per thread: the 13 557 694 B capture and 7.29 MB index it then kept
 /// resident, and 2 MiB. (With shared tapes the index takes 0.96 MB, and
-/// the flow peaks at the trace's own high-water: 11.0 MB, 10.7 MB with
-/// allocated registers.)
+/// the flow peaked at the trace's own high-water: 11.0 MB, 10.7 MB with
+/// allocated registers. With records packed as threads end the trace
+/// peaks at 7.4 MB, and the flow at the projection above the resident
+/// capture and index: 8.4 MB.)
 #[test]
 fn cold_project_job_peaks_at_the_capture_and_index() {
     const HEADROOM: usize = 2 << 20;
@@ -242,6 +244,32 @@ fn register_files_hold_the_allocated_registers() {
     assert!(
         peak <= BUDGET,
         "md5@{THREADS}: the trace peaked {peak} B above entry, over {BUDGET} B"
+    );
+}
+
+/// A capture holds its records and little more: each thread's columns
+/// grow by a quarter of their length (at least 64 B) rather than
+/// doubling, and a thread's record is packed, sized exactly, when the
+/// thread ends. So `pigz`@2048's trace, whose records take 5.60 MB,
+/// peaks within a quarter of them and 1 MiB (the machine, the per-thread
+/// slots, 64 B columns) above entry. With doubling columns packed
+/// only after the run it peaked 10 712 790 B above entry; now 7.43 MB.
+#[test]
+fn tracing_peaks_near_its_records() {
+    const THREADS: u32 = 2048;
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let w = workloads::by_name("pigz").expect("pigz workload exists");
+    let pipeline =
+        Pipeline::from_workload(&w).threads(THREADS).opt_level(OptLevel::O3).parallelism(2);
+    let (traced, peak) = peak_delta(|| pipeline.trace().expect("pigz traces"));
+    let records = traced.traces().storage_bytes();
+    drop(traced);
+    let budget = records + records / 4 + (1 << 20);
+    eprintln!("pigz@{THREADS} trace: peak {peak} B above entry, records {records} B");
+    assert!(
+        peak <= budget,
+        "pigz@{THREADS}: the trace peaked {peak} B above entry, over {budget} B for {records} B \
+         of records"
     );
 }
 

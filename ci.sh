@@ -77,12 +77,24 @@ echo "$HEAP_OPS_OUT" | grep -q "md5@64 .*analyze"
 # sweep_warm's set-up rows: the resident captures that place its peak.
 echo "$HEAP_OPS_OUT" | grep -q "sweep_warm .*coop_lottery@64 .*index"
 # cold_project's pigz trace and projection rows carry its peak; each cell
-# is one value in MB, or the min–max of runs that differ.
+# is one value in MB, or the min–max of runs that differ. A row that
+# builds no index leaves its `walked` cell empty.
 MB_CELL='[0-9]+\.[0-9]{2}(–[0-9]+\.[0-9]{2})?'
 for OP in trace project; do
     echo "$HEAP_OPS_OUT" |
-        grep -Eq "^cold_project +pigz@64 +$OP +$MB_CELL +$MB_CELL +$MB_CELL\$"
+        grep -Eq "^cold_project +pigz@64 +$OP +$MB_CELL +$MB_CELL +$MB_CELL *\$"
 done
+# sweep_warm traces pigz as cold_project does, so its trace row reads the
+# same capture.
+COLD_TRACE=$(echo "$HEAP_OPS_OUT" | grep -E "^cold_project +pigz@64 +trace " | awk '{print $4, $5}')
+SWEEP_TRACE=$(echo "$HEAP_OPS_OUT" | grep -E "^sweep_warm +pigz@64 +trace " | awk '{print $4, $5}')
+[ -n "$SWEEP_TRACE" ] && [ "$SWEEP_TRACE" = "$COLD_TRACE" ]
+# Index rows count the threads their build walked: one per class, so all
+# 64 of pigz@64 (a class per data block) and one of hdsearch_leaf@64.
+echo "$HEAP_OPS_OUT" |
+    grep -Eq "^sweep_warm +pigz@64 +index +$MB_CELL +$MB_CELL +$MB_CELL +64/64\$"
+echo "$HEAP_OPS_OUT" |
+    grep -Eq "^file_ingest +hdsearch_leaf@64 +analyze +$MB_CELL +$MB_CELL +$MB_CELL +1/64\$"
 
 echo "==> trace CLI usage gate (--chunk-kb 0 must be a usage error)"
 set +e

@@ -70,30 +70,69 @@ struct ThreadMeta {
     skipped_spin: u64,
 }
 
-/// One walker's state: the DCFG discoveries of every thread it walked and
-/// its frame scratch, `(function, previous block in that frame)` per
-/// active call.
+/// The classes of a capture's threads: threads whose records are equal
+/// outside their address columns and headers run one event sequence, so
+/// only the first thread of each class is walked.
+struct Classes {
+    /// Each thread's class, numbered from 0 in order of first occurrence.
+    of: Vec<u32>,
+    /// Each class's first thread.
+    first: Vec<u32>,
+}
+
+impl Classes {
+    fn new(of: Vec<u32>) -> Self {
+        let mut first = Vec::new();
+        for (t, &c) in of.iter().enumerate() {
+            if c as usize == first.len() {
+                first.push(t as u32);
+            }
+        }
+        Classes { of, first }
+    }
+
+    /// Thread `t`'s class, and whether `t` is its first thread.
+    fn of(&self, t: usize) -> (u32, bool) {
+        let c = self.of[t];
+        (c, self.first[c as usize] as usize == t)
+    }
+}
+
+/// One walker's state: the DCFG discoveries of every thread it walked,
+/// how many it walked, and its frame scratch, `(function, previous block
+/// in that frame)` per active call.
 struct Walker {
     scan: DcfgScan,
+    walked: u64,
     frames: Vec<(FuncId, Option<usize>)>,
 }
 
 impl Walker {
     fn new(program: &Program) -> Self {
-        Walker { scan: DcfgScan::new(program), frames: Vec::new() }
+        Walker { scan: DcfgScan::new(program), walked: 0, frames: Vec::new() }
     }
 
-    /// Walks `threads` in order into `tape`, stopping at the first
-    /// malformed one.
+    /// Writes `threads`, the capture's threads from `first` on, in order
+    /// into `tape`, walking the first thread of each class and stopping
+    /// at the first malformed one.
     fn walk(
         &mut self,
         threads: &[ThreadTrace],
+        first: usize,
+        classes: &Classes,
         tape: &mut TapeWriter,
     ) -> Result<Vec<ThreadMeta>, AnalyzeError> {
         let mut meta = Vec::with_capacity(threads.len());
-        for t in threads {
-            walk_thread(t, &mut self.scan, tape, &mut self.frames)?;
-            meta.push(ThreadMeta { skipped_io: t.skipped_io, skipped_spin: t.skipped_spin });
+        for (t, trace) in (first..).zip(threads) {
+            match classes.of(t) {
+                (class, true) => {
+                    walk_thread(trace, class, &mut self.scan, tape, &mut self.frames)?;
+                    self.walked += 1;
+                }
+                (class, false) => tape.push_member(trace, class),
+            }
+            let (skipped_io, skipped_spin) = (trace.skipped_io, trace.skipped_spin);
+            meta.push(ThreadMeta { skipped_io, skipped_spin });
         }
         Ok(meta)
     }
@@ -131,12 +170,13 @@ fn chunk_extents(reader: &TraceSetReader) -> Option<Vec<TapeExtent>> {
     TapeExtent::fit_offsets(&extents).then_some(extents)
 }
 
-/// The fused walk over one thread's stream: in a single cursor step it
-/// validates call/return nesting and block ranges, marks blocks observed
-/// and records DCFG edges in `scan`, and writes the thread's tape records.
-/// `frames` is caller-owned scratch.
+/// The fused walk over the stream of `t`, the first thread of `class`: in
+/// a single cursor step it validates call/return nesting and block ranges,
+/// marks blocks observed and records DCFG edges in `scan`, and writes the
+/// class's tape records. `frames` is caller-owned scratch.
 fn walk_thread(
     t: &ThreadTrace,
+    class: u32,
     scan: &mut DcfgScan,
     tape: &mut TapeWriter,
     frames: &mut Vec<(FuncId, Option<usize>)>,
@@ -144,7 +184,7 @@ fn walk_thread(
     let malformed = |detail: String| AnalyzeError::MalformedTrace { tid: t.tid, detail };
     let n_funcs = scan.n_funcs();
     frames.clear();
-    tape.push_thread(t.tid, t.addr_column());
+    tape.push_thread(t.tid, class, t.addr_column());
     let mut root_seen = false;
     // Cursor walk in stream order: side events when pending, blocks
     // otherwise.
@@ -220,8 +260,10 @@ impl AnalysisIndex {
     /// [`AnalysisIndex::build`] with up to `parallelism` workers walking
     /// contiguous thread ranges (small captures stay on the calling
     /// thread), reporting an `index-build` span (wrapping the nested
-    /// `dcfg-build` and `ipdom` spans) and an `index_misses` counter to
-    /// `obs`. Cache layers (e.g. `Traced` in the `threadfuser` facade)
+    /// `dcfg-build` and `ipdom` spans) and `index_misses` and
+    /// `threads_walked` counters to `obs`. Only the first thread of each
+    /// class ([`TraceSet::classes`]) is walked; its class's other threads
+    /// take its sequence. Cache layers (e.g. `Traced` in the `threadfuser` facade)
     /// emit the matching `index_hits` counter on reuse. The result is
     /// bit-identical at every worker count.
     ///
@@ -249,24 +291,30 @@ impl AnalysisIndex {
         obs: &Obs,
     ) -> Result<Self, AnalyzeError> {
         let threads = traces.threads();
-        // A thread's walk costs about one step per record it writes.
+        let classes = Classes::new(traces.classes());
+        // A walked thread costs about one step per record it writes;
+        // another thread of its class, about one.
         let mut weight = Vec::with_capacity(threads.len() + 1);
         weight.push(0);
-        for t in threads {
-            weight.push(weight[weight.len() - 1] + t.event_count() + 1);
+        for (t, trace) in threads.iter().enumerate() {
+            let steps = if classes.of(t).1 { trace.event_count() + 1 } else { 1 };
+            weight.push(weight[t] + steps);
         }
         let ranges = partition(&weight, workers.max(1));
         let extents: Vec<TapeExtent> =
             ranges.iter().map(|r| TapeExtent::of(&threads[r.clone()])).collect();
         obs.counter(Phase::IndexBuild, "index_misses", 1);
         Self::build_extents(program, &extents, workers, obs, |walker, i, tape| {
-            walker.walk(&threads[ranges[i].clone()], tape)
+            let r = ranges[i].clone();
+            walker.walk(&threads[r.clone()], r.start, &classes, tape)
         })
         .map_err(|mut failed| failed.swap_remove(0).1)
     }
 
     /// Builds the index of a trace file straight from its v3 chunks,
-    /// without ever holding its whole [`TraceSet`]. Up to `parallelism`
+    /// without ever holding its whole [`TraceSet`], walking the first
+    /// thread of each class as [`TraceSetReader::classes`] reads them off
+    /// the encoded records. Up to `parallelism`
     /// workers (one on small files, as in
     /// [`AnalysisIndex::build_observed`]) claim chunks in order; each
     /// decodes one chunk with [`TraceSetReader::decode_chunk_uncached`]
@@ -279,9 +327,10 @@ impl AnalysisIndex {
     /// quarantines threads, chunks claimed after it are not decoded.
     ///
     /// Returns `Ok(None)` when the file has no trustworthy per-chunk
-    /// counts — a v1/v2 file, a footer whose counts its chunk bytes
-    /// cannot hold or the tape offsets cannot address, or a chunk that
-    /// quarantined threads under `SkipBadThreads`. Such a file takes the
+    /// counts or classes — a v1/v2 file, a footer whose counts its chunk
+    /// bytes cannot hold or the tape offsets cannot address, a record not
+    /// in canonical form, or a chunk that quarantined threads under
+    /// `SkipBadThreads`. Such a file takes the
     /// whole-file decode and [`AnalysisIndex::build_observed`] instead,
     /// which also decides its outcome. Otherwise the result, index or
     /// error, equals decoding the file whole and building from the set.
@@ -297,17 +346,20 @@ impl AnalysisIndex {
         obs: &Obs,
     ) -> Result<Option<Self>, ChunkIndexError> {
         let Some(extents) = chunk_extents(reader) else { return Ok(None) };
+        let Some(classes) = reader.classes() else { return Ok(None) };
         let records: u64 = extents.iter().map(|e| e.blocks + e.mems + e.sides).sum();
         let workers = if records < PARALLEL_MIN_RECORDS as u64 { 1 } else { parallelism };
-        Self::build_chunks_with_workers(program, reader, &extents, workers, obs)
+        let classes = Classes::new(classes);
+        Self::build_chunks_with_workers(program, reader, &extents, &classes, workers, obs)
     }
 
     /// The chunk walk of [`AnalysisIndex::build_from_chunks`] over the
-    /// file's `extents`, with `workers` walkers.
+    /// file's `extents` and thread `classes`, with `workers` walkers.
     fn build_chunks_with_workers(
         program: &Program,
         reader: &TraceSetReader,
         extents: &[TapeExtent],
+        classes: &Classes,
         workers: usize,
         obs: &Obs,
     ) -> Result<Option<Self>, ChunkIndexError> {
@@ -341,7 +393,8 @@ impl AnalysisIndex {
             if !chunk.quarantined.is_empty() {
                 return Err(decisive(ChunkFail::Quarantined));
             }
-            walker.walk(&chunk.threads, tape).map_err(ChunkFail::Analyze)
+            let first = chunk.first_ordinal as usize;
+            walker.walk(&chunk.threads, first, classes, tape).map_err(ChunkFail::Analyze)
         });
         obs.counter(Phase::Decode, "chunks_decoded", decoded.into_inner());
         let outcome = match built {
@@ -390,6 +443,8 @@ impl AnalysisIndex {
         let scan_span = obs.span(Phase::DcfgBuild);
         let (tapes, walkers, metas) =
             LaneTapes::build_with(extents, workers, || Walker::new(program), walk)?;
+        let walked = walkers.iter().map(|w| w.walked).sum();
+        obs.counter(Phase::IndexBuild, "threads_walked", walked);
         let scan = walkers
             .into_iter()
             .map(|w| w.scan)
@@ -809,7 +864,16 @@ mod tests {
         workers: usize,
     ) -> Result<Option<AnalysisIndex>, ChunkIndexError> {
         let Some(extents) = chunk_extents(reader) else { return Ok(None) };
-        AnalysisIndex::build_chunks_with_workers(program, reader, &extents, workers, &Obs::none())
+        let Some(classes) = reader.classes() else { return Ok(None) };
+        let classes = Classes::new(classes);
+        AnalysisIndex::build_chunks_with_workers(
+            program,
+            reader,
+            &extents,
+            &classes,
+            workers,
+            &Obs::none(),
+        )
     }
 
     fn assert_same_index(got: &AnalysisIndex, want: &AnalysisIndex, label: &str) {
@@ -831,25 +895,43 @@ mod tests {
         starts.len()
     }
 
-    /// Walking a v3 file chunk by chunk must build the very index the
-    /// decoded set builds and the sequential oracle builds, whatever the
-    /// chunk layout and walker count — also when threads that run one
+    /// The threads an index build walks, by its `threads_walked` counter.
+    fn walked(build: impl FnOnce(&Obs)) -> u64 {
+        let sink = StdArc::new(InMemorySink::new());
+        build(&Obs::with_sink(sink.clone()));
+        sink.counter_total_for(Phase::IndexBuild, "threads_walked")
+    }
+
+    /// The class build is checked against the oracle that walks every
+    /// thread: walking a v3 file chunk by chunk must build the very index
+    /// the decoded set builds and the sequential oracle builds, whatever
+    /// the chunk layout and walker count — also when threads that run one
     /// event sequence land in different chunks (one thread per chunk at a
-    /// 1-byte budget) and share its one copy.
+    /// 1-byte budget) and share its one copy. Both builds walk one thread
+    /// per class.
     #[test]
     fn chunk_walk_matches_the_decoded_set_build() {
         for (name, threads) in
             [("pigz", 64), ("hdsearch_mid", 48), ("coop_channel", 32), ("hdsearch_leaf", 24)]
         {
             let (program, traces) = workload_capture(name, threads);
+            assert_matches_two_pass(&program, &traces);
             let want = AnalysisIndex::build(&program, &traces).unwrap();
-            assert!(want.tapes() == &LaneTapes::build_two_pass(traces.threads()), "{name}");
+            let classes = *traces.classes().iter().max().expect("threads") as u64 + 1;
+            let set_walk = |obs: &Obs| {
+                AnalysisIndex::build_with_workers(&program, &traces, 3, obs).unwrap();
+            };
+            assert_eq!(walked(set_walk), classes, "{name}");
             for budget in [1, 2048, threadfuser_tracer::DEFAULT_CHUNK_BYTES] {
                 let reader = open(&encode_v3_with(&traces, budget), ValidationPolicy::Strict);
                 for workers in WORKER_COUNTS {
                     let got = chunk_build(&program, &reader, workers).unwrap().expect("v3 walks");
                     assert_same_index(&got, &want, &format!("{name} budget {budget} x{workers}"));
                 }
+                let chunk_walk = |obs: &Obs| {
+                    AnalysisIndex::build_from_chunks(&program, &reader, 2, obs).unwrap().unwrap();
+                };
+                assert_eq!(walked(chunk_walk), classes, "{name} budget {budget}");
             }
         }
         let (program, traces) = workload_capture("hdsearch_leaf", 24);
@@ -883,11 +965,53 @@ mod tests {
         assert_matches_two_pass(&program, &traces);
         let want = AnalysisIndex::build(&program, &traces).unwrap();
         assert_eq!(sequences(&want), 48, "no thread shares a sequence");
+        let set_walk = |obs: &Obs| drop(AnalysisIndex::build_observed(&program, &traces, 8, obs));
+        assert_eq!(walked(set_walk), 48, "every thread is walked");
         let reader = open(&encode_v3_with(&traces, 1024), ValidationPolicy::Strict);
         assert!(reader.n_chunks() > 1);
         for workers in WORKER_COUNTS {
             let got = chunk_build(&program, &reader, workers).unwrap().expect("v3 walks");
             assert_same_index(&got, &want, &format!("unshared x{workers}"));
+        }
+    }
+
+    /// Two threads share a tape sequence exactly when their records are
+    /// equal outside their address columns and headers: over the catalog
+    /// at O1 and O3, 64 threads each.
+    #[test]
+    fn tape_sequences_follow_record_classes() {
+        use threadfuser_ir::OptLevel;
+        // A record with its addresses zeroed and its header cleared: two
+        // are equal exactly when the records are equal outside both.
+        let body = |t: &ThreadTrace| {
+            let events = t.iter_events().map(|e| match e {
+                TraceEvent::Mem { inst_idx, size, is_store, .. } => {
+                    TraceEvent::Mem { inst_idx, addr: 0, size, is_store }
+                }
+                e => e,
+            });
+            ThreadTrace::from_events(0, events)
+        };
+        for w in threadfuser_workloads::all() {
+            for opt in [OptLevel::O1, OptLevel::O3] {
+                let program = opt.apply(&w.program);
+                let mut cfg = MachineConfig::new(w.kernel, 64);
+                cfg.init = w.init;
+                let (traces, _) = trace_program(&program, cfg).expect("workload traces");
+                let ix = AnalysisIndex::build(&program, &traces).expect("index");
+                let bodies: Vec<ThreadTrace> = traces.threads().iter().map(body).collect();
+                let seq = |t: usize| ix.tapes().start_of(t).event;
+                for a in 0..bodies.len() {
+                    for b in a + 1..bodies.len() {
+                        assert_eq!(
+                            bodies[a] == bodies[b],
+                            seq(a) == seq(b),
+                            "{} at {opt:?}: threads {a} and {b}",
+                            w.meta.name
+                        );
+                    }
+                }
+            }
         }
     }
 

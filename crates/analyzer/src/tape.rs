@@ -52,11 +52,19 @@
 //! catalog every executed block runs with exactly one shape — a property
 //! of the catalog, pinned by `tests/tape_shapes.rs`, not of the format.
 //!
+//! Sequences are found by record class, not by content: threads whose
+//! capture records are equal outside their address columns and headers
+//! (a class, [`threadfuser_tracer::TraceSet::classes`]) run one sequence,
+//! and threads of different classes run different ones — a record is the
+//! one canonical encoding of its events. So a build walks only the first
+//! thread of each class; every other thread takes that thread's sequence
+//! with its own accesses.
+//!
 //! Ids and offsets are deterministic: every extent of a build interns its
-//! shapes, side events and sequences into its own tables, and the tables
-//! merge in extent order, so shape and side ids and sequence offsets
-//! follow first occurrence in stream order whatever the walker count and
-//! wherever the extents begin.
+//! shapes and side events into its own tables and appends the sequences
+//! of the classes it walks first; the extents merge in extent order, so
+//! shape and side ids and sequence offsets follow first occurrence in
+//! stream order whatever the walker count and wherever the extents begin.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
@@ -198,11 +206,6 @@ struct ContentIndex {
 }
 
 impl ContentIndex {
-    /// An empty index hashing with `hasher`'s keys.
-    fn with_hasher(hasher: RandomState) -> Self {
-        ContentIndex { hasher, ..ContentIndex::default() }
-    }
-
     /// The keyed hash of `content`.
     fn hash<C: Hash + ?Sized>(&self, content: &C) -> u64 {
         self.hasher.hash_one(content)
@@ -286,64 +289,6 @@ fn intern_side(sides: &mut Vec<SideEvent>, index: &mut ContentIndex, side: SideE
         sides.push(side);
         index.insert(h)
     })
-}
-
-/// Distinct event sequences, each [`END`]-terminated, in one arena.
-#[derive(Debug, Default)]
-struct SeqTable {
-    events: Vec<u32>,
-    /// Each sequence's offset in `events` and content hash, by ordinal.
-    starts: Vec<u32>,
-    hashes: Vec<u64>,
-}
-
-impl SeqTable {
-    /// The ordinal of sequence `seq` (which ends with its [`END`]) if it
-    /// is stored; `h` is its hash. `END` occurs nowhere else in a
-    /// sequence, so a stored one that starts with `seq` is `seq`.
-    fn find(&self, index: &ContentIndex, h: u64, seq: &[u32]) -> Option<u32> {
-        index.find(h, |id| self.events[self.starts[id as usize] as usize..].starts_with(seq))
-    }
-
-    /// Appends sequence `seq`, which hashes to `h`; returns its ordinal.
-    fn push(&mut self, index: &mut ContentIndex, h: u64, seq: &[u32]) -> u32 {
-        self.starts.push(self.events.len() as u32);
-        self.hashes.push(h);
-        self.events.extend_from_slice(seq);
-        index.insert(h)
-    }
-
-    /// The ordinal of sequence `seq`, appended if new.
-    fn intern(&mut self, index: &mut ContentIndex, seq: &[u32]) -> u32 {
-        let h = index.hash(seq);
-        self.find(index, h, seq).unwrap_or_else(|| self.push(index, h, seq))
-    }
-
-    /// Sequence `ordinal`, its `END` included.
-    fn seq(&self, ordinal: usize) -> &[u32] {
-        let hi = self.starts.get(ordinal + 1).map_or(self.events.len(), |&s| s as usize);
-        &self.events[self.starts[ordinal] as usize..hi]
-    }
-
-    /// Sequence `ordinal` under the build's ids: as stored when `remap`
-    /// is `None` (every id maps to itself), else rewritten into `buf`
-    /// through the `(shape, side)` id maps.
-    fn remapped<'a>(
-        &'a self,
-        ordinal: usize,
-        remap: Option<(&[u32], &[u32])>,
-        buf: &'a mut Vec<u32>,
-    ) -> &'a [u32] {
-        let seq = self.seq(ordinal);
-        let Some((shape_ids, side_ids)) = remap else { return seq };
-        buf.clear();
-        buf.extend(seq.iter().map(|&ev| match ev {
-            END => END,
-            ev if ev & SIDE_BIT != 0 => SIDE_BIT | side_ids[(ev & !SIDE_BIT) as usize],
-            id => shape_ids[id as usize],
-        }));
-        buf
-    }
 }
 
 /// A block's last shape in an [`Interner`], with what a match needs, so
@@ -510,15 +455,18 @@ impl TapeExtent {
     }
 }
 
-/// One extent's tapes, with extent-local shape and side ids and sequence
-/// ordinals.
+/// One extent's tapes, with extent-local shape and side ids: the
+/// sequences of the classes first walked in the extent, in walk order.
 #[derive(Debug, Default)]
 struct ExtentTapes {
-    seqs: SeqTable,
+    /// The extent's class sequences, each [`END`]-terminated.
+    events: Vec<u32>,
+    /// Where each of them starts in `events`.
+    seqs: Vec<u32>,
     addrs: Vec<u8>,
     sides: Vec<SideEvent>,
     shapes: ShapeTable,
-    /// `event` is the thread's sequence ordinal; `addr` is extent-local.
+    /// `event` is the thread's class; `addr` is extent-local.
     starts: Vec<Start>,
     tids: Vec<u32>,
 }
@@ -526,31 +474,44 @@ struct ExtentTapes {
 /// One walker's tape writer: the extent it is walking and the walker's
 /// interning state. Record order within the extent is stream order,
 /// thread after thread — the order a sequential build appends in, so the
-/// tapes do not depend on where extent boundaries fall. A thread is
-/// walked into scratch; only a sequence the extent has not seen is
-/// appended to its event arena.
+/// tapes do not depend on where extent boundaries fall. Only the first
+/// thread of each class is walked; the class's other threads point at its
+/// sequence.
 #[derive(Debug, Default)]
 pub(crate) struct TapeWriter {
     out: ExtentTapes,
     shapes: Interner,
     sides: ContentIndex,
-    seqs: ContentIndex,
-    /// The open thread's events so far.
-    seq: Vec<u32>,
     /// The records written to the extent being walked so far.
     written: TapeExtent,
 }
 
 impl TapeWriter {
-    /// Opens thread `tid`'s tape; `addrs` is its address column, its
-    /// access stream as it stands.
-    pub(crate) fn push_thread(&mut self, tid: u32, addrs: &[u8]) {
-        self.seq.clear();
-        self.out.starts.push(Start { event: NONE, addr: self.out.addrs.len() as u32 });
+    /// Adds thread `tid` of class `class`; `addrs` is its address column,
+    /// its access stream as it stands.
+    fn push_start(&mut self, tid: u32, class: u32, addrs: &[u8]) {
+        self.out.starts.push(Start { event: class, addr: self.out.addrs.len() as u32 });
         self.out.addrs.extend_from_slice(addrs);
         self.out.tids.push(tid);
         self.written.threads += 1;
         self.written.addr_bytes += addrs.len() as u64;
+    }
+
+    /// Opens thread `tid`'s tape, the first of class `class` (classes
+    /// count up from 0 in order of first occurrence); its events follow,
+    /// then [`TapeWriter::push_end`].
+    pub(crate) fn push_thread(&mut self, tid: u32, class: u32, addrs: &[u8]) {
+        self.out.seqs.push(self.out.events.len() as u32);
+        self.push_start(tid, class, addrs);
+    }
+
+    /// Adds thread `t` of class `class`, which an earlier thread opened:
+    /// it runs that thread's sequence on its own accesses.
+    pub(crate) fn push_member(&mut self, t: &ThreadTrace, class: u32) {
+        self.push_start(t.tid, class, t.addr_column());
+        self.written.blocks += t.block_count() as u64;
+        self.written.mems += t.mem_count() as u64;
+        self.written.sides += t.side_count() as u64;
     }
 
     /// Appends a block event, interning its shape; `mems` are the block's
@@ -558,7 +519,7 @@ impl TapeWriter {
     #[inline]
     pub(crate) fn push_block(&mut self, key: u64, ni: u32, mems: MemSlice<'_>) {
         let id = self.shapes.intern_block(key, ni, mems);
-        self.seq.push(id);
+        self.out.events.push(id);
         self.written.blocks += 1;
         self.written.mems += mems.len() as u64;
     }
@@ -566,21 +527,14 @@ impl TapeWriter {
     /// Appends a side event, interning it by value.
     #[inline]
     pub(crate) fn push_side(&mut self, s: SideEvent) {
-        self.seq.push(SIDE_BIT | intern_side(&mut self.out.sides, &mut self.sides, s));
+        let id = intern_side(&mut self.out.sides, &mut self.sides, s);
+        self.out.events.push(SIDE_BIT | id);
         self.written.sides += 1;
     }
 
-    /// Closes the open thread: ends its sequence and interns it — without
-    /// hashing when it is the previous thread's.
+    /// Closes the open thread's sequence.
     pub(crate) fn push_end(&mut self) {
-        self.seq.push(END);
-        let starts = &mut self.out.starts;
-        let last = starts.len().checked_sub(2).map(|t| starts[t].event as usize);
-        let ordinal = match last {
-            Some(last) if self.out.seqs.seq(last) == self.seq => last as u32,
-            _ => self.out.seqs.intern(&mut self.seqs, &self.seq),
-        };
-        starts.last_mut().expect("a thread is open").event = ordinal;
+        self.out.events.push(END);
     }
 
     /// Starts extent `e`, sizing its per-thread arrays exactly and its
@@ -595,11 +549,10 @@ impl TapeWriter {
     /// walk wrote, leaving the writer empty for the next.
     fn finish_extent(&mut self) -> (ExtentTapes, TapeExtent) {
         self.sides.clear();
-        self.seqs.clear();
         let mut out = std::mem::take(&mut self.out);
         out.shapes = self.shapes.finish_extent();
         out.addrs.shrink_to_fit();
-        out.seqs.events.shrink_to_fit();
+        out.events.shrink_to_fit();
         (out, std::mem::take(&mut self.written))
     }
 }
@@ -611,10 +564,10 @@ impl TapeWriter {
 #[derive(Debug, Default)]
 struct Merge {
     tapes: LaneTapes,
-    seqs: SeqTable,
     shape_index: ContentIndex,
     side_index: ContentIndex,
-    seq_index: ContentIndex,
+    /// Where each class's sequence starts in the merged event arena.
+    class_at: Vec<u32>,
     pending: Vec<Option<ExtentTapes>>,
     next: usize,
     /// Set once a walk failed: the build returns no tapes, so nothing is
@@ -641,10 +594,12 @@ impl Merge {
         }
     }
 
-    /// Appends the next extent in order: its shapes, side events and
-    /// sequences re-interned into the build's tables (ids remapped), its
-    /// threads pointed at the build's copies, its access bytes appended.
-    /// Each arena grows by what the extent adds (see [`grow`]).
+    /// Appends the next extent in order: its shapes and side events
+    /// re-interned into the build's tables (ids remapped), its class
+    /// sequences appended — classes are numbered in order of first
+    /// occurrence, so they are the next classes — its threads pointed at
+    /// their classes' sequences, its access bytes appended. Each arena
+    /// grows by what the extent adds (see [`grow`]).
     fn merge(&mut self, e: ExtentTapes) {
         let tapes = &mut self.tapes;
         let shape_ids: Vec<u32> = (0..e.shapes.len() as u32)
@@ -658,62 +613,38 @@ impl Merge {
             .iter()
             .map(|&s| intern_side(&mut tapes.sides, &mut self.side_index, s))
             .collect();
+        let base = tapes.events.len() as u32;
+        self.class_at.extend(e.seqs.iter().map(|&at| base + at));
         let identity = |ids: &[u32]| ids.iter().enumerate().all(|(i, &id)| id as usize == i);
-        let remap = (!identity(&shape_ids) || !identity(&side_ids))
-            .then_some((&shape_ids[..], &side_ids[..]));
-        let seq_at: Vec<u32> = if self.seqs.starts.is_empty() {
-            // No thread merged yet, so the shape and side tables were empty
-            // and every id maps to itself: the extent's sequences, hashed
-            // with the build's one key, are adopted as they stand.
-            debug_assert!(remap.is_none());
-            self.seqs = e.seqs;
-            for &h in &self.seqs.hashes {
-                self.seq_index.insert(h);
+        if identity(&shape_ids) && identity(&side_ids) {
+            if base == 0 {
+                tapes.events = e.events;
+            } else {
+                grow(&mut tapes.events, e.events.len());
+                tapes.events.extend_from_slice(&e.events);
             }
-            self.seqs.starts.clone()
         } else {
-            // Look every sequence up first, so the arena grows once, by
-            // the new ones (distinct in the extent, so distinct from each
-            // other under the build's ids). Where every id maps to itself,
-            // a sequence and its hash are the extent's own.
-            let mut buf = Vec::new();
-            let mut added = 0;
-            let found: Vec<(u64, Option<u32>)> = (0..e.seqs.starts.len())
-                .map(|ordinal| {
-                    let seq = e.seqs.remapped(ordinal, remap, &mut buf);
-                    let h = if remap.is_some() {
-                        self.seq_index.hash(seq)
-                    } else {
-                        e.seqs.hashes[ordinal]
-                    };
-                    let at = self.seqs.find(&self.seq_index, h, seq);
-                    added += if at.is_none() { seq.len() } else { 0 };
-                    (h, at)
-                })
-                .collect();
-            grow(&mut self.seqs.events, added);
-            found
-                .into_iter()
-                .enumerate()
-                .map(|(ordinal, (h, at))| {
-                    let at = at.unwrap_or_else(|| {
-                        let seq = e.seqs.remapped(ordinal, remap, &mut buf);
-                        self.seqs.push(&mut self.seq_index, h, seq)
-                    });
-                    self.seqs.starts[at as usize]
-                })
-                .collect()
-        };
-        let base = tapes.addrs.len() as u32;
-        let starts = e.starts.iter().map(|s| Start { event: seq_at[s.event as usize], ..*s });
-        if base == 0 {
+            grow(&mut tapes.events, e.events.len());
+            tapes.events.extend(e.events.iter().map(|&ev| match ev {
+                END => END,
+                ev if ev & SIDE_BIT != 0 => SIDE_BIT | side_ids[(ev & !SIDE_BIT) as usize],
+                id => shape_ids[id as usize],
+            }));
+        }
+        let addr_base = tapes.addrs.len() as u32;
+        if addr_base == 0 {
             tapes.addrs = e.addrs;
         } else {
             grow(&mut tapes.addrs, e.addrs.len());
             tapes.addrs.extend_from_slice(&e.addrs);
         }
         grow(&mut tapes.starts, e.starts.len());
-        tapes.starts.extend(starts.map(|s| Start { addr: base + s.addr, ..s }));
+        let class_at = &self.class_at;
+        tapes.starts.extend(
+            e.starts
+                .iter()
+                .map(|s| Start { event: class_at[s.event as usize], addr: addr_base + s.addr }),
+        );
         if tapes.tids.is_empty() {
             tapes.tids = e.tids;
         } else {
@@ -727,7 +658,6 @@ impl Merge {
     fn finish(self) -> LaneTapes {
         let mut t = self.tapes;
         drop_identity_tids(&mut t.tids);
-        t.events = self.seqs.events;
         t.events.shrink_to_fit();
         t.addrs.shrink_to_fit();
         t.sides.shrink_to_fit();
@@ -784,13 +714,14 @@ impl LaneTapes {
     /// Up to `workers` walkers — the calling thread and scoped threads —
     /// claim extents in order, each with its own `scratch()` state and
     /// [`TapeWriter`], and `walk(state, extent, writer)` must push, per
-    /// thread of the extent and in stream order,
-    /// [`TapeWriter::push_thread`], every block and side event, then
-    /// [`TapeWriter::push_end`]; it may stop early by returning `Err`.
-    /// Every extent interns its shapes, side events and sequences into its
-    /// own tables; as the walks finish, the extents merge in extent order,
-    /// re-interned with their ids remapped, so the tapes are identical at
-    /// every walker count.
+    /// thread of the extent and in stream order, either — for the first
+    /// thread of its class — [`TapeWriter::push_thread`], every block and
+    /// side event, then [`TapeWriter::push_end`], or — for any later
+    /// thread of the class — [`TapeWriter::push_member`]; it may stop
+    /// early by returning `Err`. Every extent interns its shapes and side
+    /// events into its own tables; as the walks finish, the extents merge
+    /// in extent order, re-interned with their ids remapped, so the tapes
+    /// are identical at every walker count.
     ///
     /// Returns the tapes, every walker's state, and every extent's `Ok`
     /// value in extent order — or, when any walk failed, every failure
@@ -808,21 +739,14 @@ impl LaneTapes {
         walk: impl Fn(&mut W, usize, &mut TapeWriter) -> Result<U, E> + Sync,
     ) -> Result<Built<W, U>, Failed<E>> {
         assert!(TapeExtent::fit_offsets(extents), "capture exceeds the tape's positions or ids");
-        // One key for every sequence index of the build, so an extent's
-        // hashes hold in the merged index.
-        let seq_key = RandomState::new();
         let merge = Mutex::new(Merge {
-            seq_index: ContentIndex::with_hasher(seq_key.clone()),
             pending: (0..extents.len()).map(|_| None).collect(),
             ..Merge::default()
         });
         let queue = Mutex::new(0..extents.len());
         let run = || {
             let mut state = scratch();
-            let mut writer = TapeWriter {
-                seqs: ContentIndex::with_hasher(seq_key.clone()),
-                ..TapeWriter::default()
-            };
+            let mut writer = TapeWriter::default();
             let mut done = Vec::new();
             loop {
                 let Some(i) = queue.lock().expect("tape job queue").next() else {

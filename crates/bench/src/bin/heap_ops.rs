@@ -27,8 +27,11 @@
 #[path = "../../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use threadfuser::cpusim::CpuSimConfig;
 use threadfuser::ir::OptLevel;
+use threadfuser::obs::{MetricsSink, PhaseEvent};
 use threadfuser::service::{execute_op, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobOp};
 use threadfuser::simtsim::SimtSimConfig;
 use threadfuser::tracer::{encode_v3, DecodeOptions, TraceSetReader};
@@ -59,8 +62,32 @@ fn workload(name: &str) -> Workload {
     by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"))
 }
 
-fn pipeline(w: &Workload, threads: u32) -> Pipeline {
-    Pipeline::from_workload(w).threads(threads).opt_level(OptLevel::O3).parallelism(PARALLELISM)
+fn pipeline(w: &Workload, threads: u32, obs: &Obs) -> Pipeline {
+    Pipeline::from_workload(w)
+        .threads(threads)
+        .opt_level(OptLevel::O3)
+        .parallelism(PARALLELISM)
+        .observe(obs.clone())
+}
+
+/// Sums the `threads_walked` counters of index builds and drops every
+/// other event, allocating nothing, so the heap it measures is the ops'.
+#[derive(Default)]
+struct Walked(AtomicU64);
+
+impl MetricsSink for Walked {
+    fn record(&self, event: &PhaseEvent) {
+        if let PhaseEvent::Counter { name: "threads_walked", value, .. } = event {
+            self.0.fetch_add(*value, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Walked {
+    /// The threads walked since the last call, over `threads`.
+    fn cell(&self, threads: u32) -> String {
+        format!("{}/{threads}", self.0.swap(0, Ordering::Relaxed))
+    }
 }
 
 /// Runs `f`, returning its result, its high-water mark above the heap
@@ -76,13 +103,15 @@ fn mb(bytes: isize) -> String {
     format!("{:.2}", bytes as f64 / 1e6)
 }
 
-/// One op of one run: its flow, input and op, and its high-water,
-/// resident and cumulative live bytes.
+/// One op of one run: its flow, input and op, its high-water, resident
+/// and cumulative live bytes, and — for an index or analyze op — the
+/// threads its index build walked.
 struct Row {
     flow: &'static str,
     input: String,
     op: &'static str,
     bytes: [isize; 3],
+    walked: String,
 }
 
 /// `values` in MB, or their `min–max` when they differ at that precision.
@@ -97,10 +126,12 @@ fn range(values: impl Iterator<Item = isize> + Clone) -> String {
 
 fn main() {
     let runs: Vec<Vec<Row>> = (0..RUNS).map(|_| run_flows()).collect();
-    let mut table = TextTable::new(&["flow", "input", "op", "peak_mb", "resident_mb", "live_mb"]);
+    let mut table =
+        TextTable::new(&["flow", "input", "op", "peak_mb", "resident_mb", "live_mb", "walked"]);
     for (i, first) in runs[0].iter().enumerate() {
         let cell = |c: usize| range(runs.iter().map(move |run| run[i].bytes[c]));
-        table.row(&[first.flow, &first.input, first.op, &cell(0), &cell(1), &cell(2)]);
+        let walked = &first.walked;
+        table.row(&[first.flow, &first.input, first.op, &cell(0), &cell(1), &cell(2), walked]);
     }
     println!(
         "Heap per op (MB = 10^6 B): high-water above entry, what the op leaves live, and the \
@@ -111,18 +142,26 @@ fn main() {
 
 /// Runs every flow once, returning its rows in order.
 fn run_flows() -> Vec<Row> {
-    // Sized up front, so recording a row allocates only its input name.
+    // Sized up front, so recording a row allocates only its input name and
+    // walk count.
     let mut rows = Vec::with_capacity(
         4 * COLD_PROGRAMS.len() + 2 * SWEEP_PROGRAMS.len() + 3 * INGEST_FILES.len(),
     );
-    // `flow_base` is the heap live when the row's flow started.
-    let mut row = |flow, input: &str, op, peak: usize, resident: isize, flow_base| {
+    let walked = Arc::new(Walked::default());
+    let obs = Obs::with_sink(walked.clone());
+    // `flow_base` is the heap live when the row's flow started; a row of
+    // `threads` threads reads the walk count when its op indexes or
+    // analyzes.
+    let mut row = |flow, input: &str, op, peak: usize, resident: isize, flow_base, threads| {
         let live = counting_alloc::live() as isize - flow_base as isize;
+        let walked =
+            if matches!(op, "index" | "analyze") { walked.cell(threads) } else { String::new() };
         rows.push(Row {
             flow,
             input: input.to_owned(),
             op,
             bytes: [peak as isize, resident, live],
+            walked,
         });
     };
     let (simt, cpu) = (SimtSimConfig::default(), CpuSimConfig::default());
@@ -132,16 +171,16 @@ fn run_flows() -> Vec<Row> {
         let w = workload(name);
         let n = threads(COLD_THREADS);
         let at = format!("{name}@{n}");
-        let pipeline = pipeline(&w, n);
+        let pipeline = pipeline(&w, n, &obs);
         let (traced, peak, resident) = measure(|| pipeline.trace().expect("capture"));
-        row("cold_project", &at, "trace", peak, resident, base);
+        row("cold_project", &at, "trace", peak, resident, base, n);
         let ((), peak, resident) = measure(|| drop(traced.index().expect("index")));
-        row("cold_project", &at, "index", peak, resident, base);
+        row("cold_project", &at, "index", peak, resident, base, n);
         let (_, peak, resident) =
             measure(|| traced.project_speedup(&simt, &cpu).expect("projection"));
-        row("cold_project", &at, "project", peak, resident, base);
+        row("cold_project", &at, "project", peak, resident, base, n);
         let (_, peak, resident) = measure(|| traced.analyze().expect("analysis"));
-        row("cold_project", &at, "analyze", peak, resident, base);
+        row("cold_project", &at, "analyze", peak, resident, base, n);
     }
 
     let base = counting_alloc::live();
@@ -150,10 +189,11 @@ fn run_flows() -> Vec<Row> {
         let w = workload(name);
         let n = threads(SWEEP_THREADS);
         let at = format!("{name}@{n}");
-        let (traced, peak, resident) = measure(|| pipeline(&w, n).trace().expect("capture"));
-        row("sweep_warm", &at, "trace", peak, resident, base);
+        let pipeline = pipeline(&w, n, &obs);
+        let (traced, peak, resident) = measure(|| pipeline.trace().expect("capture"));
+        row("sweep_warm", &at, "trace", peak, resident, base, n);
         let ((), peak, resident) = measure(|| drop(traced.index().expect("index")));
-        row("sweep_warm", &at, "index", peak, resident, base);
+        row("sweep_warm", &at, "index", peak, resident, base, n);
         resident_captures.push(traced);
     }
     drop(resident_captures);
@@ -166,7 +206,7 @@ fn run_flows() -> Vec<Row> {
         let n = threads(default_threads);
         let at = format!("{name}@{n}");
         let path = dir.join(format!("{name}_{n}.tft"));
-        let traced = pipeline(&w, n).trace().expect("capture");
+        let traced = pipeline(&w, n, &Obs::none()).trace().expect("capture");
         std::fs::write(&path, &*encode_v3(traced.traces())).expect("trace file written");
         drop(traced);
 
@@ -175,12 +215,12 @@ fn run_flows() -> Vec<Row> {
             let reader = TraceSetReader::from_bytes(bytes, &DecodeOptions::default());
             reader.and_then(TraceSetReader::into_decoded).expect("decode").traces
         });
-        row("file_ingest", &at, "decode", peak, resident, base);
+        row("file_ingest", &at, "decode", peak, resident, base, n);
         let ((), peak, resident) = measure(|| {
             let encoded = encode_v3(&set);
             std::fs::write(dir.join("reencoded.tft"), &*encoded).expect("re-encoded file written");
         });
-        row("file_ingest", &at, "re-encode", peak, resident, base);
+        row("file_ingest", &at, "re-encode", peak, resident, base, n);
         drop(set);
         let op = JobOp::Analyze(AnalyzeJob {
             capture: CaptureSpec::trace_file(
@@ -190,8 +230,8 @@ fn run_flows() -> Vec<Row> {
             ),
             config: AnalyzerKnobs { parallelism: PARALLELISM as u32, ..AnalyzerKnobs::default() },
         });
-        let (_, peak, resident) = measure(|| execute_op(&op, &Obs::none()).expect("file analyze"));
-        row("file_ingest", &at, "analyze", peak, resident, base);
+        let (_, peak, resident) = measure(|| execute_op(&op, &obs).expect("file analyze"));
+        row("file_ingest", &at, "analyze", peak, resident, base, n);
     }
     std::fs::remove_dir_all(&dir).ok();
     rows

@@ -405,7 +405,8 @@ impl Pipeline {
     /// straight from its chunks ([`AnalysisIndex::build_from_chunks`]) and
     /// keeps only its bytes and index; [`Traced::traces`] decodes it on
     /// first request. A file without trustworthy per-chunk counts — v1/v2,
-    /// or a chunk that quarantines threads — is decoded whole (a `decode`
+    /// a record not in canonical form, or a chunk that quarantines
+    /// threads — is decoded whole (a `decode`
     /// span, `decode_rejects`/`quarantined_threads` counters) and adopted
     /// as a set. Either way every product, quarantine row and error equals
     /// adopting [`TraceSetReader::into_decoded`]'s set.

@@ -1,5 +1,6 @@
 //! The tracing hook and the one-call capture front door.
 
+use crate::class::SharedBodies;
 use crate::events::{RecordWriter, SideEvent, ThreadTrace, TraceSet};
 use std::collections::HashSet;
 use threadfuser_ir::{BlockAddr, FuncId, Program};
@@ -52,12 +53,16 @@ impl PerThread {
 ///
 /// Each thread writes its events into column streams that grow by a
 /// quarter at a time, and its record is packed, sized exactly, at
-/// [`ExecHook::on_thread_end`]: a capture holds its finished threads'
-/// records and little more than the running threads' bytes.
+/// [`ExecHook::on_thread_end`], where its columns other than the address
+/// column are shared with every finished thread whose columns equal them:
+/// a capture holds its finished threads' address columns, one body per
+/// class, and little more than the running threads' bytes.
 #[derive(Debug, Default)]
 pub struct Tracer {
     config: TracerConfig,
     threads: Vec<PerThread>,
+    /// The bodies of the finished threads' classes.
+    bodies: SharedBodies,
 }
 
 impl Tracer {
@@ -68,7 +73,7 @@ impl Tracer {
 
     /// Creates a tracer with selective exclusion.
     pub fn with_config(config: TracerConfig) -> Self {
-        Tracer { config, threads: Vec::new() }
+        Tracer { config, ..Tracer::default() }
     }
 
     /// Per-thread state of `tid`. A capture that knows its thread count
@@ -94,14 +99,15 @@ impl Tracer {
     /// their end (hooks driven directly), so every tid below the highest
     /// one seen has its trace.
     pub fn into_traces(self) -> TraceSet {
+        let mut bodies = self.bodies;
         // Not `collect`: collecting in place would keep the per-thread
         // slots' larger allocation behind the traces.
         let mut traces = Vec::with_capacity(self.threads.len());
         traces.extend(self.threads.into_iter().map(|t| match t.record {
-            Record::Writing(w) => w.finish(),
+            Record::Writing(w) => w.finish_shared(&mut bodies),
             Record::Packed(trace) => trace,
         }));
-        TraceSet::new(traces)
+        TraceSet::from_shared(traces)
     }
 }
 
@@ -176,9 +182,11 @@ impl ExecHook for Tracer {
     }
 
     fn on_thread_end(&mut self, tid: u32) {
-        let t = self.thread(tid);
+        self.thread(tid);
+        let t = &mut self.threads[tid as usize];
         if let Record::Writing(w) = &mut t.record {
-            t.record = Record::Packed(std::mem::take(w).finish());
+            let w = std::mem::take(w);
+            t.record = Record::Packed(w.finish_shared(&mut self.bodies));
         }
     }
 }

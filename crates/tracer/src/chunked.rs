@@ -35,6 +35,7 @@
 //! streaming scans whose peak memory stays at one chunk. v1/v2 files open
 //! through the same entry point as a single whole-file chunk.
 
+use crate::class::{ClassTable, SharedBodies};
 use crate::encode::{
     condemn, decode_with, valid_access_size, DecodeError, DecodeErrorKind, DecodeLimits,
     DecodeOptions, Decoded, ProgramShape, Quarantined, ThreadError, ValidationPolicy, MAGIC,
@@ -199,7 +200,7 @@ pub fn encode_v3_with(set: &TraceSet, chunk_budget_bytes: usize) -> Bytes {
     let (mut blocks, mut mems, mut sides) = (0u64, 0u64, 0u64);
     for (i, t) in threads.iter().enumerate() {
         len += thread_header_v3(t).iter().map(|&v| uvarint_len(v)).sum::<usize>() as u64
-            + t.record().len() as u64;
+            + t.storage_bytes() as u64;
         blocks += t.block_count() as u64;
         mems += t.mem_count() as u64;
         sides += t.side_count() as u64;
@@ -229,7 +230,9 @@ pub fn encode_v3_with(set: &TraceSet, chunk_budget_bytes: usize) -> Bytes {
         for v in thread_header_v3(t) {
             put_uvarint(&mut out, v);
         }
-        out.extend_from_slice(t.record());
+        for part in t.record_parts() {
+            out.extend_from_slice(part);
+        }
     }
     out.extend_from_slice(&(descs.len() as u32).to_le_bytes());
     for d in &descs {
@@ -433,11 +436,15 @@ pub struct DecodedChunk {
 /// so under [`ValidationPolicy::SkipBadThreads`] its remaining threads are
 /// quarantined with tids taken from the footer map while other chunks
 /// decode normally.
+///
+/// With `bodies`, each record's body is shared with its class there as
+/// the record is read.
 fn decode_chunk(
     data: &[u8],
     meta: &ChunkInfo,
     tids: &[u32],
     opts: &DecodeOptions,
+    mut bodies: Option<&mut SharedBodies>,
 ) -> Result<DecodedChunk, DecodeError> {
     let chunk = &data[meta.offset..meta.offset + meta.len];
     let mut r = ChunkReader { buf: chunk, pos: 0, canonical: true };
@@ -451,7 +458,8 @@ fn decode_chunk(
     for i in 0..meta.thread_count {
         let ordinal = meta.thread_start + i;
         let footer_tid = tids[ordinal as usize];
-        match parse_thread_v3(&mut r, &opts.limits, opts.shape.as_ref(), footer_tid) {
+        let shared = bodies.as_deref_mut();
+        match parse_thread_v3(&mut r, &opts.limits, opts.shape.as_ref(), footer_tid, shared) {
             Ok(t) => {
                 blocks += t.block_count() as u64;
                 mems += t.mem_count() as u64;
@@ -509,6 +517,7 @@ fn parse_thread_v3(
     limits: &DecodeLimits,
     shape: Option<&ProgramShape>,
     footer_tid: u32,
+    bodies: Option<&mut SharedBodies>,
 ) -> Result<ThreadTrace, ThreadError> {
     let header_off = r.pos;
     let tid = r.uv32()?;
@@ -674,11 +683,10 @@ fn parse_thread_v3(
         n_sides: n_sides as u32,
         traced_insts,
     };
-    let t = ThreadTrace::from_record(head, starts, r.buf[cols..r.pos].to_vec());
     // A record's bytes are the canonical encoding of its events: one
     // written with longer varints than needed decodes, and is re-emitted
     // in the shortest form.
-    Ok(if r.canonical { t } else { t.recanonicalized() })
+    Ok(ThreadTrace::from_record(head, starts, &r.buf[cols..r.pos], r.canonical, bodies))
 }
 
 /// Walks `n` encoded side events without materializing them.
@@ -697,6 +705,44 @@ fn skip_sides_v3(r: &mut ChunkReader, n: usize) -> Result<(), DecodeError> {
     Ok(())
 }
 
+/// Where one encoded thread record's body sits in the file: its block and
+/// access counts and its bytes before and after the address column.
+struct RawBody {
+    n_blocks: u32,
+    n_mems: u32,
+    pre: std::ops::Range<usize>,
+    post: std::ops::Range<usize>,
+}
+
+/// Locates the next thread record of a chunk without checking or
+/// decoding it: its body, and whether every varint of its columns is in
+/// its shortest form. `None` when the record does not parse.
+fn raw_record(r: &mut ChunkReader) -> Option<(RawBody, bool)> {
+    let uv = |r: &mut ChunkReader| r.uv64().ok();
+    for _ in 0..4 {
+        uv(r)?; // tid and skip counters
+    }
+    let (n_blocks, n_mems, n_sides) = (r.uv32().ok()?, r.uv32().ok()?, uv(r)?);
+    let pre = r.pos;
+    r.canonical = true;
+    for _ in 0..4 * n_blocks as u64 + n_mems as u64 {
+        uv(r)?;
+    }
+    let lo = r.pos;
+    for _ in 0..n_mems {
+        uv(r)?;
+    }
+    let hi = r.pos;
+    r.bytes(n_mems as usize).ok()?;
+    for _ in 0..n_sides {
+        uv(r)?;
+        if r.u8().ok()? != TAG_RET {
+            uv(r)?;
+        }
+    }
+    Some((RawBody { n_blocks, n_mems, pre: pre..lo, post: hi..r.pos }, r.canonical))
+}
+
 /// Eagerly decodes a whole v3 file (all chunks, in order). Called from the
 /// shared `decode`/`decode_with`/`decode_observed` entry points once the
 /// magic, version byte, and `max_total_bytes` have been checked.
@@ -712,8 +758,9 @@ pub(crate) fn decode_v3(
     let index = parse_footer(buf, &opts.limits).map_err(reject)?;
     let mut threads = Vec::with_capacity(index.tids.len().min(1 << 16));
     let mut quarantined = Vec::new();
+    let mut bodies = SharedBodies::default();
     for meta in &index.chunks {
-        let c = decode_chunk(buf, meta, &index.tids, opts).map_err(reject)?;
+        let c = decode_chunk(buf, meta, &index.tids, opts, Some(&mut bodies)).map_err(reject)?;
         for _ in &c.quarantined {
             obs.counter(Phase::Decode, "decode_rejects", 1);
             obs.counter(Phase::Decode, "quarantined_threads", 1);
@@ -721,7 +768,7 @@ pub(crate) fn decode_v3(
         threads.extend(c.threads);
         quarantined.extend(c.quarantined);
     }
-    Ok(Decoded { traces: TraceSet::new(threads), quarantined })
+    Ok(Decoded { traces: TraceSet::from_shared(threads), quarantined })
 }
 
 // ---------------------------------------------------------------------------
@@ -852,6 +899,53 @@ impl TraceSetReader {
         (self.version == VERSION_CHUNKED).then_some(&self.index.tids[..])
     }
 
+    /// Each thread record's class, in file order, read off the encoded
+    /// records without decoding them: records whose columns other than
+    /// the address column are equal byte for byte share a class, and
+    /// classes are numbered from 0 in order of first occurrence — the
+    /// classes of the decoded set ([`TraceSet::classes`]). A record that
+    /// does not parse is a class of its own (its chunk fails to decode).
+    /// `None` for a v1/v2 file, and for a v3 file with a record not in
+    /// canonical form, whose decode re-emits it.
+    pub fn classes(&self) -> Option<Vec<u32>> {
+        if self.version != VERSION_CHUNKED {
+            return None;
+        }
+        let data = &self.data[..];
+        let mut table = ClassTable::default();
+        let mut bodies: Vec<RawBody> = Vec::new();
+        let mut classes = Vec::with_capacity(self.index.tids.len());
+        for meta in &self.index.chunks {
+            let chunk = &data[..meta.offset + meta.len];
+            let mut r = ChunkReader { buf: chunk, pos: meta.offset, canonical: true };
+            for _ in 0..meta.thread_count {
+                // A record that does not parse matches nothing: no record
+                // of `u32::MAX` blocks parses.
+                let parsed = raw_record(&mut r);
+                let unparsed = RawBody { n_blocks: u32::MAX, n_mems: 0, pre: 0..0, post: 0..0 };
+                let (body, canonical) = parsed.unwrap_or((unparsed, true));
+                if !canonical {
+                    return None;
+                }
+                let (pre, post) = (&data[body.pre.clone()], &data[body.post.clone()]);
+                let same = |c: u32| {
+                    let b = &bodies[c as usize];
+                    b.n_blocks != u32::MAX
+                        && (b.n_blocks, b.n_mems) == (body.n_blocks, body.n_mems)
+                        && data[b.pre.clone()] == *pre
+                        && data[b.post.clone()] == *post
+                };
+                let h = table.hash(body.n_blocks, body.n_mems, pre, post);
+                let (class, new) = table.classify(h, same);
+                if new {
+                    bodies.push(body);
+                }
+                classes.push(class);
+            }
+        }
+        Some(classes)
+    }
+
     /// The validated descriptor of chunk `i` (counts are all zero for the
     /// synthesized v1/v2 whole-file chunk).
     pub fn chunk_info(&self, i: usize) -> Option<ChunkInfo> {
@@ -859,7 +953,8 @@ impl TraceSetReader {
     }
 
     /// Which chunk holds thread ordinal `ordinal` (its file position).
-    pub fn chunk_of_thread(&self, ordinal: u32) -> Option<usize> {
+    #[cfg(test)]
+    fn chunk_of_thread(&self, ordinal: u32) -> Option<usize> {
         if ordinal >= self.n_threads {
             return None;
         }
@@ -891,7 +986,7 @@ impl TraceSetReader {
             DecodeError::at(DecodeErrorKind::Malformed("chunk index out of range"), 0)
         })?;
         if self.version == VERSION_CHUNKED {
-            decode_chunk(&self.data, meta, &self.index.tids, &self.opts)
+            decode_chunk(&self.data, meta, &self.index.tids, &self.opts, None)
         } else {
             // v1/v2: the payload is one indivisible unit; decode it through
             // the fixed-width parser with the reader's options.
@@ -907,6 +1002,8 @@ impl TraceSetReader {
     /// Materializes the whole file, reusing every chunk already decoded
     /// through [`TraceSetReader::chunk`]. The result is bit-identical to
     /// eager [`crate::encode::decode_with`] on the same bytes/options.
+    /// Each record's body is shared with its class as it is decoded, so
+    /// the decode never holds every body unshared.
     ///
     /// # Errors
     /// Returns the first chunk-level [`DecodeError`], exactly as the eager
@@ -915,15 +1012,27 @@ impl TraceSetReader {
         let cells = std::mem::take(&mut self.cells);
         let mut threads = Vec::new();
         let mut quarantined = Vec::new();
+        let mut bodies = SharedBodies::default();
         for (i, cell) in cells.into_iter().enumerate() {
             let c = match cell.into_inner() {
-                Some(cached) => cached?,
-                None => self.decode_chunk_uncached(i)?,
+                None if self.version == VERSION_CHUNKED => {
+                    let meta = &self.index.chunks[i];
+                    let tids = &self.index.tids;
+                    decode_chunk(&self.data, meta, tids, &self.opts, Some(&mut bodies))?
+                }
+                cached => {
+                    let mut c = match cached {
+                        Some(cached) => cached?,
+                        None => self.decode_chunk_uncached(i)?,
+                    };
+                    c.threads.iter_mut().for_each(|t| t.share_body(&mut bodies));
+                    c
+                }
             };
             threads.extend(c.threads);
             quarantined.extend(c.quarantined);
         }
-        Ok(Decoded { traces: TraceSet::new(threads), quarantined })
+        Ok(Decoded { traces: TraceSet::from_shared(threads), quarantined })
     }
 }
 
@@ -933,6 +1042,7 @@ mod tests {
     use crate::encode::{decode, decode_with};
     use crate::events::TraceEvent;
     use crate::legacy::encode_v2;
+    use std::sync::Arc;
     use threadfuser_ir::{BlockAddr, BlockId, FuncId};
 
     fn sample_set(n_threads: u32) -> TraceSet {
@@ -1010,6 +1120,35 @@ mod tests {
         let first_tid = reader.chunk(mid).unwrap().threads[0].tid;
         assert_eq!(reader.chunk(mid).unwrap().threads[0].tid, first_tid);
         assert_eq!(reader.into_decoded().unwrap(), eager);
+    }
+
+    /// Threads that differ only in their addresses and headers share one
+    /// body in a decoded set, across chunks, and the reader reads the
+    /// same classes off the encoded records.
+    #[test]
+    fn decoded_classes_share_their_bodies() {
+        let set: TraceSet = sample_set(12)
+            .into_threads()
+            .into_iter()
+            .map(|t| {
+                let mut events: Vec<TraceEvent> = t.iter_events().collect();
+                events.truncate(events.len() - 4 + (t.tid % 3) as usize);
+                ThreadTrace::from_events(t.tid, events)
+            })
+            .collect();
+        assert_eq!(set.classes(), [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        let bytes = encode_v3_with(&set, 256);
+        let reader = TraceSetReader::from_bytes(bytes, &DecodeOptions::default()).unwrap();
+        assert!(reader.n_chunks() > 3);
+        assert_eq!(reader.classes(), Some(set.classes()));
+        reader.chunk(1).unwrap();
+        let decoded = reader.into_decoded().unwrap().traces;
+        assert_eq!(decoded, set);
+        let threads = decoded.threads();
+        for (t, class) in threads.iter().zip(decoded.classes()) {
+            let first = &threads[class as usize];
+            assert!(Arc::ptr_eq(&t.body, &first.body), "thread {} shares its class's body", t.tid);
+        }
     }
 
     #[test]

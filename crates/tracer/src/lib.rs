@@ -35,6 +35,7 @@
 
 pub mod capture;
 pub mod chunked;
+mod class;
 pub mod encode;
 pub mod events;
 

@@ -15,6 +15,12 @@
 #    many pairs the change won — better in the metric's BENCHMARK.json
 #    direction — with both medians and their relative move. A pair with a
 #    STOLEN run is discarded, and the count of discarded pairs is printed.
+#    The host also slows without steal, so a batch whose parent runs'
+#    median pass_p50_ms is more than 25 % above the median of every history
+#    row of the same rev, workload and seed (all tags and notes) is flagged
+#    DRIFT, and its time rows print "not measured (host drift)". Only a
+#    slower batch is flagged: the host slows, it does not speed up, and
+#    with two batches of one rev the median sits between them.
 #
 # Metrics a group never reports non-zero (the serve rows of a cold_project
 # run, say) are left out. A TAG argument keeps only rows whose note ends in
@@ -54,8 +60,14 @@ jq -rs --argjson metrics "$metrics" --arg tag "$tag" '
   def stolen: (.steal_pct // 0) > steal_max;
   def steal_of: map(.steal_pct // empty)
     | if length > 0 then ", steal \(q(0.5) | sig) [\(q(0.25) | sig), \(q(0.75) | sig)] %" else "" end;
+  # A batch whose parent side runs this much slower than its rev'"'"'s
+  # usual pass time measured the host, not the code.
+  def drift_max: 0.25;
+  def pass: .result.metrics.pass_p50_ms.value // empty;
+  def timed: .unit | IN("s", "ms", "1/s", "Minst/s", "MB/s", "kcycles/s");
 
-  map(select($tag == "" or tag_of == $tag)) as $rows
+  . as $history
+  | map(select($tag == "" or tag_of == $tag)) as $rows
   | ( "# Runs per (workload, seed, trace, note): median [q1, q3]",
       ( $rows | group_by([.workload, .seed, .trace, .note])[]
         | "\n\(.[0] | head) | \(.[0].note) | \(length) runs, \(map(.result.failed // 0) | add) failed ops\(steal_of)",
@@ -71,18 +83,26 @@ jq -rs --argjson metrics "$metrics" --arg tag "$tag" '
         | ($all | map(select(map(stolen) | any | not))) as $kept
         | ($kept | map(.[0])) as $p | ($kept | map(.[1])) as $c | ($kept | length) as $n
         | select($all | length > 0)
+        | ($p0 | map(pass)) as $pp
+        | ($p0[0] as $r | $history | map(select(.rev == $r.rev and .workload == $r.workload
+            and .seed == $r.seed) | pass)) as $ref
+        | (($pp | length) > 0 and ($ref | length) > 0
+            and ($pp | q(0.5)) / ($ref | q(0.5)) - 1 > drift_max) as $drift
         | "\n\(.[0] | head) | (\(.[0] | tag_of)) | \($n) pairs"
           + (($all | length) - $n | if . > 0 then ", \(.) discarded for steal > \(steal_max) %" else "" end),
+          ( select($drift)
+            | "  DRIFT: parent pass_p50_ms \($pp | q(0.5) | sig) ms against \($ref | q(0.5) | sig) ms over \($ref | length) runs of rev \($p0[0].rev)" ),
           ( $metrics[] | . as $m
             | [range(0; $n) | [($p[.].result.metrics[$m.name].value // null),
                                ($c[.].result.metrics[$m.name].value // null)]]
             | map(select(.[0] != null and .[1] != null)) as $pairs
             | select($pairs | flatten | any(. != 0))
-            | ($pairs | map(if $m.better == "lower" then .[1] < .[0] else .[1] > .[0] end)
+            | if $drift and ($m | timed) then "  \($m.name)\tnot measured (host drift)" else
+              ($pairs | map(if $m.better == "lower" then .[1] < .[0] else .[1] > .[0] end)
                | map(select(.)) | length) as $wins
             | ($pairs | map(select(.[0] == .[1])) | length) as $ties
             | ($pairs | map(.[0]) | q(0.5)) as $pm | ($pairs | map(.[1]) | q(0.5)) as $cm
             | "  \($m.name)\tchange better in \($wins)/\($pairs | length)"
               + (if $ties > 0 then ", \($ties) equal" else "" end) + "; median \($pm | sig) -> \($cm | sig) \($m.unit)"
-              + (if $pm != 0 then " (\((($cm - $pm) / $pm * 100) | sig)%)" else "" end) ) ) )
+              + (if $pm != 0 then " (\((($cm - $pm) / $pm * 100) | sig)%)" else "" end) end ) ) )
 ' "$history"

@@ -415,8 +415,12 @@ proptest! {
         }
         let set = TraceSet::new(threads);
         for budget in [DEFAULT_CHUNK_BYTES, 1] {
-            let back: TraceSet = decode(&encode_v3_with(&set, budget)).expect("v3 decodes");
+            let bytes = encode_v3_with(&set, budget);
+            let back: TraceSet = decode(&bytes).expect("v3 decodes");
             prop_assert_eq!(&back, &set);
+            prop_assert_eq!(back.classes(), set.classes());
+            let reader = TraceSetReader::from_bytes(bytes, &DecodeOptions::default()).unwrap();
+            prop_assert_eq!(reader.classes(), Some(set.classes()));
         }
 
         let t = &set.threads()[pick % set.threads().len()];
@@ -428,6 +432,10 @@ proptest! {
             let back: TraceSet = decode(&long).expect("an overlong varint still decodes");
             prop_assert_eq!(&back, &one);
             prop_assert_eq!(&encode_v3(&back)[..], &canonical[..]);
+            // Classes read off the bytes would split a re-emitted record
+            // from its class: the reader declines to read them.
+            let reader = TraceSetReader::from_bytes(long, &DecodeOptions::default()).unwrap();
+            prop_assert_eq!(reader.classes(), None);
         }
     }
 }

@@ -11,9 +11,16 @@
 //! programs at 2048 threads (trace → index → project → analyze, O3,
 //! parallelism 2), `sweep_warm`'s three captures at 1024 threads, traced
 //! and indexed and kept resident, and the four `file_ingest` v3 files
-//! (decode → re-encode → file analyze). `TF_THREADS` replaces every thread
-//! count, for a quick run; `TF_RESULTS` also writes the table as
-//! `heap_ops.csv`.
+//! (validate → decode → re-encode → file analyze; the decode is the eager
+//! `decode_observed`, which checks records as `TraceSetReader::into_decoded`
+//! does and reports to a sink). `TF_THREADS` replaces every thread count,
+//! for a quick run; `TF_RESULTS` also writes the table as `heap_ops.csv`.
+//!
+//! Beside the heap, a row counts work exactly: on index and analyze rows,
+//! `walked`, the threads the index build walked (one per record class),
+//! and on `file_ingest` rows, `full_walks`, the thread records whose
+//! columns the decode walked in full (one per record class when the file
+//! is clean), each over the thread count.
 //!
 //! Ops that run two workers (projections, file analyses, some index
 //! builds) reach a high-water that depends on how the workers'
@@ -32,9 +39,11 @@ use std::sync::Arc;
 use threadfuser::cpusim::CpuSimConfig;
 use threadfuser::ir::OptLevel;
 use threadfuser::obs::{MetricsSink, PhaseEvent};
-use threadfuser::service::{execute_op, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobOp};
+use threadfuser::service::{
+    execute_op, AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobOp, ValidateJob,
+};
 use threadfuser::simtsim::SimtSimConfig;
-use threadfuser::tracer::{encode_v3, DecodeOptions, TraceSetReader};
+use threadfuser::tracer::{decode_observed, encode_v3, DecodeOptions};
 use threadfuser::workloads::{by_name, Workload};
 use threadfuser::{obs::Obs, Pipeline, TextTable};
 use threadfuser_bench::emit;
@@ -70,23 +79,36 @@ fn pipeline(w: &Workload, threads: u32, obs: &Obs) -> Pipeline {
         .observe(obs.clone())
 }
 
-/// Sums the `threads_walked` counters of index builds and drops every
-/// other event, allocating nothing, so the heap it measures is the ops'.
+/// Sums the `threads_walked` counters of index builds and the
+/// `full_walks` counters of decodes and drops every other event,
+/// allocating nothing, so the heap it measures is the ops'.
 #[derive(Default)]
-struct Walked(AtomicU64);
+struct Walked {
+    threads: AtomicU64,
+    records: AtomicU64,
+}
 
 impl MetricsSink for Walked {
     fn record(&self, event: &PhaseEvent) {
-        if let PhaseEvent::Counter { name: "threads_walked", value, .. } = event {
-            self.0.fetch_add(*value, Ordering::Relaxed);
+        match event {
+            PhaseEvent::Counter { name: "threads_walked", value, .. } => {
+                self.threads.fetch_add(*value, Ordering::Relaxed);
+            }
+            PhaseEvent::Counter { name: "full_walks", value, .. } => {
+                self.records.fetch_add(*value, Ordering::Relaxed);
+            }
+            _ => {}
         }
     }
 }
 
-impl Walked {
-    /// The threads walked since the last call, over `threads`.
-    fn cell(&self, threads: u32) -> String {
-        format!("{}/{threads}", self.0.swap(0, Ordering::Relaxed))
+/// `count` over `threads`, or nothing when the op does not count it.
+fn cell(count: &AtomicU64, counted: bool, threads: u32) -> String {
+    let n = count.swap(0, Ordering::Relaxed);
+    if counted {
+        format!("{n}/{threads}")
+    } else {
+        String::new()
     }
 }
 
@@ -104,14 +126,15 @@ fn mb(bytes: isize) -> String {
 }
 
 /// One op of one run: its flow, input and op, its high-water, resident
-/// and cumulative live bytes, and — for an index or analyze op — the
-/// threads its index build walked.
+/// and cumulative live bytes, the threads its index build walked (index
+/// and analyze ops) and the records its decode walked in full
+/// (`file_ingest` ops).
 struct Row {
     flow: &'static str,
     input: String,
     op: &'static str,
     bytes: [isize; 3],
-    walked: String,
+    walked: [String; 2],
 }
 
 /// `values` in MB, or their `min–max` when they differ at that precision.
@@ -126,12 +149,21 @@ fn range(values: impl Iterator<Item = isize> + Clone) -> String {
 
 fn main() {
     let runs: Vec<Vec<Row>> = (0..RUNS).map(|_| run_flows()).collect();
-    let mut table =
-        TextTable::new(&["flow", "input", "op", "peak_mb", "resident_mb", "live_mb", "walked"]);
+    let mut table = TextTable::new(&[
+        "flow",
+        "input",
+        "op",
+        "peak_mb",
+        "resident_mb",
+        "live_mb",
+        "walked",
+        "full_walks",
+    ]);
     for (i, first) in runs[0].iter().enumerate() {
         let cell = |c: usize| range(runs.iter().map(move |run| run[i].bytes[c]));
-        let walked = &first.walked;
-        table.row(&[first.flow, &first.input, first.op, &cell(0), &cell(1), &cell(2), walked]);
+        let [walked, full] = &first.walked;
+        let (flow, input, op) = (first.flow, &first.input, first.op);
+        table.row(&[flow, input, op, &cell(0), &cell(1), &cell(2), walked, full]);
     }
     println!(
         "Heap per op (MB = 10^6 B): high-water above entry, what the op leaves live, and the \
@@ -143,19 +175,21 @@ fn main() {
 /// Runs every flow once, returning its rows in order.
 fn run_flows() -> Vec<Row> {
     // Sized up front, so recording a row allocates only its input name and
-    // walk count.
+    // walk counts.
     let mut rows = Vec::with_capacity(
-        4 * COLD_PROGRAMS.len() + 2 * SWEEP_PROGRAMS.len() + 3 * INGEST_FILES.len(),
+        4 * COLD_PROGRAMS.len() + 2 * SWEEP_PROGRAMS.len() + 4 * INGEST_FILES.len(),
     );
     let walked = Arc::new(Walked::default());
     let obs = Obs::with_sink(walked.clone());
     // `flow_base` is the heap live when the row's flow started; a row of
-    // `threads` threads reads the walk count when its op indexes or
-    // analyzes.
+    // `threads` threads reads the thread walk count when its op indexes or
+    // analyzes, and the record walk count in `file_ingest`.
     let mut row = |flow, input: &str, op, peak: usize, resident: isize, flow_base, threads| {
         let live = counting_alloc::live() as isize - flow_base as isize;
+        let indexes = matches!(op, "index" | "analyze");
+        let decodes = flow == "file_ingest" && op != "re-encode";
         let walked =
-            if matches!(op, "index" | "analyze") { walked.cell(threads) } else { String::new() };
+            [cell(&walked.threads, indexes, threads), cell(&walked.records, decodes, threads)];
         rows.push(Row {
             flow,
             input: input.to_owned(),
@@ -210,10 +244,14 @@ fn run_flows() -> Vec<Row> {
         std::fs::write(&path, &*encode_v3(traced.traces())).expect("trace file written");
         drop(traced);
 
+        let capture =
+            CaptureSpec::trace_file(path.to_str().expect("utf-8 path"), Some(name), OptLevel::O3);
+        let op = JobOp::Validate(ValidateJob { capture: capture.clone() });
+        let (_, peak, resident) = measure(|| execute_op(&op, &obs).expect("file validate"));
+        row("file_ingest", &at, "validate", peak, resident, base, n);
         let (set, peak, resident) = measure(|| {
             let bytes = std::fs::read(&path).expect("trace file read");
-            let reader = TraceSetReader::from_bytes(bytes, &DecodeOptions::default());
-            reader.and_then(TraceSetReader::into_decoded).expect("decode").traces
+            decode_observed(&bytes, &DecodeOptions::default(), &obs).expect("decode").traces
         });
         row("file_ingest", &at, "decode", peak, resident, base, n);
         let ((), peak, resident) = measure(|| {
@@ -223,11 +261,7 @@ fn run_flows() -> Vec<Row> {
         row("file_ingest", &at, "re-encode", peak, resident, base, n);
         drop(set);
         let op = JobOp::Analyze(AnalyzeJob {
-            capture: CaptureSpec::trace_file(
-                path.to_str().expect("utf-8 path"),
-                Some(name),
-                OptLevel::O3,
-            ),
+            capture,
             config: AnalyzerKnobs { parallelism: PARALLELISM as u32, ..AnalyzerKnobs::default() },
         });
         let (_, peak, resident) = measure(|| execute_op(&op, &obs).expect("file analyze"));

@@ -1,6 +1,7 @@
 //! A counting global allocator for heap-budget tests: wraps [`System`],
 //! tracking live bytes, their high-water mark, and the number of heap
-//! requests (allocations and reallocations).
+//! requests (allocations and reallocations), and each thread's own net
+//! allocation.
 //!
 //! Include it with `#[path = "support/counting_alloc.rs"] mod counting_alloc;`
 //! from a test that lives in its own integration-test binary, so the
@@ -8,6 +9,7 @@
 //! harness threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Counting;
@@ -15,6 +17,18 @@ struct Counting;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Bytes this thread allocated, less those it freed. Constant-
+    /// initialized and without a destructor, so the allocator may touch it
+    /// at any point of a thread's life.
+    static THREAD_LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` bytes to the calling thread's count.
+fn count_thread(delta: isize) {
+    let _ = THREAD_LIVE.try_with(|live| live.set(live.get() + delta));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters only read sizes.
@@ -25,12 +39,14 @@ unsafe impl GlobalAlloc for Counting {
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
+            count_thread(layout.size() as isize);
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        count_thread(-(layout.size() as isize));
         System.dealloc(ptr, layout);
     }
 
@@ -45,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
             } else {
                 LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
             }
+            count_thread(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -57,6 +74,15 @@ static ALLOC: Counting = Counting;
 #[allow(dead_code)]
 pub fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Heap bytes the calling thread has allocated, less those it has freed.
+/// Unlike [`live`], a difference of two readings on one thread is blind to
+/// what other threads allocate and free meanwhile — so it counts all of an
+/// operation's heap only when the operation runs on that thread alone.
+#[allow(dead_code)]
+pub fn thread_live() -> isize {
+    THREAD_LIVE.with(Cell::get)
 }
 
 /// Heap requests (allocations and reallocations) made so far.

@@ -19,14 +19,17 @@
 //!
 //! These tests live in their own integration-test binary so the counting
 //! global allocator sees no allocations from unrelated tests, and take
-//! [`ONE_AT_A_TIME`] so they do not count each other's.
+//! [`ONE_AT_A_TIME`] so they do not count each other's. The exact index
+//! sizes (`within_one_percent`) are read off the measuring thread's own
+//! count ([`thread_live`]) around a one-worker build: a test thread that
+//! has released the lock may still free its heap while another measures.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 #[path = "support/hostile_shapes.rs"]
 mod hostile_shapes;
 
-use counting_alloc::{allocs, live, peak_delta};
+use counting_alloc::{allocs, live, peak_delta, thread_live};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -439,6 +442,15 @@ fn within_one_percent(a: usize, b: usize) -> bool {
     a.abs_diff(b) * 100 <= b
 }
 
+/// Builds an index on the calling thread alone, returning it with the
+/// heap it left resident, counted on that thread only.
+fn resident_index(build: impl FnOnce() -> AnalysisIndex) -> (AnalysisIndex, usize) {
+    let base = thread_live();
+    let index = build();
+    let resident = thread_live() - base;
+    (index, usize::try_from(resident).expect("an index holds heap"))
+}
+
 /// `pigz`@2048's index (`cold_project`'s largest) holds exactly the bytes
 /// `AnalysisIndex::heap_bytes` reports, and no more than shared,
 /// shape-interned tapes need: 4 B per event of each distinct per-thread
@@ -458,9 +470,10 @@ fn index_heap_is_exact_and_shape_interned() {
         .parallelism(2)
         .trace()
         .expect("pigz traces");
-    let base = live();
-    let index = traced.index().expect("index");
-    let resident = live() - base;
+    let (program, traces) = (traced.program(), traced.traces());
+    let (index, resident) = resident_index(|| {
+        AnalysisIndex::build_observed(program, traces, 1, &Obs::none()).expect("index")
+    });
     let heap = index.heap_bytes();
     assert!(within_one_percent(resident, heap), "index holds {resident} B, reports {heap} B");
 
@@ -496,9 +509,10 @@ fn sweep_warm_indexes_stay_small() {
             .parallelism(2)
             .trace()
             .expect("workload traces");
-        let base = live();
-        let index = traced.index().expect("index");
-        let resident = live() - base;
+        let (program, traces) = (traced.program(), traced.traces());
+        let (index, resident) = resident_index(|| {
+            AnalysisIndex::build_observed(program, traces, 1, &Obs::none()).expect("index")
+        });
         assert!(within_one_percent(resident, index.heap_bytes()), "{name}: {resident} B");
         total += resident;
         drop(index);
@@ -568,7 +582,7 @@ fn unshared_sequences_stay_within_a_tape_per_thread() {
 }
 
 /// `set`'s index built from the set and by the chunk walk of its v3 file
-/// written in `chunk_bytes` chunks, two walkers each, with the heap each
+/// written in `chunk_bytes` chunks, one walker each, with the heap each
 /// left resident.
 fn both_builds(
     program: &Program,
@@ -578,16 +592,10 @@ fn both_builds(
     let file = encode_v3_with(set, chunk_bytes).to_vec();
     let reader = TraceSetReader::from_bytes(file, &DecodeOptions::default()).expect("v3 opens");
     assert!(reader.n_chunks() > 1, "the file is chunked");
-    let resident = |build: &dyn Fn() -> AnalysisIndex| {
-        let base = live();
-        let index = build();
-        let resident = live() - base;
-        (index, resident)
-    };
     let set_build =
-        resident(&|| AnalysisIndex::build_observed(program, set, 2, &Obs::none()).unwrap());
-    let chunk_build = resident(&|| {
-        let index = AnalysisIndex::build_from_chunks(program, &reader, 2, &Obs::none());
+        resident_index(|| AnalysisIndex::build_observed(program, set, 1, &Obs::none()).unwrap());
+    let chunk_build = resident_index(|| {
+        let index = AnalysisIndex::build_from_chunks(program, &reader, 1, &Obs::none());
         index.expect("chunk walk accepts the file").expect("v3 counts are trusted")
     });
     [("set", set_build), ("chunks", chunk_build)]

@@ -140,13 +140,11 @@ impl Walker {
     }
 }
 
-/// The tape extents a v3 file's footer claims, one per chunk, or `None`
-/// when they cannot be trusted to bound the tapes: a v1/v2 file has no
-/// per-chunk counts, and a footer claiming more records than its chunk
-/// bytes can hold, or more than the tape offsets address, is lying (the
-/// whole-file decode then reports it).
+/// The tape extents a file's footer claims, one per chunk, or `None` when
+/// they cannot be trusted to bound the tapes: a footer claiming more
+/// records than its chunk bytes can hold, or more than the tape offsets
+/// address, is lying (the whole-file decode then reports it).
 fn chunk_extents(reader: &TraceSetReader) -> Option<Vec<TapeExtent>> {
-    reader.tids()?;
     let mut extents = Vec::with_capacity(reader.n_chunks());
     for i in 0..reader.n_chunks() {
         let c = reader.chunk_info(i).expect("chunk index in range");
@@ -331,12 +329,12 @@ impl AnalysisIndex {
     /// quarantines threads, chunks claimed after it are not decoded.
     ///
     /// Returns `Ok(None)` when the file has no trustworthy per-chunk
-    /// counts or classes — a v1/v2 file, a footer whose counts its chunk
-    /// bytes cannot hold or the tape offsets cannot address, a record not
-    /// in canonical form, or a chunk that quarantined threads under
-    /// `SkipBadThreads`. Such a file takes the
-    /// whole-file decode and [`AnalysisIndex::build_observed`] instead,
-    /// which also decides its outcome. Otherwise the result, index or
+    /// counts or classes — a footer whose counts its chunk bytes cannot
+    /// hold or the tape offsets cannot address, a record not in canonical
+    /// form, or a chunk that quarantined threads under `SkipBadThreads`.
+    /// Such a file takes the whole-file decode and
+    /// [`AnalysisIndex::build_observed`] instead, which also decides its
+    /// outcome. Otherwise the result, index or
     /// error, equals decoding the file whole and building from the set.
     ///
     /// # Errors
@@ -1031,14 +1029,11 @@ mod tests {
     }
 
     /// Files without trustworthy per-chunk counts take the whole-file
-    /// decode: v1/v2, a chunk that quarantines threads, and a footer that
-    /// claims more records than its chunk bytes can hold.
+    /// decode: a chunk that quarantines threads, and a footer that claims
+    /// more records than its chunk bytes can hold.
     #[test]
     fn untrustworthy_counts_hand_the_file_to_the_whole_decode() {
         let (program, traces) = workload_capture("bfs", 16);
-        let v2 = include_bytes!("../../../tests/corpus/valid/synthetic_v2.bin");
-        assert!(chunk_build(&program, &open(v2, ValidationPolicy::Strict), 2).unwrap().is_none());
-
         let mut damaged = encode_v3_with(&traces, 1).to_vec();
         mistag(&mut damaged, 5);
         let reader = open(&damaged, ValidationPolicy::SkipBadThreads);

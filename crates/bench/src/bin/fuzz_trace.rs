@@ -5,14 +5,15 @@
 //! `DecodeLimits`, whatever bytes arrive. This binary proves it two ways:
 //!
 //! * a **checked-in corrupt-trace corpus** under `tests/corpus/` —
-//!   truncations, bit-flips, length-field inflation, tag garbage,
-//!   undefined size/flag bytes, non-monotone prefix sums, overflow-bait
-//!   addresses near `u64::MAX`, and v3 container damage (lying footer
-//!   offsets and counts, overlapping chunk extents, truncated footers,
-//!   varint-overflow baits) — regenerated deterministically with `--gen`;
+//!   header damage (including the retired version bytes 1 and 2),
+//!   bit-flips, length-field inflation, tag garbage, undefined size/store
+//!   bytes, overflow-bait addresses near `u64::MAX`, and container damage
+//!   (lying footer offsets and counts, overlapping chunk extents,
+//!   truncated footers, varint-overflow baits) — regenerated
+//!   deterministically with `--gen`;
 //! * **pseudo-random byte strings** (a deterministic xorshift stream,
-//!   some prefixed with a valid magic+version so the fuzz reaches past the
-//!   header check), decoded under `catch_unwind`.
+//!   some prefixed with a magic and a version byte so the fuzz reaches
+//!   past the header check), decoded under `catch_unwind`.
 //!
 //! ```text
 //! cargo run --release -p threadfuser-bench --bin fuzz_trace -- --gen
@@ -22,27 +23,26 @@
 //! `--check` (the ci.sh gate) walks the corpus — `valid/` must decode and
 //! round-trip, `invalid/` must return `Err` under strict validation, and
 //! `fuzz/` merely must not panic — then throws `N` (default 4096) random
-//! buffers at the decoder, and finally asserts `decode(encode(t)) == t`
-//! through the v2 writer and the v3 encoder for freshly captured workload
-//! traces. Any panic or violated expectation exits nonzero.
+//! buffers at the decoder (those behind a retired version byte must get
+//! `BadHeader` at offset 4), and finally asserts `decode(encode_v3(t)) ==
+//! t` for freshly captured workload traces. Any panic or violated
+//! expectation exits nonzero.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use threadfuser::ir::{BlockAddr, BlockId, FuncId, OptLevel};
 use threadfuser::mem::coalesce_transactions;
 use threadfuser::tracer::{
-    decode, decode_with, encode_v3, encode_v3_with, DecodeOptions, ThreadTrace, TraceEvent,
-    TraceSet, ValidationPolicy,
+    decode, decode_with, encode_v3, encode_v3_with, DecodeError, DecodeErrorKind, DecodeOptions,
+    ThreadTrace, TraceEvent, TraceSet, ValidationPolicy,
 };
 use threadfuser::workloads::by_name;
 use threadfuser::Pipeline;
 
-/// The v1 and v2 writers: the library only writes v3, but the corpus
-/// keeps legacy files that must decode forever.
-#[path = "../../../../tests/support/legacy_encode.rs"]
-mod legacy;
+#[path = "../../../../tests/support/v3_layout.rs"]
+mod v3_layout;
 
-use legacy::{encode_v1, encode_v2};
+use v3_layout::{read_varint, record_at, splice, varint};
 
 /// Workloads whose captures seed the corpus and the round-trip check.
 /// coop_channel covers the cooperative-scheduler family: lock-guarded
@@ -152,8 +152,6 @@ fn generate(root: &Path) {
     }
 
     let set = synthetic_set();
-    let v2 = encode_v2(&set);
-    let v1 = encode_v1(&set);
     let v3 = encode_v3(&set).to_vec();
     // A 1-byte chunk budget closes a chunk at every thread boundary, so
     // this file carries one chunk per thread — the multi-chunk shapes the
@@ -161,14 +159,9 @@ fn generate(root: &Path) {
     let v3_multi = encode_v3_with(&set, 1).to_vec();
 
     // ---- valid ------------------------------------------------------------
-    write(&valid, "synthetic_v2.bin", &v2);
-    write(&valid, "synthetic_v1.bin", &v1);
     write(&valid, "synthetic_v3.bin", &v3);
     write(&valid, "synthetic_v3_multichunk.bin", &v3_multi);
-    write(&valid, "empty_v2.bin", &encode_v2(&TraceSet::default()));
     write(&valid, "empty_v3.bin", &encode_v3(&TraceSet::default()));
-    write(&valid, "overflow_bait_v2.bin", &encode_v2(&overflow_bait_set()));
-    write(&valid, "overflow_bait_v1.bin", &encode_v1(&overflow_bait_set()));
     write(&valid, "overflow_bait_v3.bin", &encode_v3(&overflow_bait_set()));
     let w = by_name("vectoradd").expect("vectoradd exists");
     let traced = Pipeline::from_workload(&w)
@@ -176,7 +169,6 @@ fn generate(root: &Path) {
         .opt_level(OptLevel::O1)
         .trace()
         .expect("trace vectoradd");
-    write(&valid, "vectoradd_t16_o1_v2.bin", &encode_v2(traced.traces()));
     write(&valid, "vectoradd_t16_o1_v3.bin", &encode_v3(traced.traces()));
     let w = by_name("coop_channel").expect("coop_channel exists");
     let traced = Pipeline::from_workload(&w)
@@ -184,82 +176,54 @@ fn generate(root: &Path) {
         .opt_level(OptLevel::O1)
         .trace()
         .expect("trace coop_channel");
-    write(&valid, "coop_channel_t16_o1_v2.bin", &encode_v2(traced.traces()));
     write(&valid, "coop_channel_t16_o1_v3.bin", &encode_v3(traced.traces()));
 
-    // ---- invalid ----------------------------------------------------------
-    // Truncations: mid-header, mid-thread-header, mid-column, last byte.
-    for cut in [3usize, 7, 12, 30, v2.len() / 2, v2.len() - 1] {
-        write(&invalid, &format!("truncated_at_{cut}_v2.bin"), &v2[..cut.min(v2.len())]);
-    }
-    write(&invalid, "truncated_mid_event_v1.bin", &v1[..v1.len() - 3]);
-
-    // Header damage.
-    let mut b = v2.clone();
+    // ---- invalid: header damage -------------------------------------------
+    let mut b = v3.clone();
     b[..4].copy_from_slice(b"NOPE");
     write(&invalid, "bad_magic.bin", &b);
-    let mut b = v2.clone();
-    b[4] = 9;
-    write(&invalid, "bad_version.bin", &b);
-
-    // Length-field inflation: every count field lies upward. Offsets per
-    // the format contract: n_threads at 5; thread 0's n_blocks/n_mems/
-    // n_sides at 9+28 = 37/41/45; v1 n_events (u64) at 37.
-    let mut b = v2.clone();
-    patch_u32(&mut b, 5, u32::MAX);
-    write(&invalid, "inflated_n_threads_v2.bin", &b);
-    for (name, off) in [
-        ("inflated_n_blocks_v2.bin", 37),
-        ("inflated_n_mems_v2.bin", 41),
-        ("inflated_n_sides_v2.bin", 45),
-    ] {
-        let mut b = v2.clone();
-        patch_u32(&mut b, off, u32::MAX);
+    // An unknown version byte, and the retired formats' version bytes,
+    // which get the same refusal.
+    for (name, version) in [("bad_version.bin", 9), ("retired_v1.bin", 1), ("retired_v2.bin", 2)] {
+        let mut b = v3.clone();
+        b[4] = version;
         write(&invalid, name, &b);
-        let mut b = v2.clone();
-        // A value past the DecodeLimits ceiling but below u32::MAX: must
-        // be caught by the limit, not the byte budget.
-        patch_u32(&mut b, off, 1 << 27);
-        write(&invalid, &format!("limit_{name}"), &b);
     }
-    let mut b = v1.clone();
-    b[37..45].copy_from_slice(&u64::MAX.to_le_bytes());
-    write(&invalid, "inflated_n_events_v1.bin", &b);
+    // A thread count past `max_threads` (n_threads sits at 5).
+    let mut b = v3.clone();
+    patch_u32(&mut b, 5, u32::MAX);
+    write(&invalid, "inflated_n_threads_v3.bin", &b);
 
-    // Tag garbage: clobber the first v1 event tag / first v2 side tag.
-    let mut b = v1.clone();
-    b[45] = 200;
-    write(&invalid, "garbage_tag_v1.bin", &b);
-    let mut b = v2.clone();
-    let side_tag = find_first_side_tag_v2(&b);
+    // ---- invalid: thread 0's record ---------------------------------------
+    let at = record_at(&v3, 0);
+    // Per-record counts past the DecodeLimits ceilings: the record's
+    // n_blocks, n_mems and n_sides are its 5th to 7th header varints.
+    for (k, name) in ["n_blocks", "n_mems", "n_sides"].into_iter().enumerate() {
+        let mut pos = at.record.start;
+        for _ in 0..4 + k {
+            read_varint(&v3, &mut pos);
+        }
+        let count = pos..{
+            read_varint(&v3, &mut pos);
+            pos
+        };
+        let mut b = v3.clone();
+        splice(&mut b, at.desc, count, &varint(1 << 27));
+        write(&invalid, &format!("limit_inflated_{name}_v3.bin"), &b);
+    }
+    // Tag garbage: the first side event's tag follows its position delta.
+    let mut side_tag = at.sides;
+    read_varint(&v3, &mut side_tag);
+    let mut b = v3.clone();
     b[side_tag] = 250;
-    write(&invalid, "garbage_side_tag_v2.bin", &b);
-
-    // Undefined size/flag bytes.
-    let mut b = v2.clone();
-    let size_byte = find_first_size_byte_v2(&b);
-    b[size_byte] = 0x00;
-    write(&invalid, "zero_mem_size_v2.bin", &b);
-    let mut b = v2.clone();
-    b[size_byte] = 0x83; // store bit + size 3
-    write(&invalid, "bad_mem_size_bits_v2.bin", &b);
-    let mut b = v1.clone();
-    // First v1 event after the block (tag 0, 13 bytes) is the mem event:
-    // tag at 58, is_store byte at 58 + 1 + 4 + 8 + 1 = 72.
-    b[72] = 2;
-    write(&invalid, "bad_store_flag_v1.bin", &b);
-
-    // Non-monotone prefix sums: thread 0 has 2 blocks; mem_end lives after
-    // block_addr (2×8) + block_n_insts (2×4) at 49+24 = 73. Swap order.
-    let mut b = v2.clone();
-    patch_u32(&mut b, 73, 2);
-    patch_u32(&mut b, 77, 0);
-    write(&invalid, "nonmonotone_mem_end_v2.bin", &b);
-
-    // Trailing garbage after a well-formed file.
-    let mut b = v2.clone();
-    b.extend_from_slice(b"junk");
-    write(&invalid, "trailing_bytes_v2.bin", &b);
+    write(&invalid, "garbage_side_tag_v3.bin", &b);
+    // Undefined size/store bytes: the first access's, right after the
+    // address column.
+    let mut b = v3.clone();
+    b[at.addrs.end] = 0x00;
+    write(&invalid, "zero_mem_size_v3.bin", &b);
+    b[at.addrs.end] = 0x83; // store bit + size 3
+    write(&invalid, "bad_mem_size_bits_v3.bin", &b);
 
     // ---- invalid: v3 container damage -------------------------------------
     // The footer index is untrusted input; every lie below must come back
@@ -320,8 +284,11 @@ fn generate(root: &Path) {
     write(&invalid, "varint_overflow_v3.bin", &b);
 
     // ---- fuzz (no-panic only; validity not asserted) -----------------------
-    let mut rng = XorShift(0x7F4A_7C15_9E37_79B9);
-    for (version, base) in [("v2", &v2), ("v1", &v1), ("v3", &v3), ("v3multi", &v3_multi)] {
+    // The states are where the stream of seed 0x7F4A_7C15_9E37_79B9 stood
+    // past the flavours of the retired formats, so each file keeps the
+    // bytes it had beside them.
+    let mut rng = XorShift(0x1C1B_EEE3_3590_E047);
+    for (version, base) in [("v3", &v3), ("v3multi", &v3_multi)] {
         for round in 0..8 {
             let mut b = base.clone();
             // 1–8 random bit flips anywhere in the file.
@@ -332,12 +299,7 @@ fn generate(root: &Path) {
             write(&fuzz, &format!("bitflip_{version}_{round}.bin"), &b);
         }
     }
-    for round in 0..4 {
-        let n = 16 + (rng.next() as usize % 256);
-        let mut b = b"TFTR\x02".to_vec();
-        b.extend_from_slice(&rng.fill(n));
-        write(&fuzz, &format!("random_body_v2_{round}.bin"), &b);
-    }
+    let mut rng = XorShift(0x85E6_43FC_6C62_1921);
     for round in 0..4 {
         // Random v3 bodies additionally get a plausible trailer so the
         // fuzz reaches the footer parser, not just the trailer check.
@@ -349,25 +311,6 @@ fn generate(root: &Path) {
         b.extend_from_slice(b"TF3F");
         write(&fuzz, &format!("random_body_v3_{round}.bin"), &b);
     }
-}
-
-/// Byte offset of thread 0's first `mem_size_store` byte in a v2 file
-/// (9-byte file header + 28-byte thread header + 12 bytes of counts read
-/// already... computed from the counts instead of hardcoding).
-fn find_first_size_byte_v2(b: &[u8]) -> usize {
-    let n_blocks = u32::from_le_bytes(b[37..41].try_into().unwrap()) as usize;
-    let n_mems = u32::from_le_bytes(b[41..45].try_into().unwrap()) as usize;
-    // counts end at 49; blocks: addr 8n + n_insts 4n + mem_end 4n; mems:
-    // inst_idx 4n + addr 8n; then the size bytes.
-    49 + 16 * n_blocks + 12 * n_mems
-}
-
-/// Byte offset of thread 0's first side-event tag in a v2 file (right
-/// after its `side_after` u32).
-fn find_first_side_tag_v2(b: &[u8]) -> usize {
-    find_first_size_byte_v2(b)
-        + u32::from_le_bytes(b[41..45].try_into().unwrap()) as usize // the size bytes
-        + 4 // side_after[0]
 }
 
 // ---------------------------------------------------------------------------
@@ -394,14 +337,15 @@ fn no_panic<T>(failures: &mut Failures, what: &str, f: impl FnOnce() -> T) -> Op
     }
 }
 
-fn decode_both_policies(bytes: &[u8]) -> (Result<TraceSet, String>, Result<usize, String>) {
-    let strict = decode(bytes).map_err(|e| e.to_string());
+fn decode_both_policies(
+    bytes: &[u8],
+) -> (Result<TraceSet, DecodeError>, Result<usize, DecodeError>) {
+    let strict = decode(bytes);
     let skip = decode_with(
         bytes,
         &DecodeOptions { policy: ValidationPolicy::SkipBadThreads, ..DecodeOptions::default() },
     )
-    .map(|d| d.quarantined.len())
-    .map_err(|e| e.to_string());
+    .map(|d| d.quarantined.len());
     (strict, skip)
 }
 
@@ -434,11 +378,7 @@ fn check(root: &Path, cases: usize) -> Result<(), usize> {
         match strict {
             Ok(set) => {
                 // Valid files must round-trip bit-identically through the
-                // v2 writer and the v3 encoder…
-                let re = decode(&encode_v2(&set)).expect("re-decode own v2 encoding");
-                if re != set {
-                    failures.fail(format!("{name}: decode(encode_v2(t)) != t"));
-                }
+                // v3 encoder…
                 let re3 = decode(&encode_v3(&set)).expect("re-decode own v3 encoding");
                 if re3 != set {
                     failures.fail(format!("{name}: decode(encode_v3(t)) != t"));
@@ -492,8 +432,9 @@ fn check(root: &Path, cases: usize) -> Result<(), usize> {
         no_panic(&mut failures, &name, || decode_both_policies(&bytes));
     }
 
-    // Pseudo-random buffers: raw, and with a valid header prefix so the
-    // stream reaches the per-thread parsers.
+    // Pseudo-random buffers: raw, behind a retired version byte (refused
+    // at the version byte), and behind a valid header so the stream
+    // reaches the footer and record parsers.
     let mut rng = XorShift(0x1234_5678_9ABC_DEF0);
     for i in 0..cases {
         let n = rng.next() as usize % 384;
@@ -504,7 +445,17 @@ fn check(root: &Path, cases: usize) -> Result<(), usize> {
             2 => [b"TFTR\x01".as_slice(), &body].concat(),
             _ => [b"TFTR\x03".as_slice(), &body].concat(),
         };
-        no_panic(&mut failures, &format!("random case {i}"), || decode_both_policies(&buf));
+        let what = format!("random case {i}");
+        let Some((strict, skip)) = no_panic(&mut failures, &what, || decode_both_policies(&buf))
+        else {
+            continue;
+        };
+        let refused = |e: &DecodeError| e.kind == DecodeErrorKind::BadHeader && e.offset == 4;
+        let both =
+            strict.as_ref().err().is_some_and(refused) && skip.err().is_some_and(|e| refused(&e));
+        if matches!(i % 4, 1 | 2) && !both {
+            failures.fail(format!("{what}: a retired version byte was not refused at byte 4"));
+        }
     }
 
     // Round-trip over real workload captures (the acceptance bar: decode
@@ -516,11 +467,6 @@ fn check(root: &Path, cases: usize) -> Result<(), usize> {
             .trace()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let set = traced.traces();
-        match decode(&encode_v2(set)) {
-            Ok(back) if &back == set => {}
-            Ok(_) => failures.fail(format!("{name}: v2 round-trip changed the trace set")),
-            Err(e) => failures.fail(format!("{name}: v2 round-trip decode failed: {e}")),
-        }
         match decode(&encode_v3(set)) {
             Ok(back) if &back == set => {}
             Ok(_) => failures.fail(format!("{name}: v3 round-trip changed the trace set")),

@@ -9,11 +9,11 @@ use threadfuser::service::{
     AnalyzeJob, AnalyzerKnobs, CaptureSpec, JobErrorCode, JobOp, JobOutcome, JobRequest,
     JobResponse, SpeedupJob, SweepJob, ValidateJob,
 };
-use threadfuser::tracer::{TraceEvent, TraceSet};
+use threadfuser::tracer::encode_v3;
 use threadfuser_serve::{Client, Frame, ServeConfig, Server};
 
-#[path = "../../../tests/support/legacy_encode.rs"]
-mod legacy;
+#[path = "../../../tests/support/v3_layout.rs"]
+mod v3_layout;
 
 fn bind(config: ServeConfig) -> (Server, std::net::SocketAddr, Arc<InMemorySink>) {
     let sink = Arc::new(InMemorySink::default());
@@ -125,15 +125,16 @@ fn small_byte_budget_evicts_lru_captures() {
     server.shutdown();
 }
 
-/// Writes a vectoradd trace file (v2: fixed-width, so a flipped byte
-/// mid-file corrupts one thread's content, not the framing) with one
-/// corrupted thread record.
+/// Writes a vectoradd trace file with one corrupted thread record: the
+/// middle thread's first access size byte is zeroed, which breaks its
+/// content but not the framing.
 fn corrupt_trace_file(dir: &std::path::Path) -> String {
     let w = threadfuser::workloads::by_name("vectoradd").unwrap();
     let traced = Pipeline::from_workload(&w).threads(8).trace().unwrap();
-    let mut bytes = legacy::encode_v2(traced.traces());
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
+    let mut bytes = encode_v3(traced.traces()).to_vec();
+    let size_at = v3_layout::record_at(&bytes, 4).addrs.end;
+    assert_ne!(bytes[size_at], 0, "a size byte");
+    bytes[size_at] = 0;
     let path = dir.join("corrupt.tftrace");
     std::fs::write(&path, &bytes).unwrap();
     path.to_string_lossy().into_owned()

@@ -401,14 +401,13 @@ impl Pipeline {
 
     /// [`Pipeline::adopt_traces`] for a trace file still in its encoded
     /// form, decoded under `opts`, returning the capture already indexed
-    /// and the threads the decode quarantined. A v3 file is indexed
+    /// and the threads the decode quarantined. The file is indexed
     /// straight from its chunks ([`AnalysisIndex::build_from_chunks`]) and
     /// keeps only its bytes and index; [`Traced::traces`] decodes it on
-    /// first request. A file without trustworthy per-chunk counts — v1/v2,
-    /// a record not in canonical form, or a chunk that quarantines
-    /// threads — is decoded whole (a `decode`
-    /// span, `decode_rejects`/`quarantined_threads` counters) and adopted
-    /// as a set. Either way every product, quarantine row and error equals
+    /// first request. A file without trustworthy per-chunk counts — a
+    /// record not in canonical form, or a chunk that quarantines threads —
+    /// is decoded whole (a `decode` span, `decode_rejects`/
+    /// `quarantined_threads` counters) and adopted as a set. Either way every product, quarantine row and error equals
     /// adopting [`TraceSetReader::into_decoded`]'s set.
     ///
     /// # Errors

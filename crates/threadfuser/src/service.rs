@@ -1505,7 +1505,7 @@ mod tests {
     fn key_hash_ignores_chunk_boundaries() {
         let (_, bytes) = corpus_files()
             .into_iter()
-            .find(|(p, _)| p.ends_with("coop_channel_t16_o1_v2.bin"))
+            .find(|(p, _)| p.ends_with("coop_channel_t16_o1_v3.bin"))
             .unwrap();
         let whole = key_of([&bytes]);
         for size in [1, 7, 64 * 1024] {
@@ -1520,7 +1520,7 @@ mod tests {
     #[test]
     fn key_hash_separates_corpus_files_and_single_bit_flips() {
         let files = corpus_files();
-        assert!(files.len() >= 80, "corpus went missing");
+        assert_eq!(files.len(), 48, "the corpus `fuzz_trace --gen` writes");
         // Distinct contents ⇒ distinct keys (byte-identical files share one).
         let mut by_content = std::collections::BTreeMap::new();
         for (path, bytes) in &files {
@@ -1534,7 +1534,7 @@ mod tests {
         }
         // Every single-bit flip of one file, against the file and each other
         // (some corpus files *are* one-bit flips of it, so not against those).
-        let (_, base) = files.iter().find(|(p, _)| p.ends_with("synthetic_v2.bin")).unwrap();
+        let (_, base) = files.iter().find(|(p, _)| p.ends_with("synthetic_v3.bin")).unwrap();
         let mut seen = std::collections::HashMap::from([(key_of([base]), "the file".to_string())]);
         let mut flipped = base.clone();
         for bit in 0..base.len() * 8 {

@@ -553,7 +553,7 @@ pub(crate) struct RecordHead {
 
 /// Appends events to one growing byte stream per column, then packs them
 /// into a [`ThreadTrace`]'s exactly sized record (crate-internal: the
-/// tracer's per-thread state and the legacy decoders' target).
+/// tracer's per-thread state).
 ///
 /// A column grows by an exact reserve of a quarter of its length, at
 /// least [`MIN_GROWTH`] bytes, not by doubling: a writer holds at most a

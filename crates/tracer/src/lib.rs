@@ -49,10 +49,6 @@ pub use encode::{
     decode, decode_observed, decode_with, DecodeError, DecodeErrorKind, DecodeLimits,
     DecodeOptions, Decoded, ProgramShape, Quarantined, ValidationPolicy,
 };
-#[cfg(test)]
-#[path = "../../../tests/support/legacy_encode.rs"]
-mod legacy;
-
 pub use events::{
     read_addr, EventIter, MemRec, MemSlice, SideEvent, ThreadTrace, TraceCursor, TraceEvent,
     TraceSet,

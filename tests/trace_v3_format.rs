@@ -1,16 +1,12 @@
-//! Cross-version contract tests for the v3 chunked trace container.
+//! Contract tests for the v3 chunked trace container.
 //!
-//! Four properties the format must keep forever:
-//!  - any v1 or v2 file re-encodes to v3 without changing the trace set
-//!    (and back again through the shared `decode` entry point),
-//!  - v3 stays at or under 0.6x the v2 size on real captures,
+//! Properties the format must keep forever:
+//!  - the bytes `encode_v3` writes for a capture are pinned,
 //!  - the lazy [`TraceSetReader`] path and the eager `decode` path feed
 //!    the analyzer identical inputs and therefore produce bit-identical
 //!    [`AnalysisReport`]s,
 //!  - chunking is a pure container concern: any chunk budget (including
 //!    the degenerate one-thread-per-chunk layout) round-trips.
-
-use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use threadfuser::analyzer::ChunkIndexError;
@@ -26,55 +22,10 @@ use threadfuser::tracer::{
 };
 use threadfuser::workloads;
 
-#[path = "support/legacy_encode.rs"]
-mod legacy;
+#[path = "support/v3_layout.rs"]
+mod v3_layout;
 
-fn corpus_dir(sub: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus").join(sub)
-}
-
-/// Every valid legacy corpus file (v1 tagged stream, v2 fixed-width
-/// columnar) must survive a v3 re-encode bit-for-bit at the trace-set
-/// level, under both the default chunk budget and a 1-byte budget that
-/// forces one chunk per thread.
-#[test]
-fn legacy_corpus_reencodes_to_v3_equivalently() {
-    let dir = corpus_dir("valid");
-    let mut checked = 0u32;
-    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
-        let path = entry.unwrap().path();
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if !(name.ends_with("_v1.bin") || name.ends_with("_v2.bin")) {
-            continue;
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        let legacy: TraceSet = decode(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let via_v3 = decode(&encode_v3(&legacy)).unwrap_or_else(|e| panic!("{name} via v3: {e}"));
-        assert_eq!(legacy, via_v3, "{name}: v3 re-encode changed the trace set");
-        let via_multi = decode(&encode_v3_with(&legacy, 1))
-            .unwrap_or_else(|e| panic!("{name} via multichunk v3: {e}"));
-        assert_eq!(legacy, via_multi, "{name}: one-thread-per-chunk layout diverged");
-        checked += 1;
-    }
-    assert!(checked >= 5, "expected >= 5 legacy corpus files, found {checked}");
-}
-
-/// The synthetic v2/v3 corpus twins (written by `fuzz_trace gen` from
-/// the same in-memory set) must decode to the same trace set.
-#[test]
-fn v2_and_v3_corpus_twins_decode_identically() {
-    let dir = corpus_dir("valid");
-    for stem in ["synthetic", "overflow_bait", "vectoradd_t16_o1", "coop_channel_t16_o1", "empty"] {
-        let v2_path = dir.join(format!("{stem}_v2.bin"));
-        let v3_path = dir.join(format!("{stem}_v3.bin"));
-        if !v2_path.exists() || !v3_path.exists() {
-            continue;
-        }
-        let v2: TraceSet = decode(&std::fs::read(&v2_path).unwrap()).unwrap();
-        let v3: TraceSet = decode(&std::fs::read(&v3_path).unwrap()).unwrap();
-        assert_eq!(v2, v3, "{stem}: v2 and v3 corpus twins diverged");
-    }
-}
+use v3_layout::{footer_of, read_varint, record_at, splice, varint};
 
 /// Lazy chunk-at-a-time decoding must be invisible downstream: the
 /// analyzer report built from `TraceSetReader::into_decoded` is
@@ -129,19 +80,6 @@ fn chunk_budget_is_observationally_irrelevant() {
     }
 }
 
-/// The delta/varint columns are what v3 is for: on a coherent (`md5`) and
-/// a divergent, call-heavy (`pigz`) capture at their default thread
-/// counts, v3 takes at most 0.6x the bytes of the v2 fixed-width layout.
-#[test]
-fn v3_is_at_most_six_tenths_of_v2() {
-    for name in ["md5", "pigz"] {
-        let w = workloads::by_name(name).expect("workload exists");
-        let traced = Pipeline::from_workload(&w).threads(w.meta.default_threads).trace().unwrap();
-        let (v2, v3) = (legacy::encode_v2(traced.traces()).len(), encode_v3(traced.traces()).len());
-        assert!(v3 * 10 <= v2 * 6, "{name}: v3 {v3} B vs v2 {v2} B");
-    }
-}
-
 /// A zero budget is "no budget given", not "chunk as small as possible":
 /// it must clamp to the default chunk size, never degrade to the
 /// pathological one-chunk-per-thread layout (that is budget `1`'s job).
@@ -161,16 +99,22 @@ fn zero_chunk_budget_clamps_to_default() {
 /// Rewrites the footer tid of thread record `ordinal` in a v3 file: that
 /// thread then fails to decode (quarantined under `SkipBadThreads`).
 fn mistag(bytes: &mut [u8], ordinal: usize) {
-    let trailer = bytes.len() - 12;
-    let len = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
-    let start = trailer - len;
-    let chunks = u32::from_le_bytes(bytes[start..start + 4].try_into().unwrap()) as usize;
+    let (start, chunks) = footer_of(bytes);
     let pos = start + 4 + chunks * 48 + ordinal * 4;
     bytes[pos..pos + 4].copy_from_slice(&0xdead_beefu32.to_le_bytes());
 }
 
-/// Serving a trace file — whether it is indexed chunk by chunk (v3) or
-/// decoded whole (v2, or a v3 file whose chunks quarantine threads) —
+/// The file with the first address varint of thread record `ordinal`
+/// widened: a record not in canonical form, which decodes to the same set.
+fn widen_first_addr(file: &[u8], ordinal: usize) -> Vec<u8> {
+    let (at, mut out) = (record_at(file, ordinal), file.to_vec());
+    assert!(widen(&mut out, at.desc, at.addrs.start), "the address varint has room to grow");
+    out
+}
+
+/// Serving a trace file — whether it is indexed chunk by chunk or decoded
+/// whole (a record not in canonical form, or chunks that quarantine
+/// threads) —
 /// answers exactly what adopting the whole-file decode answers: reports,
 /// projections, quarantine rows and decode errors.
 #[test]
@@ -182,7 +126,7 @@ fn served_trace_files_equal_adopting_the_decoded_set() {
     let files: [(&str, Vec<u8>); 4] = [
         ("multi-chunk", encode_v3_with(&set, 2048).to_vec()),
         ("thread-per-chunk", encode_v3_with(&set, 1).to_vec()),
-        ("v2", legacy::encode_v2(&set)),
+        ("overlong", widen_first_addr(&encode_v3(&set), 0)),
         ("damaged", damaged),
     ];
     let dir = std::env::temp_dir().join(format!("tf-file-path-{}", std::process::id()));
@@ -344,37 +288,32 @@ fn cursor_events(t: &ThreadTrace) -> Vec<TraceEvent> {
     out
 }
 
-/// Rewrites the varint at column position `k` (counted over the block
-/// and access columns after the thread's header) of a one-thread v3 file
-/// one byte longer than it needs to be, and grows the chunk to match;
-/// `false` if it already has the ten bytes a varint may have.
-fn lengthen_varint(file: &mut Vec<u8>, k: usize) -> bool {
-    fn skip(file: &[u8], pos: &mut usize) {
-        while file[*pos] >= 0x80 {
-            *pos += 1;
-        }
-        *pos += 1;
-    }
-    let mut pos = 9;
-    for _ in 0..7 + k {
-        skip(file, &mut pos);
-    }
-    let end = {
-        let mut e = pos;
-        skip(file, &mut e);
-        e - 1
-    };
-    if end - pos == 9 {
+/// Rewrites the varint at `at` of a v3 file, inside the chunk whose
+/// descriptor sits at `desc`, one byte longer than it needs to be, and
+/// grows the chunk to match; `false` if it already has the ten bytes a
+/// varint may have.
+fn widen(file: &mut Vec<u8>, desc: usize, at: usize) -> bool {
+    let mut end = at;
+    read_varint(file, &mut end);
+    if end - at == 10 {
         return false;
     }
-    file[end] |= 0x80;
-    file.insert(end + 1, 0);
-    let trailer = file.len() - 12;
-    let footer_len = u64::from_le_bytes(file[trailer..trailer + 8].try_into().unwrap()) as usize;
-    let len_at = trailer - footer_len + 4 + 8;
-    let len = u64::from_le_bytes(file[len_at..len_at + 8].try_into().unwrap());
-    file[len_at..len_at + 8].copy_from_slice(&(len + 1).to_le_bytes());
+    let mut widened = file[at..end].to_vec();
+    *widened.last_mut().unwrap() |= 0x80;
+    widened.push(0);
+    splice(file, desc, at..end, &widened);
     true
+}
+
+/// Widens the varint at column position `k` (counted over the block and
+/// access columns after the thread's header) of a one-thread v3 file.
+fn lengthen_varint(file: &mut Vec<u8>, k: usize) -> bool {
+    let mut pos = 9;
+    for _ in 0..7 + k {
+        read_varint(file, &mut pos);
+    }
+    let (footer, _) = footer_of(file);
+    widen(file, footer + 4, pos)
 }
 
 // A thread's record holds exactly the events pushed into it: the event
@@ -440,108 +379,6 @@ proptest! {
             prop_assert!(reader.classes(&Obs::none()).is_none());
         }
     }
-}
-
-/// Skips one LEB128 varint of `file` at `pos`.
-fn skip_varint(file: &[u8], pos: &mut usize) {
-    while file[*pos] >= 0x80 {
-        *pos += 1;
-    }
-    *pos += 1;
-}
-
-/// Reads one LEB128 varint of `file` at `pos`.
-fn read_varint(file: &[u8], pos: &mut usize) -> u64 {
-    let (mut v, mut shift) = (0u64, 0);
-    loop {
-        let b = file[*pos];
-        *pos += 1;
-        v |= ((b & 0x7f) as u64) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-/// Where a v3 file's footer starts, and its chunk count.
-fn footer_of(file: &[u8]) -> (usize, usize) {
-    let trailer = file.len() - 12;
-    let len = u64::from_le_bytes(file[trailer..trailer + 8].try_into().unwrap()) as usize;
-    let start = trailer - len;
-    (start, u32::from_le_bytes(file[start..start + 4].try_into().unwrap()) as usize)
-}
-
-/// One thread record of a v3 file: the footer position of its chunk's
-/// descriptor, the record's extent, and where its address column sits.
-struct RecordAt {
-    desc: usize,
-    record: std::ops::Range<usize>,
-    addrs: std::ops::Range<usize>,
-}
-
-/// Finds thread record `ordinal` of a v3 file by walking its chunk's
-/// records field by field.
-fn record_at(file: &[u8], ordinal: usize) -> RecordAt {
-    let (start, chunks) = footer_of(file);
-    for c in 0..chunks {
-        let desc = start + 4 + c * 48;
-        let field = |at: usize, n: usize| {
-            let mut b = [0u8; 8];
-            b[..n].copy_from_slice(&file[desc + at..desc + at + n]);
-            u64::from_le_bytes(b) as usize
-        };
-        let (mut pos, first, count) = (field(0, 8), field(16, 4), field(20, 4));
-        if ordinal >= first + count {
-            continue;
-        }
-        for t in first..first + count {
-            let begin = pos;
-            let header: Vec<u64> = (0..7).map(|_| read_varint(file, &mut pos)).collect();
-            let (n_blocks, n_mems, n_sides) = (header[4], header[5], header[6]);
-            for _ in 0..4 * n_blocks + n_mems {
-                skip_varint(file, &mut pos);
-            }
-            let lo = pos;
-            for _ in 0..n_mems {
-                skip_varint(file, &mut pos);
-            }
-            let hi = pos;
-            pos += n_mems as usize;
-            for _ in 0..n_sides {
-                skip_varint(file, &mut pos);
-                let tag = file[pos];
-                pos += 1;
-                if tag != 3 {
-                    skip_varint(file, &mut pos);
-                }
-            }
-            if t == ordinal {
-                return RecordAt { desc, record: begin..pos, addrs: lo..hi };
-            }
-        }
-    }
-    panic!("no record {ordinal}");
-}
-
-/// Replaces `range` of a v3 file's chunk payload (inside the chunk whose
-/// descriptor sits at `desc`) with `with`, moving the chunk's length and
-/// every later chunk's offset to match.
-fn splice(file: &mut Vec<u8>, desc: usize, range: std::ops::Range<usize>, with: &[u8]) {
-    let delta = with.len() as i64 - range.len() as i64;
-    let (start, chunks) = footer_of(file);
-    let shift = |v: u64| (v as i64 + delta) as u64;
-    let le = |file: &[u8], at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
-    let len = le(file, desc + 8);
-    file[desc + 8..desc + 16].copy_from_slice(&shift(len).to_le_bytes());
-    for c in 0..chunks {
-        let d = start + 4 + c * 48;
-        if d > desc {
-            let off = le(file, d);
-            file[d..d + 8].copy_from_slice(&shift(off).to_le_bytes());
-        }
-    }
-    file.splice(range, with.iter().copied());
 }
 
 /// Every way a decode can see one file under `opts`, as comparable text:
@@ -651,26 +488,22 @@ fn later_records_of_a_checked_class_are_checked_on_every_path() {
 
     let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
     let mut overflow = clean.clone();
-    let first_addr = at.addrs.start..at.addrs.start + {
+    let first_addr = at.addrs.start..{
         let mut p = at.addrs.start;
-        skip_varint(&clean, &mut p);
-        p - at.addrs.start
+        read_varint(&clean, &mut p);
+        p
     };
     splice(
         &mut overflow,
         at.desc,
-        first_addr.clone(),
+        first_addr,
         &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
     );
     cases.push(("overflow", overflow));
     let mut cut = clean.clone();
     splice(&mut cut, at.desc, at.addrs.start + 1..at.record.end, &[]);
     cases.push(("truncated", cut));
-    let mut long = clean.clone();
-    let mut widened = clean[first_addr.clone()].to_vec();
-    *widened.last_mut().unwrap() |= 0x80;
-    widened.push(0);
-    splice(&mut long, at.desc, first_addr, &widened);
+    let long = widen_first_addr(&clean, victim);
     cases.push(("overlong", long.clone()));
     let mut tid = clean.clone();
     let (start, chunks) = footer_of(&tid);
@@ -680,32 +513,25 @@ fn later_records_of_a_checked_class_are_checked_on_every_path() {
     let mut mems = clean.clone();
     let mut p = at.record.start;
     for _ in 0..5 {
-        skip_varint(&clean, &mut p);
+        read_varint(&clean, &mut p);
     }
     let n_mems_at = p..{
-        skip_varint(&clean, &mut p);
+        read_varint(&clean, &mut p);
         p
     };
     let over = DecodeLimits::default().max_mems as u64 + 1;
-    let mut varint = Vec::new();
-    let mut v = over;
-    while v >= 0x80 {
-        varint.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    varint.push(v as u8);
-    splice(&mut mems, at.desc, n_mems_at, &varint);
+    splice(&mut mems, at.desc, n_mems_at, &varint(over));
     cases.push(("n_mems", mems));
     let mut flipped = clean.clone();
     let mut p = at.record.start;
     let n_blocks = {
         for _ in 0..4 {
-            skip_varint(&clean, &mut p);
+            read_varint(&clean, &mut p);
         }
         read_varint(&clean, &mut p)
     };
     for _ in 0..2 + 2 * n_blocks {
-        skip_varint(&clean, &mut p);
+        read_varint(&clean, &mut p);
     }
     // The first instruction count, one lower or higher: framing holds.
     flipped[p] ^= 1;

@@ -34,5 +34,5 @@ pub use lockstep::{
     LockstepConfig, LockstepError, LockstepMachine, LockstepStats, SegmentMemStats,
 };
 pub use memory::Memory;
-pub use mimd::{ExecEngine, Machine, MachineConfig, MachineError, RunStats, ThreadStats};
+pub use mimd::{Machine, MachineConfig, MachineError, RunStats, ThreadStats};
 pub use predecode::ExecProgram;

@@ -16,21 +16,8 @@ use crate::predecode::{Effect, ExecProgram, PTerm};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use threadfuser_ir::{BlockAddr, BlockId, FuncId, Inst, Program, Reg};
+use threadfuser_ir::{BlockAddr, BlockId, FuncId, Program, Reg};
 use threadfuser_obs::{Obs, Phase};
-
-/// Which instruction-fetch path the MIMD machine runs from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// Execute from the flat, predecoded [`ExecProgram`] (the default and
-    /// the fast path).
-    #[default]
-    Predecoded,
-    /// Walk the nested [`Program`] enums directly on every dynamic
-    /// instruction. Kept as the oracle of the engine-identity tests;
-    /// traces are bit-identical between engines.
-    Legacy,
-}
 
 /// Configuration of one MIMD run.
 #[derive(Debug, Clone)]
@@ -50,12 +37,9 @@ pub struct MachineConfig {
     pub spin_cost: u32,
     /// Total dynamic instruction budget (traps with [`Trap::Budget`]).
     pub max_total_insts: u64,
-    /// Instruction-fetch path; see [`ExecEngine`].
-    pub engine: ExecEngine,
     /// Pre-built predecoded program to share across runs (built on demand
-    /// when absent and the engine is [`ExecEngine::Predecoded`]). The
-    /// artifact depends only on the program, so any machine over the same
-    /// program may reuse it.
+    /// when absent). The artifact depends only on the program, so any
+    /// machine over the same program may reuse it.
     pub exec: Option<Arc<ExecProgram>>,
     /// Observability handle; the MIMD run reports executed / skipped
     /// instruction aggregates under the `trace` phase (native execution
@@ -74,7 +58,6 @@ impl MachineConfig {
             quantum_blocks: 64,
             spin_cost: 16,
             max_total_insts: 500_000_000,
-            engine: ExecEngine::default(),
             exec: None,
             obs: Obs::none(),
         }
@@ -83,12 +66,6 @@ impl MachineConfig {
     /// Attaches an observability handle (chainable).
     pub fn observe(mut self, obs: Obs) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Selects the instruction-fetch path (chainable).
-    pub fn engine(mut self, engine: ExecEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -220,36 +197,14 @@ struct Thread {
     stats: ThreadStats,
 }
 
-/// Entry block, register-file size and stack-frame size of a frame of
-/// `func`: predecoded frames hold the function's allocated registers, the
-/// legacy engine's its IR registers.
-fn frame_shape(program: &Program, exec: Option<&ExecProgram>, func: FuncId) -> (BlockId, u16, u32) {
-    match exec {
-        Some(e) => {
-            let f = e.func(func);
-            (f.entry, f.reg_count, f.frame_size)
-        }
-        None => {
-            let f = program.function(func);
-            (f.entry, f.reg_count, f.frame_size)
-        }
-    }
-}
-
-fn make_thread(
-    program: &Program,
-    exec: Option<&ExecProgram>,
-    func: FuncId,
-    tid: u32,
-    args: &[i64],
-) -> Thread {
-    let (entry, reg_count, frame_size) = frame_shape(program, exec, func);
+fn make_thread(exec: &ExecProgram, func: FuncId, tid: u32, args: &[i64]) -> Thread {
+    let f = exec.func(func);
     let top = stack_top(tid);
-    let fp = align_down(top - frame_size as u64, 16);
-    let mut regs = vec![0i64; reg_count as usize];
+    let fp = align_down(top - f.frame_size as u64, 16);
+    let mut regs = vec![0i64; f.reg_count as usize];
     regs[..args.len()].copy_from_slice(args);
     Thread {
-        frames: vec![Frame { func, block: entry, regs, fp, ret_dst: None, saved_sp: top }],
+        frames: vec![Frame { func, block: f.entry, regs, fp, ret_dst: None, saved_sp: top }],
         sp: fp,
         state: State::BlockStart,
         stats: ThreadStats::default(),
@@ -277,10 +232,9 @@ fn make_thread(
 /// assert_eq!(machine.memory().read(machine.memory().global_addr(out) + 24, 8), 3);
 /// ```
 #[derive(Debug)]
-pub struct Machine<'p> {
-    program: &'p Program,
+pub struct Machine {
     config: MachineConfig,
-    exec: Option<Arc<ExecProgram>>,
+    exec: Arc<ExecProgram>,
     memory: Memory,
     heap: Heap,
     threads: Vec<Thread>,
@@ -297,37 +251,33 @@ pub struct Machine<'p> {
     reg_pool: Vec<Vec<i64>>,
 }
 
-impl<'p> Machine<'p> {
+impl Machine {
     /// Loads `program` and prepares `config.n_threads` kernel invocations.
     ///
     /// # Errors
     /// [`MachineError::KernelArity`] if the kernel signature does not
     /// accept `[tid, extra...]`.
-    pub fn new(program: &'p Program, config: MachineConfig) -> Result<Self, MachineError> {
+    pub fn new(program: &Program, config: MachineConfig) -> Result<Self, MachineError> {
         let kf = program.function(config.kernel);
         let got = 1 + config.extra_args.len();
         if kf.params as usize != got {
             return Err(MachineError::KernelArity { expected: kf.params, got });
         }
-        let exec = match config.engine {
-            ExecEngine::Predecoded => Some(match &config.exec {
-                Some(e) => {
-                    debug_assert!(e.matches(program), "cached ExecProgram from another program");
-                    Arc::clone(e)
-                }
-                None => Arc::new(ExecProgram::build_observed(program, &config.obs)),
-            }),
-            ExecEngine::Legacy => None,
+        let exec = match &config.exec {
+            Some(e) => {
+                debug_assert!(e.matches(program), "cached ExecProgram from another program");
+                Arc::clone(e)
+            }
+            None => Arc::new(ExecProgram::build_observed(program, &config.obs)),
         };
         let memory = Memory::with_globals(program);
         let mut threads = Vec::with_capacity(config.n_threads as usize);
         for tid in 0..config.n_threads {
             let mut args = vec![tid as i64];
             args.extend_from_slice(&config.extra_args);
-            threads.push(make_thread(program, exec.as_deref(), config.kernel, tid, &args));
+            threads.push(make_thread(&exec, config.kernel, tid, &args));
         }
         Ok(Machine {
-            program,
             live: config.n_threads,
             config,
             exec,
@@ -360,12 +310,11 @@ impl<'p> Machine<'p> {
 
         // One handle on the predecoded program and one access buffer for
         // the whole run; every turn borrows them.
-        let exec = self.exec.clone();
-        let exec = exec.as_deref();
+        let exec = Arc::clone(&self.exec);
         let mut acc: Vec<MemAccess> = Vec::with_capacity(4);
 
         if let Some(init) = self.config.init {
-            self.run_init(init, exec, &mut acc)?;
+            self.run_init(init, &exec, &mut acc)?;
         }
 
         while self.live > 0 {
@@ -375,7 +324,7 @@ impl<'p> Machine<'p> {
                     State::Done | State::AtBarrier => continue,
                     _ => {}
                 }
-                progress |= self.run_turn(tid, exec, &mut acc, hook)?;
+                progress |= self.run_turn(tid, &exec, &mut acc, hook)?;
             }
             if !progress {
                 let waiting = (0..self.threads.len() as u32)
@@ -417,11 +366,11 @@ impl<'p> Machine<'p> {
     fn run_init(
         &mut self,
         init: FuncId,
-        exec: Option<&ExecProgram>,
+        exec: &ExecProgram,
         acc: &mut Vec<MemAccess>,
     ) -> Result<(), MachineError> {
         let tid = self.config.n_threads;
-        self.threads.push(make_thread(self.program, exec, init, tid, &[]));
+        self.threads.push(make_thread(exec, init, tid, &[]));
         let slot = self.threads.len() - 1;
         let result = loop {
             match self.run_turn(slot as u32, exec, acc, &mut crate::hooks::NoopHook) {
@@ -449,16 +398,15 @@ impl<'p> Machine<'p> {
     }
 
     /// Executes up to `quantum_blocks` blocks of thread `tid`; returns
-    /// whether any progress happened. `exec` is the predecoded program
-    /// (`None` on the legacy engine), `acc` scratch for access lists.
+    /// whether any progress happened. `exec` is the program's execution
+    /// form, `acc` scratch for access lists.
     fn run_turn(
         &mut self,
         tid: u32,
-        exec: Option<&ExecProgram>,
+        exec: &ExecProgram,
         acc: &mut Vec<MemAccess>,
         hook: &mut impl ExecHook,
     ) -> Result<bool, MachineError> {
-        let program = self.program;
         let mut progress = false;
 
         for _ in 0..self.config.quantum_blocks {
@@ -471,108 +419,66 @@ impl<'p> Machine<'p> {
                 let f = th.frames.last().expect("live thread has a frame");
                 (f.func, f.block, th.state)
             };
-            // Engine-specific block handle: the predecoded path fetches a
-            // flat-table entry, the legacy path re-walks the Program enums.
-            let pre = exec.map(|e| e.block(func_id, block_id));
-            let legacy =
-                if exec.is_none() { Some(program.function(func_id).block(block_id)) } else { None };
-            let n_insts = match pre {
-                Some(blk) => blk.n_insts,
-                None => legacy.expect("legacy block").len_with_term(),
-            };
+            let blk = exec.block(func_id, block_id);
             let addr = BlockAddr::new(func_id, block_id);
 
             // ---- block body --------------------------------------------
             if state == State::BlockStart {
-                hook.on_block(tid, addr, n_insts);
-                let mut charge: u64 = 0;
-                // Intra-function target of a fused block transition (body
-                // + register-only terminator in one borrow).
-                let mut fused: Option<BlockId> = None;
-                {
-                    let th = &mut self.threads[tid as usize];
-                    th.stats.blocks += 1;
-                    let stats = &mut th.stats;
-                    let frame = th.frames.last_mut().expect("frame");
-                    let mut ctx = ExecCtx {
-                        regs: &mut frame.regs,
-                        fp: frame.fp,
-                        mem: &mut self.memory,
-                        heap: &mut self.heap,
-                    };
-                    // One body loop per engine; observable behavior (hook
-                    // events, traps, counters, charge) must stay in
-                    // lockstep so the engines trace bit-identically.
-                    if let Some(blk) = pre {
-                        let e = exec.expect("predecoded engine");
-                        let body = e.body(blk);
-                        let (mut n_mem, mut io) = (0u64, 0u64);
-                        for (i, rec) in body.iter().enumerate() {
-                            let done = ctx.exec_flat(rec, e, acc, |effect| match effect {
-                                Effect::Mem(a) => {
-                                    n_mem += 1;
-                                    hook.on_mem(tid, i as u32, a.addr, a.size, a.is_store);
-                                }
-                                Effect::Io(cost) => {
-                                    io += cost as u64;
-                                    hook.on_skipped(tid, cost as u64, SkipKind::Io);
-                                }
-                            });
-                            if let Err(trap) = done {
-                                return Err(MachineError::Trapped { tid, at: addr, trap });
-                            }
+                hook.on_block(tid, addr, blk.n_insts);
+                let th = &mut self.threads[tid as usize];
+                th.stats.blocks += 1;
+                let stats = &mut th.stats;
+                let frame = th.frames.last_mut().expect("frame");
+                let mut ctx = ExecCtx {
+                    regs: &mut frame.regs,
+                    fp: frame.fp,
+                    mem: &mut self.memory,
+                    heap: &mut self.heap,
+                };
+                let body = exec.body(blk);
+                let (mut n_mem, mut io) = (0u64, 0u64);
+                for (i, rec) in body.iter().enumerate() {
+                    let done = ctx.exec_flat(rec, exec, acc, |effect| match effect {
+                        Effect::Mem(a) => {
+                            n_mem += 1;
+                            hook.on_mem(tid, i as u32, a.addr, a.size, a.is_store);
                         }
-                        stats.traced_insts += body.len() as u64;
-                        stats.mem_accesses += n_mem;
-                        stats.skipped_io += io;
-                        charge = body.len() as u64 + io;
-                        // A jump or register-only branch transfers control
-                        // right here: no memory access to report, no hook
-                        // to call, no second thread borrow. Observable
-                        // behavior matches the general `Next::Goto` arm
-                        // below.
-                        fused = match &blk.term {
-                            PTerm::Jmp(t) => Some(*t),
-                            PTerm::BrRR { cond, a, b, taken, fallthrough } => {
-                                let av = frame.regs[*a as usize];
-                                let bv = frame.regs[*b as usize];
-                                Some(if cond.eval(av, bv) { *taken } else { *fallthrough })
-                            }
-                            PTerm::BrRI { cond, a, b, taken, fallthrough } => {
-                                let av = frame.regs[*a as usize];
-                                Some(if cond.eval(av, *b) { *taken } else { *fallthrough })
-                            }
-                            _ => None,
-                        };
-                        if let Some(b) = fused {
-                            stats.traced_insts += 1;
-                            charge += 1;
-                            frame.block = b;
+                        Effect::Io(cost) => {
+                            io += cost as u64;
+                            hook.on_skipped(tid, cost as u64, SkipKind::Io);
                         }
-                    } else {
-                        for (i, inst) in legacy.expect("legacy block").insts.iter().enumerate() {
-                            charge += 1;
-                            if let Inst::Io { cost, .. } = inst {
-                                stats.traced_insts += 1;
-                                stats.skipped_io += *cost as u64;
-                                charge += *cost as u64;
-                                hook.on_skipped(tid, *cost as u64, SkipKind::Io);
-                                continue;
-                            }
-                            acc.clear();
-                            if let Err(trap) = ctx.exec_inst(inst, acc) {
-                                return Err(MachineError::Trapped { tid, at: addr, trap });
-                            }
-                            stats.traced_insts += 1;
-                            stats.mem_accesses += acc.len() as u64;
-                            for a in acc.iter() {
-                                hook.on_mem(tid, i as u32, a.addr, a.size, a.is_store);
-                            }
-                        }
+                    });
+                    if let Err(trap) = done {
+                        return Err(MachineError::Trapped { tid, at: addr, trap });
                     }
-                    th.state =
-                        if fused.is_some() { State::BlockStart } else { State::AtTerminator };
                 }
+                stats.traced_insts += body.len() as u64;
+                stats.mem_accesses += n_mem;
+                stats.skipped_io += io;
+                let mut charge = body.len() as u64 + io;
+                // A jump or register-only branch transfers control right
+                // here: no memory access to report, no hook to call, no
+                // second thread borrow. Observable behavior matches the
+                // general `Next::Goto` arm below.
+                let fused = match &blk.term {
+                    PTerm::Jmp(t) => Some(*t),
+                    PTerm::BrRR { cond, a, b, taken, fallthrough } => {
+                        let av = frame.regs[*a as usize];
+                        let bv = frame.regs[*b as usize];
+                        Some(if cond.eval(av, bv) { *taken } else { *fallthrough })
+                    }
+                    PTerm::BrRI { cond, a, b, taken, fallthrough } => {
+                        let av = frame.regs[*a as usize];
+                        Some(if cond.eval(av, *b) { *taken } else { *fallthrough })
+                    }
+                    _ => None,
+                };
+                if let Some(b) = fused {
+                    stats.traced_insts += 1;
+                    charge += 1;
+                    frame.block = b;
+                }
+                th.state = if fused.is_some() { State::BlockStart } else { State::AtTerminator };
                 progress = true;
                 self.charge(tid, addr, charge)?;
                 if fused.is_some() {
@@ -591,16 +497,12 @@ impl<'p> Machine<'p> {
                     mem: &mut self.memory,
                     heap: &mut self.heap,
                 };
-                let evaluated = match pre {
-                    Some(blk) => ctx.eval_pterm(&blk.term, acc),
-                    None => ctx.eval_term(&legacy.expect("legacy block").term, acc),
-                };
-                match evaluated {
+                match ctx.eval_pterm(&blk.term, acc) {
                     Ok(n) => n,
                     Err(trap) => return Err(MachineError::Trapped { tid, at: addr, trap }),
                 }
             };
-            let term_idx = n_insts - 1;
+            let term_idx = blk.n_insts - 1;
 
             match next {
                 Next::Goto(b) => {
@@ -616,7 +518,7 @@ impl<'p> Machine<'p> {
                     self.charge(tid, addr, 1)?;
                 }
                 Next::Call { callee, args, ret_to, dst } => {
-                    let (entry, reg_count, frame_size) = frame_shape(program, exec, callee);
+                    let f = exec.func(callee);
                     let th = &mut self.threads[tid as usize];
                     th.stats.traced_insts += 1;
                     {
@@ -625,7 +527,7 @@ impl<'p> Machine<'p> {
                         frame.ret_dst = dst;
                     }
                     let saved_sp = th.sp;
-                    let fp = align_down(th.sp - frame_size as u64, 16);
+                    let fp = align_down(th.sp - f.frame_size as u64, 16);
                     if fp < stack_floor(tid) {
                         return Err(MachineError::Trapped {
                             tid,
@@ -633,11 +535,11 @@ impl<'p> Machine<'p> {
                             trap: Trap::StackOverflow,
                         });
                     }
-                    let regs = fresh_regs(&mut self.reg_pool, reg_count, &args);
+                    let regs = fresh_regs(&mut self.reg_pool, f.reg_count, &args);
                     hook.on_call(tid, callee);
                     th.frames.push(Frame {
                         func: callee,
-                        block: entry,
+                        block: f.entry,
                         regs,
                         fp,
                         ret_dst: None,
@@ -912,7 +814,7 @@ mod tests {
     /// and publish the sum. `leavers_spin` makes the leavers outlast the
     /// first arrivals, so it is their *exit* that completes the barrier;
     /// otherwise the last stayer's *arrival* does.
-    fn leavers_and_stayers(n: u32, quantum: u32, leavers_spin: bool, engine: ExecEngine) {
+    fn leavers_and_stayers(n: u32, quantum: u32, leavers_spin: bool, form: ExecForm) {
         let mut pb = ProgramBuilder::new();
         let buf = pb.global("buf", 8 * n as u64);
         let out = pb.global("out", 8 * n as u64);
@@ -951,10 +853,10 @@ mod tests {
             fb.ret(None);
         });
         let p = pb.build().unwrap();
-        let mut cfg = MachineConfig::new(k, n).engine(engine);
+        let mut cfg = MachineConfig::new(k, n).exec_program(Arc::new(form.1(&p)));
         cfg.quantum_blocks = quantum;
         let mut m = Machine::new(&p, cfg).unwrap();
-        let what = format!("n={n} quantum={quantum} spin={leavers_spin} {engine:?}");
+        let what = format!("n={n} quantum={quantum} spin={leavers_spin} {}", form.0);
         m.run(&mut NoopHook).unwrap_or_else(|e| panic!("{what}: {e}"));
         let expect: u64 = (0..n as u64).step_by(2).map(|t| t + 1).sum();
         let base = m.memory().global_addr(out);
@@ -964,13 +866,18 @@ mod tests {
         }
     }
 
+    /// A named way to turn a program into its execution form.
+    type ExecForm = (&'static str, fn(&Program) -> ExecProgram);
+
     #[test]
     fn barrier_counts_only_threads_still_running() {
-        for engine in [ExecEngine::Predecoded, ExecEngine::Legacy] {
+        let forms: [ExecForm; 2] =
+            [("build", ExecProgram::build), ("reference", ExecProgram::reference)];
+        for form in forms {
             for n in [1, 2, 7, 8, 13] {
                 for quantum in [1, 3, 64] {
                     for leavers_spin in [false, true] {
-                        leavers_and_stayers(n, quantum, leavers_spin, engine);
+                        leavers_and_stayers(n, quantum, leavers_spin, form);
                     }
                 }
             }

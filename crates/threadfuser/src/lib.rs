@@ -103,7 +103,7 @@ pub mod prelude {
         ReconvergencePolicy, WarpFormation,
     };
     pub use threadfuser_ir::OptLevel;
-    pub use threadfuser_machine::{ExecEngine, ExecProgram};
+    pub use threadfuser_machine::ExecProgram;
     pub use threadfuser_obs::{InMemorySink, JsonLinesSink, Obs, Phase};
     pub use threadfuser_tracer::{
         decode, decode_observed, decode_with, DecodeError, DecodeErrorKind, DecodeLimits,

@@ -55,7 +55,7 @@ use crate::events::{
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use threadfuser_obs::{Obs, Phase};
 
 /// Default encoded-byte budget per chunk. Chunks close at the first thread
@@ -1021,6 +1021,18 @@ pub(crate) fn decode_v3(
         e
     };
     let index = parse_footer(buf, &opts.limits).map_err(reject)?;
+    decode_indexed(buf, &index, opts, obs).map_err(reject)
+}
+
+/// Decodes every chunk of `index` over `buf`, in order, each body
+/// checked once over the file and shared by the threads of its class.
+/// Counts quarantined threads and full walks into `obs`.
+fn decode_indexed(
+    buf: &[u8],
+    index: &FooterIndex,
+    opts: &DecodeOptions,
+    obs: &Obs,
+) -> Result<Decoded, DecodeError> {
     let mut threads = Vec::with_capacity(index.tids.len().min(1 << 16));
     let mut quarantined = Vec::new();
     let (mut bodies, mut walks) = (SharedBodies::default(), 0);
@@ -1036,7 +1048,7 @@ pub(crate) fn decode_v3(
         Ok(())
     });
     obs.counter(Phase::Decode, "full_walks", walks);
-    decoded.map_err(reject)?;
+    decoded?;
     Ok(Decoded { traces: TraceSet::from_shared(threads), quarantined })
 }
 
@@ -1055,20 +1067,17 @@ fn out_of_range() -> DecodeError {
 /// Lazy trace-file reader: keeps the raw encoded bytes, parses only the
 /// footer index up front, and decodes chunks on demand.
 ///
-/// * [`TraceSetReader::chunk`] decodes on first touch and caches, so
-///   repeated access to a hot chunk is free.
-/// * [`TraceSetReader::decode_chunk_uncached`] decodes transiently for
+/// * [`TraceSetReader::decode_chunk_uncached`] decodes one chunk for
 ///   streaming scans whose peak memory stays at one chunk plus the
 ///   encoded bytes; [`TraceSetReader::validate`] checks the whole file
 ///   without making a thread.
-/// * [`TraceSetReader::into_decoded`] materializes everything, reusing
-///   any chunks already decoded; the result is bit-identical to the eager
-///   [`crate::encode::decode_with`] path.
+/// * [`TraceSetReader::into_decoded`] materializes everything with the
+///   eager decoder over the reader's bytes and footer; the result is
+///   bit-identical to [`crate::encode::decode_with`].
 pub struct TraceSetReader {
     data: Bytes,
     opts: DecodeOptions,
     index: FooterIndex,
-    cells: Vec<OnceLock<Result<DecodedChunk, DecodeError>>>,
 }
 
 impl std::fmt::Debug for TraceSetReader {
@@ -1094,8 +1103,7 @@ impl TraceSetReader {
         let data: Bytes = data.into();
         check_header(&data, &opts.limits)?;
         let index = parse_footer(&data, &opts.limits)?;
-        let cells = (0..index.chunks.len()).map(|_| OnceLock::new()).collect();
-        Ok(TraceSetReader { data, opts: opts.clone(), index, cells })
+        Ok(TraceSetReader { data, opts: opts.clone(), index })
     }
 
     /// Thread records in the file — no chunk decode.
@@ -1106,12 +1114,6 @@ impl TraceSetReader {
     /// Independently decodable chunks.
     pub fn n_chunks(&self) -> usize {
         self.index.chunks.len()
-    }
-
-    /// The tid of every thread record in file order, straight from the
-    /// footer — no chunk decode.
-    pub fn tids(&self) -> &[u32] {
-        &self.index.tids
     }
 
     /// Each thread record's class, in file order (one array, which the
@@ -1240,69 +1242,38 @@ impl TraceSetReader {
         Some(self.index.chunks.partition_point(|c| c.thread_start + c.thread_count <= ordinal))
     }
 
-    /// Decodes chunk `i` on first touch and caches the outcome; later
-    /// calls return the cached chunk for free.
-    ///
-    /// # Errors
-    /// Returns the chunk's [`DecodeError`] (cached too) when its bytes are
-    /// corrupt under the reader's [`DecodeOptions`], or a `Malformed`
-    /// error for an out-of-range index.
-    pub fn chunk(&self, i: usize) -> Result<&DecodedChunk, DecodeError> {
-        let cell = self.cells.get(i).ok_or_else(out_of_range)?;
-        cell.get_or_init(|| self.decode_chunk_uncached(i)).as_ref().map_err(Clone::clone)
-    }
-
     /// The descriptor of chunk `i`, or the error for an out-of-range index.
     fn meta(&self, i: usize) -> Result<&ChunkInfo, DecodeError> {
         self.index.chunks.get(i).ok_or_else(out_of_range)
     }
 
-    /// Decodes chunk `i` without touching the cache — the streaming scan
-    /// primitive: peak memory is one decoded chunk, whatever the file
-    /// size. Each record body is checked once in the chunk, and the
-    /// chunk's threads of one class share it; a scan over many chunks that
-    /// should check each body once over the file takes
-    /// [`TraceSetReader::validate`] or the decoder of
+    /// Decodes chunk `i` — the streaming scan primitive: peak memory is
+    /// one decoded chunk, whatever the file size. Each record body is
+    /// checked once in the chunk, and the chunk's threads of one class
+    /// share it; a scan over many chunks that should check each body once
+    /// over the file takes [`TraceSetReader::validate`] or the decoder of
     /// [`TraceSetReader::classes`].
     ///
     /// # Errors
-    /// As [`TraceSetReader::chunk`].
+    /// Returns the chunk's [`DecodeError`] when its bytes are corrupt
+    /// under the reader's [`DecodeOptions`], or a `Malformed` error for an
+    /// out-of-range index.
     pub fn decode_chunk_uncached(&self, i: usize) -> Result<DecodedChunk, DecodeError> {
         let shared = Classes::Shared(&mut SharedBodies::default());
         decode_chunk(&self.data, self.meta(i)?, &self.index.tids, &self.opts, shared, &mut 0)
     }
 
-    /// Materializes the whole file, reusing every chunk already decoded
-    /// through [`TraceSetReader::chunk`]. The result is bit-identical to
-    /// eager [`crate::encode::decode_with`] on the same bytes/options.
-    /// Each record's body is shared with its class as it is decoded, so
-    /// the decode never holds every body unshared.
+    /// Materializes the whole file: the eager decode over the reader's
+    /// bytes and footer, bit-identical to [`crate::encode::decode_with`]
+    /// on the same bytes/options. Each record's body is shared with its
+    /// class as it is decoded, so the decode never holds every body
+    /// unshared.
     ///
     /// # Errors
     /// Returns the first chunk-level [`DecodeError`], exactly as the eager
     /// path would.
-    pub fn into_decoded(mut self) -> Result<Decoded, DecodeError> {
-        let cells = std::mem::take(&mut self.cells);
-        let mut threads = Vec::new();
-        let mut quarantined = Vec::new();
-        let mut bodies = SharedBodies::default();
-        for (i, cell) in cells.into_iter().enumerate() {
-            let c = match cell.into_inner() {
-                None => {
-                    let (meta, tids) = (&self.index.chunks[i], &self.index.tids);
-                    let shared = Classes::Shared(&mut bodies);
-                    decode_chunk(&self.data, meta, tids, &self.opts, shared, &mut 0)?
-                }
-                Some(cached) => {
-                    let mut c = cached?;
-                    c.threads.iter_mut().for_each(|t| t.share_body(&mut bodies));
-                    c
-                }
-            };
-            threads.extend(c.threads);
-            quarantined.extend(c.quarantined);
-        }
-        Ok(Decoded { traces: TraceSet::from_shared(threads), quarantined })
+    pub fn into_decoded(self) -> Result<Decoded, DecodeError> {
+        decode_indexed(&self.data, &self.index, &self.opts, &Obs::none())
     }
 }
 
@@ -1364,7 +1335,7 @@ pub(crate) mod tests {
         let bytes = encode_v3_with(&set, 1);
         let reader = TraceSetReader::from_bytes(bytes.clone(), &DecodeOptions::default()).unwrap();
         assert_eq!(reader.n_chunks(), 8, "budget of 1 byte closes a chunk per thread");
-        assert_eq!(reader.tids().len(), 8);
+        assert_eq!(reader.n_threads(), 8);
         assert_eq!(decode(&bytes).unwrap(), set);
     }
 
@@ -1376,10 +1347,11 @@ pub(crate) mod tests {
         let eager = decode_with(&bytes, &opts).unwrap();
         let reader = TraceSetReader::from_bytes(bytes, &opts).unwrap();
         assert!(reader.n_chunks() > 1);
-        // Touch a middle chunk first to exercise cache + out-of-order use.
+        // Decode a middle chunk first, twice: out-of-order use returns the
+        // same threads each time and leaves the whole-file decode alone.
         let mid = reader.n_chunks() / 2;
-        let first_tid = reader.chunk(mid).unwrap().threads[0].tid;
-        assert_eq!(reader.chunk(mid).unwrap().threads[0].tid, first_tid);
+        let first_tid = reader.decode_chunk_uncached(mid).unwrap().threads[0].tid;
+        assert_eq!(reader.decode_chunk_uncached(mid).unwrap().threads[0].tid, first_tid);
         assert_eq!(reader.into_decoded().unwrap(), eager);
     }
 
@@ -1402,7 +1374,7 @@ pub(crate) mod tests {
         let reader = TraceSetReader::from_bytes(bytes, &DecodeOptions::default()).unwrap();
         assert!(reader.n_chunks() > 3);
         assert_eq!(reader.classes(&Obs::none()).map(|(c, _)| c.to_vec()), Some(set.classes()));
-        reader.chunk(1).unwrap();
+        reader.decode_chunk_uncached(1).unwrap();
         let decoded = reader.into_decoded().unwrap().traces;
         assert_eq!(decoded, set);
         let threads = decoded.threads();

@@ -115,10 +115,8 @@ impl std::fmt::Display for DecodeErrorKind {
             DecodeErrorKind::Truncated { needed, available } => {
                 write!(f, "truncated trace file: record needs {needed} bytes, {available} remain")
             }
-            DecodeErrorKind::BadTag(t) => write!(f, "unknown event tag {t}"),
-            DecodeErrorKind::BadMemSize(b) => {
-                write!(f, "invalid memory-access size/flag byte {b:#04x}")
-            }
+            DecodeErrorKind::BadTag(t) => write!(f, "unknown side-event tag {t}"),
+            DecodeErrorKind::BadMemSize(b) => write!(f, "invalid access size byte {b:#04x}"),
             DecodeErrorKind::LimitExceeded { what, value, limit } => {
                 write!(f, "{what} count {value} exceeds the decode limit {limit}")
             }

@@ -2,10 +2,11 @@
 # Records alternating parent/change benchmark pairs, then summarises them.
 #
 #   scripts/bench_pairs.sh --parent REV --workload W [--seeds 11,12] [--pairs N]
-#                          [--trace] [--tag TAG]
+#                          [--trace] [--tag TAG] [--checkout DIR]
 #
-# The parent REV is checked out into a `git worktree` (removed on exit) and
-# each side builds its benchmark in its own CARGO_TARGET_DIR. For every
+# The parent REV is checked out into a `git worktree` (removed on exit), or
+# run from DIR, a clone already checked out at REV, when --checkout is
+# given; each side builds its benchmark in its own CARGO_TARGET_DIR. For every
 # seed, N pairs run through scripts/bench_history.sh at its default run
 # length (the benchmark's 20 s) — parent and this checkout, which side goes
 # first alternating from pair to pair — with the notes "parent REV (TAG)"
@@ -18,10 +19,10 @@
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-parent="" workload="" seeds="11,12" pairs=5 trace=0 tag=""
+parent="" workload="" seeds="11,12" pairs=5 trace=0 tag="" checkout=""
 usage() {
     echo "usage: scripts/bench_pairs.sh --parent REV --workload W [--seeds 11,12] [--pairs N]" >&2
-    echo "                              [--trace] [--tag TAG]" >&2
+    echo "                              [--trace] [--tag TAG] [--checkout DIR]" >&2
     exit 2
 }
 while [ $# -gt 0 ]; do
@@ -32,6 +33,7 @@ while [ $# -gt 0 ]; do
         --seeds) seeds="${2:-}" ;;
         --pairs) pairs="${2:-}" ;;
         --tag) tag="${2:-}" ;;
+        --checkout) checkout="${2:-}" ;;
         *) echo "bench_pairs.sh: unknown argument \`$1\`" >&2; usage ;;
     esac
     shift 2
@@ -43,10 +45,18 @@ case "$seeds" in *[!0-9,]* | "") echo "bench_pairs.sh: --seeds takes a comma lis
 rev="$(git -C "$repo" rev-parse --short=12 "$parent^{commit}")"
 tag="${tag:-$workload-$rev}"
 
-parent_dir="$(mktemp -d "${TMPDIR:-/tmp}/tf-bench-parent.XXXXXX")"
-rmdir "$parent_dir"
-git -C "$repo" worktree add --detach --quiet "$parent_dir" "$rev"
-trap 'git -C "$repo" worktree remove --force "$parent_dir"' EXIT
+if [ -n "$checkout" ]; then
+    parent_dir="$(cd "$checkout" && pwd)"
+    if [ "$(git -C "$parent_dir" rev-parse --short=12 HEAD)" != "$rev" ]; then
+        echo "bench_pairs.sh: $checkout is not checked out at $rev" >&2
+        exit 2
+    fi
+else
+    parent_dir="$(mktemp -d "${TMPDIR:-/tmp}/tf-bench-parent.XXXXXX")"
+    rmdir "$parent_dir"
+    git -C "$repo" worktree add --detach --quiet "$parent_dir" "$rev"
+    trap 'git -C "$repo" worktree remove --force "$parent_dir"' EXIT
+fi
 
 run_parent() {
     CARGO_TARGET_DIR="$parent_dir/benchmark/target" "$repo/scripts/bench_history.sh" \

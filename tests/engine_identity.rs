@@ -1,29 +1,32 @@
-//! Engine identity: the predecoded flat-record engine against
-//! [`ExecEngine::Legacy`], the reference that walks the IR directly.
+//! Engine identity: the machine on [`ExecProgram::build`]'s flat records
+//! against the machine on [`ExecProgram::reference`], the form that walks
+//! the IR directly.
 //!
-//! The two engines must be indistinguishable from outside the machine:
+//! The two forms must be indistinguishable from outside the machine:
 //! the same [`TraceSet`], the same per-thread [`RunStats`], the same
 //! final memory, and on a fault the same [`MachineError`] after the same
 //! sequence of hook events. Checked on the whole workload catalog at every
 //! optimization level, on hand-built kernels for the opcode edges the flat
 //! table must not bend, and on kernels for the edges of the register
-//! allocation the predecoded engine runs on (Legacy keeps the IR's
+//! allocation the predecoded form runs on (the reference keeps the IR's
 //! register numbering, so it checks the allocation too).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use threadfuser::ir::{
     AccessSize, AluOp, Cond, FuncId, FunctionBuilder, GlobalId, IoKind, MemRef, Operand, OptLevel,
     Program, ProgramBuilder, Reg,
 };
 use threadfuser::machine::layout::{stack_top, HEAP_BASE};
 use threadfuser::machine::{
-    ExecEngine, ExecHook, Machine, MachineConfig, MachineError, Memory, NoopHook, RunStats,
+    ExecHook, ExecProgram, Machine, MachineConfig, MachineError, Memory, NoopHook, RunStats,
     SkipKind, Trap,
 };
 use threadfuser::tracer::{TraceEvent, TraceSet, Tracer};
 use threadfuser::workloads::all;
 
-const ENGINES: [ExecEngine; 2] = [ExecEngine::Predecoded, ExecEngine::Legacy];
+/// The predecoded form and the reference, in that order.
+const FORMS: [fn(&Program) -> ExecProgram; 2] = [ExecProgram::build, ExecProgram::reference];
 const PAGE: u64 = 4096;
 
 /// Everything observable about one traced run.
@@ -73,17 +76,20 @@ fn memory_digest(memory: &Memory, program: &Program, traces: &TraceSet, n_thread
     h
 }
 
-fn config(
-    kernel: FuncId,
-    init: Option<FuncId>,
-    threads: u32,
-    quantum: u32,
-    engine: ExecEngine,
-) -> MachineConfig {
-    let mut cfg = MachineConfig::new(kernel, threads).engine(engine);
+fn config(kernel: FuncId, init: Option<FuncId>, threads: u32, quantum: u32) -> MachineConfig {
+    let mut cfg = MachineConfig::new(kernel, threads);
     cfg.init = init;
     cfg.quantum_blocks = quantum;
     cfg
+}
+
+/// `cfg` running `program` in the execution form `form` makes of it.
+fn on_form(
+    program: &Program,
+    cfg: &MachineConfig,
+    form: fn(&Program) -> ExecProgram,
+) -> MachineConfig {
+    cfg.clone().exec_program(Arc::new(form(program)))
 }
 
 fn traced_run(program: &Program, cfg: MachineConfig) -> Result<Run, MachineError> {
@@ -96,7 +102,7 @@ fn traced_run(program: &Program, cfg: MachineConfig) -> Result<Run, MachineError
     Ok(Run { traces, per_thread, heap_allocs, memory })
 }
 
-/// Runs `program` on both engines and returns the (asserted equal) run.
+/// Runs `program` on both forms and returns the (asserted equal) run.
 fn identical_run(
     program: &Program,
     kernel: FuncId,
@@ -105,14 +111,15 @@ fn identical_run(
     quantum: u32,
     what: &str,
 ) -> Run {
-    identical_cfg_run(program, &config(kernel, init, threads, quantum, ENGINES[0]), what)
+    identical_cfg_run(program, &config(kernel, init, threads, quantum), what)
 }
 
-/// Runs `program` under `cfg` on both engines and returns the (asserted
+/// Runs `program` under `cfg` on both forms and returns the (asserted
 /// equal) run.
 fn identical_cfg_run(program: &Program, cfg: &MachineConfig, what: &str) -> Run {
-    let [pre, legacy] = ENGINES.map(|e| {
-        traced_run(program, cfg.clone().engine(e)).unwrap_or_else(|err| panic!("{what}: {err}"))
+    let [pre, legacy] = FORMS.map(|form| {
+        traced_run(program, on_form(program, cfg, form))
+            .unwrap_or_else(|err| panic!("{what}: {err}"))
     });
     // Field by field: a whole-`Run` diff of a catalog capture is
     // unreadable.
@@ -272,12 +279,11 @@ fn io_is_skipped_and_charged_identically() {
     assert_eq!(run.traces.total_skipped_insts(), 4 * 525);
 
     // The skipped cost counts against the budget: 4 threads × 529 fit in
-    // 2116 and not in 2115, on either engine.
-    for engine in ENGINES {
-        let mut cfg = config(k, None, 4, 64, engine);
+    // 2116 and not in 2115, on either form.
+    for form in FORMS {
+        let mut cfg = on_form(&p, &config(k, None, 4, 64), form);
         cfg.max_total_insts = 2116;
-        traced_run(&p, cfg).unwrap();
-        let mut cfg = config(k, None, 4, 64, engine);
+        traced_run(&p, cfg.clone()).unwrap();
         cfg.max_total_insts = 2115;
         let err = traced_run(&p, cfg).unwrap_err();
         assert!(matches!(err, MachineError::Trapped { tid: 3, trap: Trap::Budget, .. }), "{err:?}");
@@ -318,19 +324,18 @@ impl ExecHook for EventLog {
     }
 }
 
-/// Runs `p` to its fault on both engines; returns the (asserted equal)
+/// Runs `p` to its fault on both forms; returns the (asserted equal)
 /// error and hook-event prefix.
-fn identical_fault(p: &Program, mut cfg: MachineConfig, what: &str) -> (MachineError, Vec<String>) {
-    let [pre, legacy] = ENGINES.map(|engine| {
-        cfg.engine = engine;
+fn identical_fault(p: &Program, cfg: MachineConfig, what: &str) -> (MachineError, Vec<String>) {
+    let [pre, legacy] = FORMS.map(|form| {
         let mut log = EventLog::default();
-        let err = Machine::new(p, cfg.clone())
+        let err = Machine::new(p, on_form(p, &cfg, form))
             .unwrap()
             .run(&mut log)
             .expect_err("the kernel is built to fault");
         (err, log.0)
     });
-    assert_eq!(pre, legacy, "{what}: engines fault differently");
+    assert_eq!(pre, legacy, "{what}: the forms fault differently");
     pre
 }
 
@@ -441,11 +446,11 @@ fn traps_are_identical_after_an_identical_event_prefix() {
 
 // ---- register allocation edges -----------------------------------------
 //
-// The predecoded engine runs each function on its colored registers; the
-// legacy engine on the IR's. Each kernel below puts one rule of the
+// The predecoded form runs each function on its colored registers; the
+// reference on the IR's. Each kernel below puts one rule of the
 // allocation where a wrong slot changes what the program computes.
 
-/// Checks both engines identical on `p` under `cfg` at every optimization
+/// Checks both forms identical on `p` under `cfg` at every optimization
 /// level, and that each level's run leaves `expect` in global `out`.
 fn allocation_edge(p: &Program, cfg: &MachineConfig, expect: &[i64], what: &str) {
     for opt in OptLevel::ALL {
@@ -668,7 +673,7 @@ fn branches_and_switches_on_registers() {
         })
         .collect();
     for quantum in [1, 64] {
-        let cfg = config(k, None, 8, quantum, ExecEngine::Predecoded);
+        let cfg = config(k, None, 8, quantum);
         allocation_edge(&p, &cfg, &expect, &format!("branches quantum {quantum}"));
     }
 }
@@ -700,7 +705,7 @@ fn an_acquire_retried_at_its_terminator_keeps_its_registers() {
     let mut expect: Vec<i64> = (0..8).map(|t| 3 * t + 1).collect();
     expect.push((0..8).map(|t| 4 * 3 * t).sum());
     for quantum in [1, 2, 64] {
-        let cfg = config(k, None, 8, quantum, ExecEngine::Predecoded);
+        let cfg = config(k, None, 8, quantum);
         allocation_edge(&p, &cfg, &expect, &format!("acquire quantum {quantum}"));
         let run = identical_cfg_run(&p, &cfg, "acquire spin");
         if quantum == 1 {

@@ -14,8 +14,8 @@
 //!    instruction counts *exactly*; with dynamic IPDOMs it is never more
 //!    pessimistic.
 //! 4. **Engine agreement** — at every optimization level the predecoded
-//!    engine, which runs on allocated registers, leaves the same output
-//!    memory and the same capture as the legacy engine on the IR's.
+//!    form, which runs on allocated registers, leaves the same output
+//!    memory and the same capture as the reference form on the IR's.
 
 use proptest::prelude::*;
 use threadfuser::analyzer::{AnalyzerConfig, ReconvergencePolicy};
@@ -24,7 +24,7 @@ use threadfuser::ir::{
     Slot,
 };
 use threadfuser::machine::{
-    ExecEngine, LockstepConfig, LockstepMachine, Machine, MachineConfig, Memory, NoopHook,
+    ExecProgram, LockstepConfig, LockstepMachine, Machine, MachineConfig, Memory, NoopHook,
 };
 use threadfuser::tracer::{trace_program, TraceSet, Tracer};
 
@@ -190,9 +190,15 @@ fn out_words(program: &Program, memory: &Memory, out_name: &str) -> Vec<u64> {
     (0..N_THREADS as u64).map(|i| memory.read(base + i * 8, 8)).collect()
 }
 
-/// The output words and the capture of a traced run on `engine`.
-fn engine_run(program: &Program, kernel: FuncId, engine: ExecEngine) -> (Vec<u64>, TraceSet) {
-    let cfg = MachineConfig::new(kernel, N_THREADS).engine(engine);
+/// The output words and the capture of a traced run on the execution
+/// form `form` makes of `program`.
+fn engine_run(
+    program: &Program,
+    kernel: FuncId,
+    form: fn(&Program) -> ExecProgram,
+) -> (Vec<u64>, TraceSet) {
+    let exec = std::sync::Arc::new(form(program));
+    let cfg = MachineConfig::new(kernel, N_THREADS).exec_program(exec);
     let mut m = Machine::new(program, cfg).expect("machine loads");
     let mut tracer = Tracer::new();
     m.run(&mut tracer).expect("mimd run succeeds");
@@ -218,8 +224,9 @@ proptest! {
         let (program, kernel) = build_program(&stmts);
         for opt in OptLevel::ALL {
             let optimized = opt.apply(&program);
-            let (pre_out, pre_traces) = engine_run(&optimized, kernel, ExecEngine::Predecoded);
-            let (legacy_out, legacy_traces) = engine_run(&optimized, kernel, ExecEngine::Legacy);
+            let (pre_out, pre_traces) = engine_run(&optimized, kernel, ExecProgram::build);
+            let (legacy_out, legacy_traces) =
+                engine_run(&optimized, kernel, ExecProgram::reference);
             prop_assert_eq!(&pre_out, &legacy_out, "{} output memory", opt);
             prop_assert!(pre_traces == legacy_traces, "{} captures differ", opt);
         }

@@ -49,6 +49,12 @@ echo "==> engine identity (predecoded vs reference ExecProgram, optimized build)
 # kernels — traces, per-thread stats, final memory, faults.
 cargo test --release -q -p threadfuser --test engine_identity
 
+echo "==> emulator identity (golden reports and step digests, optimized build)"
+# The same reasoning for the warp emulator: the benchmark measures its
+# optimized build, so the golden report grid, the hand-built fallback
+# traces and the digest of every emitted step must also hold there.
+cargo test --release -q -p threadfuser --test soa_identity --test step_stream
+
 echo "==> paper tables (Table I + Fig. 1 incl. the coop family)"
 # Thread-capped smoke of the two catalog-wide paper artifacts: Table I
 # must enumerate all 41 workloads (36 paper + 5 coop) and Fig. 1 must

@@ -289,22 +289,23 @@ impl Default for AnalyzerConfig {
 
 /// Per-instruction memory accesses of one emulated block execution:
 /// `inst_idx → (addr, size)` for every active lane, ordered by
-/// instruction index.
+/// instruction index, each instruction's accesses lane by lane.
 ///
 /// Stored flat: one packed access arena (`acc`) plus per-instruction
-/// `bounds`, rebuilt each block step by a **stable counting sort** over
-/// the accesses streamed from the lane cursors (radix bucket = the
-/// instruction index, which is `< n_insts` by construction): two linear
-/// passes that never allocate once warm. Stability preserves lane-major
-/// collection order inside each group, so downstream coalescing and the
-/// step-sink protocol see byte-identical access sequences.
+/// `bounds`, rebuilt each block step without allocating once warm. A step
+/// whose lanes all ran one shape that lists its accesses in instruction
+/// order appends straight into them, instruction by instruction and lane
+/// by lane inside. Any other step collects `(inst_idx, addr, size)`
+/// triples lane by lane and groups them with one stable sort by
+/// instruction, which gives the same order: lanes ascending, each lane's
+/// accesses in trace order. Downstream coalescing and the step-sink
+/// protocol see identical access sequences either way.
 #[derive(Debug, Default)]
 pub struct MemGroups {
-    /// Streamed `(inst_idx, addr, size)` triples in collection order.
+    /// The fallback's `(inst_idx, addr, size)` triples in collection
+    /// order.
     triples: Vec<(u32, u64, u32)>,
-    /// Counting-sort table: per-instruction scatter cursor / end offset.
-    counts: Vec<u32>,
-    /// Accesses scattered by instruction, lane order preserved.
+    /// Accesses grouped by instruction, lane order preserved.
     acc: Vec<(u64, u32)>,
     /// `(inst_idx, start, end)` into `acc` per instruction with accesses.
     bounds: Vec<(u32, u32, u32)>,
@@ -342,85 +343,32 @@ impl MemGroups {
         self.bounds.clear();
     }
 
-    /// Streams one access in collection order (lanes ascending, each
-    /// lane's accesses in trace order).
+    /// Appends one access of instruction `inst_idx`, which is the last
+    /// group's instruction or a later one.
+    fn push(&mut self, inst_idx: u32, addr: u64, size: u32) {
+        self.acc.push((addr, size));
+        let end = self.acc.len() as u32;
+        match self.bounds.last_mut() {
+            Some((i, _, e)) if *i == inst_idx => *e = end,
+            _ => self.bounds.push((inst_idx, end - 1, end)),
+        }
+    }
+
+    /// Fallback: streams one access in collection order (lanes
+    /// ascending, each lane's accesses in trace order).
     fn collect(&mut self, inst_idx: u32, addr: u64, size: u32) {
         self.triples.push((inst_idx, addr, size));
     }
 
-    /// Groups the collected triples by instruction index.
-    ///
-    /// Collection order is lane-major with each lane's accesses already
-    /// ascending, so the stream is frequently globally sorted (single
-    /// memory instruction, or a single lane with accesses) — that case
-    /// is a run-length append with no permutation at all. Otherwise a
-    /// stable counting sort over the *touched* `min..=max` index range
-    /// scatters the accesses in two linear passes; the table is sized by
-    /// the range actually used, never by the block's instruction count.
-    /// A pathological index spread (possible in decoded, never-panic
-    /// captures) falls back to a stable comparison sort with identical
-    /// grouping semantics.
+    /// Fallback: groups the collected triples by instruction index with
+    /// one stable sort, which keeps collection order inside each group.
     fn build(&mut self) {
-        if self.triples.is_empty() {
-            return;
+        let mut triples = take(&mut self.triples);
+        triples.sort_by_key(|&(i, _, _)| i);
+        for &(i, a, s) in &triples {
+            self.push(i, a, s);
         }
-        let mut min_i = u32::MAX;
-        let mut max_i = 0u32;
-        let mut prev = 0u32;
-        let mut sorted = true;
-        for &(i, _, _) in &self.triples {
-            sorted &= i >= prev;
-            prev = i;
-            min_i = min_i.min(i);
-            max_i = max_i.max(i);
-        }
-        let range = (max_i - min_i) as usize + 1;
-        if !sorted && range > self.triples.len() * 4 + 64 {
-            self.triples.sort_by_key(|&(i, _, _)| i);
-            sorted = true;
-        }
-        if sorted {
-            self.append_sorted_runs();
-            return;
-        }
-        self.counts.clear();
-        self.counts.resize(range + 1, 0);
-        for &(i, _, _) in &self.triples {
-            self.counts[(i - min_i) as usize + 1] += 1;
-        }
-        for b in 1..=range {
-            self.counts[b] += self.counts[b - 1];
-        }
-        self.acc.resize(self.triples.len(), (0, 0));
-        for &(i, a, s) in &self.triples {
-            let p = &mut self.counts[(i - min_i) as usize];
-            self.acc[*p as usize] = (a, s);
-            *p += 1;
-        }
-        // After scattering, `counts[b]` is the end of bucket `b`'s run;
-        // each run's start is the previous run's end.
-        let mut start = 0u32;
-        for b in 0..range {
-            let end = self.counts[b];
-            if end > start {
-                self.bounds.push((b as u32 + min_i, start, end));
-            }
-            start = end;
-        }
-    }
-
-    /// Fills `acc`/`bounds` from `triples` already sorted by instruction
-    /// index (run-length append, lane order preserved).
-    fn append_sorted_runs(&mut self) {
-        for k in 0..self.triples.len() {
-            let (i, a, s) = self.triples[k];
-            self.acc.push((a, s));
-            let end = self.acc.len() as u32;
-            match self.bounds.last_mut() {
-                Some((gi, _, e)) if *gi == i => *e = end,
-                _ => self.bounds.push((i, end - 1, end)),
-            }
-        }
+        self.triples = triples;
     }
 }
 
@@ -636,6 +584,9 @@ struct RunCtx<'a> {
     statics: Option<Arc<Vec<FuncCfg>>>,
     config: &'a AnalyzerConfig,
     warps: WarpPlan,
+    /// Lane slots one issue occupies, by active-lane count (see
+    /// [`slot_widths`]).
+    widths: [u64; 65],
 }
 
 impl<'a> RunCtx<'a> {
@@ -644,7 +595,7 @@ impl<'a> RunCtx<'a> {
         let statics = (config.reconvergence == ReconvergencePolicy::StaticIpdom)
             .then(|| index.static_cfgs(program));
         let warps = config.batching.plan(index.n_threads() as u32, config.warp_size);
-        RunCtx { program, index, statics, config, warps }
+        RunCtx { program, index, statics, config, warps, widths: slot_widths(config) }
     }
 
     fn empty_report(&self) -> AnalysisReport {
@@ -665,10 +616,11 @@ impl<'a> RunCtx<'a> {
     /// One worker runs the warps in order on the calling thread and
     /// merges each result as it comes, buffering nothing. More workers
     /// claim warps one at a time off a shared atomic cursor, which keeps
-    /// every worker busy however uneven the warps are; their results are
-    /// merged once all have finished. Either way a failure returns the
-    /// lowest-indexed failing warp's error: every warp below the last one
-    /// claimed has run.
+    /// every worker busy however uneven the warps are: `workers - 1`
+    /// scoped threads and the calling thread, which runs the last worker
+    /// itself. Their results are merged once all have finished. Either way
+    /// a failure returns the lowest-indexed failing warp's error: every
+    /// warp below the last one claimed has run.
     fn fan_out<T: Send>(
         &self,
         run: impl Fn(&mut WarpScratch, usize) -> Result<T, AnalyzeError> + Sync,
@@ -685,27 +637,27 @@ impl<'a> RunCtx<'a> {
             return Ok(());
         }
         let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut local = Vec::new();
+            let mut scratch = WarpScratch::default();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return Ok(local);
+                }
+                match run(&mut scratch, i) {
+                    Ok(t) => local.push((i, t)),
+                    Err(e) => return Err((i, e)),
+                }
+            }
+        };
         type Claimed<T> = Result<Vec<(usize, T)>, (usize, AnalyzeError)>;
         let claimed: Vec<Claimed<T>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        let mut scratch = WarpScratch::default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                return Ok(local);
-                            }
-                            match run(&mut scratch, i) {
-                                Ok(t) => local.push((i, t)),
-                                Err(e) => return Err((i, e)),
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("analysis worker panicked")).collect()
+            let spawned: Vec<_> = (1..workers).map(|_| s.spawn(worker)).collect();
+            let mut claimed = vec![worker()];
+            claimed
+                .extend(spawned.into_iter().map(|h| h.join().expect("analysis worker panicked")));
+            claimed
         });
         let mut parts: Vec<(usize, T)> = Vec::with_capacity(n);
         let mut first_err: Option<(usize, AnalyzeError)> = None;
@@ -748,16 +700,37 @@ impl<'a> RunCtx<'a> {
         *sink = emu.sink.take();
         result?;
         if self.config.obs.enabled() {
-            emit_warp_obs(&self.config.obs, self.config, &emu.report);
+            emit_warp_obs(&self.config.obs, self.config, &emu.report, scratch);
         }
         warp_span.finish();
         Ok(emu.report)
     }
 }
 
+/// Lane slots one issue occupies for a group of `active` lanes, for every
+/// `active` in `0..=64`, under the configured [`WarpFormation`]: `Fixed`
+/// always charges the full warp width, `DynamicResize` the smallest
+/// covering power of two clamped to `min_width..=warp_size`.
+fn slot_widths(config: &AnalyzerConfig) -> [u64; 65] {
+    let max = config.warp_size as u64;
+    std::array::from_fn(|active| match config.formation {
+        WarpFormation::Fixed => max,
+        WarpFormation::DynamicResize { min_width } => {
+            let min = (min_width as u64).clamp(1, max);
+            (active as u64).max(1).next_power_of_two().clamp(min, max)
+        }
+    })
+}
+
 /// Per-warp observability: `report` is the finished warp's own report
-/// (one warp per [`WarpEmulator`]), so its counters are warp-local.
-fn emit_warp_obs(obs: &Obs, config: &AnalyzerConfig, report: &AnalysisReport) {
+/// (one warp per [`WarpEmulator`]), so its counters are warp-local, as are
+/// the work counts in `scratch`.
+fn emit_warp_obs(
+    obs: &Obs,
+    config: &AnalyzerConfig,
+    report: &AnalysisReport,
+    scratch: &WarpScratch,
+) {
     obs.counter(Phase::WarpEmulate, "issues", report.issues);
     obs.counter(Phase::WarpEmulate, "issue_slots", report.issue_slots);
     obs.counter(Phase::WarpEmulate, "thread_insts", report.thread_insts);
@@ -772,6 +745,12 @@ fn emit_warp_obs(obs: &Obs, config: &AnalyzerConfig, report: &AnalysisReport) {
     obs.counter(Phase::WarpEmulate, config.model.label(), report.issues);
     obs.counter(Phase::WarpEmulate, config.formation.label(), report.issue_slots);
     obs.histogram(Phase::WarpEmulate, "warp_issues", report.issues as f64);
+    // The coalescing work behind the report: memory-instruction groups
+    // counted, those whose line keys needed a sort, and block steps whose
+    // accesses took the grouping fallback.
+    obs.counter(Phase::WarpEmulate, "coalesce_groups", scratch.coalescer.groups);
+    obs.counter(Phase::WarpEmulate, "coalesce_sorts", scratch.coalescer.sorts);
+    obs.counter(Phase::WarpEmulate, "group_fallbacks", scratch.group_fallbacks);
 }
 
 /// The warp's split machine, chosen by [`ReconvergenceModel`]: which
@@ -830,7 +809,11 @@ struct WarpScratch {
     /// Retired [`Split::callers`] buffers.
     callers_pool: Vec<Vec<(FuncId, usize)>>,
     mem: MemGroups,
-    lines: Vec<u64>,
+    coalescer: Coalescer,
+    /// Block steps of the current warp whose accesses took the grouping
+    /// fallback: lanes that ran different shapes, or a shape out of
+    /// instruction order.
+    group_fallbacks: u64,
     /// `(target node, lane mask)` groups of a branch's successors.
     groups: Vec<(usize, u64)>,
     /// `(lane, lock)` of every lane at an acquire.
@@ -901,34 +884,70 @@ fn jmp_chain(f: &Function, from: usize, ipd: usize, chain: &mut Vec<usize>) -> b
     false
 }
 
-/// Counts one memory instruction's accesses into the heap and stack
-/// counters. One tagged radix pass: each access's line keys carry the
-/// segment in bit 63, so a single sort counts both segments'
-/// transactions.
-fn coalesce_into(
-    lines: &mut Vec<u64>,
-    report: &mut AnalysisReport,
-    accesses: impl Iterator<Item = (u64, u32)>,
-) {
-    let (mut heap_n, mut stack_n) = (0u64, 0u64);
-    let (heap_tx, stack_tx) = threadfuser_mem::coalesce_transactions_tagged(
-        lines,
-        accesses.map(|(a, s)| {
-            let stack = segment_of(a) == Segment::Stack;
-            stack_n += stack as u64;
-            heap_n += !stack as u64;
-            (a, s, stack)
-        }),
-    );
-    for (seg, n, tx) in
-        [(&mut report.heap, heap_n, heap_tx), (&mut report.stack, stack_n, stack_tx)]
-    {
-        if n > 0 {
-            seg.instructions += 1;
-            seg.accesses += n;
-            seg.transactions += tx as u64;
+/// The line-counting scratch of one worker, and the work it did for the
+/// current warp.
+#[derive(Debug, Default)]
+struct Coalescer {
+    lines: Vec<u64>,
+    /// Memory-instruction groups counted.
+    groups: u64,
+    /// Groups whose line keys arrived out of order and were sorted.
+    sorts: u64,
+}
+
+impl Coalescer {
+    /// Counts one memory instruction's accesses into the heap and stack
+    /// counters of `report`. One tagged pass: each access's line keys
+    /// carry the segment in bit 63, so one count covers both segments'
+    /// transactions, and keys arriving in order need no sort.
+    fn count(&mut self, report: &mut AnalysisReport, accesses: impl Iterator<Item = (u64, u32)>) {
+        let (mut heap_n, mut stack_n) = (0u64, 0u64);
+        let (heap_tx, stack_tx, sorted) = threadfuser_mem::coalesce_transactions_tagged(
+            &mut self.lines,
+            accesses.map(|(a, s)| {
+                let stack = segment_of(a) == Segment::Stack;
+                stack_n += stack as u64;
+                heap_n += !stack as u64;
+                (a, s, stack)
+            }),
+        );
+        self.groups += 1;
+        self.sorts += sorted as u64;
+        for (seg, n, tx) in
+            [(&mut report.heap, heap_n, heap_tx), (&mut report.stack, stack_n, stack_tx)]
+        {
+            if n > 0 {
+                seg.instructions += 1;
+                seg.accesses += n;
+                seg.transactions += tx as u64;
+            }
         }
     }
+}
+
+/// The accesses of instruction run `run` — the descriptors of one
+/// instruction, from a shape in instruction order — for every lane of
+/// `mask`, lanes ascending: each address decoded off its lane's cursor in
+/// `pos` as it is read.
+fn lane_accesses<'r>(
+    pos: &'r mut [TapePos],
+    addrs: &'r [u8],
+    mask: u64,
+    run: &'r [ShapeAccess],
+) -> impl Iterator<Item = (u64, u32)> + 'r {
+    let (mut lanes, mut lane, mut d) = (mask, 0, run.len());
+    std::iter::from_fn(move || {
+        if d == run.len() {
+            if lanes == 0 {
+                return None;
+            }
+            lane = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            d = 0;
+        }
+        d += 1;
+        Some((pos[lane].next_addr(addrs), run[d - 1].size as u32))
+    })
 }
 
 struct WarpEmulator<'a, 's> {
@@ -945,6 +964,8 @@ struct WarpEmulator<'a, 's> {
     /// The capture's tapes and this warp's threads (error reporting).
     tapes: &'a LaneTapes,
     warp: &'a [u32],
+    /// Lane slots one issue occupies, by active-lane count.
+    widths: &'a [u64; 65],
     s: WarpScratch,
     report: AnalysisReport,
     warp_index: u32,
@@ -960,6 +981,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         s.splits.clear();
         s.funcs.clear();
         s.funcs.resize(ctx.program.functions().len(), FunctionReport::default());
+        (s.coalescer.groups, s.coalescer.sorts, s.group_fallbacks) = (0, 0, 0);
         let config = ctx.config;
         WarpEmulator {
             program: ctx.program,
@@ -974,6 +996,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
             tape: tapes.view(),
             tapes,
             warp,
+            widths: &ctx.widths,
             s,
             report: AnalysisReport { warp_size: config.warp_size, warps: 1, ..Default::default() },
             warp_index: warp_index as u32,
@@ -1190,11 +1213,19 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         }
         let mut i = 0;
         while i < self.s.splits.len() {
+            if self.s.splits[i].release_at.is_some() {
+                i += 1;
+                continue;
+            }
+            // One packed word settles most pairs before a call stack is
+            // compared.
+            let pc = pack_key(self.s.splits[i].func, self.s.splits[i].node);
             let mut j = i + 1;
-            while self.s.splits[i].release_at.is_none() && j < self.s.splits.len() {
+            while j < self.s.splits.len() {
                 let (a, b) = (&self.s.splits[i], &self.s.splits[j]);
-                if b.release_at.is_some()
-                    || (a.func, a.node, &a.callers) != (b.func, b.node, &b.callers)
+                if pack_key(b.func, b.node) != pc
+                    || b.release_at.is_some()
+                    || a.callers != b.callers
                 {
                     j += 1;
                     continue;
@@ -1210,11 +1241,16 @@ impl<'a, 's> WarpEmulator<'a, 's> {
             }
             i += 1;
         }
+        // `(pc, deepest stack, lowest lane)` as one key: the pc's packed
+        // word above the stack depth, reversed, above the lowest lane.
+        let pick_key = |g: &Split| {
+            let depth = u32::MAX - g.callers.len() as u32;
+            (pack_key(g.func, g.node) as u128) << 64
+                | (depth as u128) << 32
+                | g.mask.trailing_zeros() as u128
+        };
         let splits = &self.s.splits;
-        (0..splits.len()).min_by_key(|&i| {
-            let g = &splits[i];
-            (g.func.0, g.node, std::cmp::Reverse(g.callers.len()), g.mask.trailing_zeros())
-        })
+        (0..splits.len()).min_by_key(|&i| pick_key(&splits[i]))
     }
 
     /// A branch terminator: split `i`'s lanes move on to the blocks
@@ -1520,26 +1556,11 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         Ok(())
     }
 
-    /// Lane slots one issue occupies for a group of `active` lanes under
-    /// the configured [`WarpFormation`]: `Fixed` always charges the full
-    /// warp width, `DynamicResize` the smallest covering power of two
-    /// clamped to `min_width..=warp_size`.
-    fn effective_width(&self, active: u64) -> u64 {
-        match self.config.formation {
-            WarpFormation::Fixed => self.config.warp_size as u64,
-            WarpFormation::DynamicResize { min_width } => {
-                let max = self.config.warp_size as u64;
-                let min = (min_width as u64).clamp(1, max);
-                active.max(1).next_power_of_two().clamp(min, max)
-            }
-        }
-    }
-
     /// Accounts `ni` lock-step issues by a group of `active` lanes — each
     /// occupies the formation's effective width in lane slots — and
     /// enforces the per-warp issue budget.
     fn account_issue(&mut self, func: FuncId, ni: u64, active: u64) -> Result<(), AnalyzeError> {
-        let slots = ni * self.effective_width(active);
+        let slots = ni * self.widths[active as usize];
         self.report.issues += ni;
         self.report.issue_slots += slots;
         let fr = &mut self.s.funcs[func.0 as usize];
@@ -1557,6 +1578,9 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     /// instruction count, the active-lane count, and the lanes' next
     /// event if they all agree on it. *Issue* accounting is the caller's:
     /// a melded step issues two blocks as one.
+    ///
+    /// Two passes: the first walks only the lanes' event cursors, the
+    /// second their accesses (see [`WarpEmulator::step_accesses`]).
     fn exec_block_events(
         &mut self,
         func: FuncId,
@@ -1565,15 +1589,13 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     ) -> Result<(u64, u64, Option<u32>), AnalyzeError> {
         let key = pack_key(func, node);
         // A copy of the arena borrows: field-disjoint from the scratch and
-        // position columns, so the collect loop streams straight into the
-        // scratch without moving anything out and back.
+        // position columns.
         let v = self.tape;
         let mut ni = 0u32;
-        // The shape the previous lane ran, already validated, and its
-        // access descriptors.
+        // The shape the previous lane ran, already validated, and whether
+        // every lane so far ran it.
         let mut shape = 0u32;
-        let mut accs: &[ShapeAccess] = &[];
-        self.s.mem.clear();
+        let mut one_shape = true;
         let mut active = 0u64;
         // Uniform next event across the active lanes, gathered in the
         // same pass (the terminator's grouping step short-circuits on it).
@@ -1581,8 +1603,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         let mut next_same = true;
         for l in lanes_of(mask) {
             active += 1;
-            let mut pos = self.s.pos[l];
-            let p = pos.event as usize;
+            let p = self.s.pos[l].event as usize;
             let ev = v.events[p];
             // Lanes of the previous lane's shape need no check. Otherwise
             // block keys carry bit 63 clear, so one compare validates both
@@ -1598,24 +1619,21 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                     let detail = format!("block size mismatch at {addr}: {lni} vs {ni}");
                     return Err(self.desync(l, detail));
                 }
-                (ni, shape, accs) = (lni, ev, v.shapes.accesses(ev));
+                one_shape &= active == 1;
+                (ni, shape) = (lni, ev);
             }
-            for d in accs {
-                self.s.mem.collect(d.inst, pos.next_addr(v.addrs), d.size as u32);
-            }
-            pos.event += 1;
-            self.s.pos[l] = pos;
+            self.s.pos[l].event += 1;
             // The consumed event is never its sequence's last (END
             // follows), so `p + 1` stays inside the lane's sequence.
             let nk = v.events[p + 1];
             next_same &= active == 1 || nk == next_ev;
             next_ev = nk;
         }
-        self.s.mem.build();
         let ni = ni as u64;
         self.report.thread_insts += ni * active;
         self.s.funcs[func.0 as usize].own_thread_insts += ni * active;
-
+        let in_order = one_shape && v.shapes.shape(shape).in_order();
+        self.step_accesses(mask, in_order.then_some(shape));
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.on_step(&BlockStep {
                 warp: self.warp_index,
@@ -1626,11 +1644,69 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 active: active as u32,
                 mem: &self.s.mem,
             });
-        }
-        for (_, accesses) in self.s.mem.iter() {
-            coalesce_into(&mut self.s.lines, &mut self.report, accesses.iter().copied());
+            self.count_groups();
         }
         Ok((ni, active, next_same.then_some(next_ev)))
+    }
+
+    /// The accesses of a block step whose lanes `mask` just consumed
+    /// their block events.
+    ///
+    /// When every lane ran `shape`, which lists its accesses in
+    /// instruction order, the walk is instruction-major: per instruction,
+    /// each lane's addresses decoded off its cursor, lanes ascending —
+    /// with no sink counted as they are decoded, with one appended
+    /// straight into [`MemGroups`]. Otherwise (`None`) every lane's
+    /// accesses are collected under its own shape and grouped by the
+    /// fallback; the sink path counts the groups afterwards.
+    fn step_accesses(&mut self, mask: u64, shape: Option<u32>) {
+        let v = self.tape;
+        let sink = self.sink.is_some();
+        match shape {
+            None => {
+                self.s.mem.clear();
+                for l in lanes_of(mask) {
+                    let pos = &mut self.s.pos[l];
+                    for d in v.shapes.accesses(v.events[pos.event as usize - 1]) {
+                        self.s.mem.collect(d.inst, pos.next_addr(v.addrs), d.size as u32);
+                    }
+                }
+                self.s.mem.build();
+                self.s.group_fallbacks += 1;
+                if !sink {
+                    self.count_groups();
+                }
+            }
+            Some(shape) if !sink && mask & (mask - 1) == 0 => {
+                // One lane: its instruction runs are the groups, counted
+                // as on the one-lane path.
+                let l = mask.trailing_zeros() as usize;
+                let mut pos = self.s.pos[l];
+                self.singleton_mem(shape, v.addrs, &mut pos);
+                self.s.pos[l] = pos;
+            }
+            Some(shape) => {
+                self.s.mem.clear();
+                // Each run of one instruction's descriptors is its group.
+                for run in v.shapes.accesses(shape).chunk_by(|a, b| a.inst == b.inst) {
+                    let accesses = lane_accesses(&mut self.s.pos, v.addrs, mask, run);
+                    if sink {
+                        for (a, size) in accesses {
+                            self.s.mem.push(run[0].inst, a, size);
+                        }
+                    } else {
+                        self.s.coalescer.count(&mut self.report, accesses);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Coalesces every instruction group of the step's [`MemGroups`].
+    fn count_groups(&mut self) {
+        for (_, accesses) in self.s.mem.iter() {
+            self.s.coalescer.count(&mut self.report, accesses.iter().copied());
+        }
     }
 
     /// Fast-forwards a one-lane stack split (no sink attached) through a
@@ -1664,7 +1740,7 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 let addr = unpack_key(pack_key(func, node));
                 return Err(self.desync(lane, format!("expected block {addr}, got {got:?}")));
             }
-            self.singleton_mem(v.shapes.accesses(ev), v.addrs, &mut pos);
+            self.singleton_mem(ev, v.addrs, &mut pos);
             pos.event += 1;
             let ni = v.shapes.shape(ev).ni as u64;
             self.report.thread_insts += ni;
@@ -1690,22 +1766,32 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         Ok(executed)
     }
 
-    /// Memory accounting for one singleton-lane block: its shape's
-    /// access descriptors `accs` and their addresses, decoded off the
-    /// access streams `addrs` from the lane's position `pos`. A single
-    /// lane's contiguous equal-index runs *are* the instruction groups, so
-    /// coalescing skips the scratch rebuild, and a lone access's distinct
-    /// lines are just a contiguous range.
-    fn singleton_mem(&mut self, accs: &[ShapeAccess], addrs: &[u8], pos: &mut TapePos) {
-        let mut j = 0;
-        while j < accs.len() {
-            let inst = accs[j].inst;
-            let k = j + accs[j..].iter().take_while(|d| d.inst == inst).count();
-            if k == j + 1 {
+    /// Memory accounting for one singleton-lane block: its shape `ev`'s
+    /// accesses, decoded off the access streams `addrs` from the lane's
+    /// position `pos`. A single lane's instruction runs *are* the
+    /// instruction groups of a shape in instruction order, so coalescing
+    /// skips the scratch rebuild, and a lone access's distinct lines are
+    /// just a contiguous range. A shape out of order is grouped by the
+    /// fallback, as a many-lane step's would be.
+    fn singleton_mem(&mut self, ev: u32, addrs: &[u8], pos: &mut TapePos) {
+        let shapes = self.tape.shapes;
+        let accs = shapes.accesses(ev);
+        if !shapes.shape(ev).in_order() {
+            self.s.mem.clear();
+            for d in accs {
+                self.s.mem.collect(d.inst, pos.next_addr(addrs), d.size as u32);
+            }
+            self.s.mem.build();
+            self.s.group_fallbacks += 1;
+            self.count_groups();
+            return;
+        }
+        for run in accs.chunk_by(|a, b| a.inst == b.inst) {
+            if let [d] = run {
                 // One access: its lines form a contiguous range, so the
                 // transaction count is the range length (identical to the
-                // generic sort+dedup over that one access's lines).
-                let (a, sz) = (pos.next_addr(addrs), accs[j].size as u32);
+                // generic count over that one access's lines).
+                let (a, sz) = (pos.next_addr(addrs), d.size as u32);
                 let first = a / threadfuser_mem::TRANSACTION_BYTES;
                 let last = a.saturating_add(sz.saturating_sub(1) as u64)
                     / threadfuser_mem::TRANSACTION_BYTES;
@@ -1718,10 +1804,9 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                 seg.accesses += 1;
                 seg.transactions += last - first + 1;
             } else {
-                let accesses = accs[j..k].iter().map(|d| (pos.next_addr(addrs), d.size as u32));
-                coalesce_into(&mut self.s.lines, &mut self.report, accesses);
+                let accesses = run.iter().map(|d| (pos.next_addr(addrs), d.size as u32));
+                self.s.coalescer.count(&mut self.report, accesses);
             }
-            j = k;
         }
     }
 

@@ -111,16 +111,44 @@ fn grow<T>(v: &mut Vec<T>, additional: usize) {
     }
 }
 
+/// Set in a shape's stored key when its accesses are not listed in
+/// instruction order. Block keys leave it clear: their function half is a
+/// function id, validated against the program before tapes are built.
+const OUT_OF_ORDER: u64 = 1 << 62;
+
 /// One distinct block shape: 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Shape {
-    /// Packed block key (`func << 32 | block`).
-    pub(crate) key: u64,
+    /// Packed block key (`func << 32 | block`), with [`OUT_OF_ORDER`] set
+    /// when the shape's accesses are out of instruction order.
+    tagged_key: u64,
     /// Instruction count.
     pub(crate) ni: u32,
     /// First of the shape's descriptors in the access arena; the next
     /// shape's `acc_lo` (or the arena's end) ends them.
     acc_lo: u32,
+}
+
+impl Shape {
+    /// Shape `(key, ni)` whose descriptors `accs` start at `acc_lo`.
+    fn new(key: u64, ni: u32, acc_lo: u32, accs: &[ShapeAccess]) -> Self {
+        debug_assert_eq!(key & OUT_OF_ORDER, 0, "function id out of range");
+        let in_order = accs.windows(2).all(|w| w[0].inst <= w[1].inst);
+        Shape { tagged_key: key | if in_order { 0 } else { OUT_OF_ORDER }, ni, acc_lo }
+    }
+
+    /// Packed block key (`func << 32 | block`).
+    #[inline]
+    pub(crate) fn key(&self) -> u64 {
+        self.tagged_key & !OUT_OF_ORDER
+    }
+
+    /// Whether the shape lists its accesses in instruction order, so each
+    /// instruction's accesses are one contiguous run of its descriptors.
+    #[inline]
+    pub(crate) fn in_order(&self) -> bool {
+        self.tagged_key & OUT_OF_ORDER == 0
+    }
 }
 
 /// One access of a shape: which instruction makes it, how wide it is, and
@@ -272,10 +300,10 @@ impl ShapeTable {
         let h = index.hash(&(key, ni, accs));
         let same = |id| {
             let s = self.shape(id);
-            s.key == key && s.ni == ni && self.accesses(id) == accs
+            s.key() == key && s.ni == ni && self.accesses(id) == accs
         };
         index.find(h, same).unwrap_or_else(|| {
-            self.shapes.push(Shape { key, ni, acc_lo: self.accs.len() as u32 });
+            self.shapes.push(Shape::new(key, ni, self.accs.len() as u32, accs));
             self.accs.extend_from_slice(accs);
             index.insert(h)
         })
@@ -605,7 +633,7 @@ impl Merge {
         let shape_ids: Vec<u32> = (0..e.shapes.len() as u32)
             .map(|id| {
                 let s = e.shapes.shape(id);
-                tapes.shapes.intern(&mut self.shape_index, s.key, s.ni, e.shapes.accesses(id))
+                tapes.shapes.intern(&mut self.shape_index, s.key(), s.ni, e.shapes.accesses(id))
             })
             .collect();
         let side_ids: Vec<u32> = e
@@ -861,7 +889,7 @@ impl TapeView<'_> {
     #[inline]
     pub(crate) fn key(&self, ev: u32) -> u64 {
         if ev & SIDE_BIT == 0 {
-            self.shapes.shape(ev).key
+            self.shapes.shape(ev).key()
         } else {
             SIDE_KEY | (ev & !SIDE_BIT) as u64
         }
@@ -903,11 +931,7 @@ impl LaneTapes {
                 let table = &mut tapes.shapes;
                 let id = *shape_ids.entry((key, ni, accs)).or_insert_with_key(|(key, ni, accs)| {
                     let id = table.shapes.len() as u32;
-                    table.shapes.push(Shape {
-                        key: *key,
-                        ni: *ni,
-                        acc_lo: table.accs.len() as u32,
-                    });
+                    table.shapes.push(Shape::new(*key, *ni, table.accs.len() as u32, accs));
                     table.accs.extend_from_slice(accs);
                     id
                 });
@@ -982,8 +1006,8 @@ mod tests {
                 let id = v.events[pos.event as usize];
                 assert_eq!(id & SIDE_BIT, 0, "a block event is a shape id");
                 let shape = v.shapes.shape(id);
-                assert_eq!(shape.key, pack_block_key(block.func.0, block.block.0));
-                assert_eq!(v.key(id), shape.key);
+                assert_eq!(shape.key(), pack_block_key(block.func.0, block.block.0));
+                assert_eq!(v.key(id), shape.key());
                 assert_eq!(shape.ni, ni);
                 let descs = v.shapes.accesses(id);
                 let recs: Vec<_> = mems.iter().collect();

@@ -39,29 +39,24 @@ pub fn coalesce_transactions_with(
     lines: &mut Vec<u64>,
     accesses: impl IntoIterator<Item = (u64, u32)>,
 ) -> u32 {
-    lines.clear();
-    for (addr, size) in accesses {
-        debug_assert!(size > 0, "zero-sized access");
-        let first = addr / TRANSACTION_BYTES;
-        // Saturate: an access at the top of the address space must not
-        // wrap `addr + size - 1` around to line 0 (decoded traces can
-        // carry any u64 address); it is clamped to the last line instead.
-        let last = addr.saturating_add(size.saturating_sub(1) as u64) / TRANSACTION_BYTES;
-        for line in first..=last {
-            lines.push(line);
-        }
-    }
-    lines.sort_unstable();
-    lines.dedup();
-    lines.len() as u32
+    coalesce_transactions_tagged(lines, accesses.into_iter().map(|(a, s)| (a, s, false))).0
 }
 
 /// Two-way tagged coalescing: counts distinct 32-byte lines separately
 /// for plain (`tag = false`) and tagged (`tag = true`) accesses in **one**
-/// radix pass — each line key carries its tag in bit 63 (free because
-/// `line = addr / 32 < 2^59`), so a single sort+run-length scan replaces
-/// two classify-then-coalesce rounds. Returns
-/// `(plain_transactions, tagged_transactions)`.
+/// pass — each line key carries its tag in bit 63 (free because
+/// `line = addr / 32 < 2^59`). Returns `(plain_transactions,
+/// tagged_transactions, sorted)`, where `sorted` tells whether the keys
+/// arrived out of order and had to be sorted; callers that budget their
+/// work count it.
+///
+/// The counting rule every coalescer here shares: the line keys are
+/// pushed into the scratch buffer `lines` as they arrive, an access equal
+/// to the one before it skipped. While the keys never decrease — coalesced,
+/// strided, broadcast and per-lane-stack accesses in lane order — a key
+/// differing from the last one pushed is a new line, so the count is done
+/// when the input ends; a key below the last one marks the sequence out of
+/// order, and the keys are then sorted and counted once more.
 ///
 /// ThreadFuser's emulator tags stack-segment accesses, coalescing each
 /// memory instruction's heap and stack traffic in one pass; results are
@@ -70,44 +65,54 @@ pub fn coalesce_transactions_with(
 /// ```
 /// use threadfuser_mem::coalesce_transactions_tagged;
 /// let mut scratch = Vec::new();
-/// let (heap, stack) = coalesce_transactions_tagged(
+/// let (heap, stack, sorted) = coalesce_transactions_tagged(
 ///     &mut scratch,
 ///     [(0u64, 8u32, false), (8, 8, false), (1 << 40, 8, true)],
 /// );
-/// assert_eq!((heap, stack), (1, 1));
+/// assert_eq!((heap, stack, sorted), (1, 1, false));
 /// ```
 pub fn coalesce_transactions_tagged(
     lines: &mut Vec<u64>,
     accesses: impl IntoIterator<Item = (u64, u32, bool)>,
-) -> (u32, u32) {
+) -> (u32, u32, bool) {
     const TAG: u64 = 1 << 63;
     lines.clear();
-    for (addr, size, tag) in accesses {
+    let mut counts = [0u32; 2];
+    let mut in_order = true;
+    let mut prev_access = None;
+    for access in accesses {
+        // A repeat of the access before it (a broadcast) adds no line.
+        if prev_access.replace(access) == Some(access) {
+            continue;
+        }
+        let (addr, size, tag) = access;
         debug_assert!(size > 0, "zero-sized access");
         let tag = if tag { TAG } else { 0 };
         let first = addr / TRANSACTION_BYTES;
-        // Same saturating clamp as `coalesce_transactions_with`.
+        // Saturate: an access at the top of the address space must not
+        // wrap `addr + size - 1` around to line 0 (decoded traces can
+        // carry any u64 address); it is clamped to the last line instead.
         let last = addr.saturating_add(size.saturating_sub(1) as u64) / TRANSACTION_BYTES;
         for line in first..=last {
-            lines.push(line | tag);
+            let key = line | tag;
+            match lines.last() {
+                // A repeat of the last key adds no line and need not be
+                // kept: a later sort would only drop it again.
+                Some(&prev) if prev == key => continue,
+                Some(&prev) if prev > key => in_order = false,
+                _ => counts[(key >> 63) as usize] += 1,
+            }
+            lines.push(key);
         }
+    }
+    if in_order {
+        return (counts[0], counts[1], false);
     }
     lines.sort_unstable();
-    let mut plain = 0u32;
-    let mut tagged = 0u32;
-    let mut prev = None;
-    for &key in lines.iter() {
-        if prev == Some(key) {
-            continue;
-        }
-        prev = Some(key);
-        if key & TAG == 0 {
-            plain += 1;
-        } else {
-            tagged += 1;
-        }
-    }
-    (plain, tagged)
+    lines.dedup();
+    // Sorted, the tagged keys follow every plain one.
+    let plain = lines.partition_point(|&k| k & TAG == 0);
+    (plain as u32, (lines.len() - plain) as u32, true)
 }
 
 #[cfg(test)]
@@ -174,7 +179,101 @@ mod tests {
         prop_oneof![0u64..1 << 40, u64::MAX - 64..=u64::MAX]
     }
 
+    /// Every line of every access, `(tag, line)` in access order.
+    fn line_keys(accesses: &[(u64, u32, bool)]) -> Vec<(bool, u64)> {
+        accesses
+            .iter()
+            .flat_map(|&(a, s, t)| {
+                let last = a.saturating_add(s as u64 - 1) / TRANSACTION_BYTES;
+                (a / TRANSACTION_BYTES..=last).map(move |line| (t, line))
+            })
+            .collect()
+    }
+
+    /// The count by definition: every line of every access, sorted and
+    /// deduplicated, split by tag.
+    fn sort_dedup(accesses: &[(u64, u32, bool)]) -> (u32, u32) {
+        let mut keys = line_keys(accesses);
+        keys.sort_unstable();
+        keys.dedup();
+        let tagged = keys.iter().filter(|k| k.0).count();
+        ((keys.len() - tagged) as u32, tagged as u32)
+    }
+
+    /// How a test lays out one instruction's accesses.
+    #[derive(Debug, Clone, Copy)]
+    enum Layout {
+        /// Ascending addresses, plain before tagged: the run-length case.
+        Sorted,
+        /// Descending: out of order whenever two lines differ.
+        Reversed,
+        /// One access repeated (a broadcast).
+        AllEqual,
+        /// Ascending, every access crossing a line boundary.
+        Straddling,
+        /// Ascending within the last bytes of the address space.
+        TopOfSpace,
+    }
+
+    fn arb_layout() -> impl Strategy<Value = Layout> {
+        prop_oneof![
+            Just(Layout::Sorted),
+            Just(Layout::Reversed),
+            Just(Layout::AllEqual),
+            Just(Layout::Straddling),
+            Just(Layout::TopOfSpace),
+        ]
+    }
+
+    /// `raw` laid out as `layout` says.
+    fn lay_out(layout: Layout, raw: &[(u64, u32, bool)]) -> Vec<(u64, u32, bool)> {
+        let mut v: Vec<(u64, u32, bool)> = match layout {
+            Layout::Sorted | Layout::Reversed => raw.to_vec(),
+            Layout::AllEqual => vec![raw[0]; raw.len()],
+            Layout::Straddling => raw.iter().map(|&(a, _, t)| (a / 32 * 32 + 28, 8, t)).collect(),
+            Layout::TopOfSpace => raw.iter().map(|&(a, s, t)| (u64::MAX - a % 96, s, t)).collect(),
+        };
+        if !matches!(layout, Layout::AllEqual) {
+            v.sort_unstable_by_key(|&(a, _, t)| (t, a));
+        }
+        if matches!(layout, Layout::Reversed) {
+            v.reverse();
+        }
+        v
+    }
+
     proptest! {
+        #[test]
+        fn every_layout_matches_sort_dedup(
+            layout in arb_layout(),
+            raw in proptest::collection::vec((0u64..1 << 20, 1u32..=16, any::<bool>()), 1..64)
+        ) {
+            let acc = lay_out(layout, &raw);
+            let want = sort_dedup(&acc);
+            let mut scratch = vec![7, 7, 7];
+            let (plain, tagged, sorted) =
+                coalesce_transactions_tagged(&mut scratch, acc.iter().copied());
+            prop_assert_eq!((plain, tagged), want);
+            // Exactly the key sequences that ever decrease, repeated
+            // accesses left out, take a sort.
+            let mut distinct = acc.clone();
+            distinct.dedup();
+            let keys = line_keys(&distinct);
+            let in_order = keys.windows(2).all(|w| w[0] <= w[1]);
+            prop_assert_eq!(sorted, !in_order, "{:?}", layout);
+            if matches!(layout, Layout::AllEqual) {
+                prop_assert!(!sorted, "a broadcast took a sort");
+            }
+            let untagged: Vec<(u64, u32, bool)> =
+                acc.iter().map(|&(a, s, _)| (a, s, false)).collect();
+            let plain_only = coalesce_transactions_with(
+                &mut scratch,
+                untagged.iter().map(|&(a, s, _)| (a, s)),
+            );
+            prop_assert_eq!(plain_only, sort_dedup(&untagged).0);
+            prop_assert_eq!(plain_only, coalesce_transactions(untagged.iter().map(|&(a, s, _)| (a, s))));
+        }
+
         #[test]
         fn at_least_one_per_nonempty_and_bounded(
             addrs in proptest::collection::vec((arb_addr(), 1u32..=8), 1..64)
@@ -200,7 +299,7 @@ mod tests {
             addrs in proptest::collection::vec((arb_addr(), 1u32..=8, any::<bool>()), 0..64)
         ) {
             let mut scratch = Vec::new();
-            let (plain, tagged) =
+            let (plain, tagged, _) =
                 coalesce_transactions_tagged(&mut scratch, addrs.iter().copied());
             let old_plain = coalesce_transactions(
                 addrs.iter().filter(|a| !a.2).map(|&(a, s, _)| (a, s)),

@@ -1,9 +1,10 @@
-//! Bit-identity suite for the SoA emulator refactor.
+//! Bit-identity suite for the emulator's layout and speed work.
 //!
-//! The struct-of-arrays lane state, radix-bucketed coalescing, and CSR
-//! DCFG arena are pure layout changes: every `AnalysisReport` they
-//! produce must be **bit-identical** to the pre-refactor analyzer. Two
-//! guards enforce that:
+//! The struct-of-arrays lane state, the instruction-major access walk
+//! with its sort-free line counts, and the CSR DCFG arena are pure layout
+//! changes: every `AnalysisReport` they produce must be
+//! **bit-identical** to the pre-refactor analyzer. Three guards enforce
+//! that:
 //!
 //! 1. A golden-report check: `tests/golden/soa_reports.json` holds the
 //!    serialized reports of every Table I workload × reconvergence model
@@ -14,17 +15,28 @@
 //! 2. Old-vs-new coalescing: the pre-refactor per-instruction algorithm
 //!    (classify by segment, then sort+dedup lines per segment) is
 //!    recomputed from the emulator's own `BlockStep`s over random
-//!    kernels and compared against the radix path's report counters.
+//!    kernels and compared against the report counters of both the sink
+//!    path and the sink-less path, which counts lines as it decodes them.
+//! 3. The paths no workload capture takes — warp-mates whose access
+//!    lists at one block differ, and a block whose accesses are listed
+//!    out of instruction order — on hand-built traces: the plain report,
+//!    the sink report and the classify-then-sort reference agree, and
+//!    every step's `MemGroups` equals a reference grouping of the lanes'
+//!    own accesses.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use threadfuser::analyzer::{analyze_indexed_with_sink, AnalysisIndex, BlockStep, StepSink};
-use threadfuser::ir::{AluOp, Cond, FuncId, Operand, Program, ProgramBuilder};
+use std::sync::Arc;
+use threadfuser::analyzer::{
+    analyze_indexed, analyze_indexed_with_sink, AnalysisIndex, BlockStep, StepSink,
+};
+use threadfuser::ir::{AluOp, BlockAddr, Cond, FuncId, Operand, Program, ProgramBuilder};
 use threadfuser::machine::{segment_of, MachineConfig, Segment};
 use threadfuser::mem::coalesce_transactions;
 use threadfuser::prelude::*;
-use threadfuser::tracer::trace_program;
+use threadfuser::tracer::{trace_program, ThreadTrace, TraceEvent, TraceSet};
 use threadfuser::workloads::all;
 
 const MODELS: [ReconvergenceModel; 3] = [
@@ -183,9 +195,11 @@ fn mem_kernel(stride: i64, elem: u8, arm_len: usize) -> (Program, FuncId) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
-    // The radix-bucketed coalescing path must report exactly the
-    // transaction/instruction/access counts the pre-refactor
-    // classify-then-sort algorithm computes from the same block steps.
+    // Both coalescing paths — the sink's, over each step's groups, and
+    // the sink-less walk that counts lines as it decodes them — must
+    // report exactly the transaction/instruction/access counts the
+    // pre-refactor classify-then-sort algorithm computes from the same
+    // block steps.
     #[test]
     fn radix_coalesce_matches_classify_sort(
         threads in prop_oneof![Just(7u32), Just(23), Just(32), Just(61)],
@@ -210,5 +224,205 @@ proptest! {
         prop_assert_eq!(report.stack.transactions, old.stack.0);
         prop_assert_eq!(report.stack.instructions, old.stack.1);
         prop_assert_eq!(report.stack.accesses, old.stack.2);
+        let plain = analyze_indexed(&program, &index, &config).expect("analysis succeeds");
+        prop_assert_eq!(plain, report);
     }
+}
+
+// ---------------------------------------------------------------------
+// The fallback grouping, on hand-built traces.
+// ---------------------------------------------------------------------
+
+/// One block execution's accesses: `(inst_idx, addr, size, is_store)`.
+type Mems = Vec<(u32, u64, u8, bool)>;
+
+/// Rebuilds every thread of `traces` with `ThreadTrace::push_block` /
+/// `push_mem`, after `edit(tid, accesses)` has rewritten each block
+/// execution's access list.
+fn rebuild(traces: &TraceSet, edit: impl Fn(u32, &mut Mems)) -> TraceSet {
+    let threads = traces.threads().iter().map(|t| {
+        let mut out = ThreadTrace::new(t.tid);
+        let mut open: Option<(BlockAddr, u32, Mems)> = None;
+        let flush = |out: &mut ThreadTrace, open: &mut Option<(BlockAddr, u32, Mems)>| {
+            if let Some((addr, n, mut mems)) = open.take() {
+                edit(t.tid, &mut mems);
+                out.push_block(addr, n);
+                for (inst, a, size, store) in mems {
+                    out.push_mem(inst, a, size, store);
+                }
+            }
+        };
+        for e in t.iter_events() {
+            match e {
+                TraceEvent::Block { addr, n_insts } => {
+                    flush(&mut out, &mut open);
+                    open = Some((addr, n_insts, Vec::new()));
+                }
+                TraceEvent::Mem { inst_idx, addr, size, is_store } => {
+                    open.as_mut().expect("a block").2.push((inst_idx, addr, size, is_store));
+                }
+                side => {
+                    flush(&mut out, &mut open);
+                    out.push_event(side);
+                }
+            }
+        }
+        flush(&mut out, &mut open);
+        (out.skipped_io, out.skipped_spin) = (t.skipped_io, t.skipped_spin);
+        out
+    });
+    TraceSet::new(threads.collect())
+}
+
+/// One block execution of a thread: its address and its accesses'
+/// `(inst_idx, addr, size)`.
+type BlockRun = (BlockAddr, Vec<(u32, u64, u32)>);
+
+/// Checks every step a sink sees against the threads' own block
+/// executions: the step's `MemGroups` must be the stable grouping by
+/// instruction of the active lanes' accesses, lanes ascending. Also
+/// recomputes the classify-then-sort counters.
+struct GroupingCheck {
+    /// Each thread's block executions still to come.
+    blocks: Vec<VecDeque<BlockRun>>,
+    warp_size: u32,
+    old: OldCoalesce,
+    steps: usize,
+}
+
+impl GroupingCheck {
+    fn new(traces: &TraceSet, warp_size: u32) -> Self {
+        let blocks = traces
+            .threads()
+            .iter()
+            .map(|t| {
+                let mut q = VecDeque::new();
+                for e in t.iter_events() {
+                    match e {
+                        TraceEvent::Block { addr, .. } => q.push_back((addr, Vec::new())),
+                        TraceEvent::Mem { inst_idx, addr, size, .. } => {
+                            let open: &mut BlockRun = q.back_mut().expect("a block");
+                            open.1.push((inst_idx, addr, size as u32));
+                        }
+                        _ => {}
+                    }
+                }
+                q
+            })
+            .collect();
+        GroupingCheck { blocks, warp_size, old: OldCoalesce::default(), steps: 0 }
+    }
+}
+
+impl StepSink for GroupingCheck {
+    fn on_step(&mut self, step: &BlockStep<'_>) {
+        self.steps += 1;
+        let mut triples = Vec::new();
+        for lane in (0..64).filter(|l| step.mask >> l & 1 != 0) {
+            let t = (step.warp * self.warp_size + lane) as usize;
+            let (addr, accesses) = self.blocks[t].pop_front().expect("the thread runs on");
+            assert_eq!((addr.func, addr.block), (step.func, step.block), "thread {t}");
+            triples.extend(accesses);
+        }
+        triples.sort_by_key(|&(inst, _, _)| inst);
+        let mut want: Vec<(u32, Vec<(u64, u32)>)> = Vec::new();
+        for (inst, a, size) in triples {
+            match want.last_mut() {
+                Some((i, acc)) if *i == inst => acc.push((a, size)),
+                _ => want.push((inst, vec![(a, size)])),
+            }
+        }
+        let got: Vec<(u32, Vec<(u64, u32)>)> =
+            step.mem.iter().map(|(inst, acc)| (inst, acc.to_vec())).collect();
+        assert_eq!(got, want, "warp {} at {}:{}", step.warp, step.func, step.block);
+        self.old.on_step(step);
+    }
+}
+
+/// The plain report, the sink report and the classify-then-sort reference
+/// agree on `traces` under every model at warp sizes 4 and 8, every
+/// step's groups match the lanes' own accesses, and the plain runs took
+/// the grouping fallback (by the `group_fallbacks` counter).
+fn assert_fallback_agrees(program: &Program, traces: &TraceSet, label: &str) {
+    let index = AnalysisIndex::build(program, traces).expect("index builds");
+    for warp in [4u32, 8] {
+        for m in MODELS {
+            let sink_obs = Arc::new(InMemorySink::new());
+            let config = AnalyzerConfig::new(warp).with_model(m);
+            let plain = analyze_indexed(
+                program,
+                &index,
+                &config.clone().with_obs(Obs::with_sink(sink_obs.clone())),
+            )
+            .expect("plain analysis");
+            let fallbacks = sink_obs.counter_total_for(Phase::WarpEmulate, "group_fallbacks");
+            assert!(fallbacks > 0, "{label} warp {warp} {m:?}: no step took the fallback");
+            let mut check = GroupingCheck::new(traces, warp);
+            let sink = analyze_indexed_with_sink(program, &index, &config, &mut check)
+                .expect("sink analysis");
+            assert!(check.steps > 0);
+            assert!(check.blocks.iter().all(VecDeque::is_empty), "every block was stepped");
+            assert_eq!(plain, sink, "{label} warp {warp} {m:?}: plain vs sink report");
+            let old = &check.old;
+            let seg = |r: &threadfuser::analyzer::SegmentTraffic| {
+                (r.transactions, r.instructions, r.accesses)
+            };
+            assert_eq!(seg(&sink.heap), old.heap, "{label} warp {warp} {m:?}: heap");
+            assert_eq!(seg(&sink.stack), old.stack, "{label} warp {warp} {m:?}: stack");
+        }
+    }
+}
+
+/// 13 threads of the random-kernel family: at warp 4 the last warp is a
+/// single lane, which takes the one-lane fast path under the stack
+/// models.
+fn fallback_capture() -> (Program, TraceSet) {
+    let (program, kernel) = mem_kernel(3, 4, 2);
+    let (traces, _) =
+        trace_program(&program, MachineConfig::new(kernel, 13)).expect("trace succeeds");
+    (program, traces)
+}
+
+/// Warp-mates reach one block with different access lists: every third
+/// thread makes one more access after each block's last, so lanes of one
+/// step run different shapes.
+#[test]
+fn lanes_with_different_access_lists_group_like_the_reference() {
+    let (program, traces) = fallback_capture();
+    let traces = rebuild(&traces, |tid, mems| {
+        if let (1, Some(&(inst, a, size, store))) = (tid % 3, mems.last()) {
+            mems.push((inst, a + 64 * (tid as u64 + 1), size, store));
+        }
+    });
+    assert_fallback_agrees(&program, &traces, "mixed shapes");
+}
+
+/// Reverses a block's access list and, when it spans two instructions,
+/// repeats its (now) first instruction after its last: one instruction's
+/// accesses are then neither in order nor contiguous.
+fn scramble(mems: &mut Mems) {
+    mems.reverse();
+    if let Some(&(inst, a, size, store)) = mems.first() {
+        if mems.iter().any(|m| m.0 != inst) {
+            mems.push((inst, a + 8, size, store));
+        }
+    }
+}
+
+/// A block lists its accesses out of instruction order (see
+/// [`scramble`]) — for all lanes, then for the even threads only, mixing
+/// both fallback causes in one step. The lone lane of the last warp at
+/// warp 4 runs such blocks on the one-lane path, which must group them as
+/// a many-lane step does.
+#[test]
+fn accesses_out_of_instruction_order_group_like_the_reference() {
+    let (program, traces) = fallback_capture();
+    let all = rebuild(&traces, |_, mems| scramble(mems));
+    assert_fallback_agrees(&program, &all, "scrambled");
+    let even = rebuild(&traces, |tid, mems| {
+        if tid % 2 == 0 {
+            scramble(mems);
+        }
+    });
+    assert_fallback_agrees(&program, &even, "even scrambled");
 }

@@ -17,6 +17,11 @@
 //! requests per *warp* (its report's per-function entries), however
 //! often the warps diverge.
 //!
+//! The emulator's coalescing work is pinned the same way, by count: the
+//! memory-instruction groups it counts, those whose line keys needed a
+//! sort, and the block steps that fell back to grouping collected
+//! accesses, read off its warp-emulation counters.
+//!
 //! These tests live in their own integration-test binary so the counting
 //! global allocator sees no allocations from unrelated tests, and take
 //! [`ONE_AT_A_TIME`] so they do not count each other's. The exact index
@@ -689,6 +694,62 @@ fn sweep_grid_allocations_are_bounded_per_warp() {
                     f.label()
                 );
             }
+        }
+    }
+}
+
+/// The coalescing work of one analysis, by its warp-emulation counters:
+/// `(coalesce_groups, coalesce_sorts, group_fallbacks)`.
+fn coalescing_work(view: TracedView<'_>) -> (u64, u64, u64) {
+    let sink = Arc::new(InMemorySink::new());
+    view.with_obs(Obs::with_sink(sink.clone())).analyze().expect("analysis");
+    let count = |name| sink.counter_total_for(Phase::WarpEmulate, name);
+    (count("coalesce_groups"), count("coalesce_sorts"), count("group_fallbacks"))
+}
+
+/// A workload capture's block steps all take the instruction-major access
+/// walk — no step falls back to grouping collected triples — and most of
+/// their memory instructions' line keys arrive in order, counted without a
+/// sort. The counts are exact, at one worker and at two: pinned on
+/// `pigz`@64 O3 for every model, whose keys all arrive in order, and on
+/// `hdsearch_mid`@64 O3, where over half of them need the sort.
+#[test]
+fn catalog_steps_coalesce_mostly_without_sorting() {
+    use ReconvergenceModel::{BranchMelding, IpdomStack, StacklessPcMin};
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cells = [
+        (
+            "pigz",
+            [
+                (IpdomStack, (853, 0, 0)),
+                (StacklessPcMin, (868, 0, 0)),
+                (BranchMelding, (853, 0, 0)),
+            ],
+        ),
+        (
+            "hdsearch_mid",
+            [
+                (IpdomStack, (827, 486, 0)),
+                (StacklessPcMin, (635, 440, 0)),
+                (BranchMelding, (827, 486, 0)),
+            ],
+        ),
+    ];
+    for (name, models) in cells {
+        let w = workloads::by_name(name).expect("workload exists");
+        let traced = Pipeline::from_workload(&w)
+            .threads(64)
+            .opt_level(OptLevel::O3)
+            .trace()
+            .expect("workload traces");
+        for (m, want) in models {
+            for workers in [1, 2] {
+                let got = coalescing_work(traced.view().with_model(m).with_parallelism(workers));
+                assert_eq!(got, want, "{name}@64 {} at {workers} workers", m.label());
+            }
+            let (groups, sorts, fallbacks) = want;
+            assert_eq!(fallbacks, 0, "{name}: a capture's steps never fall back");
+            assert!(sorts < groups, "{name} {}: {sorts} sorts of {groups} groups", m.label());
         }
     }
 }

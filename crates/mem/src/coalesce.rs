@@ -51,9 +51,9 @@ pub fn coalesce_transactions_with(
 /// work count it.
 ///
 /// The counting rule every coalescer here shares: the line keys are
-/// pushed into the scratch buffer `lines` as they arrive, an access equal
-/// to the one before it skipped. While the keys never decrease — coalesced,
-/// strided, broadcast and per-lane-stack accesses in lane order — a key
+/// pushed into the scratch buffer `lines` as they arrive. While the keys
+/// never decrease — coalesced, strided, broadcast and per-lane-stack
+/// accesses in lane order — a key
 /// differing from the last one pushed is a new line, so the count is done
 /// when the input ends; a key below the last one marks the sequence out of
 /// order, and the keys are then sorted and counted once more.
@@ -79,13 +79,7 @@ pub fn coalesce_transactions_tagged(
     lines.clear();
     let mut counts = [0u32; 2];
     let mut in_order = true;
-    let mut prev_access = None;
-    for access in accesses {
-        // A repeat of the access before it (a broadcast) adds no line.
-        if prev_access.replace(access) == Some(access) {
-            continue;
-        }
-        let (addr, size, tag) = access;
+    for (addr, size, tag) in accesses {
         debug_assert!(size > 0, "zero-sized access");
         let tag = if tag { TAG } else { 0 };
         let first = addr / TRANSACTION_BYTES;
@@ -93,7 +87,8 @@ pub fn coalesce_transactions_tagged(
         // wrap `addr + size - 1` around to line 0 (decoded traces can
         // carry any u64 address); it is clamped to the last line instead.
         let last = addr.saturating_add(size.saturating_sub(1) as u64) / TRANSACTION_BYTES;
-        for line in first..=last {
+        // `last < 2^59`, so `last + 1` cannot overflow.
+        for line in first..last + 1 {
             let key = line | tag;
             match lines.last() {
                 // A repeat of the last key adds no line and need not be
@@ -254,16 +249,10 @@ mod tests {
             let (plain, tagged, sorted) =
                 coalesce_transactions_tagged(&mut scratch, acc.iter().copied());
             prop_assert_eq!((plain, tagged), want);
-            // Exactly the key sequences that ever decrease, repeated
-            // accesses left out, take a sort.
-            let mut distinct = acc.clone();
-            distinct.dedup();
-            let keys = line_keys(&distinct);
+            // Exactly the key sequences that ever decrease take a sort.
+            let keys = line_keys(&acc);
             let in_order = keys.windows(2).all(|w| w[0] <= w[1]);
             prop_assert_eq!(sorted, !in_order, "{:?}", layout);
-            if matches!(layout, Layout::AllEqual) {
-                prop_assert!(!sorted, "a broadcast took a sort");
-            }
             let untagged: Vec<(u64, u32, bool)> =
                 acc.iter().map(|&(a, s, _)| (a, s, false)).collect();
             let plain_only = coalesce_transactions_with(

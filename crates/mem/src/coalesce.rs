@@ -77,7 +77,10 @@ pub fn coalesce_transactions_tagged(
 ) -> (u32, u32, bool) {
     const TAG: u64 = 1 << 63;
     lines.clear();
-    let mut counts = [0u32; 2];
+    // The last key pushed, plus one (keys stay below `2^63 + 2^59`); 0
+    // before the first.
+    let mut prev = 0u64;
+    let (mut distinct, mut tagged) = (0u32, 0u32);
     let mut in_order = true;
     for (addr, size, tag) in accesses {
         debug_assert!(size > 0, "zero-sized access");
@@ -90,18 +93,20 @@ pub fn coalesce_transactions_tagged(
         // `last < 2^59`, so `last + 1` cannot overflow.
         for line in first..last + 1 {
             let key = line | tag;
-            match lines.last() {
-                // A repeat of the last key adds no line and need not be
-                // kept: a later sort would only drop it again.
-                Some(&prev) if prev == key => continue,
-                Some(&prev) if prev > key => in_order = false,
-                _ => counts[(key >> 63) as usize] += 1,
+            // A repeat of the last key adds no line and need not be kept:
+            // a later sort would only drop it again.
+            if key + 1 == prev {
+                continue;
             }
+            in_order &= key + 1 > prev;
+            distinct += 1;
+            tagged += (key >> 63) as u32;
+            prev = key + 1;
             lines.push(key);
         }
     }
     if in_order {
-        return (counts[0], counts[1], false);
+        return (distinct - tagged, tagged, false);
     }
     lines.sort_unstable();
     lines.dedup();

@@ -292,14 +292,15 @@ impl Default for AnalyzerConfig {
 /// instruction index, each instruction's accesses lane by lane.
 ///
 /// Stored flat: one packed access arena (`acc`) plus per-instruction
-/// `bounds`, rebuilt each block step without allocating once warm. A step
-/// whose lanes all ran one shape that lists its accesses in instruction
-/// order appends straight into them, instruction by instruction and lane
-/// by lane inside. Any other step collects `(inst_idx, addr, size)`
+/// `bounds`, rebuilt each block step. A step whose lanes all ran one
+/// shape that lists its accesses in instruction order appends straight
+/// into them, instruction by instruction and lane by lane inside, without
+/// allocating once warm. Any other step collects `(inst_idx, addr, size)`
 /// triples lane by lane and groups them with one stable sort by
 /// instruction, which gives the same order: lanes ascending, each lane's
-/// accesses in trace order. Downstream coalescing and the step-sink
-/// protocol see identical access sequences either way.
+/// accesses in trace order. That sort may allocate scratch space on every
+/// call; only a hostile decoded file reaches it. Downstream coalescing
+/// and the step-sink protocol see identical access sequences either way.
 #[derive(Debug, Default)]
 pub struct MemGroups {
     /// The fallback's `(inst_idx, addr, size)` triples in collection
@@ -1664,26 +1665,12 @@ impl<'a, 's> WarpEmulator<'a, 's> {
         let sink = self.sink.is_some();
         match shape {
             None => {
-                self.s.mem.clear();
-                for l in lanes_of(mask) {
-                    let pos = &mut self.s.pos[l];
-                    for d in v.shapes.accesses(v.events[pos.event as usize - 1]) {
-                        self.s.mem.collect(d.inst, pos.next_addr(v.addrs), d.size as u32);
-                    }
-                }
-                self.s.mem.build();
-                self.s.group_fallbacks += 1;
-                if !sink {
-                    self.count_groups();
-                }
-            }
-            Some(shape) if !sink && mask & (mask - 1) == 0 => {
-                // One lane: its instruction runs are the groups, counted
-                // as on the one-lane path.
-                let l = mask.trailing_zeros() as usize;
-                let mut pos = self.s.pos[l];
-                self.singleton_mem(shape, v.addrs, &mut pos);
-                self.s.pos[l] = pos;
+                // Each lane's accesses follow the block event it just
+                // consumed.
+                let mut pos = take(&mut self.s.pos);
+                let lanes = pos.iter_mut().enumerate().filter(|&(l, _)| mask >> l & 1 != 0);
+                self.group_fallback(lanes.map(|(_, p)| (v.events[p.event as usize - 1], p)));
+                self.s.pos = pos;
             }
             Some(shape) => {
                 self.s.mem.clear();
@@ -1699,6 +1686,26 @@ impl<'a, 's> WarpEmulator<'a, 's> {
                     }
                 }
             }
+        }
+    }
+
+    /// The grouping fallback: collects each lane's accesses under its own
+    /// shape — `lanes` yields `(shape, cursor)` with lanes ascending, each
+    /// lane's accesses in trace order — groups them by instruction,
+    /// counts the fallback step, and with no sink (which has the groups
+    /// counted after its callback) coalesces the groups.
+    fn group_fallback<'p>(&mut self, lanes: impl Iterator<Item = (u32, &'p mut TapePos)>) {
+        let v = self.tape;
+        self.s.mem.clear();
+        for (shape, pos) in lanes {
+            for d in v.shapes.accesses(shape) {
+                self.s.mem.collect(d.inst, pos.next_addr(v.addrs), d.size as u32);
+            }
+        }
+        self.s.mem.build();
+        self.s.group_fallbacks += 1;
+        if self.sink.is_none() {
+            self.count_groups();
         }
     }
 
@@ -1775,18 +1782,11 @@ impl<'a, 's> WarpEmulator<'a, 's> {
     /// fallback, as a many-lane step's would be.
     fn singleton_mem(&mut self, ev: u32, addrs: &[u8], pos: &mut TapePos) {
         let shapes = self.tape.shapes;
-        let accs = shapes.accesses(ev);
         if !shapes.shape(ev).in_order() {
-            self.s.mem.clear();
-            for d in accs {
-                self.s.mem.collect(d.inst, pos.next_addr(addrs), d.size as u32);
-            }
-            self.s.mem.build();
-            self.s.group_fallbacks += 1;
-            self.count_groups();
+            self.group_fallback(std::iter::once((ev, pos)));
             return;
         }
-        for run in accs.chunk_by(|a, b| a.inst == b.inst) {
+        for run in shapes.accesses(ev).chunk_by(|a, b| a.inst == b.inst) {
             if let [d] = run {
                 // One access: its lines form a contiguous range, so the
                 // transaction count is the range length (identical to the

@@ -26,15 +26,33 @@ pub const TRANSACTION_BYTES: u64 = 32;
 /// let n = coalesce_transactions([(0u64, 8u32), (64, 8), (128, 8), (192, 8)]);
 /// assert_eq!(n, 4);
 /// ```
+///
+/// This is the count by its definition — every line of every access,
+/// sorted and deduplicated — and shares no code with the run-length rule
+/// of [`coalesce_transactions_tagged`], so tests can check that rule
+/// against it.
 pub fn coalesce_transactions(accesses: impl IntoIterator<Item = (u64, u32)>) -> u32 {
     // Warps are small (≤ 64 lanes); a sorted Vec beats a HashSet here.
     let mut lines: Vec<u64> = Vec::with_capacity(8);
-    coalesce_transactions_with(&mut lines, accesses)
+    for (addr, size) in accesses {
+        debug_assert!(size > 0, "zero-sized access");
+        let first = addr / TRANSACTION_BYTES;
+        // Saturate: an access at the top of the address space must not
+        // wrap `addr + size - 1` around to line 0 (decoded traces can
+        // carry any u64 address); it is clamped to the last line instead.
+        let last = addr.saturating_add(size.saturating_sub(1) as u64) / TRANSACTION_BYTES;
+        lines.extend(first..=last);
+    }
+    lines.sort_unstable();
+    lines.dedup();
+    lines.len() as u32
 }
 
 /// [`coalesce_transactions`] with a caller-provided scratch buffer, for
-/// hot loops that coalesce once per emulated memory instruction. The
-/// buffer is cleared on entry; its capacity is retained across calls.
+/// hot loops that coalesce once per emulated memory instruction: it
+/// counts by the run-length rule of [`coalesce_transactions_tagged`],
+/// sorting only keys that arrive out of order. The buffer is cleared on
+/// entry; its capacity is retained across calls.
 pub fn coalesce_transactions_with(
     lines: &mut Vec<u64>,
     accesses: impl IntoIterator<Item = (u64, u32)>,

@@ -124,7 +124,8 @@ fn golden_reports_bit_identical() {
 /// Recomputes memory-divergence counters from emulated block steps using
 /// the pre-refactor algorithm: for each memory instruction, classify the
 /// accesses by segment, then count distinct 32-byte lines per segment
-/// via the retained sort+dedup `coalesce_transactions`.
+/// via the sort+dedup `coalesce_transactions`, which shares no code with
+/// the emulator's run-length line count.
 #[derive(Default)]
 struct OldCoalesce {
     heap: (u64, u64, u64), // (transactions, instructions, accesses)

@@ -722,7 +722,7 @@ fn catalog_steps_coalesce_mostly_without_sorting() {
             "pigz",
             [
                 (IpdomStack, (853, 0, 0)),
-                (StacklessPcMin, (868, 0, 0)),
+                (StacklessPcMin, (1251, 0, 0)),
                 (BranchMelding, (853, 0, 0)),
             ],
         ),
@@ -730,7 +730,7 @@ fn catalog_steps_coalesce_mostly_without_sorting() {
             "hdsearch_mid",
             [
                 (IpdomStack, (827, 486, 0)),
-                (StacklessPcMin, (635, 440, 0)),
+                (StacklessPcMin, (951, 440, 0)),
                 (BranchMelding, (827, 486, 0)),
             ],
         ),

@@ -6,7 +6,7 @@
 //! validation) followed by IPDOM solving — yet none of it depends on warp
 //! size, batching, lock emulation, reconvergence policy, or parallelism.
 //! [`AnalysisIndex`] computes it once; config sweeps over one capture
-//! ([`crate::analyze_indexed`], `Traced::with_analyzer` in the
+//! ([`crate::AnalyzerConfig::analyze_indexed`], `Traced::with_analyzer` in the
 //! `threadfuser` facade) replay warps against the same index instead of
 //! re-deriving it per call.
 //!

@@ -78,9 +78,8 @@ pub use batching::{BatchPolicy, WarpPlan};
 pub use dcfg::{Dcfg, DcfgSet};
 pub use dwf::{dwf_upper_bound, DwfBound};
 pub use emulator::{
-    analyze_indexed, analyze_indexed_with_sink, analyze_indexed_with_warp_sinks, AnalyzerConfig,
-    BlockStep, MemGroups, ReconvergenceModel, ReconvergencePolicy, StepSink, WarpFormation,
-    WarpRunner,
+    analyze_indexed_with_sink, analyze_indexed_with_warp_sinks, AnalyzerConfig, BlockStep,
+    MemGroups, ReconvergenceModel, ReconvergencePolicy, StepSink, WarpFormation, WarpRunner,
 };
 pub use index::{AnalysisIndex, ChunkIndexError};
 pub use report::{AnalysisReport, FunctionReport, SegmentTraffic};

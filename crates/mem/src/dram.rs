@@ -35,14 +35,12 @@ impl DramConfig {
 pub struct Dram {
     config: DramConfig,
     channel_free: u64,
-    transactions: u64,
-    busy_cycles: u64,
 }
 
 impl Dram {
     /// Creates an idle channel.
     pub fn new(config: DramConfig) -> Self {
-        Dram { config, channel_free: 0, transactions: 0, busy_cycles: 0 }
+        Dram { config, channel_free: 0 }
     }
 
     /// Services one transaction arriving at `now`; returns its completion
@@ -50,19 +48,7 @@ impl Dram {
     pub fn access(&mut self, now: u64) -> u64 {
         let start = now.max(self.channel_free);
         self.channel_free = start + self.config.cycles_per_transaction;
-        self.transactions += 1;
-        self.busy_cycles += self.config.cycles_per_transaction;
         start + self.config.latency
-    }
-
-    /// Total transactions serviced.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    /// Cycles the channel was occupied.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 }
 
@@ -83,7 +69,6 @@ mod tests {
         // Second request at the same cycle waits for the channel.
         assert_eq!(d.access(0), 104);
         assert_eq!(d.access(0), 108);
-        assert_eq!(d.transactions(), 3);
     }
 
     #[test]
@@ -91,13 +76,5 @@ mod tests {
         let mut d = Dram::new(DramConfig { latency: 100, cycles_per_transaction: 4 });
         d.access(0);
         assert_eq!(d.access(1000), 1100, "no queueing after a long gap");
-    }
-
-    #[test]
-    fn busy_cycles_accumulate() {
-        let mut d = Dram::new(DramConfig { latency: 10, cycles_per_transaction: 3 });
-        d.access(0);
-        d.access(0);
-        assert_eq!(d.busy_cycles(), 6);
     }
 }

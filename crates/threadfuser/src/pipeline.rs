@@ -218,7 +218,7 @@ impl Pipeline {
     /// Creates a pipeline for an arbitrary program/kernel pair. Analyzer
     /// parallelism defaults to the host's available parallelism.
     pub fn new(program: Program, kernel: FuncId) -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let workers = threadfuser_obs::resolve_workers(0);
         Pipeline {
             program,
             kernel,
@@ -535,11 +535,9 @@ fn run_lockstep_observed(
 /// the unit of work: the worker that claims core `c` emulates `c`'s warps
 /// into its reused recording buffer, simulates `c` from it and keeps the
 /// warps' reports, which fold in warp order into the run's report,
-/// returned next to the projection. Only a device with fewer active cores
-/// than the per-warp emulation has workers records the whole program
-/// first, with that fan-out, and simulates from the recording: streaming
-/// would leave workers idle. Either way the statistics equal simulating
-/// the materialized warp traces, and an emulation failure is the
+/// returned next to the projection; at most one core's recording per
+/// worker is held. Either way the statistics equal simulating the
+/// materialized warp traces, and an emulation failure is the
 /// lowest-indexed failing warp's, as `analyze` reports it.
 fn project_speedup_impl(
     traced: &Traced,
@@ -573,16 +571,8 @@ fn project_speedup_impl(
     };
     let runner = WarpRunner::new(&traced.program, &index, analyzer);
     let n_warps = runner.warp_count();
-    // Streaming runs one worker per active core at most; the per-warp
-    // emulation runs one per warp.
-    let streamed = simt.workers.min((simt.n_cores.max(1) as usize).min(n_warps));
-    let per_warp = analyzer.parallelism.max(1).min(n_warps);
     let (gpu_stats, report) = match recording {
         Some(rec) => (simulate_observed(&*rec, &simt, obs), None),
-        None if streamed < per_warp => {
-            let (report, rec) = record_warp_steps_indexed(&traced.program, &index, analyzer)?;
-            (simulate_observed(&rec, &simt, obs), Some(report))
-        }
         None => {
             let empty = WarpRecording::empty(&traced.program, analyzer.warp_size);
             let (stats, cores) = simulate_cores_observed(
@@ -832,10 +822,8 @@ impl Traced {
     /// simulator issues from the cached step recording when
     /// [`Traced::warp_traces`] already made one, and otherwise emulates
     /// and simulates one core's warps at a time, holding at most one
-    /// core's recording per worker. A device with fewer cores than the
-    /// emulation has workers is recorded whole instead, so no worker
-    /// idles. That emulation's report is cached (its recording is not), so
-    /// a later [`Traced::analyze`] is free.
+    /// core's recording per worker. That emulation's report is cached (its
+    /// recording is not), so a later [`Traced::analyze`] is free.
     ///
     /// # Errors
     /// Propagates analyzer errors,
@@ -981,8 +969,7 @@ impl TracedView<'_> {
     /// Projects the SIMT-over-CPU speedup under this view's configuration,
     /// emulating and simulating one core's warps at a time like
     /// [`Traced::project_speedup`] on a capture without a recording: no
-    /// [`WarpTraceSet`] is built, no whole-program recording either unless
-    /// the device has fewer cores than the emulation has workers, and
+    /// [`WarpTraceSet`] is built, no whole-program recording either, and
     /// nothing is cached.
     ///
     /// # Errors

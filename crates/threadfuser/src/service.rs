@@ -272,10 +272,7 @@ impl AnalyzerKnobs {
     /// Applies the knobs to a capture view (resolving `parallelism: 0` to
     /// the host's available parallelism).
     fn apply<'t>(&self, view: TracedView<'t>) -> TracedView<'t> {
-        let workers = match self.parallelism {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n as usize,
-        };
+        let workers = threadfuser_obs::resolve_workers(self.parallelism as usize);
         view.with_warp(self.warp_size)
             .with_batching(self.batching)
             .with_locks(self.intra_warp_locks)

@@ -6,8 +6,7 @@
 //! tolerance.
 //!
 //! A speedup projection without a whole-program recording emulates and
-//! simulates one SIMT core's warps at a time (or, with fewer cores than
-//! workers, records the whole program first); its statistics, report and
+//! simulates one SIMT core's warps at a time; its statistics, report and
 //! errors must still equal the materialized path's at every worker count
 //! and device width.
 //!
@@ -124,8 +123,7 @@ fn truncated_simulation_is_surfaced_not_projected() {
 /// traces plus simulating the CPU, exactly: on a capture that streams core
 /// by core and on one that already holds its recording, at every worker
 /// count, on one core, a few, the default device, and more cores than
-/// warps. With fewer cores than workers the projection records the whole
-/// program with the per-warp fan-out instead; that path must agree too.
+/// warps.
 #[test]
 fn per_core_projection_equals_simulating_the_warp_traces() {
     for name in ["bfs", "pigz"] {
@@ -165,12 +163,11 @@ fn per_core_projection_equals_simulating_the_warp_traces() {
 }
 
 /// Which emulation a projection runs: a capture that holds its recording
-/// emulates nothing; a device with at least one core per worker streams
-/// core by core and records no whole program; a device with fewer cores
-/// than workers records the whole program once, with the per-warp
-/// fan-out, and keeps only its report.
+/// emulates nothing; any other streams core by core and records no whole
+/// program, even a one-core device over two workers, and keeps only its
+/// report.
 #[test]
-fn projection_emulates_per_core_unless_cores_are_scarce() {
+fn projection_streams_per_core_unless_recorded() {
     let w = by_name("pigz").unwrap();
     let traced = |sink: &Arc<InMemorySink>| {
         let pipeline = Pipeline::from_workload(&w).threads(512).parallelism(2);
@@ -194,12 +191,12 @@ fn projection_emulates_per_core_unless_cores_are_scarce() {
     let one_core = traced(&sink);
     let simt = SimtSimConfig { n_cores: 1, ..SimtSimConfig::default() };
     one_core.project_speedup(&simt, &cpu).unwrap();
-    assert_eq!(sink.counter_total("warp_recordings"), 1, "one core over 2 workers records");
+    assert_eq!(sink.counter_total("warp_recordings"), 0, "one core over 2 workers streams");
     let spans = sink.span_count(Phase::WarpEmulate);
     one_core.analyze().unwrap();
     assert_eq!(sink.span_count(Phase::WarpEmulate), spans, "the report is cached");
     one_core.warp_traces().unwrap();
-    assert_eq!(sink.counter_total("warp_recordings"), 2, "the recording is not");
+    assert_eq!(sink.counter_total("warp_recordings"), 1, "the recording is not");
 }
 
 /// A streamed projection caches the report of the emulation it ran, so the

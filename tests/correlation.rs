@@ -2,9 +2,10 @@
 //! executable assertions, on a subset of the correlation set (the full
 //! sweep lives in the `fig05_correlation` harness).
 
+use std::path::Path;
 use threadfuser::analyzer::stats::{mean_absolute_error, mean_absolute_pct_error, pearson};
 use threadfuser::ir::OptLevel;
-use threadfuser::workloads::{by_name, correlation_set};
+use threadfuser::workloads::{self, by_name, correlation_set};
 use threadfuser::Pipeline;
 
 const SUBSET: &[&str] = &["bfs", "nn", "btree", "cc", "vectoradd"];
@@ -83,4 +84,53 @@ fn correlation_set_has_eleven_gpu_workloads() {
     let set = correlation_set();
     assert_eq!(set.len(), 11);
     assert!(set.iter().all(|w| w.meta.has_gpu_impl));
+}
+
+/// The lock-step machine's counters on every catalog workload at 64
+/// threads, O1 and O3, warps 8 and 32, equal the table pinned in
+/// `tests/golden/lockstep_stats.txt`: issues, thread instructions, and
+/// the heap and stack `transactions instructions accesses` triples, or
+/// the run's error. Regenerate deliberately with
+/// `TF_BLESS=1 cargo test --test correlation`.
+#[test]
+fn lockstep_stats_match_the_pinned_table() {
+    let mut table = String::new();
+    for w in workloads::all() {
+        for opt in [OptLevel::O1, OptLevel::O3] {
+            for warp in [8, 32] {
+                let hw = Pipeline::from_workload(&w)
+                    .threads(64)
+                    .warp_size(warp)
+                    .hardware_opt_level(opt)
+                    .measure_hardware();
+                let row = match hw {
+                    Ok(s) => format!(
+                        "issues {} thread_insts {} heap {} {} {} stack {} {} {}",
+                        s.issues,
+                        s.thread_insts,
+                        s.heap.transactions,
+                        s.heap.instructions,
+                        s.heap.accesses,
+                        s.stack.transactions,
+                        s.stack.instructions,
+                        s.stack.accesses
+                    ),
+                    Err(e) => format!("error {e}"),
+                };
+                table.push_str(&format!("{} {opt:?} w{warp}: {row}\n", w.meta.name));
+            }
+        }
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/lockstep_stats.txt");
+    if std::env::var("TF_BLESS").is_ok() {
+        std::fs::write(&path, &table).expect("pinned table written");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("{}: {e} (regenerate with TF_BLESS=1 cargo test --test correlation)", path.display())
+    });
+    for (got, want) in table.lines().zip(want.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(table.lines().count(), want.lines().count(), "pinned rows");
 }

@@ -3,36 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use threadfuser_ir::FuncId;
-
-/// Memory-divergence counters for one segment (stack or heap), mirroring
-/// the paper's transactions-per-load/store reporting (Figs. 5b, 10).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SegmentTraffic {
-    /// 32-byte transactions issued.
-    pub transactions: u64,
-    /// Warp-level memory instructions touching this segment.
-    pub instructions: u64,
-    /// Individual per-thread accesses.
-    pub accesses: u64,
-}
-
-impl SegmentTraffic {
-    /// Average transactions per warp-level memory instruction.
-    pub fn transactions_per_inst(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.transactions as f64 / self.instructions as f64
-        }
-    }
-
-    /// Accumulates another counter set.
-    pub fn merge(&mut self, other: &SegmentTraffic) {
-        self.transactions += other.transactions;
-        self.instructions += other.instructions;
-        self.accesses += other.accesses;
-    }
-}
+use threadfuser_machine::SegmentTraffic;
 
 /// Per-function efficiency entry (paper Fig. 7): instruction counts and
 /// lock-step issues attributed to the function's *own* blocks, excluding

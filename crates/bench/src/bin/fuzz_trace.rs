@@ -105,7 +105,7 @@ fn synthetic_set() -> TraceSet {
 
 /// A valid capture whose addresses sit at the very top of the address
 /// space: decoding must succeed AND downstream coalescing must not
-/// overflow (the `coalesce_transactions_with` wrap bug this PR fixes).
+/// overflow: line keys saturate at the top of the address space.
 fn overflow_bait_set() -> TraceSet {
     let t = ThreadTrace::from_events(
         0,

@@ -29,10 +29,8 @@ pub mod predecode;
 pub use exec::{ExecCtx, MemAccess, Next, Trap};
 pub use heap::{Heap, HeapError};
 pub use hooks::{ExecHook, NoopHook, SkipKind};
-pub use layout::{segment_of, Segment};
-pub use lockstep::{
-    LockstepConfig, LockstepError, LockstepMachine, LockstepStats, SegmentMemStats,
-};
+pub use layout::{count_mem_inst, segment_of, Segment, SegmentTraffic};
+pub use lockstep::{LockstepConfig, LockstepError, LockstepMachine, LockstepStats};
 pub use memory::Memory;
 pub use mimd::{Machine, MachineConfig, MachineError, RunStats, ThreadStats};
 pub use predecode::ExecProgram;

@@ -48,18 +48,6 @@ pub fn coalesce_transactions(accesses: impl IntoIterator<Item = (u64, u32)>) -> 
     lines.len() as u32
 }
 
-/// [`coalesce_transactions`] with a caller-provided scratch buffer, for
-/// hot loops that coalesce once per emulated memory instruction: it
-/// counts by the run-length rule of [`coalesce_transactions_tagged`],
-/// sorting only keys that arrive out of order. The buffer is cleared on
-/// entry; its capacity is retained across calls.
-pub fn coalesce_transactions_with(
-    lines: &mut Vec<u64>,
-    accesses: impl IntoIterator<Item = (u64, u32)>,
-) -> u32 {
-    coalesce_transactions_tagged(lines, accesses.into_iter().map(|(a, s)| (a, s, false))).0
-}
-
 /// Two-way tagged coalescing: counts distinct 32-byte lines separately
 /// for plain (`tag = false`) and tagged (`tag = true`) accesses in **one**
 /// pass — each line key carries its tag in bit 63 (free because
@@ -76,9 +64,12 @@ pub fn coalesce_transactions_with(
 /// when the input ends; a key below the last one marks the sequence out of
 /// order, and the keys are then sorted and counted once more.
 ///
-/// ThreadFuser's emulator tags stack-segment accesses, coalescing each
+/// The analyzer's emulator and the lock-step machine tag stack-segment
+/// accesses (`threadfuser_machine::count_mem_inst`), coalescing each
 /// memory instruction's heap and stack traffic in one pass; results are
 /// identical to calling [`coalesce_transactions`] on the two partitions.
+/// The scratch buffer is cleared on entry; its capacity is retained across
+/// calls.
 ///
 /// ```
 /// use threadfuser_mem::coalesce_transactions_tagged;
@@ -278,10 +269,9 @@ mod tests {
             prop_assert_eq!(sorted, !in_order, "{:?}", layout);
             let untagged: Vec<(u64, u32, bool)> =
                 acc.iter().map(|&(a, s, _)| (a, s, false)).collect();
-            let plain_only = coalesce_transactions_with(
-                &mut scratch,
-                untagged.iter().map(|&(a, s, _)| (a, s)),
-            );
+            let (plain_only, none_tagged, _) =
+                coalesce_transactions_tagged(&mut scratch, untagged.iter().copied());
+            prop_assert_eq!(none_tagged, 0);
             prop_assert_eq!(plain_only, sort_dedup(&untagged).0);
             prop_assert_eq!(plain_only, coalesce_transactions(untagged.iter().map(|&(a, s, _)| (a, s))));
         }

@@ -19,9 +19,6 @@ pub mod dram;
 pub mod hierarchy;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use coalesce::{
-    coalesce_transactions, coalesce_transactions_tagged, coalesce_transactions_with,
-    TRANSACTION_BYTES,
-};
+pub use coalesce::{coalesce_transactions, coalesce_transactions_tagged, TRANSACTION_BYTES};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, HierarchyStats};

@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use threadfuser_analyzer::{
     AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig, BatchPolicy, ChunkIndexError,
-    ReconvergenceModel, ReconvergencePolicy, WarpFormation, WarpRunner,
+    ReconvergenceModel, ReconvergencePolicy, WarpFormation, WarpRunner, WarpScratch,
 };
 use threadfuser_cpusim::{simulate_cpu_observed, CpuSimConfig, CpuSimStats};
 use threadfuser_ir::{FuncCfg, FuncId, OptLevel, Program};
@@ -30,11 +30,11 @@ use threadfuser_machine::{
 };
 use threadfuser_obs::{Obs, Phase};
 use threadfuser_simtsim::{
-    simulate_cores_observed, simulate_observed, SimtSimConfig, SimtSimStats,
+    simulate_cores_observed, simulate_observed, SimtSimConfig, SimtSimStats, WarpSource,
 };
 use threadfuser_tracegen::{
-    expand_warp_recording, generate_warp_traces_indexed, record_warp_steps_indexed, WarpRecording,
-    WarpTraceSet,
+    expand_warp_recording, generate_warp_traces_indexed, record_warp_steps_indexed, MicroInst,
+    WarpRecording, WarpTraceSet,
 };
 use threadfuser_tracer::{
     trace_program_observed, DecodeError, DecodeOptions, Quarantined, TraceSet, TraceSetReader,
@@ -579,8 +579,8 @@ fn project_speedup_impl(
                 n_warps,
                 &simt,
                 obs,
-                || empty.clone(),
-                |warps, buf| buf.record_warps(&runner, warps),
+                || CoreWorker { recording: empty.clone(), scratch: WarpScratch::default() },
+                |warps, w| w.recording.record_warps(&runner, &mut w.scratch, warps),
             );
             // Every core emulates its warps in order up to its first
             // failure, so the lowest failing warp overall is among them.
@@ -607,6 +607,23 @@ fn project_speedup_impl(
     }
     let projection = SpeedupProjection { gpu: gpu_stats, cpu: cpu_stats, speedup: cpu_s / gpu_s };
     Ok((projection, report))
+}
+
+/// One streamed projection worker's state: the recording buffer its cores'
+/// warps are emulated into and simulated from, and its emulator scratch.
+struct CoreWorker {
+    recording: WarpRecording,
+    scratch: WarpScratch,
+}
+
+impl WarpSource for CoreWorker {
+    fn warp_count(&self) -> usize {
+        self.recording.warp_count()
+    }
+
+    fn warp(&self, w: usize) -> impl Iterator<Item = MicroInst<'_>> {
+        self.recording.micro_ops(w)
+    }
 }
 
 /// Where a capture's thread streams live besides its index: the decoded

@@ -15,11 +15,11 @@
 //! * **memory-space mapping**: stack-segment accesses become SIMT *local*
 //!   space, everything else *global* space.
 //!
-//! Generation is parallel: each warp decomposes into its own private
-//! sink while the underlying lock-step emulation fans warps across
-//! `AnalyzerConfig::parallelism` workers, and the per-warp streams are
-//! merged in warp order — the produced [`WarpTraceSet`] is bit-identical
-//! at any worker count.
+//! Generation is parallel: the analyzer's one emulation driver
+//! (`WarpRunner`) fans warps across `AnalyzerConfig::parallelism`
+//! workers, each emulating into its own scratch and recording each warp
+//! into a private sink, and the per-warp streams are merged in warp order
+//! — the produced [`WarpTraceSet`] is bit-identical at any worker count.
 //!
 //! The trace files of the paper exist because Accel-Sim is a separate
 //! process. Here generator and simulator share an address space, so the
@@ -29,7 +29,8 @@
 //! [`expand_warp_recording`] collects for callers who want the set. A
 //! projection need not hold the whole program's recording either:
 //! [`WarpRecording::record_warps`] records one SIMT core's warps into a
-//! reused buffer.
+//! buffer that a simulator worker reuses, with that worker's emulator
+//! scratch.
 //!
 //! ```
 //! use threadfuser_ir::{ProgramBuilder, Operand};
@@ -55,8 +56,8 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use threadfuser_analyzer::{
-    analyze_indexed_with_warp_sinks, AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig,
-    BlockStep, StepSink, WarpRunner,
+    AnalysisIndex, AnalysisReport, AnalyzeError, AnalyzerConfig, BlockStep, StepSink, WarpRunner,
+    WarpScratch,
 };
 use threadfuser_ir::{Inst, Program, Terminator};
 use threadfuser_machine::{segment_of, Segment};
@@ -341,8 +342,9 @@ impl StepSink for WarpRec {
 
 /// A compact capture of a lock-step emulation: everything needed to
 /// produce its warps' micro-op streams without replaying them. It holds
-/// either the whole emulation ([`record_warp_steps_indexed`]) or one group
-/// of its warps ([`WarpRecording::record_warps`]).
+/// either the whole emulation ([`record_warp_steps_indexed`], one warp per
+/// pool item) or one group of its warps ([`WarpRecording::record_warps`],
+/// emulated in order in one worker's scratch).
 ///
 /// Recording is what the emulation-side sink does (a few arena appends
 /// per step); the CISC → RISC decomposition runs afterwards, outside the
@@ -372,9 +374,10 @@ impl WarpRecording {
     }
 
     /// Replaces the recording with warps `warps` (ascending) of `runner`'s
-    /// emulation, emulated in order on the calling thread: the recording's
-    /// warp `k` is warp `warps[k]`. The arenas of the warps it held are
-    /// reused. Returns the warps' reports, in the same order.
+    /// emulation, emulated in order on the calling thread in the caller's
+    /// emulator `scratch`: the recording's warp `k` is warp `warps[k]`. The
+    /// arenas of the warps it held are reused. Returns the warps' reports,
+    /// in the same order.
     ///
     /// # Errors
     /// The group's first failing warp, with its index; the recording then
@@ -382,12 +385,14 @@ impl WarpRecording {
     pub fn record_warps(
         &mut self,
         runner: &WarpRunner<'_>,
+        scratch: &mut WarpScratch,
         warps: &[usize],
     ) -> Result<Vec<AnalysisReport>, (usize, AnalyzeError)> {
         self.warps.truncate(warps.len());
         self.warps.iter_mut().for_each(WarpRec::clear);
         self.warps.resize_with(warps.len(), WarpRec::default);
-        runner.run_warps(warps, &mut self.warps)
+        let runs = warps.iter().zip(&mut self.warps);
+        runs.map(|(&w, rec)| runner.run_warp(w, scratch, Some(rec)).map_err(|e| (w, e))).collect()
     }
 
     /// Recorded warp count.
@@ -396,7 +401,7 @@ impl WarpRecording {
     }
 
     /// Total recorded lock-step block executions.
-    pub fn total_steps(&self) -> u64 {
+    pub(crate) fn total_steps(&self) -> u64 {
         self.warps.iter().map(|w| w.steps.len() as u64).sum()
     }
 
@@ -497,10 +502,21 @@ pub fn record_warp_steps_indexed(
     config: &AnalyzerConfig,
 ) -> Result<(AnalysisReport, WarpRecording), AnalyzeError> {
     // One sink per warp lets the emulation fan across workers while the
-    // recording, handed back in warp order, stays bit-identical to a
-    // sequential run.
-    let (report, mut warps) =
-        analyze_indexed_with_warp_sinks(program, index, config, |_| WarpRec::default())?;
+    // recording, merged in warp order, stays bit-identical to a sequential
+    // run.
+    let runner = WarpRunner::new(program, index, config);
+    let mut report = runner.report([]);
+    let mut warps = Vec::with_capacity(runner.warp_count());
+    runner.fan_out(
+        |scratch, i| {
+            let mut rec = WarpRec::default();
+            runner.run_warp(i, scratch, Some(&mut rec)).map(|r| (r, rec))
+        },
+        |(r, rec)| {
+            report.merge(r);
+            warps.push(rec);
+        },
+    )?;
     // The pre-parallel generator grew its warp list lazily, so warps past
     // the last one that ever stepped were absent; keep that shape.
     while warps.last().is_some_and(|w| w.steps.is_empty()) {

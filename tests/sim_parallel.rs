@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use threadfuser::analyzer::WarpRunner;
+use threadfuser::analyzer::{WarpRunner, WarpScratch};
 use threadfuser::cpusim::{simulate_cpu, CpuSimConfig};
 use threadfuser::ir::{AluOp, Cond, Operand, ProgramBuilder};
 use threadfuser::prelude::*;
@@ -234,7 +234,7 @@ fn failing_projection_reports_the_lowest_failing_warp() {
     let runner = WarpRunner::new(traced.program(), &index, config);
     let all: Vec<usize> = (0..runner.warp_count()).collect();
     let mut recording = WarpRecording::empty(traced.program(), config.warp_size);
-    let warps = recording.record_warps(&runner, &all).unwrap();
+    let warps = recording.record_warps(&runner, &mut WarpScratch::default(), &all).unwrap();
     let issues: Vec<u64> = warps.iter().map(|r| r.issues).collect();
     // Warp 0's issue count: warp 0 passes and every warp with more issues
     // fails — on a 4-core device the first failing warp need not be on

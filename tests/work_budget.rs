@@ -38,7 +38,7 @@ use counting_alloc::{allocs, live, peak_delta, thread_live};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::sync::Mutex;
-use threadfuser::analyzer::{AnalysisIndex, WarpRunner};
+use threadfuser::analyzer::{AnalysisIndex, WarpRunner, WarpScratch};
 use threadfuser::cpusim::CpuSimConfig;
 use threadfuser::ir::{BlockAddr, Program};
 use threadfuser::machine::{Machine, MachineConfig, NoopHook};
@@ -64,18 +64,20 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// The heap one SIMT core's step recording takes, for the largest core of
 /// `traced`'s capture on a device of `n_cores`: each core's warps recorded
-/// into a fresh buffer, as a projection worker's first core is.
+/// into a fresh buffer, as a projection worker's first core is, by one
+/// worker's emulator scratch (grown by the first core, reused after).
 fn largest_core_recording(traced: &Traced, n_cores: usize) -> usize {
     let index = traced.index().expect("index");
     let config = traced.analyzer_config();
     let runner = WarpRunner::new(traced.program(), &index, config);
     let empty = WarpRecording::empty(traced.program(), config.warp_size);
+    let mut scratch = WarpScratch::default();
     (0..n_cores.min(runner.warp_count()))
         .map(|core| {
             let warps: Vec<usize> = (core..runner.warp_count()).step_by(n_cores).collect();
             let mut buf = empty.clone();
             let base = live();
-            buf.record_warps(&runner, &warps).expect("core emulates");
+            buf.record_warps(&runner, &mut scratch, &warps).expect("core emulates");
             live() - base
         })
         .max()

@@ -22,7 +22,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> pub ratchet (the public API may only shrink)"
 # ROADMAP's count of `pub` items over crates/*/src. A change that makes
 # items crate-private lowers the ceiling to its new count; none raises it.
-PUB_CEILING=748
+PUB_CEILING=746
 PUB_COUNT=$(grep -rhE '^\s*pub (fn|struct|enum|trait|type|const|static|mod|use)' crates/*/src | wc -l)
 echo "    $PUB_COUNT pub items, ceiling $PUB_CEILING"
 [ "$PUB_COUNT" -le "$PUB_CEILING" ]

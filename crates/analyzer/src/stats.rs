@@ -71,17 +71,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     (s / values.len() as f64).exp()
 }
 
-/// Population standard deviation.
-///
-/// # Panics
-/// Panics on empty input.
-pub fn stddev(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "empty input");
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    (values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +106,6 @@ mod tests {
     fn geomean_of_identical_is_identity() {
         assert!((geomean(&[4.0, 4.0, 4.0]) - 4.0).abs() < 1e-9);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stddev_basics() {
-        assert_eq!(stddev(&[3.0, 3.0, 3.0]), 0.0);
-        assert!((stddev(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
     proptest! {

@@ -93,13 +93,8 @@ impl Heap {
     }
 
     /// Total successful allocations.
-    pub fn alloc_count(&self) -> u64 {
+    pub(crate) fn alloc_count(&self) -> u64 {
         self.allocs
-    }
-
-    /// Currently live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
     }
 }
 
@@ -152,6 +147,5 @@ mod tests {
         let _b = h.alloc(16).unwrap();
         h.free(a).unwrap();
         assert_eq!(h.alloc_count(), 2);
-        assert_eq!(h.live_count(), 1);
     }
 }

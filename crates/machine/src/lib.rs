@@ -14,8 +14,12 @@
 //!   against (paper Fig. 5), complete with a hardware SIMT reconvergence
 //!   stack and 32-byte-transaction coalescing.
 //!
-//! Both modes share one instruction executor ([`exec`]), guaranteeing
-//! identical semantics on both sides of the correlation study.
+//! Both modes share one instruction executor ([`exec`]) and one call-frame
+//! rule, guaranteeing identical semantics on both sides of the correlation
+//! study. The lock-step machine and the analyzer's trace emulator share
+//! one SIMT split machine ([`simt`]) and one memory-instruction counting
+//! rule ([`count_mem_inst`]), so the rule the study compares is written
+//! once.
 
 pub mod exec;
 pub mod heap;
@@ -25,6 +29,7 @@ pub mod lockstep;
 pub mod memory;
 pub mod mimd;
 pub mod predecode;
+pub mod simt;
 
 pub use exec::{ExecCtx, MemAccess, Next, Trap};
 pub use heap::{Heap, HeapError};

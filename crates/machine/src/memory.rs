@@ -59,7 +59,7 @@ pub struct Memory {
 /// aligned, from [`GLOBAL_BASE`], in declaration order. This layout is a
 /// pure function of the program, which is what lets the predecoded
 /// execution engine bake absolute global addresses into its operands.
-pub fn global_layout(program: &Program) -> Vec<u64> {
+pub(crate) fn global_layout(program: &Program) -> Vec<u64> {
     let mut addrs = Vec::with_capacity(program.globals().len());
     let mut cursor = GLOBAL_BASE;
     for g in program.globals() {
@@ -77,7 +77,7 @@ impl Memory {
 
     /// Creates a memory image with `program`'s globals placed consecutively
     /// (64-byte aligned) from [`GLOBAL_BASE`]; see [`global_layout`].
-    pub fn with_globals(program: &Program) -> Self {
+    pub(crate) fn with_globals(program: &Program) -> Self {
         let mut mem = Memory::new();
         mem.global_addrs = global_layout(program);
         for (i, g) in program.globals().iter().enumerate() {
@@ -157,7 +157,7 @@ impl Memory {
     }
 
     /// Writes a byte range.
-    pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, addr: u64, data: &[u8]) {
         let mut a = addr;
         let mut off = 0usize;
         while off < data.len() {

@@ -9,7 +9,7 @@
 //! (`ExecCtx::exec_flat`): operands are dense register indices and one
 //! inline immediate, global bases are folded into that immediate as
 //! absolute addresses (the global layout is a pure function of the
-//! program — see [`crate::memory::global_layout`]), and access widths are
+//! program — see `memory::global_layout`), and access widths are
 //! bytes. The few shapes the table has no opcode for keep their IR
 //! [`Inst`] in a side table and run through [`ExecCtx::exec_inst`], so
 //! there are two instruction forms in the tree, not three. Terminators

@@ -506,7 +506,7 @@ impl Pipeline {
 /// Runs a lock-step machine under a `lockstep` observability span,
 /// reporting its ground-truth counters to the sink.
 fn run_lockstep_observed(
-    machine: LockstepMachine<'_>,
+    machine: LockstepMachine,
     obs: &Obs,
 ) -> Result<LockstepStats, PipelineError> {
     let span = obs.span(Phase::Lockstep);

@@ -17,7 +17,8 @@
 
 use crate::dcfg::{DcfgScan, DcfgSet};
 use crate::tape::{
-    pack_block_key, partition, Failed, LaneTapes, TapeExtent, TapeWriter, END, SIDE_BIT,
+    pack_block_key, partition, Failed, LaneTapes, ShapeAccess, TapeExtent, TapeWriter, END,
+    SIDE_BIT,
 };
 use crate::AnalyzeError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -521,28 +522,34 @@ impl AnalysisIndex {
     }
 
     /// Thread `t`'s stream in order, read off its tape up to its end
-    /// sentinel: per event, the instruction count of a block (`None` for a
-    /// call, return, lock or barrier event) and the `(address, is_store)`
-    /// of each memory access it made.
-    pub fn thread_stream(
-        &self,
+    /// sentinel, flat: each event as `event(Some(instruction count))` for a
+    /// block or `event(None)` for a call, return, lock or barrier event,
+    /// and right after a block each of its accesses as
+    /// `access(address, is_store)`. Each address is decoded once.
+    pub fn thread_stream<'a, E>(
+        &'a self,
         t: usize,
-    ) -> impl Iterator<Item = (Option<u32>, impl Iterator<Item = (u64, bool)> + '_)> + '_ {
+        event: impl Fn(Option<u32>) -> E + 'a,
+        access: impl Fn(u64, bool) -> E + 'a,
+    ) -> impl Iterator<Item = E> + 'a {
         let v = self.tapes.view();
         let mut pos = self.tapes.start_of(t);
-        v.events[pos.event as usize..].iter().take_while(|&&ev| ev != END).map(move |&ev| {
-            let (ni, accs) = if ev & SIDE_BIT == 0 {
-                (Some(v.shapes.shape(ev).ni), v.shapes.accesses(ev))
-            } else {
-                (None, &[][..])
-            };
-            // The accesses decode lazily from a copy of the position; the
-            // stream's own position moves past them now.
-            let at = pos;
-            for _ in accs {
-                pos.next_addr(v.addrs);
+        let mut accs: &[ShapeAccess] = &[];
+        std::iter::from_fn(move || {
+            if let Some((d, rest)) = accs.split_first() {
+                accs = rest;
+                return Some(access(pos.next_addr(v.addrs), d.is_store));
             }
-            (ni, accs.iter().scan(at, move |at, d| Some((at.next_addr(v.addrs), d.is_store))))
+            let ev = v.events[pos.event as usize];
+            if ev == END {
+                return None;
+            }
+            pos.event += 1;
+            if ev & SIDE_BIT != 0 {
+                return Some(event(None));
+            }
+            accs = v.shapes.accesses(ev);
+            Some(event(Some(v.shapes.shape(ev).ni)))
         })
     }
 
@@ -1127,20 +1134,19 @@ mod tests {
     fn thread_stream_replays_each_threads_events() {
         let (program, traces) = workload_capture("coop_channel", 16);
         let ix = AnalysisIndex::build(&program, &traces).unwrap();
-        /// Per event: a block's instruction count, and its accesses.
-        type Step = (Option<u32>, Vec<(u64, bool)>);
+        /// A block's instruction count or a side event (`Ok`), or an
+        /// access (`Err`).
+        type Step = Result<Option<u32>, (u64, bool)>;
         for (t, trace) in traces.threads().iter().enumerate() {
-            let mut want: Vec<Step> = Vec::new();
-            for e in trace.iter_events() {
-                match e {
-                    TraceEvent::Block { n_insts, .. } => want.push((Some(n_insts), Vec::new())),
-                    TraceEvent::Mem { addr, is_store, .. } => {
-                        want.last_mut().expect("access follows its block").1.push((addr, is_store))
-                    }
-                    _ => want.push((None, Vec::new())),
-                }
-            }
-            let got: Vec<_> = ix.thread_stream(t).map(|(ni, mems)| (ni, mems.collect())).collect();
+            let want: Vec<Step> = trace
+                .iter_events()
+                .map(|e| match e {
+                    TraceEvent::Block { n_insts, .. } => Ok(Some(n_insts)),
+                    TraceEvent::Mem { addr, is_store, .. } => Err((addr, is_store)),
+                    _ => Ok(None),
+                })
+                .collect();
+            let got: Vec<Step> = ix.thread_stream(t, Ok, |addr, st| Err((addr, st))).collect();
             assert_eq!(got, want, "thread {t}");
         }
     }

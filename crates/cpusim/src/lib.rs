@@ -112,10 +112,11 @@ impl ThreadSource for AnalysisIndex {
     }
 
     fn thread(&self, t: usize) -> impl Iterator<Item = CpuEvent> + '_ {
-        self.thread_stream(t).flat_map(|(ni, mems)| {
-            std::iter::once(ni.map_or(CpuEvent::Side, CpuEvent::Insts))
-                .chain(mems.map(|(addr, is_store)| CpuEvent::Mem { addr, is_store }))
-        })
+        self.thread_stream(
+            t,
+            |ni| ni.map_or(CpuEvent::Side, CpuEvent::Insts),
+            |addr, is_store| CpuEvent::Mem { addr, is_store },
+        )
     }
 
     fn skipped(&self, t: usize) -> u64 {

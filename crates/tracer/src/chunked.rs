@@ -516,7 +516,7 @@ fn decode_chunk(
                 Classes::Fixed(passed, of, local) => {
                     let c = of[ordinal as usize];
                     let traced_insts = passed[c as usize]?;
-                    let body = local.entry(c).or_insert_with(|| joined(pre, post));
+                    let body = local.entry(c).or_insert_with(|| joined(&[pre, post]));
                     Some((traced_insts, Some(Arc::clone(body))))
                 }
             };

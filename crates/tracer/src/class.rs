@@ -136,13 +136,17 @@ impl ClassTable {
     }
 }
 
-/// `pre` followed by `post` in one exactly sized shared buffer, filled a
-/// slice at a time: collecting the bytes one by one is ten times slower.
-pub(crate) fn joined(pre: &[u8], post: &[u8]) -> Arc<[u8]> {
-    let mut body: Arc<[u8]> = std::iter::repeat_n(0, pre.len() + post.len()).collect();
-    let bytes = Arc::get_mut(&mut body).expect("a new body has one owner");
-    bytes[..pre.len()].copy_from_slice(pre);
-    bytes[pre.len()..].copy_from_slice(post);
+/// `parts` one after the other in one exactly sized shared buffer, filled
+/// a slice at a time: collecting the bytes one by one is ten times slower.
+pub(crate) fn joined(parts: &[&[u8]]) -> Arc<[u8]> {
+    let len = parts.iter().map(|p| p.len()).sum();
+    let mut body: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let mut bytes = Arc::get_mut(&mut body).expect("a new body has one owner");
+    for part in parts {
+        let (head, rest) = bytes.split_at_mut(part.len());
+        head.copy_from_slice(part);
+        bytes = rest;
+    }
     body
 }
 
@@ -203,7 +207,7 @@ impl SharedBodies {
         let (c, new) =
             self.table.classify(h, |c| bodies[c as usize].is(n_blocks, n_mems, pre, post));
         if new {
-            let (traced_insts, body) = (head.traced_insts, joined(pre, post));
+            let (traced_insts, body) = (head.traced_insts, joined(&[pre, post]));
             self.bodies.push(ClassBody { n_blocks, n_mems, traced_insts, body });
         }
         Arc::clone(&self.bodies[c as usize].body)

@@ -181,7 +181,7 @@ pub(crate) fn unzigzag64(v: u64) -> i64 {
 /// become a [`ThreadTrace`], so a short column is a broken invariant and
 /// panics.
 #[inline]
-fn read_uv(s: &mut &[u8]) -> u64 {
+pub(crate) fn read_uv(s: &mut &[u8]) -> u64 {
     let b = s[0];
     *s = &s[1..];
     if b < 0x80 {
@@ -271,7 +271,19 @@ pub(crate) const N_COLS: usize = 8;
 const MIN_GROWTH: usize = 64;
 /// Longest LEB128 varint of a 32-bit and of a 64-bit value.
 const MAX_VARINT32: usize = 5;
-const MAX_VARINT64: usize = 10;
+pub(crate) const MAX_VARINT64: usize = 10;
+
+/// Makes room for `need` more bytes in a growing record column: a column
+/// grows by an exact reserve of a quarter of its length, at least
+/// [`MIN_GROWTH`] bytes.
+#[inline]
+pub(crate) fn room(col: &mut Vec<u8>, need: usize) -> &mut Vec<u8> {
+    debug_assert!(need <= MIN_GROWTH, "one growth step holds any event");
+    if col.capacity() - col.len() < need {
+        col.reserve_exact((col.len() / 4).max(MIN_GROWTH));
+    }
+    col
+}
 
 /// The dynamic trace of one logical thread, stored as its v3 record.
 ///
@@ -494,7 +506,7 @@ impl ThreadTrace {
             [starts[0], starts[1], starts[2], starts[3], starts[5] - alen, starts[6] - alen];
         let body = match (&mut bodies, canonical) {
             (Some(bodies), true) => bodies.share(&head, pre, post),
-            _ => joined(pre, post),
+            _ => joined(&[pre, post]),
         };
         let t = ThreadTrace::packed(head, body_starts, record[lo..hi].into(), body);
         if canonical {
@@ -528,6 +540,22 @@ impl ThreadTrace {
             starts,
             addrs,
             body,
+        }
+    }
+
+    /// A trace of this trace's class (crate-internal: the tracer's later
+    /// threads of a class): this trace's body and counts around thread
+    /// `tid`'s skip counters `[io, spin, excluded]` and address column.
+    pub(crate) fn member(&self, tid: u32, skipped: [u64; 3], addrs: Box<[u8]>) -> Self {
+        let [skipped_io, skipped_spin, excluded_insts] = skipped;
+        ThreadTrace {
+            tid,
+            skipped_io,
+            skipped_spin,
+            excluded_insts,
+            addrs,
+            body: Arc::clone(&self.body),
+            ..*self
         }
     }
 
@@ -578,6 +606,16 @@ impl RecordWriter {
         RecordWriter { head: RecordHead { tid, ..RecordHead::default() }, ..Default::default() }
     }
 
+    /// A writer for thread 0 whose block columns have room for `n_blocks`
+    /// blocks of one-byte fields.
+    pub(crate) fn with_blocks(n_blocks: u32) -> Self {
+        let mut w = RecordWriter::default();
+        for col in &mut w.cols[FUNC..=MEM_COUNT] {
+            col.reserve_exact(n_blocks as usize);
+        }
+        w
+    }
+
     /// A writer holding `t`'s events, ready to append more.
     pub(crate) fn reopen(t: &ThreadTrace) -> Self {
         let mut w = RecordWriter::new(t.tid);
@@ -593,12 +631,7 @@ impl RecordWriter {
     /// Makes room for an event's `need` bytes in column `c`.
     #[inline]
     fn room(&mut self, c: usize, need: usize) -> &mut Vec<u8> {
-        debug_assert!(need <= MIN_GROWTH, "one growth step holds any event");
-        let col = &mut self.cols[c];
-        if col.capacity() - col.len() < need {
-            col.reserve_exact((col.len() / 4).max(MIN_GROWTH));
-        }
-        col
+        room(&mut self.cols[c], need)
     }
 
     /// Writes the open block's access count.
@@ -628,13 +661,25 @@ impl RecordWriter {
     /// Panics if no block has been pushed yet.
     #[inline]
     pub(crate) fn push_mem(&mut self, inst_idx: u32, addr: u64, size: u8, is_store: bool) {
+        self.push_access(inst_idx, size, is_store);
+        let delta = zigzag64(addr.wrapping_sub(self.prev_addr) as i64);
+        put_uvarint(self.room(ADDR, MAX_VARINT64), delta);
+        self.prev_addr = addr;
+    }
+
+    /// An access of the open block without its address: its instruction
+    /// index and size/store byte (crate-internal: the tracer builds a
+    /// class's body this way, and each thread keeps its own address
+    /// column).
+    ///
+    /// # Panics
+    /// Panics if no block has been pushed yet.
+    #[inline]
+    pub(crate) fn push_access(&mut self, inst_idx: u32, size: u8, is_store: bool) {
         assert!(self.head.n_blocks > 0, "mem access before any block");
         debug_assert!(size < STORE_BIT, "access size must fit in 7 bits");
         put_uvarint(self.room(INST_IDX, MAX_VARINT32), inst_idx as u64);
-        let delta = zigzag64(addr.wrapping_sub(self.prev_addr) as i64);
-        put_uvarint(self.room(ADDR, MAX_VARINT64), delta);
         self.room(SIZE_STORE, 1).push(size | if is_store { STORE_BIT } else { 0 });
-        self.prev_addr = addr;
         self.open_mems += 1;
         self.head.n_mems += 1;
     }
@@ -706,10 +751,21 @@ impl RecordWriter {
     }
 
     /// Packs the columns into an exactly sized record with a body of its
-    /// own.
-    pub(crate) fn finish(self) -> ThreadTrace {
-        let (head, starts, pre, addr, post) = self.into_parts();
-        ThreadTrace::packed(head, starts, addr.into(), joined(&pre, &post))
+    /// own, copying each body column once.
+    pub(crate) fn finish(mut self) -> ThreadTrace {
+        if self.head.n_blocks > 0 {
+            self.close_block();
+        }
+        let addrs = std::mem::take(&mut self.cols[ADDR]).into();
+        let [func, block, n_insts, mem_count, inst_idx, _, size_store, side] = &self.cols;
+        let body = [func, block, n_insts, mem_count, inst_idx, size_store, side].map(Vec::as_slice);
+        let mut starts = [0; BODY_COLS - 1];
+        let mut at = 0;
+        for (start, col) in starts.iter_mut().zip(body) {
+            at += col.len();
+            *start = at;
+        }
+        ThreadTrace::packed(self.head, starts, addrs, joined(&body))
     }
 
     /// Packs the columns into an exactly sized record whose body is its

@@ -10,8 +10,15 @@
 //! table must not bend, and on kernels for the edges of the register
 //! allocation the predecoded form runs on (the reference keeps the IR's
 //! register numbering, so it checks the allocation too).
+//!
+//! Every traced run here also checks the tracer against its reference:
+//! one machine run feeds both the [`Tracer`], which records control
+//! streams and builds each class's record once, and [`EventTracer`],
+//! which keeps every hook event and packs each thread with
+//! `ThreadTrace::from_events`. Their trace sets, classes included, must be
+//! equal.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use threadfuser::ir::{
     AccessSize, AluOp, Cond, FuncId, FunctionBuilder, GlobalId, IoKind, MemRef, Operand, OptLevel,
@@ -22,7 +29,7 @@ use threadfuser::machine::{
     ExecHook, ExecProgram, Machine, MachineConfig, MachineError, Memory, NoopHook, RunStats,
     SkipKind, Trap,
 };
-use threadfuser::tracer::{TraceEvent, TraceSet, Tracer};
+use threadfuser::tracer::{ThreadTrace, TraceEvent, TraceSet, Tracer, TracerConfig};
 use threadfuser::workloads::all;
 
 /// The predecoded form and the reference, in that order.
@@ -92,12 +99,161 @@ fn on_form(
     cfg.clone().exec_program(Arc::new(form(program)))
 }
 
+/// The reference tracer: every hook event in interchange form, per tid,
+/// each thread packed by `ThreadTrace::from_events` at the end.
+#[derive(Debug, Default)]
+struct EventTracer {
+    exclude: HashSet<FuncId>,
+    threads: Vec<EventThread>,
+}
+
+#[derive(Debug, Default)]
+struct EventThread {
+    events: Vec<TraceEvent>,
+    skipped_io: u64,
+    skipped_spin: u64,
+    excluded_insts: u64,
+    /// Depth of nesting inside excluded functions (0 = tracing).
+    excluded_depth: u32,
+}
+
+impl EventTracer {
+    fn thread(&mut self, tid: u32) -> &mut EventThread {
+        let idx = tid as usize;
+        if idx >= self.threads.len() {
+            self.threads.resize_with(idx + 1, EventThread::default);
+        }
+        &mut self.threads[idx]
+    }
+
+    /// Records `e` unless `tid` is inside an excluded function.
+    fn push(&mut self, tid: u32, e: TraceEvent) {
+        let t = self.thread(tid);
+        if t.excluded_depth == 0 {
+            t.events.push(e);
+        }
+    }
+
+    fn into_traces(self) -> TraceSet {
+        let traces = self.threads.into_iter().enumerate().map(|(tid, t)| {
+            let mut trace = ThreadTrace::from_events(tid as u32, t.events);
+            trace.skipped_io = t.skipped_io;
+            trace.skipped_spin = t.skipped_spin;
+            trace.excluded_insts = t.excluded_insts;
+            trace
+        });
+        TraceSet::new(traces.collect())
+    }
+}
+
+impl ExecHook for EventTracer {
+    fn on_block(&mut self, tid: u32, addr: threadfuser::ir::BlockAddr, n_insts: u32) {
+        let t = self.thread(tid);
+        if t.excluded_depth > 0 {
+            t.excluded_insts += n_insts as u64;
+        }
+        self.push(tid, TraceEvent::Block { addr, n_insts });
+    }
+    fn on_mem(&mut self, tid: u32, inst_idx: u32, addr: u64, size: u32, is_store: bool) {
+        self.push(tid, TraceEvent::Mem { inst_idx, addr, size: size as u8, is_store });
+    }
+    fn on_call(&mut self, tid: u32, callee: FuncId) {
+        let excluded = self.exclude.contains(&callee);
+        let t = self.thread(tid);
+        if t.excluded_depth > 0 || excluded {
+            t.excluded_depth += 1;
+        } else {
+            t.events.push(TraceEvent::Call { callee });
+        }
+    }
+    fn on_ret(&mut self, tid: u32) {
+        let t = self.thread(tid);
+        if t.excluded_depth > 0 {
+            t.excluded_depth -= 1;
+        } else {
+            t.events.push(TraceEvent::Ret);
+        }
+    }
+    fn on_acquire(&mut self, tid: u32, lock: u64) {
+        self.push(tid, TraceEvent::Acquire { lock });
+    }
+    fn on_release(&mut self, tid: u32, lock: u64) {
+        self.push(tid, TraceEvent::Release { lock });
+    }
+    fn on_barrier(&mut self, tid: u32, id: u32) {
+        self.push(tid, TraceEvent::Barrier { id });
+    }
+    fn on_skipped(&mut self, tid: u32, count: u64, kind: SkipKind) {
+        let t = self.thread(tid);
+        match kind {
+            SkipKind::Io => t.skipped_io += count,
+            SkipKind::LockSpin => t.skipped_spin += count,
+        }
+    }
+}
+
+/// Feeds every hook event to two hooks, the first first.
+struct Tee<'a, A, B>(&'a mut A, &'a mut B);
+
+impl<A: ExecHook, B: ExecHook> ExecHook for Tee<'_, A, B> {
+    fn on_block(&mut self, tid: u32, addr: threadfuser::ir::BlockAddr, n_insts: u32) {
+        self.0.on_block(tid, addr, n_insts);
+        self.1.on_block(tid, addr, n_insts);
+    }
+    fn on_mem(&mut self, tid: u32, inst_idx: u32, addr: u64, size: u32, is_store: bool) {
+        self.0.on_mem(tid, inst_idx, addr, size, is_store);
+        self.1.on_mem(tid, inst_idx, addr, size, is_store);
+    }
+    fn on_call(&mut self, tid: u32, callee: FuncId) {
+        self.0.on_call(tid, callee);
+        self.1.on_call(tid, callee);
+    }
+    fn on_ret(&mut self, tid: u32) {
+        self.0.on_ret(tid);
+        self.1.on_ret(tid);
+    }
+    fn on_acquire(&mut self, tid: u32, lock: u64) {
+        self.0.on_acquire(tid, lock);
+        self.1.on_acquire(tid, lock);
+    }
+    fn on_release(&mut self, tid: u32, lock: u64) {
+        self.0.on_release(tid, lock);
+        self.1.on_release(tid, lock);
+    }
+    fn on_barrier(&mut self, tid: u32, id: u32) {
+        self.0.on_barrier(tid, id);
+        self.1.on_barrier(tid, id);
+    }
+    fn on_skipped(&mut self, tid: u32, count: u64, kind: SkipKind) {
+        self.0.on_skipped(tid, count, kind);
+        self.1.on_skipped(tid, count, kind);
+    }
+    fn on_thread_end(&mut self, tid: u32) {
+        self.0.on_thread_end(tid);
+        self.1.on_thread_end(tid);
+    }
+}
+
 fn traced_run(program: &Program, cfg: MachineConfig) -> Result<Run, MachineError> {
+    traced_run_excluding(program, cfg, HashSet::new())
+}
+
+/// A traced run with the functions in `exclude` left out of the trace,
+/// whose trace set is asserted equal to the reference tracer's.
+fn traced_run_excluding(
+    program: &Program,
+    cfg: MachineConfig,
+    exclude: HashSet<FuncId>,
+) -> Result<Run, MachineError> {
     let n_threads = cfg.n_threads;
     let mut machine = Machine::new(program, cfg)?;
-    let mut tracer = Tracer::new();
-    let RunStats { per_thread, heap_allocs } = machine.run(&mut tracer)?;
-    let traces = tracer.into_traces();
+    let mut tracer = Tracer::with_config(program, TracerConfig { exclude: exclude.clone() });
+    let mut reference = EventTracer { exclude, threads: Vec::new() };
+    let RunStats { per_thread, heap_allocs } =
+        machine.run(&mut Tee(&mut tracer, &mut reference))?;
+    let (traces, expected) = (tracer.into_traces(), reference.into_traces());
+    assert!(traces == expected, "the tracer's records differ from the reference's");
+    assert_eq!(traces.classes(), expected.classes(), "the tracer's classes");
     let memory = memory_digest(machine.memory(), program, &traces, n_threads);
     Ok(Run { traces, per_thread, heap_allocs, memory })
 }
@@ -750,4 +906,81 @@ fn a_non_power_of_two_scale_on_renamed_registers_matches() {
     let base = m.memory().global_addr(GlobalId(1));
     let got: Vec<i64> = (0..4).map(|t| m.memory().read(base + 8 * t, 8) as i64).collect();
     assert_eq!(got, expect);
+}
+
+/// Every control edge the tracer records or derives — a jump table on a
+/// memory selector, a branch whose two targets are equal, two locks, a
+/// barrier, a call into a helper that branches and returns a memory
+/// operand, heap traffic sized from memory — traced in
+/// full and with the helper excluded, at every optimization level, on
+/// both forms. Each run also checks the tracer against the reference.
+#[test]
+fn every_control_edge_traces_as_the_reference() {
+    const THREADS: u32 = 16;
+    let mut pb = ProgramBuilder::new();
+    let out = pb.global("out", 8 * 8);
+    let sels = pb.global_i64("sels", &[0, 1, 2, 3, 4, 5, 6, 7, 1, 1, 2, 2, 3, 3, 0, 0]);
+    let locks = pb.global("locks", 16);
+    let helper = pb.function("helper", 1, |fb| {
+        let x = fb.arg(0);
+        let odd = fb.alu(AluOp::And, x, 1i64);
+        fb.if_then(Cond::Eq, odd, 1i64, |fb| fb.io(IoKind::Read, 7));
+        let slot = MemRef::global(out, Some((x, 8)), 0, AccessSize::B8);
+        fb.store(slot, x);
+        fb.ret(Some(Operand::Mem(slot)));
+    });
+    let k = pb.function("k", 1, |fb| {
+        let tid = fb.arg(0);
+        let sel = MemRef::global(sels, Some((tid, 8)), 0, AccessSize::B8);
+        let cases = [(); 3].map(|()| fb.new_block());
+        let (join, default) = (fb.new_block(), fb.new_block());
+        fb.switch(Operand::Mem(sel), 1, cases.to_vec(), default);
+        for (i, &b) in cases.iter().chain([&default]).enumerate() {
+            fb.switch_to(b);
+            fb.io(IoKind::Write, i as u32 + 1);
+            fb.jmp(join);
+        }
+        fb.switch_to(join);
+        let same = fb.new_block();
+        fb.br(Cond::Lt, tid, 3i64, same, same);
+        fb.switch_to(same);
+        let which = fb.alu(AluOp::And, tid, 1i64);
+        let lock = fb.lea(MemRef::global(locks, Some((which, 8)), 0, AccessSize::B8));
+        fb.acquire(lock);
+        let x = fb.load(sel);
+        let r = fb.call(helper, &[Operand::Reg(x)]);
+        fb.release(lock);
+        fb.barrier(3);
+        let p = fb.alloc(Operand::Mem(MemRef::global(sels, None, 8, AccessSize::B8)));
+        fb.store(MemRef::reg(p, 0, AccessSize::B8), r);
+        fb.free(p);
+        fb.ret(None);
+    });
+    let program = pb.build().unwrap();
+    for opt in OptLevel::ALL {
+        let p = opt.apply(&program);
+        for exclude in [HashSet::new(), HashSet::from([helper])] {
+            for quantum in [1, 64] {
+                let what = format!("{opt:?} quantum {quantum} excluding {exclude:?}");
+                let cfg = config(k, None, THREADS, quantum);
+                let [pre, legacy] = FORMS.map(|form| {
+                    traced_run_excluding(&p, on_form(&p, &cfg, form), exclude.clone())
+                        .unwrap_or_else(|err| panic!("{what}: {err}"))
+                });
+                assert!(pre.traces == legacy.traces, "{what}: traces differ");
+                assert_eq!(pre.per_thread, legacy.per_thread, "{what}: per-thread stats");
+                let traces = pre.traces.threads();
+                let calls = |t: &ThreadTrace| {
+                    t.iter_events().filter(|e| matches!(e, TraceEvent::Call { .. })).count()
+                };
+                if exclude.is_empty() {
+                    assert!(traces.iter().all(|t| calls(t) == 1 && t.excluded_insts == 0));
+                } else {
+                    assert!(traces.iter().all(|t| calls(t) == 0 && t.excluded_insts > 0));
+                }
+                let n_classes = pre.traces.classes().into_iter().max().map_or(0, |c| c + 1);
+                assert!(n_classes > 2, "{what}: selectors and locks split the threads");
+            }
+        }
+    }
 }

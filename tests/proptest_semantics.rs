@@ -200,7 +200,7 @@ fn engine_run(
     let exec = std::sync::Arc::new(form(program));
     let cfg = MachineConfig::new(kernel, N_THREADS).exec_program(exec);
     let mut m = Machine::new(program, cfg).expect("machine loads");
-    let mut tracer = Tracer::new();
+    let mut tracer = Tracer::new(program);
     m.run(&mut tracer).expect("mimd run succeeds");
     (out_words(program, m.memory(), "out"), tracer.into_traces())
 }

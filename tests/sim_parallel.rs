@@ -310,12 +310,18 @@ proptest! {
 /// charged or not.
 #[test]
 fn cpu_model_from_the_index_equals_cpu_model_from_the_set() {
-    // coop_channel spins on locks, so its captures carry skipped work.
-    for (name, threads) in [("bfs", 256), ("coop_channel", 64)] {
+    // coop_channel spins on locks, so its captures carry skipped work;
+    // pigz shares its classes' bodies between threads, coop_lottery
+    // gives every thread its own.
+    let programs = [("bfs", 256), ("coop_channel", 64), ("pigz", 512), ("coop_lottery", 256)];
+    for (name, threads) in programs {
         let w = by_name(name).unwrap();
-        let traced = Pipeline::from_workload(&w).threads(threads).trace().unwrap();
+        let pipeline = Pipeline::from_workload(&w).threads(threads).opt_level(OptLevel::O3);
+        let traced = pipeline.trace().unwrap();
         let index = traced.index().unwrap();
-        assert!(traced.traces().total_skipped_insts() > 0 || name == "bfs");
+        if name == "coop_channel" {
+            assert!(traced.traces().total_skipped_insts() > 0);
+        }
         for include_skipped in [true, false] {
             for &workers in WORKER_COUNTS {
                 let cfg = CpuSimConfig { workers, include_skipped, ..Default::default() };

@@ -365,6 +365,43 @@ fn pigz_capture_is_stored_and_walked_once_per_class() {
     assert_walks(&program, &set, n_classes as u64, "pigz@2048");
 }
 
+/// The tracer builds one record per class of control streams, and the
+/// index build walks one thread per class of records: on `cold_project`'s
+/// eight programs at 2048 threads (O3) the two counts are equal, program
+/// by program, 4 186 of 16 384 threads in all.
+#[test]
+fn capture_builds_one_record_per_class() {
+    const THREADS: u32 = 2048;
+    const BUILT: [(&str, u64); 8] = [
+        ("md5", 1),
+        ("pigz", 256),
+        ("bfs", 304),
+        ("cc", 64),
+        ("hdsearch_mid", 597),
+        ("mcrouter_memcached", 231),
+        ("text", 940),
+        ("coop_lottery", 1793),
+    ];
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    for (name, want) in BUILT {
+        let w = workloads::by_name(name).expect("workload exists");
+        let sink = Arc::new(InMemorySink::new());
+        let pipeline = Pipeline::from_workload(&w)
+            .threads(THREADS)
+            .opt_level(OptLevel::O3)
+            .parallelism(2)
+            .observe(Obs::with_sink(sink.clone()));
+        let traced = pipeline.trace().expect("program traces");
+        traced.index().expect("index builds");
+        let built = sink.counter_total_for(Phase::Trace, "bodies_built");
+        let walked = sink.counter_total_for(Phase::IndexBuild, "threads_walked");
+        eprintln!("{name}@{THREADS}: {built} records built, {walked} threads walked");
+        assert_eq!(built, walked, "{name}@{THREADS}: a record per class");
+        assert_eq!(built, want, "{name}@{THREADS}: records built");
+    }
+    assert_eq!(BUILT.iter().map(|&(_, n)| n).sum::<u64>(), 4186);
+}
+
 /// Every thread of `hdsearch_leaf`@512 runs one event sequence: its index
 /// builds walk one of the 512 threads, on both build paths.
 #[test]

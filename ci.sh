@@ -40,14 +40,19 @@ else
     echo "    benchmark/run.sh needs 2 CPUs: digest check NOT RUN on this host"
 fi
 
-echo "==> engine identity (predecoded vs reference ExecProgram, optimized build)"
-# `cargo test -q` above ran it unoptimized; the optimized build is the one
-# whose inlining and constant folding the benchmark measures, so the
+echo "==> engine and tracer identity, work counts (optimized build)"
+# `cargo test -q` above ran them unoptimized; the optimized build is the
+# one whose inlining and constant folding the benchmark measures, so the
 # machine must also agree with itself there on `ExecProgram::build` and
 # `ExecProgram::reference` (the IR walk): all 41 workloads x {O0, O1, O2,
 # O3} x quantum {1, 64}, and the hand-built register-allocation edge
-# kernels — traces, per-thread stats, final memory, faults.
-cargo test --release -q -p threadfuser --test engine_identity
+# kernels — traces, per-thread stats, final memory, faults. Every one of
+# those runs also checks the tracer, which records control streams and
+# builds each class's record once, against a reference hook that packs
+# every event with `ThreadTrace::from_events`. `work_budget` pins the
+# exact work counts (records built per capture, threads walked,
+# coalescing groups) and heap budgets on the same build.
+cargo test --release -q -p threadfuser --test engine_identity --test work_budget
 
 echo "==> emulator identity (golden reports, step digests, lock-step pin, optimized build)"
 # The same reasoning for the warp emulator: the benchmark measures its
@@ -114,6 +119,14 @@ for OP in validate decode; do
 done
 echo "$HEAP_OPS_OUT" |
     grep -Eq "^file_ingest +hdsearch_leaf@64 +analyze +$MB_CELL +$MB_CELL +$MB_CELL +1/64 +1/64\$"
+
+echo "==> tracer overhead table (thread-capped smoke)"
+# The NoopHook-vs-Tracer table EXPERIMENTS.md "Tracer overhead" quotes, at
+# 64 threads so it cannot rot: all eight cold_project programs and the
+# total row must print.
+OVERHEAD_OUT=$(TF_THREADS=64 cargo run --release -q -p threadfuser-bench --bin tracer_overhead)
+echo "$OVERHEAD_OUT" | grep -q "^coop_lottery@64 "
+echo "$OVERHEAD_OUT" | grep -q "^all "
 
 echo "==> trace CLI usage gate (--chunk-kb 0 must be a usage error)"
 set +e

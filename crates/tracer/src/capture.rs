@@ -426,11 +426,6 @@ impl Tracer {
         }
     }
 
-    /// Bytes of control streams recorded over the threads that ended.
-    fn control_bytes(&self) -> u64 {
-        self.control_bytes
-    }
-
     /// Records built by replaying a control stream: one per class.
     fn bodies_built(&self) -> u64 {
         self.classes.len() as u64
@@ -586,7 +581,7 @@ pub fn trace_program_observed(
     let start = std::time::Instant::now();
     let result = run_traced(program, config, TracerConfig::default()).map(|(tracer, stats)| {
         obs.counter(Phase::Trace, "bodies_built", tracer.bodies_built());
-        obs.counter(Phase::Trace, "control_bytes", tracer.control_bytes());
+        obs.counter(Phase::Trace, "control_bytes", tracer.control_bytes);
         (tracer.into_traces(), stats)
     });
     let elapsed = start.elapsed();
@@ -743,7 +738,7 @@ mod tests {
             run_traced(&p, MachineConfig::new(k, 8), TracerConfig::default()).unwrap();
         assert_eq!(tracer.bodies_built(), 2);
         // Eight threads, one byte of branch bits each.
-        assert_eq!(tracer.control_bytes(), 8);
+        assert_eq!(tracer.control_bytes, 8);
         let traces = tracer.into_traces();
         assert_eq!(traces.classes(), [0, 1, 0, 1, 0, 1, 0, 1]);
         assert_eq!(traces.threads()[2].mem_count(), 1);

@@ -512,11 +512,11 @@ impl ThreadTrace {
         if canonical {
             return t;
         }
-        let w = RecordWriter::reopen(&t);
-        match bodies {
-            Some(bodies) => w.finish_shared(bodies),
-            None => w.finish(),
+        let mut t = RecordWriter::reopen(&t).finish();
+        if let Some(bodies) = bodies {
+            t.share_body(bodies);
         }
+        t
     }
 
     /// A trace of `head`'s header and counts around its columns
@@ -727,29 +727,6 @@ impl RecordWriter {
         }
     }
 
-    /// Closes the record: its header, where each body column after the
-    /// first starts, and its columns before, at and after the address
-    /// column, each as one stream. Each column is freed once copied, so
-    /// packing holds about one record twice, not the whole thread's
-    /// streams beside it.
-    fn into_parts(mut self) -> (RecordHead, Starts, Vec<u8>, Vec<u8>, Vec<u8>) {
-        if self.head.n_blocks > 0 {
-            self.close_block();
-        }
-        let [func, block, n_insts, mem_count, inst_idx, addr, size_store, side] = self.cols;
-        let mut starts = [0; BODY_COLS - 1];
-        let mut pre = func;
-        for (i, col) in [block, n_insts, mem_count, inst_idx].into_iter().enumerate() {
-            starts[i] = pre.len();
-            pre.extend_from_slice(&col);
-        }
-        starts[SPLIT] = pre.len();
-        starts[SPLIT + 1] = pre.len() + size_store.len();
-        let mut post = size_store;
-        post.extend_from_slice(&side);
-        (self.head, starts, pre, addr, post)
-    }
-
     /// Packs the columns into an exactly sized record with a body of its
     /// own, copying each body column once.
     pub(crate) fn finish(mut self) -> ThreadTrace {
@@ -766,14 +743,6 @@ impl RecordWriter {
             *start = at;
         }
         ThreadTrace::packed(self.head, starts, addrs, joined(&body))
-    }
-
-    /// Packs the columns into an exactly sized record whose body is its
-    /// class's in `bodies`.
-    pub(crate) fn finish_shared(self, bodies: &mut SharedBodies) -> ThreadTrace {
-        let (head, starts, pre, addr, post) = self.into_parts();
-        let body = bodies.share(&head, &pre, &post);
-        ThreadTrace::packed(head, starts, addr.into(), body)
     }
 }
 
